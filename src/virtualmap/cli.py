@@ -98,7 +98,6 @@ def _cmd_estimate(args) -> int:
                 list(batch.povm_labels),
                 circ,
                 obs,
-                threads=args.threads,
                 labels=(obs_id, circ_id, batch_id),
             )
             row = {
@@ -200,7 +199,6 @@ def _cmd_optimize(args) -> int:
             list(hbatch.povm_labels),
             final,
             obs,
-            threads=args.threads,
             labels=(_label(args.observable), _label(args.circuit), _label(args.holdout)),
         )
         holdout = {"batch": _label(args.holdout), "value": est.value, "sigma": est.sigma}
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
 
     p = sub.add_parser("sample", parents=[common], help="draw measurement outcomes from a state")
     p.add_argument("--state", help="state-preparation JSON file")

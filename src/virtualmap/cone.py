@@ -21,11 +21,28 @@ circuits. Backward evaluation runs the mirrored adjoint circuit with the roles
 of the two factor sets exchanged; for Hermiticity-preserving circuits both
 directions agree.
 
+The residual carries a leading batch axis, so one sweep evaluates many rows
+of input factors at once; the single-row entry points are batches of one.
+``evaluate_rows`` runs one Pauli term over a whole batch and contracts only
+the term's backward light cone (``cone_plan``, cached per circuit and
+support). The pruning is exact:
+
+* a component outside the cone is dropped only if it is trace preserving to
+  round-off (vec(I)^T S = vec(I)^T within ``_TP_TOL``); otherwise it joins the
+  cone together with every earlier component it reaches;
+* a qubit outside the cone contributes the factor Tr F_q, which need not be
+  one (custom dual frames).
+
+Rows that agree on the cone's qubits are contracted once, and batches are cut
+into chunks so that live residuals stay below ``_BATCH_ENTRIES`` entries.
+
 ``split_evaluate`` stops the forward pass right before a singled-out
 component, evaluates the rest backwards to just after it, and returns the
 residual pairs (R_a, Rbar_a) over a normalized Pauli basis of the spectator
 qubits, so that  value(replacement L_s) = sum_a Tr[L_s(R_a) Rbar_a]  is exact
-and linear in the replacement. This is what the variational layer optimizes.
+and linear in the replacement. ``split_residuals`` returns the same forward
+and backward residuals for a whole batch of (row, term) pairs; this is what
+the variational layer assembles its objectives from.
 """
 
 from __future__ import annotations
@@ -38,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import apply_superop_local, insert_factor, kron_all, multiply_trace_out, trace_mul
+from .linalg import apply_superop_local, insert_factor, multiply_trace_out, trace_mul
 from .maps import LocalMap, adjoint_map, invert_map, map_from_spec, map_to_payload
 from .pauli import PAULI_MATRICES, PauliString
 
@@ -356,9 +373,14 @@ def _factor_list(factors, num_qubits: int) -> list[np.ndarray]:
 
 
 def _run_steps(circuit, steps, in_factors, out_factors):
-    """Execute schedule steps; returns (active qubit list, residual matrix)."""
+    """Execute schedule steps on a batch of residuals.
+
+    Each per-qubit factor is (2, 2), shared by the batch, or (B, 2, 2), one
+    per item; the batch size follows by broadcasting. Returns the active
+    qubit list and the residuals, shape (B, 2^a, 2^a) for a active qubits.
+    """
     active: list[int] = []
-    res = np.array([[1.0 + 0.0j]])
+    res = np.ones((1, 1, 1), dtype=complex)
     comps = circuit.components
     for step in steps:
         if step.kind == "absorb":
@@ -389,7 +411,7 @@ def evaluate_trace(circuit, dual_factors, pauli, sched: EvaluationSchedule | Non
     active, res = _run_steps(circuit, sched.steps, ins, outs)
     if active:
         raise ValidationError("schedule did not trace every qubit")
-    return complex(res[0, 0])
+    return complex(res[0, 0, 0])
 
 
 def mirror_adjoint(circuit: MapCircuit) -> MapCircuit:
@@ -423,15 +445,106 @@ def evaluate_trace_backward(
     active, res = _run_steps(mirror, sched.steps, ins, outs)
     if active:
         raise ValidationError("schedule did not trace every qubit")
-    return complex(res[0, 0])
+    return complex(res[0, 0, 0])
 
 
-@dataclass
-class ResidualOperator:
-    """A partially contracted operator on the currently active qubits."""
+# ---------------------------------------------------------------------------
+# batched evaluation over one Pauli term's backward light cone
 
-    active: tuple[int, ...]
-    matrix: np.ndarray
+# A component counts as trace preserving, and may be left out of a term's
+# cone, only if vec(I)^T S matches vec(I)^T to this absolute tolerance.
+_TP_TOL = 1e-12
+# Upper bound on the entries of one batch of residuals (16 bytes each); the
+# rows of a batch are chunked to stay below it.
+_BATCH_ENTRIES = 1 << 18
+
+
+def _trace_preserving(circuit: MapCircuit) -> tuple[bool, ...]:
+    flags = circuit._cache.get("tp")
+    if flags is None:
+        out = []
+        for comp in circuit.components:
+            vec_eye = np.eye(comp.map.dim).reshape(-1)
+            out.append(bool(np.max(np.abs(vec_eye @ comp.map.superop - vec_eye)) <= _TP_TOL))
+        flags = circuit._cache["tp"] = tuple(out)
+    return flags
+
+
+@dataclass(frozen=True)
+class ConePlan:
+    """Schedule of one term's backward light cone.
+
+    ``qubits`` (ascending) are the term's support plus every qubit a cone
+    component touches; ``steps`` absorb, apply and trace exactly those.
+    """
+
+    qubits: tuple[int, ...]
+    steps: tuple[ScheduleStep, ...]
+    peak_active: int
+
+
+def cone_plan(circuit: MapCircuit, support) -> ConePlan:
+    """Backward light cone of an output support, cached on the circuit.
+
+    Walking the components backwards, one joins the cone if it touches a cone
+    qubit or is not trace preserving; its qubits then join too. Everything
+    left out is trace preserving and acts only on qubits whose output factor
+    is the identity, so dropping it leaves the trace unchanged.
+    """
+    key = ("cone", tuple(support))
+    plan = circuit._cache.get(key)
+    if plan is None:
+        tp = _trace_preserving(circuit)
+        qubits = set(support)
+        members = []
+        for ci in range(len(circuit.components) - 1, -1, -1):
+            touched = circuit.components[ci].qubits
+            if not tp[ci] or qubits.intersection(touched):
+                members.append(ci)
+                qubits.update(touched)
+        steps, peak, _, _ = _greedy_schedule(circuit, members, sorted(qubits))
+        plan = ConePlan(tuple(sorted(qubits)), tuple(steps), peak)
+        circuit._cache[key] = plan
+    return plan
+
+
+def row_chunks(num_rows: int, peak_active: int):
+    """Slices of a batch small enough that its residuals on ``peak_active``
+    qubits hold at most ``_BATCH_ENTRIES`` entries."""
+    size = max(1, _BATCH_ENTRIES // 4**peak_active)
+    return [slice(start, min(start + size, num_rows)) for start in range(0, num_rows, size)]
+
+
+def evaluate_rows(circuit: MapCircuit, tables, rows, pauli: PauliString) -> np.ndarray:
+    """Tr[L(F_row) P] for every row of a batch, over the term's light cone.
+
+    ``tables[q]`` is an (M_q, 2, 2) array of input factors for qubit q and
+    ``rows`` an (R, N) integer array picking one factor per qubit. Qubits
+    outside the cone contribute Tr F_q. Rows that agree on the cone's qubits
+    are contracted once, in batches, and scattered back.
+    """
+    n = circuit.num_qubits
+    outs = _factor_list(pauli, n)
+    plan = cone_plan(circuit, pauli.support)
+    rows = np.asarray(rows)
+    values = np.ones(len(rows), dtype=complex)
+    for q in range(n):
+        if q not in plan.qubits:
+            values *= np.trace(tables[q], axis1=1, axis2=2)[rows[:, q]]
+    if not plan.qubits:
+        return values
+    cols = list(plan.qubits)
+    uniq, inverse = np.unique(rows[:, cols], axis=0, return_inverse=True)
+    cone_values = np.empty(len(uniq), dtype=complex)
+    for chunk in row_chunks(len(uniq), plan.peak_active):
+        ins = [None] * n
+        for j, q in enumerate(cols):
+            ins[q] = tables[q][uniq[chunk, j]]
+        active, res = _run_steps(circuit, plan.steps, ins, outs)
+        if active:
+            raise ValidationError("cone schedule did not trace every qubit")
+        cone_values[chunk] = res[:, 0, 0]
+    return values * cone_values[inverse.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +678,29 @@ def _spectator_basis(count: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+def split_residuals(circuit: MapCircuit, plan: SplitPlan, in_factors, out_factors):
+    """Batched forward and backward residuals of a split, support qubits first.
+
+    Factors are per qubit, (2, 2) or (B, 2, 2) as in :func:`_run_steps`.
+    Returns two arrays of shape (B, ds, dm, ds, dm): ds spans the singled-out
+    component's qubits (in its own order), dm the spectators (ascending).
+    """
+    active_f, res_f = _run_steps(circuit, plan.fwd_steps, in_factors, out_factors)
+    active_b, res_b = _run_steps(plan.bwd_circuit, plan.bwd_steps, out_factors, in_factors)
+    if tuple(active_f) != plan.shared or tuple(active_b) != plan.shared:
+        raise ValidationError("split residuals ended on unexpected qubit sets")
+    sup = circuit.components[plan.component].qubits
+    ds = 2 ** len(sup)
+    dm = 2 ** len(plan.spectators)
+    shape = (max(len(res_f), len(res_b)), ds, dm, ds, dm)
+
+    def grouped(res):
+        t = _group_support_first(res, plan.shared, sup)
+        return np.broadcast_to(t.reshape(-1, ds, dm, ds, dm), shape)
+
+    return grouped(res_f), grouped(res_b)
+
+
 def split_evaluate(circuit, component, dual_factors, pauli, plan: SplitPlan | None = None):
     """Residual pairs (R_a, Rbar_a) such that, for any replacement map L on
     the singled-out component's qubits,
@@ -583,39 +719,27 @@ def split_evaluate(circuit, component, dual_factors, pauli, plan: SplitPlan | No
     n = circuit.num_qubits
     ins = _factor_list(dual_factors, n)
     outs = _factor_list(pauli, n)
-
-    active_f, res_f = _run_steps(circuit, plan.fwd_steps, ins, outs)
-    active_b, res_b = _run_steps(plan.bwd_circuit, plan.bwd_steps, outs, ins)
-    if tuple(active_f) != plan.shared or tuple(active_b) != plan.shared:
-        raise ValidationError("split residuals ended on unexpected qubit sets")
-
-    sup = circuit.components[plan.component].qubits
-    r = _group_support_first(res_f, plan.shared, sup)
-    rbar = _group_support_first(res_b, plan.shared, sup)
-    ds = 2 ** len(sup)
-    dm = 2 ** len(plan.spectators)
-    r4 = r.reshape(ds, dm, ds, dm)
-    rbar4 = rbar.reshape(ds, dm, ds, dm)
+    r, rbar = split_residuals(circuit, plan, ins, outs)
     pairs = []
     for b in plan.basis:
-        ra = np.einsum("xwyu,uw->xy", r4, b)
-        rbara = np.einsum("xwyu,uw->xy", rbar4, b)
+        ra = np.einsum("xwyu,uw->xy", r[0], b)
+        rbara = np.einsum("xwyu,uw->xy", rbar[0], b)
         pairs.append((ra, rbara))
     return pairs
 
 
 def _group_support_first(res, shared, support):
-    """Permute a residual on ``shared`` (ascending) so the support qubits come
-    first (in component order), spectators after (ascending)."""
+    """Permute a batch of residuals on ``shared`` (ascending) so the support
+    qubits come first (in component order), spectators after (ascending)."""
     shared = list(shared)
     a = len(shared)
     order = [shared.index(q) for q in support] + [
         shared.index(q) for q in shared if q not in support
     ]
-    t = res.reshape((2,) * (2 * a))
-    t = t.transpose([*order, *[a + p for p in order]])
+    t = res.reshape((-1,) + (2,) * (2 * a))
+    t = t.transpose([0, *[1 + p for p in order], *[1 + a + p for p in order]])
     d = 2**a
-    return t.reshape(d, d)
+    return t.reshape(-1, d, d)
 
 
 def split_value(pairs, local_map: LocalMap) -> complex:

@@ -106,7 +106,7 @@ def apply_local_map(rho: DensityMatrix, m: LocalMap, qubits) -> DensityMatrix:
     if any(q < 0 or q >= rho.num_qubits for q in qubits):
         raise ValidationError(f"qubits {qubits} outside register")
     before = np.trace(rho.matrix)
-    out = apply_superop_local(rho.matrix, m.superop, qubits, rho.num_qubits)
+    out = apply_superop_local(rho.matrix[None], m.superop, qubits, rho.num_qubits)[0]
     if m.flags().tp and abs(np.trace(out) - before) > 1e-10:
         raise ValidationError("trace not preserved by a trace-preserving map")
     return DensityMatrix(rho.num_qubits, out)
@@ -122,9 +122,10 @@ def apply_circuit_dense(circuit: MapCircuit, op: np.ndarray) -> np.ndarray:
     out = np.asarray(op, dtype=complex)
     if out.shape != (2**n, 2**n):
         raise ValidationError(f"operator shape {out.shape} does not match {n} qubits")
+    out = out[None]
     for comp in circuit.components:
         out = apply_superop_local(out, comp.map.superop, comp.qubits, n)
-    return out
+    return out[0]
 
 
 def dense_map_circuit_oracle(circuit: MapCircuit, input_op: np.ndarray) -> np.ndarray:
@@ -265,13 +266,13 @@ def _sample_conditional(rho, effects, num_shots, rng):
             )
             probs /= probs.sum()
             draws = rng.choice(len(probs), size=len(idx), p=probs)
+            children = multiply_trace_out(t[None], effects[q], 0, nq) if q < n - 1 else None
             for m in range(len(probs)):
                 sel = idx[draws == m]
                 if sel.size:
                     out[sel, q] = m
-                    if q < n - 1:
-                        child = multiply_trace_out(t, effects[q][m], 0, nq)
-                        nxt.append((child, sel))
+                    if children is not None:
+                        nxt.append((children[m], sel))
         branches = nxt
     return out
 

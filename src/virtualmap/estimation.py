@@ -2,23 +2,34 @@
 
 Each recorded outcome string m contributes a shot weight
 
-    w_m = Re sum_k c_k Tr[L(D_{m_0} (x) ... (x) D_{m_{N-1}}) P_k],
+    w_m = Re sum_k c_k Tr[L(D_{m_0} (x) ... (x) D_{m_{N-1}}) P_k].
 
-evaluated through the causal-cone engine; the estimate is the sample mean with
-the unbiased sample variance. Identical outcome strings are collapsed before
-evaluation (there are at most 4^N distinct strings), and the reduction order
-is fixed by sorting, so results are deterministic for a given batch.
+Identical outcome strings are collapsed first (there are at most 4^N distinct
+strings), and the estimate is the count-weighted sample mean with the
+unbiased sample variance; the reduction order is fixed by sorting, so results
+are deterministic for a given batch.
+
+The weights of all rows are computed together, one Pauli term at a time, by
+the batched cone kernel (:func:`virtualmap.cone.evaluate_rows`). Each term is
+contracted only over its backward light cone, and the pruning is exact:
+
+* a component outside the cone is dropped only if it is trace preserving to
+  round-off; a component that is not joins the cone with everything it
+  reaches;
+* a qubit outside the cone contributes the factor Tr D_m, which need not be
+  one for a custom dual frame.
+
+Rows that agree on a cone's qubits are contracted once for that term.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import EvaluationSchedule, MapCircuit, evaluate_trace, schedule
+from .cone import MapCircuit, evaluate_rows
 from .densesim import DensityMatrix, OutcomeBatch, apply_circuit_dense, outcome_distribution
 from .errors import NumericalError, ValidationError
 from .pauli import Observable, expectation_oracle
@@ -45,9 +56,11 @@ class Estimate:
     labels: tuple[str, str, str] | None = None
 
     def __post_init__(self):
-        if self.sigma < 0 or not np.isfinite(self.value):
+        if not (np.isfinite(self.value) and np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValidationError("estimate value/sigma out of range")
         if self.per_shot is not None:
+            if not np.all(np.isfinite(self.per_shot)):
+                raise ValidationError("per-shot weights must be finite")
             if len(self.per_shot) != self.num_shots:
                 raise ValidationError("per-shot weights do not match shot count")
             if abs(float(np.mean(self.per_shot)) - self.value) > 1e-9 * (
@@ -74,30 +87,34 @@ def dual_arrays(duals, num_qubits: int) -> list[np.ndarray]:
             raise ValidationError(
                 f"dual frame must have shape (M, 2, 2), got {arr.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("dual frame entries must be finite")
         out.append(arr)
     return out
 
 
-def _real_weight(w: complex) -> tuple[float, float]:
-    residue = abs(w.imag)
-    if residue > _RESIDUE_TOL * (1.0 + abs(w.real)):
+def _real_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Real parts of complex shot weights, and their largest imaginary residue."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    residue = np.abs(w.imag)
+    bad = residue > _RESIDUE_TOL * (1.0 + np.abs(w.real))
+    if np.any(bad):
         raise NumericalError(
-            f"shot weight has imaginary residue {residue:.3e}; "
+            f"shot weight has imaginary residue {residue[bad].max():.3e}; "
             "observable or circuit is not Hermiticity compatible"
         )
-    return float(w.real), residue
+    return w.real.copy(), float(residue.max(initial=0.0))
 
 
-def weighted_trace(
-    circuit: MapCircuit,
-    factors,
-    obs: Observable,
-    sched: EvaluationSchedule | None = None,
-) -> complex:
-    """sum_k c_k Tr[L(factors) P_k] for per-qubit input factors."""
-    total = 0.0 + 0.0j
+def row_weights(circuit: MapCircuit, tables, rows, obs: Observable) -> np.ndarray:
+    """sum_k c_k Tr[L(F_row) P_k] for every row of per-qubit factor indices.
+
+    ``tables[q]`` holds the (M_q, 2, 2) factors of qubit q; ``rows`` is an
+    (R, N) integer array. Returns R complex weights.
+    """
+    total = np.zeros(len(rows), dtype=complex)
     for coeff, ps in obs.terms:
-        total += coeff * evaluate_trace(circuit, factors, ps, sched)
+        total += coeff * evaluate_rows(circuit, tables, rows, ps)
     return total
 
 
@@ -106,9 +123,13 @@ def shot_weight(outcome, duals, circuit: MapCircuit, obs: Observable) -> float:
     if not obs.is_hermitian:
         raise ValidationError("shot weights need a Hermitian observable")
     arrays = dual_arrays(duals, circuit.num_qubits)
-    factors = [arrays[q][int(m)] for q, m in enumerate(outcome)]
-    value, _ = _real_weight(weighted_trace(circuit, factors, obs))
-    return value
+    row = np.asarray(outcome, dtype=int).reshape(1, -1)
+    if row.shape[1] != circuit.num_qubits:
+        raise ValidationError(
+            f"outcome covers {row.shape[1]} qubits, circuit has {circuit.num_qubits}"
+        )
+    reals, _ = _real_weights(row_weights(circuit, arrays, row, obs))
+    return float(reals[0])
 
 
 def _batch_key(batch: OutcomeBatch) -> str:
@@ -122,7 +143,6 @@ def estimate(
     circuit: MapCircuit,
     obs: Observable,
     keep_per_shot: bool = False,
-    threads: int = 1,
     labels: tuple[str, str, str] | None = None,
 ) -> Estimate:
     """Mean shot weight with its standard error, from a measurement batch."""
@@ -139,22 +159,7 @@ def estimate(
     uniq, inverse, counts = np.unique(
         batch.outcomes, axis=0, return_inverse=True, return_counts=True
     )
-    sched = schedule(circuit)
-
-    def weight_of(row) -> complex:
-        factors = [arrays[q][int(m)] for q, m in enumerate(row)]
-        return weighted_trace(circuit, factors, obs, sched)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(weight_of, uniq))
-    else:
-        raw = [weight_of(row) for row in uniq]
-    reals = np.empty(len(raw))
-    residue = 0.0
-    for i, w in enumerate(raw):
-        reals[i], r = _real_weight(w)
-        residue = max(residue, r)
+    reals, residue = _real_weights(row_weights(circuit, arrays, uniq, obs))
 
     s = batch.num_shots
     value = float(np.dot(counts, reals) / s)
@@ -199,24 +204,19 @@ def estimate_exact(
         if duals is not None:
             raise ValidationError("custom duals require method='enumerate'")
         out = apply_circuit_dense(circuit, rho.matrix)
-        value, _ = _real_weight(complex(expectation_oracle(out, obs)))
-        return value
+        reals, _ = _real_weights(expectation_oracle(out, obs))
+        return float(reals[0])
     if method != "enumerate":
         raise ValidationError(f"unknown method {method!r}")
     if rho.num_qubits > 9:
         raise ValidationError("enumeration limited to N <= 9")
     p = outcome_distribution(rho, povms)
     arrays = dual_arrays(povms if duals is None else duals, rho.num_qubits)
-    sched = schedule(circuit)
-    total = 0.0
-    for idx in np.ndindex(p.shape):
-        weight = p[idx]
-        if weight == 0.0:
-            continue
-        factors = [arrays[q][m] for q, m in enumerate(idx)]
-        w, _ = _real_weight(weighted_trace(circuit, factors, obs, sched))
-        total += weight * w
-    return float(total)
+    if any(a.shape[0] != m for a, m in zip(arrays, p.shape)):
+        raise ValidationError("dual frames and POVMs differ in outcome counts")
+    rows = np.argwhere(p != 0.0)
+    reals, _ = _real_weights(row_weights(circuit, arrays, rows, obs))
+    return float(np.dot(p[tuple(rows.T)], reals))
 
 
 def estimate_covariance(a: Estimate, b: Estimate) -> float:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import herm, kron_all, unvec, vec
+from .linalg import herm, unvec, vec
 
 _FLAG_TOL = 1e-10
 _COND_LIMIT = 1e10
@@ -65,6 +65,8 @@ class LocalMap:
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValidationError(f"superoperator must be square, got {s.shape}")
         _arity_of(s.shape[0])
+        if not np.all(np.isfinite(s)):
+            raise ValidationError("superoperator entries must be finite")
         self.superop = s
 
     @property
@@ -191,12 +193,10 @@ def tensor_extend(m: LocalMap, positions, arity: int) -> LocalMap:
     from .linalg import apply_superop_local
 
     d = 2**arity
-    basis = np.eye(d * d)
-    cols = np.empty((d * d, d * d), dtype=complex)
-    for j in range(d * d):
-        x = unvec(basis[:, j], d)
-        cols[:, j] = vec(apply_superop_local(x, m.superop, positions, arity))
-    return LocalMap(cols)
+    # column j of the superoperator is vec of the map applied to unvec(e_j)
+    units = np.eye(d * d).reshape(d * d, d, d).transpose(0, 2, 1)
+    out = apply_superop_local(units, m.superop, positions, arity)
+    return LocalMap(out.transpose(0, 2, 1).reshape(d * d, d * d).T)
 
 
 def is_cptp(m: LocalMap, tol: float = _FLAG_TOL) -> MapFlags:

@@ -7,10 +7,11 @@ the problem to
     minimize  Re Tr[C M]   over Choi matrices C >= 0 with Tr_out C = I,
 
 where M is assembled from the frozen remainder of the circuit (via the
-split-evaluation residuals) and the input data. The subproblem is solved by
-projected subgradient descent onto the CPTP set (alternating-projection /
-Dykstra between the positive cone and the trace-preserving affine slice), and
-a sweep visits components cyclically, installing a new map only when it
+split-evaluation residuals of every row and Pauli term, contracted in one
+batch) and the input data. The subproblem is solved by consensus ADMM between
+the positive cone and the trace-preserving affine slice (``SdpOptions``
+method "splitting"; projected subgradient descent is kept as a reference),
+and a sweep visits components cyclically, installing a new map only when it
 lowers the energy. Input data is either a weighted product ensemble (dual
 effects of measured outcomes, or a classical all-zeros register) or a dense
 state for exact-distribution optimization at small qubit counts.
@@ -24,10 +25,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cone import MapCircuit, schedule, split_evaluate, split_plan
+from .cone import MapCircuit, row_chunks, split_plan, split_residuals
 from .densesim import DensityMatrix, OutcomeBatch, apply_local_map, outcome_distribution
 from .errors import NumericalError, ValidationError
-from .estimation import _real_weight, dual_arrays, weighted_trace
+from .estimation import _real_weights, dual_arrays, row_weights
 from .linalg import apply_superop_local, herm, trace_mul
 from .maps import (
     ChoiMatrix,
@@ -141,14 +142,23 @@ def circuit_energy(circuit: MapCircuit, data, obs: Observable) -> float:
         mat = data.rho.matrix
         for comp in circuit.components:
             mat = apply_local_map(DensityMatrix(n, mat), comp.map, comp.qubits).matrix
-        value, _ = _real_weight(complex(expectation_oracle(mat, obs)))
-        return value
-    sched = schedule(circuit)
-    total = 0.0
-    for w, row in zip(data.weights, data.factors):
-        val, _ = _real_weight(weighted_trace(circuit, list(row), obs, sched))
-        total += w * val
-    return float(total)
+        reals, _ = _real_weights(expectation_oracle(mat, obs))
+        return float(reals[0])
+    tables, rows = _factor_tables(data.factors)
+    reals, _ = _real_weights(row_weights(circuit, tables, rows, obs))
+    return float(np.dot(data.weights, reals))
+
+
+def _factor_tables(factors: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Split (R, N, 2, 2) product rows into per-qubit tables of distinct
+    factors and an (R, N) index array into them."""
+    tables, cols = [], []
+    for q in range(factors.shape[1]):
+        flat = factors[:, q].reshape(len(factors), 4)
+        table, inverse = np.unique(flat, axis=0, return_inverse=True)
+        tables.append(table.reshape(-1, 2, 2))
+        cols.append(inverse.reshape(-1))
+    return tables, np.stack(cols, axis=1)
 
 
 @dataclass
@@ -188,24 +198,43 @@ def _dense_objective(
     fwd = data.rho.matrix
     for c in circuit.components[:index]:
         fwd = apply_local_map(DensityMatrix(n, fwd), c.map, c.qubits).matrix
+    # Heisenberg-picture operand: the adjoint of a trace-preserving map is
+    # unital, not trace-preserving, so its action legitimately changes the
+    # trace of an observable and must bypass the state-application checks.
+    bwd = obs.matrix()[None]
+    for c in reversed(circuit.components[index + 1 :]):
+        bwd = apply_superop_local(bwd, adjoint_map(c.map).superop, c.qubits, n)
     ds = 2 ** len(support)
-    m_raw = np.zeros((ds * ds, ds * ds), dtype=complex)
     f4 = _group_register(fwd, n, support)[0]
     dm = f4.shape[0] // ds
     f4 = f4.reshape(ds, dm, ds, dm)
-    for coeff, ps in obs.terms:
-        # Heisenberg-picture operand: the adjoint of a trace-preserving map is
-        # unital, not trace-preserving, so its action legitimately changes the
-        # trace of an observable and must bypass the state-application checks.
-        bwd = ps.matrix()
-        for c in reversed(circuit.components[index + 1 :]):
-            adj = adjoint_map(c.map)
-            bwd = apply_superop_local(bwd, adj.superop, c.qubits, n)
-        g4 = _group_register(bwd, n, support)[0].reshape(ds, dm, ds, dm)
-        # E = sum C[(x,Y),(y,X)] sum_uv F[x,u,y,v] G[X,v,Y,u]  =>  M[(y,X),(x,Y)]
-        m4 = np.einsum("xuyv,XvYu->yXxY", f4, g4)
-        m_raw += coeff * m4.reshape(ds * ds, ds * ds)
-    return m_raw
+    g4 = _group_register(bwd[0], n, support)[0].reshape(ds, dm, ds, dm)
+    # E = sum C[(x,Y),(y,X)] sum_uv F[x,u,y,v] G[X,v,Y,u]  =>  M[(y,X),(x,Y)]
+    m4 = np.einsum("xuyv,XvYu->yXxY", f4, g4)
+    return m4.reshape(ds * ds, ds * ds)
+
+
+def _product_objective(
+    circuit: MapCircuit, index: int, data: ProductInputData, obs: Observable
+) -> np.ndarray:
+    """sum_i w_i sum_k c_k sum_a kron(R_a^T, Rbar_a), over every (row, term)
+    pair in batches. The spectator-basis sum is folded into the contraction:
+    sum_a R_a[x,y] Rbar_a[X,Y] = sum_{w,u} r[x,w,y,u] rbar[X,u,Y,w]."""
+    plan = split_plan(circuit, index)
+    coeffs = np.array([c for c, _ in obs.terms])
+    paulis = np.array([ps.matrices() for _, ps in obs.terms])  # (T, N, 2, 2)
+    terms = len(coeffs)
+    ds = 2**circuit.components[index].map.arity
+    m4 = np.zeros((ds, ds, ds, ds), dtype=complex)
+    for chunk in row_chunks(len(data.weights) * terms, plan.peak_active):
+        pair = np.arange(chunk.start, chunk.stop)
+        row, term = pair // terms, pair % terms
+        ins = [data.factors[row, q] for q in range(circuit.num_qubits)]
+        outs = [paulis[term, q] for q in range(circuit.num_qubits)]
+        r, rbar = split_residuals(circuit, plan, ins, outs)
+        weight = data.weights[row] * coeffs[term]
+        m4 += np.einsum("b,bxwyu,bXuYw->yXxY", weight, r, rbar, optimize=True)
+    return m4.reshape(ds * ds, ds * ds)
 
 
 def assemble_local_objective(
@@ -215,17 +244,10 @@ def assemble_local_objective(
     if not obs.is_hermitian:
         raise ValidationError("objective assembly needs a Hermitian observable")
     comp = circuit.components[index]
-    ds = 2**comp.map.arity
     if isinstance(data, DenseStateData):
         m_raw = _dense_objective(circuit, index, data, obs)
     else:
-        plan = split_plan(circuit, index)
-        m_raw = np.zeros((ds * ds, ds * ds), dtype=complex)
-        for w, row in zip(data.weights, data.factors):
-            for coeff, ps in obs.terms:
-                pairs = split_evaluate(circuit, index, list(row), ps, plan)
-                for r_fwd, r_bwd in pairs:
-                    m_raw += (w * coeff) * np.kron(r_fwd.T, r_bwd)
+        m_raw = _product_objective(circuit, index, data, obs)
     return LocalObjective(component=index, arity=comp.map.arity, matrix=herm(m_raw))
 
 

@@ -97,7 +97,7 @@ def _perturbed_scenario():
     return rho0, rho_pert, inverse, maps, observables
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _ansatz_runs(field: float):
     """Single-layer sequential ansatz runs on the all-zeros input, 3 seeds."""
     obs = xx_hamiltonian(6, coupling=1.0, field=field, periodic=True)

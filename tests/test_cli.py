@@ -177,6 +177,21 @@ class TestEstimate:
         assert abs(row["value"] - 1.0) < 1e-9
         assert row["sigma"] < 1e-7
 
+    def test_non_finite_circuit_exits_2(self, tmp_path, chain_prep, obs_file, capsys):
+        batch = self._sample(tmp_path, chain_prep, shots=20)
+        circuit = tmp_path / "nan.json"
+        save_circuit(brickwork(3, 1), circuit)
+        payload = json.loads(circuit.read_text())
+        payload["components"][0]["map"]["superop"][0][0] = [float("nan"), 0.0]
+        circuit.write_text(json.dumps(payload))  # json writes the bare token NaN
+        assert "NaN" in circuit.read_text()
+        capsys.readouterr()
+        argv = ["estimate", "--batch", str(batch), "--observable", str(obs_file)]
+        rc = main(argv + ["--circuit", str(circuit)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err and "Traceback" not in err
+
     def test_register_mismatch_exits_2(self, tmp_path, chain_prep, obs_file):
         batch = self._sample(tmp_path, chain_prep, shots=20)
         wrong = tmp_path / "wrong.json"

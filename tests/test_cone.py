@@ -11,6 +11,8 @@ from virtualmap.cone import (
     brickwork,
     circuit_from_dict,
     circuit_to_dict,
+    cone_plan,
+    evaluate_rows,
     evaluate_trace,
     evaluate_trace_backward,
     load_circuit,
@@ -18,17 +20,27 @@ from virtualmap.cone import (
     save_circuit,
     schedule,
     split_evaluate,
+    split_plan,
+    split_residuals,
     split_value,
     staircase,
 )
 from virtualmap.errors import ValidationError
-from virtualmap.linalg import kron_all, trace_mul
+from virtualmap.linalg import (
+    apply_superop_local,
+    insert_factor,
+    kron_all,
+    multiply_trace_out,
+    trace_mul,
+)
 from virtualmap.maps import (
+    LocalMap,
     adjoint_map,
     cnot_map,
     depolarizing_map,
     identity_map,
     random_cptp_map,
+    random_tp_hermitian_map,
     random_unitary_map,
 )
 from virtualmap.pauli import PauliString
@@ -285,6 +297,153 @@ class TestEvaluateTrace:
         mirrored = mirror_adjoint(circ)
         for a, b in zip(circ.components, reversed(mirrored.components)):
             assert_all_close(adjoint_map(a.map).superop, b.map.superop, atol=1e-14)
+
+
+def _general_circuit(rng):
+    """Non-layered circuit mixing one- and two-qubit maps on N=5."""
+    comps = (
+        Component(1, (0, 2), random_cptp_map(2, rng)),
+        Component(2, (3,), random_unitary_map(1, rng)),
+        Component(2, (4, 1), random_tp_hermitian_map(2, rng)),
+        Component(3, (2, 3), random_cptp_map(2, rng)),
+        Component(4, (0,), random_tp_hermitian_map(1, rng)),
+    )
+    return MapCircuit(5, comps)
+
+
+def _random_tables(n, rng, outcomes=5):
+    """Per-qubit factor tables of Hermitian 2x2 matrices with Tr != 1."""
+    tables = []
+    for _ in range(n):
+        g = rng.standard_normal((outcomes, 2, 2)) + 1j * rng.standard_normal((outcomes, 2, 2))
+        tables.append(g + g.conj().transpose(0, 2, 1))
+    return tables
+
+
+def _per_row(circuit, tables, rows, pauli):
+    return np.array(
+        [
+            evaluate_trace(circuit, [tables[q][m] for q, m in enumerate(row)], pauli)
+            for row in rows
+        ]
+    )
+
+
+def _scaled_identity(arity, scale):
+    return LocalMap(scale * identity_map(arity).superop)
+
+
+class TestBatchedKernel:
+    def test_helpers_match_item_by_item(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3):
+            d = 2**n
+            ops = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+            factors = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+            for slot in range(n + 1):
+                got = insert_factor(ops, factors, slot, n)
+                shared = insert_factor(ops, factors[0], slot, n)
+                for b in range(4):
+                    one = ops[b : b + 1]
+                    assert_all_close(got[b], insert_factor(one, factors[b], slot, n)[0], 1e-14)
+                    assert_all_close(shared[b], insert_factor(one, factors[0], slot, n)[0], 1e-14)
+            for pos in range(n):
+                got = multiply_trace_out(ops, factors, pos, n)
+                for b in range(4):
+                    want = multiply_trace_out(ops[b : b + 1], factors[b], pos, n)[0]
+                    assert_all_close(got[b], want, 1e-14)
+            superop = random_cptp_map(1, rng).superop
+            for pos in range(n):
+                got = apply_superop_local(ops, superop, [pos], n)
+                for b in range(4):
+                    want = apply_superop_local(ops[b : b + 1], superop, [pos], n)[0]
+                    assert_all_close(got[b], want, 1e-14)
+
+    def test_insert_then_trace_out_recovers_operator(self):
+        rng = np.random.default_rng(42)
+        ops = rng.standard_normal((3, 4, 4)) + 0j
+        rho = np.array([[1.0, 0.0], [0.0, 0.0]])
+        for slot in range(3):
+            grown = insert_factor(ops, rho, slot, 2)
+            assert_all_close(multiply_trace_out(grown, np.eye(2), slot, 3), ops, 1e-14)
+
+    @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general"])
+    def test_evaluate_rows_matches_per_row_traces(self, kind):
+        rng = np.random.default_rng({"brickwork": 43, "staircase": 44, "general": 45}[kind])
+        if kind == "brickwork":
+            circ = random_mixed_circuit(5, rng)
+        elif kind == "staircase":
+            circ = staircase(5, 1, lambda layer, qubits: random_tp_hermitian_map(2, rng))
+        else:
+            circ = _general_circuit(rng)
+        tables = _random_tables(5, rng)
+        rows = rng.integers(0, 5, size=(30, 5))
+        rows[10:15] = rows[:5]  # repeated rows share one contraction
+        for letters in ("ZIIII", "IIIXY", "XIZIY", "IIIII", "YXZXI"):
+            pauli = PauliString(letters)
+            got = evaluate_rows(circ, tables, rows, pauli)
+            want = _per_row(circ, tables, rows, pauli)
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12, letters
+
+    def test_trace_preserving_components_outside_cone_are_pruned(self):
+        rng = np.random.default_rng(46)
+        circ = brickwork(8, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        plan = cone_plan(circ, PauliString("ZIIIIIII").support)
+        assert plan.qubits == (0, 1)
+        assert [s.component for s in plan.steps if s.kind == "apply"] == [0]
+        assert cone_plan(circ, (0,)) is plan  # cached per support
+        wide = cone_plan(circ, PauliString("IIIZZIII").support)
+        assert wide.qubits == (2, 3, 4, 5)
+
+    def test_non_tp_component_outside_cone_is_kept(self):
+        rng = np.random.default_rng(47)
+        leaky = _scaled_identity(2, 0.9)
+        circ = brickwork(6, 1, lambda layer, qubits: random_cptp_map(2, rng))
+        circ = circ.with_component(2, leaky)  # acts on (4, 5), far from qubit 0
+        pauli = PauliString("ZIIIII")
+        plan = cone_plan(circ, pauli.support)
+        assert set(plan.qubits) == {0, 1, 4, 5}
+        tables = _random_tables(6, rng, outcomes=3)
+        rows = rng.integers(0, 3, size=(12, 6))
+        got = evaluate_rows(circ, tables, rows, pauli)
+        assert np.max(np.abs(got - _per_row(circ, tables, rows, pauli))) <= 1e-12
+        tp_only = circ.with_component(2, identity_map(2))
+        assert np.max(np.abs(got - 0.9 * evaluate_rows(tp_only, tables, rows, pauli))) <= 1e-12
+
+    def test_identity_term_cone(self):
+        rng = np.random.default_rng(48)
+        tables = _random_tables(4, rng, outcomes=3)
+        rows = rng.integers(0, 3, size=(10, 4))
+        pauli = PauliString("IIII")
+        circ = brickwork(4, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        assert cone_plan(circ, pauli.support).qubits == ()
+        traces = np.prod(
+            [np.trace(tables[q][rows[:, q]], axis1=1, axis2=2) for q in range(4)], axis=0
+        )
+        assert np.max(np.abs(evaluate_rows(circ, tables, rows, pauli) - traces)) <= 1e-12
+        leaky = circ.with_component(1, _scaled_identity(2, 0.9))
+        assert cone_plan(leaky, pauli.support).qubits != ()
+        got = evaluate_rows(leaky, tables, rows, pauli)
+        assert np.max(np.abs(got - _per_row(leaky, tables, rows, pauli))) <= 1e-12
+
+    def test_split_residuals_batch_matches_single_rows(self):
+        rng = np.random.default_rng(49)
+        circ = random_mixed_circuit(5, rng)
+        duals = [random_product_duals(5, rng) for _ in range(4)]
+        letters = ["XZIYX", "IIZZI", "YIIIX", "IIIII"]
+        for index in range(len(circ.components)):
+            plan = split_plan(circ, index)
+            ins = [np.array([d[q] for d in duals]) for q in range(5)]
+            outs = [np.array([PauliString(p).matrices()[q] for p in letters]) for q in range(5)]
+            r, rbar = split_residuals(circ, plan, ins, outs)
+            for b in range(4):
+                pairs = split_evaluate(circ, index, duals[b], PauliString(letters[b]), plan)
+                for (ra, rbara), basis in zip(pairs, plan.basis):
+                    assert_all_close(np.einsum("xwyu,uw->xy", r[b], basis), ra, 1e-12)
+                    assert_all_close(np.einsum("xwyu,uw->xy", rbar[b], basis), rbara, 1e-12)
+                got = split_value(pairs, circ.components[index].map)
+                want = evaluate_trace(circ, duals[b], PauliString(letters[b]))
+                assert abs(got - want) < 1e-10 * (1 + abs(want))
 
 
 class TestSplitEvaluate:

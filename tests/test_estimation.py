@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed_circuit
-from virtualmap.cone import Component, MapCircuit, brickwork
+from virtualmap.cone import (
+    Component,
+    MapCircuit,
+    brickwork,
+    evaluate_trace,
+    split_evaluate,
+    staircase,
+)
 from virtualmap.densesim import (
     OutcomeBatch,
     apply_circuit_dense,
@@ -21,9 +28,23 @@ from virtualmap.estimation import (
     estimate_exact,
     shot_weight,
 )
-from virtualmap.maps import LocalMap, cnot_map, random_cptp_map
-from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
-from virtualmap.povm import compute_duals, make_sic_povm
+from virtualmap.maps import (
+    LocalMap,
+    cnot_map,
+    identity_map,
+    random_cptp_map,
+    random_tp_hermitian_map,
+    random_unitary_map,
+)
+from virtualmap.pauli import PAULI_MATRICES, Observable, expectation_oracle, xx_hamiltonian
+from virtualmap.povm import SingleQubitPOVM, compute_duals, make_sic_povm
+from virtualmap.varopt import (
+    DenseStateData,
+    assemble_local_objective,
+    circuit_energy,
+    data_from_batch,
+    data_from_distribution,
+)
 
 
 def _sic_dual_matrices():
@@ -117,16 +138,6 @@ class TestEstimate:
         vb = estimate(batch, "sic", circ, obs_b).value
         vab = estimate(batch, "sic", circ, obs_ab).value
         assert abs(0.25 * va - 1.5 * vb - vab) < 1e-10
-
-    def test_threads_do_not_change_result(self):
-        rho = noisy_chain_state(3)
-        batch = sample_outcomes(rho, "sic", 200, seed=8)
-        obs = xx_hamiltonian(3)
-        circ = brickwork(3, 1, lambda layer, qubits: cnot_map())
-        est_1 = estimate(batch, "sic", circ, obs, threads=1)
-        est_2 = estimate(batch, "sic", circ, obs, threads=4)
-        assert est_1.value == est_2.value
-        assert est_1.sigma == est_2.sigma
 
     def test_rejects_single_shot(self):
         batch = OutcomeBatch(np.array([[0]], dtype=np.int8), ("sic",), 0)
@@ -261,3 +272,186 @@ class TestEstimateContainer:
             per_shot=np.array([4.0, 6.0]),
         )
         assert e.value == 5.0
+
+
+# ---------------------------------------------------------------------------
+# the batched, cone-pruned kernel against per-row references
+
+
+def _reference_weight(circuit, factors, obs):
+    return sum(coeff * evaluate_trace(circuit, factors, ps) for coeff, ps in obs.terms)
+
+
+def _reference_objective(circuit, index, data, obs):
+    """The per-row, per-term assembly: sum w c sum_a kron(R_a^T, Rbar_a)."""
+    ds = 2 ** len(circuit.components[index].qubits)
+    m = np.zeros((ds * ds, ds * ds), dtype=complex)
+    for w, row in zip(data.weights, data.factors):
+        for coeff, ps in obs.terms:
+            for r, rbar in split_evaluate(circuit, index, list(row), ps):
+                m += (w * coeff) * np.kron(r.T, rbar)
+    return (m + m.conj().T) / 2.0
+
+
+def _kernel_circuits(rng):
+    """Brickwork, staircase and general circuits on N=4; the last one holds a
+    non-trace-preserving component far from most terms' support."""
+    general = MapCircuit(
+        4,
+        (
+            Component(1, (0, 2), random_cptp_map(2, rng)),
+            Component(2, (3,), random_unitary_map(1, rng)),
+            Component(2, (1, 2), random_tp_hermitian_map(2, rng)),
+        ),
+    )
+    leaky = brickwork(4, 1, lambda layer, qubits: random_cptp_map(2, rng))
+    leaky = leaky.with_component(1, LocalMap(0.9 * identity_map(2).superop))
+    return {
+        "brickwork": random_mixed_circuit(4, rng),
+        "staircase": staircase(4, 1, lambda layer, qubits: random_tp_hermitian_map(2, rng)),
+        "general": general,
+        "non-tp": leaky,
+    }
+
+
+def _kernel_observable():
+    return Observable.from_terms(
+        4, [(0.7, "ZIII"), (-0.4, "IXXI"), (0.25, "YIIZ"), (1.5, "IIII")]
+    )
+
+
+def _cube_povm():
+    effects = [
+        (np.eye(2) + sign * PAULI_MATRICES[axis]) / 6.0 for axis in "XYZ" for sign in (1.0, -1.0)
+    ]
+    return SingleQubitPOVM(label="cube", effects=np.array(effects))
+
+
+def _custom_duals(rng):
+    """SIC duals with a traceless Hermitian shift plus a trace change."""
+    duals = _sic_dual_matrices().copy()
+    g = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    return duals + 0.1 * (g + g.conj().transpose(0, 2, 1))
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
+    def test_estimate_matches_per_row_traces(self, kind):
+        rng = np.random.default_rng(90)
+        circ = _kernel_circuits(rng)[kind]
+        obs = _kernel_observable()
+        batch = sample_outcomes(noisy_chain_state(4), "sic", 150, seed=9)
+        duals = _sic_dual_matrices()
+        est = estimate(batch, "sic", circ, obs, keep_per_shot=True)
+        weights = np.array(
+            [_reference_weight(circ, [duals[m] for m in row], obs).real for row in batch.outcomes]
+        )
+        s = batch.num_shots
+        value = weights.mean()
+        sigma = np.sqrt(max((weights**2).mean() - value**2, 0.0) * s / (s - 1) / s)
+        assert np.max(np.abs(est.per_shot - weights)) <= 1e-12 * (1 + np.abs(weights).max())
+        assert abs(est.value - value) <= 1e-12 * (1 + abs(value))
+        assert abs(est.sigma - sigma) <= 1e-12 * (1 + sigma)
+
+    def test_covariance_from_per_row_weights(self):
+        rng = np.random.default_rng(91)
+        circ = _kernel_circuits(rng)["non-tp"]
+        batch = sample_outcomes(noisy_chain_state(4), "sic", 120, seed=10)
+        duals = _sic_dual_matrices()
+        obs_a = _kernel_observable()
+        obs_b = xx_hamiltonian(4, field=0.5)
+        a = estimate(batch, "sic", circ, obs_a, keep_per_shot=True)
+        b = estimate(batch, "sic", circ, obs_b, keep_per_shot=True)
+        wa, wb = (
+            np.array(
+                [_reference_weight(circ, [duals[m] for m in row], o).real for row in batch.outcomes]
+            )
+            for o in (obs_a, obs_b)
+        )
+        want = np.cov(wa, wb, ddof=1)[0, 1] / batch.num_shots
+        assert abs(estimate_covariance(a, b) - want) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["brickwork", "general", "non-tp"])
+    def test_enumerate_with_custom_duals(self, kind):
+        rng = np.random.default_rng(92)
+        circ = _kernel_circuits(rng)[kind]
+        obs = _kernel_observable()
+        rho = noisy_chain_state(4, theta=0.2, p=0.02)
+        duals = _custom_duals(rng)
+        assert np.max(np.abs(np.trace(duals, axis1=1, axis2=2) - 1.0)) > 1e-3
+        got = estimate_exact(rho, "sic", circ, obs, duals=[duals] * 4, method="enumerate")
+        p = outcome_distribution(rho, "sic")
+        want = sum(
+            p[idx] * _reference_weight(circ, [duals[m] for m in idx], obs).real
+            for idx in np.ndindex(p.shape)
+        )
+        assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+    def test_enumerate_with_overcomplete_povm(self):
+        rng = np.random.default_rng(93)
+        circ = _kernel_circuits(rng)["brickwork"]
+        obs = _kernel_observable()
+        rho = noisy_chain_state(4, theta=0.3, p=0.01)
+        cube = _cube_povm()
+        got = estimate_exact(rho, cube, circ, obs, method="enumerate")
+        duals = np.asarray(compute_duals(cube).duals)
+        p = outcome_distribution(rho, cube)
+        want = sum(
+            p[idx] * _reference_weight(circ, [duals[m] for m in idx], obs).real
+            for idx in np.ndindex(p.shape)
+        )
+        assert abs(got - want) <= 1e-12 * (1 + abs(want))
+        dense = estimate_exact(rho, cube, circ, obs, method="dense")
+        assert abs(got - dense) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
+    def test_energy_and_objective_match_per_row_sums(self, kind):
+        rng = np.random.default_rng(94)
+        circ = _kernel_circuits(rng)[kind]
+        obs = _kernel_observable()
+        batch = sample_outcomes(noisy_chain_state(4), "sic", 60, seed=11)
+        data = data_from_batch(batch, "sic")
+        want = sum(
+            w * _reference_weight(circ, list(row), obs).real
+            for w, row in zip(data.weights, data.factors)
+        )
+        assert abs(circuit_energy(circ, data, obs) - want) <= 1e-12 * (1 + abs(want))
+        for index in range(len(circ.components)):
+            got = assemble_local_objective(circ, index, data, obs).matrix
+            ref = _reference_objective(circ, index, data, obs)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * (1 + np.abs(ref).max())
+
+    def test_objective_matches_dense_state_assembly(self):
+        rng = np.random.default_rng(95)
+        circ = _kernel_circuits(rng)["non-tp"]
+        obs = _kernel_observable()
+        rho = noisy_chain_state(4, theta=0.2, p=0.01)
+        product = data_from_distribution(rho, "sic")
+        for index in range(len(circ.components)):
+            m_prod = assemble_local_objective(circ, index, product, obs).matrix
+            m_dense = assemble_local_objective(circ, index, DenseStateData(rho), obs).matrix
+            assert np.max(np.abs(m_prod - m_dense)) <= 1e-12 * (1 + np.abs(m_dense).max())
+
+
+class TestNonFiniteInput:
+    def test_estimate_rejects_nan_sigma(self):
+        with pytest.raises(ValidationError):
+            Estimate(value=1.0, sigma=float("nan"), num_shots=2, imag_residue=0.0)
+        with pytest.raises(ValidationError):
+            Estimate(value=1.0, sigma=float("inf"), num_shots=2, imag_residue=0.0)
+
+    def test_estimate_rejects_nan_per_shot(self):
+        with pytest.raises(ValidationError):
+            Estimate(
+                value=1.0,
+                sigma=0.1,
+                num_shots=2,
+                imag_residue=0.0,
+                per_shot=np.array([1.0, np.nan]),
+            )
+
+    def test_dual_arrays_rejects_nan(self):
+        duals = _sic_dual_matrices().copy()
+        duals[2, 0, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            dual_arrays([duals] * 2, 2)

@@ -86,6 +86,15 @@ class TestRepresentations:
         with pytest.raises(ValidationError):
             LocalMap(np.zeros((4, 3)))
 
+    def test_rejects_non_finite_entries(self):
+        s = np.eye(4, dtype=complex)
+        s[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            LocalMap(s)
+        s[1, 2] = np.inf
+        with pytest.raises(ValidationError, match="finite"):
+            LocalMap(s)
+
     def test_rejects_non_power_dimension(self):
         with pytest.raises(ValidationError):
             LocalMap(np.zeros((6, 6)))
