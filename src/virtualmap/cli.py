@@ -138,7 +138,7 @@ def _sweep_options(args) -> SweepOptions:
     order = None
     if getattr(args, "order", None):
         order = tuple(int(x) for x in args.order.split(","))
-    sdp = SdpOptions(max_iters=args.sdp_max_iters, step0=args.sdp_step0, tol=args.sdp_tol)
+    sdp = SdpOptions(max_iters=args.sdp_max_iters, tol=args.sdp_tol)
     return SweepOptions(
         rounds=args.rounds,
         accept_tol=args.accept_tol,
@@ -166,6 +166,8 @@ def _finish_sweep(args, circuit, report, holdout_summary=None) -> int:
         "initial_energy": report.initial_energy,
         "final_energy": report.final_energy,
         "iterations": len(report.steps),
+        "max_gap": max((s.gap for s in report.steps), default=0.0),
+        "unconverged_steps": sum(not s.converged for s in report.steps),
     }
     if report.exact_energy is not None:
         summary["exact_energy"] = report.exact_energy
@@ -310,9 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rounds", type=int, default=10)
         p.add_argument("--accept-tol", type=float, default=1e-8)
         p.add_argument("--init", default="keep", choices=["keep", "identity", "random_unitary", "random_cptp"])
-        p.add_argument("--sdp-max-iters", type=int, default=5000)
-        p.add_argument("--sdp-step0", type=float, default=None)
-        p.add_argument("--sdp-tol", type=float, default=1e-7)
+        p.add_argument(
+            "--sdp-max-iters",
+            type=int,
+            default=SdpOptions.max_iters,
+            help="Newton-step cap of each CPTP subproblem solve",
+        )
+        p.add_argument(
+            "--sdp-tol",
+            type=float,
+            default=SdpOptions.tol,
+            help="target relative certified gap of each subproblem solve",
+        )
         p.add_argument("--zreset", action="store_true", help="compose first-layer resets into the result")
         p.add_argument("--out-circuit", help="write the optimized circuit JSON here")
         p.add_argument("--report", help="write the sweep report CSV here")

@@ -8,13 +8,17 @@ the problem to
 
 where M is assembled from the frozen remainder of the circuit (via the
 split-evaluation residuals of every row and Pauli term, contracted in one
-batch) and the input data. The subproblem is solved by consensus ADMM between
-the positive cone and the trace-preserving affine slice (``SdpOptions``
-method "splitting"; projected subgradient descent is kept as a reference),
-and a sweep visits components cyclically, installing a new map only when it
-lowers the energy. Input data is either a weighted product ensemble (dual
-effects of measured outcomes, or a classical all-zeros register) or a dense
-state for exact-distribution optimization at small qubit counts.
+batch) and the input data. The subproblem is a small semidefinite program,
+solved by a primal-dual interior-point method (Mehrotra predictor-corrector
+steps in the HKM direction, about ten Newton steps per solve). Its dual
+variable Y proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I) on the
+optimum, so every solve reports a certified optimality gap next to its value,
+and the returned map is exactly trace-preserving. A sweep visits components
+cyclically, installing a new map only when it lowers the energy, and records
+each solve's gap and convergence. Input data is either a weighted product
+ensemble (dual effects of measured outcomes, or a classical all-zeros
+register) or a dense state for exact-distribution optimization at small qubit
+counts.
 """
 
 from __future__ import annotations
@@ -107,17 +111,9 @@ def data_from_distribution(rho: DensityMatrix, povms) -> ProductInputData:
     ]
     arrays = [np.asarray(f.duals) for f in frames]
     p = outcome_distribution(rho, [f.povm for f in frames]).reshape(-1)
-    sizes = [a.shape[0] for a in arrays]
     keep = np.flatnonzero(p > 0.0)
-    factors = np.empty((keep.size, n, 2, 2), dtype=complex)
-    for r, flat in enumerate(keep):
-        rem = int(flat)
-        digits = []
-        for q in range(n - 1, -1, -1):
-            digits.append(rem % sizes[q])
-            rem //= sizes[q]
-        for q, m in enumerate(reversed(digits)):
-            factors[r, q] = arrays[q][m]
+    digits = np.unravel_index(keep, [a.shape[0] for a in arrays])  # qubit 0 most significant
+    factors = np.stack([arrays[q][digits[q]] for q in range(n)], axis=1)
     return ProductInputData(weights=p[keep], factors=factors)
 
 
@@ -258,30 +254,34 @@ def assemble_local_objective(
 
 @dataclass
 class SdpOptions:
-    """First-order settings for the per-component CPTP subproblem.
+    """Settings of the interior-point solver for the per-component subproblem.
 
-    method "splitting" (default) runs consensus ADMM with residual-balanced
-    penalty updates; each iteration costs one eigensolve plus one closed-form
-    affine projection.  It reaches ~1e-10 objective gaps even on the nearly
-    degenerate objectives that arise mid-sweep, where plain subgradient steps
-    stall at ~1e-4 (which is enough to freeze a coordinate sweep on a shallow
-    valley floor).  method "subgradient" keeps the projected-subgradient /
-    Dykstra scheme with iterate averaging as a reference implementation.
+    ``max_iters`` caps the Newton (predictor-corrector) steps; a solve needs
+    about ten.  ``tol`` is the target relative certified gap: the solver stops
+    once the returned channel's value exceeds a proven lower bound on the
+    optimum by at most ``tol * (1 + |value|)``.  Near a degenerate optimal face
+    the attainable gap levels off around 1e-11 (relative to the scale of M), so
+    a solve may end with ``converged=False`` and a gap just above the target;
+    the gap is always reported.
     """
 
-    method: str = "splitting"  # or "subgradient"
-    max_iters: int = 20000
-    tol: float = 1e-9  # splitting: residual stop scale; subgradient: stall tol
-    feas_tol: float = 1e-9
-    # --- subgradient-path knobs ---
-    step0: float | None = None  # default 1/||M||_2
-    step_schedule: str = "halving"  # step0 * 0.5^epoch (100-iter epochs), or "sqrt"
-    patience: int = 300
-    # In-loop projection tolerance tracks the step size (errors stay summable
-    # under the geometric schedule); dykstra_tol is the loosest it gets.
-    dykstra_tol: float = 1e-6
-    dykstra_iters: int = 60
+    max_iters: int = 50
+    tol: float = 1e-11
 
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValidationError("max_iters must be non-negative")
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValidationError("tol must be a positive finite number")
+
+
+# A step length below this makes no progress: the Newton direction has lost
+# its accuracy to round-off, which happens only once the gap is near its floor.
+_MIN_STEP = 1e-6
+# Fraction of the distance to the cone boundary taken by the corrector step.
+# Bolder steps (0.98, 0.99) save a Newton step here and there but leave the
+# iterate off-centre, and more solves then stall above tol = 1e-11.
+_STEP_FRACTION = 0.95
 
 _EYE_CACHE: dict[int, np.ndarray] = {}
 
@@ -292,13 +292,19 @@ def _eye(dim: int) -> np.ndarray:
     return _EYE_CACHE[dim]
 
 
-def _tp_project(c: np.ndarray, dim: int) -> np.ndarray:
-    c4 = c.reshape(dim, dim, dim, dim)
-    marg = np.einsum("arbr->ab", c4)
-    delta = (_eye(dim) - marg) / dim
-    # c + kron(delta, I) without the kron call overhead
-    out = c4 + delta[:, None, :, None] * _eye(dim)[None, :, None, :]
+def _lift(y: np.ndarray, dim: int) -> np.ndarray:
+    """Y (x) I_out, without the kron call overhead."""
+    out = y[:, None, :, None] * _eye(dim)[None, :, None, :]
     return out.reshape(dim * dim, dim * dim)
+
+
+def _partial_trace(c: np.ndarray, dim: int) -> np.ndarray:
+    """Tr_out C."""
+    return np.trace(c.reshape(dim, dim, dim, dim), axis1=1, axis2=3)
+
+
+def _tp_project(c: np.ndarray, dim: int) -> np.ndarray:
+    return c + _lift((_eye(dim) - _partial_trace(c, dim)) / dim, dim)
 
 
 def _psd_project(c: np.ndarray) -> np.ndarray:
@@ -332,104 +338,103 @@ def project_cptp(c: np.ndarray, dim: int, tol: float = 1e-9, max_iters: int = 20
 def cptp_residuals(c: np.ndarray, dim: int) -> tuple[float, float]:
     """(most negative eigenvalue clipped to 0, trace-preservation defect)."""
     min_eig = float(np.linalg.eigvalsh(herm(c))[0])
-    marg = np.einsum("arbr->ab", c.reshape(dim, dim, dim, dim))
-    return max(0.0, -min_eig), float(np.abs(marg - np.eye(dim)).max())
+    marg = _partial_trace(c, dim)
+    return max(0.0, -min_eig), float(np.abs(marg - _eye(dim)).max())
 
 
-def _solve_splitting(m, dim, norm, options, x0):
-    """Consensus ADMM on min <M,C> over TP (affine) and PSD copies of C.
+def _tp_polish(c: np.ndarray, dim: int) -> np.ndarray:
+    """(A^-1/2 (x) I) C (A^-1/2 (x) I) with A = Tr_out C: a congruence, so it
+    keeps C >= 0, and it makes the map exactly trace-preserving."""
+    vals, vecs = np.linalg.eigh(_partial_trace(c, dim))
+    root = _lift((vecs / np.sqrt(vals)) @ vecs.conj().T, dim)
+    return herm(root @ c @ root)
 
-    The x-block prox is the closed-form affine projection of (z - u - M/rho);
-    the z-block prox is the eigenvalue clipping.  The penalty rho is rebalanced
-    whenever the primal/dual residuals drift apart, which is what keeps the
-    nearly degenerate mid-sweep objectives converging.
+
+def _schur_block(p: np.ndarray, q: np.ndarray, dim: int) -> np.ndarray:
+    """Matrix of dY -> Tr_out[P (dY (x) I) Q] on row-major vec(dY):
+    K[(a,c),(b,e)] = sum_{r,s} P[(a,r),(b,s)] Q[(e,s),(c,r)]."""
+    side = dim * dim
+    pp = p.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(side, side)
+    qq = q.reshape(dim, dim, dim, dim).transpose(3, 1, 2, 0).reshape(side, side)
+    return (pp @ qq).reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(side, side)
+
+
+def _max_step(root_inv: np.ndarray, dz: np.ndarray) -> float:
+    """Largest a with Z + a dZ >= 0, given root_inv with root_inv Z root_inv^H = I."""
+    lam = np.linalg.eigvalsh(root_inv @ dz @ root_inv.conj().T)[0]
+    return np.inf if lam >= 0.0 else -1.0 / lam
+
+
+def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
+    """Primal-dual interior point: Mehrotra predictor-corrector steps in the
+    HKM direction.
+
+    Primal: min Tr[C M] s.t. C >= 0, Tr_out C = I.  Dual: max Tr Y s.t.
+    S = M - Y (x) I >= 0.  Since Tr C = dim on the primal set, every Hermitian
+    Y proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I) on the
+    optimum; the loop stops once the polished primal point is within
+    ``options.tol`` of it.  Returns (C, dual bound, Newton steps, converged).
     """
-    z = x0.copy()
-    u = np.zeros_like(z)
-    rho = norm
-    stop = max(1e-11, 1e-2 * options.tol) * (1.0 + norm)
-    iters_done = 0
-    converged = False
-    for t in range(1, options.max_iters + 1):
-        x = _tp_project(z - u - m / rho, dim)
-        z_new = _psd_project(x + u)
-        r_primal = float(np.linalg.norm(x - z_new))
-        r_dual = rho * float(np.linalg.norm(z_new - z))
-        z = z_new
-        u += x - z
-        iters_done = t
-        if max(r_primal, r_dual) < stop:
-            converged = True
+    side = dim * dim
+    eye = _eye(dim)
+    lam = np.linalg.eigvalsh(m)
+    x = np.eye(side, dtype=complex) / dim
+    y = (lam[0] - 1.0 - max(-lam[0], lam[-1])) * eye
+    for steps in range(options.max_iters + 1):
+        s = herm(m - _lift(y, dim))
+        s_vals, s_vecs = np.linalg.eigh(s)
+        bound = float(np.trace(y).real) + dim * s_vals[0]
+        value = trace_mul(x, m).real
+        if value - bound <= options.tol * (1.0 + abs(value)):
+            polished = _tp_polish(x, dim)
+            value = trace_mul(polished, m).real
+            if value - bound <= options.tol * (1.0 + abs(value)):
+                return polished, bound, steps, True
+        if steps == options.max_iters or s_vals[0] <= 0.0:
             break
-        if t % 50 == 0:
-            if r_primal > 5.0 * r_dual:
-                rho *= 2.0
-                u /= 2.0
-            elif r_dual > 5.0 * r_primal:
-                rho /= 2.0
-                u *= 2.0
-    return z, iters_done, converged
-
-
-def _solve_subgradient(m, dim, norm, options, x0):
-    """Projected subgradient with Dykstra projections and tail averaging."""
-    step0 = options.step0 if options.step0 is not None else 1.0 / norm
-    x = x0.copy()
-
-    def value_of(c):
-        return float(np.real(trace_mul(c, m)))
-
-    best_val = value_of(x)
-    best = x.copy()
-    last_gain = 0
-    # Tail average: the accumulator restarts whenever t doubles, so at exit it
-    # spans roughly the last half of the iterates (early transients excluded).
-    avg = np.zeros_like(x)
-    avg_count = 0
-    avg_restart = 1
-    iters_done = 0
-    for t in range(1, options.max_iters + 1):
-        if options.step_schedule == "sqrt":
-            eta = step0 / np.sqrt(t)
-        elif options.step_schedule == "halving":
-            ratio = 0.5 ** ((t - 1) // 100)
-            if ratio < 1e-8:
-                break  # step is far below any resolvable improvement
-            eta = step0 * ratio
-        else:
-            raise ValidationError(f"unknown step schedule {options.step_schedule!r}")
-        inner_tol = min(options.dykstra_tol, max(1e-2 * eta * norm, 1e-11))
-        x = project_cptp(x - eta * m, dim, inner_tol, options.dykstra_iters)
-        if t == 2 * avg_restart:
-            avg[:] = 0.0
-            avg_count = 0
-            avg_restart = t
-        avg += x
-        avg_count += 1
-        v = value_of(x)
-        if v < best_val:
-            if v < best_val - options.tol * (1.0 + abs(best_val)):
-                last_gain = t
-            best_val, best = v, x.copy()
-        iters_done = t
-        if t - last_gain > options.patience:
+        try:
+            x_root_inv = np.linalg.inv(np.linalg.cholesky(x))
+        except np.linalg.LinAlgError:
             break
-    if avg_count:
-        averaged = project_cptp(avg / avg_count, dim, tol=1e-12, max_iters=400)
-        if value_of(averaged) < best_val:
-            best_val, best = value_of(averaged), averaged
-    return best, iters_done, iters_done < options.max_iters
+        s_inv = (s_vecs / s_vals) @ s_vecs.conj().T
+        s_root_inv = (s_vecs / np.sqrt(s_vals)) @ s_vecs.conj().T
+        mu = trace_mul(x, s).real / side
+        primal_res = eye - _partial_trace(x, dim)
+        schur = (_schur_block(x, s_inv, dim) + _schur_block(s_inv, x, dim)) / 2.0
+
+        def direction(r):
+            # dC = r + sym(C (dY (x) I) S^-1) with Tr_out dC = primal_res.
+            rhs = (primal_res - _partial_trace(r, dim)).reshape(-1)
+            dy = herm(np.linalg.solve(schur, rhs).reshape(dim, dim))
+            t = x @ _lift(dy, dim) @ s_inv
+            return herm(r + (t + t.conj().T) / 2.0), dy
+
+        dx_aff, dy_aff = direction(-x)
+        ds_aff = -_lift(dy_aff, dim)
+        a_p = min(1.0, _max_step(x_root_inv, dx_aff))
+        a_d = min(1.0, _max_step(s_root_inv, ds_aff))
+        sigma = (trace_mul(x + a_p * dx_aff, s + a_d * ds_aff).real / side / mu) ** 3
+        t = dx_aff @ ds_aff @ s_inv
+        dx, dy = direction(sigma * mu * s_inv - x - (t + t.conj().T) / 2.0)
+        a_p = min(1.0, _STEP_FRACTION * _max_step(x_root_inv, dx))
+        a_d = min(1.0, _STEP_FRACTION * _max_step(s_root_inv, -_lift(dy, dim)))
+        if min(a_p, a_d) < _MIN_STEP:
+            break
+        x = herm(x + a_p * dx)
+        y = herm(y + a_d * dy)
+    return _tp_polish(x, dim), bound, steps, False
 
 
 def minimize_over_cptp(
-    objective: LocalObjective | np.ndarray,
-    options: SdpOptions | None = None,
-    warm_start: np.ndarray | None = None,
+    objective: LocalObjective | np.ndarray, options: SdpOptions | None = None
 ) -> tuple[ChoiMatrix, dict]:
-    """min Re Tr[C M] over Choi matrices of channels (first-order methods).
+    """min Re Tr[C M] over Choi matrices of channels, with a certified gap.
 
-    Returns the final feasible iterate (re-projected onto the constraint set)
-    together with convergence diagnostics.
+    Returns the final iterate, made exactly trace-preserving, and its
+    diagnostics: ``iters`` (Newton steps), ``value``, ``dual_bound`` (a proven
+    lower bound on the optimum), ``gap`` (value - dual_bound), ``converged``
+    (gap <= tol * (1 + |value|)), and the feasibility residuals ``min_eig``
+    and ``tp_residual``.
     """
     options = options or SdpOptions()
     m = objective.matrix if isinstance(objective, LocalObjective) else np.asarray(objective)
@@ -438,27 +443,10 @@ def minimize_over_cptp(
     dim = int(round(np.sqrt(side)))
     if dim * dim != side:
         raise ValidationError("objective matrix side must be a perfect square")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("objective matrix has non-finite entries")
 
-    norm = float(np.linalg.norm(m, 2))
-    depolarizing = np.eye(side, dtype=complex) / dim  # Choi of the erasure-to-mixed map
-    if norm == 0.0:
-        return ChoiMatrix(depolarizing.copy()), {
-            "iters": 0, "value": 0.0, "converged": True, "min_eig": 0.0, "tp_residual": 0.0,
-        }
-
-    if warm_start is not None:
-        x0 = project_cptp(np.asarray(warm_start, dtype=complex), dim, tol=1e-12)
-    else:
-        x0 = depolarizing.copy()
-
-    if options.method == "splitting":
-        cand, iters_done, converged = _solve_splitting(m, dim, norm, options, x0)
-    elif options.method == "subgradient":
-        cand, iters_done, converged = _solve_subgradient(m, dim, norm, options, x0)
-    else:
-        raise ValidationError(f"unknown subproblem method {options.method!r}")
-
-    best = project_cptp(cand, dim, tol=1e-13, max_iters=600)
+    best, bound, iters_done, converged = _interior_point(m, dim, options)
     best_val = float(np.real(trace_mul(best, m)))
     neg, tp_res = cptp_residuals(best, dim)
     if neg > 1e-7 or tp_res > 1e-7:
@@ -469,6 +457,8 @@ def minimize_over_cptp(
         "iters": iters_done,
         "value": best_val,
         "converged": converged,
+        "gap": best_val - bound,
+        "dual_bound": bound,
         "min_eig": -neg,
         "tp_residual": tp_res,
     }
@@ -489,6 +479,8 @@ class SweepStep:
     installed: bool
     subproblem_value: float
     energy: float
+    gap: float  # certified optimality gap of the subproblem solve
+    converged: bool  # gap within the SdpOptions tolerance
 
 
 @dataclass
@@ -576,9 +568,7 @@ def sweep(
             objective = assemble_local_objective(current, index, data, obs)
             choi_cur = superop_to_choi(current.components[index].map)
             v_before = objective.value(choi_cur)
-            choi_new, info = minimize_over_cptp(
-                objective, options.sdp, warm_start=choi_cur.matrix
-            )
+            choi_new, info = minimize_over_cptp(objective, options.sdp)
             v_new = objective.value(choi_new)
             if v_new < v_before - options.accept_tol:
                 current = current.with_component(index, choi_to_superop(choi_new))
@@ -596,6 +586,8 @@ def sweep(
                     installed=installed,
                     subproblem_value=info["value"],
                     energy=energy,
+                    gap=info["gap"],
+                    converged=info["converged"],
                 )
             )
         if not improved:

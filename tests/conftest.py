@@ -7,11 +7,14 @@ import pytest
 
 from virtualmap.cone import Component, MapCircuit, brickwork
 from virtualmap.maps import (
+    LocalMap,
     random_cptp_map,
     random_tp_hermitian_map,
     random_unitary_map,
+    superop_to_choi,
 )
-from virtualmap.povm import compute_duals, make_sic_povm
+from virtualmap.pauli import PAULI_MATRICES
+from virtualmap.povm import SingleQubitPOVM, compute_duals, make_sic_povm
 
 # Criterion results recorded by tests/test_acceptance.py: list of
 # (criterion number, title, passed, detail) tuples, printed at session end.
@@ -69,3 +72,40 @@ def replace_component(circuit: MapCircuit, index: int, new_map) -> MapCircuit:
 def assert_all_close(a, b, atol, msg=""):
     err = np.max(np.abs(np.asarray(a) - np.asarray(b)))
     assert err <= atol, f"{msg} max error {err:.3e} > {atol:.1e}"
+
+
+def cube_povm() -> SingleQubitPOVM:
+    """Six-outcome overcomplete POVM: the +-X, +-Y, +-Z projectors over 3."""
+    effects = [
+        (np.eye(2) + sign * PAULI_MATRICES[axis]) / 6.0 for axis in "XYZ" for sign in (1.0, -1.0)
+    ]
+    return SingleQubitPOVM(label="cube", effects=np.array(effects))
+
+
+def brute_force_min(m: np.ndarray, seed: int, starts: int = 8) -> float:
+    """Global minimum of Tr[C M] over single-qubit CPTP Choi matrices.
+
+    Full Stinespring parametrization (environment dimension 4 covers every
+    channel); multi-start quasi-Newton refinement.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    d, r = 2, 4
+    rng = np.random.default_rng(seed)
+
+    def choi_of(x):
+        z = (x[: d * r * d] + 1j * x[d * r * d :]).reshape(d * r, d)
+        q, _ = np.linalg.qr(z)
+        kraus = q.reshape(d, r, d).transpose(1, 0, 2)
+        superop = sum(np.kron(k.conj(), k) for k in kraus)
+        return superop_to_choi(LocalMap(superop)).matrix
+
+    def cost(x):
+        return float(np.real(np.trace(choi_of(x) @ m)))
+
+    best = np.inf
+    for _ in range(starts):
+        x0 = rng.standard_normal(2 * d * r * d)
+        res = scipy_minimize(cost, x0, method="L-BFGS-B")
+        best = min(best, float(res.fun))
+    return best

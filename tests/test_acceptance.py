@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_RESULTS, random_mixed_circuit
+from conftest import ACCEPTANCE_RESULTS, brute_force_min, random_mixed_circuit
 from virtualmap.cone import MapCircuit, brickwork, evaluate_trace, evaluate_trace_backward, staircase
 from virtualmap.densesim import (
     DensityMatrix,
@@ -339,37 +339,6 @@ def test_criterion_05_local_objective_consistency():
     )
 
 
-def _brute_force_min(m: np.ndarray, seed: int, starts: int = 8) -> float:
-    """Global minimum of Tr[C M] over single-qubit CPTP Choi matrices.
-
-    Full Stinespring parametrization (environment dimension 4 covers every
-    channel); multi-start quasi-Newton refinement.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    from virtualmap.maps import LocalMap
-
-    d, r = 2, 4
-    rng = np.random.default_rng(seed)
-
-    def choi_of(x):
-        z = (x[: d * r * d] + 1j * x[d * r * d :]).reshape(d * r, d)
-        q, _ = np.linalg.qr(z)
-        kraus = q.reshape(d, r, d).transpose(1, 0, 2)
-        superop = sum(np.kron(k.conj(), k) for k in kraus)
-        return superop_to_choi(LocalMap(superop)).matrix
-
-    def cost(x):
-        return float(np.real(np.trace(choi_of(x) @ m)))
-
-    best = np.inf
-    for _ in range(starts):
-        x0 = rng.standard_normal(2 * d * r * d)
-        res = scipy_minimize(cost, x0, method="L-BFGS-B")
-        best = min(best, float(res.fun))
-    return best
-
-
 def test_criterion_06_sdp_subsolver():
     t0 = time.perf_counter()
     rng = np.random.default_rng(606)
@@ -380,7 +349,7 @@ def test_criterion_06_sdp_subsolver():
         m = (g + g.conj().T) / 2.0
         objective = LocalObjective(component=0, arity=1, matrix=m)
         choi, info = minimize_over_cptp(objective)
-        reference = _brute_force_min(m, seed=fixture)
+        reference = brute_force_min(m, seed=fixture)
         neg, tp_res = cptp_residuals(choi.matrix, 2)
         worst_gap = max(worst_gap, abs(info["value"] - reference))
         worst_feas = max(worst_feas, neg, tp_res)

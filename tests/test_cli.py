@@ -281,6 +281,25 @@ class TestAnsatz:
         final = float(lines[-1].split(",")[2])
         assert final <= -1.0 + 1e-5
 
+    def test_summary_reports_certificate(self, tmp_path, capsys):
+        obs_path = tmp_path / "obs.json"
+        write_observable(Observable.from_terms(2, [(1.0, "ZI")]), obs_path)
+        base = ["ansatz", "--observable", str(obs_path), "--rounds", "2", "--seed", "1"]
+        assert main(base) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["unconverged_steps"] == 0
+        assert summary["max_gap"] <= 1e-9
+        assert main(base + ["--sdp-max-iters", "1"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["unconverged_steps"] == summary["iterations"] > 0
+        assert summary["max_gap"] > 1e-9
+
+    @pytest.mark.parametrize("flag", [["--sdp-tol", "0"], ["--sdp-max-iters", "-1"]])
+    def test_bad_solver_settings_exit_2(self, tmp_path, flag):
+        obs_path = tmp_path / "obs.json"
+        write_observable(Observable.from_terms(2, [(1.0, "ZI")]), obs_path)
+        assert main(["ansatz", "--observable", str(obs_path), "--rounds", "1"] + flag) == 2
+
     def test_zreset_output_is_input_independent(self, tmp_path):
         obs_path = tmp_path / "obs.json"
         write_observable(Observable.from_terms(2, [(1.0, "ZI")]), obs_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_mixed_circuit
+from conftest import cube_povm, random_mixed_circuit
 from virtualmap.cone import (
     Component,
     MapCircuit,
@@ -36,8 +36,8 @@ from virtualmap.maps import (
     random_tp_hermitian_map,
     random_unitary_map,
 )
-from virtualmap.pauli import PAULI_MATRICES, Observable, expectation_oracle, xx_hamiltonian
-from virtualmap.povm import SingleQubitPOVM, compute_duals, make_sic_povm
+from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
+from virtualmap.povm import compute_duals, make_sic_povm
 from virtualmap.varopt import (
     DenseStateData,
     assemble_local_objective,
@@ -320,13 +320,6 @@ def _kernel_observable():
     )
 
 
-def _cube_povm():
-    effects = [
-        (np.eye(2) + sign * PAULI_MATRICES[axis]) / 6.0 for axis in "XYZ" for sign in (1.0, -1.0)
-    ]
-    return SingleQubitPOVM(label="cube", effects=np.array(effects))
-
-
 def _custom_duals(rng):
     """SIC duals with a traceless Hermitian shift plus a trace change."""
     duals = _sic_dual_matrices().copy()
@@ -392,7 +385,7 @@ class TestBatchedKernel:
         circ = _kernel_circuits(rng)["brickwork"]
         obs = _kernel_observable()
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
-        cube = _cube_povm()
+        cube = cube_povm()
         got = estimate_exact(rho, cube, circ, obs, method="enumerate")
         duals = np.asarray(compute_duals(cube).duals)
         p = outcome_distribution(rho, cube)
