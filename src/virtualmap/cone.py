@@ -55,7 +55,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import apply_superop_local, insert_factor, multiply_trace_out, trace_mul
+from .linalg import (
+    apply_superop_local,
+    insert_factor,
+    multiply_trace_out,
+    trace_mul,
+    unique_rows,
+)
 from .maps import LocalMap, adjoint_map, invert_map, map_from_spec, map_to_payload
 from .pauli import PAULI_MATRICES, PauliString
 
@@ -534,7 +540,7 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, pauli: PauliString) -> np.n
     if not plan.qubits:
         return values
     cols = list(plan.qubits)
-    uniq, inverse = np.unique(rows[:, cols], axis=0, return_inverse=True)
+    uniq, inverse, _ = unique_rows(rows[:, cols])
     cone_values = np.empty(len(uniq), dtype=complex)
     for chunk in row_chunks(len(uniq), plan.peak_active):
         ins = [None] * n
@@ -544,7 +550,7 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, pauli: PauliString) -> np.n
         if active:
             raise ValidationError("cone schedule did not trace every qubit")
         cone_values[chunk] = res[:, 0, 0]
-    return values * cone_values[inverse.reshape(-1)]
+    return values * cone_values[inverse]
 
 
 # ---------------------------------------------------------------------------

@@ -295,8 +295,13 @@ def batch_to_text(batch: OutcomeBatch) -> str:
     )
     if batch.source:
         header += f' source="{batch.source}"'
-    rows = "\n".join(",".join(str(int(v)) for v in row) for row in batch.outcomes)
-    return header + "\n" + rows + "\n"
+    # Outcomes lie in 0..3, so each is one ASCII digit: a row of N outcomes
+    # is exactly the 2N bytes "d,d,...,d\n".
+    s, n = batch.outcomes.shape
+    body = np.full((s, 2 * n), ord(","), dtype=np.uint8)
+    body[:, 0::2] = batch.outcomes + ord("0")
+    body[:, -1] = ord("\n")
+    return header + "\n" + body.tobytes().decode("ascii")
 
 
 def write_batch(batch: OutcomeBatch, path) -> None:
@@ -316,12 +321,16 @@ def read_batch(path) -> OutcomeBatch:
     labels = tuple(povm_field.split("|")) if "|" in povm_field else (povm_field,) * n
     if len(lines) - 1 != s:
         raise ValidationError(f"header says S={s} but file has {len(lines) - 1} rows")
+    if s == 0:
+        raise ValidationError("batch file has no outcome rows")
     try:
-        outcomes = np.array(
-            [[int(v) for v in line.split(",")] for line in lines[1:]], dtype=np.int8
+        outcomes = np.loadtxt(
+            lines[1:], delimiter=",", dtype=np.int64, ndmin=2, comments=None
         )
     except ValueError as exc:
         raise ValidationError(f"malformed outcome row: {exc}") from exc
+    if len(outcomes) != s:  # loadtxt skips blank lines
+        raise ValidationError(f"header says S={s} but file has {len(outcomes)} outcome rows")
     if outcomes.shape[1] != n:
         raise ValidationError(f"header says N={n} but rows have {outcomes.shape[1]} entries")
     return OutcomeBatch(outcomes, labels, int(m.group("seed")), m.group("source") or "")

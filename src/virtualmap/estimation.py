@@ -32,6 +32,7 @@ import numpy as np
 from .cone import MapCircuit, evaluate_rows
 from .densesim import DensityMatrix, OutcomeBatch, apply_circuit_dense, outcome_distribution
 from .errors import NumericalError, ValidationError
+from .linalg import unique_rows
 from .pauli import Observable, expectation_oracle
 from .povm import DualFrame, SingleQubitPOVM, compute_duals, get_povm
 
@@ -156,9 +157,7 @@ def estimate(
     for q, m in enumerate(batch.outcomes.max(axis=0)):
         if m >= arrays[q].shape[0]:
             raise ValidationError(f"outcome {m} out of range for qubit {q}")
-    uniq, inverse, counts = np.unique(
-        batch.outcomes, axis=0, return_inverse=True, return_counts=True
-    )
+    uniq, inverse, counts = unique_rows(batch.outcomes)
     reals, residue = _real_weights(row_weights(circuit, arrays, uniq, obs))
 
     s = batch.num_shots
@@ -166,7 +165,7 @@ def estimate(
     second = float(np.dot(counts, reals**2) / s)
     var_unbiased = max(second - value**2, 0.0) * s / (s - 1)
     sigma = float(np.sqrt(var_unbiased / s))
-    per_shot = reals[inverse.reshape(-1)] if keep_per_shot else None
+    per_shot = reals[inverse] if keep_per_shot else None
     return Estimate(
         value=value,
         sigma=sigma,

@@ -101,3 +101,23 @@ def partial_trace(op: np.ndarray, keep, n: int) -> np.ndarray:
     t = t.transpose([*perm, *[nq + p for p in perm]])
     d = 2**nq
     return t.reshape(d, d)
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of an (R, K) integer array, K >= 1, with inverse and counts.
+
+    Returns exactly ``np.unique(rows, axis=0, return_inverse=True,
+    return_counts=True)`` (rows in lexicographic order, column 0 most
+    significant, and a 1-D inverse), from one ``np.lexsort`` and a mask of
+    where neighbouring sorted rows differ instead of a sort of void records.
+    """
+    rows = np.asarray(rows)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=len(rows))
+    return ranked[first], inverse, counts

@@ -33,7 +33,7 @@ from .cone import MapCircuit, row_chunks, split_plan, split_residuals
 from .densesim import DensityMatrix, OutcomeBatch, apply_local_map, outcome_distribution
 from .errors import NumericalError, ValidationError
 from .estimation import _real_weights, dual_arrays, row_weights
-from .linalg import apply_superop_local, herm, trace_mul
+from .linalg import apply_superop_local, herm, trace_mul, unique_rows
 from .maps import (
     ChoiMatrix,
     adjoint_map,
@@ -90,7 +90,7 @@ class DenseStateData:
 def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:
     """Collapse a measurement batch to weighted dual-effect product rows."""
     arrays = dual_arrays(duals, batch.num_qubits)
-    uniq, counts = np.unique(batch.outcomes, axis=0, return_counts=True)
+    uniq, _, counts = unique_rows(batch.outcomes)
     factors = np.empty((len(uniq), batch.num_qubits, 2, 2), dtype=complex)
     for q in range(batch.num_qubits):
         factors[:, q] = arrays[q][uniq[:, q]]

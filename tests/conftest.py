@@ -7,11 +7,9 @@ import pytest
 
 from virtualmap.cone import Component, MapCircuit, brickwork
 from virtualmap.maps import (
-    LocalMap,
     random_cptp_map,
     random_tp_hermitian_map,
     random_unitary_map,
-    superop_to_choi,
 )
 from virtualmap.pauli import PAULI_MATRICES
 from virtualmap.povm import SingleQubitPOVM, compute_duals, make_sic_povm
@@ -82,6 +80,18 @@ def cube_povm() -> SingleQubitPOVM:
     return SingleQubitPOVM(label="cube", effects=np.array(effects))
 
 
+def stinespring_choi(x: np.ndarray, d: int = 2, r: int = 4) -> np.ndarray:
+    """Choi matrix (input (x) output) of the channel whose Stinespring isometry
+    is the Q factor of the (d*r, d) complex matrix packed in ``x``.
+
+    With Kraus operators K_k, C[(i,a),(j,b)] = sum_k K_k[a,i] conj(K_k[b,j]).
+    """
+    z = (x[: d * r * d] + 1j * x[d * r * d :]).reshape(d * r, d)
+    q, _ = np.linalg.qr(z)
+    kraus = q.reshape(d, r, d).transpose(1, 0, 2)
+    return np.einsum("kai,kbj->iajb", kraus, kraus.conj()).reshape(d * d, d * d)
+
+
 def brute_force_min(m: np.ndarray, seed: int, starts: int = 8) -> float:
     """Global minimum of Tr[C M] over single-qubit CPTP Choi matrices.
 
@@ -93,15 +103,8 @@ def brute_force_min(m: np.ndarray, seed: int, starts: int = 8) -> float:
     d, r = 2, 4
     rng = np.random.default_rng(seed)
 
-    def choi_of(x):
-        z = (x[: d * r * d] + 1j * x[d * r * d :]).reshape(d * r, d)
-        q, _ = np.linalg.qr(z)
-        kraus = q.reshape(d, r, d).transpose(1, 0, 2)
-        superop = sum(np.kron(k.conj(), k) for k in kraus)
-        return superop_to_choi(LocalMap(superop)).matrix
-
     def cost(x):
-        return float(np.real(np.trace(choi_of(x) @ m)))
+        return float(np.real(np.trace(stinespring_choi(x, d, r) @ m)))
 
     best = np.inf
     for _ in range(starts):

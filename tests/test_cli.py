@@ -192,6 +192,21 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["# povm=sic seed=0 N=3 S=0\n", "# povm=sic seed=0 N=3 S=2\n0,1,2\n0,1,300\n"],
+        ids=["header-only", "outcome-300"],
+    )
+    def test_bad_batch_exits_2(self, tmp_path, obs_file, identity_circuit_file, capsys, text):
+        batch = tmp_path / "bad.csv"
+        batch.write_text(text)
+        capsys.readouterr()
+        argv = ["estimate", "--batch", str(batch), "--observable", str(obs_file)]
+        rc = main(argv + ["--circuit", str(identity_circuit_file)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_register_mismatch_exits_2(self, tmp_path, chain_prep, obs_file):
         batch = self._sample(tmp_path, chain_prep, shots=20)
         wrong = tmp_path / "wrong.json"

@@ -32,6 +32,7 @@ from virtualmap.linalg import (
     kron_all,
     multiply_trace_out,
     trace_mul,
+    unique_rows,
 )
 from virtualmap.maps import (
     LocalMap,
@@ -444,6 +445,23 @@ class TestBatchedKernel:
                 got = split_value(pairs, circ.components[index].map)
                 want = evaluate_trace(circ, duals[b], PauliString(letters[b]))
                 assert abs(got - want) < 1e-10 * (1 + abs(want))
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("dtype", [np.int8, np.intp])
+    @pytest.mark.parametrize(
+        "shape, low, high",
+        [((1, 5), 0, 4), ((40, 1), 0, 4), ((25, 3), 2, 3), ((500, 6), 0, 4), ((300, 4), -3, 3)],
+        ids=["one-row", "one-column", "all-equal", "random", "signed"],
+    )
+    def test_equals_np_unique(self, dtype, shape, low, high):
+        rows = np.random.default_rng(77).integers(low, high, size=shape).astype(dtype)
+        uniq, inverse, counts = unique_rows(rows)
+        u, i, c = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+        for got, ref in zip((uniq, inverse, counts), (u, i.reshape(-1), c)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(uniq[inverse], rows)
 
 
 class TestSplitEvaluate:

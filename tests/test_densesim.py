@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virtualmap.cone import MapCircuit, brickwork
 from virtualmap.densesim import (
@@ -240,6 +242,93 @@ class TestBatchFiles:
         path.write_text("# povm=sic seed=0 N=2 S=1\n0,x\n")
         with pytest.raises(ValidationError):
             read_batch(path)
+
+    def test_exact_text(self):
+        batch = OutcomeBatch(np.array([[0, 3, 1], [2, 2, 0]]), ("sic", "cube", "sic"), -4, "a b")
+        assert batch_to_text(batch) == (
+            '# povm=sic|cube|sic seed=-4 N=3 S=2 source="a b"\n0,3,1\n2,2,0\n'
+        )
+        single = OutcomeBatch(np.array([[1]]), ("sic",), 7)
+        assert batch_to_text(single) == "# povm=sic seed=7 N=1 S=1\n1\n"
+
+    @pytest.mark.parametrize(
+        "body",
+        ["", "0,1,300\n", "0,1,4\n", "0,-1,2\n", "0,1\n", "0,1.0,2\n", "0,1,2 # c\n"],
+        ids=["no-rows", "above-int8", "out-of-range", "negative", "short", "float", "comment"],
+    )
+    def test_bad_single_row_body(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        s = 1 if body else 0
+        path.write_text(f"# povm=sic seed=0 N=3 S={s}\n{body}")
+        with pytest.raises(ValidationError):
+            read_batch(path)
+
+    def test_blank_line_inside_body(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# povm=sic seed=0 N=2 S=3\n0,1\n\n1,2\n")
+        with pytest.raises(ValidationError):
+            read_batch(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        outcomes=st.integers(1, 40).flatmap(
+            lambda s: st.integers(1, 9).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=s, max_size=s
+                )
+            )
+        ),
+        label_pool=st.lists(st.sampled_from(["sic", "cube"]), min_size=1, max_size=2),
+        seed=st.integers(-(2**31), 2**31),
+        source=st.text(
+            st.one_of(
+                st.characters(blacklist_characters='"', blacklist_categories=("Cs", "Cc", "Z")),
+                st.just(" "),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_round_trip_fuzz(self, tmp_path_factory, outcomes, label_pool, seed, source):
+        arr = np.array(outcomes)
+        n = arr.shape[1]
+        labels = tuple(label_pool[q % len(label_pool)] for q in range(n))
+        batch = OutcomeBatch(arr, labels, seed, source)
+        path = tmp_path_factory.mktemp("fuzz") / "batch.csv"
+        write_batch(batch, path)
+        back = read_batch(path)
+        np.testing.assert_array_equal(back.outcomes, arr)
+        assert back.outcomes.dtype == np.int8
+        assert back.povm_labels == labels
+        assert back.seed == seed and back.source == source
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        header_s=st.integers(0, 6),
+        header_n=st.integers(0, 4),
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-5, 5).map(str),
+                    st.integers(-(10**30), 10**30).map(str),
+                    st.sampled_from(["", " ", "+1", "1.5", "2.0", "1e3", "x", "#", "0x1", "nan"]),
+                    st.floats(allow_nan=True).map(repr),
+                ),
+                max_size=5,
+            ).map(",".join),
+            max_size=7,
+        ),
+    )
+    def test_junk_bodies_raise_only_validation_errors(
+        self, tmp_path_factory, header_s, header_n, rows
+    ):
+        path = tmp_path_factory.mktemp("junk") / "batch.csv"
+        path.write_text(f"# povm=sic seed=0 N={header_n} S={header_s}\n" + "\n".join(rows))
+        try:
+            batch = read_batch(path)
+        except ValidationError:
+            return
+        assert batch.outcomes.shape == (header_s, header_n)
+        assert batch.outcomes.min() >= 0 and batch.outcomes.max() <= 3
 
 
 class TestStatePrepFiles:

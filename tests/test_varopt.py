@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_min, cube_povm, random_mixed_circuit
+from conftest import brute_force_min, cube_povm, random_mixed_circuit, stinespring_choi
 from virtualmap.cone import Component, MapCircuit, brickwork, staircase
 from virtualmap.densesim import (
     computational_zero,
@@ -20,6 +20,7 @@ from virtualmap.errors import ValidationError
 from virtualmap.estimation import estimate, estimate_exact
 from virtualmap.maps import (
     ChoiMatrix,
+    LocalMap,
     choi_to_superop,
     identity_map,
     random_cptp_map,
@@ -299,6 +300,18 @@ class TestMinimizeOverCptp:
             m = _random_hermitian(4, rng)
             _, info = minimize_over_cptp(LocalObjective(component=0, arity=1, matrix=m))
             assert info["dual_bound"] <= brute_force_min(m, seed=fixture, starts=2) + 1e-12
+
+    def test_brute_force_choi_matches_kraus_superoperator(self):
+        # the reference search's einsum Choi against kron-summed Kraus superoperators
+        d, r = 2, 4
+        rng = np.random.default_rng(607)
+        for _ in range(20):
+            x = rng.standard_normal(2 * d * r * d)
+            z = (x[: d * r * d] + 1j * x[d * r * d :]).reshape(d * r, d)
+            kraus = np.linalg.qr(z)[0].reshape(d, r, d).transpose(1, 0, 2)
+            superop = sum(np.kron(k.conj(), k) for k in kraus)
+            want = superop_to_choi(LocalMap(superop)).matrix
+            assert np.max(np.abs(stinespring_choi(x, d, r) - want)) <= 1e-12
 
     @pytest.mark.parametrize("c", [-2.5, 0.0, 3.0])
     def test_multiple_of_identity_is_solved_at_the_start(self, c):
