@@ -7,7 +7,6 @@ variationally optimize the circuit's component maps under CPTP constraints.
 
 from .cone import (
     Component,
-    EvaluationSchedule,
     MapCircuit,
     brickwork,
     circuit_from_dict,
@@ -18,9 +17,7 @@ from .cone import (
     mirror_adjoint,
     save_circuit,
     schedule,
-    split_evaluate,
     split_plan,
-    split_value,
     staircase,
 )
 from .densesim import (
@@ -97,7 +94,6 @@ from .varopt import (
     data_from_batch,
     data_from_distribution,
     minimize_over_cptp,
-    project_cptp,
     sweep,
     zreset_compose,
 )

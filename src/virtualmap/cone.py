@@ -17,15 +17,19 @@ active qubits and interleaves three step kinds:
 A qubit is finished once every component acting on it has been applied; the
 scheduler picks the next qubit to finish greedily, minimizing the number of
 active qubits, which reproduces the narrow sweep on layered nearest-neighbour
-circuits. Backward evaluation runs the mirrored adjoint circuit with the roles
-of the two factor sets exchanged; for Hermiticity-preserving circuits both
-directions agree.
+circuits.
+
+Every whole-trace contraction runs a ``ConePlan``: the schedule of one output
+support's backward light cone (``cone_plan``, cached per circuit and
+support). ``schedule`` is the plan of every qubit, which ``evaluate_trace``
+runs for a single row. Backward evaluation runs the same kind of plan on the
+mirrored adjoint circuit with the roles of the two factor sets exchanged; for
+Hermiticity-preserving circuits both directions agree.
 
 The residual carries a leading batch axis, so one sweep evaluates many rows
 of input factors at once; the single-row entry points are batches of one.
 ``evaluate_rows`` runs one Pauli term over a whole batch and contracts only
-the term's backward light cone (``cone_plan``, cached per circuit and
-support). The pruning is exact:
+the term's backward light cone. The pruning is exact:
 
 * a component outside the cone is dropped only if it is trace preserving to
   round-off (vec(I)^T S = vec(I)^T within ``_TP_TOL``); otherwise it joins the
@@ -36,13 +40,17 @@ support). The pruning is exact:
 Rows that agree on the cone's qubits are contracted once, and batches are cut
 into chunks so that live residuals stay below ``_BATCH_ENTRIES`` entries.
 
-``split_evaluate`` stops the forward pass right before a singled-out
-component, evaluates the rest backwards to just after it, and returns the
-residual pairs (R_a, Rbar_a) over a normalized Pauli basis of the spectator
-qubits, so that  value(replacement L_s) = sum_a Tr[L_s(R_a) Rbar_a]  is exact
-and linear in the replacement. ``split_residuals`` returns the same forward
-and backward residuals for a whole batch of (row, term) pairs; this is what
-the variational layer assembles its objectives from.
+``split_plan`` singles out one component: its forward pass stops right before
+the component and its backward pass runs the mirrored adjoint of everything
+after it. ``split_residuals`` returns both residuals for a whole batch of
+(row, term) pairs, on the component's support and the spectator qubits
+touched on both sides. For one pair, with r and rbar of shape (ds, dm, ds, dm)
+(support, spectators), the circuit's value with the component replaced by any
+map L is linear in L:
+
+    value(L) = sum_{w,u} Tr[L(r[:, w, :, u]) rbar[:, u, :, w]].
+
+The variational layer assembles its objectives from this form.
 """
 
 from __future__ import annotations
@@ -55,15 +63,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (
-    apply_superop_local,
-    insert_factor,
-    multiply_trace_out,
-    trace_mul,
-    unique_rows,
-)
+from .linalg import apply_superop_local, insert_factor, multiply_trace_out, unique_rows
 from .maps import LocalMap, adjoint_map, invert_map, map_from_spec, map_to_payload
-from .pauli import PAULI_MATRICES, PauliString
+from .pauli import PauliString
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,8 @@ class Component:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        if not self.qubits:
+            raise ValidationError("component needs at least one qubit")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValidationError(f"component qubits {self.qubits} must be distinct")
         if self.map.arity != len(self.qubits):
@@ -89,8 +93,9 @@ class MapCircuit:
     """An ordered sequence of local-map components on ``num_qubits`` qubits.
 
     List order is application order. Treat instances as immutable; use
-    :meth:`with_component` for functional updates. ``topology`` is a tag for
-    builders and schedule defaults ("brickwork", "staircase", "general").
+    :meth:`with_component` for functional updates. ``topology`` is a tag set
+    by the builders ("brickwork", "staircase", "general"); a "brickwork"
+    circuit may not overlap supports within a layer.
     """
 
     num_qubits: int
@@ -190,74 +195,6 @@ class ScheduleStep:
     component: int | None = None
 
 
-@dataclass
-class EvaluationSchedule:
-    steps: tuple[ScheduleStep, ...]
-    peak_active: int
-
-    def validate(self, circuit: MapCircuit) -> None:
-        """Check the structural invariants: every component applied exactly
-        once, absorb-before-use, every qubit traced exactly once after all of
-        its components."""
-        absorbed: set[int] = set()
-        traced: set[int] = set()
-        applied: set[int] = set()
-        active = 0
-        peak = 0
-        for step in self.steps:
-            if step.kind == "absorb":
-                if step.qubit in absorbed:
-                    raise ValidationError(f"qubit {step.qubit} absorbed twice")
-                absorbed.add(step.qubit)
-                active += 1
-                peak = max(peak, active)
-            elif step.kind == "apply":
-                if step.component in applied:
-                    raise ValidationError(f"component {step.component} applied twice")
-                comp = circuit.components[step.component]
-                for pred in range(step.component):
-                    if pred not in applied and set(
-                        circuit.components[pred].qubits
-                    ) & set(comp.qubits):
-                        raise ValidationError(
-                            f"component {step.component} applied before predecessor {pred}"
-                        )
-                if any(q not in absorbed or q in traced for q in comp.qubits):
-                    raise ValidationError(
-                        f"component {step.component} uses non-active qubits"
-                    )
-                applied.add(step.component)
-            elif step.kind == "trace":
-                q = step.qubit
-                if q in traced or q not in absorbed:
-                    raise ValidationError(f"bad trace of qubit {q}")
-                for ci, comp in enumerate(circuit.components):
-                    if q in comp.qubits and ci not in applied:
-                        raise ValidationError(
-                            f"qubit {q} traced before component {ci} was applied"
-                        )
-                traced.add(q)
-                active -= 1
-            else:
-                raise ValidationError(f"unknown step kind {step.kind!r}")
-        if applied != set(range(len(circuit.components))):
-            raise ValidationError("schedule does not apply every component")
-        if traced != set(range(circuit.num_qubits)):
-            raise ValidationError("schedule does not trace every qubit")
-        if peak != self.peak_active:
-            raise ValidationError(f"recorded peak {self.peak_active} != actual {peak}")
-
-    def dump_text(self) -> str:
-        lines = []
-        for step in self.steps:
-            if step.kind == "apply":
-                lines.append(f"apply component {step.component}")
-            else:
-                lines.append(f"{step.kind} qubit {step.qubit}")
-        lines.append(f"peak active qubits: {self.peak_active}")
-        return "\n".join(lines)
-
-
 def _closure(circuit: MapCircuit, remaining: set[int], seeds) -> list[int]:
     """Downward closure of ``seeds`` under the earlier-and-overlapping
     predecessor relation, restricted to ``remaining``; returned in order."""
@@ -274,17 +211,8 @@ def _closure(circuit: MapCircuit, remaining: set[int], seeds) -> list[int]:
     return sorted(chosen)
 
 
-def _default_max_active(circuit: MapCircuit) -> int:
-    if circuit.topology in ("brickwork", "staircase"):
-        return min(circuit.num_qubits, circuit.num_layers + 1)
-    return circuit.num_qubits
-
-
 def _greedy_schedule(
-    circuit: MapCircuit,
-    component_pool,
-    traceable,
-    prefer_high: bool = False,
+    circuit: MapCircuit, component_pool, traceable
 ) -> tuple[list[ScheduleStep], int, set[int], set[int]]:
     """Greedy sweep: repeatedly finish the traceable qubit whose causal cone
     keeps the active set smallest. Returns (steps, peak, absorbed, applied)."""
@@ -295,9 +223,6 @@ def _greedy_schedule(
     applied: set[int] = set()
     steps: list[ScheduleStep] = []
     peak = 0
-    untraced = sorted(traceable)
-    if prefer_high:
-        untraced = untraced[::-1]
 
     def emit_apply(order):
         nonlocal peak
@@ -312,7 +237,7 @@ def _greedy_schedule(
             remaining.discard(ci)
             peak = max(peak, len(active))
 
-    pending = list(untraced)
+    pending = sorted(traceable)
     while pending:
         best = None
         for q in pending:
@@ -333,30 +258,63 @@ def _greedy_schedule(
     return steps, peak, absorbed, applied
 
 
-def schedule(
-    circuit: MapCircuit, max_active: int | None = None, prefer_high: bool = False
-) -> EvaluationSchedule:
-    """Build an evaluation order for the full trace.
+# A component counts as trace preserving, and may be left out of a term's
+# cone, only if vec(I)^T S matches vec(I)^T to this absolute tolerance.
+_TP_TOL = 1e-12
 
-    Raises if the greedy sweep cannot stay within ``max_active`` active
-    qubits (default: layers + 1 for the layered builders, unlimited
-    otherwise); the error reports the best bound the heuristic found.
+
+def _trace_preserving(circuit: MapCircuit) -> tuple[bool, ...]:
+    flags = circuit._cache.get("tp")
+    if flags is None:
+        out = []
+        for comp in circuit.components:
+            vec_eye = np.eye(comp.map.dim).reshape(-1)
+            out.append(bool(np.max(np.abs(vec_eye @ comp.map.superop - vec_eye)) <= _TP_TOL))
+        flags = circuit._cache["tp"] = tuple(out)
+    return flags
+
+
+@dataclass(frozen=True)
+class ConePlan:
+    """Schedule of one output support's backward light cone.
+
+    ``qubits`` (ascending) are the support plus every qubit a cone component
+    touches; ``steps`` absorb, apply and trace exactly those.
     """
-    cap = _default_max_active(circuit) if max_active is None else int(max_active)
-    steps, peak, _, applied = _greedy_schedule(
-        circuit, range(len(circuit.components)), range(circuit.num_qubits), prefer_high
-    )
-    leftovers = [ci for ci in range(len(circuit.components)) if ci not in applied]
-    if leftovers:  # cannot happen: every component acts on some qubit
-        raise ValidationError(f"components {leftovers} were never scheduled")
-    if peak > cap:
-        raise ValidationError(
-            f"no feasible schedule within max_active={cap}; "
-            f"best found needs {peak} active qubits"
-        )
-    sched = EvaluationSchedule(tuple(steps), peak)
-    sched.validate(circuit)
-    return sched
+
+    qubits: tuple[int, ...]
+    steps: tuple[ScheduleStep, ...]
+    peak_active: int
+
+
+def cone_plan(circuit: MapCircuit, support) -> ConePlan:
+    """Backward light cone of an output support, cached on the circuit.
+
+    Walking the components backwards, one joins the cone if it touches a cone
+    qubit or is not trace preserving; its qubits then join too. Everything
+    left out is trace preserving and acts only on qubits whose output factor
+    is the identity, so dropping it leaves the trace unchanged.
+    """
+    key = ("cone", tuple(support))
+    plan = circuit._cache.get(key)
+    if plan is None:
+        tp = _trace_preserving(circuit)
+        qubits = set(support)
+        members = []
+        for ci in range(len(circuit.components) - 1, -1, -1):
+            touched = circuit.components[ci].qubits
+            if not tp[ci] or qubits.intersection(touched):
+                members.append(ci)
+                qubits.update(touched)
+        steps, peak, _, _ = _greedy_schedule(circuit, members, sorted(qubits))
+        plan = ConePlan(tuple(sorted(qubits)), tuple(steps), peak)
+        circuit._cache[key] = plan
+    return plan
+
+
+def schedule(circuit: MapCircuit) -> ConePlan:
+    """Evaluation order for the full trace: the light cone of every qubit."""
+    return cone_plan(circuit, range(circuit.num_qubits))
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +362,20 @@ def _run_steps(circuit, steps, in_factors, out_factors):
     return active, res
 
 
-def evaluate_trace(circuit, dual_factors, pauli, sched: EvaluationSchedule | None = None):
+def _run_plan(circuit, plan: ConePlan, in_factors, out_factors) -> np.ndarray:
+    """Run a whole-trace plan; returns one value per batch item."""
+    active, res = _run_steps(circuit, plan.steps, in_factors, out_factors)
+    if active:
+        raise ValidationError("plan did not trace every qubit")
+    return res[:, 0, 0]
+
+
+def evaluate_trace(circuit, dual_factors, pauli):
     """Tr[L(F_0 (x) ... ) (G_0 (x) ...)] via the causal-cone sweep."""
     n = circuit.num_qubits
     ins = _factor_list(dual_factors, n)
     outs = _factor_list(pauli, n)
-    if sched is None:
-        sched = circuit._cache.get("sched")
-        if sched is None:
-            sched = schedule(circuit)
-            circuit._cache["sched"] = sched
-    active, res = _run_steps(circuit, sched.steps, ins, outs)
-    if active:
-        raise ValidationError("schedule did not trace every qubit")
-    return complex(res[0, 0, 0])
+    return complex(_run_plan(circuit, schedule(circuit), ins, outs)[0])
 
 
 def mirror_adjoint(circuit: MapCircuit) -> MapCircuit:
@@ -430,9 +388,7 @@ def mirror_adjoint(circuit: MapCircuit) -> MapCircuit:
     return MapCircuit(circuit.num_qubits, tuple(comps), circuit.topology)
 
 
-def evaluate_trace_backward(
-    circuit, dual_factors, pauli, sched: EvaluationSchedule | None = None
-):
+def evaluate_trace_backward(circuit, dual_factors, pauli):
     """Evaluate Tr[Ldag(G_0 (x) ...) (F_0 (x) ...)] on the mirrored adjoint
     circuit. Equals the forward value for Hermiticity-preserving circuits with
     Hermitian factors."""
@@ -443,75 +399,15 @@ def evaluate_trace_backward(
     n = circuit.num_qubits
     ins = _factor_list(pauli, n)
     outs = _factor_list(dual_factors, n)
-    if sched is None:
-        sched = mirror._cache.get("sched")
-        if sched is None:
-            sched = schedule(mirror)
-            mirror._cache["sched"] = sched
-    active, res = _run_steps(mirror, sched.steps, ins, outs)
-    if active:
-        raise ValidationError("schedule did not trace every qubit")
-    return complex(res[0, 0, 0])
+    return complex(_run_plan(mirror, schedule(mirror), ins, outs)[0])
 
 
 # ---------------------------------------------------------------------------
 # batched evaluation over one Pauli term's backward light cone
 
-# A component counts as trace preserving, and may be left out of a term's
-# cone, only if vec(I)^T S matches vec(I)^T to this absolute tolerance.
-_TP_TOL = 1e-12
 # Upper bound on the entries of one batch of residuals (16 bytes each); the
 # rows of a batch are chunked to stay below it.
 _BATCH_ENTRIES = 1 << 18
-
-
-def _trace_preserving(circuit: MapCircuit) -> tuple[bool, ...]:
-    flags = circuit._cache.get("tp")
-    if flags is None:
-        out = []
-        for comp in circuit.components:
-            vec_eye = np.eye(comp.map.dim).reshape(-1)
-            out.append(bool(np.max(np.abs(vec_eye @ comp.map.superop - vec_eye)) <= _TP_TOL))
-        flags = circuit._cache["tp"] = tuple(out)
-    return flags
-
-
-@dataclass(frozen=True)
-class ConePlan:
-    """Schedule of one term's backward light cone.
-
-    ``qubits`` (ascending) are the term's support plus every qubit a cone
-    component touches; ``steps`` absorb, apply and trace exactly those.
-    """
-
-    qubits: tuple[int, ...]
-    steps: tuple[ScheduleStep, ...]
-    peak_active: int
-
-
-def cone_plan(circuit: MapCircuit, support) -> ConePlan:
-    """Backward light cone of an output support, cached on the circuit.
-
-    Walking the components backwards, one joins the cone if it touches a cone
-    qubit or is not trace preserving; its qubits then join too. Everything
-    left out is trace preserving and acts only on qubits whose output factor
-    is the identity, so dropping it leaves the trace unchanged.
-    """
-    key = ("cone", tuple(support))
-    plan = circuit._cache.get(key)
-    if plan is None:
-        tp = _trace_preserving(circuit)
-        qubits = set(support)
-        members = []
-        for ci in range(len(circuit.components) - 1, -1, -1):
-            touched = circuit.components[ci].qubits
-            if not tp[ci] or qubits.intersection(touched):
-                members.append(ci)
-                qubits.update(touched)
-        steps, peak, _, _ = _greedy_schedule(circuit, members, sorted(qubits))
-        plan = ConePlan(tuple(sorted(qubits)), tuple(steps), peak)
-        circuit._cache[key] = plan
-    return plan
 
 
 def row_chunks(num_rows: int, peak_active: int):
@@ -546,27 +442,12 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, pauli: PauliString) -> np.n
         ins = [None] * n
         for j, q in enumerate(cols):
             ins[q] = tables[q][uniq[chunk, j]]
-        active, res = _run_steps(circuit, plan.steps, ins, outs)
-        if active:
-            raise ValidationError("cone schedule did not trace every qubit")
-        cone_values[chunk] = res[:, 0, 0]
+        cone_values[chunk] = _run_plan(circuit, plan, ins, outs)
     return values * cone_values[inverse]
 
 
 # ---------------------------------------------------------------------------
 # split evaluation around a singled-out component
-
-_NORMALIZED_PAULIS = None
-
-
-def _normalized_paulis():
-    global _NORMALIZED_PAULIS
-    if _NORMALIZED_PAULIS is None:
-        _NORMALIZED_PAULIS = [
-            PAULI_MATRICES[c] / np.sqrt(2.0) for c in "IXYZ"
-        ]
-    return _NORMALIZED_PAULIS
-
 
 @dataclass
 class SplitPlan:
@@ -574,20 +455,17 @@ class SplitPlan:
 
     The forward pass applies the closure of the component's predecessors and
     finishes every qubit untouched by the component and its successors; the
-    backward pass does the mirror image. Both residuals live on the shared
-    qubits (the component's support plus spectators touched on both sides).
+    backward pass runs the mirrored adjoint of the successors (``bwd_circuit``)
+    and finishes the rest. Both residuals live on the shared qubits (the
+    component's support plus spectators touched on both sides).
     """
 
-    circuit: MapCircuit
     component: int
-    prefix: tuple[int, ...]
-    suffix: tuple[int, ...]
     shared: tuple[int, ...]
     spectators: tuple[int, ...]
     fwd_steps: tuple[ScheduleStep, ...]
     bwd_steps: tuple[ScheduleStep, ...]
     bwd_circuit: MapCircuit
-    basis: tuple[np.ndarray, ...]
     peak_active: int
 
 
@@ -598,8 +476,7 @@ def split_plan(circuit: MapCircuit, component: int) -> SplitPlan:
     s_support = set(comps[component].qubits)
     all_indices = set(range(len(comps)))
     prefix = _closure(circuit, all_indices - {component}, _predecessor_seeds(circuit, component))
-    prefix_set = set(prefix)
-    suffix = [ci for ci in sorted(all_indices - prefix_set - {component})]
+    suffix = sorted(all_indices - set(prefix) - {component})
 
     touched_pre = {q for ci in prefix for q in comps[ci].qubits}
     touched_suf = {q for ci in suffix for q in comps[ci].qubits}
@@ -611,39 +488,34 @@ def split_plan(circuit: MapCircuit, component: int) -> SplitPlan:
     fwd_steps, peak_f, absorbed_f, applied_f = _greedy_schedule(
         circuit, prefix, traceable_f
     )
-    fwd_steps = list(fwd_steps)
     _append_leftovers(circuit, prefix, applied_f, absorbed_f, fwd_steps)
     for q in shared:
         if q not in absorbed_f:
             fwd_steps.append(ScheduleStep("absorb", qubit=q))
             absorbed_f.add(q)
 
-    bwd_circuit = _suffix_mirror(circuit, suffix)
-    # component indices in bwd_circuit: position j holds original suffix[-1-j]
+    # component j of bwd_circuit is the adjoint of original suffix[-1-j]
+    bwd_circuit = mirror_adjoint(
+        MapCircuit(circuit.num_qubits, tuple(comps[ci] for ci in suffix))
+    )
     blocked_b = s_support | touched_pre
     traceable_b = [q for q in range(circuit.num_qubits) if q not in blocked_b and q in touched_suf]
     bwd_steps, peak_b, absorbed_b, applied_b = _greedy_schedule(
         bwd_circuit, range(len(suffix)), traceable_b
     )
-    bwd_steps = list(bwd_steps)
     _append_leftovers(bwd_circuit, range(len(suffix)), applied_b, absorbed_b, bwd_steps)
     for q in shared:
         if q not in absorbed_b:
             bwd_steps.append(ScheduleStep("absorb", qubit=q))
             absorbed_b.add(q)
 
-    basis = _spectator_basis(len(spect))
     return SplitPlan(
-        circuit=circuit,
         component=component,
-        prefix=tuple(prefix),
-        suffix=tuple(suffix),
         shared=tuple(shared),
         spectators=tuple(spect),
         fwd_steps=tuple(fwd_steps),
         bwd_steps=tuple(bwd_steps),
         bwd_circuit=bwd_circuit,
-        basis=basis,
         peak_active=max(peak_f, peak_b, len(shared)),
     )
 
@@ -665,23 +537,6 @@ def _append_leftovers(circuit, pool, applied, absorbed, steps):
                 absorbed.add(q)
         steps.append(ScheduleStep("apply", component=ci))
         applied.add(ci)
-
-
-def _suffix_mirror(circuit: MapCircuit, suffix) -> MapCircuit:
-    comps = [
-        Component(1, circuit.components[ci].qubits, adjoint_map(circuit.components[ci].map))
-        for ci in reversed(list(suffix))
-    ]
-    # layer numbers are irrelevant here; application order carries the meaning
-    return MapCircuit(circuit.num_qubits, tuple(comps), "general")
-
-
-def _spectator_basis(count: int) -> tuple[np.ndarray, ...]:
-    mats = _normalized_paulis()
-    out = [np.array([[1.0 + 0.0j]])]
-    for _ in range(count):
-        out = [np.kron(b, p) for b in out for p in mats]
-    return tuple(out)
 
 
 def split_residuals(circuit: MapCircuit, plan: SplitPlan, in_factors, out_factors):
@@ -707,33 +562,6 @@ def split_residuals(circuit: MapCircuit, plan: SplitPlan, in_factors, out_factor
     return grouped(res_f), grouped(res_b)
 
 
-def split_evaluate(circuit, component, dual_factors, pauli, plan: SplitPlan | None = None):
-    """Residual pairs (R_a, Rbar_a) such that, for any replacement map L on
-    the singled-out component's qubits,
-
-        Tr[L_circuit(F)(G)]  =  sum_a Tr[L(R_a) Rbar_a].
-
-    The index a runs over the normalized Pauli basis of the spectator qubits;
-    with no spectators the list has a single pair.
-    """
-    if plan is None:
-        key = ("split", component)
-        plan = circuit._cache.get(key)
-        if plan is None:
-            plan = split_plan(circuit, component)
-            circuit._cache[key] = plan
-    n = circuit.num_qubits
-    ins = _factor_list(dual_factors, n)
-    outs = _factor_list(pauli, n)
-    r, rbar = split_residuals(circuit, plan, ins, outs)
-    pairs = []
-    for b in plan.basis:
-        ra = np.einsum("xwyu,uw->xy", r[0], b)
-        rbara = np.einsum("xwyu,uw->xy", rbar[0], b)
-        pairs.append((ra, rbara))
-    return pairs
-
-
 def _group_support_first(res, shared, support):
     """Permute a batch of residuals on ``shared`` (ascending) so the support
     qubits come first (in component order), spectators after (ascending)."""
@@ -746,14 +574,6 @@ def _group_support_first(res, shared, support):
     t = t.transpose([0, *[1 + p for p in order], *[1 + a + p for p in order]])
     d = 2**a
     return t.reshape(-1, d, d)
-
-
-def split_value(pairs, local_map: LocalMap) -> complex:
-    """sum_a Tr[L(R_a) Rbar_a] for residual pairs from :func:`split_evaluate`."""
-    total = 0.0 + 0.0j
-    for ra, rbara in pairs:
-        total += trace_mul(local_map.apply(ra), rbara)
-    return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -782,15 +602,17 @@ def circuit_from_dict(payload: dict) -> MapCircuit:
         n = int(payload["num_qubits"])
         topology = str(payload.get("topology", "general"))
         raw = payload["components"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"circuit payload missing fields: {exc}") from exc
+    if not isinstance(raw, list):
+        raise ValidationError("circuit components must be a JSON list")
     comps = []
     for entry in raw:
         try:
             layer = int(entry["layer"])
             qubits = tuple(int(q) for q in entry["qubits"])
             spec = entry["map"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed circuit component {entry!r}") from exc
         comps.append(Component(layer, qubits, map_from_spec(spec, len(qubits))))
     return MapCircuit(n, tuple(comps), topology)

@@ -356,7 +356,10 @@ def load_state_prep(path_or_payload, num_qubits: int | None = None):
     else:
         payload = path_or_payload
     if isinstance(payload, dict):
-        num_qubits = int(payload.get("num_qubits", num_qubits or 0)) or num_qubits
+        try:
+            num_qubits = int(payload.get("num_qubits", num_qubits or 0)) or num_qubits
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"bad state-prep num_qubits: {exc}") from exc
         payload = payload.get("steps", payload.get("components"))
     if not isinstance(payload, list):
         raise ValidationError("state-prep payload must be a JSON list of steps")
@@ -366,12 +369,18 @@ def load_state_prep(path_or_payload, num_qubits: int | None = None):
         try:
             qubits = tuple(int(q) for q in entry["qubits"])
             spec = entry["map"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed state-prep step {entry!r}") from exc
+        if not qubits or len(set(qubits)) != len(qubits):
+            raise ValidationError(
+                f"state-prep step qubits {list(qubits)} must be distinct and non-empty"
+            )
         steps.append((qubits, map_from_spec(spec, len(qubits))))
         top = max(top, *qubits)
     if num_qubits is None:
         num_qubits = top + 1
+    if num_qubits < 1:
+        raise ValidationError("state-prep needs at least one qubit")
     if num_qubits < top + 1:
         raise ValidationError(f"steps address qubit {top} but N={num_qubits}")
     return num_qubits, steps
@@ -380,6 +389,8 @@ def load_state_prep(path_or_payload, num_qubits: int | None = None):
 def build_state(path_or_payload, num_qubits: int | None = None) -> DensityMatrix:
     """Apply a state-prep file to |0...0><0...0|."""
     n, steps = load_state_prep(path_or_payload, num_qubits)
+    if n > _DENSE_LIMIT:
+        raise ValidationError(f"dense states limited to N <= {_DENSE_LIMIT}, got N={n}")
     rho = computational_zero(n)
     for qubits, m in steps:
         rho = apply_local_map(rho, m, qubits)

@@ -132,13 +132,6 @@ def _tp_residual(choi: np.ndarray, d: int) -> float:
     return float(np.max(np.abs(tr_out - np.eye(d))))
 
 
-def choi_apply(c: ChoiMatrix, x: np.ndarray) -> np.ndarray:
-    """Apply a map through its Choi matrix: L(X) = Tr_in[(X^T (x) I) C]."""
-    d = c.dim
-    t = (np.kron(x.T, np.eye(d)) @ c.matrix).reshape(d, d, d, d)
-    return np.einsum("aiaj->ij", t)
-
-
 def adjoint_map(m: LocalMap) -> LocalMap:
     return LocalMap(m.superop.conj().T)
 
@@ -357,6 +350,8 @@ def _parse_preset(text: str) -> tuple[str, dict]:
             kwargs[key] = int(val) if key == "seed" else float(val)
         except ValueError as exc:
             raise ValidationError(f"bad argument {piece!r} in preset {text!r}") from exc
+        if key == "seed" and kwargs[key] < 0:
+            raise ValidationError(f"seed must be non-negative in preset {text!r}")
     return name, kwargs
 
 
@@ -405,7 +400,7 @@ def map_from_payload(payload: dict, arity: int) -> LocalMap:
         s = np.array(
             [[complex(z[0], z[1]) for z in row] for row in payload["superop"]]
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValidationError(f"malformed superoperator payload: {exc}") from exc
     if s.shape != (4**arity, 4**arity):
         raise ValidationError(

@@ -37,6 +37,8 @@ class PauliString:
     letters: str
 
     def __post_init__(self):
+        if not isinstance(self.letters, str):
+            raise ValidationError(f"Pauli string must be text, got {self.letters!r}")
         if not self.letters:
             raise ValidationError("Pauli string must cover at least one qubit")
         bad = set(self.letters) - set(PAULI_LETTERS)
@@ -111,10 +113,11 @@ def parse_observable(source) -> Observable:
     """Load an observable from a JSON file path, JSON text, or a dict."""
     if isinstance(source, (str, Path)):
         p = Path(source)
-        if p.exists():
-            text = p.read_text()
-        else:
-            text = str(source)
+        try:
+            is_file = p.is_file()
+        except OSError:  # inline JSON text can be too long for a file name
+            is_file = False
+        text = p.read_text() if is_file else str(source)
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -126,8 +129,10 @@ def parse_observable(source) -> Observable:
     try:
         n = int(payload["num_qubits"])
         raw_terms = payload["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"observable payload missing fields: {exc}") from exc
+    if not isinstance(raw_terms, list):
+        raise ValidationError("observable terms must be a JSON list")
     terms = []
     for entry in raw_terms:
         try:
@@ -138,7 +143,7 @@ def parse_observable(source) -> Observable:
                 re_im = raw
                 coeff = complex(float(re_im[0]), float(re_im[1]))
             letters = entry["pauli"]
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ValidationError(f"malformed observable term {entry!r}") from exc
         terms.append((coeff, PauliString(letters)))
     return Observable.from_terms(n, terms)

@@ -303,38 +303,6 @@ def _partial_trace(c: np.ndarray, dim: int) -> np.ndarray:
     return np.trace(c.reshape(dim, dim, dim, dim), axis1=1, axis2=3)
 
 
-def _tp_project(c: np.ndarray, dim: int) -> np.ndarray:
-    return c + _lift((_eye(dim) - _partial_trace(c, dim)) / dim, dim)
-
-
-def _psd_project(c: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(c)  # eigh reads one triangle: hermitizes for free
-    np.clip(vals, 0.0, None, out=vals)
-    return (vecs * vals) @ vecs.conj().T
-
-
-def project_cptp(c: np.ndarray, dim: int, tol: float = 1e-9, max_iters: int = 200) -> np.ndarray:
-    """Dykstra alternating projection onto {C >= 0, Tr_out C = I}.
-
-    The last step re-applies both projections, so the result is exactly
-    trace-preserving with a positive-part defect bounded by the convergence
-    shift (~tol).
-    """
-    x = herm(c)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(max_iters):
-        y = _psd_project(x + p)
-        p = x + p - y
-        x_new = _tp_project(y + q, dim)
-        q = y + q - x_new
-        shift = np.abs(x_new - x).max()
-        x = x_new
-        if shift < tol:
-            break
-    return _tp_project(_psd_project(x), dim)
-
-
 def cptp_residuals(c: np.ndarray, dim: int) -> tuple[float, float]:
     """(most negative eigenvalue clipped to 0, trace-preservation defect)."""
     min_eig = float(np.linalg.eigvalsh(herm(c))[0])

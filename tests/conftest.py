@@ -4,14 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from virtualmap.cone import Component, MapCircuit, brickwork
+from virtualmap.cone import (
+    Component,
+    MapCircuit,
+    brickwork,
+    split_plan,
+    split_residuals,
+    staircase,
+)
+from virtualmap.linalg import trace_mul
 from virtualmap.maps import (
+    LocalMap,
+    identity_map,
     random_cptp_map,
     random_tp_hermitian_map,
     random_unitary_map,
 )
-from virtualmap.pauli import PAULI_MATRICES
+from virtualmap.pauli import PAULI_MATRICES, Observable
 from virtualmap.povm import SingleQubitPOVM, compute_duals, make_sic_povm
 
 # Criterion results recorded by tests/test_acceptance.py: list of
@@ -48,6 +59,35 @@ def random_mixed_circuit(n: int, rng: np.random.Generator, max_layers: int = 2) 
     return brickwork(n, layers, factory)
 
 
+def kernel_circuits(rng: np.random.Generator) -> dict[str, MapCircuit]:
+    """Brickwork, staircase, general and non-trace-preserving circuits on N=4
+    for the batched-kernel tests; "non-tp" holds a non-trace-preserving
+    component far from most terms' support."""
+    general = MapCircuit(
+        4,
+        (
+            Component(1, (0, 2), random_cptp_map(2, rng)),
+            Component(2, (3,), random_unitary_map(1, rng)),
+            Component(2, (1, 2), random_tp_hermitian_map(2, rng)),
+        ),
+    )
+    leaky = brickwork(4, 1, lambda layer, qubits: random_cptp_map(2, rng))
+    leaky = leaky.with_component(1, LocalMap(0.9 * identity_map(2).superop))
+    return {
+        "brickwork": random_mixed_circuit(4, rng),
+        "staircase": staircase(4, 1, lambda layer, qubits: random_tp_hermitian_map(2, rng)),
+        "general": general,
+        "non-tp": leaky,
+    }
+
+
+def kernel_observable() -> Observable:
+    """Four terms on N=4: one-qubit, adjacent, far-apart and the identity."""
+    return Observable.from_terms(
+        4, [(0.7, "ZIII"), (-0.4, "IXXI"), (0.25, "YIIZ"), (1.5, "IIII")]
+    )
+
+
 def random_product_duals(n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Random trace-one Hermitian single-qubit factors (dual-frame stand-ins)."""
     out = []
@@ -65,6 +105,31 @@ def random_pauli_letters(n: int, rng: np.random.Generator) -> str:
 
 def replace_component(circuit: MapCircuit, index: int, new_map) -> MapCircuit:
     return circuit.with_component(index, new_map)
+
+
+def split_pairs(circuit: MapCircuit, index: int, factors, pauli) -> list:
+    """Residual pairs (R_a, Rbar_a) of one row and term such that, for any map
+    L on component ``index``'s qubits, the circuit's value with that component
+    replaced by L is sum_a Tr[L(R_a) Rbar_a].
+
+    The index a runs over the normalized Pauli basis of the spectator qubits,
+    built explicitly here as a reference for the folded sum in the library.
+    """
+    plan = split_plan(circuit, index)
+    r, rbar = split_residuals(circuit, plan, list(factors), pauli.matrices())
+    normalized = [PAULI_MATRICES[c] / np.sqrt(2.0) for c in "IXYZ"]
+    basis = [np.ones((1, 1), dtype=complex)]
+    for _ in plan.spectators:
+        basis = [np.kron(b, p) for b in basis for p in normalized]
+    return [
+        (np.einsum("xwyu,uw->xy", r[0], b), np.einsum("xwyu,uw->xy", rbar[0], b))
+        for b in basis
+    ]
+
+
+def split_value(pairs, local_map) -> complex:
+    """sum_a Tr[L(R_a) Rbar_a] for pairs from :func:`split_pairs`."""
+    return complex(sum(trace_mul(local_map.apply(r), rbar) for r, rbar in pairs))
 
 
 def assert_all_close(a, b, atol, msg=""):
@@ -112,3 +177,51 @@ def brute_force_min(m: np.ndarray, seed: int, starts: int = 8) -> float:
         res = scipy_minimize(cost, x0, method="L-BFGS-B")
         best = min(best, float(res.fun))
     return best
+
+
+# Values that break naive parsing: null, booleans, negatives, fractions,
+# non-finite and overflowing numbers, text and empty containers.
+_SPECIAL = st.sampled_from(
+    [None, True, -1, 1.5, float("inf"), float("nan"), 10**400, "x", "", [], {}]
+)
+# Map presets, valid and broken, and Pauli strings.
+_KNOWN_TEXT = st.sampled_from(
+    [
+        "identity",
+        "cnot",
+        "zreset",
+        "depolarizing(0.1)",
+        "depolarizing(p=2)",
+        "random_cptp(seed=-1)",
+        "random_unitary(seed=3)",
+        "noisy_cnot(theta=nan)",
+        "Z",
+        "XZ",
+    ]
+)
+_JSON_LEAVES = st.one_of(_SPECIAL, st.integers(), st.floats(), _KNOWN_TEXT, st.text(max_size=4))
+
+
+def json_junk(keys) -> st.SearchStrategy:
+    """Nested JSON-like values whose object keys are drawn mostly from
+    ``keys``, for fuzzing the file parsers."""
+    return st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.one_of(st.sampled_from(keys), st.text(max_size=3)), inner, max_size=4),
+        ),
+        max_leaves=16,
+    )
+
+
+def small_or_junk() -> st.SearchStrategy:
+    """A small non-negative integer about half the time, a breaking value
+    otherwise."""
+    return st.one_of(st.integers(0, 4), _SPECIAL)
+
+
+def map_specs() -> st.SearchStrategy:
+    """Map entries of circuit and state-prep files: presets, valid or not, and
+    junk payloads."""
+    return st.one_of(_KNOWN_TEXT, json_junk(["convention", "superop"]))

@@ -368,3 +368,50 @@ class TestOracleCheck:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "pass"
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("oracle-check --circuit", '{"num_qubits": 2, "components": null}'),
+            (
+                "oracle-check --circuit",
+                '{"num_qubits": 2, "components": [{"layer": 1e400, "qubits": [0, 1], "map": "cnot"}]}',
+            ),
+            ("ansatz --observable", '{"num_qubits": 2, "terms": 3}'),
+            ("sample --S 5 --state", '[{"qubits": [], "map": "identity"}]'),
+            ("sample --S 5 --state", '{"num_qubits": "x"}'),
+            ("sample --S 5 --state", '[{"qubits": [30], "map": "identity"}]'),
+            ("sample --S 5 --state", '[{"qubits": [0], "map": "random_cptp(seed=-1)"}]'),
+            ("oracle-check --circuit", None),  # a directory, not a file
+        ],
+        ids=[
+            "null-components",
+            "overflowing-layer",
+            "scalar-terms",
+            "empty-step-qubits",
+            "text-num-qubits",
+            "qubit-30",
+            "negative-seed",
+            "directory",
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input.json"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        capsys.readouterr()
+        assert main(command.split() + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_integer_order_exits_2(self, tmp_path, capsys):
+        obs = tmp_path / "obs.json"
+        write_observable(xx_hamiltonian(2, field=0.5), obs)
+        capsys.readouterr()
+        assert main(["ansatz", "--observable", str(obs), "--order", "0,a"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -1,12 +1,24 @@
-"""Circuit containers, contraction schedules, trace evaluation, split form."""
+"""Circuit containers, light-cone plans, trace evaluation, split form."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_all_close, random_mixed_circuit, random_product_duals
+from conftest import (
+    assert_all_close,
+    json_junk,
+    kernel_circuits,
+    kernel_observable,
+    map_specs,
+    random_mixed_circuit,
+    random_product_duals,
+    small_or_junk,
+    split_pairs,
+    split_value,
+)
 from virtualmap.cone import (
     Component,
-    EvaluationSchedule,
     MapCircuit,
     brickwork,
     circuit_from_dict,
@@ -19,10 +31,8 @@ from virtualmap.cone import (
     mirror_adjoint,
     save_circuit,
     schedule,
-    split_evaluate,
     split_plan,
     split_residuals,
-    split_value,
     staircase,
 )
 from virtualmap.errors import ValidationError
@@ -93,6 +103,9 @@ class TestContainers:
             Component(1, (0, 0), cnot_map())
         with pytest.raises(ValidationError):
             Component(1, (0,), cnot_map())
+        # an empty component would sit in no qubit's cone and never be applied
+        with pytest.raises(ValidationError, match="at least one qubit"):
+            Component(1, (), LocalMap(np.array([[2.0]])))
 
     def test_layer_ordering_enforced(self):
         comps = (
@@ -164,22 +177,64 @@ class TestContainers:
             assert abs(got - want) < 1e-10
 
 
+def _check_plan(circuit, plan, support):
+    """Structural invariants of a whole-trace plan for an output ``support``.
+
+    Exactly the plan's qubits (a superset of the support) are absorbed once
+    and traced once, after absorption. Every applied component acts on active
+    qubits only, once, after every earlier component overlapping it. Every
+    component left out is trace preserving and touches no support qubit, so
+    dropping it leaves the trace unchanged. The recorded peak is the actual
+    one.
+    """
+    absorbed, traced, applied = set(), set(), set()
+    active = peak = 0
+    for step in plan.steps:
+        if step.kind == "absorb":
+            assert step.qubit not in absorbed, f"qubit {step.qubit} absorbed twice"
+            absorbed.add(step.qubit)
+            active += 1
+            peak = max(peak, active)
+        elif step.kind == "apply":
+            ci = step.component
+            assert ci not in applied, f"component {ci} applied twice"
+            comp = circuit.components[ci]
+            for pred in range(ci):
+                overlaps = set(circuit.components[pred].qubits) & set(comp.qubits)
+                assert pred in applied or not overlaps, f"{ci} applied before {pred}"
+            assert all(q in absorbed and q not in traced for q in comp.qubits), ci
+            applied.add(ci)
+        else:
+            assert step.kind == "trace", step.kind
+            assert step.qubit in absorbed and step.qubit not in traced, step.qubit
+            traced.add(step.qubit)
+            active -= 1
+    assert absorbed == traced == set(plan.qubits) >= set(support)
+    for ci, comp in enumerate(circuit.components):
+        if ci not in applied:
+            vec_eye = np.eye(comp.map.dim).reshape(-1)
+            assert np.max(np.abs(vec_eye @ comp.map.superop - vec_eye)) <= 1e-12, ci
+            assert not set(comp.qubits) & set(support), ci
+    assert peak == plan.peak_active
+
+
 class TestSchedule:
     def test_peak_active_bound_brickwork(self):
         for n, layers in [(4, 1), (6, 1), (6, 2), (8, 3)]:
             circ = brickwork(n, layers)
             sched = schedule(circ)
             assert sched.peak_active <= layers + 1
-            sched.validate(circ)
+            _check_plan(circ, sched, range(n))
 
     def test_staircase_peak(self):
         circ = staircase(6, 1)
         sched = schedule(circ)
         assert sched.peak_active <= 2
-        sched.validate(circ)
+        _check_plan(circ, sched, range(6))
 
     def test_infeasible_cap_raises(self):
-        # complete graph on 4 qubits: every pair coupled in sequence
+        # complete graph on 4 qubits: every pair coupled in sequence, so no
+        # order of the sweep stays within 3 active qubits
         comps = []
         layer = 1
         for a in range(4):
@@ -187,23 +242,14 @@ class TestSchedule:
                 comps.append(Component(layer, (a, b), cnot_map()))
                 layer += 1
         circ = MapCircuit(4, tuple(comps))
-        with pytest.raises(ValidationError, match="max_active"):
-            schedule(circ, max_active=3)
-        sched = schedule(circ, max_active=4)
+        sched = schedule(circ)
         assert sched.peak_active == 4
+        _check_plan(circ, sched, range(4))
 
     def test_validate_rejects_foreign_schedule(self):
         a = schedule(brickwork(4, 1))
-        with pytest.raises(ValidationError):
-            a.validate(brickwork(6, 1))
-
-    def test_dump_text_mentions_all_steps(self):
-        circ = brickwork(4, 1)
-        sched = schedule(circ)
-        text = sched.dump_text()
-        assert text.count("absorb") == 4
-        assert text.count("trace") == 4
-        assert f"peak active qubits: {sched.peak_active}" in text
+        with pytest.raises(AssertionError):
+            _check_plan(brickwork(6, 1), a, range(6))
 
     def test_schedule_steps_cover_register(self):
         circ = brickwork(6, 2)
@@ -214,6 +260,14 @@ class TestSchedule:
         assert traced == list(range(6))
         applied = [s.component for s in sched.steps if s.kind == "apply"]
         assert sorted(applied) == list(range(len(circ.components)))
+
+    def test_schedule_is_the_cone_of_every_qubit(self):
+        rng = np.random.default_rng(15)
+        for n in (2, 3, 5, 7):
+            circ = random_mixed_circuit(n, rng, max_layers=3)
+            assert schedule(circ) is cone_plan(circ, tuple(range(n)))
+            mirror = mirror_adjoint(circ)
+            _check_plan(mirror, schedule(mirror), range(n))
 
 
 class TestEvaluateTrace:
@@ -257,17 +311,6 @@ class TestEvaluateTrace:
             f = evaluate_trace(circ, duals, PauliString(letters))
             b = evaluate_trace_backward(circ, duals, PauliString(letters))
             assert abs(f - b) < 1e-12 * (1 + abs(f))
-
-    def test_schedule_order_invariance(self):
-        rng = np.random.default_rng(17)
-        circ = random_mixed_circuit(5, rng)
-        duals = random_product_duals(5, rng)
-        p = PauliString("XZIYX")
-        default = evaluate_trace(circ, duals, p)
-        alt = schedule(circuit=circ, prefer_high=True)
-        assert alt.steps != schedule(circ).steps
-        got = evaluate_trace(circ, duals, p, sched=alt)
-        assert abs(got - default) < 1e-12 * (1 + abs(default))
 
     def test_linearity_in_component(self):
         rng = np.random.default_rng(19)
@@ -438,13 +481,20 @@ class TestBatchedKernel:
             outs = [np.array([PauliString(p).matrices()[q] for p in letters]) for q in range(5)]
             r, rbar = split_residuals(circ, plan, ins, outs)
             for b in range(4):
-                pairs = split_evaluate(circ, index, duals[b], PauliString(letters[b]), plan)
-                for (ra, rbara), basis in zip(pairs, plan.basis):
-                    assert_all_close(np.einsum("xwyu,uw->xy", r[b], basis), ra, 1e-12)
-                    assert_all_close(np.einsum("xwyu,uw->xy", rbar[b], basis), rbara, 1e-12)
+                pauli = PauliString(letters[b])
+                one_r, one_rbar = split_residuals(circ, plan, duals[b], pauli.matrices())
+                assert_all_close(r[b], one_r[0], 1e-12)
+                assert_all_close(rbar[b], one_rbar[0], 1e-12)
+                pairs = split_pairs(circ, index, duals[b], pauli)
                 got = split_value(pairs, circ.components[index].map)
-                want = evaluate_trace(circ, duals[b], PauliString(letters[b]))
+                want = evaluate_trace(circ, duals[b], pauli)
                 assert abs(got - want) < 1e-10 * (1 + abs(want))
+
+    @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
+    def test_kernel_term_cone_plans_are_well_formed(self, kind):
+        circ = kernel_circuits(np.random.default_rng(94))[kind]
+        for _, pauli in kernel_observable().terms:
+            _check_plan(circ, cone_plan(circ, pauli.support), pauli.support)
 
 
 class TestUniqueRows:
@@ -475,7 +525,7 @@ class TestSplitEvaluate:
             p = PauliString(letters)
             want = evaluate_trace(circ, duals, p)
             for index in range(len(circ.components)):
-                pairs = split_evaluate(circ, index, duals, p)
+                pairs = split_pairs(circ, index, duals, p)
                 got = split_value(pairs, circ.components[index].map)
                 assert abs(got - want) < 1e-10 * (1 + abs(want)), (trial, index)
 
@@ -484,17 +534,15 @@ class TestSplitEvaluate:
         circ = brickwork(4, 2, lambda layer, qubits: random_cptp_map(2, rng))
         duals = random_product_duals(4, rng)
         p = PauliString("YZXZ")
-        pairs = split_evaluate(circ, 2, duals, p)
+        pairs = split_pairs(circ, 2, duals, p)
         m_new = random_cptp_map(2, rng)
         got = split_value(pairs, m_new)
         want = evaluate_trace(circ.with_component(2, m_new), duals, p)
         assert abs(got - want) < 1e-10 * (1 + abs(want))
 
     def test_index_out_of_range(self):
-        circ = brickwork(4, 1)
-        duals = random_product_duals(4, np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            split_evaluate(circ, 7, duals, PauliString("IIII"))
+            split_plan(brickwork(4, 1), 7)
 
 
 class TestCircuitFiles:
@@ -524,6 +572,39 @@ class TestCircuitFiles:
         bad["components"] = [dict(good["components"][0], qubits=[0, 5])]
         with pytest.raises(ValidationError):
             circuit_from_dict(bad)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payload=st.one_of(
+            json_junk(["num_qubits", "topology", "components", "layer", "qubits", "map"]),
+            st.fixed_dictionaries(
+                {
+                    "num_qubits": small_or_junk(),
+                    "components": st.one_of(
+                        st.lists(
+                            st.fixed_dictionaries(
+                                {
+                                    "layer": small_or_junk(),
+                                    "qubits": st.lists(small_or_junk(), max_size=3),
+                                    "map": map_specs(),
+                                }
+                            ),
+                            max_size=3,
+                        ),
+                        small_or_junk(),
+                    ),
+                },
+                optional={"topology": st.sampled_from(["brickwork", "staircase", "general"])},
+            ),
+        )
+    )
+    def test_junk_payloads_raise_only_validation_errors(self, payload):
+        try:
+            circ = circuit_from_dict(payload)
+        except ValidationError:
+            return
+        assert all(c.qubits and c.layer >= 1 for c in circ.components)
 
 
 class TestSicDualsIntegration:

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import json_junk, map_specs, small_or_junk
 from virtualmap.cone import MapCircuit, brickwork
 from virtualmap.densesim import (
     DensityMatrix,
@@ -358,6 +359,37 @@ class TestStatePrepFiles:
     def test_rejects_malformed_step(self):
         with pytest.raises(ValidationError):
             load_state_prep([{"map": "identity"}])
+
+    def test_rejects_register_beyond_dense_limit(self):
+        with pytest.raises(ValidationError, match="N <= 10"):
+            build_state([{"qubits": [30], "map": "identity"}])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payload=st.one_of(
+            json_junk(["num_qubits", "steps", "components", "qubits", "map"]),
+            st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "qubits": st.lists(small_or_junk(), max_size=3),
+                        "map": map_specs(),
+                    }
+                ),
+                max_size=3,
+            ),
+        ),
+        wrap=st.sampled_from([None, "steps", "components"]),
+        num_qubits=small_or_junk(),
+    )
+    def test_junk_payloads_raise_only_validation_errors(self, payload, wrap, num_qubits):
+        assume(not isinstance(payload, str))  # a string names a file
+        if wrap is not None:
+            payload = {"num_qubits": num_qubits, wrap: payload}
+        try:
+            n, steps = load_state_prep(payload)
+        except ValidationError:
+            return
+        assert n >= 1 and all(max(q) < n for q, _ in steps)
 
 
 class TestNoisyChainState:

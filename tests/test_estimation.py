@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import cube_povm, random_mixed_circuit
-from virtualmap.cone import (
-    Component,
-    MapCircuit,
-    brickwork,
-    evaluate_trace,
-    split_evaluate,
-    staircase,
+from conftest import (
+    cube_povm,
+    kernel_circuits,
+    kernel_observable,
+    random_mixed_circuit,
+    split_pairs,
 )
+from virtualmap.cone import Component, MapCircuit, brickwork, evaluate_trace
 from virtualmap.densesim import (
     OutcomeBatch,
     apply_circuit_dense,
@@ -28,14 +27,7 @@ from virtualmap.estimation import (
     estimate_exact,
     shot_weight,
 )
-from virtualmap.maps import (
-    LocalMap,
-    cnot_map,
-    identity_map,
-    random_cptp_map,
-    random_tp_hermitian_map,
-    random_unitary_map,
-)
+from virtualmap.maps import LocalMap, cnot_map, random_cptp_map
 from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
 from virtualmap.varopt import (
@@ -288,36 +280,9 @@ def _reference_objective(circuit, index, data, obs):
     m = np.zeros((ds * ds, ds * ds), dtype=complex)
     for w, row in zip(data.weights, data.factors):
         for coeff, ps in obs.terms:
-            for r, rbar in split_evaluate(circuit, index, list(row), ps):
+            for r, rbar in split_pairs(circuit, index, row, ps):
                 m += (w * coeff) * np.kron(r.T, rbar)
     return (m + m.conj().T) / 2.0
-
-
-def _kernel_circuits(rng):
-    """Brickwork, staircase and general circuits on N=4; the last one holds a
-    non-trace-preserving component far from most terms' support."""
-    general = MapCircuit(
-        4,
-        (
-            Component(1, (0, 2), random_cptp_map(2, rng)),
-            Component(2, (3,), random_unitary_map(1, rng)),
-            Component(2, (1, 2), random_tp_hermitian_map(2, rng)),
-        ),
-    )
-    leaky = brickwork(4, 1, lambda layer, qubits: random_cptp_map(2, rng))
-    leaky = leaky.with_component(1, LocalMap(0.9 * identity_map(2).superop))
-    return {
-        "brickwork": random_mixed_circuit(4, rng),
-        "staircase": staircase(4, 1, lambda layer, qubits: random_tp_hermitian_map(2, rng)),
-        "general": general,
-        "non-tp": leaky,
-    }
-
-
-def _kernel_observable():
-    return Observable.from_terms(
-        4, [(0.7, "ZIII"), (-0.4, "IXXI"), (0.25, "YIIZ"), (1.5, "IIII")]
-    )
 
 
 def _custom_duals(rng):
@@ -331,8 +296,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
     def test_estimate_matches_per_row_traces(self, kind):
         rng = np.random.default_rng(90)
-        circ = _kernel_circuits(rng)[kind]
-        obs = _kernel_observable()
+        circ = kernel_circuits(rng)[kind]
+        obs = kernel_observable()
         batch = sample_outcomes(noisy_chain_state(4), "sic", 150, seed=9)
         duals = _sic_dual_matrices()
         est = estimate(batch, "sic", circ, obs, keep_per_shot=True)
@@ -348,10 +313,10 @@ class TestBatchedKernel:
 
     def test_covariance_from_per_row_weights(self):
         rng = np.random.default_rng(91)
-        circ = _kernel_circuits(rng)["non-tp"]
+        circ = kernel_circuits(rng)["non-tp"]
         batch = sample_outcomes(noisy_chain_state(4), "sic", 120, seed=10)
         duals = _sic_dual_matrices()
-        obs_a = _kernel_observable()
+        obs_a = kernel_observable()
         obs_b = xx_hamiltonian(4, field=0.5)
         a = estimate(batch, "sic", circ, obs_a, keep_per_shot=True)
         b = estimate(batch, "sic", circ, obs_b, keep_per_shot=True)
@@ -367,8 +332,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ["brickwork", "general", "non-tp"])
     def test_enumerate_with_custom_duals(self, kind):
         rng = np.random.default_rng(92)
-        circ = _kernel_circuits(rng)[kind]
-        obs = _kernel_observable()
+        circ = kernel_circuits(rng)[kind]
+        obs = kernel_observable()
         rho = noisy_chain_state(4, theta=0.2, p=0.02)
         duals = _custom_duals(rng)
         assert np.max(np.abs(np.trace(duals, axis1=1, axis2=2) - 1.0)) > 1e-3
@@ -382,8 +347,8 @@ class TestBatchedKernel:
 
     def test_enumerate_with_overcomplete_povm(self):
         rng = np.random.default_rng(93)
-        circ = _kernel_circuits(rng)["brickwork"]
-        obs = _kernel_observable()
+        circ = kernel_circuits(rng)["brickwork"]
+        obs = kernel_observable()
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
         cube = cube_povm()
         got = estimate_exact(rho, cube, circ, obs, method="enumerate")
@@ -400,8 +365,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
     def test_energy_and_objective_match_per_row_sums(self, kind):
         rng = np.random.default_rng(94)
-        circ = _kernel_circuits(rng)[kind]
-        obs = _kernel_observable()
+        circ = kernel_circuits(rng)[kind]
+        obs = kernel_observable()
         batch = sample_outcomes(noisy_chain_state(4), "sic", 60, seed=11)
         data = data_from_batch(batch, "sic")
         want = sum(
@@ -416,8 +381,8 @@ class TestBatchedKernel:
 
     def test_objective_matches_dense_state_assembly(self):
         rng = np.random.default_rng(95)
-        circ = _kernel_circuits(rng)["non-tp"]
-        obs = _kernel_observable()
+        circ = kernel_circuits(rng)["non-tp"]
+        obs = kernel_observable()
         rho = noisy_chain_state(4, theta=0.2, p=0.01)
         product = data_from_distribution(rho, "sic")
         for index in range(len(circ.components)):

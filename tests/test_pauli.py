@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import json_junk, small_or_junk
 from virtualmap.errors import ValidationError
 from virtualmap.pauli import (
     PAULI_MATRICES,
@@ -161,6 +162,41 @@ class TestParseAndWrite:
         text = json.dumps({"num_qubits": 1, "terms": [{"coeff": [2.0, 0.0], "pauli": "X"}]})
         obs = parse_observable(text)
         assert obs.terms[0][0] == 2.0
+
+    def test_parses_json_text_longer_than_a_file_name(self):
+        terms = [{"coeff": [0.5, 0.0], "pauli": "Z" * k + "I" * (40 - k)} for k in range(1, 9)]
+        text = json.dumps({"num_qubits": 40, "terms": terms})
+        assert len(text) > 300
+        assert len(parse_observable(text)) == 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payload=st.one_of(
+            json_junk(["num_qubits", "terms", "coeff", "pauli"]),
+            st.fixed_dictionaries(
+                {
+                    "num_qubits": small_or_junk(),
+                    "terms": st.one_of(
+                        st.lists(
+                            st.fixed_dictionaries(
+                                {"coeff": json_junk(["coeff"]), "pauli": json_junk(["pauli"])}
+                            ),
+                            max_size=3,
+                        ),
+                        small_or_junk(),
+                    ),
+                }
+            ),
+        ),
+        as_text=st.booleans(),
+    )
+    def test_junk_payloads_raise_only_validation_errors(self, payload, as_text):
+        source = json.dumps(payload) if as_text and isinstance(payload, dict) else payload
+        try:
+            obs = parse_observable(source)
+        except ValidationError:
+            return
+        assert all(ps.num_qubits == obs.num_qubits for _, ps in obs.terms)
 
 
 class TestXXHamiltonian:

@@ -1,11 +1,9 @@
-"""Variational loop: local objectives, CPTP projection/minimization, sweeps."""
+"""Variational loop: local objectives, CPTP minimization, sweeps."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import brute_force_min, cube_povm, random_mixed_circuit, stinespring_choi
 from virtualmap.cone import Component, MapCircuit, brickwork, staircase
@@ -44,7 +42,6 @@ from virtualmap.varopt import (
     data_from_batch,
     data_from_distribution,
     minimize_over_cptp,
-    project_cptp,
     sweep,
     zreset_compose,
 )
@@ -189,51 +186,6 @@ class TestLocalObjective:
             assemble_local_objective(
                 circ, 0, DenseStateData(noisy_chain_state(2)), obs
             )
-
-
-class TestProjections:
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_tp_projection_fixes_marginal(self, seed):
-        rng = np.random.default_rng(seed)
-        dim = int(rng.choice([2, 4]))
-        c = _random_hermitian(dim * dim, rng)
-        from virtualmap.varopt import _tp_project
-
-        out = _tp_project(c, dim)
-        marg = np.einsum(
-            "arbr->ab", out.reshape(dim, dim, dim, dim)
-        )
-        np.testing.assert_allclose(marg, np.eye(dim), atol=1e-10)
-        # projection is idempotent
-        np.testing.assert_allclose(_tp_project(out, dim), out, atol=1e-10)
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_psd_projection_properties(self, seed):
-        rng = np.random.default_rng(seed)
-        c = _random_hermitian(4, rng)
-        from virtualmap.varopt import _psd_project
-
-        out = _psd_project(c)
-        evals = np.linalg.eigvalsh(out)
-        assert evals.min() >= -1e-12
-        np.testing.assert_allclose(_psd_project(out), out, atol=1e-10)
-
-    def test_project_cptp_satisfies_both(self):
-        rng = np.random.default_rng(9)
-        for dim in (2, 4):
-            c = _random_hermitian(dim * dim, rng)
-            out = project_cptp(c, dim)
-            neg, tp_res = cptp_residuals(out, dim)
-            assert neg <= 1e-8
-            assert tp_res <= 1e-8
-
-    def test_cptp_map_is_fixed_point(self):
-        rng = np.random.default_rng(10)
-        choi = superop_to_choi(random_cptp_map(1, rng)).matrix
-        out = project_cptp(choi, 2)
-        np.testing.assert_allclose(out, choi, atol=1e-8)
 
 
 def _certified(info, tol):
