@@ -17,7 +17,6 @@ from .cone import (
     mirror_adjoint,
     save_circuit,
     schedule,
-    split_plan,
     staircase,
 )
 from .densesim import (

@@ -20,11 +20,14 @@ active qubits, which reproduces the narrow sweep on layered nearest-neighbour
 circuits.
 
 Every whole-trace contraction runs a ``ConePlan``: the schedule of one output
-support's backward light cone (``cone_plan``, cached per circuit and
-support). ``schedule`` is the plan of every qubit, which ``evaluate_trace``
-runs for a single row. Backward evaluation runs the same kind of plan on the
-mirrored adjoint circuit with the roles of the two factor sets exchanged; for
-Hermiticity-preserving circuits both directions agree.
+support's backward light cone (``cone_plan``). A plan depends only on the
+component supports and, for a partial support, on which components are trace
+preserving, so plans are memoized on that structure and shared by every
+circuit a sweep derives with ``with_component``. ``schedule`` is the plan of
+every qubit, which ``evaluate_trace`` runs for a single row. Backward
+evaluation runs the same kind of plan on the mirrored adjoint circuit with
+the roles of the two factor sets exchanged; for Hermiticity-preserving
+circuits both directions agree.
 
 The residual carries a leading batch axis, so one sweep evaluates many rows
 of input factors at once; the single-row entry points are batches of one.
@@ -40,13 +43,13 @@ the term's backward light cone. The pruning is exact:
 Rows that agree on the cone's qubits are contracted once, and batches are cut
 into chunks so that live residuals stay below ``_BATCH_ENTRIES`` entries.
 
-``split_plan`` singles out one component: its forward pass stops right before
-the component and its backward pass runs the mirrored adjoint of everything
-after it. ``split_residuals`` returns both residuals for a whole batch of
-(row, term) pairs, on the component's support and the spectator qubits
-touched on both sides. For one pair, with r and rbar of shape (ds, dm, ds, dm)
-(support, spectators), the circuit's value with the component replaced by any
-map L is linear in L:
+To single out one component, ``split_residuals`` cuts the whole-register
+plan at the component: the steps before the cut give the forward residual,
+the steps after it, run backwards on the adjoint maps, the backward one. Both
+residuals, for a whole batch of (row, term) pairs, live on the qubits active
+at the cut: the component's support and the spectators. For one pair, with r
+and rbar of shape (ds, dm, ds, dm) (support, spectators), the circuit's value
+with the component replaced by any map L is linear in L:
 
     value(L) = sum_{w,u} Tr[L(r[:, w, :, u]) rbar[:, u, :, w]].
 
@@ -58,11 +61,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 from .linalg import apply_superop_local, insert_factor, multiply_trace_out, unique_rows
 from .maps import LocalMap, adjoint_map, invert_map, map_from_spec, map_to_payload
 from .pauli import PauliString
@@ -127,6 +131,11 @@ class MapCircuit:
     @property
     def num_layers(self) -> int:
         return max((c.layer for c in self.components), default=0)
+
+    @property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """Every component's qubits, in order: all a plan depends on."""
+        return tuple(c.qubits for c in self.components)
 
     def support_of(self, index: int) -> tuple[int, ...]:
         return self.components[index].qubits
@@ -195,67 +204,57 @@ class ScheduleStep:
     component: int | None = None
 
 
-def _closure(circuit: MapCircuit, remaining: set[int], seeds) -> list[int]:
+def _closure(supports, remaining: set[int], seeds) -> list[int]:
     """Downward closure of ``seeds`` under the earlier-and-overlapping
     predecessor relation, restricted to ``remaining``; returned in order."""
-    comps = circuit.components
     chosen = set(seeds)
     work = list(seeds)
     while work:
         ci = work.pop()
-        sup = set(comps[ci].qubits)
+        sup = set(supports[ci])
         for pred in range(ci - 1, -1, -1):
-            if pred in remaining and pred not in chosen and set(comps[pred].qubits) & sup:
+            if pred in remaining and pred not in chosen and sup.intersection(supports[pred]):
                 chosen.add(pred)
                 work.append(pred)
     return sorted(chosen)
 
 
-def _greedy_schedule(
-    circuit: MapCircuit, component_pool, traceable
-) -> tuple[list[ScheduleStep], int, set[int], set[int]]:
+def _greedy_schedule(supports, component_pool, traceable) -> tuple[list[ScheduleStep], int]:
     """Greedy sweep: repeatedly finish the traceable qubit whose causal cone
-    keeps the active set smallest. Returns (steps, peak, absorbed, applied)."""
-    comps = circuit.components
+    keeps the active set smallest. Returns (steps, peak)."""
     remaining = set(component_pool)
     active: list[int] = []
     absorbed: set[int] = set()
-    applied: set[int] = set()
     steps: list[ScheduleStep] = []
     peak = 0
 
-    def emit_apply(order):
-        nonlocal peak
-        for ci in order:
-            for q in sorted(comps[ci].qubits):
-                if q not in absorbed:
-                    steps.append(ScheduleStep("absorb", qubit=q))
-                    absorbed.add(q)
-                    insort(active, q)
-            steps.append(ScheduleStep("apply", component=ci))
-            applied.add(ci)
-            remaining.discard(ci)
-            peak = max(peak, len(active))
+    def absorb(q):
+        if q not in absorbed:
+            steps.append(ScheduleStep("absorb", qubit=q))
+            absorbed.add(q)
+            insort(active, q)
 
     pending = sorted(traceable)
     while pending:
         best = None
         for q in pending:
-            cone = _closure(circuit, remaining, [ci for ci in remaining if q in comps[ci].qubits])
-            cost = len(set(active) | {q} | {qq for ci in cone for qq in comps[ci].qubits})
+            cone = _closure(supports, remaining, [ci for ci in remaining if q in supports[ci]])
+            cost = len(set(active) | {q} | {qq for ci in cone for qq in supports[ci]})
             if best is None or cost < best[0]:
                 best = (cost, q, cone)
         cost, q, cone = best
-        emit_apply(cone)
-        if q not in absorbed:
-            steps.append(ScheduleStep("absorb", qubit=q))
-            absorbed.add(q)
-            insort(active, q)
+        for ci in cone:
+            for qq in sorted(supports[ci]):
+                absorb(qq)
+            steps.append(ScheduleStep("apply", component=ci))
+            remaining.discard(ci)
+            peak = max(peak, len(active))
+        absorb(q)
         peak = max(peak, len(active))
         steps.append(ScheduleStep("trace", qubit=q))
         active.remove(q)
         pending.remove(q)
-    return steps, peak, absorbed, applied
+    return steps, peak
 
 
 # A component counts as trace preserving, and may be left out of a term's
@@ -287,29 +286,37 @@ class ConePlan:
     peak_active: int
 
 
+# Plans depend on structure only, so circuits that share their component
+# supports (every circuit a sweep makes with ``with_component``) share them.
+_PLAN_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(supports, tp, support) -> ConePlan:
+    """Light-cone plan of ``support``; ``tp`` holds the components' trace
+    preservation flags, or is None when every component is in the cone."""
+    qubits = set(support)
+    members = []
+    for ci in range(len(supports) - 1, -1, -1):
+        if (tp is not None and not tp[ci]) or qubits.intersection(supports[ci]):
+            members.append(ci)
+            qubits.update(supports[ci])
+    steps, peak = _greedy_schedule(supports, members, sorted(qubits))
+    return ConePlan(tuple(sorted(qubits)), tuple(steps), peak)
+
+
 def cone_plan(circuit: MapCircuit, support) -> ConePlan:
-    """Backward light cone of an output support, cached on the circuit.
+    """Backward light cone of an output support.
 
     Walking the components backwards, one joins the cone if it touches a cone
     qubit or is not trace preserving; its qubits then join too. Everything
     left out is trace preserving and acts only on qubits whose output factor
-    is the identity, so dropping it leaves the trace unchanged.
+    is the identity, so dropping it leaves the trace unchanged. A support
+    that covers the register takes in every component whatever its map.
     """
-    key = ("cone", tuple(support))
-    plan = circuit._cache.get(key)
-    if plan is None:
-        tp = _trace_preserving(circuit)
-        qubits = set(support)
-        members = []
-        for ci in range(len(circuit.components) - 1, -1, -1):
-            touched = circuit.components[ci].qubits
-            if not tp[ci] or qubits.intersection(touched):
-                members.append(ci)
-                qubits.update(touched)
-        steps, peak, _, _ = _greedy_schedule(circuit, members, sorted(qubits))
-        plan = ConePlan(tuple(sorted(qubits)), tuple(steps), peak)
-        circuit._cache[key] = plan
-    return plan
+    support = tuple(support)
+    whole = set(support) == set(range(circuit.num_qubits))
+    return _plan(circuit.supports, None if whole else _trace_preserving(circuit), support)
 
 
 def schedule(circuit: MapCircuit) -> ConePlan:
@@ -336,25 +343,30 @@ def _factor_list(factors, num_qubits: int) -> list[np.ndarray]:
     return mats
 
 
-def _run_steps(circuit, steps, in_factors, out_factors):
+def _run_steps(circuit, steps, in_factors, out_factors, backward=False):
     """Execute schedule steps on a batch of residuals.
 
     Each per-qubit factor is (2, 2), shared by the batch, or (B, 2, 2), one
     per item; the batch size follows by broadcasting. Returns the active
     qubit list and the residuals, shape (B, 2^a, 2^a) for a active qubits.
+    With ``backward`` the steps are given in reverse order and run backwards
+    in time: a trace step absorbs, an absorb step traces out, and a component
+    applies its adjoint map.
     """
     active: list[int] = []
     res = np.ones((1, 1, 1), dtype=complex)
     comps = circuit.components
+    grow = "trace" if backward else "absorb"
     for step in steps:
-        if step.kind == "absorb":
+        if step.kind == grow:
             slot = bisect_left(active, step.qubit)
             res = insert_factor(res, in_factors[step.qubit], slot, len(active))
             active.insert(slot, step.qubit)
         elif step.kind == "apply":
             comp = comps[step.component]
+            superop = comp.map.superop.conj().T if backward else comp.map.superop
             positions = [active.index(q) for q in comp.qubits]
-            res = apply_superop_local(res, comp.map.superop, positions, len(active))
+            res = apply_superop_local(res, superop, positions, len(active))
         else:
             pos = active.index(step.qubit)
             res = multiply_trace_out(res, out_factors[step.qubit], pos, len(active))
@@ -447,116 +459,35 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, pauli: PauliString) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# split evaluation around a singled-out component
-
-@dataclass
-class SplitPlan:
-    """Precomputed structure for splitting a circuit around one component.
-
-    The forward pass applies the closure of the component's predecessors and
-    finishes every qubit untouched by the component and its successors; the
-    backward pass runs the mirrored adjoint of the successors (``bwd_circuit``)
-    and finishes the rest. Both residuals live on the shared qubits (the
-    component's support plus spectators touched on both sides).
-    """
-
-    component: int
-    shared: tuple[int, ...]
-    spectators: tuple[int, ...]
-    fwd_steps: tuple[ScheduleStep, ...]
-    bwd_steps: tuple[ScheduleStep, ...]
-    bwd_circuit: MapCircuit
-    peak_active: int
+# the whole-register plan cut at one component
 
 
-def split_plan(circuit: MapCircuit, component: int) -> SplitPlan:
-    comps = circuit.components
-    if not 0 <= component < len(comps):
-        raise ValidationError(f"no component {component} in circuit")
-    s_support = set(comps[component].qubits)
-    all_indices = set(range(len(comps)))
-    prefix = _closure(circuit, all_indices - {component}, _predecessor_seeds(circuit, component))
-    suffix = sorted(all_indices - set(prefix) - {component})
+def split_residuals(circuit: MapCircuit, index: int, in_factors, out_factors):
+    """Batched forward and backward residuals around component ``index``.
 
-    touched_pre = {q for ci in prefix for q in comps[ci].qubits}
-    touched_suf = {q for ci in suffix for q in comps[ci].qubits}
-    shared = sorted(s_support | (touched_pre & touched_suf))
-    spect = [q for q in shared if q not in s_support]
-
-    blocked_f = s_support | touched_suf
-    traceable_f = [q for q in range(circuit.num_qubits) if q not in blocked_f]
-    fwd_steps, peak_f, absorbed_f, applied_f = _greedy_schedule(
-        circuit, prefix, traceable_f
-    )
-    _append_leftovers(circuit, prefix, applied_f, absorbed_f, fwd_steps)
-    for q in shared:
-        if q not in absorbed_f:
-            fwd_steps.append(ScheduleStep("absorb", qubit=q))
-            absorbed_f.add(q)
-
-    # component j of bwd_circuit is the adjoint of original suffix[-1-j]
-    bwd_circuit = mirror_adjoint(
-        MapCircuit(circuit.num_qubits, tuple(comps[ci] for ci in suffix))
-    )
-    blocked_b = s_support | touched_pre
-    traceable_b = [q for q in range(circuit.num_qubits) if q not in blocked_b and q in touched_suf]
-    bwd_steps, peak_b, absorbed_b, applied_b = _greedy_schedule(
-        bwd_circuit, range(len(suffix)), traceable_b
-    )
-    _append_leftovers(bwd_circuit, range(len(suffix)), applied_b, absorbed_b, bwd_steps)
-    for q in shared:
-        if q not in absorbed_b:
-            bwd_steps.append(ScheduleStep("absorb", qubit=q))
-            absorbed_b.add(q)
-
-    return SplitPlan(
-        component=component,
-        shared=tuple(shared),
-        spectators=tuple(spect),
-        fwd_steps=tuple(fwd_steps),
-        bwd_steps=tuple(bwd_steps),
-        bwd_circuit=bwd_circuit,
-        peak_active=max(peak_f, peak_b, len(shared)),
-    )
-
-
-def _predecessor_seeds(circuit: MapCircuit, component: int) -> list[int]:
-    sup = set(circuit.components[component].qubits)
-    return [
-        ci
-        for ci in range(component)
-        if set(circuit.components[ci].qubits) & sup
-    ]
-
-
-def _append_leftovers(circuit, pool, applied, absorbed, steps):
-    for ci in sorted(set(pool) - applied):
-        for q in sorted(circuit.components[ci].qubits):
-            if q not in absorbed:
-                steps.append(ScheduleStep("absorb", qubit=q))
-                absorbed.add(q)
-        steps.append(ScheduleStep("apply", component=ci))
-        applied.add(ci)
-
-
-def split_residuals(circuit: MapCircuit, plan: SplitPlan, in_factors, out_factors):
-    """Batched forward and backward residuals of a split, support qubits first.
+    The whole-register plan is cut at the component's apply step. The steps
+    before the cut give the forward residual; the steps after it, run
+    backwards on the adjoint maps with the two factor sets exchanged, give
+    the backward residual. Both live on the qubits active at the cut, never
+    more than the plan's ``peak_active``.
 
     Factors are per qubit, (2, 2) or (B, 2, 2) as in :func:`_run_steps`.
-    Returns two arrays of shape (B, ds, dm, ds, dm): ds spans the singled-out
-    component's qubits (in its own order), dm the spectators (ascending).
+    Returns two arrays of shape (B, ds, dm, ds, dm): ds spans the component's
+    qubits (in its own order), dm the other active qubits (ascending).
     """
-    active_f, res_f = _run_steps(circuit, plan.fwd_steps, in_factors, out_factors)
-    active_b, res_b = _run_steps(plan.bwd_circuit, plan.bwd_steps, out_factors, in_factors)
-    if tuple(active_f) != plan.shared or tuple(active_b) != plan.shared:
-        raise ValidationError("split residuals ended on unexpected qubit sets")
-    sup = circuit.components[plan.component].qubits
+    if not 0 <= index < len(circuit.components):
+        raise ValidationError(f"no component {index} in circuit")
+    steps = schedule(circuit).steps
+    cut = steps.index(ScheduleStep("apply", component=index))
+    active, res_f = _run_steps(circuit, steps[:cut], in_factors, out_factors)
+    _, res_b = _run_steps(circuit, steps[:cut:-1], out_factors, in_factors, backward=True)
+    sup = circuit.components[index].qubits
     ds = 2 ** len(sup)
-    dm = 2 ** len(plan.spectators)
+    dm = 2 ** (len(active) - len(sup))
     shape = (max(len(res_f), len(res_b)), ds, dm, ds, dm)
 
     def grouped(res):
-        t = _group_support_first(res, plan.shared, sup)
+        t = _group_support_first(res, active, sup)
         return np.broadcast_to(t.reshape(-1, ds, dm, ds, dm), shape)
 
     return grouped(res_f), grouped(res_b)
@@ -599,21 +530,21 @@ def circuit_from_dict(payload: dict) -> MapCircuit:
     if not isinstance(payload, dict):
         raise ValidationError("circuit payload must be a JSON object")
     try:
-        n = int(payload["num_qubits"])
+        n = json_int(payload["num_qubits"], "num_qubits")
         topology = str(payload.get("topology", "general"))
         raw = payload["components"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"circuit payload missing fields: {exc}") from exc
+    except KeyError as exc:
+        raise ValidationError(f"circuit payload missing field {exc}") from exc
     if not isinstance(raw, list):
         raise ValidationError("circuit components must be a JSON list")
     comps = []
     for entry in raw:
         try:
-            layer = int(entry["layer"])
-            qubits = tuple(int(q) for q in entry["qubits"])
+            layer = json_int(entry["layer"], "layer")
+            qubits = tuple(json_int(q, "qubit") for q in entry["qubits"])
             spec = entry["map"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed circuit component {entry!r}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed circuit component {entry!r}: {exc}") from exc
         comps.append(Component(layer, qubits, map_from_spec(spec, len(qubits))))
     return MapCircuit(n, tuple(comps), topology)
 

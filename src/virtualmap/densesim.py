@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cone import MapCircuit, brickwork
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 from .linalg import multiply_trace_out, partial_trace, trace_mul
 from .maps import LocalMap, map_from_spec, noisy_cnot, random_cptp_map
 from .pauli import Observable
@@ -356,10 +356,8 @@ def load_state_prep(path_or_payload, num_qubits: int | None = None):
     else:
         payload = path_or_payload
     if isinstance(payload, dict):
-        try:
-            num_qubits = int(payload.get("num_qubits", num_qubits or 0)) or num_qubits
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"bad state-prep num_qubits: {exc}") from exc
+        if "num_qubits" in payload:
+            num_qubits = json_int(payload["num_qubits"], "state-prep num_qubits")
         payload = payload.get("steps", payload.get("components"))
     if not isinstance(payload, list):
         raise ValidationError("state-prep payload must be a JSON list of steps")
@@ -367,10 +365,10 @@ def load_state_prep(path_or_payload, num_qubits: int | None = None):
     top = -1
     for entry in payload:
         try:
-            qubits = tuple(int(q) for q in entry["qubits"])
+            qubits = tuple(json_int(q, "state-prep qubit") for q in entry["qubits"])
             spec = entry["map"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed state-prep step {entry!r}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed state-prep step {entry!r}: {exc}") from exc
         if not qubits or len(set(qubits)) != len(qubits):
             raise ValidationError(
                 f"state-prep step qubits {list(qubits)} must be distinct and non-empty"

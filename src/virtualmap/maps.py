@@ -355,6 +355,12 @@ def _parse_preset(text: str) -> tuple[str, dict]:
     return name, kwargs
 
 
+# A preset is one word of a file, but at arity k it holds a 4^k x 4^k
+# complex superoperator: 17 MB at k = 5, 268 MB at k = 6. Wider presets are
+# refused.
+MAX_PRESET_ARITY = 5
+
+
 def map_from_spec(spec, arity: int) -> LocalMap:
     """Resolve a circuit-file map entry: a preset string or a matrix payload."""
     if isinstance(spec, LocalMap):
@@ -362,6 +368,10 @@ def map_from_spec(spec, arity: int) -> LocalMap:
     if isinstance(spec, dict):
         return map_from_payload(spec, arity)
     name, kw = _parse_preset(str(spec))
+    if arity > MAX_PRESET_ARITY:
+        raise ValidationError(
+            f"map presets act on at most {MAX_PRESET_ARITY} qubits, got {arity}"
+        )
     if name == "identity":
         return identity_map(arity)
     if name == "cnot":

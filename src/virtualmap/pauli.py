@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 from .linalg import kron_all
 
 PAULI_MATRICES: dict[str, np.ndarray] = {
@@ -127,10 +127,10 @@ def parse_observable(source) -> Observable:
     if not isinstance(payload, dict):
         raise ValidationError("observable payload must be a JSON object")
     try:
-        n = int(payload["num_qubits"])
+        n = json_int(payload["num_qubits"], "observable num_qubits")
         raw_terms = payload["terms"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"observable payload missing fields: {exc}") from exc
+    except KeyError as exc:
+        raise ValidationError(f"observable payload missing field {exc}") from exc
     if not isinstance(raw_terms, list):
         raise ValidationError("observable terms must be a JSON list")
     terms = []

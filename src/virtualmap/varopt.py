@@ -6,11 +6,12 @@ the problem to
 
     minimize  Re Tr[C M]   over Choi matrices C >= 0 with Tr_out C = I,
 
-where M is assembled from the frozen remainder of the circuit (via the
-split-evaluation residuals of every row and Pauli term, contracted in one
-batch) and the input data. The subproblem is a small semidefinite program,
-solved by a primal-dual interior-point method (Mehrotra predictor-corrector
-steps in the HKM direction, about ten Newton steps per solve). Its dual
+where M is assembled from the frozen remainder of the circuit (the
+whole-register plan cut at the component gives the residuals of every row and
+Pauli term, contracted in one batch) and the input data. The subproblem is a
+small semidefinite program, solved by a primal-dual interior-point method
+(Mehrotra predictor-corrector steps in the HKM direction, about ten Newton
+steps per solve). Its dual
 variable Y proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I) on the
 optimum, so every solve reports a certified optimality gap next to its value,
 and the returned map is exactly trace-preserving. A sweep visits components
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cone import MapCircuit, row_chunks, split_plan, split_residuals
+from .cone import MapCircuit, row_chunks, schedule, split_residuals
 from .densesim import DensityMatrix, OutcomeBatch, apply_local_map, outcome_distribution
 from .errors import NumericalError, ValidationError
 from .estimation import _real_weights, dual_arrays, row_weights
@@ -216,18 +217,18 @@ def _product_objective(
     """sum_i w_i sum_k c_k sum_a kron(R_a^T, Rbar_a), over every (row, term)
     pair in batches. The spectator-basis sum is folded into the contraction:
     sum_a R_a[x,y] Rbar_a[X,Y] = sum_{w,u} r[x,w,y,u] rbar[X,u,Y,w]."""
-    plan = split_plan(circuit, index)
+    peak = schedule(circuit).peak_active
     coeffs = np.array([c for c, _ in obs.terms])
     paulis = np.array([ps.matrices() for _, ps in obs.terms])  # (T, N, 2, 2)
     terms = len(coeffs)
     ds = 2**circuit.components[index].map.arity
     m4 = np.zeros((ds, ds, ds, ds), dtype=complex)
-    for chunk in row_chunks(len(data.weights) * terms, plan.peak_active):
+    for chunk in row_chunks(len(data.weights) * terms, peak):
         pair = np.arange(chunk.start, chunk.stop)
         row, term = pair // terms, pair % terms
         ins = [data.factors[row, q] for q in range(circuit.num_qubits)]
         outs = [paulis[term, q] for q in range(circuit.num_qubits)]
-        r, rbar = split_residuals(circuit, plan, ins, outs)
+        r, rbar = split_residuals(circuit, index, ins, outs)
         weight = data.weights[row] * coeffs[term]
         m4 += np.einsum("b,bxwyu,bXuYw->yXxY", weight, r, rbar, optimize=True)
     return m4.reshape(ds * ds, ds * ds)

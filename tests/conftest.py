@@ -10,7 +10,6 @@ from virtualmap.cone import (
     Component,
     MapCircuit,
     brickwork,
-    split_plan,
     split_residuals,
     staircase,
 )
@@ -115,11 +114,10 @@ def split_pairs(circuit: MapCircuit, index: int, factors, pauli) -> list:
     The index a runs over the normalized Pauli basis of the spectator qubits,
     built explicitly here as a reference for the folded sum in the library.
     """
-    plan = split_plan(circuit, index)
-    r, rbar = split_residuals(circuit, plan, list(factors), pauli.matrices())
+    r, rbar = split_residuals(circuit, index, list(factors), pauli.matrices())
     normalized = [PAULI_MATRICES[c] / np.sqrt(2.0) for c in "IXYZ"]
     basis = [np.ones((1, 1), dtype=complex)]
-    for _ in plan.spectators:
+    while len(basis) < r.shape[2] ** 2:
         basis = [np.kron(b, p) for b in basis for p in normalized]
     return [
         (np.einsum("xwyu,uw->xy", r[0], b), np.einsum("xwyu,uw->xy", rbar[0], b))
@@ -180,9 +178,10 @@ def brute_force_min(m: np.ndarray, seed: int, starts: int = 8) -> float:
 
 
 # Values that break naive parsing: null, booleans, negatives, fractions,
-# non-finite and overflowing numbers, text and empty containers.
+# integral floats, non-finite and overflowing numbers, text (numeric too) and
+# empty containers.
 _SPECIAL = st.sampled_from(
-    [None, True, -1, 1.5, float("inf"), float("nan"), 10**400, "x", "", [], {}]
+    [None, True, -1, 1.5, 2.0, float("inf"), float("nan"), 10**400, "x", "01", "", [], {}]
 )
 # Map presets, valid and broken, and Pauli strings.
 _KNOWN_TEXT = st.sampled_from(

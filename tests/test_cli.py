@@ -385,6 +385,17 @@ class TestMalformedInputs:
             ("sample --S 5 --state", '[{"qubits": [30], "map": "identity"}]'),
             ("sample --S 5 --state", '[{"qubits": [0], "map": "random_cptp(seed=-1)"}]'),
             ("oracle-check --circuit", None),  # a directory, not a file
+            (
+                "oracle-check --circuit",
+                '{"num_qubits": 2, "components": [{"layer": 1.7, "qubits": [0, 1], "map": "cnot"}]}',
+            ),
+            ("oracle-check --circuit", '{"num_qubits": true, "components": []}'),
+            ("sample --S 5 --state", '[{"qubits": "01", "map": "identity"}]'),
+            (
+                "ansatz --observable",
+                '{"num_qubits": "2", "terms": [{"coeff": 1.0, "pauli": "ZZ"}]}',
+            ),
+            ("sample --S 5 --state", json.dumps([{"qubits": list(range(20)), "map": "identity"}])),
         ],
         ids=[
             "null-components",
@@ -395,6 +406,11 @@ class TestMalformedInputs:
             "qubit-30",
             "negative-seed",
             "directory",
+            "fractional-layer",
+            "boolean-num-qubits",
+            "text-qubits",
+            "text-observable-num-qubits",
+            "identity-on-20-qubits",
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, text):

@@ -31,7 +31,6 @@ from virtualmap.cone import (
     mirror_adjoint,
     save_circuit,
     schedule,
-    split_plan,
     split_residuals,
     staircase,
 )
@@ -476,13 +475,12 @@ class TestBatchedKernel:
         duals = [random_product_duals(5, rng) for _ in range(4)]
         letters = ["XZIYX", "IIZZI", "YIIIX", "IIIII"]
         for index in range(len(circ.components)):
-            plan = split_plan(circ, index)
             ins = [np.array([d[q] for d in duals]) for q in range(5)]
             outs = [np.array([PauliString(p).matrices()[q] for p in letters]) for q in range(5)]
-            r, rbar = split_residuals(circ, plan, ins, outs)
+            r, rbar = split_residuals(circ, index, ins, outs)
             for b in range(4):
                 pauli = PauliString(letters[b])
-                one_r, one_rbar = split_residuals(circ, plan, duals[b], pauli.matrices())
+                one_r, one_rbar = split_residuals(circ, index, duals[b], pauli.matrices())
                 assert_all_close(r[b], one_r[0], 1e-12)
                 assert_all_close(rbar[b], one_rbar[0], 1e-12)
                 pairs = split_pairs(circ, index, duals[b], pauli)
@@ -541,8 +539,28 @@ class TestSplitEvaluate:
         assert abs(got - want) < 1e-10 * (1 + abs(want))
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValidationError):
-            split_plan(brickwork(4, 1), 7)
+        eye = [np.eye(2)] * 4
+        for index in (7, -1):
+            with pytest.raises(ValidationError):
+                split_residuals(brickwork(4, 1), index, eye, eye)
+
+
+class TestCutPlan:
+    @pytest.mark.parametrize(
+        "circ, cap",
+        [(staircase(10, 2), 3), (brickwork(8, 2), 3)],
+        ids=["staircase-10-2", "brickwork-8-2"],
+    )
+    def test_cut_width_within_peak(self, circ, cap):
+        # The time cut these replace grew to 10 qubits on staircase(10, 2).
+        eye = [np.eye(2)] * circ.num_qubits
+        peak = schedule(circ).peak_active
+        assert peak <= cap
+        for index in range(len(circ.components)):
+            r, rbar = split_residuals(circ, index, eye, eye)
+            assert r.shape == rbar.shape
+            width = int(np.log2(r.shape[1] * r.shape[2]))
+            assert len(circ.components[index].qubits) <= width <= peak, index
 
 
 class TestCircuitFiles:
@@ -605,6 +623,31 @@ class TestCircuitFiles:
         except ValidationError:
             return
         assert all(c.qubits and c.layer >= 1 for c in circ.components)
+        # only JSON integers load: no text, fractions or booleans
+        assert type(payload["num_qubits"]) is int
+        for entry in payload["components"]:
+            assert type(entry["layer"]) is int
+            assert all(type(q) is int for q in entry["qubits"])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_qubits", True),
+            ("num_qubits", 2.0),
+            ("layer", 1.7),
+            ("layer", "1"),
+            ("qubits", "01"),
+            ("qubits", [0, True]),
+        ],
+    )
+    def test_only_json_integers_load(self, field, value):
+        payload = circuit_to_dict(brickwork(2, 1))
+        if field == "num_qubits":
+            payload[field] = value
+        else:
+            payload["components"][0][field] = value
+        with pytest.raises(ValidationError, match="integer"):
+            circuit_from_dict(payload)
 
 
 class TestSicDualsIntegration:

@@ -390,6 +390,32 @@ class TestStatePrepFiles:
         except ValidationError:
             return
         assert n >= 1 and all(max(q) < n for q, _ in steps)
+        # only JSON integers load: no text, fractions or booleans
+        if isinstance(payload, dict):
+            assert type(payload.get("num_qubits", 1)) is int
+            payload = payload.get("steps", payload.get("components"))
+        assert all(type(q) is int for entry in payload for q in entry["qubits"])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{"qubits": "01", "map": "identity"}],
+            [{"qubits": [0, 1.0], "map": "identity"}],
+            [{"qubits": [True], "map": "identity"}],
+            {"num_qubits": "2", "steps": [{"qubits": [0], "map": "identity"}]},
+            {"num_qubits": 2.5, "steps": [{"qubits": [0], "map": "identity"}]},
+        ],
+        ids=[
+            "text-qubits",
+            "float-qubit",
+            "boolean-qubit",
+            "text-num-qubits",
+            "fractional-num-qubits",
+        ],
+    )
+    def test_only_json_integers_load(self, payload):
+        with pytest.raises(ValidationError, match="integer"):
+            load_state_prep(payload)
 
 
 class TestNoisyChainState:

@@ -197,6 +197,7 @@ class TestParseAndWrite:
         except ValidationError:
             return
         assert all(ps.num_qubits == obs.num_qubits for _, ps in obs.terms)
+        assert type(payload["num_qubits"]) is int  # no text, fractions or booleans
 
 
 class TestXXHamiltonian:

@@ -8,6 +8,7 @@ import pytest
 from conftest import brute_force_min, cube_povm, random_mixed_circuit, stinespring_choi
 from virtualmap.cone import Component, MapCircuit, brickwork, staircase
 from virtualmap.densesim import (
+    DensityMatrix,
     computational_zero,
     maximally_mixed,
     noisy_chain_state,
@@ -45,6 +46,7 @@ from virtualmap.varopt import (
     sweep,
     zreset_compose,
 )
+from virtualmap.varopt import _dense_objective, _product_objective
 
 
 def _random_hermitian(dim, rng):
@@ -191,6 +193,34 @@ class TestLocalObjective:
 def _certified(info, tol):
     """The returned value is within tol of the proven lower bound."""
     return info["gap"] <= tol * (1.0 + abs(info["value"]))
+
+
+def _assert_objectives_match_dense(circ, rho, data, obs):
+    for index in range(len(circ.components)):
+        want = _dense_objective(circ, index, DenseStateData(rho), obs)
+        got = _product_objective(circ, index, data, obs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), index
+
+
+class TestDeepCircuitObjectives:
+    @pytest.mark.parametrize("build", [staircase, brickwork])
+    def test_zero_input_matches_dense(self, build):
+        rng = np.random.default_rng(71)
+        circ = build(8, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(8, coupling=1.0, field=0.7, periodic=True)
+        _assert_objectives_match_dense(circ, computational_zero(8), classical_input(8), obs)
+
+    @pytest.mark.parametrize("build", [staircase, brickwork])
+    def test_distribution_rows_match_dense(self, build):
+        rng = np.random.default_rng(72)
+        circ = build(5, 2, lambda layer, qubits: random_unitary_map(2, rng))
+        g = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        rho = DensityMatrix(5, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        obs = Observable.from_terms(
+            5, [(0.8, "ZIIIZ"), (-0.5, "IXXII"), (0.3, "YIIYI"), (1.1, "IIIZI")]
+        )
+        data = data_from_distribution(rho, "sic")  # 4^5 rows
+        _assert_objectives_match_dense(circ, rho, data, obs)
 
 
 class TestMinimizeOverCptp:
@@ -397,6 +427,29 @@ class TestSweep:
         _, r1 = sweep(staircase(2, 1), classical_input(2), obs, opts)
         _, r2 = sweep(staircase(2, 1), classical_input(2), obs, opts)
         assert r1.energies == r2.energies
+
+
+    def test_plans_are_built_once_per_topology(self, monkeypatch):
+        from virtualmap import cone
+
+        calls = []
+        real = cone._greedy_schedule
+
+        def counting(supports, pool, traceable):
+            calls.append(tuple(traceable))
+            return real(supports, pool, traceable)
+
+        monkeypatch.setattr(cone, "_greedy_schedule", counting)
+        cone._plan.cache_clear()
+        # no term's light cone covers the whole register of this open chain
+        circ = brickwork(8, 2)
+        obs = xx_hamiltonian(8, coupling=1.0, field=0.5, periodic=False)
+        options = SweepOptions(rounds=2, init="random_cptp", seed=4)
+        _, report = sweep(circ, classical_input(8), obs, options)
+        assert len(report.steps) == 2 * len(circ.components)
+        # one whole-register plan, and at most one cone plan per term
+        assert calls.count(tuple(range(8))) == 1
+        assert len(calls) <= 1 + len(obs.terms)
 
 
 class TestZresetCompose:
