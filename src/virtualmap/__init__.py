@@ -42,6 +42,10 @@ from .densesim import (
 from .errors import NumericalError, ValidationError
 from .estimation import (
     Estimate,
+    ProductInputData,
+    classical_input,
+    data_from_batch,
+    data_from_distribution,
     estimate,
     estimate_covariance,
     estimate_exact,
@@ -80,18 +84,13 @@ from .povm import (
     write_povm,
 )
 from .varopt import (
-    DenseStateData,
     LocalObjective,
-    ProductInputData,
     SdpOptions,
     SweepOptions,
     SweepReport,
     assemble_local_objective,
     circuit_energy,
     classical_ansatz,
-    classical_input,
-    data_from_batch,
-    data_from_distribution,
     minimize_over_cptp,
     sweep,
     zreset_compose,

@@ -23,32 +23,22 @@ import numpy as np
 
 from .cone import MapCircuit, brickwork, evaluate_trace, evaluate_trace_backward, load_circuit, save_circuit
 from .densesim import (
-    apply_circuit_dense,
+    ORACLE_LIMIT,
     batch_to_text,
     build_state,
+    dense_map_circuit_oracle,
     exact_ground_energy,
     maximally_mixed,
     read_batch,
     sample_outcomes,
 )
 from .errors import NumericalError, ValidationError
-from .estimation import estimate, estimate_exact
+from .estimation import classical_input, data_from_batch, estimate, estimate_exact
 from .linalg import kron_all, trace_mul
 from .maps import random_cptp_map, random_tp_hermitian_map, random_unitary_map
 from .pauli import PauliString, parse_observable
 from .povm import compute_duals, get_povm
-from .varopt import (
-    DenseStateData,
-    SdpOptions,
-    SweepOptions,
-    classical_ansatz,
-    classical_input,
-    data_from_batch,
-    sweep,
-    zreset_compose,
-)
-
-_ORACLE_LIMIT = 6
+from .varopt import SdpOptions, SweepOptions, classical_ansatz, sweep, zreset_compose
 
 
 def _label(path_or_text: str) -> str:
@@ -194,7 +184,7 @@ def _cmd_optimize(args) -> int:
         batch = read_batch(args.batch)
         data = data_from_batch(batch, list(batch.povm_labels))
     elif args.exact_state:
-        data = DenseStateData(build_state(args.exact_state, circuit.num_qubits))
+        data = build_state(args.exact_state, circuit.num_qubits)
     else:
         data = classical_input(circuit.num_qubits)
     options = _sweep_options(args)
@@ -241,14 +231,10 @@ def _random_check_circuit(n: int, rng: np.random.Generator) -> MapCircuit:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.circuit:
-        circuits = [load_circuit(args.circuit)]
-        if circuits[0].num_qubits > _ORACLE_LIMIT:
-            raise ValidationError(f"oracle limited to N <= {_ORACLE_LIMIT}")
-    else:
-        if args.N > _ORACLE_LIMIT:
-            raise ValidationError(f"oracle limited to N <= {_ORACLE_LIMIT}")
-        circuits = None
+    circuits = [load_circuit(args.circuit)] if args.circuit else None
+    # checked before the loop, so a large --N never builds a random circuit
+    if (circuits[0].num_qubits if circuits else args.N) > ORACLE_LIMIT:
+        raise ValidationError(f"oracle limited to N <= {ORACLE_LIMIT}")
     rng = np.random.default_rng(args.seed)
     duals = np.asarray(compute_duals(get_povm(args.povm)).duals)
     worst_rel = 0.0
@@ -262,7 +248,7 @@ def _cmd_oracle_check(args) -> int:
         pauli = PauliString(letters)
         cone_val = complex(evaluate_trace(circ, factors, pauli))
         back_val = complex(evaluate_trace_backward(circ, factors, pauli))
-        dense_out = apply_circuit_dense(circ, kron_all(factors))
+        dense_out = dense_map_circuit_oracle(circ, kron_all(factors))
         dense_val = complex(trace_mul(dense_out, pauli.matrix()))
         worst_rel = max(worst_rel, abs(cone_val - dense_val) / max(1.0, abs(dense_val)))
         worst_fb = max(worst_fb, abs(cone_val - back_val))
@@ -366,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "ansatz" and args.init == "keep":
-        args.init = "random_unitary"
     try:
         return args.func(args)
     except ValidationError as exc:

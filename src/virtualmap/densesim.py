@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 10
-_ORACLE_LIMIT = 6
+ORACLE_LIMIT = 6
 _EXACT_SAMPLING_LIMIT = 9
 
 
@@ -130,8 +130,8 @@ def apply_circuit_dense(circuit: MapCircuit, op: np.ndarray) -> np.ndarray:
 
 def dense_map_circuit_oracle(circuit: MapCircuit, input_op: np.ndarray) -> np.ndarray:
     """Reference full-register evaluation of a map circuit (N <= 6)."""
-    if circuit.num_qubits > _ORACLE_LIMIT:
-        raise ValidationError(f"oracle limited to N <= {_ORACLE_LIMIT}")
+    if circuit.num_qubits > ORACLE_LIMIT:
+        raise ValidationError(f"oracle limited to N <= {ORACLE_LIMIT}")
     return apply_circuit_dense(circuit, input_op)
 
 

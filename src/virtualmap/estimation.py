@@ -20,6 +20,14 @@ contracted only over its backward light cone, and the pruning is exact:
   one for a custom dual frame.
 
 Rows that agree on a cone's qubits are contracted once for that term.
+
+The kernel's input, :class:`ProductInputData`, is the one product-row format
+of the package: per-qubit (M_q, 2, 2) factor tables, an (R, N) integer row
+array choosing one factor per qubit, and a weight per row. It is built here
+from a measured batch (:func:`data_from_batch`), from the exact outcome
+distribution (:func:`data_from_distribution`, which also serves
+:func:`estimate_exact`), and for the classical all-zeros register
+(:func:`classical_input`); the variational sweep consumes the same rows.
 """
 
 from __future__ import annotations
@@ -94,6 +102,79 @@ def dual_arrays(duals, num_qubits: int) -> list[np.ndarray]:
     return out
 
 
+@dataclass
+class ProductInputData:
+    """Weighted product rows: row i is the tensor product over qubits q of
+    ``tables[q][rows[i, q]]``, with weight ``weights[i]``."""
+
+    weights: np.ndarray  # (R,)
+    tables: list[np.ndarray]  # N arrays of shape (M_q, 2, 2)
+    rows: np.ndarray  # (R, N) integers
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.rows = np.asarray(self.rows)
+        self.tables = [np.asarray(t, dtype=complex) for t in self.tables]
+        if self.weights.ndim != 1:
+            raise ValidationError(f"weights must be (R,), got {self.weights.shape}")
+        if (
+            self.rows.dtype.kind not in "iu"
+            or self.rows.ndim != 2
+            or len(self.rows) != len(self.weights)
+        ):
+            raise ValidationError(
+                f"rows must be integers of shape ({len(self.weights)}, N), "
+                f"got {self.rows.dtype} {self.rows.shape}"
+            )
+        if len(self.tables) != self.num_qubits:
+            raise ValidationError(
+                f"need {self.num_qubits} factor tables, got {len(self.tables)}"
+            )
+        low = self.rows.min(axis=0, initial=0)
+        high = self.rows.max(axis=0, initial=-1)
+        for q, t in enumerate(self.tables):
+            if t.ndim != 3 or t.shape[1:] != (2, 2):
+                raise ValidationError(f"factor table {q} must be (M, 2, 2), got {t.shape}")
+            if low[q] < 0 or high[q] >= len(t):
+                bad = low[q] if low[q] < 0 else high[q]
+                raise ValidationError(f"outcome {bad} out of range for qubit {q}")
+
+    @property
+    def num_qubits(self) -> int:
+        return self.rows.shape[1]
+
+
+def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:
+    """Collapse a measurement batch to its distinct outcome rows, weighted by
+    their frequencies, over the dual frames ``duals``."""
+    uniq, _, counts = unique_rows(batch.outcomes)
+    return ProductInputData(
+        counts / batch.num_shots, dual_arrays(duals, batch.num_qubits), uniq
+    )
+
+
+def data_from_distribution(rho: DensityMatrix, povms, duals=None) -> ProductInputData:
+    """The exact outcome distribution of ``povms`` on ``rho`` (N <= 9) as
+    product rows: every outcome string of nonzero probability, qubit 0 most
+    significant, over ``duals`` (by default the canonical duals of ``povms``)."""
+    if rho.num_qubits > 9:
+        raise ValidationError("enumeration limited to N <= 9")
+    p = outcome_distribution(rho, povms)
+    tables = dual_arrays(povms if duals is None else duals, rho.num_qubits)
+    if any(t.shape[0] != m for t, m in zip(tables, p.shape)):
+        raise ValidationError("dual frames and POVMs differ in outcome counts")
+    rows = np.argwhere(p != 0.0)
+    return ProductInputData(p[tuple(rows.T)], tables, rows)
+
+
+def classical_input(num_qubits: int) -> ProductInputData:
+    """The all-zeros register |0...0><0...0| as a single product row."""
+    zero = np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
+    return ProductInputData(
+        np.ones(1), [zero] * num_qubits, np.zeros((1, num_qubits), dtype=int)
+    )
+
+
 def _real_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
     """Real parts of complex shot weights, and their largest imaginary residue."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
@@ -117,6 +198,12 @@ def row_weights(circuit: MapCircuit, tables, rows, obs: Observable) -> np.ndarra
     for coeff, ps in obs.terms:
         total += coeff * evaluate_rows(circuit, tables, rows, ps)
     return total
+
+
+def mean_weight(circuit: MapCircuit, data: ProductInputData, obs: Observable) -> float:
+    """sum_i w_i Re sum_k c_k Tr[L(row_i) P_k] over the weighted rows of ``data``."""
+    reals, _ = _real_weights(row_weights(circuit, data.tables, data.rows, obs))
+    return float(np.dot(data.weights, reals))
 
 
 def shot_weight(outcome, duals, circuit: MapCircuit, obs: Observable) -> float:
@@ -153,14 +240,10 @@ def estimate(
         raise ValidationError("the variance estimator needs at least two shots")
     if batch.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("batch, circuit, and observable qubit counts differ")
-    arrays = dual_arrays(duals, circuit.num_qubits)
-    for q, m in enumerate(batch.outcomes.max(axis=0)):
-        if m >= arrays[q].shape[0]:
-            raise ValidationError(f"outcome {m} out of range for qubit {q}")
-    uniq, inverse, counts = unique_rows(batch.outcomes)
-    reals, residue = _real_weights(row_weights(circuit, arrays, uniq, obs))
-
     s = batch.num_shots
+    uniq, inverse, counts = unique_rows(batch.outcomes)
+    data = ProductInputData(counts / s, dual_arrays(duals, circuit.num_qubits), uniq)
+    reals, residue = _real_weights(row_weights(circuit, data.tables, data.rows, obs))
     value = float(np.dot(counts, reals) / s)
     second = float(np.dot(counts, reals**2) / s)
     var_unbiased = max(second - value**2, 0.0) * s / (s - 1)
@@ -207,15 +290,7 @@ def estimate_exact(
         return float(reals[0])
     if method != "enumerate":
         raise ValidationError(f"unknown method {method!r}")
-    if rho.num_qubits > 9:
-        raise ValidationError("enumeration limited to N <= 9")
-    p = outcome_distribution(rho, povms)
-    arrays = dual_arrays(povms if duals is None else duals, rho.num_qubits)
-    if any(a.shape[0] != m for a, m in zip(arrays, p.shape)):
-        raise ValidationError("dual frames and POVMs differ in outcome counts")
-    rows = np.argwhere(p != 0.0)
-    reals, _ = _real_weights(row_weights(circuit, arrays, rows, obs))
-    return float(np.dot(p[tuple(rows.T)], reals))
+    return mean_weight(circuit, data_from_distribution(rho, povms, duals), obs)
 
 
 def estimate_covariance(a: Estimate, b: Estimate) -> float:

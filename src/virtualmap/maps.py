@@ -81,13 +81,13 @@ class LocalMap:
         """Apply the map to a k-qubit operator."""
         return unvec(self.superop @ vec(x), self.dim)
 
-    def flags(self, tol: float = _FLAG_TOL) -> MapFlags:
+    def flags(self) -> MapFlags:
         if self._flags is None:
             c = superop_to_choi(self).matrix
-            hp = bool(np.max(np.abs(c - c.conj().T)) <= tol)
-            cp = bool(np.linalg.eigvalsh(herm(c)).min() >= -tol) and hp
+            hp = bool(np.max(np.abs(c - c.conj().T)) <= _FLAG_TOL)
+            cp = bool(np.linalg.eigvalsh(herm(c)).min() >= -_FLAG_TOL) and hp
             tp_res = _tp_residual(c, self.dim)
-            self._flags = MapFlags(cp=cp, tp=bool(tp_res <= tol), hermiticity_preserving=hp)
+            self._flags = MapFlags(cp=cp, tp=bool(tp_res <= _FLAG_TOL), hermiticity_preserving=hp)
         return self._flags
 
 
@@ -192,8 +192,8 @@ def tensor_extend(m: LocalMap, positions, arity: int) -> LocalMap:
     return LocalMap(out.transpose(0, 2, 1).reshape(d * d, d * d).T)
 
 
-def is_cptp(m: LocalMap, tol: float = _FLAG_TOL) -> MapFlags:
-    return m.flags(tol)
+def is_cptp(m: LocalMap) -> MapFlags:
+    return m.flags()
 
 
 # ---------------------------------------------------------------------------

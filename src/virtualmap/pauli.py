@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,10 @@ PAULI_MATRICES: dict[str, np.ndarray] = {
 }
 
 PAULI_LETTERS = "IXYZ"
+
+# Bits of the column shift x (X, Y) and diagonal signs (-1)^z (Y, Z) of a letter.
+_FLIP_BITS = str.maketrans("IXYZ", "0110")
+_SIGNS = {c: np.array([1, -1 if c in "YZ" else 1]) for c in PAULI_LETTERS}
 
 _HERMITIAN_TOL = 1e-12
 _MERGE_DROP_TOL = 1e-15
@@ -100,9 +105,16 @@ class Observable:
         return all(abs(c.imag) <= _HERMITIAN_TOL for c, _ in self.terms)
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((2**self.num_qubits,) * 2, dtype=complex)
+        """Dense matrix. Each term is a signed permutation, P[r, r ^ x] =
+        (-i)^{#Y} (-1)^{popcount(r & z)}, where x has a bit for every X or Y
+        letter and z for every Y or Z letter (qubit 0 most significant)."""
+        d = 2**self.num_qubits
+        out = np.zeros((d, d), dtype=complex)
+        rows = np.arange(d)
         for coeff, ps in self.terms:
-            out += coeff * ps.matrix()
+            flip = int(ps.letters.translate(_FLIP_BITS), 2)
+            signs = reduce(np.kron, [_SIGNS[c] for c in ps.letters])
+            out[rows, rows ^ flip] += coeff * (-1j) ** ps.letters.count("Y") * signs
         return out
 
     def __len__(self) -> int:

@@ -16,10 +16,11 @@ variable Y proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I) on the
 optimum, so every solve reports a certified optimality gap next to its value,
 and the returned map is exactly trace-preserving. A sweep visits components
 cyclically, installing a new map only when it lowers the energy, and records
-each solve's gap and convergence. Input data is either a weighted product
-ensemble (dual effects of measured outcomes, or a classical all-zeros
-register) or a dense state for exact-distribution optimization at small qubit
-counts.
+each solve's gap and convergence. Input data is either the weighted product
+rows of :class:`virtualmap.estimation.ProductInputData` (dual effects of
+measured outcomes or of the exact distribution, or the classical all-zeros
+register) or a :class:`virtualmap.densesim.DensityMatrix`, which optimizes the
+infinite-shot energy directly at small qubit counts.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cone import MapCircuit, row_chunks, schedule, split_residuals
-from .densesim import DensityMatrix, OutcomeBatch, apply_local_map, outcome_distribution
+from .densesim import DensityMatrix, apply_local_map
 from .errors import NumericalError, ValidationError
-from .estimation import _real_weights, dual_arrays, row_weights
-from .linalg import apply_superop_local, herm, trace_mul, unique_rows
+from .estimation import ProductInputData, _real_weights, classical_input, mean_weight
+from .linalg import apply_superop_local, herm, trace_mul
 from .maps import (
     ChoiMatrix,
     adjoint_map,
@@ -51,129 +52,36 @@ from .pauli import Observable, expectation_oracle
 
 
 # ---------------------------------------------------------------------------
-# Input data
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ProductInputData:
-    """Weighted ensemble of per-qubit input factors (rows of dual effects)."""
-
-    weights: np.ndarray  # (R,)
-    factors: np.ndarray  # (R, N, 2, 2)
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.factors = np.asarray(self.factors, dtype=complex)
-        if self.weights.ndim != 1 or self.factors.ndim != 4:
-            raise ValidationError("weights must be (R,) and factors (R, N, 2, 2)")
-        if self.factors.shape[0] != self.weights.shape[0]:
-            raise ValidationError("weights and factors disagree on row count")
-        if self.factors.shape[2:] != (2, 2):
-            raise ValidationError("factors must be 2x2 per qubit")
-
-    @property
-    def num_qubits(self) -> int:
-        return self.factors.shape[1]
-
-
-@dataclass
-class DenseStateData:
-    """Exact input state; optimizes the infinite-shot energy directly."""
-
-    rho: DensityMatrix
-
-    @property
-    def num_qubits(self) -> int:
-        return self.rho.num_qubits
-
-
-def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:
-    """Collapse a measurement batch to weighted dual-effect product rows."""
-    arrays = dual_arrays(duals, batch.num_qubits)
-    uniq, _, counts = unique_rows(batch.outcomes)
-    factors = np.empty((len(uniq), batch.num_qubits, 2, 2), dtype=complex)
-    for q in range(batch.num_qubits):
-        factors[:, q] = arrays[q][uniq[:, q]]
-    return ProductInputData(weights=counts / batch.num_shots, factors=factors)
-
-
-def data_from_distribution(rho: DensityMatrix, povms) -> ProductInputData:
-    """Exact outcome distribution as product rows (small N only)."""
-    n = rho.num_qubits
-    if n > 7:
-        raise ValidationError("distribution enumeration limited to N <= 7")
-    from .povm import SingleQubitPOVM, compute_duals, get_povm
-
-    if isinstance(povms, (str, SingleQubitPOVM)):
-        povms = [povms] * n
-    frames = [
-        compute_duals(p if isinstance(p, SingleQubitPOVM) else get_povm(p)) for p in povms
-    ]
-    arrays = [np.asarray(f.duals) for f in frames]
-    p = outcome_distribution(rho, [f.povm for f in frames]).reshape(-1)
-    keep = np.flatnonzero(p > 0.0)
-    digits = np.unravel_index(keep, [a.shape[0] for a in arrays])  # qubit 0 most significant
-    factors = np.stack([arrays[q][digits[q]] for q in range(n)], axis=1)
-    return ProductInputData(weights=p[keep], factors=factors)
-
-
-def classical_input(num_qubits: int) -> ProductInputData:
-    """The all-zeros register |0...0><0...0| as a single product row."""
-    zero = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    factors = np.broadcast_to(zero, (1, num_qubits, 2, 2)).copy()
-    return ProductInputData(weights=np.ones(1), factors=factors)
-
-
-# ---------------------------------------------------------------------------
 # Energy and per-component objective assembly
 # ---------------------------------------------------------------------------
 
 
 def circuit_energy(circuit: MapCircuit, data, obs: Observable) -> float:
-    """E = sum_i w_i sum_k c_k Tr[L(row_i) P_k] (or the dense equivalent)."""
+    """E = sum_i w_i sum_k c_k Tr[L(row_i) P_k] for product rows, or
+    sum_k c_k Tr[L(rho) P_k] for a DensityMatrix."""
     if data.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("data, circuit, and observable qubit counts differ")
-    if isinstance(data, DenseStateData):
+    if isinstance(data, DensityMatrix):
         n = circuit.num_qubits
-        mat = data.rho.matrix
+        mat = data.matrix
         for comp in circuit.components:
             mat = apply_local_map(DensityMatrix(n, mat), comp.map, comp.qubits).matrix
         reals, _ = _real_weights(expectation_oracle(mat, obs))
         return float(reals[0])
-    tables, rows = _factor_tables(data.factors)
-    reals, _ = _real_weights(row_weights(circuit, tables, rows, obs))
-    return float(np.dot(data.weights, reals))
-
-
-def _factor_tables(factors: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Split (R, N, 2, 2) product rows into per-qubit tables of distinct
-    factors and an (R, N) index array into them."""
-    tables, cols = [], []
-    for q in range(factors.shape[1]):
-        flat = factors[:, q].reshape(len(factors), 4)
-        table, inverse = np.unique(flat, axis=0, return_inverse=True)
-        tables.append(table.reshape(-1, 2, 2))
-        cols.append(inverse.reshape(-1))
-    return tables, np.stack(cols, axis=1)
+    return mean_weight(circuit, data, obs)
 
 
 @dataclass
 class LocalObjective:
-    """Hermitian M with E(circuit with C at component) = Re Tr[C M] + offset.
-
-    The construction absorbs everything into M, so offset is always zero; it
-    is kept explicit so the affine form of the energy is part of the API.
-    """
+    """Hermitian M with E(circuit with C at component) = Re Tr[C M]."""
 
     component: int
     arity: int
     matrix: np.ndarray
-    offset: float = 0.0
 
     def value(self, choi: ChoiMatrix | np.ndarray) -> float:
         mat = choi.matrix if isinstance(choi, ChoiMatrix) else choi
-        return float(np.real(trace_mul(mat, self.matrix))) + self.offset
+        return float(np.real(trace_mul(mat, self.matrix)))
 
 
 def _group_register(op: np.ndarray, n: int, support: tuple[int, ...]) -> np.ndarray:
@@ -187,12 +95,12 @@ def _group_register(op: np.ndarray, n: int, support: tuple[int, ...]) -> np.ndar
 
 
 def _dense_objective(
-    circuit: MapCircuit, index: int, data: DenseStateData, obs: Observable
+    circuit: MapCircuit, index: int, rho: DensityMatrix, obs: Observable
 ) -> np.ndarray:
     n = circuit.num_qubits
     comp = circuit.components[index]
     support = comp.qubits
-    fwd = data.rho.matrix
+    fwd = rho.matrix
     for c in circuit.components[:index]:
         fwd = apply_local_map(DensityMatrix(n, fwd), c.map, c.qubits).matrix
     # Heisenberg-picture operand: the adjoint of a trace-preserving map is
@@ -226,7 +134,7 @@ def _product_objective(
     for chunk in row_chunks(len(data.weights) * terms, peak):
         pair = np.arange(chunk.start, chunk.stop)
         row, term = pair // terms, pair % terms
-        ins = [data.factors[row, q] for q in range(circuit.num_qubits)]
+        ins = [data.tables[q][data.rows[row, q]] for q in range(circuit.num_qubits)]
         outs = [paulis[term, q] for q in range(circuit.num_qubits)]
         r, rbar = split_residuals(circuit, index, ins, outs)
         weight = data.weights[row] * coeffs[term]
@@ -241,7 +149,7 @@ def assemble_local_objective(
     if not obs.is_hermitian:
         raise ValidationError("objective assembly needs a Hermitian observable")
     comp = circuit.components[index]
-    if isinstance(data, DenseStateData):
+    if isinstance(data, DensityMatrix):
         m_raw = _dense_objective(circuit, index, data, obs)
     else:
         m_raw = _product_objective(circuit, index, data, obs)

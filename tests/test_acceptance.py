@@ -22,7 +22,13 @@ from virtualmap.densesim import (
     perturbation_circuit,
     sample_outcomes,
 )
-from virtualmap.estimation import estimate, estimate_exact, shot_weight
+from virtualmap.estimation import (
+    classical_input,
+    data_from_batch,
+    estimate,
+    estimate_exact,
+    shot_weight,
+)
 from virtualmap.linalg import kron_all, trace_mul
 from virtualmap.maps import (
     random_cptp_map,
@@ -33,15 +39,12 @@ from virtualmap.maps import (
 from virtualmap.pauli import Observable, PauliString, expectation_oracle, xx_hamiltonian
 from virtualmap.povm import TETRAHEDRON, compute_duals, make_sic_povm
 from virtualmap.varopt import (
-    DenseStateData,
     LocalObjective,
     SweepOptions,
     assemble_local_objective,
     circuit_energy,
     classical_ansatz,
-    classical_input,
     cptp_residuals,
-    data_from_batch,
     minimize_over_cptp,
     sweep,
     zreset_compose,
@@ -124,7 +127,7 @@ def _noisy_input_runs():
     for seed in (0, 1, 2):
         circuit, report = sweep(
             staircase(6, 1),
-            DenseStateData(rho),
+            rho,
             obs,
             SweepOptions(seed=seed, rounds=24, init="random_unitary"),
             exact_energy=e0,
@@ -426,7 +429,7 @@ def test_criterion_09_reset_containment_and_noisy_input():
     psi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     psi /= np.linalg.norm(psi)
     rho_rand = DensityMatrix(6, np.outer(psi, psi.conj()))
-    e_random_input = circuit_energy(composed, DenseStateData(rho_rand), obs)
+    e_random_input = circuit_energy(composed, rho_rand, obs)
     e_zero_input = circuit_energy(best_circuit, classical_input(6), obs)
     containment_gap = abs(e_random_input - e_zero_input)
 

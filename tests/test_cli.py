@@ -309,6 +309,14 @@ class TestAnsatz:
         assert summary["unconverged_steps"] == summary["iterations"] > 0
         assert summary["max_gap"] > 1e-9
 
+    def test_default_init_is_random_unitary(self, tmp_path):
+        obs_path = tmp_path / "obs.json"
+        write_observable(xx_hamiltonian(3, field=0.4), obs_path)
+        base = ["ansatz", "--observable", str(obs_path), "--rounds", "1", "--seed", "5"]
+        assert main(base + ["--out-circuit", str(tmp_path / "a.json")]) == 0
+        assert main(base + ["--init", "random_unitary", "--out-circuit", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
     @pytest.mark.parametrize("flag", [["--sdp-tol", "0"], ["--sdp-max-iters", "-1"]])
     def test_bad_solver_settings_exit_2(self, tmp_path, flag):
         obs_path = tmp_path / "obs.json"
@@ -337,10 +345,10 @@ class TestAnsatz:
         best = load_circuit(out_circ)
         from virtualmap.densesim import maximally_mixed
         from virtualmap.pauli import Observable as Obs
-        from virtualmap.varopt import DenseStateData, circuit_energy
+        from virtualmap.varopt import circuit_energy
 
         obs = Obs.from_terms(2, [(1.0, "ZI")])
-        e_mixed = circuit_energy(best, DenseStateData(maximally_mixed(2)), obs)
+        e_mixed = circuit_energy(best, maximally_mixed(2), obs)
         assert e_mixed <= -1.0 + 1e-5
 
 
@@ -356,6 +364,23 @@ class TestOracleCheck:
     def test_register_too_large_for_oracle(self):
         rc = main(["oracle-check", "--N", "7", "--instances", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("source", ["N", "circuit"])
+    def test_large_register_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, source):
+        import virtualmap.cli as cli
+
+        def unexpected(*args):
+            raise AssertionError("built a circuit for an oversized register")
+
+        monkeypatch.setattr(cli, "_random_check_circuit", unexpected)
+        monkeypatch.setattr(cli, "dense_map_circuit_oracle", unexpected)
+        if source == "N":
+            args = ["--N", "40"]
+        else:
+            save_circuit(brickwork(7, 1), tmp_path / "c.json")
+            args = ["--circuit", str(tmp_path / "c.json")]
+        assert main(["oracle-check", *args]) == 2
+        assert "oracle limited to N <= 6" in capsys.readouterr().err
 
     def test_impossible_tolerance_fails_with_3(self):
         rc = main(["oracle-check", "--N", "3", "--instances", "1", "--tol", "0"])

@@ -12,6 +12,7 @@ from conftest import (
 )
 from virtualmap.cone import Component, MapCircuit, brickwork, evaluate_trace
 from virtualmap.densesim import (
+    DensityMatrix,
     OutcomeBatch,
     apply_circuit_dense,
     noisy_chain_state,
@@ -21,6 +22,8 @@ from virtualmap.densesim import (
 from virtualmap.errors import NumericalError, ValidationError
 from virtualmap.estimation import (
     Estimate,
+    data_from_batch,
+    data_from_distribution,
     dual_arrays,
     estimate,
     estimate_covariance,
@@ -30,13 +33,7 @@ from virtualmap.estimation import (
 from virtualmap.maps import LocalMap, cnot_map, random_cptp_map
 from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
-from virtualmap.varopt import (
-    DenseStateData,
-    assemble_local_objective,
-    circuit_energy,
-    data_from_batch,
-    data_from_distribution,
-)
+from virtualmap.varopt import assemble_local_objective, circuit_energy
 
 
 def _sic_dual_matrices():
@@ -143,6 +140,14 @@ class TestEstimate:
         with pytest.raises(ValidationError):
             estimate(batch, "sic", MapCircuit(3, ()), obs)
 
+    def test_rejects_outcome_outside_dual_frame(self):
+        # outcome 3 has no dual in a three-element frame
+        batch = OutcomeBatch(np.array([[0, 1], [2, 3]], dtype=np.int8), ("sic",) * 2, 0)
+        obs = Observable.from_terms(2, [(1.0, "ZZ")])
+        duals = [_sic_dual_matrices()[:3]] * 2
+        with pytest.raises(ValidationError, match="outcome 3 out of range for qubit 1"):
+            estimate(batch, duals, MapCircuit(2, ()), obs)
+
     def test_non_hermiticity_preserving_circuit_raises(self):
         rng = np.random.default_rng(0)
         g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -189,6 +194,11 @@ class TestEstimateExact:
             estimate_exact(rho, "sic", MapCircuit(2, ()), obs, duals=duals, method="dense")
         val = estimate_exact(rho, "sic", MapCircuit(2, ()), obs, duals=duals)
         assert abs(val - expectation_oracle(rho.matrix, obs)) < 1e-10
+
+    def test_enumeration_limit(self):
+        rho = DensityMatrix(10, np.eye(1024) / 1024)
+        with pytest.raises(ValidationError, match="N <= 9"):
+            estimate_exact(rho, "sic", MapCircuit(10, ()), xx_hamiltonian(10), method="enumerate")
 
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
@@ -274,11 +284,17 @@ def _reference_weight(circuit, factors, obs):
     return sum(coeff * evaluate_trace(circuit, factors, ps) for coeff, ps in obs.terms)
 
 
+def _weighted_factor_rows(data):
+    """(weight, per-qubit factor list) of every row of product input data."""
+    for w, idx in zip(data.weights, data.rows):
+        yield w, [table[m] for table, m in zip(data.tables, idx)]
+
+
 def _reference_objective(circuit, index, data, obs):
     """The per-row, per-term assembly: sum w c sum_a kron(R_a^T, Rbar_a)."""
     ds = 2 ** len(circuit.components[index].qubits)
     m = np.zeros((ds * ds, ds * ds), dtype=complex)
-    for w, row in zip(data.weights, data.factors):
+    for w, row in _weighted_factor_rows(data):
         for coeff, ps in obs.terms:
             for r, rbar in split_pairs(circuit, index, row, ps):
                 m += (w * coeff) * np.kron(r.T, rbar)
@@ -370,8 +386,7 @@ class TestBatchedKernel:
         batch = sample_outcomes(noisy_chain_state(4), "sic", 60, seed=11)
         data = data_from_batch(batch, "sic")
         want = sum(
-            w * _reference_weight(circ, list(row), obs).real
-            for w, row in zip(data.weights, data.factors)
+            w * _reference_weight(circ, row, obs).real for w, row in _weighted_factor_rows(data)
         )
         assert abs(circuit_energy(circ, data, obs) - want) <= 1e-12 * (1 + abs(want))
         for index in range(len(circ.components)):
@@ -387,7 +402,7 @@ class TestBatchedKernel:
         product = data_from_distribution(rho, "sic")
         for index in range(len(circ.components)):
             m_prod = assemble_local_objective(circ, index, product, obs).matrix
-            m_dense = assemble_local_objective(circ, index, DenseStateData(rho), obs).matrix
+            m_dense = assemble_local_objective(circ, index, rho, obs).matrix
             assert np.max(np.abs(m_prod - m_dense)) <= 1e-12 * (1 + np.abs(m_dense).max())
 
 

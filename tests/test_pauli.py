@@ -100,6 +100,22 @@ class TestObservable:
         expected = 0.5 * _dense_string("XX") - 2.0 * _dense_string("ZI")
         np.testing.assert_allclose(obs.matrix(), expected, atol=0)
 
+    def test_matrix_equals_kron_sum_exactly(self):
+        # the signed-permutation build against the Kronecker chain of each term
+        rng = np.random.default_rng(3)
+        for n in range(1, 7):
+            for _ in range(20):
+                terms = [
+                    (complex(rng.normal(), rng.normal() * (rng.random() < 0.3)),
+                     "".join(rng.choice(list("IXYZ"), n)))
+                    for _ in range(rng.integers(1, 6))
+                ]
+                obs = Observable.from_terms(n, terms)
+                want = np.zeros((2**n, 2**n), dtype=complex)
+                for coeff, ps in obs.terms:
+                    want += coeff * ps.matrix()
+                assert np.array_equal(obs.matrix(), want), terms
+
 
 class TestParseAndWrite:
     def test_single_term_parse(self):

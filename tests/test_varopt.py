@@ -16,7 +16,14 @@ from virtualmap.densesim import (
     sample_outcomes,
 )
 from virtualmap.errors import ValidationError
-from virtualmap.estimation import estimate, estimate_exact
+from virtualmap.estimation import (
+    ProductInputData,
+    classical_input,
+    data_from_batch,
+    data_from_distribution,
+    estimate,
+    estimate_exact,
+)
 from virtualmap.maps import (
     ChoiMatrix,
     LocalMap,
@@ -30,18 +37,13 @@ from virtualmap.maps import (
 from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
 from virtualmap.varopt import (
-    DenseStateData,
     LocalObjective,
-    ProductInputData,
     SdpOptions,
     SweepOptions,
     assemble_local_objective,
     circuit_energy,
     classical_ansatz,
-    classical_input,
     cptp_residuals,
-    data_from_batch,
-    data_from_distribution,
     minimize_over_cptp,
     sweep,
     zreset_compose,
@@ -59,10 +61,10 @@ class TestInputData:
         batch = sample_outcomes(noisy_chain_state(3), "sic", 500, seed=0)
         data = data_from_batch(batch, "sic")
         assert abs(data.weights.sum() - 1.0) < 1e-12
-        assert data.factors.shape[1:] == (3, 2, 2)
-        assert data.factors.shape[0] == data.weights.shape[0]
+        assert [t.shape for t in data.tables] == [(4, 2, 2)] * 3
+        assert data.rows.shape == (data.weights.shape[0], 3)
         # deduplication never expands beyond the shot count
-        assert data.factors.shape[0] <= 500
+        assert data.rows.shape[0] <= 500
 
     def test_distribution_weights_are_probabilities(self):
         data = data_from_distribution(noisy_chain_state(2), "sic")
@@ -77,7 +79,7 @@ class TestInputData:
         data = data_from_distribution(rho, povm)
         duals = np.asarray(compute_duals(povm).duals)
         p = outcome_distribution(rho, [povm] * 3).reshape(-1)
-        keep = np.flatnonzero(p > 0.0)
+        keep = np.flatnonzero(p != 0.0)
         # reference: the former per-row digit loop (qubit 0 most significant)
         factors = np.empty((keep.size, 3, 2, 2), dtype=complex)
         for r, flat in enumerate(keep):
@@ -85,8 +87,21 @@ class TestInputData:
             for q in range(2, -1, -1):
                 factors[r, q] = duals[rem % len(duals)]
                 rem //= len(duals)
-        np.testing.assert_array_equal(data.factors, factors)
+        gathered = np.stack([data.tables[q][data.rows[:, q]] for q in range(3)], axis=1)
+        np.testing.assert_array_equal(gathered, factors)
         np.testing.assert_array_equal(data.weights, p[keep])
+
+    def test_distribution_above_seven_qubits(self):
+        rng = np.random.default_rng(15)
+        rho = noisy_chain_state(8, theta=0.3, p=0.02)
+        circ = brickwork(8, 1, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(8, field=0.4)
+        data = data_from_distribution(rho, "sic")
+        assert data.rows.shape == (4**8, 8)
+        energy = circuit_energy(circ, data, obs)
+        assert energy == estimate_exact(rho, "sic", circ, obs, method="enumerate")
+        dense = estimate_exact(rho, "sic", circ, obs, method="dense")
+        assert abs(energy - dense) < 1e-9 * (1 + abs(dense))
 
     def test_classical_input_is_zero_state(self):
         data = classical_input(3)
@@ -94,12 +109,29 @@ class TestInputData:
         assert data.weights[0] == 1.0
         for q in range(3):
             np.testing.assert_allclose(
-                data.factors[0, q], np.diag([1.0, 0.0]), atol=0
+                data.tables[q][data.rows[0, q]], np.diag([1.0, 0.0]), atol=0
             )
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
-            ProductInputData(np.array([0.5, 0.5]), np.zeros((1, 2, 2, 2)))
+            ProductInputData(np.array([0.5, 0.5]), [np.zeros((1, 2, 2))] * 2, np.zeros((1, 2), int))
+
+    @pytest.mark.parametrize(
+        "weights, tables, rows, message",
+        [
+            (np.ones((1, 1)), [np.eye(2)[None]] * 2, np.zeros((1, 2), int), "weights"),
+            (np.ones(1), [np.eye(2)[None]] * 2, np.zeros((1, 2)), "integers"),
+            (np.ones(1), [np.eye(2)[None]] * 2, np.zeros(2, int), "integers"),
+            (np.ones(1), [np.eye(2)[None]] * 3, np.zeros((1, 2), int), "2 factor tables"),
+            (np.ones(1), [np.eye(2)[None], np.eye(2)], np.zeros((1, 2), int), "table 1"),
+            (np.ones(1), [np.eye(2)[None], np.eye(3)[None]], np.zeros((1, 2), int), "table 1"),
+            (np.ones(1), [np.eye(2)[None]] * 2, np.array([[0, 1]]), "outcome 1"),
+            (np.ones(1), [np.eye(2)[None]] * 2, np.array([[-1, 0]]), "outcome -1"),
+        ],
+    )
+    def test_rejects_malformed_rows(self, weights, tables, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            ProductInputData(weights, tables, rows)
 
 
 class TestCircuitEnergy:
@@ -128,7 +160,7 @@ class TestCircuitEnergy:
         rng = np.random.default_rng(4)
         circ = brickwork(3, 1, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(3)
-        e_dense = circuit_energy(circ, DenseStateData(rho), obs)
+        e_dense = circuit_energy(circ, rho, obs)
         e_prod = circuit_energy(circ, data_from_distribution(rho, "sic"), obs)
         assert abs(e_dense - e_prod) < 1e-9 * (1 + abs(e_dense))
 
@@ -139,7 +171,7 @@ class TestLocalObjective:
         rng = np.random.default_rng(5)
         circ = brickwork(4, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(4, field=0.6)
-        for data in (DenseStateData(rho), data_from_distribution(rho, "sic")):
+        for data in (rho, data_from_distribution(rho, "sic")):
             energy = circuit_energy(circ, data, obs)
             for index in range(len(circ.components)):
                 objective = assemble_local_objective(circ, index, data, obs)
@@ -151,7 +183,7 @@ class TestLocalObjective:
         rng = np.random.default_rng(6)
         circ = brickwork(3, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(3)
-        data = DenseStateData(rho)
+        data = rho
         objective = assemble_local_objective(circ, 1, data, obs)
         new_map = random_cptp_map(2, rng)
         predicted = objective.value(superop_to_choi(new_map))
@@ -164,7 +196,7 @@ class TestLocalObjective:
         circ = brickwork(3, 1, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(3, field=0.3)
         prod = data_from_distribution(rho, "sic")
-        dense = DenseStateData(rho)
+        dense = rho
         for index in range(len(circ.components)):
             m_prod = assemble_local_objective(circ, index, prod, obs).matrix
             m_dense = assemble_local_objective(circ, index, dense, obs).matrix
@@ -175,7 +207,7 @@ class TestLocalObjective:
         rho = noisy_chain_state(2)
         circ = brickwork(2, 1)
         obs = Observable.from_terms(2, [(1.0, "II")])
-        objective = assemble_local_objective(circ, 0, DenseStateData(rho), obs)
+        objective = assemble_local_objective(circ, 0, rho, obs)
         rng = np.random.default_rng(8)
         for _ in range(3):
             choi = superop_to_choi(random_cptp_map(2, rng))
@@ -186,7 +218,7 @@ class TestLocalObjective:
         circ = brickwork(2, 1)
         with pytest.raises(ValidationError):
             assemble_local_objective(
-                circ, 0, DenseStateData(noisy_chain_state(2)), obs
+                circ, 0, noisy_chain_state(2), obs
             )
 
 
@@ -197,7 +229,7 @@ def _certified(info, tol):
 
 def _assert_objectives_match_dense(circ, rho, data, obs):
     for index in range(len(circ.components)):
-        want = _dense_objective(circ, index, DenseStateData(rho), obs)
+        want = _dense_objective(circ, index, rho, obs)
         got = _product_objective(circ, index, data, obs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), index
 
@@ -479,7 +511,7 @@ class TestZresetCompose:
         # composed circuit gives the same energy from any input state
         for seed in range(3):
             rho = noisy_chain_state(3, theta=0.4 + 0.1 * seed, p=0.05)
-            e = circuit_energy(composed, DenseStateData(rho), obs)
+            e = circuit_energy(composed, rho, obs)
             assert abs(e - e_zero_input) < 1e-9
 
 
