@@ -27,7 +27,7 @@ from .densesim import (
     batch_to_text,
     build_state,
     dense_map_circuit_oracle,
-    exact_ground_energy,
+    exact_ground_value,
     maximally_mixed,
     read_batch,
     sample_outcomes,
@@ -148,7 +148,7 @@ def _sweep_options(args) -> SweepOptions:
 def _exact_energy_if_small(obs) -> float | None:
     if obs.num_qubits > 12:
         return None
-    return exact_ground_energy(obs)[0]
+    return exact_ground_value(obs)
 
 
 def _finish_sweep(args, circuit, report, holdout_summary=None) -> int:

@@ -404,12 +404,20 @@ def noisy_chain_state(num_qubits: int, theta: float = 0.05, p: float = 1e-3) -> 
     return rho
 
 
-def exact_ground_energy(obs: Observable) -> tuple[float, np.ndarray]:
-    """Ground energy and ground state of a Hermitian observable, densely."""
+def _dense_hamiltonian(obs: Observable) -> np.ndarray:
     if obs.num_qubits > 12:
         raise ValidationError("exact diagonalization limited to N <= 12")
     if not obs.is_hermitian:
         raise ValidationError("observable is not Hermitian")
-    h = obs.matrix()
-    vals, vecs = np.linalg.eigh(h)
+    return obs.matrix()
+
+
+def exact_ground_energy(obs: Observable) -> tuple[float, np.ndarray]:
+    """Ground energy and ground state of a Hermitian observable, densely."""
+    vals, vecs = np.linalg.eigh(_dense_hamiltonian(obs))
     return float(vals[0]), vecs[:, 0]
+
+
+def exact_ground_value(obs: Observable) -> float:
+    """Ground energy alone of a Hermitian observable, densely (no eigenvectors)."""
+    return float(np.linalg.eigvalsh(_dense_hamiltonian(obs))[0])

@@ -85,10 +85,13 @@ def dual_arrays(duals, num_qubits: int) -> list[np.ndarray]:
     duals = list(duals)
     if len(duals) != num_qubits:
         raise ValidationError(f"need {num_qubits} dual frames, got {len(duals)}")
+    presets: dict[str, DualFrame] = {}  # each label's dual frame, built once
     out = []
     for d in duals:
         if isinstance(d, str):
-            d = compute_duals(get_povm(d))
+            if d not in presets:
+                presets[d] = compute_duals(get_povm(d))
+            d = presets[d]
         elif isinstance(d, SingleQubitPOVM):
             d = compute_duals(d)
         arr = np.asarray(d.duals if isinstance(d, DualFrame) else d, dtype=complex)

@@ -11,13 +11,19 @@ whole-register plan cut at the component gives the residuals of every row and
 Pauli term, contracted in one batch) and the input data. The subproblem is a
 small semidefinite program, solved by a primal-dual interior-point method
 (Mehrotra predictor-corrector steps in the HKM direction, about ten Newton
-steps per solve). Its dual
-variable Y proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I) on the
-optimum, so every solve reports a certified optimality gap next to its value,
-and the returned map is exactly trace-preserving. A sweep visits components
-cyclically, installing a new map only when it lowers the energy, and records
-each solve's gap and convergence. Input data is either the weighted product
-rows of :class:`virtualmap.estimation.ProductInputData` (dual effects of
+steps per solve). Its matrices are d^2 x d^2 for a d-dimensional component,
+so a step costs about as much as the numpy calls it makes: each step factors
+S and C once, builds the Schur matrix from one block product, and takes the
+primal and dual step lengths of the predictor and of the corrector with one
+batched eigvalsh each. The dual variable Y proves the lower bound
+Tr Y + dim * lambda_min(M - Y (x) I) on the optimum, so every solve reports a
+certified optimality gap next to its value, and the returned map is exactly
+trace-preserving. A sweep visits components cyclically, installing a new map
+only when it lowers the energy, and records each solve's gap and
+convergence. M does not depend on the visited component's own map, so when
+no map has been installed since a component's previous visit, the sweep
+reuses that visit's objective and solve. Input data is either the weighted
+product rows of :class:`virtualmap.estimation.ProductInputData` (dual effects of
 measured outcomes or of the exact distribution, or the classical all-zeros
 register) or a :class:`virtualmap.densesim.DensityMatrix`, which optimizes the
 infinite-shot energy directly at small qubit counts.
@@ -138,7 +144,10 @@ def _product_objective(
         outs = [paulis[term, q] for q in range(circuit.num_qubits)]
         r, rbar = split_residuals(circuit, index, ins, outs)
         weight = data.weights[row] * coeffs[term]
-        m4 += np.einsum("b,bxwyu,bXuYw->yXxY", weight, r, rbar, optimize=True)
+        # sum_{b,w,u} weight_b r[b,x,w,y,u] rbar[b,X,u,Y,w], one matmul over (b,w,u)
+        lhs = np.multiply(r.transpose(1, 3, 0, 2, 4), weight[:, None, None], order="C")
+        rhs = rbar.transpose(0, 4, 2, 1, 3).reshape(-1, ds * ds)
+        m4 += (lhs.reshape(ds * ds, -1) @ rhs).reshape(ds, ds, ds, ds).transpose(1, 2, 0, 3)
     return m4.reshape(ds * ds, ds * ds)
 
 
@@ -166,12 +175,16 @@ class SdpOptions:
     """Settings of the interior-point solver for the per-component subproblem.
 
     ``max_iters`` caps the Newton (predictor-corrector) steps; a solve needs
-    about ten.  ``tol`` is the target relative certified gap: the solver stops
-    once the returned channel's value exceeds a proven lower bound on the
-    optimum by at most ``tol * (1 + |value|)``.  Near a degenerate optimal face
-    the attainable gap levels off around 1e-11 (relative to the scale of M), so
-    a solve may end with ``converged=False`` and a gap just above the target;
-    the gap is always reported.
+    about ten, and each step takes its step lengths from one batched
+    eigenvalue call per direction.  ``tol`` is the target relative certified
+    gap: the solver stops once the returned channel's value exceeds a proven
+    lower bound on the optimum by at most ``tol * (1 + |value|)``, and
+    ``converged`` reports that test on the returned channel whatever ended the
+    loop.  Near a degenerate optimal face the attainable gap levels off around
+    1e-11 (relative to the scale of M), so a solve may end with
+    ``converged=False`` and a gap just above the target; the gap is always
+    reported.  A sweep solves a component's subproblem again only if some map
+    was installed since its last visit.
     """
 
     max_iters: int = 50
@@ -201,15 +214,27 @@ def _eye(dim: int) -> np.ndarray:
     return _EYE_CACHE[dim]
 
 
-def _lift(y: np.ndarray, dim: int) -> np.ndarray:
-    """Y (x) I_out, without the kron call overhead."""
-    out = y[:, None, :, None] * _eye(dim)[None, :, None, :]
-    return out.reshape(dim * dim, dim * dim)
+def _lifter(dim: int):
+    """Y -> Y (x) I_out without the kron call overhead: the returned function
+    writes Y into the block diagonal of one zeroed buffer through a strided
+    4-index view and returns the buffer, so each call overwrites the last."""
+    side = dim * dim
+    buf = np.zeros((side, side), dtype=complex)
+    st = buf.reshape(dim, dim, dim, dim).strides  # [a, r, b, s]
+    diag = np.lib.stride_tricks.as_strided(
+        buf, (dim, dim, dim), (st[1] + st[3], st[0], st[2])
+    )  # diag[r, a, b] is buf[(a, r), (b, r)]
+
+    def lift(y: np.ndarray) -> np.ndarray:
+        diag[...] = y
+        return buf
+
+    return lift
 
 
 def _partial_trace(c: np.ndarray, dim: int) -> np.ndarray:
     """Tr_out C."""
-    return np.trace(c.reshape(dim, dim, dim, dim), axis1=1, axis2=3)
+    return c.reshape(dim, dim, dim, dim).trace(axis1=1, axis2=3)
 
 
 def cptp_residuals(c: np.ndarray, dim: int) -> tuple[float, float]:
@@ -223,23 +248,31 @@ def _tp_polish(c: np.ndarray, dim: int) -> np.ndarray:
     """(A^-1/2 (x) I) C (A^-1/2 (x) I) with A = Tr_out C: a congruence, so it
     keeps C >= 0, and it makes the map exactly trace-preserving."""
     vals, vecs = np.linalg.eigh(_partial_trace(c, dim))
-    root = _lift((vecs / np.sqrt(vals)) @ vecs.conj().T, dim)
+    root = _lifter(dim)((vecs / np.sqrt(vals)) @ vecs.conj().T)
     return herm(root @ c @ root)
 
 
-def _schur_block(p: np.ndarray, q: np.ndarray, dim: int) -> np.ndarray:
-    """Matrix of dY -> Tr_out[P (dY (x) I) Q] on row-major vec(dY):
-    K[(a,c),(b,e)] = sum_{r,s} P[(a,r),(b,s)] Q[(e,s),(c,r)]."""
+def _schur_matrix(x: np.ndarray, s_inv: np.ndarray, dim: int) -> np.ndarray:
+    """Matrix of the HKM map dY -> Tr_out[sym(X (dY (x) I) S^-1)] on
+    row-major vec(dY), from one block product.
+
+    The block of dY -> Tr_out[X (dY (x) I) S^-1] is
+    K[(a,c),(b,e)] = sum_{r,s} X[(a,r),(b,s)] S^-1[(e,s),(c,r)]. For
+    Hermitian X and S^-1 the other half, dY -> Tr_out[S^-1 (dY (x) I) X], is
+    the adjoint of the first on dY^H, so its block is conj(K[(c,a),(e,b)]).
+    """
     side = dim * dim
-    pp = p.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(side, side)
-    qq = q.reshape(dim, dim, dim, dim).transpose(3, 1, 2, 0).reshape(side, side)
-    return (pp @ qq).reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(side, side)
+    xx = x.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(side, side)
+    ss = s_inv.reshape(dim, dim, dim, dim).transpose(3, 1, 2, 0).reshape(side, side)
+    k = (xx @ ss).reshape(dim, dim, dim, dim)  # k[a, b, c, e] = K[(a,c),(b,e)]
+    return ((k.transpose(0, 2, 1, 3) + k.transpose(2, 0, 3, 1).conj()) * 0.5).reshape(side, side)
 
 
-def _max_step(root_inv: np.ndarray, dz: np.ndarray) -> float:
-    """Largest a with Z + a dZ >= 0, given root_inv with root_inv Z root_inv^H = I."""
-    lam = np.linalg.eigvalsh(root_inv @ dz @ root_inv.conj().T)[0]
-    return np.inf if lam >= 0.0 else -1.0 / lam
+def _max_steps(roots: np.ndarray, dirs: np.ndarray) -> list[float]:
+    """Largest a_i with Z_i + a_i dZ_i >= 0 for a stack of cones, given roots
+    with root_i Z_i root_i^H = I (inf where dZ_i >= 0): one batched eigvalsh."""
+    lam = np.linalg.eigvalsh(roots @ dirs @ roots.conj().transpose(0, 2, 1))[:, 0]
+    return [np.inf if v >= 0.0 else -1.0 / v for v in lam.tolist()]
 
 
 def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
@@ -250,56 +283,64 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     S = M - Y (x) I >= 0.  Since Tr C = dim on the primal set, every Hermitian
     Y proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I) on the
     optimum; the loop stops once the polished primal point is within
-    ``options.tol`` of it.  Returns (C, dual bound, Newton steps, converged).
+    ``options.tol`` of it.  Returns (C, dual bound, Newton steps).
+
+    Each step factors S once (eigh, which also gives the root Lambda^-1/2 V^H
+    of S^-1) and C once (Cholesky), and takes the primal and dual step lengths
+    of the predictor and of the corrector with one batched eigvalsh each.
     """
     side = dim * dim
     eye = _eye(dim)
+    lift = _lifter(dim)
     lam = np.linalg.eigvalsh(m)
     x = np.eye(side, dtype=complex) / dim
     y = (lam[0] - 1.0 - max(-lam[0], lam[-1])) * eye
+    roots = np.empty((2, side, side), dtype=complex)  # R Z R^H = I for Z = C, S
+    dirs = np.empty((2, side, side), dtype=complex)  # dC and dS
     for steps in range(options.max_iters + 1):
-        s = herm(m - _lift(y, dim))
+        # X and Y stay exactly Hermitian, so S is too: eigh reads one triangle
+        s = m - lift(y)
         s_vals, s_vecs = np.linalg.eigh(s)
-        bound = float(np.trace(y).real) + dim * s_vals[0]
-        value = trace_mul(x, m).real
+        bound = float(y.trace().real) + dim * s_vals[0]
+        value = np.vdot(x, m).real
         if value - bound <= options.tol * (1.0 + abs(value)):
             polished = _tp_polish(x, dim)
-            value = trace_mul(polished, m).real
+            value = np.vdot(polished, m).real
             if value - bound <= options.tol * (1.0 + abs(value)):
-                return polished, bound, steps, True
+                return polished, bound, steps
         if steps == options.max_iters or s_vals[0] <= 0.0:
             break
         try:
-            x_root_inv = np.linalg.inv(np.linalg.cholesky(x))
+            roots[0] = np.linalg.inv(np.linalg.cholesky(x))
         except np.linalg.LinAlgError:
             break
-        s_inv = (s_vecs / s_vals) @ s_vecs.conj().T
-        s_root_inv = (s_vecs / np.sqrt(s_vals)) @ s_vecs.conj().T
-        mu = trace_mul(x, s).real / side
-        primal_res = eye - _partial_trace(x, dim)
-        schur = (_schur_block(x, s_inv, dim) + _schur_block(s_inv, x, dim)) / 2.0
+        s_vecs_h = s_vecs.conj().T
+        s_inv = (s_vecs / s_vals) @ s_vecs_h
+        roots[1] = s_vecs_h / np.sqrt(s_vals)[:, None]
+        mu = np.vdot(x, s).real / side
+        schur = _schur_matrix(x, s_inv, dim)
 
-        def direction(r):
-            # dC = r + sym(C (dY (x) I) S^-1) with Tr_out dC = primal_res.
-            rhs = (primal_res - _partial_trace(r, dim)).reshape(-1)
-            dy = herm(np.linalg.solve(schur, rhs).reshape(dim, dim))
-            t = x @ _lift(dy, dim) @ s_inv
-            return herm(r + (t + t.conj().T) / 2.0), dy
+        def direction(extra):
+            # dC = extra - C + sym(C (dY (x) I) S^-1) with Tr_out(C + dC) = I;
+            # the Schur map commutes with ^H, so only herm(extra) matters.
+            rhs = eye if extra is None else eye - _partial_trace(extra, dim)
+            dy = herm(np.linalg.solve(schur, rhs.reshape(-1)).reshape(dim, dim))
+            t = x @ lift(dy) @ s_inv
+            return herm(t if extra is None else t + extra) - x, dy
 
-        dx_aff, dy_aff = direction(-x)
-        ds_aff = -_lift(dy_aff, dim)
-        a_p = min(1.0, _max_step(x_root_inv, dx_aff))
-        a_d = min(1.0, _max_step(s_root_inv, ds_aff))
-        sigma = (trace_mul(x + a_p * dx_aff, s + a_d * ds_aff).real / side / mu) ** 3
-        t = dx_aff @ ds_aff @ s_inv
-        dx, dy = direction(sigma * mu * s_inv - x - (t + t.conj().T) / 2.0)
-        a_p = min(1.0, _STEP_FRACTION * _max_step(x_root_inv, dx))
-        a_d = min(1.0, _STEP_FRACTION * _max_step(s_root_inv, -_lift(dy, dim)))
+        dirs[0], dy_aff = direction(None)
+        np.negative(lift(dy_aff), out=dirs[1])
+        a_p, a_d = (min(1.0, a) for a in _max_steps(roots, dirs))
+        sigma = (np.vdot(x + a_p * dirs[0], s + a_d * dirs[1]).real / side / mu) ** 3
+        dx, dy = direction(sigma * mu * s_inv - dirs[0] @ dirs[1] @ s_inv)
+        dirs[0] = dx
+        np.negative(lift(dy), out=dirs[1])
+        a_p, a_d = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(roots, dirs))
         if min(a_p, a_d) < _MIN_STEP:
             break
-        x = herm(x + a_p * dx)
-        y = herm(y + a_d * dy)
-    return _tp_polish(x, dim), bound, steps, False
+        x = x + a_p * dx
+        y = y + a_d * dy
+    return _tp_polish(x, dim), bound, steps
 
 
 def minimize_over_cptp(
@@ -323,8 +364,9 @@ def minimize_over_cptp(
     if not np.all(np.isfinite(m)):
         raise ValidationError("objective matrix has non-finite entries")
 
-    best, bound, iters_done, converged = _interior_point(m, dim, options)
+    best, bound, iters_done = _interior_point(m, dim, options)
     best_val = float(np.real(trace_mul(best, m)))
+    gap = best_val - float(bound)
     neg, tp_res = cptp_residuals(best, dim)
     if neg > 1e-7 or tp_res > 1e-7:
         raise NumericalError(
@@ -333,9 +375,9 @@ def minimize_over_cptp(
     info = {
         "iters": iters_done,
         "value": best_val,
-        "converged": converged,
-        "gap": best_val - bound,
-        "dual_bound": bound,
+        "converged": gap <= options.tol * (1.0 + abs(best_val)),
+        "gap": gap,
+        "dual_bound": float(bound),
         "min_eig": -neg,
         "tp_residual": tp_res,
     }
@@ -439,21 +481,33 @@ def sweep(
         raise ValidationError("sweep order refers to missing components")
     energy = circuit_energy(current, data, obs)
     report = SweepReport(initial_energy=energy, exact_energy=exact_energy)
+    installs = 0
+    # component -> (installs after its last visit, objective, solution, info)
+    last_visit: dict[int, tuple] = {}
     for rnd in range(1, options.rounds + 1):
         improved = False
         for index in order:
-            objective = assemble_local_objective(current, index, data, obs)
+            seen = last_visit.get(index)
+            if seen is not None and seen[0] == installs:
+                # No map changed since the last visit, and M does not depend on
+                # the component's own map: the subproblem and its solve are the
+                # same as then.
+                _, objective, choi_new, info = seen
+            else:
+                objective = assemble_local_objective(current, index, data, obs)
+                choi_new, info = minimize_over_cptp(objective, options.sdp)
             choi_cur = superop_to_choi(current.components[index].map)
             v_before = objective.value(choi_cur)
-            choi_new, info = minimize_over_cptp(objective, options.sdp)
             v_new = objective.value(choi_new)
             if v_new < v_before - options.accept_tol:
                 current = current.with_component(index, choi_to_superop(choi_new))
                 energy = energy - v_before + v_new
+                installs += 1
                 installed = True
                 improved = True
             else:
                 installed = False
+            last_visit[index] = (installs, objective, choi_new, info)
             report.steps.append(
                 SweepStep(
                     round=rnd,

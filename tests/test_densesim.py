@@ -18,6 +18,7 @@ from virtualmap.densesim import (
     computational_zero,
     dense_map_circuit_oracle,
     exact_ground_energy,
+    exact_ground_value,
     from_statevector,
     load_state_prep,
     maximally_mixed,
@@ -458,6 +459,17 @@ class TestExactGroundEnergy:
         obs = Observable.from_terms(1, [(1.0j, "Z")])
         with pytest.raises(ValidationError):
             exact_ground_energy(obs)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            exact_ground_value(obs)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_value_alone_matches_eigh(self, n):
+        obs = xx_hamiltonian(n, coupling=1.0, field=0.95, periodic=True)
+        assert abs(exact_ground_value(obs) - exact_ground_energy(obs)[0]) <= 1e-12
+
+    def test_value_alone_size_limit(self):
+        with pytest.raises(ValidationError, match="N <= 12"):
+            exact_ground_value(xx_hamiltonian(13))
 
 
 def test_identity_circuit_roundtrip_through_dense_apply():

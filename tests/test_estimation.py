@@ -253,6 +253,28 @@ class TestDualArrays:
         with pytest.raises(ValidationError):
             dual_arrays(["sic", "sic"], 3)
 
+    def test_each_preset_built_once_per_call(self, monkeypatch):
+        from virtualmap import estimation
+        from virtualmap.povm import get_povm
+
+        calls = []
+
+        def counting(label):
+            calls.append(label)
+            return get_povm(label)
+
+        monkeypatch.setattr(estimation, "get_povm", counting)
+        cube = compute_duals(cube_povm())
+        duals = ["sic", cube, "sic", "sic", cube, "sic"]
+        arrays = dual_arrays(duals, len(duals))
+        assert calls == ["sic"]
+        sic = compute_duals(get_povm("sic"))
+        for d, arr in zip(duals, arrays):
+            np.testing.assert_array_equal(arr, (sic if isinstance(d, str) else d).duals)
+        calls.clear()
+        dual_arrays("sic", 8)
+        assert calls == ["sic"]
+
 
 class TestEstimateContainer:
     def test_per_shot_consistency_enforced(self):

@@ -48,7 +48,13 @@ from virtualmap.varopt import (
     sweep,
     zreset_compose,
 )
-from virtualmap.varopt import _dense_objective, _product_objective
+from virtualmap.varopt import (
+    SweepStep,
+    _dense_objective,
+    _max_steps,
+    _product_objective,
+    _schur_matrix,
+)
 
 
 def _random_hermitian(dim, rng):
@@ -371,6 +377,18 @@ class TestMinimizeOverCptp:
         neg, tp = cptp_residuals(choi.matrix, 4)
         assert neg <= 1e-7 and tp <= 1e-7
 
+    def test_converged_describes_the_returned_point(self):
+        # converged is the certified-gap test on the returned value, whatever
+        # ended the Newton loop
+        rng = np.random.default_rng(5)
+        tol = SdpOptions().tol
+        for _ in range(200):
+            arity = int(rng.integers(1, 3))
+            m = _random_hermitian(4**arity, rng) * 10.0 ** rng.uniform(-2, 2)
+            _, info = minimize_over_cptp(m)
+            assert isinstance(info["converged"], bool)
+            assert info["converged"] == (info["gap"] <= tol * (1.0 + abs(info["value"])))
+
     def test_rejects_non_finite_objective(self):
         m = np.eye(4)
         m[1, 2] = np.nan
@@ -383,6 +401,144 @@ class TestMinimizeOverCptp:
     def test_bad_options_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             SdpOptions(**kwargs)
+
+
+def _positive_definite(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g @ g.conj().T + 0.1 * np.eye(dim)
+
+
+class TestInteriorPointKernels:
+    def test_batched_step_lengths_match_per_matrix_eigvalsh(self):
+        rng = np.random.default_rng(31)
+        for side in (4, 16):
+            x = _positive_definite(side, rng)
+            vals, vecs = np.linalg.eigh(_positive_definite(side, rng))
+            roots = np.stack(
+                [np.linalg.inv(np.linalg.cholesky(x)), vecs.conj().T / np.sqrt(vals)[:, None]]
+            )
+            # the second pair's direction is positive definite: no step limit
+            for dirs in (
+                np.stack([_random_hermitian(side, rng), _random_hermitian(side, rng)]),
+                np.stack([_random_hermitian(side, rng), _positive_definite(side, rng)]),
+            ):
+                want = []
+                for root, d in zip(roots, dirs):
+                    lam = np.linalg.eigvalsh(root @ d @ root.conj().T)[0]
+                    want.append(np.inf if lam >= 0.0 else -1.0 / lam)
+                np.testing.assert_allclose(_max_steps(roots, dirs), want, rtol=1e-12)
+            assert want[1] == np.inf
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_one_block_schur_matches_two_block_average(self, dim):
+        # the two halves of dY -> Tr_out[sym(X (dY (x) I) S^-1)], each from
+        # K[(a,c),(b,e)] = sum_{r,s} P[(a,r),(b,s)] Q[(e,s),(c,r)]
+        rng = np.random.default_rng(32)
+        side = dim * dim
+        x = _positive_definite(side, rng)
+        vals, vecs = np.linalg.eigh(_positive_definite(side, rng))
+        s_inv = (vecs / vals) @ vecs.conj().T  # Hermitian to round-off only
+
+        def block(p, q):
+            k = np.einsum(
+                "arbs,escr->acbe",
+                p.reshape(dim, dim, dim, dim),
+                q.reshape(dim, dim, dim, dim),
+            )
+            return k.reshape(side, side)
+
+        want = (block(x, s_inv) + block(s_inv, x)) / 2.0
+        got = _schur_matrix(x, s_inv, dim)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _resolve_every_visit(circuit, data, obs, options):
+    """The steps of sweep() when every visit assembles and solves afresh."""
+    current, start = sweep(circuit, data, obs, replace(options, rounds=0))
+    energy = start.initial_energy
+    steps = []
+    for rnd in range(1, options.rounds + 1):
+        improved = False
+        for index in options.order or range(len(current.components)):
+            objective = assemble_local_objective(current, index, data, obs)
+            choi_new, info = minimize_over_cptp(objective, options.sdp)
+            v_before = objective.value(superop_to_choi(current.components[index].map))
+            v_new = objective.value(choi_new)
+            installed = v_new < v_before - options.accept_tol
+            if installed:
+                current = current.with_component(index, choi_to_superop(choi_new))
+                energy = energy - v_before + v_new
+                improved = True
+            steps.append(
+                SweepStep(
+                    round=rnd,
+                    component=index,
+                    value_before=v_before,
+                    value_after=v_new if installed else v_before,
+                    installed=installed,
+                    subproblem_value=info["value"],
+                    energy=energy,
+                    gap=info["gap"],
+                    converged=info["converged"],
+                )
+            )
+        if not improved:
+            break
+    steps[-1].energy = circuit_energy(current, data, obs)
+    return steps
+
+
+def _count_solves(monkeypatch):
+    from virtualmap import varopt
+
+    calls = {"assemble": 0, "solve": 0}
+    real_assemble, real_solve = varopt.assemble_local_objective, varopt.minimize_over_cptp
+
+    def assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return real_assemble(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        calls["solve"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(varopt, "assemble_local_objective", assemble)
+    monkeypatch.setattr(varopt, "minimize_over_cptp", solve)
+    return calls
+
+
+class TestSweepReuse:
+    def test_ansatz_skips_unchanged_subproblems(self, monkeypatch):
+        obs = xx_hamiltonian(5, coupling=1.0, field=0.95, periodic=True)
+        options = SweepOptions(rounds=24, seed=0, init="random_unitary")
+        want = _resolve_every_visit(staircase(5, 1), classical_input(5), obs, options)
+        calls = _count_solves(monkeypatch)
+        _, report = classical_ansatz(obs, layers=1, options=options)
+        assert len(report.steps) == len(want) == 36
+        assert calls == {"assemble": 34, "solve": 34}
+        assert report.steps == want
+
+    def test_dense_state_skips_unchanged_subproblems(self, monkeypatch):
+        rho = noisy_chain_state(4, theta=0.3, p=0.01)
+        obs = xx_hamiltonian(4, field=0.4)
+        options = SweepOptions(rounds=10, init="random_unitary", seed=0, accept_tol=1e-4)
+        want = _resolve_every_visit(staircase(4, 1), rho, obs, options)
+        calls = _count_solves(monkeypatch)
+        _, report = sweep(staircase(4, 1), rho, obs, options)
+        assert calls["assemble"] == calls["solve"] < len(report.steps)
+        assert report.steps == want
+
+    def test_installing_a_map_forces_a_fresh_solve(self, monkeypatch):
+        # every visit of this chain installs, so nothing may be reused
+        rho = noisy_chain_state(3, theta=0.3, p=0.01)
+        obs = xx_hamiltonian(3, field=0.4)
+        options = SweepOptions(rounds=3, init="random_unitary", seed=2)
+        want = _resolve_every_visit(brickwork(3, 2), rho, obs, options)
+        assert all(s.installed for s in want)
+        calls = _count_solves(monkeypatch)
+        _, report = sweep(brickwork(3, 2), rho, obs, options)
+        assert calls["solve"] == len(report.steps)
+        assert report.steps == want
 
 
 class TestSweep:
