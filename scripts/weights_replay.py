@@ -1,0 +1,184 @@
+#!/usr/bin/env python3
+"""Replay the shot-weight kernel ``estimation.row_weights`` on three cases.
+
+* ``estimate-n8``: the ``estimate-n8`` benchmark job's inputs (perturbed
+  ground state of the periodic N=8 XX chain at field 0.95, 64 SIC shots,
+  seed 1), deduplicated as ``estimate`` does, under its two circuits:
+  ``brickwork(8, 2)`` of identity maps and the inverted noise circuit.
+* ``brickwork-10-4``: ``brickwork(10, 4)`` of random CPTP maps, the N=10 XX
+  chain, 2000 random SIC rows.
+* ``wide-z12``: ``brickwork(12, 2)`` of random CPTP maps, the N=12 XX chain
+  plus 0.3 Z^(x)12, 300 random SIC rows. The wide term's light cone covers
+  the register, so no local term may share its contraction.
+
+Each case is checked against the sum of singleton groups (one single-term
+observable per call), within 1e-12 of 1 + |w| per row; a failed check exits
+with status 1. The script prints one JSON record: per case the number of
+cone runs (``evaluate_rows`` calls), the calls of the three ``linalg``
+kernels, and the median and quartiles of the seconds per ``row_weights``
+pass over ``--repeats`` timed passes. ``--out`` also stores the record in a
+JSON file under the key ``--tag``, keeping the file's other keys.
+
+Example:
+    python3 scripts/weights_replay.py --repeats 7 --tag change --out BENCH_weights.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from virtualmap import cone, estimation
+from virtualmap.cone import brickwork
+from virtualmap.densesim import (
+    DensityMatrix,
+    build_perturbed_state,
+    exact_ground_energy,
+    perturbation_circuit,
+    sample_outcomes,
+)
+from virtualmap.linalg import unique_rows
+from virtualmap.maps import random_cptp_map
+from virtualmap.pauli import Observable, xx_hamiltonian
+
+FIELD = 0.95
+TOL = 1e-12
+KERNELS = ("insert_factor", "apply_superop_local", "multiply_trace_out")
+
+
+def estimate_n8_case():
+    """The estimate-n8 job's unique rows under both of its circuits."""
+    n = 8
+    ham = xx_hamiltonian(n, coupling=1.0, field=FIELD, periodic=True)
+    _, vec = exact_ground_energy(ham)
+    rho = build_perturbed_state(DensityMatrix(n, np.outer(vec, vec.conj())), 0.05, 21)
+    rows, _, _ = unique_rows(sample_outcomes(rho, "sic", 64, seed=1).outcomes)
+    circuits = [brickwork(n, 2), perturbation_circuit(n, 0.05, 21).inverse()]
+    return circuits, estimation.dual_arrays("sic", n), rows, ham
+
+
+def random_case(n, layers, num_rows, obs, seed):
+    rng = np.random.default_rng(seed)
+    circuit = brickwork(n, layers, lambda layer, qubits: random_cptp_map(2, rng))
+    rows = rng.integers(0, 4, size=(num_rows, n))
+    return [circuit], estimation.dual_arrays("sic", n), rows, obs
+
+
+def wide_z12_case():
+    n = 12
+    chain = xx_hamiltonian(n, coupling=1.0, field=FIELD, periodic=True)
+    obs = Observable.from_terms(n, [*chain.terms, (0.3, "Z" * n)])
+    return random_case(n, 2, 300, obs, seed=12)
+
+
+CASES = {
+    "estimate-n8": estimate_n8_case,
+    "brickwork-10-4": lambda: random_case(
+        10, 4, 2000, xx_hamiltonian(10, coupling=1.0, field=FIELD, periodic=True), seed=10
+    ),
+    "wide-z12": wide_z12_case,
+}
+
+
+def weights(circuits, tables, rows, obs):
+    return [estimation.row_weights(c, tables, rows, obs) for c in circuits]
+
+
+def singleton_sum(circuits, tables, rows, obs):
+    """The same weights with every term contracted on its own."""
+    n = obs.num_qubits
+    return [
+        sum(
+            estimation.row_weights(c, tables, rows, Observable.from_terms(n, [term]))
+            for term in obs.terms
+        )
+        for c in circuits
+    ]
+
+
+def counted(circuits, tables, rows, obs):
+    """Cone runs and kernel calls of one pass, by wrapping the names that
+    ``estimation`` and ``cone`` call."""
+    counts = {"cone_runs": 0, **{name: 0 for name in KERNELS}}
+    originals = {"evaluate_rows": estimation.evaluate_rows}
+    originals.update({name: getattr(cone, name) for name in KERNELS})
+
+    def wrap(key, fn):
+        def counting(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counting
+
+    estimation.evaluate_rows = wrap("cone_runs", originals["evaluate_rows"])
+    for name in KERNELS:
+        setattr(cone, name, wrap(name, originals[name]))
+    try:
+        weights(circuits, tables, rows, obs)
+    finally:
+        estimation.evaluate_rows = originals["evaluate_rows"]
+        for name in KERNELS:
+            setattr(cone, name, originals[name])
+    return counts
+
+
+def replay(name, repeats):
+    circuits, tables, rows, obs = CASES[name]()
+    got = weights(circuits, tables, rows, obs)
+    want = singleton_sum(circuits, tables, rows, obs)
+    diff = max(float(np.max(np.abs(g - w) / (1.0 + np.abs(w)))) for g, w in zip(got, want))
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        weights(circuits, tables, rows, obs)
+        seconds.append(time.perf_counter() - start)
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    return {
+        "circuits": len(circuits),
+        "rows": len(rows),
+        "terms": len(obs.terms),
+        **counted(circuits, tables, rows, obs),
+        "max_rel_diff": diff,
+        "ok": diff <= TOL,
+        "s_median": float(median),
+        "s_q1": float(q1),
+        "s_q3": float(q3),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7, help="timed passes per case (>= 1)")
+    parser.add_argument("--out", type=Path, default=None, help="JSON file to store the record in")
+    parser.add_argument("--tag", default="current", help="key of the record in --out")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    record = {name: replay(name, args.repeats) for name in CASES}
+    record.update(
+        repeats=args.repeats,
+        python=platform.python_version(),
+        numpy=np.__version__,
+        machine=f"{platform.machine()}, {os.cpu_count()} CPUs",
+    )
+    print(json.dumps(record))
+    if args.out is not None:
+        stored = json.loads(args.out.read_text()) if args.out.exists() else {}
+        stored[args.tag] = record
+        args.out.write_text(json.dumps(stored, indent=2) + "\n")
+    failed = [name for name in CASES if not record[name]["ok"]]
+    for name in failed:
+        print(f"error: {name} differs from the singleton-group sum", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -29,10 +29,15 @@ evaluation runs the same kind of plan on the mirrored adjoint circuit with
 the roles of the two factor sets exchanged; for Hermiticity-preserving
 circuits both directions agree.
 
-The residual carries a leading batch axis, so one sweep evaluates many rows
-of input factors at once; the single-row entry points are batches of one.
-``evaluate_rows`` runs one Pauli term over a whole batch and contracts only
-the term's backward light cone. The pruning is exact:
+The residual carries two leading batch axes, rows and terms: input factors
+are (R, 1, 2, 2), one per row, and output factors (1, T, 2, 2), one per
+Pauli term, or (2, 2) where every term has the same letter. Broadcasting
+forms the (R, T) batch only at the first step whose factor needs it, so the
+steps before it run once per row, not once per (row, term) pair. The
+single-row entry points are batches of one. ``evaluate_rows`` runs a support
+group, a list of Pauli terms, over a whole batch of rows in one pass and
+contracts only the backward light cone of the union of their supports. The
+pruning is exact:
 
 * a component outside the cone is dropped only if it is trace preserving to
   round-off (vec(I)^T S = vec(I)^T within ``_TP_TOL``); otherwise it joins the
@@ -41,13 +46,15 @@ the term's backward light cone. The pruning is exact:
   one (custom dual frames).
 
 Rows that agree on the cone's qubits are contracted once, and batches are cut
-into chunks so that live residuals stay below ``_BATCH_ENTRIES`` entries.
+into chunks of rows so that live (rows, terms) residuals stay below
+``_BATCH_ENTRIES`` entries. No plan may be wider than ``MAX_ACTIVE_QUBITS``:
+``cone_plan`` refuses it before any residual is allocated.
 
 To single out one component, ``split_residuals`` cuts the whole-register
 plan at the component: the steps before the cut give the forward residual,
 the steps after it, run backwards on the adjoint maps, the backward one. Both
-residuals, for a whole batch of (row, term) pairs, live on the qubits active
-at the cut: the component's support and the spectators. For one pair, with r
+residuals, for a (rows, terms) batch, live on the qubits active at the cut:
+the component's support and the spectators. For one pair, with r
 and rbar of shape (ds, dm, ds, dm) (support, spectators), the circuit's value
 with the component replaced by any map L is linear in L:
 
@@ -69,7 +76,7 @@ import numpy as np
 from .errors import ValidationError, json_int
 from .linalg import apply_superop_local, insert_factor, multiply_trace_out, unique_rows
 from .maps import LocalMap, adjoint_map, invert_map, map_from_spec, map_to_payload
-from .pauli import PauliString
+from .pauli import PAULI_MATRICES, PauliString
 
 
 @dataclass(frozen=True)
@@ -305,6 +312,10 @@ def _plan(supports, tp, support) -> ConePlan:
     return ConePlan(tuple(sorted(qubits)), tuple(steps), peak)
 
 
+# Widest residual a plan may need: one item of 4^12 complex entries is 268 MB.
+MAX_ACTIVE_QUBITS = 12
+
+
 def cone_plan(circuit: MapCircuit, support) -> ConePlan:
     """Backward light cone of an output support.
 
@@ -313,10 +324,18 @@ def cone_plan(circuit: MapCircuit, support) -> ConePlan:
     left out is trace preserving and acts only on qubits whose output factor
     is the identity, so dropping it leaves the trace unchanged. A support
     that covers the register takes in every component whatever its map.
+    A plan wider than ``MAX_ACTIVE_QUBITS`` raises ``ValidationError``
+    before any residual is allocated.
     """
     support = tuple(support)
     whole = set(support) == set(range(circuit.num_qubits))
-    return _plan(circuit.supports, None if whole else _trace_preserving(circuit), support)
+    plan = _plan(circuit.supports, None if whole else _trace_preserving(circuit), support)
+    if plan.peak_active > MAX_ACTIVE_QUBITS:
+        raise ValidationError(
+            f"the light cone of support {support} needs {plan.peak_active} active qubits, "
+            f"more than the limit of {MAX_ACTIVE_QUBITS}"
+        )
+    return plan
 
 
 def schedule(circuit: MapCircuit) -> ConePlan:
@@ -344,17 +363,20 @@ def _factor_list(factors, num_qubits: int) -> list[np.ndarray]:
 
 
 def _run_steps(circuit, steps, in_factors, out_factors, backward=False):
-    """Execute schedule steps on a batch of residuals.
+    """Execute schedule steps on a batch of residuals with two batch axes.
 
-    Each per-qubit factor is (2, 2), shared by the batch, or (B, 2, 2), one
-    per item; the batch size follows by broadcasting. Returns the active
-    qubit list and the residuals, shape (B, 2^a, 2^a) for a active qubits.
-    With ``backward`` the steps are given in reverse order and run backwards
-    in time: a trace step absorbs, an absorb step traces out, and a component
-    applies its adjoint map.
+    The residuals are (rows, terms) batches. Each per-qubit factor is (2, 2),
+    shared by the batch, or carries its own batch shape: (R, 1, 2, 2) for one
+    factor per row, (1, T, 2, 2) for one per term. Broadcasting forms the
+    (R, T) batch only at the first step whose factor needs both, so the steps
+    before it run once per row. Returns the active qubit list and the
+    residuals, shape (R', T', 2^a, 2^a) for a active qubits, where R' and T'
+    are 1 if no factor so far had that axis. With ``backward`` the steps are
+    given in reverse order and run backwards in time: a trace step absorbs,
+    an absorb step traces out, and a component applies its adjoint map.
     """
     active: list[int] = []
-    res = np.ones((1, 1, 1), dtype=complex)
+    res = np.ones((1, 1, 1, 1), dtype=complex)
     comps = circuit.components
     grow = "trace" if backward else "absorb"
     for step in steps:
@@ -375,11 +397,11 @@ def _run_steps(circuit, steps, in_factors, out_factors, backward=False):
 
 
 def _run_plan(circuit, plan: ConePlan, in_factors, out_factors) -> np.ndarray:
-    """Run a whole-trace plan; returns one value per batch item."""
+    """Run a whole-trace plan; returns one value per (row, term) batch item."""
     active, res = _run_steps(circuit, plan.steps, in_factors, out_factors)
     if active:
         raise ValidationError("plan did not trace every qubit")
-    return res[:, 0, 0]
+    return res[..., 0, 0]
 
 
 def evaluate_trace(circuit, dual_factors, pauli):
@@ -387,7 +409,7 @@ def evaluate_trace(circuit, dual_factors, pauli):
     n = circuit.num_qubits
     ins = _factor_list(dual_factors, n)
     outs = _factor_list(pauli, n)
-    return complex(_run_plan(circuit, schedule(circuit), ins, outs)[0])
+    return complex(_run_plan(circuit, schedule(circuit), ins, outs)[0, 0])
 
 
 def mirror_adjoint(circuit: MapCircuit) -> MapCircuit:
@@ -411,49 +433,73 @@ def evaluate_trace_backward(circuit, dual_factors, pauli):
     n = circuit.num_qubits
     ins = _factor_list(pauli, n)
     outs = _factor_list(dual_factors, n)
-    return complex(_run_plan(mirror, schedule(mirror), ins, outs)[0])
+    return complex(_run_plan(mirror, schedule(mirror), ins, outs)[0, 0])
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation over one Pauli term's backward light cone
+# batched evaluation of a group of Pauli terms over their joint light cone
 
 # Upper bound on the entries of one batch of residuals (16 bytes each); the
 # rows of a batch are chunked to stay below it.
 _BATCH_ENTRIES = 1 << 18
 
 
-def row_chunks(num_rows: int, peak_active: int):
-    """Slices of a batch small enough that its residuals on ``peak_active``
-    qubits hold at most ``_BATCH_ENTRIES`` entries."""
-    size = max(1, _BATCH_ENTRIES // 4**peak_active)
+def row_chunks(num_rows: int, peak_active: int, terms: int):
+    """Slices of the rows of a batch small enough that its (rows, terms)
+    residuals on ``peak_active`` qubits hold at most ``_BATCH_ENTRIES``
+    entries (a single row may exceed it)."""
+    size = max(1, _BATCH_ENTRIES // (max(terms, 1) * 4**peak_active))
     return [slice(start, min(start + size, num_rows)) for start in range(0, num_rows, size)]
 
 
-def evaluate_rows(circuit: MapCircuit, tables, rows, pauli: PauliString) -> np.ndarray:
-    """Tr[L(F_row) P] for every row of a batch, over the term's light cone.
+def term_factors(terms, num_qubits: int) -> list[np.ndarray]:
+    """Per-qubit output factors of a list of Pauli terms: the shared (2, 2)
+    letter where every term has the same one, else (1, T, 2, 2)."""
+    out = []
+    for q in range(num_qubits):
+        letters = [ps.letters[q] for ps in terms]
+        if len(set(letters)) == 1:
+            out.append(PAULI_MATRICES[letters[0]])
+        else:
+            out.append(np.array([PAULI_MATRICES[c] for c in letters]).reshape(1, -1, 2, 2))
+    return out
 
-    ``tables[q]`` is an (M_q, 2, 2) array of input factors for qubit q and
-    ``rows`` an (R, N) integer array picking one factor per qubit. Qubits
-    outside the cone contribute Tr F_q. Rows that agree on the cone's qubits
-    are contracted once, in batches, and scattered back.
+
+def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
+    """Tr[L(F_row) P_t] for every row of a batch and every term of a group,
+    over the group's joint light cone.
+
+    ``tables[q]`` is an (M_q, 2, 2) array of input factors for qubit q,
+    ``rows`` an (R, N) integer array picking one factor per qubit, and
+    ``terms`` a sequence of T Pauli strings. The plan is the light cone of
+    the union of the terms' supports, run once over a (rows, terms) batch;
+    returns an (R, T) array. Qubits outside the cone contribute Tr F_q. Rows
+    that agree on the cone's qubits are contracted once, in chunks, and
+    scattered back.
     """
     n = circuit.num_qubits
-    outs = _factor_list(pauli, n)
-    plan = cone_plan(circuit, pauli.support)
+    terms = list(terms)
+    for ps in terms:
+        if ps.num_qubits != n:
+            raise ValidationError(
+                f"Pauli string covers {ps.num_qubits} qubits, circuit has {n}"
+            )
+    plan = cone_plan(circuit, sorted({q for ps in terms for q in ps.support}))
     rows = np.asarray(rows)
-    values = np.ones(len(rows), dtype=complex)
+    values = np.ones((len(rows), 1), dtype=complex)
     for q in range(n):
         if q not in plan.qubits:
-            values *= np.trace(tables[q], axis1=1, axis2=2)[rows[:, q]]
+            values *= np.trace(tables[q], axis1=1, axis2=2)[rows[:, q], None]
     if not plan.qubits:
-        return values
+        return np.repeat(values, len(terms), axis=1)
     cols = list(plan.qubits)
+    outs = term_factors(terms, n)
     uniq, inverse, _ = unique_rows(rows[:, cols])
-    cone_values = np.empty(len(uniq), dtype=complex)
-    for chunk in row_chunks(len(uniq), plan.peak_active):
+    cone_values = np.empty((len(uniq), len(terms)), dtype=complex)
+    for chunk in row_chunks(len(uniq), plan.peak_active, len(terms)):
         ins = [None] * n
         for j, q in enumerate(cols):
-            ins[q] = tables[q][uniq[chunk, j]]
+            ins[q] = tables[q][uniq[chunk, j], None]
         cone_values[chunk] = _run_plan(circuit, plan, ins, outs)
     return values * cone_values[inverse]
 
@@ -471,8 +517,9 @@ def split_residuals(circuit: MapCircuit, index: int, in_factors, out_factors):
     the backward residual. Both live on the qubits active at the cut, never
     more than the plan's ``peak_active``.
 
-    Factors are per qubit, (2, 2) or (B, 2, 2) as in :func:`_run_steps`.
-    Returns two arrays of shape (B, ds, dm, ds, dm): ds spans the component's
+    Factors are per qubit, (2, 2), (R, 1, 2, 2) or (1, T, 2, 2) as in
+    :func:`_run_steps`. Returns two arrays of shape (R, T, ds, dm, ds, dm),
+    R and T being 1 where no factor has that axis: ds spans the component's
     qubits (in its own order), dm the other active qubits (ascending).
     """
     if not 0 <= index < len(circuit.components):
@@ -484,27 +531,29 @@ def split_residuals(circuit: MapCircuit, index: int, in_factors, out_factors):
     sup = circuit.components[index].qubits
     ds = 2 ** len(sup)
     dm = 2 ** (len(active) - len(sup))
-    shape = (max(len(res_f), len(res_b)), ds, dm, ds, dm)
+    shape = np.broadcast_shapes(res_f.shape[:2], res_b.shape[:2]) + (ds, dm, ds, dm)
 
     def grouped(res):
         t = _group_support_first(res, active, sup)
-        return np.broadcast_to(t.reshape(-1, ds, dm, ds, dm), shape)
+        return np.broadcast_to(t.reshape(t.shape[:2] + (ds, dm, ds, dm)), shape)
 
     return grouped(res_f), grouped(res_b)
 
 
 def _group_support_first(res, shared, support):
-    """Permute a batch of residuals on ``shared`` (ascending) so the support
-    qubits come first (in component order), spectators after (ascending)."""
+    """Permute a (rows, terms) batch of residuals on ``shared`` (ascending) so
+    the support qubits come first (in component order), spectators after
+    (ascending)."""
     shared = list(shared)
     a = len(shared)
     order = [shared.index(q) for q in support] + [
         shared.index(q) for q in shared if q not in support
     ]
-    t = res.reshape((-1,) + (2,) * (2 * a))
-    t = t.transpose([0, *[1 + p for p in order], *[1 + a + p for p in order]])
+    batch = res.shape[:2]
+    t = res.reshape(batch + (2,) * (2 * a))
+    t = t.transpose([0, 1, *[2 + p for p in order], *[2 + a + p for p in order]])
     d = 2**a
-    return t.reshape(-1, d, d)
+    return t.reshape(batch + (d, d))
 
 
 # ---------------------------------------------------------------------------

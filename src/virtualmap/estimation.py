@@ -9,9 +9,15 @@ strings), and the estimate is the count-weighted sample mean with the
 unbiased sample variance; the reduction order is fixed by sorting, so results
 are deterministic for a given batch.
 
-The weights of all rows are computed together, one Pauli term at a time, by
-the batched cone kernel (:func:`virtualmap.cone.evaluate_rows`). Each term is
-contracted only over its backward light cone, and the pruning is exact:
+The weights of all rows are computed together, one support group of Pauli
+terms at a time, by the batched cone kernel
+(:func:`virtualmap.cone.evaluate_rows`). A term joins the group of the
+widest term support that contains its own support and lies inside its own
+backward light cone (ties go to the lexicographically first support), so the
+N bond groups of a nearest-neighbour chain absorb its one-site terms, while a
+term spanning the register stays on its own. Each group is one contraction
+of the light cone of its support over a (rows, terms) batch; the weights are
+the per-term values times the coefficients. The pruning is exact:
 
 * a component outside the cone is dropped only if it is trace preserving to
   round-off; a component that is not joins the cone with everything it
@@ -19,7 +25,9 @@ contracted only over its backward light cone, and the pruning is exact:
 * a qubit outside the cone contributes the factor Tr D_m, which need not be
   one for a custom dual frame.
 
-Rows that agree on a cone's qubits are contracted once for that term.
+Rows that agree on a cone's qubits are contracted once for that group. The
+dual frame of each preset POVM label is built once per process and shared
+read-only.
 
 The kernel's input, :class:`ProductInputData`, is the one product-row format
 of the package: per-qubit (M_q, 2, 2) factor tables, an (R, N) integer row
@@ -34,10 +42,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .cone import MapCircuit, evaluate_rows
+from .cone import MapCircuit, cone_plan, evaluate_rows
 from .densesim import DensityMatrix, OutcomeBatch, apply_circuit_dense, outcome_distribution
 from .errors import NumericalError, ValidationError
 from .linalg import unique_rows
@@ -78,20 +87,29 @@ class Estimate:
                 raise ValidationError("per-shot mean does not reproduce the estimate")
 
 
+@lru_cache(maxsize=None)
+def _preset_duals(label: str) -> np.ndarray:
+    """The canonical dual frame of a preset POVM label, built once per
+    process; read-only, since every caller shares it."""
+    arr = np.array(compute_duals(get_povm(label)).duals, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
 def dual_arrays(duals, num_qubits: int) -> list[np.ndarray]:
-    """Normalize a duals argument to one (M, 2, 2) array per qubit."""
+    """Normalize a duals argument to one (M, 2, 2) array per qubit.
+
+    A preset label maps to its shared, read-only dual array; custom POVMs
+    and dual frames are converted on every call."""
     if isinstance(duals, (str, SingleQubitPOVM, DualFrame)):
         duals = [duals] * num_qubits
     duals = list(duals)
     if len(duals) != num_qubits:
         raise ValidationError(f"need {num_qubits} dual frames, got {len(duals)}")
-    presets: dict[str, DualFrame] = {}  # each label's dual frame, built once
     out = []
     for d in duals:
         if isinstance(d, str):
-            if d not in presets:
-                presets[d] = compute_duals(get_povm(d))
-            d = presets[d]
+            d = _preset_duals(d)
         elif isinstance(d, SingleQubitPOVM):
             d = compute_duals(d)
         arr = np.asarray(d.duals if isinstance(d, DualFrame) else d, dtype=complex)
@@ -191,15 +209,35 @@ def _real_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
     return w.real.copy(), float(residue.max(initial=0.0))
 
 
+def _support_groups(circuit: MapCircuit, obs: Observable) -> list[list[int]]:
+    """Indices of the observable's terms, grouped for :func:`row_weights`.
+
+    A term joins the group of the widest term support S that contains its
+    own support and lies inside its own light cone (ties go to the
+    lexicographically first S); its own support always qualifies. The cone
+    bound keeps a wide term from pulling local terms into its wide cone.
+    """
+    supports = sorted({ps.support for _, ps in obs.terms}, key=lambda s: (-len(s), s))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, (_, ps) in enumerate(obs.terms):
+        own = set(ps.support)
+        cone = set(cone_plan(circuit, ps.support).qubits)
+        home = next(s for s in supports if own.issubset(s) and cone.issuperset(s))
+        groups.setdefault(home, []).append(k)
+    return list(groups.values())
+
+
 def row_weights(circuit: MapCircuit, tables, rows, obs: Observable) -> np.ndarray:
     """sum_k c_k Tr[L(F_row) P_k] for every row of per-qubit factor indices.
 
     ``tables[q]`` holds the (M_q, 2, 2) factors of qubit q; ``rows`` is an
-    (R, N) integer array. Returns R complex weights.
+    (R, N) integer array. Each support group is one call of the kernel.
+    Returns R complex weights.
     """
     total = np.zeros(len(rows), dtype=complex)
-    for coeff, ps in obs.terms:
-        total += coeff * evaluate_rows(circuit, tables, rows, ps)
+    for group in _support_groups(circuit, obs):
+        coeffs = np.array([obs.terms[k][0] for k in group])
+        total += evaluate_rows(circuit, tables, rows, [obs.terms[k][1] for k in group]) @ coeffs
     return total
 
 

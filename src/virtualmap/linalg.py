@@ -47,43 +47,50 @@ def trace_mul(a: np.ndarray, b: np.ndarray) -> complex:
 def apply_superop_local(op: np.ndarray, superop: np.ndarray, positions, n: int) -> np.ndarray:
     """Apply a k-local superoperator to a batch of n-qubit operators.
 
-    ``op`` has shape (B, 2^n, 2^n); ``positions`` lists the qubit slots
-    (0-based, within the n-qubit space) the map acts on, in the map's own
-    qubit order. The batch is folded into one matrix product.
+    ``op`` has shape (*batch, 2^n, 2^n) for any number of leading batch axes;
+    ``positions`` lists the qubit slots (0-based, within the n-qubit space)
+    the map acts on, in the map's own qubit order. The batch is folded into
+    one matrix product.
     """
     k = len(positions)
-    t = op.reshape((-1,) + (2,) * (2 * n))
-    front = [1 + n + p for p in positions] + [1 + p for p in positions]
-    perm = front + [a for a in range(2 * n + 1) if a not in front]
+    batch = op.shape[:-2]
+    nb = len(batch)
+    t = op.reshape(batch + (2,) * (2 * n))
+    front = [nb + n + p for p in positions] + [nb + p for p in positions]
+    perm = front + [a for a in range(2 * n + nb) if a not in front]
     t = t.transpose(perm)
     t = (superop @ t.reshape(4**k, -1)).reshape(t.shape)
     d = 2**n
-    return t.transpose(np.argsort(perm)).reshape(-1, d, d)
+    return t.transpose(np.argsort(perm)).reshape(batch + (d, d))
 
 
 def multiply_trace_out(op: np.ndarray, factor: np.ndarray, position: int, n: int) -> np.ndarray:
     """Tr_q[op @ (factor on qubit q)] for a batch, removing qubit ``position``.
 
-    ``op`` is (B, 2^n, 2^n); ``factor`` is (2, 2) or one (B, 2, 2) per item.
+    ``op`` is (*batch, 2^n, 2^n) and ``factor`` (*fbatch, 2, 2); the two batch
+    shapes broadcast, so a factor shared by the batch is (2, 2).
     """
     hi, lo = 2**position, 2 ** (n - 1 - position)
-    t = op.reshape(-1, hi, 2, lo, hi, 2, lo)
-    f = np.reshape(factor, (-1, 2, 2, 1, 1, 1, 1))
-    res = sum(t[:, :, r, :, :, c, :] * f[:, c, r] for r in (0, 1) for c in (0, 1))
+    t = op.reshape(op.shape[:-2] + (hi, 2, lo, hi, 2, lo))
+    f = np.asarray(factor)
+    f = f.reshape(f.shape + (1, 1, 1, 1))
+    res = sum(t[..., r, :, :, c, :] * f[..., c, r, :, :, :, :] for r in (0, 1) for c in (0, 1))
     d = 2 ** (n - 1)
-    return res.reshape(-1, d, d)
+    return res.reshape(res.shape[:-4] + (d, d))
 
 
 def insert_factor(op: np.ndarray, factor: np.ndarray, slot: int, n: int) -> np.ndarray:
     """Tensor a single-qubit factor into a batch of n-qubit operators at ``slot``.
 
-    ``op`` is (B, 2^n, 2^n); ``factor`` is (2, 2) or one (B, 2, 2) per item.
-    A batch of one broadcasts against the other operand.
+    ``op`` is (*batch, 2^n, 2^n) and ``factor`` (*fbatch, 2, 2); the two batch
+    shapes broadcast, so an item of size one on either side is shared.
     """
     hi, lo = 2**slot, 2 ** (n - slot)
-    m = op.reshape(-1, hi, 1, lo, hi, 1, lo) * np.reshape(factor, (-1, 1, 2, 1, 1, 2, 1))
+    t = op.reshape(op.shape[:-2] + (hi, 1, lo, hi, 1, lo))
+    f = np.asarray(factor)
+    m = t * f.reshape(f.shape[:-2] + (1, 2, 1, 1, 2, 1))
     d = 2 ** (n + 1)
-    return m.reshape(-1, d, d)
+    return m.reshape(m.shape[:-6] + (d, d))
 
 
 def partial_trace(op: np.ndarray, keep, n: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cone import MapCircuit, row_chunks, schedule, split_residuals
+from .cone import MapCircuit, row_chunks, schedule, split_residuals, term_factors
 from .densesim import DensityMatrix, apply_local_map
 from .errors import NumericalError, ValidationError
 from .estimation import ProductInputData, _real_weights, classical_input, mean_weight
@@ -128,25 +128,23 @@ def _dense_objective(
 def _product_objective(
     circuit: MapCircuit, index: int, data: ProductInputData, obs: Observable
 ) -> np.ndarray:
-    """sum_i w_i sum_k c_k sum_a kron(R_a^T, Rbar_a), over every (row, term)
-    pair in batches. The spectator-basis sum is folded into the contraction:
-    sum_a R_a[x,y] Rbar_a[X,Y] = sum_{w,u} r[x,w,y,u] rbar[X,u,Y,w]."""
+    """sum_i w_i sum_k c_k sum_a kron(R_a^T, Rbar_a), over a (rows, terms)
+    batch per chunk of rows. The spectator-basis sum is folded into the
+    contraction: sum_a R_a[x,y] Rbar_a[X,Y] = sum_{w,u} r[x,w,y,u] rbar[X,u,Y,w]."""
+    n = circuit.num_qubits
     peak = schedule(circuit).peak_active
     coeffs = np.array([c for c, _ in obs.terms])
-    paulis = np.array([ps.matrices() for _, ps in obs.terms])  # (T, N, 2, 2)
-    terms = len(coeffs)
+    outs = term_factors([ps for _, ps in obs.terms], n)
     ds = 2**circuit.components[index].map.arity
     m4 = np.zeros((ds, ds, ds, ds), dtype=complex)
-    for chunk in row_chunks(len(data.weights) * terms, peak):
-        pair = np.arange(chunk.start, chunk.stop)
-        row, term = pair // terms, pair % terms
-        ins = [data.tables[q][data.rows[row, q]] for q in range(circuit.num_qubits)]
-        outs = [paulis[term, q] for q in range(circuit.num_qubits)]
+    for chunk in row_chunks(len(data.weights), peak, len(coeffs)):
+        ins = [data.tables[q][data.rows[chunk, q], None] for q in range(n)]
         r, rbar = split_residuals(circuit, index, ins, outs)
-        weight = data.weights[row] * coeffs[term]
-        # sum_{b,w,u} weight_b r[b,x,w,y,u] rbar[b,X,u,Y,w], one matmul over (b,w,u)
-        lhs = np.multiply(r.transpose(1, 3, 0, 2, 4), weight[:, None, None], order="C")
-        rhs = rbar.transpose(0, 4, 2, 1, 3).reshape(-1, ds * ds)
+        weight = data.weights[chunk, None] * coeffs  # (rows, terms)
+        # sum_{i,k,w,u} weight_ik r[i,k,x,w,y,u] rbar[i,k,X,u,Y,w], one matmul
+        # over (i, k, w, u)
+        lhs = np.multiply(r.transpose(2, 4, 0, 1, 3, 5), weight[:, :, None, None], order="C")
+        rhs = rbar.transpose(0, 1, 5, 3, 2, 4).reshape(-1, ds * ds)
         m4 += (lhs.reshape(ds * ds, -1) @ rhs).reshape(ds, ds, ds, ds).transpose(1, 2, 0, 3)
     return m4.reshape(ds * ds, ds * ds)
 

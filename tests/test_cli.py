@@ -217,6 +217,54 @@ class TestEstimate:
         assert rc == 2
 
 
+    @staticmethod
+    def _all_pairs_circuit(n):
+        """Every pair of qubits coupled once, in sequence: the light cone of
+        the last qubit is the whole register and its plan's peak equals n."""
+        from virtualmap.cone import circuit_from_dict
+
+        comps = [
+            {"layer": 1, "qubits": [i, j], "map": "identity"}
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        return circuit_from_dict({"num_qubits": n, "components": comps})
+
+    def test_plan_wider_than_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        import time
+
+        import virtualmap.cone as cone
+
+        def unexpected(*args):
+            raise AssertionError("allocated a residual for an oversized plan")
+
+        monkeypatch.setattr(cone, "insert_factor", unexpected)
+        n = cone.MAX_ACTIVE_QUBITS + 2
+        circuit = tmp_path / "pairs.json"
+        save_circuit(self._all_pairs_circuit(n), circuit)
+        batch = tmp_path / "batch.csv"
+        batch.write_text(f"# povm=sic seed=0 N={n} S=2\n" + ("0," * (n - 1) + "1\n") * 2)
+        obs = tmp_path / "obs.json"
+        write_observable(Observable.from_terms(n, [(1.0, "I" * (n - 1) + "Z")]), obs)
+        capsys.readouterr()
+        start = time.perf_counter()
+        rc = main(
+            ["estimate", "--batch", str(batch), "--observable", str(obs), "--circuit", str(circuit)]
+        )
+        assert time.perf_counter() - start < 10.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"needs {n} active qubits" in err and f"limit of {cone.MAX_ACTIVE_QUBITS}" in err
+
+    def test_plan_at_limit_is_built(self):
+        from virtualmap.cone import MAX_ACTIVE_QUBITS, cone_plan
+
+        circuit = self._all_pairs_circuit(MAX_ACTIVE_QUBITS)
+        plan = cone_plan(circuit, (MAX_ACTIVE_QUBITS - 1,))
+        assert plan.peak_active == MAX_ACTIVE_QUBITS
+
+
 class TestOptimize:
     def test_exact_state_run_writes_artifacts(self, tmp_path, obs_file, chain_prep):
         circ_path = tmp_path / "start.json"

@@ -402,6 +402,45 @@ class TestBatchedKernel:
                     want = apply_superop_local(ops[b : b + 1], superop, [pos], n)[0]
                     assert_all_close(got[b], want, 1e-14)
 
+    def test_two_batch_axes_match_tiled_single_axis(self):
+        rng = np.random.default_rng(50)
+        rows, terms = 3, 4
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def tiled(f):
+            return np.broadcast_to(f, (rows, terms, 2, 2)).reshape(-1, 2, 2)
+
+        factors = {"per-row": cplx(rows, 1, 2, 2), "per-term": cplx(1, terms, 2, 2), "shared": cplx(2, 2)}
+        for n in (1, 2, 3):
+            d = 2**n
+            ops = cplx(rows, terms, d, d)
+            flat = ops.reshape(-1, d, d)
+            for label, f in factors.items():
+                for slot in range(n + 1):
+                    got = insert_factor(ops, f, slot, n)
+                    want = insert_factor(flat, tiled(f), slot, n)
+                    assert_all_close(got.reshape(want.shape), want, 1e-14, label)
+                for pos in range(n):
+                    got = multiply_trace_out(ops, f, pos, n)
+                    want = multiply_trace_out(flat, tiled(f), pos, n)
+                    assert_all_close(got.reshape(want.shape), want, 1e-14, label)
+            # a per-row residual meets a per-term factor: the (rows, terms)
+            # batch forms by broadcasting
+            per_row = ops[:, :1]
+            got = multiply_trace_out(per_row, factors["per-term"], 0, n)
+            assert got.shape == (rows, terms, d // 2, d // 2)
+            want = multiply_trace_out(
+                np.repeat(per_row, terms, axis=1).reshape(-1, d, d), tiled(factors["per-term"]), 0, n
+            )
+            assert_all_close(got.reshape(want.shape), want, 1e-14)
+            superop = random_cptp_map(1, rng).superop
+            for pos in range(n):
+                got = apply_superop_local(ops, superop, [pos], n)
+                want = apply_superop_local(flat, superop, [pos], n)
+                assert_all_close(got.reshape(want.shape), want, 1e-14)
+
     def test_insert_then_trace_out_recovers_operator(self):
         rng = np.random.default_rng(42)
         ops = rng.standard_normal((3, 4, 4)) + 0j
@@ -422,11 +461,14 @@ class TestBatchedKernel:
         tables = _random_tables(5, rng)
         rows = rng.integers(0, 5, size=(30, 5))
         rows[10:15] = rows[:5]  # repeated rows share one contraction
-        for letters in ("ZIIII", "IIIXY", "XIZIY", "IIIII", "YXZXI"):
-            pauli = PauliString(letters)
-            got = evaluate_rows(circ, tables, rows, pauli)
+        paulis = [PauliString(p) for p in ("ZIIII", "IIIXY", "XIZIY", "IIIII", "YXZXI")]
+        group = evaluate_rows(circ, tables, rows, paulis)
+        assert group.shape == (30, 5)
+        for t, pauli in enumerate(paulis):
+            got = evaluate_rows(circ, tables, rows, [pauli])[:, 0]
             want = _per_row(circ, tables, rows, pauli)
-            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12, letters
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12, pauli
+            assert np.max(np.abs(group[:, t] - want) / (1.0 + np.abs(want))) <= 1e-12, pauli
 
     def test_trace_preserving_components_outside_cone_are_pruned(self):
         rng = np.random.default_rng(46)
@@ -448,10 +490,10 @@ class TestBatchedKernel:
         assert set(plan.qubits) == {0, 1, 4, 5}
         tables = _random_tables(6, rng, outcomes=3)
         rows = rng.integers(0, 3, size=(12, 6))
-        got = evaluate_rows(circ, tables, rows, pauli)
+        got = evaluate_rows(circ, tables, rows, [pauli])[:, 0]
         assert np.max(np.abs(got - _per_row(circ, tables, rows, pauli))) <= 1e-12
         tp_only = circ.with_component(2, identity_map(2))
-        assert np.max(np.abs(got - 0.9 * evaluate_rows(tp_only, tables, rows, pauli))) <= 1e-12
+        assert np.max(np.abs(got - 0.9 * evaluate_rows(tp_only, tables, rows, [pauli])[:, 0])) <= 1e-12
 
     def test_identity_term_cone(self):
         rng = np.random.default_rng(48)
@@ -463,10 +505,10 @@ class TestBatchedKernel:
         traces = np.prod(
             [np.trace(tables[q][rows[:, q]], axis1=1, axis2=2) for q in range(4)], axis=0
         )
-        assert np.max(np.abs(evaluate_rows(circ, tables, rows, pauli) - traces)) <= 1e-12
+        assert np.max(np.abs(evaluate_rows(circ, tables, rows, [pauli])[:, 0] - traces)) <= 1e-12
         leaky = circ.with_component(1, _scaled_identity(2, 0.9))
         assert cone_plan(leaky, pauli.support).qubits != ()
-        got = evaluate_rows(leaky, tables, rows, pauli)
+        got = evaluate_rows(leaky, tables, rows, [pauli])[:, 0]
         assert np.max(np.abs(got - _per_row(leaky, tables, rows, pauli))) <= 1e-12
 
     def test_split_residuals_batch_matches_single_rows(self):
@@ -475,18 +517,81 @@ class TestBatchedKernel:
         duals = [random_product_duals(5, rng) for _ in range(4)]
         letters = ["XZIYX", "IIZZI", "YIIIX", "IIIII"]
         for index in range(len(circ.components)):
-            ins = [np.array([d[q] for d in duals]) for q in range(5)]
-            outs = [np.array([PauliString(p).matrices()[q] for p in letters]) for q in range(5)]
+            # rows on the first batch axis, terms on the second
+            ins = [np.array([d[q] for d in duals])[:, None] for q in range(5)]
+            outs = [np.array([PauliString(p).matrices()[q] for p in letters])[None] for q in range(5)]
             r, rbar = split_residuals(circ, index, ins, outs)
+            assert r.shape[:2] == rbar.shape[:2] == (4, 4)
             for b in range(4):
+                for t in range(4):
+                    pauli = PauliString(letters[t])
+                    one_r, one_rbar = split_residuals(circ, index, duals[b], pauli.matrices())
+                    assert_all_close(r[b, t], one_r[0, 0], 1e-12)
+                    assert_all_close(rbar[b, t], one_rbar[0, 0], 1e-12)
                 pauli = PauliString(letters[b])
-                one_r, one_rbar = split_residuals(circ, index, duals[b], pauli.matrices())
-                assert_all_close(r[b], one_r[0], 1e-12)
-                assert_all_close(rbar[b], one_rbar[0], 1e-12)
                 pairs = split_pairs(circ, index, duals[b], pauli)
                 got = split_value(pairs, circ.components[index].map)
                 want = evaluate_trace(circ, duals[b], pauli)
                 assert abs(got - want) < 1e-10 * (1 + abs(want))
+
+    @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
+    def test_group_matches_singleton_groups(self, kind):
+        rng = np.random.default_rng(51)
+        circ = kernel_circuits(rng)[kind]
+        tables = _random_tables(4, rng)
+        assert np.max(np.abs(np.trace(tables[0], axis1=1, axis2=2) - 1.0)) > 1e-3
+        rows = rng.integers(0, 5, size=(40, 4))
+        # nested supports (0) < (0, 3) < all, (1) < (1, 2), and the identity
+        letters = ("ZIII", "YIIZ", "IIII", "IXXI", "IXII", "XIIY", "ZZZZ")
+        terms = [PauliString(p) for p in letters]
+        group = evaluate_rows(circ, tables, rows, terms)
+        assert group.shape == (40, len(terms))
+        for t, pauli in enumerate(terms):
+            one = evaluate_rows(circ, tables, rows, [pauli])[:, 0]
+            assert np.max(np.abs(group[:, t] - one) / (1.0 + np.abs(one))) <= 1e-12, pauli
+
+    @pytest.mark.parametrize("kind", ["xx-chain", "non-tp"])
+    def test_residuals_stay_within_plan_and_budget(self, monkeypatch, kind):
+        import virtualmap.cone as cone_module
+        from virtualmap.estimation import _support_groups
+        from virtualmap.pauli import xx_hamiltonian
+
+        shapes = []
+
+        def recording(fn):
+            def wrapped(op, factor, where, n):
+                out = fn(op, factor, where, n)
+                shapes.append((op.shape, out.shape))
+                return out
+
+            return wrapped
+
+        for name in ("insert_factor", "apply_superop_local", "multiply_trace_out"):
+            monkeypatch.setattr(cone_module, name, recording(getattr(cone_module, name)))
+        budget = 1 << 10
+        monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", budget)
+        rng = np.random.default_rng(52)
+        if kind == "xx-chain":
+            circ = brickwork(8, 2, lambda layer, qubits: random_cptp_map(2, rng))
+            obs = xx_hamiltonian(8, field=0.7)
+        else:
+            circ, obs = kernel_circuits(rng)["non-tp"], kernel_observable()
+        n = circ.num_qubits
+        tables = _random_tables(n, rng, outcomes=4)
+        rows = rng.integers(0, 4, size=(200, n))
+        for group in _support_groups(circ, obs):
+            terms = [obs.terms[k][1] for k in group]
+            plan = cone_plan(circ, sorted({q for ps in terms for q in ps.support}))
+            shapes.clear()
+            evaluate_rows(circ, tables, rows, terms)
+            assert len(shapes) >= len(plan.steps)  # one call per step and chunk
+            for shape in (s for pair in shapes for s in pair):
+                assert shape[-1] <= 2**plan.peak_active
+                assert np.prod(shape) <= budget
+            if len(terms) > 1:
+                # the first steps run once per row, before the term axis forms
+                assert shapes[0][1][1] == 1
+                assert shapes[-1][0][1] == len(terms)
 
     @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
     def test_kernel_term_cone_plans_are_well_formed(self, kind):

@@ -263,6 +263,7 @@ class TestDualArrays:
             calls.append(label)
             return get_povm(label)
 
+        estimation._preset_duals.cache_clear()
         monkeypatch.setattr(estimation, "get_povm", counting)
         cube = compute_duals(cube_povm())
         duals = ["sic", cube, "sic", "sic", cube, "sic"]
@@ -271,9 +272,56 @@ class TestDualArrays:
         sic = compute_duals(get_povm("sic"))
         for d, arr in zip(duals, arrays):
             np.testing.assert_array_equal(arr, (sic if isinstance(d, str) else d).duals)
-        calls.clear()
-        dual_arrays("sic", 8)
+        assert arrays[1].flags.writeable  # custom frames are not shared
+        again = dual_arrays("sic", 8) + dual_arrays("sic", 3)
         assert calls == ["sic"]
+        for arr in again:
+            np.testing.assert_array_equal(arr, sic.duals)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 0.0
+
+
+class TestSupportGroups:
+    @staticmethod
+    def _run(monkeypatch, circ, obs, rows):
+        """row_weights with the term lists of its kernel calls, and the sum of
+        singleton groups as reference."""
+        from virtualmap import estimation
+
+        tables = dual_arrays("sic", circ.num_qubits)
+        real = estimation.evaluate_rows
+        want = sum(c * real(circ, tables, rows, [ps])[:, 0] for c, ps in obs.terms)
+        calls = []
+
+        def recording(circuit, tables, rows, terms):
+            calls.append([ps.letters for ps in terms])
+            return real(circuit, tables, rows, terms)
+
+        monkeypatch.setattr(estimation, "evaluate_rows", recording)
+        got = estimation.row_weights(circ, tables, rows, obs)
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+        return calls
+
+    def test_xx_chain_runs_one_cone_per_bond(self, monkeypatch):
+        rng = np.random.default_rng(96)
+        circ = brickwork(8, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(8, field=0.7)
+        calls = self._run(monkeypatch, circ, obs, rng.integers(0, 4, size=(50, 8)))
+        assert len(calls) == 8
+        assert sorted(p for group in calls for p in group) == sorted(ps.letters for _, ps in obs.terms)
+        for group in calls:
+            support = {q for p in group for q, c in enumerate(p) if c != "I"}
+            assert len(support) == 2, group
+
+    def test_wide_term_does_not_absorb_local_terms(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        circ = brickwork(12, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        chain = xx_hamiltonian(12, field=0.95)
+        obs = Observable.from_terms(12, [*chain.terms, (0.3, "Z" * 12)])
+        calls = self._run(monkeypatch, circ, obs, rng.integers(0, 4, size=(40, 12)))
+        assert ["Z" * 12] in calls
+        assert len(calls) == 13
 
 
 class TestEstimateContainer:
