@@ -14,7 +14,6 @@ from .cone import (
     evaluate_trace,
     evaluate_trace_backward,
     load_circuit,
-    mirror_adjoint,
     save_circuit,
     schedule,
     staircase,

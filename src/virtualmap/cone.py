@@ -25,9 +25,9 @@ component supports and, for a partial support, on which components are trace
 preserving, so plans are memoized on that structure and shared by every
 circuit a sweep derives with ``with_component``. ``schedule`` is the plan of
 every qubit, which ``evaluate_trace`` runs for a single row. Backward
-evaluation runs the same kind of plan on the mirrored adjoint circuit with
-the roles of the two factor sets exchanged; for Hermiticity-preserving
-circuits both directions agree.
+evaluation runs that plan's steps in reverse order on the adjoint maps, with
+the roles of the two factor sets exchanged (the same backward pass the
+objectives use); for Hermiticity-preserving circuits both directions agree.
 
 The residual carries two leading batch axes, rows and terms: input factors
 are (R, 1, 2, 2), one per row, and output factors (1, T, 2, 2), one per
@@ -67,16 +67,21 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError, json_int
 from .linalg import apply_superop_local, insert_factor, multiply_trace_out, unique_rows
-from .maps import LocalMap, adjoint_map, invert_map, map_from_spec, map_to_payload
+from .maps import LocalMap, invert_map, map_from_spec, map_to_payload
 from .pauli import PAULI_MATRICES, PauliString
+
+
+# A component counts as trace preserving, and may be left out of a term's
+# cone, only if vec(I)^T S matches vec(I)^T to this absolute tolerance.
+_TP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,6 @@ class MapCircuit:
     num_qubits: int
     components: tuple[Component, ...]
     topology: str = "general"
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -143,6 +147,15 @@ class MapCircuit:
     def supports(self) -> tuple[tuple[int, ...], ...]:
         """Every component's qubits, in order: all a plan depends on."""
         return tuple(c.qubits for c in self.components)
+
+    @cached_property
+    def trace_preserving(self) -> tuple[bool, ...]:
+        """Per component, whether vec(I)^T S matches vec(I)^T to ``_TP_TOL``."""
+        flags = []
+        for comp in self.components:
+            vec_eye = np.eye(comp.map.dim).reshape(-1)
+            flags.append(bool(np.max(np.abs(vec_eye @ comp.map.superop - vec_eye)) <= _TP_TOL))
+        return tuple(flags)
 
     def support_of(self, index: int) -> tuple[int, ...]:
         return self.components[index].qubits
@@ -264,22 +277,6 @@ def _greedy_schedule(supports, component_pool, traceable) -> tuple[list[Schedule
     return steps, peak
 
 
-# A component counts as trace preserving, and may be left out of a term's
-# cone, only if vec(I)^T S matches vec(I)^T to this absolute tolerance.
-_TP_TOL = 1e-12
-
-
-def _trace_preserving(circuit: MapCircuit) -> tuple[bool, ...]:
-    flags = circuit._cache.get("tp")
-    if flags is None:
-        out = []
-        for comp in circuit.components:
-            vec_eye = np.eye(comp.map.dim).reshape(-1)
-            out.append(bool(np.max(np.abs(vec_eye @ comp.map.superop - vec_eye)) <= _TP_TOL))
-        flags = circuit._cache["tp"] = tuple(out)
-    return flags
-
-
 @dataclass(frozen=True)
 class ConePlan:
     """Schedule of one output support's backward light cone.
@@ -329,7 +326,7 @@ def cone_plan(circuit: MapCircuit, support) -> ConePlan:
     """
     support = tuple(support)
     whole = set(support) == set(range(circuit.num_qubits))
-    plan = _plan(circuit.supports, None if whole else _trace_preserving(circuit), support)
+    plan = _plan(circuit.supports, None if whole else circuit.trace_preserving, support)
     if plan.peak_active > MAX_ACTIVE_QUBITS:
         raise ValidationError(
             f"the light cone of support {support} needs {plan.peak_active} active qubits, "
@@ -412,28 +409,16 @@ def evaluate_trace(circuit, dual_factors, pauli):
     return complex(_run_plan(circuit, schedule(circuit), ins, outs)[0, 0])
 
 
-def mirror_adjoint(circuit: MapCircuit) -> MapCircuit:
-    """The circuit run backwards with every map replaced by its adjoint."""
-    top = circuit.num_layers
-    comps = [
-        Component(top + 1 - c.layer, c.qubits, adjoint_map(c.map))
-        for c in reversed(circuit.components)
-    ]
-    return MapCircuit(circuit.num_qubits, tuple(comps), circuit.topology)
-
-
 def evaluate_trace_backward(circuit, dual_factors, pauli):
-    """Evaluate Tr[Ldag(G_0 (x) ...) (F_0 (x) ...)] on the mirrored adjoint
-    circuit. Equals the forward value for Hermiticity-preserving circuits with
-    Hermitian factors."""
-    mirror = circuit._cache.get("mirror")
-    if mirror is None:
-        mirror = mirror_adjoint(circuit)
-        circuit._cache["mirror"] = mirror
+    """Tr[Ldag(G_0 (x) ...) (F_0 (x) ...)]: the steps of ``schedule(circuit)``
+    run in reverse order on the adjoint maps, the backward pass of
+    ``split_residuals``. Equals the forward value for Hermiticity-preserving
+    circuits with Hermitian factors."""
     n = circuit.num_qubits
     ins = _factor_list(pauli, n)
     outs = _factor_list(dual_factors, n)
-    return complex(_run_plan(mirror, schedule(mirror), ins, outs)[0, 0])
+    _, res = _run_steps(circuit, schedule(circuit).steps[::-1], ins, outs, backward=True)
+    return complex(res[0, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------

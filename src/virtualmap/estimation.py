@@ -307,30 +307,23 @@ def estimate_exact(
     circuit: MapCircuit,
     obs: Observable,
     duals=None,
-    method: str = "auto",
 ) -> float:
     """Infinite-shot limit sum_m p_m w_m of the estimator.
 
-    ``method="enumerate"`` performs the literal sum over the 4^N outcome
-    distribution; ``"dense"`` applies the circuit to rho directly, which is
-    the same sum rearranged by linearity of the dual-frame identity. The
-    ``"auto"`` choice is dense, unless explicit ``duals`` are given (a frame
-    that is not dual to ``povms`` only makes sense in the enumerated sum).
+    Without ``duals`` the circuit is applied to rho directly, which is the sum
+    over the 4^N outcome distribution rearranged by linearity of the
+    dual-frame identity. Explicit ``duals`` (a frame that need not be dual to
+    ``povms``, which only makes sense in the literal sum) enumerate that
+    distribution, for N <= 9.
     """
     if rho.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("state, circuit, and observable qubit counts differ")
     if not obs.is_hermitian:
         raise ValidationError("exact estimation needs a Hermitian observable")
-    if method == "auto":
-        method = "dense" if duals is None else "enumerate"
-    if method == "dense":
-        if duals is not None:
-            raise ValidationError("custom duals require method='enumerate'")
+    if duals is None:
         out = apply_circuit_dense(circuit, rho.matrix)
         reals, _ = _real_weights(expectation_oracle(out, obs))
         return float(reals[0])
-    if method != "enumerate":
-        raise ValidationError(f"unknown method {method!r}")
     return mean_weight(circuit, data_from_distribution(rho, povms, duals), obs)
 
 

@@ -6,27 +6,31 @@ the problem to
 
     minimize  Re Tr[C M]   over Choi matrices C >= 0 with Tr_out C = I,
 
-where M is assembled from the frozen remainder of the circuit (the
-whole-register plan cut at the component gives the residuals of every row and
-Pauli term, contracted in one batch) and the input data. The subproblem is a
-small semidefinite program, solved by a primal-dual interior-point method
-(Mehrotra predictor-corrector steps in the HKM direction, about ten Newton
-steps per solve). Its matrices are d^2 x d^2 for a d-dimensional component,
-so a step costs about as much as the numpy calls it makes: each step factors
-S and C once, builds the Schur matrix from one block product, and takes the
-primal and dual step lengths of the predictor and of the corrector with one
-batched eigvalsh each. The dual variable Y proves the lower bound
-Tr Y + dim * lambda_min(M - Y (x) I) on the optimum, so every solve reports a
-certified optimality gap next to its value, and the returned map is exactly
-trace-preserving. A sweep visits components cyclically, installing a new map
-only when it lowers the energy, and records each solve's gap and
-convergence. M does not depend on the visited component's own map, so when
-no map has been installed since a component's previous visit, the sweep
-reuses that visit's objective and solve. Input data is either the weighted
-product rows of :class:`virtualmap.estimation.ProductInputData` (dual effects of
-measured outcomes or of the exact distribution, or the classical all-zeros
-register) or a :class:`virtualmap.densesim.DensityMatrix`, which optimizes the
-infinite-shot energy directly at small qubit counts.
+where M is assembled from the frozen remainder of the circuit and the input
+data: the circuit cut at the component gives a forward residual (the input run
+through the components before it) and a backward one (the observable run
+through the adjoints of those after it), and one contraction turns residual
+pairs into M. The subproblem is a small semidefinite program, solved by a
+primal-dual interior-point method (Mehrotra predictor-corrector steps in the
+HKM direction, about ten Newton steps per solve). Its matrices are d^2 x d^2
+for a d-dimensional component, so a step costs about as much as the numpy
+calls it makes: each step factors S and C once, builds the Schur matrix from
+one block product, and takes the primal and dual step lengths of the predictor
+and of the corrector with one batched eigvalsh each. The dual variable Y
+proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I) on the optimum, so
+every solve reports a certified optimality gap next to its value, and the
+returned map is exactly trace-preserving. A sweep visits components
+cyclically, installing a new map only when it lowers the energy, and records
+each solve's gap and convergence. M does not depend on the visited component's
+own map, so when no map has been installed since a component's previous visit,
+the sweep reuses that visit's objective and solve. Input data is either the
+weighted product rows of :class:`virtualmap.estimation.ProductInputData` (dual
+effects of measured outcomes or of the exact distribution, or the classical
+all-zeros register) or a :class:`virtualmap.densesim.DensityMatrix`, which
+optimizes the infinite-shot energy directly at small qubit counts. Both kinds
+share the contraction: product rows cut the whole-register plan into a (rows,
+terms) batch of residual pairs on the qubits active at the cut, and a dense
+state is one pair on the whole register with weight one.
 """
 
 from __future__ import annotations
@@ -37,7 +41,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cone import MapCircuit, row_chunks, schedule, split_residuals, term_factors
+from .cone import (
+    MapCircuit,
+    _group_support_first,
+    row_chunks,
+    schedule,
+    split_residuals,
+    term_factors,
+)
 from .densesim import DensityMatrix, apply_local_map
 from .errors import NumericalError, ValidationError
 from .estimation import ProductInputData, _real_weights, classical_input, mean_weight
@@ -90,22 +101,28 @@ class LocalObjective:
         return float(np.real(trace_mul(mat, self.matrix)))
 
 
-def _group_register(op: np.ndarray, n: int, support: tuple[int, ...]) -> np.ndarray:
-    """Reorder a full-register operator so `support` qubits come first."""
-    spect = [q for q in range(n) if q not in support]
-    order = list(support) + spect
-    t = op.reshape((2,) * (2 * n))
-    perm = order + [n + q for q in order]
-    ds, dm = 2 ** len(support), 2 ** len(spect)
-    return t.transpose(perm).reshape(ds * dm, ds * dm), ds, dm
+def _cut_objective(r: np.ndarray, rbar: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum_{i,k} weight_ik sum_a kron(R_a^T, Rbar_a) for (R, T, ds, dm, ds, dm)
+    residual pairs and (R, T) weights, as a (ds, ds, ds, ds) array. The
+    spectator-basis sum is folded into the contraction:
+    sum_a R_a[x,y] Rbar_a[X,Y] = sum_{w,u} r[x,w,y,u] rbar[X,u,Y,w], so the
+    energy sum_{x,y,X,Y} C[(x,Y),(y,X)] r[x,w,y,u] rbar[X,u,Y,w] is Tr[C M]
+    with M[(y,X),(x,Y)]."""
+    ds = r.shape[2]
+    # one matmul over (i, k, w, u)
+    lhs = np.multiply(r.transpose(2, 4, 0, 1, 3, 5), weight[:, :, None, None], order="C")
+    rhs = rbar.transpose(0, 1, 5, 3, 2, 4).reshape(-1, ds * ds)
+    return (lhs.reshape(ds * ds, -1) @ rhs).reshape(ds, ds, ds, ds).transpose(1, 2, 0, 3)
 
 
 def _dense_objective(
     circuit: MapCircuit, index: int, rho: DensityMatrix, obs: Observable
 ) -> np.ndarray:
+    """The whole register cut at the component: rho run forward through the
+    components before it, the observable backward through the adjoints of
+    those after it, both contracted as one residual pair."""
     n = circuit.num_qubits
-    comp = circuit.components[index]
-    support = comp.qubits
+    support = circuit.components[index].qubits
     fwd = rho.matrix
     for c in circuit.components[:index]:
         fwd = apply_local_map(DensityMatrix(n, fwd), c.map, c.qubits).matrix
@@ -116,21 +133,17 @@ def _dense_objective(
     for c in reversed(circuit.components[index + 1 :]):
         bwd = apply_superop_local(bwd, adjoint_map(c.map).superop, c.qubits, n)
     ds = 2 ** len(support)
-    f4 = _group_register(fwd, n, support)[0]
-    dm = f4.shape[0] // ds
-    f4 = f4.reshape(ds, dm, ds, dm)
-    g4 = _group_register(bwd[0], n, support)[0].reshape(ds, dm, ds, dm)
-    # E = sum C[(x,Y),(y,X)] sum_uv F[x,u,y,v] G[X,v,Y,u]  =>  M[(y,X),(x,Y)]
-    m4 = np.einsum("xuyv,XvYu->yXxY", f4, g4)
-    return m4.reshape(ds * ds, ds * ds)
+    shape = (1, 1, ds, 2**n // ds, ds, 2**n // ds)
+    r = _group_support_first(fwd[None, None], range(n), support).reshape(shape)
+    rbar = _group_support_first(bwd[None], range(n), support).reshape(shape)
+    return _cut_objective(r, rbar, np.ones((1, 1))).reshape(ds * ds, ds * ds)
 
 
 def _product_objective(
     circuit: MapCircuit, index: int, data: ProductInputData, obs: Observable
 ) -> np.ndarray:
     """sum_i w_i sum_k c_k sum_a kron(R_a^T, Rbar_a), over a (rows, terms)
-    batch per chunk of rows. The spectator-basis sum is folded into the
-    contraction: sum_a R_a[x,y] Rbar_a[X,Y] = sum_{w,u} r[x,w,y,u] rbar[X,u,Y,w]."""
+    batch of cut residuals per chunk of rows."""
     n = circuit.num_qubits
     peak = schedule(circuit).peak_active
     coeffs = np.array([c for c, _ in obs.terms])
@@ -140,12 +153,7 @@ def _product_objective(
     for chunk in row_chunks(len(data.weights), peak, len(coeffs)):
         ins = [data.tables[q][data.rows[chunk, q], None] for q in range(n)]
         r, rbar = split_residuals(circuit, index, ins, outs)
-        weight = data.weights[chunk, None] * coeffs  # (rows, terms)
-        # sum_{i,k,w,u} weight_ik r[i,k,x,w,y,u] rbar[i,k,X,u,Y,w], one matmul
-        # over (i, k, w, u)
-        lhs = np.multiply(r.transpose(2, 4, 0, 1, 3, 5), weight[:, :, None, None], order="C")
-        rhs = rbar.transpose(0, 1, 5, 3, 2, 4).reshape(-1, ds * ds)
-        m4 += (lhs.reshape(ds * ds, -1) @ rhs).reshape(ds, ds, ds, ds).transpose(1, 2, 0, 3)
+        m4 += _cut_objective(r, rbar, data.weights[chunk, None] * coeffs)
     return m4.reshape(ds * ds, ds * ds)
 
 

@@ -164,7 +164,7 @@ class TestEstimateExact:
         rho = noisy_chain_state(3, theta=0.2, p=0.01)
         obs = xx_hamiltonian(3, field=0.3)
         circ = MapCircuit(3, ())
-        got = estimate_exact(rho, "sic", circ, obs, method="enumerate")
+        got = estimate_exact(rho, "sic", circ, obs, duals="sic")
         want = expectation_oracle(rho.matrix, obs)
         assert abs(got - want) < 1e-10
 
@@ -173,8 +173,8 @@ class TestEstimateExact:
         rho = noisy_chain_state(3, theta=0.3, p=0.02)
         circ = brickwork(3, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(3, field=0.5)
-        a = estimate_exact(rho, "sic", circ, obs, method="enumerate")
-        b = estimate_exact(rho, "sic", circ, obs, method="dense")
+        a = estimate_exact(rho, "sic", circ, obs, duals="sic")
+        b = estimate_exact(rho, "sic", circ, obs)
         assert abs(a - b) < 1e-9 * (1 + abs(a))
 
     def test_sample_mean_converges_to_exact(self):
@@ -190,25 +190,13 @@ class TestEstimateExact:
         rho = noisy_chain_state(2)
         obs = xx_hamiltonian(2)
         duals = [_sic_dual_matrices()] * 2
-        with pytest.raises(ValidationError):
-            estimate_exact(rho, "sic", MapCircuit(2, ()), obs, duals=duals, method="dense")
         val = estimate_exact(rho, "sic", MapCircuit(2, ()), obs, duals=duals)
         assert abs(val - expectation_oracle(rho.matrix, obs)) < 1e-10
 
     def test_enumeration_limit(self):
         rho = DensityMatrix(10, np.eye(1024) / 1024)
         with pytest.raises(ValidationError, match="N <= 9"):
-            estimate_exact(rho, "sic", MapCircuit(10, ()), xx_hamiltonian(10), method="enumerate")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValidationError):
-            estimate_exact(
-                noisy_chain_state(2),
-                "sic",
-                MapCircuit(2, ()),
-                xx_hamiltonian(2),
-                method="nope",
-            )
+            estimate_exact(rho, "sic", MapCircuit(10, ()), xx_hamiltonian(10), duals="sic")
 
 
 class TestCovariance:
@@ -423,7 +411,7 @@ class TestBatchedKernel:
         rho = noisy_chain_state(4, theta=0.2, p=0.02)
         duals = _custom_duals(rng)
         assert np.max(np.abs(np.trace(duals, axis1=1, axis2=2) - 1.0)) > 1e-3
-        got = estimate_exact(rho, "sic", circ, obs, duals=[duals] * 4, method="enumerate")
+        got = estimate_exact(rho, "sic", circ, obs, duals=[duals] * 4)
         p = outcome_distribution(rho, "sic")
         want = sum(
             p[idx] * _reference_weight(circ, [duals[m] for m in idx], obs).real
@@ -437,7 +425,7 @@ class TestBatchedKernel:
         obs = kernel_observable()
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
         cube = cube_povm()
-        got = estimate_exact(rho, cube, circ, obs, method="enumerate")
+        got = estimate_exact(rho, cube, circ, obs, duals=cube)
         duals = np.asarray(compute_duals(cube).duals)
         p = outcome_distribution(rho, cube)
         want = sum(
@@ -445,7 +433,7 @@ class TestBatchedKernel:
             for idx in np.ndindex(p.shape)
         )
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
-        dense = estimate_exact(rho, cube, circ, obs, method="dense")
+        dense = estimate_exact(rho, cube, circ, obs)
         assert abs(got - dense) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])

@@ -30,6 +30,7 @@ from virtualmap.maps import (
     choi_to_superop,
     identity_map,
     random_cptp_map,
+    random_tp_hermitian_map,
     random_unitary_map,
     superop_to_choi,
     zreset_map,
@@ -105,8 +106,8 @@ class TestInputData:
         data = data_from_distribution(rho, "sic")
         assert data.rows.shape == (4**8, 8)
         energy = circuit_energy(circ, data, obs)
-        assert energy == estimate_exact(rho, "sic", circ, obs, method="enumerate")
-        dense = estimate_exact(rho, "sic", circ, obs, method="dense")
+        assert energy == estimate_exact(rho, "sic", circ, obs, duals="sic")
+        dense = estimate_exact(rho, "sic", circ, obs)
         assert abs(energy - dense) < 1e-9 * (1 + abs(dense))
 
     def test_classical_input_is_zero_state(self):
@@ -190,11 +191,13 @@ class TestLocalObjective:
         circ = brickwork(3, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(3)
         data = rho
-        objective = assemble_local_objective(circ, 1, data, obs)
-        new_map = random_cptp_map(2, rng)
-        predicted = objective.value(superop_to_choi(new_map))
-        actual = circuit_energy(circ.with_component(1, new_map), data, obs)
-        assert abs(predicted - actual) < 1e-9 * (1 + abs(actual))
+        for index in range(len(circ.components)):
+            objective = assemble_local_objective(circ, index, data, obs)
+            # a channel, and a Hermiticity-preserving map that is not CP
+            for new_map in (random_cptp_map(2, rng), random_tp_hermitian_map(2, rng)):
+                predicted = objective.value(superop_to_choi(new_map))
+                actual = circuit_energy(circ.with_component(index, new_map), data, obs)
+                assert abs(predicted - actual) < 1e-9 * (1 + abs(actual)), index
 
     def test_batch_data_agrees_with_dense_assembly(self):
         rho = noisy_chain_state(3, theta=0.2, p=0.01)
