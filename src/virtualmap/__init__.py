@@ -42,6 +42,7 @@ from .errors import NumericalError, ValidationError
 from .estimation import (
     Estimate,
     ProductInputData,
+    circuit_energy,
     classical_input,
     data_from_batch,
     data_from_distribution,
@@ -88,7 +89,6 @@ from .varopt import (
     SweepOptions,
     SweepReport,
     assemble_local_objective,
-    circuit_energy,
     classical_ansatz,
     minimize_over_cptp,
     sweep,

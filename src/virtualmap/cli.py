@@ -231,6 +231,10 @@ def _random_check_circuit(n: int, rng: np.random.Generator) -> MapCircuit:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.seed < 0 or args.instances < 0:
+        raise ValidationError("--seed and --instances must be non-negative")
+    if not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValidationError("--tol must be a non-negative finite number")
     circuits = [load_circuit(args.circuit)] if args.circuit else None
     # checked before the loop, so a large --N never builds a random circuit
     if (circuits[0].num_qubits if circuits else args.N) > ORACLE_LIMIT:

@@ -1,9 +1,12 @@
 """Dense reference simulation, measurement sampling, and state builders.
 
-Everything here works with full 2^N density matrices and exists to feed and
-cross-check the causal-cone machinery: the dense circuit oracle, exact outcome
-distributions, perturbed-state construction, and the noisy two-qubit gate
-model. Register sizes are guarded accordingly.
+Everything here works with full 2^N density matrices (N <= 10) and exists to
+feed and cross-check the causal-cone machinery: the dense circuit oracle,
+exact outcome distributions, perturbed-state construction, and the noisy
+two-qubit gate model. :func:`apply_circuit_dense` is the one loop of a
+circuit's maps over a dense operator, one checked :func:`apply_local_map` per
+component, and :func:`sample_outcomes` the one sampler: it draws from the
+enumerated outcome distribution, 4^N real probabilities.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .cone import MapCircuit, brickwork
 from .errors import ValidationError, json_int
-from .linalg import multiply_trace_out, partial_trace, trace_mul
+from .linalg import apply_superop_local
 from .maps import LocalMap, map_from_spec, noisy_cnot, random_cptp_map
 from .pauli import Observable
 from .povm import SingleQubitPOVM, get_povm
@@ -46,7 +49,6 @@ __all__ = [
 
 _DENSE_LIMIT = 10
 ORACLE_LIMIT = 6
-_EXACT_SAMPLING_LIMIT = 9
 
 
 @dataclass
@@ -97,9 +99,8 @@ def from_statevector(psi: np.ndarray) -> DensityMatrix:
 
 
 def apply_local_map(rho: DensityMatrix, m: LocalMap, qubits) -> DensityMatrix:
-    """Apply a k-local map to the named qubits of a dense state."""
-    from .linalg import apply_superop_local
-
+    """Apply a k-local map to the named qubits of a dense state; a map flagged
+    trace preserving must keep the trace to 1e-10."""
     qubits = tuple(int(q) for q in qubits)
     if len(qubits) != m.arity:
         raise ValidationError(f"map arity {m.arity} does not match qubits {qubits}")
@@ -114,18 +115,13 @@ def apply_local_map(rho: DensityMatrix, m: LocalMap, qubits) -> DensityMatrix:
 
 def apply_circuit_dense(circuit: MapCircuit, op: np.ndarray) -> np.ndarray:
     """Apply every circuit component, in order, to a dense operator."""
-    from .linalg import apply_superop_local
-
     n = circuit.num_qubits
     if n > _DENSE_LIMIT:
         raise ValidationError(f"dense application limited to N <= {_DENSE_LIMIT}")
-    out = np.asarray(op, dtype=complex)
-    if out.shape != (2**n, 2**n):
-        raise ValidationError(f"operator shape {out.shape} does not match {n} qubits")
-    out = out[None]
+    rho = DensityMatrix(n, op)
     for comp in circuit.components:
-        out = apply_superop_local(out, comp.map.superop, comp.qubits, n)
-    return out[0]
+        rho = apply_local_map(rho, comp.map, comp.qubits)
+    return rho.matrix
 
 
 def dense_map_circuit_oracle(circuit: MapCircuit, input_op: np.ndarray) -> np.ndarray:
@@ -217,64 +213,22 @@ def outcome_distribution(rho: DensityMatrix, povms) -> np.ndarray:
 
 
 def sample_outcomes(
-    rho: DensityMatrix,
-    povms,
-    num_shots: int,
-    seed: int = 0,
-    exact_threshold: int = _EXACT_SAMPLING_LIMIT,
-    source: str = "",
+    rho: DensityMatrix, povms, num_shots: int, seed: int = 0, source: str = ""
 ) -> OutcomeBatch:
-    """Draw i.i.d. product-POVM outcomes from a state.
-
-    For N <= ``exact_threshold`` the exact joint distribution is enumerated;
-    larger registers fall back to qubit-by-qubit conditional sampling. Both
-    paths are deterministic given the seed (with different draw sequences).
-    """
+    """Draw i.i.d. product-POVM outcomes from a state, deterministically given
+    the seed: ``num_shots`` draws from the enumerated joint distribution of
+    :func:`outcome_distribution`, outcome strings numbered with qubit 0 most
+    significant."""
     if num_shots < 1:
         raise ValidationError("need at least one shot")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     rho.validate()
-    n = rho.num_qubits
-    effects, labels = _effects_per_qubit(povms, n)
-    rng = np.random.default_rng(seed)
-    if n <= exact_threshold:
-        p = outcome_distribution(rho, povms)
-        flat = np.clip(p.reshape(-1), 0.0, None)
-        flat = flat / flat.sum()
-        draws = rng.choice(flat.size, size=num_shots, p=flat)
-        sizes = [e.shape[0] for e in effects]
-        outcomes = np.empty((num_shots, n), dtype=np.int8)
-        rem = draws
-        for q in reversed(range(n)):
-            outcomes[:, q] = rem % sizes[q]
-            rem = rem // sizes[q]
-    else:
-        outcomes = _sample_conditional(rho, effects, num_shots, rng)
-    return OutcomeBatch(outcomes, labels, seed, source)
-
-
-def _sample_conditional(rho, effects, num_shots, rng):
-    n = rho.num_qubits
-    out = np.empty((num_shots, n), dtype=np.int8)
-    branches = [(rho.matrix, np.arange(num_shots))]
-    for q in range(n):
-        nq = n - q
-        nxt = []
-        for t, idx in branches:
-            red = partial_trace(t, [0], nq)
-            probs = np.array(
-                [max(trace_mul(red, e).real, 0.0) for e in effects[q]]
-            )
-            probs /= probs.sum()
-            draws = rng.choice(len(probs), size=len(idx), p=probs)
-            children = multiply_trace_out(t[None], effects[q], 0, nq) if q < n - 1 else None
-            for m in range(len(probs)):
-                sel = idx[draws == m]
-                if sel.size:
-                    out[sel, q] = m
-                    if children is not None:
-                        nxt.append((children[m], sel))
-        branches = nxt
-    return out
+    _, labels = _effects_per_qubit(povms, rho.num_qubits)
+    p = outcome_distribution(rho, povms)
+    flat = np.clip(p.reshape(-1), 0.0, None)
+    draws = np.random.default_rng(seed).choice(flat.size, size=num_shots, p=flat / flat.sum())
+    return OutcomeBatch(np.stack(np.unravel_index(draws, p.shape), axis=1), labels, seed, source)
 
 
 # ---------------------------------------------------------------------------

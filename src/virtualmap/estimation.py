@@ -36,6 +36,8 @@ from a measured batch (:func:`data_from_batch`), from the exact outcome
 distribution (:func:`data_from_distribution`, which also serves
 :func:`estimate_exact`), and for the classical all-zeros register
 (:func:`classical_input`); the variational sweep consumes the same rows.
+:func:`circuit_energy` is the one exact energy, of such rows or of a dense
+state; :func:`estimate_exact` and the sweep both call it.
 """
 
 from __future__ import annotations
@@ -241,8 +243,16 @@ def row_weights(circuit: MapCircuit, tables, rows, obs: Observable) -> np.ndarra
     return total
 
 
-def mean_weight(circuit: MapCircuit, data: ProductInputData, obs: Observable) -> float:
-    """sum_i w_i Re sum_k c_k Tr[L(row_i) P_k] over the weighted rows of ``data``."""
+def circuit_energy(circuit: MapCircuit, data, obs: Observable) -> float:
+    """The exact energy Re sum_k c_k Tr[L(input) P_k]: sum_i w_i times it over
+    the weighted rows of :class:`ProductInputData`, or it on a
+    :class:`DensityMatrix` (N <= 10) with the circuit applied densely."""
+    if data.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
+        raise ValidationError("data, circuit, and observable qubit counts differ")
+    if isinstance(data, DensityMatrix):
+        out = apply_circuit_dense(circuit, data.matrix)
+        reals, _ = _real_weights(expectation_oracle(out, obs))
+        return float(reals[0])
     reals, _ = _real_weights(row_weights(circuit, data.tables, data.rows, obs))
     return float(np.dot(data.weights, reals))
 
@@ -310,7 +320,7 @@ def estimate_exact(
 ) -> float:
     """Infinite-shot limit sum_m p_m w_m of the estimator.
 
-    Without ``duals`` the circuit is applied to rho directly, which is the sum
+    Without ``duals`` this is :func:`circuit_energy` on rho itself: the sum
     over the 4^N outcome distribution rearranged by linearity of the
     dual-frame identity. Explicit ``duals`` (a frame that need not be dual to
     ``povms``, which only makes sense in the literal sum) enumerate that
@@ -320,11 +330,8 @@ def estimate_exact(
         raise ValidationError("state, circuit, and observable qubit counts differ")
     if not obs.is_hermitian:
         raise ValidationError("exact estimation needs a Hermitian observable")
-    if duals is None:
-        out = apply_circuit_dense(circuit, rho.matrix)
-        reals, _ = _real_weights(expectation_oracle(out, obs))
-        return float(reals[0])
-    return mean_weight(circuit, data_from_distribution(rho, povms, duals), obs)
+    data = rho if duals is None else data_from_distribution(rho, povms, duals)
+    return circuit_energy(circuit, data, obs)
 
 
 def estimate_covariance(a: Estimate, b: Estimate) -> float:

@@ -93,23 +93,6 @@ def insert_factor(op: np.ndarray, factor: np.ndarray, slot: int, n: int) -> np.n
     return m.reshape(m.shape[:-6] + (d, d))
 
 
-def partial_trace(op: np.ndarray, keep, n: int) -> np.ndarray:
-    """Partial trace of an n-qubit operator keeping the listed qubits (in order)."""
-    keep = list(keep)
-    t = op.reshape((2,) * (2 * n))
-    traced = [q for q in range(n) if q not in keep]
-    for q in sorted(traced, reverse=True):
-        nq = t.ndim // 2
-        t = np.trace(t, axis1=q, axis2=nq + q)
-    # remaining axes are in ascending qubit order; permute to requested order
-    order = sorted(keep)
-    perm = [order.index(q) for q in keep]
-    nq = len(keep)
-    t = t.transpose([*perm, *[nq + p for p in perm]])
-    d = 2**nq
-    return t.reshape(d, d)
-
-
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of an (R, K) integer array, K >= 1, with inverse and counts.
 

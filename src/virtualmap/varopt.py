@@ -30,7 +30,9 @@ all-zeros register) or a :class:`virtualmap.densesim.DensityMatrix`, which
 optimizes the infinite-shot energy directly at small qubit counts. Both kinds
 share the contraction: product rows cut the whole-register plan into a (rows,
 terms) batch of residual pairs on the qubits active at the cut, and a dense
-state is one pair on the whole register with weight one.
+state is one pair on the whole register with weight one. The sweep's energies
+come from :func:`virtualmap.estimation.circuit_energy`, which takes the same
+two kinds of input.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from .cone import (
     split_residuals,
     term_factors,
 )
-from .densesim import DensityMatrix, apply_local_map
+from .densesim import DensityMatrix, apply_circuit_dense
 from .errors import NumericalError, ValidationError
-from .estimation import ProductInputData, _real_weights, classical_input, mean_weight
+from .estimation import ProductInputData, circuit_energy, classical_input
 from .linalg import apply_superop_local, herm, trace_mul
 from .maps import (
     ChoiMatrix,
@@ -65,27 +67,12 @@ from .maps import (
     tensor_maps,
     zreset_map,
 )
-from .pauli import Observable, expectation_oracle
+from .pauli import Observable
 
 
 # ---------------------------------------------------------------------------
 # Energy and per-component objective assembly
 # ---------------------------------------------------------------------------
-
-
-def circuit_energy(circuit: MapCircuit, data, obs: Observable) -> float:
-    """E = sum_i w_i sum_k c_k Tr[L(row_i) P_k] for product rows, or
-    sum_k c_k Tr[L(rho) P_k] for a DensityMatrix."""
-    if data.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
-        raise ValidationError("data, circuit, and observable qubit counts differ")
-    if isinstance(data, DensityMatrix):
-        n = circuit.num_qubits
-        mat = data.matrix
-        for comp in circuit.components:
-            mat = apply_local_map(DensityMatrix(n, mat), comp.map, comp.qubits).matrix
-        reals, _ = _real_weights(expectation_oracle(mat, obs))
-        return float(reals[0])
-    return mean_weight(circuit, data, obs)
 
 
 @dataclass
@@ -123,9 +110,7 @@ def _dense_objective(
     those after it, both contracted as one residual pair."""
     n = circuit.num_qubits
     support = circuit.components[index].qubits
-    fwd = rho.matrix
-    for c in circuit.components[:index]:
-        fwd = apply_local_map(DensityMatrix(n, fwd), c.map, c.qubits).matrix
+    fwd = apply_circuit_dense(MapCircuit(n, circuit.components[:index]), rho.matrix)
     # Heisenberg-picture operand: the adjoint of a trace-preserving map is
     # unital, not trace-preserving, so its action legitimately changes the
     # trace of an observable and must bypass the state-application checks.
@@ -452,6 +437,14 @@ class SweepOptions:
     init: str = "keep"  # keep | identity | random_unitary | random_cptp
     seed: int = 0
     sdp: SdpOptions = field(default_factory=SdpOptions)
+
+    def __post_init__(self):
+        if self.rounds < 0:
+            raise ValidationError("rounds must be non-negative")
+        if not (np.isfinite(self.accept_tol) and self.accept_tol >= 0.0):
+            raise ValidationError("accept_tol must be a non-negative finite number")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 def _initialize(circuit: MapCircuit, init: str, seed: int) -> MapCircuit:

@@ -443,6 +443,12 @@ class TestOracleCheck:
         assert payload["status"] == "pass"
 
 
+# valid inputs, for the malformed run settings below
+_PREP = '[{"qubits": [0, 1], "map": "cnot"}]'
+_OBS = '{"num_qubits": 2, "terms": [{"coeff": 1.0, "pauli": "ZZ"}]}'
+_CIRCUIT = '{"num_qubits": 2, "components": [{"layer": 1, "qubits": [0, 1], "map": "cnot"}]}'
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
         "command, text",
@@ -469,6 +475,15 @@ class TestMalformedInputs:
                 '{"num_qubits": "2", "terms": [{"coeff": 1.0, "pauli": "ZZ"}]}',
             ),
             ("sample --S 5 --state", json.dumps([{"qubits": list(range(20)), "map": "identity"}])),
+            ("sample --seed -1 --S 5 --state", _PREP),
+            ("ansatz --seed -1 --observable", _OBS),
+            ("oracle-check --seed -1 --circuit", _CIRCUIT),
+            ("ansatz --accept-tol -1 --observable", _OBS),
+            ("ansatz --accept-tol nan --observable", _OBS),
+            ("ansatz --rounds -2 --observable", _OBS),
+            ("oracle-check --instances -1 --circuit", _CIRCUIT),
+            ("oracle-check --tol nan --circuit", _CIRCUIT),
+            ("oracle-check --tol -1 --circuit", _CIRCUIT),
         ],
         ids=[
             "null-components",
@@ -484,6 +499,15 @@ class TestMalformedInputs:
             "text-qubits",
             "text-observable-num-qubits",
             "identity-on-20-qubits",
+            "sample-negative-seed",
+            "ansatz-negative-seed",
+            "oracle-check-negative-seed",
+            "negative-accept-tol",
+            "nan-accept-tol",
+            "negative-rounds",
+            "negative-instances",
+            "nan-tol",
+            "negative-tol",
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, text):

@@ -177,28 +177,17 @@ class TestSampling:
         assert not np.array_equal(a.outcomes, c.outcomes)
 
     def test_marginals_converge(self):
-        rho = noisy_chain_state(3)
         s = 20000
-        batch = sample_outcomes(rho, "sic", s, seed=0)
-        p = outcome_distribution(rho, "sic")
-        for q in range(3):
-            marg = p.sum(axis=tuple(a for a in range(3) if a != q))
-            for m in range(4):
-                freq = np.mean(batch.outcomes[:, q] == m)
-                bound = 5.0 * np.sqrt(marg[m] * (1 - marg[m]) / s)
-                assert abs(freq - marg[m]) <= bound
-
-    def test_conditional_path_matches_exact_marginals(self):
-        rho = noisy_chain_state(3)
-        s = 20000
-        batch = sample_outcomes(rho, "sic", s, seed=4, exact_threshold=0)
-        p = outcome_distribution(rho, "sic")
-        for q in range(3):
-            marg = p.sum(axis=tuple(a for a in range(3) if a != q))
-            for m in range(4):
-                freq = np.mean(batch.outcomes[:, q] == m)
-                bound = 5.0 * np.sqrt(max(marg[m] * (1 - marg[m]), 1e-12) / s)
-                assert abs(freq - marg[m]) <= bound
+        for n in (3, 10):  # 10: the dense limit
+            rho = noisy_chain_state(n)
+            batch = sample_outcomes(rho, "sic", s, seed=0)
+            p = outcome_distribution(rho, "sic")
+            for q in range(n):
+                marg = p.sum(axis=tuple(a for a in range(n) if a != q))
+                for m in range(4):
+                    freq = np.mean(batch.outcomes[:, q] == m)
+                    bound = 5.0 * np.sqrt(marg[m] * (1 - marg[m]) / s)
+                    assert abs(freq - marg[m]) <= bound, (n, q, m)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValidationError):

@@ -172,6 +172,12 @@ class TestCircuitEnergy:
         assert abs(e_dense - e_prod) < 1e-9 * (1 + abs(e_dense))
 
 
+    def test_dense_state_above_the_dense_limit_rejected(self):
+        obs = Observable.from_terms(11, [(1.0, "Z" + "I" * 10)])
+        with pytest.raises(ValidationError, match="N <= 10"):
+            circuit_energy(MapCircuit(11, ()), maximally_mixed(11), obs)
+
+
 class TestLocalObjective:
     def test_reproduces_energy_at_current_choi(self):
         rho = noisy_chain_state(4, theta=0.25, p=0.01)
@@ -600,6 +606,20 @@ class TestSweep:
                 obs,
                 SweepOptions(init="whatever", rounds=1),
             )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rounds": -2},
+            {"accept_tol": -1.0},
+            {"accept_tol": float("nan")},
+            {"accept_tol": float("inf")},
+            {"seed": -1},
+        ],
+    )
+    def test_bad_options_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            SweepOptions(**kwargs)
 
     def test_steps_record_certificate(self):
         obs = xx_hamiltonian(3, field=0.4)
