@@ -231,8 +231,10 @@ def _random_check_circuit(n: int, rng: np.random.Generator) -> MapCircuit:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.seed < 0 or args.instances < 0:
-        raise ValidationError("--seed and --instances must be non-negative")
+    if args.seed < 0:
+        raise ValidationError("--seed must be non-negative")
+    if args.instances < 1:
+        raise ValidationError("--instances must be at least 1")
     if not (np.isfinite(args.tol) and args.tol >= 0.0):
         raise ValidationError("--tol must be a non-negative finite number")
     circuits = [load_circuit(args.circuit)] if args.circuit else None

@@ -29,15 +29,16 @@ evaluation runs that plan's steps in reverse order on the adjoint maps, with
 the roles of the two factor sets exchanged (the same backward pass the
 objectives use); for Hermiticity-preserving circuits both directions agree.
 
-The residual carries two leading batch axes, rows and terms: input factors
-are (R, 1, 2, 2), one per row, and output factors (1, T, 2, 2), one per
-Pauli term, or (2, 2) where every term has the same letter. Broadcasting
-forms the (R, T) batch only at the first step whose factor needs it, so the
-steps before it run once per row, not once per (row, term) pair. The
-single-row entry points are batches of one. ``evaluate_rows`` runs a support
-group, a list of Pauli terms, over a whole batch of rows in one pass and
-contracts only the backward light cone of the union of their supports. The
-pruning is exact:
+The residual carries two trailing batch axes, rows and terms, behind its two
+operator axes, so every kernel's innermost loop runs over the batch: input
+factors are (2, 2, R, 1), one per row, and output factors (2, 2, 1, T), one
+per Pauli term, or (2, 2) where every term has the same letter.
+Broadcasting forms the (R, T) batch only at the first step whose factor
+needs it, so the steps before it run once per row, not once per (row, term)
+pair. The single-row entry points are batches of one. ``evaluate_rows`` runs
+a support group, a list of Pauli terms, over a whole batch of rows in one
+pass and contracts only the backward light cone of the union of their
+supports. The pruning is exact:
 
 * a component outside the cone is dropped only if it is trace preserving to
   round-off (vec(I)^T S = vec(I)^T within ``_TP_TOL``); otherwise it joins the
@@ -46,9 +47,10 @@ pruning is exact:
   one (custom dual frames).
 
 Rows that agree on the cone's qubits are contracted once, and batches are cut
-into chunks of rows so that live (rows, terms) residuals stay below
-``_BATCH_ENTRIES`` entries. No plan may be wider than ``MAX_ACTIVE_QUBITS``:
-``cone_plan`` refuses it before any residual is allocated.
+into chunks of rows, and of terms where one row of all of them is too many,
+so that live (rows, terms) residuals stay below ``_BATCH_ENTRIES`` entries.
+No plan may be wider than ``MAX_ACTIVE_QUBITS``: ``cone_plan`` refuses it
+before any residual is allocated.
 
 To single out one component, ``split_residuals`` cuts the whole-register
 plan at the component: the steps before the cut give the forward residual,
@@ -363,11 +365,11 @@ def _run_steps(circuit, steps, in_factors, out_factors, backward=False):
     """Execute schedule steps on a batch of residuals with two batch axes.
 
     The residuals are (rows, terms) batches. Each per-qubit factor is (2, 2),
-    shared by the batch, or carries its own batch shape: (R, 1, 2, 2) for one
-    factor per row, (1, T, 2, 2) for one per term. Broadcasting forms the
+    shared by the batch, or carries its own batch shape: (2, 2, R, 1) for one
+    factor per row, (2, 2, 1, T) for one per term. Broadcasting forms the
     (R, T) batch only at the first step whose factor needs both, so the steps
     before it run once per row. Returns the active qubit list and the
-    residuals, shape (R', T', 2^a, 2^a) for a active qubits, where R' and T'
+    residuals, shape (2^a, 2^a, R', T') for a active qubits, where R' and T'
     are 1 if no factor so far had that axis. With ``backward`` the steps are
     given in reverse order and run backwards in time: a trace step absorbs,
     an absorb step traces out, and a component applies its adjoint map.
@@ -398,7 +400,7 @@ def _run_plan(circuit, plan: ConePlan, in_factors, out_factors) -> np.ndarray:
     active, res = _run_steps(circuit, plan.steps, in_factors, out_factors)
     if active:
         raise ValidationError("plan did not trace every qubit")
-    return res[..., 0, 0]
+    return res[0, 0]
 
 
 def evaluate_trace(circuit, dual_factors, pauli):
@@ -425,28 +427,45 @@ def evaluate_trace_backward(circuit, dual_factors, pauli):
 # batched evaluation of a group of Pauli terms over their joint light cone
 
 # Upper bound on the entries of one batch of residuals (16 bytes each); the
-# rows of a batch are chunked to stay below it.
+# rows of a batch, and if need be its terms, are chunked to stay below it.
 _BATCH_ENTRIES = 1 << 18
 
 
 def row_chunks(num_rows: int, peak_active: int, terms: int):
-    """Slices of the rows of a batch small enough that its (rows, terms)
-    residuals on ``peak_active`` qubits hold at most ``_BATCH_ENTRIES``
-    entries (a single row may exceed it)."""
-    size = max(1, _BATCH_ENTRIES // (max(terms, 1) * 4**peak_active))
-    return [slice(start, min(start + size, num_rows)) for start in range(0, num_rows, size)]
+    """Chunks of a (rows, terms) batch small enough that its residuals on
+    ``peak_active`` qubits hold at most ``_BATCH_ENTRIES`` entries (a single
+    (row, term) pair may exceed it): a list of (terms slice, rows slices).
+    The term axis is split only where one row of all the terms would exceed
+    the budget."""
+    item = 4**peak_active
+    term_size = max(1, min(terms, _BATCH_ENTRIES // item))
+    row_size = max(1, _BATCH_ENTRIES // (term_size * item))
+    rows = [
+        slice(start, min(start + row_size, num_rows)) for start in range(0, num_rows, row_size)
+    ]
+    return [
+        (slice(start, min(start + term_size, terms)), rows)
+        for start in range(0, max(terms, 1), term_size)
+    ]
+
+
+def row_factors(tables, rows) -> list[np.ndarray]:
+    """Input factors of a batch of rows, one (2, 2, R, 1) array per table:
+    ``tables[j][rows[:, j]]`` with the batch axes behind the operator axes."""
+    return [t[rows[:, j]].transpose(1, 2, 0)[..., None] for j, t in enumerate(tables)]
 
 
 def term_factors(terms, num_qubits: int) -> list[np.ndarray]:
     """Per-qubit output factors of a list of Pauli terms: the shared (2, 2)
-    letter where every term has the same one, else (1, T, 2, 2)."""
+    letter where every term has the same one, else (2, 2, 1, T)."""
     out = []
     for q in range(num_qubits):
         letters = [ps.letters[q] for ps in terms]
         if len(set(letters)) == 1:
             out.append(PAULI_MATRICES[letters[0]])
         else:
-            out.append(np.array([PAULI_MATRICES[c] for c in letters]).reshape(1, -1, 2, 2))
+            stacked = np.array([PAULI_MATRICES[c] for c in letters]).reshape(-1, 2, 2)
+            out.append(stacked.transpose(1, 2, 0)[:, :, None])
     return out
 
 
@@ -478,14 +497,14 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
     if not plan.qubits:
         return np.repeat(values, len(terms), axis=1)
     cols = list(plan.qubits)
-    outs = term_factors(terms, n)
+    cone_tables = [tables[q] for q in cols]
     uniq, inverse, _ = unique_rows(rows[:, cols])
     cone_values = np.empty((len(uniq), len(terms)), dtype=complex)
-    for chunk in row_chunks(len(uniq), plan.peak_active, len(terms)):
-        ins = [None] * n
-        for j, q in enumerate(cols):
-            ins[q] = tables[q][uniq[chunk, j], None]
-        cone_values[chunk] = _run_plan(circuit, plan, ins, outs)
+    for term_chunk, chunks in row_chunks(len(uniq), plan.peak_active, len(terms)):
+        outs = term_factors(terms[term_chunk], n)
+        for chunk in chunks:
+            ins = dict(zip(cols, row_factors(cone_tables, uniq[chunk])))
+            cone_values[chunk, term_chunk] = _run_plan(circuit, plan, ins, outs)
     return values * cone_values[inverse]
 
 
@@ -502,8 +521,8 @@ def split_residuals(circuit: MapCircuit, index: int, in_factors, out_factors):
     the backward residual. Both live on the qubits active at the cut, never
     more than the plan's ``peak_active``.
 
-    Factors are per qubit, (2, 2), (R, 1, 2, 2) or (1, T, 2, 2) as in
-    :func:`_run_steps`. Returns two arrays of shape (R, T, ds, dm, ds, dm),
+    Factors are per qubit, (2, 2), (2, 2, R, 1) or (2, 2, 1, T) as in
+    :func:`_run_steps`. Returns two arrays of shape (ds, dm, ds, dm, R, T),
     R and T being 1 where no factor has that axis: ds spans the component's
     qubits (in its own order), dm the other active qubits (ascending).
     """
@@ -516,11 +535,11 @@ def split_residuals(circuit: MapCircuit, index: int, in_factors, out_factors):
     sup = circuit.components[index].qubits
     ds = 2 ** len(sup)
     dm = 2 ** (len(active) - len(sup))
-    shape = np.broadcast_shapes(res_f.shape[:2], res_b.shape[:2]) + (ds, dm, ds, dm)
+    shape = (ds, dm, ds, dm) + np.broadcast_shapes(res_f.shape[2:], res_b.shape[2:])
 
     def grouped(res):
         t = _group_support_first(res, active, sup)
-        return np.broadcast_to(t.reshape(t.shape[:2] + (ds, dm, ds, dm)), shape)
+        return np.broadcast_to(t.reshape((ds, dm, ds, dm) + t.shape[2:]), shape)
 
     return grouped(res_f), grouped(res_b)
 
@@ -534,11 +553,11 @@ def _group_support_first(res, shared, support):
     order = [shared.index(q) for q in support] + [
         shared.index(q) for q in shared if q not in support
     ]
-    batch = res.shape[:2]
-    t = res.reshape(batch + (2,) * (2 * a))
-    t = t.transpose([0, 1, *[2 + p for p in order], *[2 + a + p for p in order]])
+    batch = res.shape[2:]
+    t = res.reshape((2,) * (2 * a) + batch)
+    t = t.transpose([*order, *[a + p for p in order], *range(2 * a, 2 * a + len(batch))])
     d = 2**a
-    return t.reshape(batch + (d, d))
+    return t.reshape((d, d) + batch)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ terms at a time, by the batched cone kernel
 widest term support that contains its own support and lies inside its own
 backward light cone (ties go to the lexicographically first support), so the
 N bond groups of a nearest-neighbour chain absorb its one-site terms, while a
-term spanning the register stays on its own. Each group is one contraction
-of the light cone of its support over a (rows, terms) batch; the weights are
-the per-term values times the coefficients. The pruning is exact:
+term spanning the register stays on its own. The grouping depends only on
+the circuit's structure and the term supports, so it is memoized on them,
+like the cone plans. Each group is one contraction of the light cone of its
+support over a (rows, terms) batch; the weights are the per-term values times
+the coefficients. The pruning is exact:
 
 * a component outside the cone is dropped only if it is trace preserving to
   round-off; a component that is not joins the cone with everything it
@@ -43,12 +45,13 @@ state; :func:`estimate_exact` and the sweep both call it.
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cone import MapCircuit, cone_plan, evaluate_rows
+from .cone import _PLAN_CACHE_SIZE, MapCircuit, cone_plan, evaluate_rows
 from .densesim import DensityMatrix, OutcomeBatch, apply_circuit_dense, outcome_distribution
 from .errors import NumericalError, ValidationError
 from .linalg import unique_rows
@@ -211,7 +214,13 @@ def _real_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
     return w.real.copy(), float(residue.max(initial=0.0))
 
 
-def _support_groups(circuit: MapCircuit, obs: Observable) -> list[list[int]]:
+# Term groups, like cone plans, depend on structure only: the register size,
+# the component supports and TP flags, and the term supports. They are
+# memoized on that key, least recently used first out past the bound.
+_GROUP_CACHE: OrderedDict = OrderedDict()
+
+
+def _support_groups(circuit: MapCircuit, obs: Observable) -> tuple[tuple[int, ...], ...]:
     """Indices of the observable's terms, grouped for :func:`row_weights`.
 
     A term joins the group of the widest term support S that contains its
@@ -219,14 +228,22 @@ def _support_groups(circuit: MapCircuit, obs: Observable) -> list[list[int]]:
     lexicographically first S); its own support always qualifies. The cone
     bound keeps a wide term from pulling local terms into its wide cone.
     """
-    supports = sorted({ps.support for _, ps in obs.terms}, key=lambda s: (-len(s), s))
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, (_, ps) in enumerate(obs.terms):
-        own = set(ps.support)
-        cone = set(cone_plan(circuit, ps.support).qubits)
-        home = next(s for s in supports if own.issubset(s) and cone.issuperset(s))
-        groups.setdefault(home, []).append(k)
-    return list(groups.values())
+    term_supports = tuple(ps.support for _, ps in obs.terms)
+    key = (circuit.num_qubits, circuit.supports, circuit.trace_preserving, term_supports)
+    groups = _GROUP_CACHE.get(key)
+    if groups is not None:
+        _GROUP_CACHE.move_to_end(key)
+        return groups
+    supports = sorted(set(term_supports), key=lambda s: (-len(s), s))
+    homes: dict[tuple[int, ...], list[int]] = {}
+    for k, own in enumerate(term_supports):
+        cone = set(cone_plan(circuit, own).qubits)
+        home = next(s for s in supports if set(own).issubset(s) and cone.issuperset(s))
+        homes.setdefault(home, []).append(k)
+    groups = _GROUP_CACHE[key] = tuple(tuple(g) for g in homes.values())
+    if len(_GROUP_CACHE) > _PLAN_CACHE_SIZE:
+        _GROUP_CACHE.popitem(last=False)
+    return groups
 
 
 def row_weights(circuit: MapCircuit, tables, rows, obs: Observable) -> np.ndarray:

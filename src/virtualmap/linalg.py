@@ -10,6 +10,8 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -44,53 +46,70 @@ def trace_mul(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", a, b))
 
 
+def _pad_batch(arr: np.ndarray, rank: int) -> tuple[int, ...]:
+    """The trailing batch shape of ``arr`` (after its two operator axes),
+    padded on the left with ones to at least ``rank`` axes, so that two batch
+    shapes broadcast as numpy aligns them."""
+    batch = arr.shape[2:]
+    return (1,) * (rank - len(batch)) + batch
+
+
+@lru_cache(maxsize=256)
+def _superop_perms(positions: tuple[int, ...], n: int, nb: int):
+    """Axis permutation of an n-qubit operator tensor with ``nb`` trailing
+    batch axes that brings the column then row axes of ``positions`` to the
+    front, and its inverse."""
+    front = [n + p for p in positions] + list(positions)
+    perm = front + [a for a in range(2 * n + nb) if a not in front]
+    return tuple(perm), tuple(np.argsort(perm).tolist())
+
+
 def apply_superop_local(op: np.ndarray, superop: np.ndarray, positions, n: int) -> np.ndarray:
     """Apply a k-local superoperator to a batch of n-qubit operators.
 
-    ``op`` has shape (*batch, 2^n, 2^n) for any number of leading batch axes;
+    ``op`` has shape (2^n, 2^n, *batch) for any number of trailing batch axes;
     ``positions`` lists the qubit slots (0-based, within the n-qubit space)
     the map acts on, in the map's own qubit order. The batch is folded into
     one matrix product.
     """
     k = len(positions)
-    batch = op.shape[:-2]
-    nb = len(batch)
-    t = op.reshape(batch + (2,) * (2 * n))
-    front = [nb + n + p for p in positions] + [nb + p for p in positions]
-    perm = front + [a for a in range(2 * n + nb) if a not in front]
-    t = t.transpose(perm)
+    batch = op.shape[2:]
+    perm, inverse = _superop_perms(tuple(positions), n, len(batch))
+    t = op.reshape((2,) * (2 * n) + batch).transpose(perm)
     t = (superop @ t.reshape(4**k, -1)).reshape(t.shape)
     d = 2**n
-    return t.transpose(np.argsort(perm)).reshape(batch + (d, d))
+    return t.transpose(inverse).reshape((d, d) + batch)
 
 
 def multiply_trace_out(op: np.ndarray, factor: np.ndarray, position: int, n: int) -> np.ndarray:
     """Tr_q[op @ (factor on qubit q)] for a batch, removing qubit ``position``.
 
-    ``op`` is (*batch, 2^n, 2^n) and ``factor`` (*fbatch, 2, 2); the two batch
+    ``op`` is (2^n, 2^n, *batch) and ``factor`` (2, 2, *fbatch); the two batch
     shapes broadcast, so a factor shared by the batch is (2, 2).
     """
     hi, lo = 2**position, 2 ** (n - 1 - position)
-    t = op.reshape(op.shape[:-2] + (hi, 2, lo, hi, 2, lo))
     f = np.asarray(factor)
-    f = f.reshape(f.shape + (1, 1, 1, 1))
-    res = sum(t[..., r, :, :, c, :] * f[..., c, r, :, :, :, :] for r in (0, 1) for c in (0, 1))
+    t = op.reshape((hi, 2, lo, hi, 2, lo) + _pad_batch(op, f.ndim - 2))
+    res = t[:, 0, :, :, 0] * f[0, 0]
+    res += t[:, 0, :, :, 1] * f[1, 0]
+    res += t[:, 1, :, :, 0] * f[0, 1]
+    res += t[:, 1, :, :, 1] * f[1, 1]
     d = 2 ** (n - 1)
-    return res.reshape(res.shape[:-4] + (d, d))
+    return res.reshape((d, d) + res.shape[4:])
 
 
 def insert_factor(op: np.ndarray, factor: np.ndarray, slot: int, n: int) -> np.ndarray:
     """Tensor a single-qubit factor into a batch of n-qubit operators at ``slot``.
 
-    ``op`` is (*batch, 2^n, 2^n) and ``factor`` (*fbatch, 2, 2); the two batch
+    ``op`` is (2^n, 2^n, *batch) and ``factor`` (2, 2, *fbatch); the two batch
     shapes broadcast, so an item of size one on either side is shared.
     """
     hi, lo = 2**slot, 2 ** (n - slot)
-    t = op.reshape(op.shape[:-2] + (hi, 1, lo, hi, 1, lo))
     f = np.asarray(factor)
-    m = t * f.reshape(f.shape[:-2] + (1, 2, 1, 1, 2, 1))
+    t = op.reshape((hi, 1, lo, hi, 1, lo) + _pad_batch(op, f.ndim - 2))
+    m = t * f.reshape((1, 2, 1, 1, 2, 1) + _pad_batch(f, op.ndim - 2))
     d = 2 ** (n + 1)
-    return m.reshape(m.shape[:-6] + (d, d))
+    return m.reshape((d, d) + m.shape[6:])
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -186,10 +186,11 @@ def tensor_extend(m: LocalMap, positions, arity: int) -> LocalMap:
     from .linalg import apply_superop_local
 
     d = 2**arity
-    # column j of the superoperator is vec of the map applied to unvec(e_j)
-    units = np.eye(d * d).reshape(d * d, d, d).transpose(0, 2, 1)
+    # column j of the superoperator is vec of the map applied to unvec(e_j),
+    # here the trailing batch axis j
+    units = np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2)
     out = apply_superop_local(units, m.superop, positions, arity)
-    return LocalMap(out.transpose(0, 2, 1).reshape(d * d, d * d).T)
+    return LocalMap(out.transpose(1, 0, 2).reshape(d * d, d * d))
 
 
 def is_cptp(m: LocalMap) -> MapFlags:

@@ -47,6 +47,7 @@ from .cone import (
     MapCircuit,
     _group_support_first,
     row_chunks,
+    row_factors,
     schedule,
     split_residuals,
     term_factors,
@@ -89,38 +90,39 @@ class LocalObjective:
 
 
 def _cut_objective(r: np.ndarray, rbar: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """sum_{i,k} weight_ik sum_a kron(R_a^T, Rbar_a) for (R, T, ds, dm, ds, dm)
+    """sum_{i,k} weight_ik sum_a kron(R_a^T, Rbar_a) for (ds, dm, ds, dm, R, T)
     residual pairs and (R, T) weights, as a (ds, ds, ds, ds) array. The
     spectator-basis sum is folded into the contraction:
     sum_a R_a[x,y] Rbar_a[X,Y] = sum_{w,u} r[x,w,y,u] rbar[X,u,Y,w], so the
     energy sum_{x,y,X,Y} C[(x,Y),(y,X)] r[x,w,y,u] rbar[X,u,Y,w] is Tr[C M]
     with M[(y,X),(x,Y)]."""
-    ds = r.shape[2]
+    ds = r.shape[0]
     # one matmul over (i, k, w, u)
-    lhs = np.multiply(r.transpose(2, 4, 0, 1, 3, 5), weight[:, :, None, None], order="C")
-    rhs = rbar.transpose(0, 1, 5, 3, 2, 4).reshape(-1, ds * ds)
+    lhs = np.multiply(r.transpose(0, 2, 4, 5, 1, 3), weight[:, :, None, None], order="C")
+    rhs = rbar.transpose(4, 5, 3, 1, 0, 2).reshape(-1, ds * ds)
     return (lhs.reshape(ds * ds, -1) @ rhs).reshape(ds, ds, ds, ds).transpose(1, 2, 0, 3)
 
 
 def _dense_objective(
-    circuit: MapCircuit, index: int, rho: DensityMatrix, obs: Observable
+    circuit: MapCircuit, index: int, rho: DensityMatrix, obs: Observable, obs_matrix=None
 ) -> np.ndarray:
     """The whole register cut at the component: rho run forward through the
     components before it, the observable backward through the adjoints of
-    those after it, both contracted as one residual pair."""
+    those after it, both contracted as one residual pair. ``obs_matrix`` is
+    ``obs.matrix()``, built here if not given."""
     n = circuit.num_qubits
     support = circuit.components[index].qubits
     fwd = apply_circuit_dense(MapCircuit(n, circuit.components[:index]), rho.matrix)
     # Heisenberg-picture operand: the adjoint of a trace-preserving map is
     # unital, not trace-preserving, so its action legitimately changes the
     # trace of an observable and must bypass the state-application checks.
-    bwd = obs.matrix()[None]
+    bwd = obs.matrix() if obs_matrix is None else obs_matrix
     for c in reversed(circuit.components[index + 1 :]):
         bwd = apply_superop_local(bwd, adjoint_map(c.map).superop, c.qubits, n)
     ds = 2 ** len(support)
-    shape = (1, 1, ds, 2**n // ds, ds, 2**n // ds)
-    r = _group_support_first(fwd[None, None], range(n), support).reshape(shape)
-    rbar = _group_support_first(bwd[None], range(n), support).reshape(shape)
+    shape = (ds, 2**n // ds, ds, 2**n // ds, 1, 1)
+    r = _group_support_first(fwd[..., None, None], range(n), support).reshape(shape)
+    rbar = _group_support_first(bwd[..., None, None], range(n), support).reshape(shape)
     return _cut_objective(r, rbar, np.ones((1, 1))).reshape(ds * ds, ds * ds)
 
 
@@ -132,25 +134,30 @@ def _product_objective(
     n = circuit.num_qubits
     peak = schedule(circuit).peak_active
     coeffs = np.array([c for c, _ in obs.terms])
-    outs = term_factors([ps for _, ps in obs.terms], n)
+    paulis = [ps for _, ps in obs.terms]
     ds = 2**circuit.components[index].map.arity
     m4 = np.zeros((ds, ds, ds, ds), dtype=complex)
-    for chunk in row_chunks(len(data.weights), peak, len(coeffs)):
-        ins = [data.tables[q][data.rows[chunk, q], None] for q in range(n)]
-        r, rbar = split_residuals(circuit, index, ins, outs)
-        m4 += _cut_objective(r, rbar, data.weights[chunk, None] * coeffs)
+    for term_chunk, chunks in row_chunks(len(data.weights), peak, len(coeffs)):
+        outs = term_factors(paulis[term_chunk], n)
+        for chunk in chunks:
+            ins = row_factors(data.tables, data.rows[chunk])
+            r, rbar = split_residuals(circuit, index, ins, outs)
+            m4 += _cut_objective(r, rbar, data.weights[chunk, None] * coeffs[term_chunk])
     return m4.reshape(ds * ds, ds * ds)
 
 
 def assemble_local_objective(
-    circuit: MapCircuit, index: int, data, obs: Observable
+    circuit: MapCircuit, index: int, data, obs: Observable, *, obs_matrix=None
 ) -> LocalObjective:
-    """Build the Hermitian matrix M of the single-component energy landscape."""
+    """Build the Hermitian matrix M of the single-component energy landscape.
+
+    A dense state needs ``obs.matrix()``; a caller that already holds it, as
+    a sweep does, passes it as ``obs_matrix``."""
     if not obs.is_hermitian:
         raise ValidationError("objective assembly needs a Hermitian observable")
     comp = circuit.components[index]
     if isinstance(data, DensityMatrix):
-        m_raw = _dense_objective(circuit, index, data, obs)
+        m_raw = _dense_objective(circuit, index, data, obs, obs_matrix)
     else:
         m_raw = _product_objective(circuit, index, data, obs)
     return LocalObjective(component=index, arity=comp.map.arity, matrix=herm(m_raw))
@@ -480,6 +487,8 @@ def sweep(
         raise ValidationError("sweep order refers to missing components")
     energy = circuit_energy(current, data, obs)
     report = SweepReport(initial_energy=energy, exact_energy=exact_energy)
+    # every visit of a dense state runs the observable's matrix backward
+    obs_matrix = obs.matrix() if isinstance(data, DensityMatrix) else None
     installs = 0
     # component -> (installs after its last visit, objective, solution, info)
     last_visit: dict[int, tuple] = {}
@@ -493,7 +502,9 @@ def sweep(
                 # same as then.
                 _, objective, choi_new, info = seen
             else:
-                objective = assemble_local_objective(current, index, data, obs)
+                objective = assemble_local_objective(
+                    current, index, data, obs, obs_matrix=obs_matrix
+                )
                 choi_new, info = minimize_over_cptp(objective, options.sdp)
             choi_cur = superop_to_choi(current.components[index].map)
             v_before = objective.value(choi_cur)

@@ -114,7 +114,9 @@ def split_pairs(circuit: MapCircuit, index: int, factors, pauli) -> list:
     The index a runs over the normalized Pauli basis of the spectator qubits,
     built explicitly here as a reference for the folded sum in the library.
     """
-    r, rbar = (res[0, 0] for res in split_residuals(circuit, index, list(factors), pauli.matrices()))
+    r, rbar = (
+        res[..., 0, 0] for res in split_residuals(circuit, index, list(factors), pauli.matrices())
+    )
     normalized = [PAULI_MATRICES[c] / np.sqrt(2.0) for c in "IXYZ"]
     basis = [np.ones((1, 1), dtype=complex)]
     while len(basis) < r.shape[1] ** 2:

@@ -482,6 +482,7 @@ class TestMalformedInputs:
             ("ansatz --accept-tol nan --observable", _OBS),
             ("ansatz --rounds -2 --observable", _OBS),
             ("oracle-check --instances -1 --circuit", _CIRCUIT),
+            ("oracle-check --instances 0 --circuit", _CIRCUIT),
             ("oracle-check --tol nan --circuit", _CIRCUIT),
             ("oracle-check --tol -1 --circuit", _CIRCUIT),
         ],
@@ -506,6 +507,7 @@ class TestMalformedInputs:
             "nan-accept-tol",
             "negative-rounds",
             "negative-instances",
+            "zero-instances",
             "nan-tol",
             "negative-tol",
         ],

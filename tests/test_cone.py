@@ -53,7 +53,7 @@ from virtualmap.maps import (
     random_tp_hermitian_map,
     random_unitary_map,
 )
-from virtualmap.pauli import PauliString
+from virtualmap.pauli import Observable, PauliString
 from virtualmap.povm import compute_duals, make_sic_povm
 
 
@@ -392,26 +392,33 @@ class TestBatchedKernel:
         rng = np.random.default_rng(41)
         for n in (1, 2, 3):
             d = 2**n
-            ops = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
-            factors = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+            # the batch axis trails the operator axes
+            ops = np.moveaxis(
+                rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d)), 0, -1
+            )
+            factors = np.moveaxis(
+                rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)), 0, -1
+            )
             for slot in range(n + 1):
                 got = insert_factor(ops, factors, slot, n)
-                shared = insert_factor(ops, factors[0], slot, n)
+                shared = insert_factor(ops, factors[..., 0], slot, n)
                 for b in range(4):
-                    one = ops[b : b + 1]
-                    assert_all_close(got[b], insert_factor(one, factors[b], slot, n)[0], 1e-14)
-                    assert_all_close(shared[b], insert_factor(one, factors[0], slot, n)[0], 1e-14)
+                    one = ops[..., b : b + 1]
+                    want = insert_factor(one, factors[..., b], slot, n)[..., 0]
+                    assert_all_close(got[..., b], want, 1e-14)
+                    want = insert_factor(one, factors[..., 0], slot, n)[..., 0]
+                    assert_all_close(shared[..., b], want, 1e-14)
             for pos in range(n):
                 got = multiply_trace_out(ops, factors, pos, n)
                 for b in range(4):
-                    want = multiply_trace_out(ops[b : b + 1], factors[b], pos, n)[0]
-                    assert_all_close(got[b], want, 1e-14)
+                    want = multiply_trace_out(ops[..., b : b + 1], factors[..., b], pos, n)[..., 0]
+                    assert_all_close(got[..., b], want, 1e-14)
             superop = random_cptp_map(1, rng).superop
             for pos in range(n):
                 got = apply_superop_local(ops, superop, [pos], n)
                 for b in range(4):
-                    want = apply_superop_local(ops[b : b + 1], superop, [pos], n)[0]
-                    assert_all_close(got[b], want, 1e-14)
+                    want = apply_superop_local(ops[..., b : b + 1], superop, [pos], n)[..., 0]
+                    assert_all_close(got[..., b], want, 1e-14)
 
     def test_two_batch_axes_match_tiled_single_axis(self):
         rng = np.random.default_rng(50)
@@ -420,14 +427,22 @@ class TestBatchedKernel:
         def cplx(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        def tiled(f):
-            return np.broadcast_to(f, (rows, terms, 2, 2)).reshape(-1, 2, 2)
+        def batch_last(x):
+            return np.moveaxis(x, (0, 1), (-2, -1))
 
-        factors = {"per-row": cplx(rows, 1, 2, 2), "per-term": cplx(1, terms, 2, 2), "shared": cplx(2, 2)}
+        def tiled(f):
+            f = f.reshape(f.shape + (1,) * (4 - f.ndim))
+            return np.broadcast_to(f, (2, 2, rows, terms)).reshape(2, 2, -1)
+
+        factors = {
+            "per-row": batch_last(cplx(rows, 1, 2, 2)),
+            "per-term": batch_last(cplx(1, terms, 2, 2)),
+            "shared": cplx(2, 2),
+        }
         for n in (1, 2, 3):
             d = 2**n
-            ops = cplx(rows, terms, d, d)
-            flat = ops.reshape(-1, d, d)
+            ops = batch_last(cplx(rows, terms, d, d))
+            flat = ops.reshape(d, d, -1)
             for label, f in factors.items():
                 for slot in range(n + 1):
                     got = insert_factor(ops, f, slot, n)
@@ -439,11 +454,11 @@ class TestBatchedKernel:
                     assert_all_close(got.reshape(want.shape), want, 1e-14, label)
             # a per-row residual meets a per-term factor: the (rows, terms)
             # batch forms by broadcasting
-            per_row = ops[:, :1]
+            per_row = ops[..., :1]
             got = multiply_trace_out(per_row, factors["per-term"], 0, n)
-            assert got.shape == (rows, terms, d // 2, d // 2)
+            assert got.shape == (d // 2, d // 2, rows, terms)
             want = multiply_trace_out(
-                np.repeat(per_row, terms, axis=1).reshape(-1, d, d), tiled(factors["per-term"]), 0, n
+                np.repeat(per_row, terms, axis=-1).reshape(d, d, -1), tiled(factors["per-term"]), 0, n
             )
             assert_all_close(got.reshape(want.shape), want, 1e-14)
             superop = random_cptp_map(1, rng).superop
@@ -454,7 +469,7 @@ class TestBatchedKernel:
 
     def test_insert_then_trace_out_recovers_operator(self):
         rng = np.random.default_rng(42)
-        ops = rng.standard_normal((3, 4, 4)) + 0j
+        ops = np.moveaxis(rng.standard_normal((3, 4, 4)) + 0j, 0, -1)
         rho = np.array([[1.0, 0.0], [0.0, 0.0]])
         for slot in range(3):
             grown = insert_factor(ops, rho, slot, 2)
@@ -528,17 +543,21 @@ class TestBatchedKernel:
         duals = [random_product_duals(5, rng) for _ in range(4)]
         letters = ["XZIYX", "IIZZI", "YIIIX", "IIIII"]
         for index in range(len(circ.components)):
-            # rows on the first batch axis, terms on the second
-            ins = [np.array([d[q] for d in duals])[:, None] for q in range(5)]
-            outs = [np.array([PauliString(p).matrices()[q] for p in letters])[None] for q in range(5)]
+            # rows on the first batch axis, terms on the second, both behind
+            # the operator axes
+            ins = [np.stack([d[q] for d in duals], axis=-1)[..., None] for q in range(5)]
+            outs = [
+                np.stack([PauliString(p).matrices()[q] for p in letters], axis=-1)[:, :, None]
+                for q in range(5)
+            ]
             r, rbar = split_residuals(circ, index, ins, outs)
-            assert r.shape[:2] == rbar.shape[:2] == (4, 4)
+            assert r.shape[-2:] == rbar.shape[-2:] == (4, 4)
             for b in range(4):
                 for t in range(4):
                     pauli = PauliString(letters[t])
                     one_r, one_rbar = split_residuals(circ, index, duals[b], pauli.matrices())
-                    assert_all_close(r[b, t], one_r[0, 0], 1e-12)
-                    assert_all_close(rbar[b, t], one_rbar[0, 0], 1e-12)
+                    assert_all_close(r[..., b, t], one_r[..., 0, 0], 1e-12)
+                    assert_all_close(rbar[..., b, t], one_rbar[..., 0, 0], 1e-12)
                 pauli = PauliString(letters[b])
                 pairs = split_pairs(circ, index, duals[b], pauli)
                 got = split_value(pairs, circ.components[index].map)
@@ -561,7 +580,7 @@ class TestBatchedKernel:
             one = evaluate_rows(circ, tables, rows, [pauli])[:, 0]
             assert np.max(np.abs(group[:, t] - one) / (1.0 + np.abs(one))) <= 1e-12, pauli
 
-    @pytest.mark.parametrize("kind", ["xx-chain", "non-tp"])
+    @pytest.mark.parametrize("kind", ["xx-chain", "non-tp", "wide-group"])
     def test_residuals_stay_within_plan_and_budget(self, monkeypatch, kind):
         import virtualmap.cone as cone_module
         from virtualmap.estimation import _support_groups
@@ -585,24 +604,36 @@ class TestBatchedKernel:
         if kind == "xx-chain":
             circ = brickwork(8, 2, lambda layer, qubits: random_cptp_map(2, rng))
             obs = xx_hamiltonian(8, field=0.7)
-        else:
+        elif kind == "non-tp":
             circ, obs = kernel_circuits(rng)["non-tp"], kernel_observable()
+        else:
+            # eleven terms in one group: one row of all of them is over budget
+            circ = brickwork(6, 3, lambda layer, qubits: random_cptp_map(2, rng))
+            letters = ["II" + a + b + "II" for a in "XYZ" for b in "XYZ"] + ["IIZIII", "IIIZII"]
+            obs = Observable.from_terms(6, [(0.1 * (k + 1), p) for k, p in enumerate(letters)])
         n = circ.num_qubits
         tables = _random_tables(n, rng, outcomes=4)
         rows = rng.integers(0, 4, size=(200, n))
+        split = False
         for group in _support_groups(circ, obs):
             terms = [obs.terms[k][1] for k in group]
             plan = cone_plan(circ, sorted({q for ps in terms for q in ps.support}))
+            per_call = min(len(terms), budget // 4**plan.peak_active)
+            split |= per_call < len(terms)
             shapes.clear()
-            evaluate_rows(circ, tables, rows, terms)
+            got = evaluate_rows(circ, tables, rows, terms)
             assert len(shapes) >= len(plan.steps)  # one call per step and chunk
             for shape in (s for pair in shapes for s in pair):
-                assert shape[-1] <= 2**plan.peak_active
+                assert shape[0] <= 2**plan.peak_active
                 assert np.prod(shape) <= budget
             if len(terms) > 1:
                 # the first steps run once per row, before the term axis forms
-                assert shapes[0][1][1] == 1
-                assert shapes[-1][0][1] == len(terms)
+                assert shapes[0][1][-1] == 1
+                assert max(s[-1] for pair in shapes for s in pair) == per_call
+            for t, pauli in enumerate(terms):
+                one = evaluate_rows(circ, tables, rows, [pauli])[:, 0]
+                assert np.max(np.abs(got[:, t] - one) / (1.0 + np.abs(one))) <= 1e-12, pauli
+        assert split == (kind == "wide-group")
 
     @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
     def test_kernel_term_cone_plans_are_well_formed(self, kind):

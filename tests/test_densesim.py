@@ -30,7 +30,14 @@ from virtualmap.densesim import (
     write_batch,
 )
 from virtualmap.errors import ValidationError
-from virtualmap.maps import cnot_map, depolarizing_map, identity_map, random_cptp_map
+from virtualmap.maps import (
+    LocalMap,
+    MapFlags,
+    cnot_map,
+    depolarizing_map,
+    identity_map,
+    random_cptp_map,
+)
 from virtualmap.pauli import Observable, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
 
@@ -98,6 +105,20 @@ class TestApplyLocalMap:
         expected = np.zeros((4, 4))
         expected[3, 3] = 1.0
         np.testing.assert_allclose(out.matrix, expected, atol=1e-14)
+
+    def test_trace_check_scales_with_the_operator(self):
+        # round-off in the trace of a large operator is above 1e-10 absolute
+        rng = np.random.default_rng(53)
+        circ = brickwork(6, 3, lambda layer, qubits: random_cptp_map(2, rng))
+        op = 1e5 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        out = apply_circuit_dense(circ, op)
+        assert abs(np.trace(out) - np.trace(op)) <= 1e-10 * np.linalg.norm(op)
+        # a map wrongly flagged trace preserving still fails, on either scale
+        flags = MapFlags(cp=True, tp=True, hermiticity_preserving=True)
+        leaky = LocalMap(0.999 * identity_map(2).superop, _flags=flags)
+        for big in (op, maximally_mixed(6).matrix):
+            with pytest.raises(ValidationError, match="trace not preserved"):
+                apply_local_map(DensityMatrix(6, big), leaky, (2, 3))
 
 
 class TestPerturbedState:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_min, cube_povm, random_mixed_circuit, stinespring_choi
-from virtualmap.cone import Component, MapCircuit, brickwork, staircase
+from virtualmap.cone import Component, MapCircuit, brickwork, schedule, staircase
 from virtualmap.densesim import (
     DensityMatrix,
     computational_zero,
@@ -268,6 +268,20 @@ class TestDeepCircuitObjectives:
         )
         data = data_from_distribution(rho, "sic")  # 4^5 rows
         _assert_objectives_match_dense(circ, rho, data, obs)
+
+    def test_term_chunks_match_one_chunk(self, monkeypatch):
+        import virtualmap.cone as cone_module
+
+        rng = np.random.default_rng(73)
+        circ = brickwork(5, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(5, field=0.7)
+        data = data_from_batch(sample_outcomes(noisy_chain_state(5), "sic", 20, seed=3), "sic")
+        want = [_product_objective(circ, k, data, obs) for k in range(len(circ.components))]
+        # three terms of one row per chunk
+        monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", 3 * 4 ** schedule(circ).peak_active)
+        for k, m in enumerate(want):
+            got = _product_objective(circ, k, data, obs)
+            assert np.max(np.abs(got - m)) <= 1e-12 * np.max(np.abs(m)), k
 
 
 class TestMinimizeOverCptp:
@@ -536,6 +550,32 @@ class TestSweepReuse:
         _, report = sweep(staircase(4, 1), rho, obs, options)
         assert calls["assemble"] == calls["solve"] < len(report.steps)
         assert report.steps == want
+
+    def test_dense_sweep_builds_the_observable_matrix_once(self, monkeypatch):
+        from virtualmap import varopt
+
+        rho = noisy_chain_state(4, theta=0.3, p=0.01)
+        obs = xx_hamiltonian(4, field=0.4)
+        options = SweepOptions(rounds=2, init="random_unitary", seed=2)
+        real_matrix, real_assemble = Observable.matrix, varopt.assemble_local_objective
+        built, seen = [], []
+
+        def matrix(self):
+            built.append(self)
+            return real_matrix(self)
+
+        def assemble(circuit, index, data, o, **kwargs):
+            objective = real_assemble(circuit, index, data, o, **kwargs)
+            seen.append((circuit, index, objective.matrix))
+            return objective
+
+        monkeypatch.setattr(Observable, "matrix", matrix)
+        monkeypatch.setattr(varopt, "assemble_local_objective", assemble)
+        sweep(brickwork(4, 2), rho, obs, options)
+        assert len(built) == 1 and len(seen) > 1
+        monkeypatch.undo()
+        for circuit, index, m in seen:
+            assert np.array_equal(m, assemble_local_objective(circuit, index, rho, obs).matrix)
 
     def test_installing_a_map_forces_a_fresh_solve(self, monkeypatch):
         # every visit of this chain installs, so nothing may be reused
