@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Replay cold light-cone planning for ``estimate`` on large registers.
+
+Each case is the periodic XX chain (coupling 1, field 0.95) under a staircase
+of identity maps: ``staircase(24, 3)``, ``staircase(40, 3)`` and
+``staircase(64, 2)``. With every structure cache emptied and a freshly built
+circuit, each timed pass measures
+
+* ``group_s``: grouping the chain's terms into support groups, as
+  ``row_weights`` does first;
+* ``plans_s``: then one light-cone plan per group, as ``row_weights`` builds
+  them before contracting (a tree whose grouping schedules every term's plan
+  finds most of them cached here);
+* ``total_s``: the two together.
+
+The groups are checked against the rule stated on per-term plans: a term's
+home is the widest term support (then the lexicographically first) that
+contains its own support and lies inside the qubits of its own
+``cone_plan``. A mismatch exits with status 1. The script prints one JSON
+record: per case the component and term counts, the number of groups, the
+widest group plan, and the median and quartiles of the three timings over
+``--repeats`` passes. ``--out`` also stores the record in a JSON file under
+the key ``--tag``, keeping the file's other keys.
+
+Example:
+    python3 scripts/plan_replay.py --repeats 3 --tag change --out BENCH_plan.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from virtualmap import cone, estimation
+from virtualmap.cone import cone_plan, staircase
+from virtualmap.pauli import xx_hamiltonian
+
+CASES = {"staircase-24-3": (24, 3), "staircase-40-3": (40, 3), "staircase-64-2": (64, 2)}
+
+
+def clear_structure_caches():
+    """Forget every memoized cone, plan and term group."""
+    for fn in vars(cone).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    # the term-group memo of trees from before ``cone.term_groups``
+    getattr(estimation, "_GROUP_CACHE", {}).clear()
+
+
+def groups_of(circuit, obs):
+    if hasattr(cone, "term_groups"):
+        return cone.term_groups(circuit, [ps for _, ps in obs.terms])
+    return estimation._support_groups(circuit, obs)
+
+
+def per_term_rule(circuit, obs):
+    """The grouping rule evaluated on one scheduled plan per term."""
+    supports = [ps.support for _, ps in obs.terms]
+    by_width = sorted(set(supports), key=lambda s: (-len(s), s))
+    homes = {}
+    for k, own in enumerate(supports):
+        cone_qubits = set(cone_plan(circuit, own).qubits)
+        home = next(s for s in by_width if set(own) <= set(s) <= cone_qubits)
+        homes.setdefault(home, []).append(k)
+    return tuple(tuple(g) for g in homes.values())
+
+
+def cold_pass(n, layers, obs):
+    clear_structure_caches()
+    circuit = staircase(n, layers)
+    start = time.perf_counter()
+    groups = groups_of(circuit, obs)
+    grouped = time.perf_counter()
+    plans = [
+        cone_plan(circuit, sorted({q for k in g for q in obs.terms[k][1].support}))
+        for g in groups
+    ]
+    planned = time.perf_counter()
+    return circuit, groups, plans, grouped - start, planned - grouped
+
+
+def quartiles(values, key):
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {f"{key}_median": float(median), f"{key}_q1": float(q1), f"{key}_q3": float(q3)}
+
+
+def replay(name, repeats):
+    n, layers = CASES[name]
+    obs = xx_hamiltonian(n, coupling=1.0, field=0.95, periodic=True)
+    group_s, plans_s, total_s = [], [], []
+    for _ in range(repeats):
+        circuit, groups, plans, g_s, p_s = cold_pass(n, layers, obs)
+        group_s.append(g_s)
+        plans_s.append(p_s)
+        total_s.append(g_s + p_s)
+    ok = tuple(tuple(g) for g in groups) == per_term_rule(circuit, obs)
+    return {
+        "components": len(circuit.components),
+        "terms": len(obs.terms),
+        "groups": len(groups),
+        "max_peak_active": max(p.peak_active for p in plans),
+        "ok": ok,
+        **quartiles(group_s, "group_s"),
+        **quartiles(plans_s, "plans_s"),
+        **quartiles(total_s, "total_s"),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=3, help="cold passes per case (>= 1)")
+    parser.add_argument(
+        "--case", action="append", choices=sorted(CASES), help="case to run (repeatable; default all)"
+    )
+    parser.add_argument("--out", type=Path, default=None, help="JSON file to store the record in")
+    parser.add_argument("--tag", default="current", help="key of the record in --out")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    names = args.case or list(CASES)
+    record = {name: replay(name, args.repeats) for name in names}
+    record.update(
+        repeats=args.repeats,
+        python=platform.python_version(),
+        numpy=np.__version__,
+        machine=f"{platform.machine()}, {os.cpu_count()} CPUs",
+    )
+    print(json.dumps(record))
+    if args.out is not None:
+        stored = json.loads(args.out.read_text()) if args.out.exists() else {}
+        stored[args.tag] = record
+        args.out.write_text(json.dumps(stored, indent=2) + "\n")
+    failed = [name for name in names if not record[name]["ok"]]
+    for name in failed:
+        print(f"error: {name} groups differ from the per-term plan rule", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

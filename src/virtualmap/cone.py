@@ -46,6 +46,13 @@ supports. The pruning is exact:
 * a qubit outside the cone contributes the factor Tr F_q, which need not be
   one (custom dual frames).
 
+``term_groups`` forms the support groups: a term joins the widest term
+support that contains its own and lies inside its own light cone, so the N
+bond groups of a nearest-neighbour chain absorb its one-site terms, while a
+term spanning the register stays on its own. Grouping reads only the cones'
+qubit sets (``_cone``, the walk a plan then schedules), so it schedules
+nothing; it is memoized on the structure like the plans.
+
 Rows that agree on the cone's qubits are contracted once, and batches are cut
 into chunks of rows, and of terms where one row of all of them is too many,
 so that live (rows, terms) residuals stay below ``_BATCH_ENTRIES`` entries.
@@ -152,15 +159,9 @@ class MapCircuit:
 
     @cached_property
     def trace_preserving(self) -> tuple[bool, ...]:
-        """Per component, whether vec(I)^T S matches vec(I)^T to ``_TP_TOL``."""
-        flags = []
-        for comp in self.components:
-            vec_eye = np.eye(comp.map.dim).reshape(-1)
-            flags.append(bool(np.max(np.abs(vec_eye @ comp.map.superop - vec_eye)) <= _TP_TOL))
-        return tuple(flags)
-
-    def support_of(self, index: int) -> tuple[int, ...]:
-        return self.components[index].qubits
+        """Per component, whether its map's cached ``tp_residual`` is within
+        ``_TP_TOL``; a ``with_component`` circuit computes only its new map's."""
+        return tuple(c.map.tp_residual <= _TP_TOL for c in self.components)
 
     def with_component(self, index: int, new_map: LocalMap) -> "MapCircuit":
         comps = list(self.components)
@@ -226,16 +227,14 @@ class ScheduleStep:
     component: int | None = None
 
 
-def _closure(supports, remaining: set[int], seeds) -> list[int]:
-    """Downward closure of ``seeds`` under the earlier-and-overlapping
-    predecessor relation, restricted to ``remaining``; returned in order."""
+def _closure(preds, remaining: set[int], seeds) -> list[int]:
+    """Downward closure of ``seeds`` under ``preds``, each component's earlier
+    overlapping components, restricted to ``remaining``; returned in order."""
     chosen = set(seeds)
     work = list(seeds)
     while work:
-        ci = work.pop()
-        sup = set(supports[ci])
-        for pred in range(ci - 1, -1, -1):
-            if pred in remaining and pred not in chosen and sup.intersection(supports[pred]):
+        for pred in preds[work.pop()]:
+            if pred in remaining and pred not in chosen:
                 chosen.add(pred)
                 work.append(pred)
     return sorted(chosen)
@@ -245,6 +244,8 @@ def _greedy_schedule(supports, component_pool, traceable) -> tuple[list[Schedule
     """Greedy sweep: repeatedly finish the traceable qubit whose causal cone
     keeps the active set smallest. Returns (steps, peak)."""
     remaining = set(component_pool)
+    pool = sorted(remaining)
+    preds = {ci: [p for p in pool if p < ci and set(supports[p]) & set(supports[ci])] for ci in pool}
     active: list[int] = []
     absorbed: set[int] = set()
     steps: list[ScheduleStep] = []
@@ -260,7 +261,7 @@ def _greedy_schedule(supports, component_pool, traceable) -> tuple[list[Schedule
     while pending:
         best = None
         for q in pending:
-            cone = _closure(supports, remaining, [ci for ci in remaining if q in supports[ci]])
+            cone = _closure(preds, remaining, [ci for ci in remaining if q in supports[ci]])
             cost = len(set(active) | {q} | {qq for ci in cone for qq in supports[ci]})
             if best is None or cost < best[0]:
                 best = (cost, q, cone)
@@ -292,23 +293,32 @@ class ConePlan:
     peak_active: int
 
 
-# Plans depend on structure only, so circuits that share their component
-# supports (every circuit a sweep makes with ``with_component``) share them.
+# Cones, plans and term groups depend on structure only, so circuits that
+# share their component supports (every circuit a sweep makes with
+# ``with_component``) share them.
 _PLAN_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(supports, tp, support) -> ConePlan:
-    """Light-cone plan of ``support``; ``tp`` holds the components' trace
-    preservation flags, or is None when every component is in the cone."""
+def _cone(supports, tp, support) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Backward light cone of ``support``: (member components, descending;
+    qubits, ascending). ``tp`` holds the components' trace preservation flags,
+    or is None when every component is in the cone."""
     qubits = set(support)
     members = []
     for ci in range(len(supports) - 1, -1, -1):
         if (tp is not None and not tp[ci]) or qubits.intersection(supports[ci]):
             members.append(ci)
             qubits.update(supports[ci])
-    steps, peak = _greedy_schedule(supports, members, sorted(qubits))
-    return ConePlan(tuple(sorted(qubits)), tuple(steps), peak)
+    return tuple(members), tuple(sorted(qubits))
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(supports, tp, support) -> ConePlan:
+    """Schedule of the light cone of ``support`` (see :func:`_cone`)."""
+    members, qubits = _cone(supports, tp, support)
+    steps, peak = _greedy_schedule(supports, members, qubits)
+    return ConePlan(qubits, tuple(steps), peak)
 
 
 # Widest residual a plan may need: one item of 4^12 complex entries is 268 MB.
@@ -340,6 +350,33 @@ def cone_plan(circuit: MapCircuit, support) -> ConePlan:
 def schedule(circuit: MapCircuit) -> ConePlan:
     """Evaluation order for the full trace: the light cone of every qubit."""
     return cone_plan(circuit, range(circuit.num_qubits))
+
+
+def term_groups(circuit: MapCircuit, terms) -> tuple[tuple[int, ...], ...]:
+    """Indices of the Pauli strings ``terms``, grouped so that each group is
+    one light-cone contraction (:func:`evaluate_rows`).
+
+    A term joins the group of the widest term support S that contains its
+    own support and lies inside its own light cone (ties go to the
+    lexicographically first S); its own support always qualifies. The cone
+    bound keeps a wide term from pulling local terms into its wide cone.
+    Grouping reads the cones' qubit sets and schedules nothing.
+    """
+    term_supports = tuple(ps.support for ps in terms)
+    return _term_groups(circuit.supports, circuit.trace_preserving, term_supports)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _term_groups(supports, tp, term_supports) -> tuple[tuple[int, ...], ...]:
+    # unlike cone_plan, every term passes the TP flags: a register-wide
+    # support's cone is the register either way
+    by_width = sorted(set(term_supports), key=lambda s: (-len(s), s))
+    homes: dict[tuple[int, ...], list[int]] = {}
+    for k, own in enumerate(term_supports):
+        cone = set(_cone(supports, tp, own)[1])
+        home = next(s for s in by_width if set(own).issubset(s) and cone.issuperset(s))
+        homes.setdefault(home, []).append(k)
+    return tuple(tuple(g) for g in homes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -81,15 +81,22 @@ class DensityMatrix:
             raise ValidationError("state has a significantly negative eigenvalue")
 
 
+def _dense_dim(num_qubits: int) -> int:
+    """2^N, once N is checked against the dense limit before any allocation."""
+    if not 1 <= num_qubits <= _DENSE_LIMIT:
+        raise ValidationError(f"dense states need 1 <= N <= {_DENSE_LIMIT}, got N={num_qubits}")
+    return 2**num_qubits
+
+
 def computational_zero(num_qubits: int) -> DensityMatrix:
-    d = 2**num_qubits
+    d = _dense_dim(num_qubits)
     m = np.zeros((d, d), dtype=complex)
     m[0, 0] = 1.0
     return DensityMatrix(num_qubits, m)
 
 
 def maximally_mixed(num_qubits: int) -> DensityMatrix:
-    d = 2**num_qubits
+    d = _dense_dim(num_qubits)
     return DensityMatrix(num_qubits, np.eye(d, dtype=complex) / d)
 
 
@@ -123,8 +130,7 @@ def apply_local_map(rho: DensityMatrix, m: LocalMap, qubits) -> DensityMatrix:
 def apply_circuit_dense(circuit: MapCircuit, op: np.ndarray) -> np.ndarray:
     """Apply every circuit component, in order, to a dense operator."""
     n = circuit.num_qubits
-    if n > _DENSE_LIMIT:
-        raise ValidationError(f"dense application limited to N <= {_DENSE_LIMIT}")
+    _dense_dim(n)
     rho = DensityMatrix(n, op)
     for comp in circuit.components:
         rho = apply_local_map(rho, comp.map, comp.qubits)
@@ -348,8 +354,6 @@ def load_state_prep(path_or_payload, num_qubits: int | None = None):
 def build_state(path_or_payload, num_qubits: int | None = None) -> DensityMatrix:
     """Apply a state-prep file to |0...0><0...0|."""
     n, steps = load_state_prep(path_or_payload, num_qubits)
-    if n > _DENSE_LIMIT:
-        raise ValidationError(f"dense states limited to N <= {_DENSE_LIMIT}, got N={n}")
     rho = computational_zero(n)
     for qubits, m in steps:
         rho = apply_local_map(rho, m, qubits)

@@ -10,26 +10,12 @@ unbiased sample variance; the reduction order is fixed by sorting, so results
 are deterministic for a given batch.
 
 The weights of all rows are computed together, one support group of Pauli
-terms at a time, by the batched cone kernel
-(:func:`virtualmap.cone.evaluate_rows`). A term joins the group of the
-widest term support that contains its own support and lies inside its own
-backward light cone (ties go to the lexicographically first support), so the
-N bond groups of a nearest-neighbour chain absorb its one-site terms, while a
-term spanning the register stays on its own. The grouping depends only on
-the circuit's structure and the term supports, so it is memoized on them,
-like the cone plans. Each group is one contraction of the light cone of its
-support over a (rows, terms) batch; the weights are the per-term values times
-the coefficients. The pruning is exact:
-
-* a component outside the cone is dropped only if it is trace preserving to
-  round-off; a component that is not joins the cone with everything it
-  reaches;
-* a qubit outside the cone contributes the factor Tr D_m, which need not be
-  one for a custom dual frame.
-
-Rows that agree on a cone's qubits are contracted once for that group. The
-dual frame of each preset POVM label is built once per process and shared
-read-only.
+terms at a time (:func:`virtualmap.cone.term_groups`), by the batched cone
+kernel (:func:`virtualmap.cone.evaluate_rows`). Each group is one contraction
+of the light cone of its support over a (rows, terms) batch, pruned exactly as
+:mod:`virtualmap.cone` describes; the weights are the per-term values times
+the coefficients. The dual frame of each preset POVM label is built once per
+process and shared read-only.
 
 The kernel's input, :class:`ProductInputData`, is the one product-row format
 of the package: per-qubit (M_q, 2, 2) factor tables, an (R, N) integer row
@@ -45,13 +31,12 @@ state; :func:`estimate_exact` and the sweep both call it.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cone import _PLAN_CACHE_SIZE, MapCircuit, cone_plan, evaluate_rows
+from .cone import MapCircuit, evaluate_rows, term_groups
 from .densesim import DensityMatrix, OutcomeBatch, apply_circuit_dense, outcome_distribution
 from .errors import NumericalError, ValidationError
 from .linalg import unique_rows
@@ -214,38 +199,6 @@ def _real_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
     return w.real.copy(), float(residue.max(initial=0.0))
 
 
-# Term groups, like cone plans, depend on structure only: the register size,
-# the component supports and TP flags, and the term supports. They are
-# memoized on that key, least recently used first out past the bound.
-_GROUP_CACHE: OrderedDict = OrderedDict()
-
-
-def _support_groups(circuit: MapCircuit, obs: Observable) -> tuple[tuple[int, ...], ...]:
-    """Indices of the observable's terms, grouped for :func:`row_weights`.
-
-    A term joins the group of the widest term support S that contains its
-    own support and lies inside its own light cone (ties go to the
-    lexicographically first S); its own support always qualifies. The cone
-    bound keeps a wide term from pulling local terms into its wide cone.
-    """
-    term_supports = tuple(ps.support for _, ps in obs.terms)
-    key = (circuit.num_qubits, circuit.supports, circuit.trace_preserving, term_supports)
-    groups = _GROUP_CACHE.get(key)
-    if groups is not None:
-        _GROUP_CACHE.move_to_end(key)
-        return groups
-    supports = sorted(set(term_supports), key=lambda s: (-len(s), s))
-    homes: dict[tuple[int, ...], list[int]] = {}
-    for k, own in enumerate(term_supports):
-        cone = set(cone_plan(circuit, own).qubits)
-        home = next(s for s in supports if set(own).issubset(s) and cone.issuperset(s))
-        homes.setdefault(home, []).append(k)
-    groups = _GROUP_CACHE[key] = tuple(tuple(g) for g in homes.values())
-    if len(_GROUP_CACHE) > _PLAN_CACHE_SIZE:
-        _GROUP_CACHE.popitem(last=False)
-    return groups
-
-
 def row_weights(circuit: MapCircuit, tables, rows, obs: Observable) -> np.ndarray:
     """sum_k c_k Tr[L(F_row) P_k] for every row of per-qubit factor indices.
 
@@ -254,7 +207,7 @@ def row_weights(circuit: MapCircuit, tables, rows, obs: Observable) -> np.ndarra
     Returns R complex weights.
     """
     total = np.zeros(len(rows), dtype=complex)
-    for group in _support_groups(circuit, obs):
+    for group in term_groups(circuit, [ps for _, ps in obs.terms]):
         coeffs = np.array([obs.terms[k][0] for k in group])
         total += evaluate_rows(circuit, tables, rows, [obs.terms[k][1] for k in group]) @ coeffs
     return total

@@ -24,6 +24,7 @@ covers every map this package feeds into estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -53,8 +54,8 @@ def _arity_of(dim2: int) -> int:
 class LocalMap:
     """A linear map on k qubits, held as a (4^k, 4^k) superoperator.
 
-    Treat instances as immutable; CP/TP/Hermiticity flags are cached on first
-    query.
+    Treat instances as immutable; CP/TP/Hermiticity flags and the
+    trace-preservation residual are cached on first query.
     """
 
     superop: np.ndarray
@@ -81,13 +82,20 @@ class LocalMap:
         """Apply the map to a k-qubit operator."""
         return unvec(self.superop @ vec(x), self.dim)
 
+    @cached_property
+    def tp_residual(self) -> float:
+        """max |vec(I)^T S - vec(I)^T| (= max |Tr_out C - I|), the one TP
+        number; callers compare it with their own tolerance."""
+        d = self.dim
+        row = self.superop.reshape(d, d, d * d).trace(axis1=0, axis2=1)  # vec(I)^T S
+        return float(np.max(np.abs(row - np.eye(d).reshape(-1))))
+
     def flags(self) -> MapFlags:
         if self._flags is None:
             c = superop_to_choi(self).matrix
             hp = bool(np.max(np.abs(c - c.conj().T)) <= _FLAG_TOL)
             cp = bool(np.linalg.eigvalsh(herm(c)).min() >= -_FLAG_TOL) and hp
-            tp_res = _tp_residual(c, self.dim)
-            self._flags = MapFlags(cp=cp, tp=bool(tp_res <= _FLAG_TOL), hermiticity_preserving=hp)
+            self._flags = MapFlags(cp, self.tp_residual <= _FLAG_TOL, hp)
         return self._flags
 
 
@@ -127,9 +135,10 @@ def choi_to_superop(c: ChoiMatrix) -> LocalMap:
     return LocalMap(_swap_inout(c.matrix))
 
 
-def _tp_residual(choi: np.ndarray, d: int) -> float:
-    tr_out = np.einsum("arbr->ab", choi.reshape(d, d, d, d))
-    return float(np.max(np.abs(tr_out - np.eye(d))))
+def choi_marginal(c: np.ndarray, d: int) -> np.ndarray:
+    """Tr_out C of a (d^2, d^2) matrix in input (x) output order: the input
+    marginal, which is I exactly when the map is trace preserving."""
+    return c.reshape(d, d, d, d).trace(axis1=1, axis2=3)
 
 
 def adjoint_map(m: LocalMap) -> LocalMap:
@@ -281,7 +290,7 @@ def random_cptp_map(
     r = d * d if kraus_rank is None else kraus_rank
     g = rng.standard_normal((d * d, r)) + 1j * rng.standard_normal((d * d, r))
     w = g @ g.conj().T
-    x = np.einsum("arbr->ab", w.reshape(d, d, d, d))  # input marginal
+    x = choi_marginal(w, d)
     vals, vecs = np.linalg.eigh(x)
     if vals.min() <= 1e-12:
         # rank-deficient draw; retry with fresh randomness
@@ -296,8 +305,7 @@ def random_tp_hermitian_map(arity: int, rng: np.random.Generator) -> LocalMap:
     d = 2**arity
     g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     c = herm(g) / np.sqrt(d)
-    tr_out = np.einsum("arbr->ab", c.reshape(d, d, d, d))
-    c = c + np.kron((np.eye(d) - tr_out) / d, np.eye(d))
+    c = c + np.kron((np.eye(d) - choi_marginal(c, d)) / d, np.eye(d))
     return choi_to_superop(ChoiMatrix(c))
 
 

@@ -42,6 +42,8 @@ class SingleQubitPOVM:
         object.__setattr__(self, "effects", eff)
         if eff.ndim != 3 or eff.shape[1:] != (2, 2) or eff.shape[0] < 4:
             raise ValidationError(f"effects must be (M>=4, 2, 2), got {eff.shape}")
+        if not np.all(np.isfinite(eff)):
+            raise ValidationError("POVM effects must be finite")
         if np.max(np.abs(eff - eff.conj().transpose(0, 2, 1))) > _EFFECT_TOL:
             raise ValidationError("POVM effects must be Hermitian")
         for m, e in enumerate(eff):
@@ -125,7 +127,7 @@ def povm_from_dict(payload: dict) -> SingleQubitPOVM:
                 for eff in payload["effects"]
             ]
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValidationError(f"malformed POVM payload: {exc}") from exc
     return SingleQubitPOVM(label=label, effects=effects)
 

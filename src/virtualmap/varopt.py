@@ -59,6 +59,7 @@ from .linalg import apply_superop_local, herm, trace_mul
 from .maps import (
     ChoiMatrix,
     adjoint_map,
+    choi_marginal,
     choi_to_superop,
     compose,
     identity_map,
@@ -230,22 +231,17 @@ def _lifter(dim: int):
     return lift
 
 
-def _partial_trace(c: np.ndarray, dim: int) -> np.ndarray:
-    """Tr_out C."""
-    return c.reshape(dim, dim, dim, dim).trace(axis1=1, axis2=3)
-
-
 def cptp_residuals(c: np.ndarray, dim: int) -> tuple[float, float]:
     """(most negative eigenvalue clipped to 0, trace-preservation defect)."""
     min_eig = float(np.linalg.eigvalsh(herm(c))[0])
-    marg = _partial_trace(c, dim)
+    marg = choi_marginal(c, dim)
     return max(0.0, -min_eig), float(np.abs(marg - _eye(dim)).max())
 
 
 def _tp_polish(c: np.ndarray, dim: int) -> np.ndarray:
     """(A^-1/2 (x) I) C (A^-1/2 (x) I) with A = Tr_out C: a congruence, so it
     keeps C >= 0, and it makes the map exactly trace-preserving."""
-    vals, vecs = np.linalg.eigh(_partial_trace(c, dim))
+    vals, vecs = np.linalg.eigh(choi_marginal(c, dim))
     root = _lifter(dim)((vecs / np.sqrt(vals)) @ vecs.conj().T)
     return herm(root @ c @ root)
 
@@ -321,7 +317,7 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
         def direction(extra):
             # dC = extra - C + sym(C (dY (x) I) S^-1) with Tr_out(C + dC) = I;
             # the Schur map commutes with ^H, so only herm(extra) matters.
-            rhs = eye if extra is None else eye - _partial_trace(extra, dim)
+            rhs = eye if extra is None else eye - choi_marginal(extra, dim)
             dy = herm(np.linalg.solve(schur, rhs.reshape(-1)).reshape(dim, dim))
             t = x @ lift(dy) @ s_inv
             return herm(t if extra is None else t + extra) - x, dy

@@ -75,6 +75,14 @@ class TestSample:
         rc = main(["sample", "--mixed", "--S", "10", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("n", ["-1", "0", "11"])
+    def test_mixed_register_outside_dense_range_exits_2(self, tmp_path, capsys, n):
+        out = tmp_path / "x.csv"
+        rc = main(["sample", "--mixed", "--N", n, "--S", "10", "--out", str(out)])
+        assert rc == 2
+        assert "1 <= N <= 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_state_and_mixed_are_exclusive(self, tmp_path, chain_prep):
         rc = main(
             [

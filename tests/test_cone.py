@@ -33,6 +33,7 @@ from virtualmap.cone import (
     schedule,
     split_residuals,
     staircase,
+    term_groups,
 )
 from virtualmap.errors import ValidationError
 from virtualmap.linalg import (
@@ -259,6 +260,17 @@ class TestSchedule:
         assert traced == list(range(6))
         applied = [s.component for s in sched.steps if s.kind == "apply"]
         assert sorted(applied) == list(range(len(circ.components)))
+
+    def test_with_component_computes_only_the_new_maps_tp_residual(self):
+        rng = np.random.default_rng(16)
+        circ = brickwork(6, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        assert all(circ.trace_preserving)
+        # plant a non-TP residual in every cached one: only a recomputation
+        # could flag these maps trace preserving again
+        for comp in circ.components:
+            vars(comp.map)["tp_residual"] = 1.0
+        again = circ.with_component(3, identity_map(2))
+        assert again.trace_preserving == tuple(k == 3 for k in range(len(circ.components)))
 
     def test_schedule_is_the_cone_of_every_qubit(self):
         rng = np.random.default_rng(15)
@@ -583,7 +595,6 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ["xx-chain", "non-tp", "wide-group"])
     def test_residuals_stay_within_plan_and_budget(self, monkeypatch, kind):
         import virtualmap.cone as cone_module
-        from virtualmap.estimation import _support_groups
         from virtualmap.pauli import xx_hamiltonian
 
         shapes = []
@@ -615,7 +626,7 @@ class TestBatchedKernel:
         tables = _random_tables(n, rng, outcomes=4)
         rows = rng.integers(0, 4, size=(200, n))
         split = False
-        for group in _support_groups(circ, obs):
+        for group in term_groups(circ, [ps for _, ps in obs.terms]):
             terms = [obs.terms[k][1] for k in group]
             plan = cone_plan(circ, sorted({q for ps in terms for q in ps.support}))
             per_call = min(len(terms), budget // 4**plan.peak_active)
@@ -640,6 +651,29 @@ class TestBatchedKernel:
         circ = kernel_circuits(np.random.default_rng(94))[kind]
         for _, pauli in kernel_observable().terms:
             _check_plan(circ, cone_plan(circ, pauli.support), pauli.support)
+
+    @pytest.mark.parametrize("kind", ["staircase-24", "non-tp", "wide-term"])
+    def test_groups_follow_the_per_term_plan_rule(self, kind):
+        # the rule as stated on scheduled plans: a term's home is the widest
+        # term support (then the first) inside its plan's qubits containing it
+        from virtualmap.pauli import xx_hamiltonian
+
+        if kind == "staircase-24":
+            circ, obs = staircase(24, 3), xx_hamiltonian(24, field=0.95, periodic=True)
+        elif kind == "non-tp":
+            circ, obs = kernel_circuits(np.random.default_rng(95))[kind], kernel_observable()
+        else:
+            circ = brickwork(8, 2)
+            chain = xx_hamiltonian(8, field=0.5, periodic=True)
+            obs = Observable.from_terms(8, [*chain.terms, (0.3, "Z" * 8)])
+        terms = [ps for _, ps in obs.terms]
+        supports = sorted({ps.support for ps in terms}, key=lambda s: (-len(s), s))
+        homes = {}
+        for k, ps in enumerate(terms):
+            cone = set(cone_plan(circ, ps.support).qubits)
+            home = next(s for s in supports if set(ps.support) <= set(s) <= cone)
+            homes.setdefault(home, []).append(k)
+        assert term_groups(circ, terms) == tuple(tuple(g) for g in homes.values())
 
 
 class TestUniqueRows:

@@ -312,31 +312,33 @@ class TestSupportGroups:
         assert len(calls) == 13
 
     def test_groups_are_planned_once_per_structure(self, monkeypatch):
-        from collections import OrderedDict
-
-        from virtualmap import estimation
+        from virtualmap import cone, estimation
 
         rng = np.random.default_rng(98)
         circ = brickwork(6, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(6, field=0.5)
         tables = dual_arrays("sic", 6)
         rows = rng.integers(0, 4, size=(20, 6))
-        planned = []
-        real = estimation.cone_plan
+        scheduled = []
+        real = cone._greedy_schedule
 
-        def counting(circuit, support):
-            planned.append(support)
-            return real(circuit, support)
+        def counting(supports, pool, traceable):
+            scheduled.append(tuple(traceable))
+            return real(supports, pool, traceable)
 
-        monkeypatch.setattr(estimation, "_GROUP_CACHE", OrderedDict())
-        monkeypatch.setattr(estimation, "cone_plan", counting)
+        monkeypatch.setattr(cone, "_greedy_schedule", counting)
+        for cached in (cone._cone, cone._plan, cone._term_groups):
+            cached.cache_clear()
+        # grouping reads the cones' qubit sets and schedules nothing
+        groups = cone.term_groups(circ, [ps for _, ps in obs.terms])
+        assert scheduled == []
         first = estimation.row_weights(circ, tables, rows, obs)
-        assert len(planned) == len(obs.terms)
-        planned.clear()
+        assert len(scheduled) == len(groups) == 6
+        scheduled.clear()
         # a new circuit of the same structure, as a sweep's with_component makes
         again = circ.with_component(0, circ.components[0].map)
         assert np.array_equal(estimation.row_weights(again, tables, rows, obs), first)
-        assert planned == []
+        assert scheduled == []
 
 
 class TestEstimateContainer:

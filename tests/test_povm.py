@@ -1,5 +1,7 @@
 """Tetrahedral SIC POVM closed forms and dual-frame duality checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from virtualmap.povm import (
     compute_duals,
     get_povm,
     make_sic_povm,
+    povm_from_dict,
+    povm_to_dict,
     read_povm,
     write_povm,
 )
@@ -173,3 +177,20 @@ class TestSerialization:
         path.write_text('{"label": "x"}')
         with pytest.raises(ValidationError):
             read_povm(path)
+
+    def test_rejects_overflowing_entry(self, tmp_path):
+        payload = povm_to_dict(make_sic_povm())
+        payload["effects"][0][0][0] = [10**400, 0]
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="malformed POVM payload"):
+            read_povm(path)
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 0, 1)])
+    def test_rejects_non_finite_effect(self, where):
+        # without the check these reach matrix_rank, whose SVD fails on NaN
+        m, i, j = where
+        payload = povm_to_dict(make_sic_povm())
+        payload["effects"][m][i][j] = [float("nan"), 0.0]
+        with pytest.raises(ValidationError, match="POVM effects must be finite"):
+            povm_from_dict(payload)

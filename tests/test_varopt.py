@@ -174,8 +174,10 @@ class TestCircuitEnergy:
 
     def test_dense_state_above_the_dense_limit_rejected(self):
         obs = Observable.from_terms(11, [(1.0, "Z" + "I" * 10)])
+        # a zero-stride stand-in: maximally_mixed(11) is refused on its own
+        state = DensityMatrix(11, np.broadcast_to(np.complex128(0.0), (2048, 2048)))
         with pytest.raises(ValidationError, match="N <= 10"):
-            circuit_energy(MapCircuit(11, ()), maximally_mixed(11), obs)
+            circuit_energy(MapCircuit(11, ()), state, obs)
 
 
 class TestLocalObjective:
