@@ -1,0 +1,318 @@
+#!/usr/bin/env python3
+"""Replay per-component objective assembly on measured rows and on their collapse.
+
+Case: the perturbed ground state of the periodic N=8 XX chain (field 0.95,
+noise strength 0.05, noise seed 21), 4000 SIC shots at seed 1, and
+``brickwork(8, 4)`` with the ``random_unitary`` initialisation at seed 0,
+optimised against the XX chain itself.
+
+The script records:
+
+* the distinct rows R against the 4^N entries of the collapsed operator, and
+  the seconds ``estimation.collapse`` takes;
+* the seconds of ``assemble_local_objective`` on the rows for the components
+  in ``ROW_COMPONENTS`` (each takes seconds), and on the collapse for every
+  component, each a standalone call with a cold cache;
+* the largest disagreement of M between the two, relative to the largest
+  entry of the row M; above 1e-13 the script exits with status 1;
+* the wall time of a 3-round sweep, and the ``linalg.apply_superop_local``
+  calls of each of its rounds, with the sweep's dense environments
+  (``after``) and with a cold cache at every visit (``before``, the cost of
+  rebuilding the forward state and the backward operator every time). The
+  calls of a round are those of the sweep run to that round minus those of
+  the sweep run one round fewer, so the two energies every sweep computes
+  cancel. The peak bytes of the kept backward operators are recorded too;
+* the same case at N=10 on the deep ``staircase(10, 5)`` (K = 45): one round
+  of the batch sweep in a fresh interpreter, with its peak resident memory,
+  the peak bytes of its kept backward operators and the K operators a
+  whole backward stack would hold;
+* with ``--crossover``, the table behind the collapse rule: for N = 8-10 on
+  ``brickwork(N, 4)`` and uniformly random SIC rows, the seconds of one
+  energy and of one assembly (the middle component) on rows and on the
+  collapse, next to R T 4^peak / 4^N. The dense energy includes the collapse;
+  the dense assembly is one visit of a sweep in index order: a round's time,
+  collapse included, over K. Row assemblies are timed up to 1024 rows.
+
+Timings are the median of ``--repeats`` runs, except the row assemblies,
+the deep sweep and the crossover, which run once. The script prints one JSON record;
+``--out`` also stores it in a JSON file under the key ``--tag``, keeping the
+file's other keys.
+
+Example:
+    python3 scripts/objective_replay.py --crossover --tag change --out BENCH_objective.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from virtualmap import densesim, varopt
+from virtualmap.cone import brickwork, schedule, staircase
+from virtualmap.densesim import (
+    DensityMatrix,
+    build_perturbed_state,
+    exact_ground_energy,
+    sample_outcomes,
+)
+from virtualmap.estimation import (
+    ProductInputData,
+    circuit_energy,
+    collapse,
+    data_from_batch,
+    dual_arrays,
+)
+from virtualmap.linalg import unique_rows
+from virtualmap.pauli import xx_hamiltonian
+from virtualmap.varopt import SweepOptions, assemble_local_objective, sweep
+
+FIELD = 0.95
+TOL = 1e-13
+ROUNDS = 3
+ROW_COMPONENTS = (0, 7)
+DEEP_LAYERS = 5
+CROSSOVER_N = (8, 9, 10)
+CROSSOVER_ROWS = (1, 4, 16, 64, 256, 1024, 4096, 20000)
+ROW_ASSEMBLY_LIMIT = 1024
+
+
+def seconds(fn, repeats=1):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times))
+
+
+def case(n, layout):
+    """The shots of the perturbed N-qubit chain, ``layout`` (an N-qubit
+    circuit) in its random unitary initialisation, and the chain."""
+    ham = xx_hamiltonian(n, coupling=1.0, field=FIELD, periodic=True)
+    _, vec = exact_ground_energy(ham)
+    rho = build_perturbed_state(DensityMatrix(n, np.outer(vec, vec.conj())), 0.05, 21)
+    batch = sample_outcomes(rho, "sic", 4000, seed=1)
+    circuit = varopt._initialize(layout, "random_unitary", 0)
+    return circuit, data_from_batch(batch, "sic"), ham
+
+
+class Counted:
+    """Counts ``apply_superop_local`` calls made by the dense path, by
+    wrapping the names ``varopt`` and ``densesim`` call."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __enter__(self):
+        real = self.real = densesim.apply_superop_local
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        densesim.apply_superop_local = varopt.apply_superop_local = counting
+        return self
+
+    def __exit__(self, *exc):
+        densesim.apply_superop_local = varopt.apply_superop_local = self.real
+
+
+class Assemblies:
+    """The sweep's assemblies, with its environments or (``cold``) without
+    them, and the peak bytes of the kept backward operators."""
+
+    def __init__(self, cold: bool):
+        self.cold = cold
+        self.peak_bytes = 0
+
+    def __enter__(self):
+        real = self.real = varopt.assemble_local_objective
+
+        def assemble(*args, environments=None, **kwargs):
+            if self.cold:
+                environments = None
+            objective = real(*args, environments=environments, **kwargs)
+            if environments is not None:
+                self.peak_bytes = max(self.peak_bytes, environments.peak_bytes)
+            return objective
+
+        varopt.assemble_local_objective = assemble
+        return self
+
+    def __exit__(self, *exc):
+        varopt.assemble_local_objective = self.real
+
+
+def sweep_record(circuit, data, obs, cold: bool, repeats: int):
+    """Wall time of a ROUNDS-round sweep and its dense applications per round."""
+    options = dict(accept_tol=1e-8, init="keep")
+    calls = []
+    with Assemblies(cold) as cache:
+        for rounds in range(ROUNDS + 1):
+            with Counted() as counter:
+                _, report = sweep(circuit, data, obs, SweepOptions(rounds=rounds, **options))
+            calls.append(counter.calls)
+        full = SweepOptions(rounds=ROUNDS, **options)
+        wall = seconds(lambda: sweep(circuit, data, obs, full), repeats)
+    return {
+        "sweep_s": wall,
+        "rounds_run": max((s.round for s in report.steps), default=0),
+        "final_energy": report.final_energy,
+        "apply_calls_per_round": [b - a for a, b in zip(calls, calls[1:])],
+        "stack_peak_bytes": None if cold else cache.peak_bytes,
+    }
+
+
+def replay(repeats):
+    circuit, data, obs = case(8, brickwork(8, 4))
+    k = len(circuit.components)
+    rho = collapse(data)
+    record = {
+        "rows": len(data.weights),
+        "dense_entries": 4**data.num_qubits,
+        "terms": len(obs.terms),
+        "components": k,
+        "peak_active": schedule(circuit).peak_active,
+        "collapse_s": seconds(lambda: collapse(data), repeats),
+    }
+    dense = {}
+    dense_s = []
+    for index in range(k):
+        dense_s.append(seconds(lambda: assemble_local_objective(circuit, index, rho, obs), repeats))
+        dense[index] = assemble_local_objective(circuit, index, rho, obs).matrix
+    rows_s, diffs = [], []
+    for index in ROW_COMPONENTS:
+        start = time.perf_counter()
+        m_rows = assemble_local_objective(circuit, index, data, obs).matrix
+        rows_s.append(time.perf_counter() - start)
+        diffs.append(float(np.max(np.abs(dense[index] - m_rows)) / np.max(np.abs(m_rows))))
+    record.update(
+        row_components=list(ROW_COMPONENTS),
+        rows_assembly_s=rows_s,
+        dense_assembly_s=dense_s,
+        max_rel_diff=max(diffs, default=0.0),
+    )
+    record["ok"] = record["max_rel_diff"] <= TOL
+    record["sweep_before"] = sweep_record(circuit, data, obs, cold=True, repeats=repeats)
+    record["sweep_after"] = sweep_record(circuit, data, obs, cold=False, repeats=repeats)
+    return record
+
+
+def deep_sweep():
+    """One round of the batch sweep on ``staircase(10, DEEP_LAYERS)``; run by
+    :func:`deep_record` in a fresh interpreter, so the peak resident memory
+    is the sweep's own."""
+    n = 10
+    circuit, data, obs = case(n, staircase(n, DEEP_LAYERS))
+    with Assemblies(cold=False) as cache:
+        start = time.perf_counter()
+        sweep(circuit, data, obs, SweepOptions(rounds=1, accept_tol=1e-8, init="keep"))
+        wall = time.perf_counter() - start
+    k = len(circuit.components)
+    return {
+        "circuit": f"staircase({n}, {DEEP_LAYERS})",
+        "components": k,
+        "rows": len(data.weights),
+        "sweep_s": wall,
+        "stack_peak_bytes": cache.peak_bytes,
+        "whole_stack_bytes": k * 16 * 4**n,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def deep_record():
+    here = str(Path(__file__).resolve().parent)
+    code = (
+        f"import json, sys; sys.path.insert(0, {here!r}); import objective_replay; "
+        "print(json.dumps(objective_replay.deep_sweep()))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    return json.loads(run.stdout)
+
+
+def crossover():
+    table = []
+    for n in CROSSOVER_N:
+        obs = xx_hamiltonian(n, coupling=1.0, field=FIELD, periodic=True)
+        circuit = varopt._initialize(brickwork(n, 4), "random_unitary", 0)
+        peak = schedule(circuit).peak_active
+        k = len(circuit.components)
+        obs_matrix = obs.matrix()
+        rng = np.random.default_rng(n)
+        for drawn in CROSSOVER_ROWS:
+            rows, _, counts = unique_rows(rng.integers(0, 4, size=(drawn, n)))
+            data = ProductInputData(counts / drawn, dual_arrays("sic", n), rows)
+
+            def dense_energy():
+                circuit_energy(circuit, collapse(data), obs)
+
+            def dense_round():
+                environments = varopt.DenseEnvironments(collapse(data), obs_matrix)
+                for index in range(k):
+                    environments.objective(circuit, index)
+
+            table.append(
+                {
+                    "N": n,
+                    "rows": len(rows),
+                    "ratio": len(rows) * len(obs.terms) * 4**peak / 4**n,
+                    "energy_rows_s": seconds(lambda: circuit_energy(circuit, data, obs)),
+                    "energy_dense_s": seconds(dense_energy),
+                    "assembly_rows_s": seconds(
+                        lambda: assemble_local_objective(circuit, k // 2, data, obs)
+                    )
+                    if len(rows) <= ROW_ASSEMBLY_LIMIT
+                    else None,
+                    "assembly_dense_s": seconds(dense_round) / k,
+                }
+            )
+            print(json.dumps(table[-1]), file=sys.stderr, flush=True)
+    return table
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5, help="timed runs per median (>= 1)")
+    parser.add_argument("--crossover", action="store_true", help="also time the N = 8-10 table")
+    parser.add_argument("--out", type=Path, default=None, help="JSON file to store the record in")
+    parser.add_argument("--tag", default="current", help="key of the record in --out")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    record = replay(args.repeats)
+    record["deep_sweep"] = deep_record()
+    if args.crossover:
+        record["crossover"] = crossover()
+    record.update(
+        repeats=args.repeats,
+        python=platform.python_version(),
+        numpy=np.__version__,
+        machine=f"{platform.machine()}, {os.cpu_count()} CPUs",
+    )
+    print(json.dumps(record))
+    if args.out is not None:
+        stored = json.loads(args.out.read_text()) if args.out.exists() else {}
+        stored[args.tag] = record
+        args.out.write_text(json.dumps(stored, indent=2) + "\n")
+    if not record["ok"]:
+        print(
+            f"error: collapsed M differs from the row M by {record['max_rel_diff']:.3e} "
+            f"(limit {TOL:g})",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

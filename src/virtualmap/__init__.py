@@ -44,6 +44,7 @@ from .estimation import (
     ProductInputData,
     circuit_energy,
     classical_input,
+    collapse,
     data_from_batch,
     data_from_distribution,
     estimate,

@@ -151,7 +151,37 @@ def _exact_energy_if_small(obs) -> float | None:
     return exact_ground_value(obs)
 
 
-def _finish_sweep(args, circuit, report, holdout_summary=None) -> int:
+# An energy below a bound by less than this, relative to the bound, is
+# round-off, not a fit to the shots.
+_BELOW_TOL = 1e-9
+
+
+def _overfit_keys(obs, report, holdout=None) -> dict:
+    """``energy_floor`` (-sum |c_k|, below every physical energy), whether the
+    final energy lies below it, and a ``hint`` where the final energy lies
+    below the floor or the exact ground energy: only minimising over the very
+    shots that give the estimate gets there. The hint points to the
+    ``holdout`` estimate when the run has one, and to ``--holdout`` when not."""
+    final = report.final_energy
+    floor = -sum(abs(c) for c, _ in obs.terms)
+    below_floor = final < floor - _BELOW_TOL * (1.0 + abs(floor))
+    keys = {"energy_floor": floor, "below_floor": below_floor}
+    exact = report.exact_energy
+    if below_floor or (exact is not None and final < exact - _BELOW_TOL * (1.0 + abs(exact))):
+        bound = "-sum |c_k|" if below_floor else "the exact ground energy"
+        check = (
+            "its estimate on held-out shots is under holdout"
+            if holdout
+            else "evaluate it on held-out shots with optimize --holdout"
+        )
+        keys["hint"] = (
+            f"the final energy is below {bound}: the circuit fits the shots it was "
+            f"optimized on; {check}"
+        )
+    return keys
+
+
+def _finish_sweep(args, obs, circuit, report, holdout_summary=None) -> int:
     if args.zreset:
         circuit = zreset_compose(circuit)
     if args.out_circuit:
@@ -168,6 +198,7 @@ def _finish_sweep(args, circuit, report, holdout_summary=None) -> int:
     if report.exact_energy is not None:
         summary["exact_energy"] = report.exact_energy
         summary["relative_error"] = report.relative_error()
+    summary.update(_overfit_keys(obs, report, holdout_summary))
     if holdout_summary:
         summary["holdout"] = holdout_summary
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
@@ -200,7 +231,7 @@ def _cmd_optimize(args) -> int:
             labels=(_label(args.observable), _label(args.circuit), _label(args.holdout)),
         )
         holdout = {"batch": _label(args.holdout), "value": est.value, "sigma": est.sigma}
-    return _finish_sweep(args, final, report, holdout)
+    return _finish_sweep(args, obs, final, report, holdout)
 
 
 def _cmd_ansatz(args) -> int:
@@ -209,7 +240,7 @@ def _cmd_ansatz(args) -> int:
     circuit, report = classical_ansatz(
         obs, layers=args.layers, options=options, exact_energy=_exact_energy_if_small(obs)
     )
-    return _finish_sweep(args, circuit, report)
+    return _finish_sweep(args, obs, circuit, report)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,9 @@ class DensityMatrix:
             raise ValidationError(
                 f"matrix shape {m.shape} does not match {self.num_qubits} qubits"
             )
+        # one sum instead of an elementwise test: NaN and inf propagate into it
+        if not np.isfinite(m.sum()):
+            raise ValidationError("operator has non-finite entries")
         self.matrix = m
 
     def validate(self, positivity: bool = True) -> None:

@@ -26,6 +26,14 @@ distribution (:func:`data_from_distribution`, which also serves
 (:func:`classical_input`); the variational sweep consumes the same rows.
 :func:`circuit_energy` is the one exact energy, of such rows or of a dense
 state; :func:`estimate_exact` and the sweep both call it.
+
+Energies and objectives are linear in the rows, so they need only the
+empirical dual operator sum_i w_i (x)_q D_{m_iq}. :func:`collapse` builds it
+as a :class:`~virtualmap.densesim.DensityMatrix` (N <= 10); a sweep
+collapses a large batch once before its first visit, by the rule of
+:mod:`virtualmap.varopt`. :func:`circuit_energy` takes rows as they are given,
+and :func:`estimate` never collapses, because its error bar needs the weight
+of every row.
 """
 
 from __future__ import annotations
@@ -37,7 +45,13 @@ from functools import lru_cache
 import numpy as np
 
 from .cone import MapCircuit, evaluate_rows, term_groups
-from .densesim import DensityMatrix, OutcomeBatch, apply_circuit_dense, outcome_distribution
+from .densesim import (
+    DensityMatrix,
+    OutcomeBatch,
+    _dense_dim,
+    apply_circuit_dense,
+    outcome_distribution,
+)
 from .errors import NumericalError, ValidationError
 from .linalg import unique_rows
 from .pauli import Observable, expectation_oracle
@@ -141,11 +155,15 @@ class ProductInputData:
             raise ValidationError(
                 f"need {self.num_qubits} factor tables, got {len(self.tables)}"
             )
+        if not np.isfinite(self.weights.sum()):
+            raise ValidationError("row weights must be finite")
         low = self.rows.min(axis=0, initial=0)
         high = self.rows.max(axis=0, initial=-1)
         for q, t in enumerate(self.tables):
             if t.ndim != 3 or t.shape[1:] != (2, 2):
                 raise ValidationError(f"factor table {q} must be (M, 2, 2), got {t.shape}")
+            if not np.isfinite(t.sum()):
+                raise ValidationError(f"factor table {q} has non-finite entries")
             if low[q] < 0 or high[q] >= len(t):
                 bad = low[q] if low[q] < 0 else high[q]
                 raise ValidationError(f"outcome {bad} out of range for qubit {q}")
@@ -184,6 +202,24 @@ def classical_input(num_qubits: int) -> ProductInputData:
     return ProductInputData(
         np.ones(1), [zero] * num_qubits, np.zeros((1, num_qubits), dtype=int)
     )
+
+
+def collapse(data: ProductInputData) -> DensityMatrix:
+    """The empirical dual operator sum_i w_i (x)_q tables[q][rows[i, q]] as a
+    dense 2^N operator (N <= 10): one weighted ``bincount`` of the rows into
+    an (M_0, ..., M_{N-1}) tensor, then one ``tensordot`` per qubit with its
+    table. The count tensor holds prod M_q entries, 4^N for four-outcome
+    frames and more for larger ones."""
+    n = data.num_qubits
+    _dense_dim(n)
+    dims = tuple(len(t) for t in data.tables)
+    flat = np.ravel_multi_index(tuple(data.rows.T), dims)
+    t = np.bincount(flat, data.weights, minlength=int(np.prod(dims))).reshape(dims)
+    for table in data.tables:  # axis 0 is always the next qubit's outcome
+        t = np.tensordot(t, table, axes=(0, 0))
+    # axes (row_0, col_0, ..., row_{N-1}, col_{N-1}), qubit 0 most significant
+    t = t.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return DensityMatrix(n, t.reshape(2**n, 2**n))
 
 
 def _real_weights(w: np.ndarray) -> tuple[np.ndarray, float]:

@@ -32,13 +32,22 @@ share the contraction: product rows cut the whole-register plan into a (rows,
 terms) batch of residual pairs on the qubits active at the cut, and a dense
 state is one pair on the whole register with weight one. The sweep's energies
 come from :func:`virtualmap.estimation.circuit_energy`, which takes the same
-two kinds of input.
+two kinds of input. A sweep first decides, by one rule
+(:func:`_collapse_if_cheaper`), whether to collapse its rows
+(:func:`virtualmap.estimation.collapse`), so a large batch at N <= 10 is
+optimized as its empirical dual operator, a dense state. On a dense state
+the sweep keeps :class:`DenseEnvironments`: the input run forward to the cut
+and checkpoints of the observable run backward to it, which an installed map
+invalidates only where it enters. A round in index order then costs fewer
+than 3K dense map applications, not K(K - 1), and holds about 2 sqrt(K)
+backward operators.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,9 +61,9 @@ from .cone import (
     split_residuals,
     term_factors,
 )
-from .densesim import DensityMatrix, apply_circuit_dense
+from .densesim import _DENSE_LIMIT, DensityMatrix, apply_local_map
 from .errors import NumericalError, ValidationError
-from .estimation import ProductInputData, circuit_energy, classical_input
+from .estimation import ProductInputData, circuit_energy, classical_input, collapse
 from .linalg import apply_superop_local, herm, trace_mul
 from .maps import (
     ChoiMatrix,
@@ -104,27 +113,92 @@ def _cut_objective(r: np.ndarray, rbar: np.ndarray, weight: np.ndarray) -> np.nd
     return (lhs.reshape(ds * ds, -1) @ rhs).reshape(ds, ds, ds, ds).transpose(1, 2, 0, 3)
 
 
+class DenseEnvironments:
+    """Cached operands of the dense cut for one input state and observable.
+
+    The forward state is the input run through ``components[:p]``; it is
+    held for one p at a time and advanced one component at a time. Backward
+    operator t is the observable run through the adjoints of the last t
+    components. Of these only every s-th is kept (s = ceil(sqrt(K))), plus
+    the block of s - 1 between two kept ones that the last cut needed; an
+    operator outside them is recomputed from the kept one below it. Every
+    call names the circuit it is about; components that are not the very
+    objects the cache was built from count as installed, and an install at
+    component j drops the forward state if it is past j and every backward
+    operator that runs through j. A round of visits in index order therefore
+    costs fewer than 3K dense applications (K - 1 forward, K - 1 backward and
+    fewer than K recomputed between the kept operators) and holds about
+    2 sqrt(K) backward operators. The values are those of the same
+    applications done from scratch, bit for bit, so a fresh instance is the
+    cold cache of a standalone call. ``peak_bytes`` is the largest size the
+    kept backward operators reached together (each is 16 * 4^N bytes).
+    """
+
+    def __init__(self, rho: DensityMatrix, obs_matrix: np.ndarray):
+        self._rho = rho
+        self._components: tuple = ()
+        self._forward = (0, rho)
+        self._backward = {0: obs_matrix}
+        self.peak_bytes = obs_matrix.nbytes
+
+    def _sync(self, circuit: MapCircuit) -> None:
+        comps = circuit.components
+        if len(comps) != len(self._components):
+            changed = range(len(comps))
+        else:
+            changed = [j for j, (a, b) in enumerate(zip(comps, self._components)) if a is not b]
+        if changed:
+            if self._forward[0] > changed[0]:
+                self._forward = (0, self._rho)
+            for t in [t for t in self._backward if t >= len(comps) - changed[-1]]:
+                del self._backward[t]
+            self._components = comps
+
+    def _backward_at(self, t: int, n: int) -> np.ndarray:
+        """Backward operator t, from the nearest kept one at or below it."""
+        comps, stored = self._components, self._backward
+        k = len(comps)
+        s = math.isqrt(k - 1) + 1
+        base = max(u for u in stored if u <= t)
+        op = stored[base]
+        for u in [u for u in stored if u % s and u // s != t // s]:
+            del stored[u]
+        # Heisenberg-picture operand: the adjoint of a trace-preserving map is
+        # unital, not trace-preserving, so its action legitimately changes the
+        # trace of an observable and must bypass the state-application checks.
+        for u in range(base + 1, t + 1):
+            c = comps[k - u]
+            op = apply_superop_local(op, adjoint_map(c.map).superop, c.qubits, n)
+            if u % s == 0 or u // s == t // s:
+                stored[u] = op
+        self.peak_bytes = max(self.peak_bytes, sum(b.nbytes for b in stored.values()))
+        return op
+
+    def objective(self, circuit: MapCircuit, index: int) -> np.ndarray:
+        """The whole register cut at component ``index``: the forward state
+        and the backward operator contracted as one residual pair."""
+        self._sync(circuit)
+        n = circuit.num_qubits
+        p, fwd = self._forward
+        if p > index:
+            p, fwd = 0, self._rho
+        for c in self._components[p:index]:
+            fwd = apply_local_map(fwd, c.map, c.qubits)
+        self._forward = (index, fwd)
+        bwd = self._backward_at(len(self._components) - 1 - index, n)
+        support = self._components[index].qubits
+        ds = 2 ** len(support)
+        shape = (ds, 2**n // ds, ds, 2**n // ds, 1, 1)
+        r = _group_support_first(fwd.matrix[..., None, None], range(n), support).reshape(shape)
+        rbar = _group_support_first(bwd[..., None, None], range(n), support).reshape(shape)
+        return _cut_objective(r, rbar, np.ones((1, 1))).reshape(ds * ds, ds * ds)
+
+
 def _dense_objective(
-    circuit: MapCircuit, index: int, rho: DensityMatrix, obs: Observable, obs_matrix=None
+    circuit: MapCircuit, index: int, rho: DensityMatrix, obs: Observable
 ) -> np.ndarray:
-    """The whole register cut at the component: rho run forward through the
-    components before it, the observable backward through the adjoints of
-    those after it, both contracted as one residual pair. ``obs_matrix`` is
-    ``obs.matrix()``, built here if not given."""
-    n = circuit.num_qubits
-    support = circuit.components[index].qubits
-    fwd = apply_circuit_dense(MapCircuit(n, circuit.components[:index]), rho.matrix)
-    # Heisenberg-picture operand: the adjoint of a trace-preserving map is
-    # unital, not trace-preserving, so its action legitimately changes the
-    # trace of an observable and must bypass the state-application checks.
-    bwd = obs.matrix() if obs_matrix is None else obs_matrix
-    for c in reversed(circuit.components[index + 1 :]):
-        bwd = apply_superop_local(bwd, adjoint_map(c.map).superop, c.qubits, n)
-    ds = 2 ** len(support)
-    shape = (ds, 2**n // ds, ds, 2**n // ds, 1, 1)
-    r = _group_support_first(fwd[..., None, None], range(n), support).reshape(shape)
-    rbar = _group_support_first(bwd[..., None, None], range(n), support).reshape(shape)
-    return _cut_objective(r, rbar, np.ones((1, 1))).reshape(ds * ds, ds * ds)
+    """The dense cut objective of one component, from a cold cache."""
+    return DenseEnvironments(rho, obs.matrix()).objective(circuit, index)
 
 
 def _product_objective(
@@ -148,17 +222,28 @@ def _product_objective(
 
 
 def assemble_local_objective(
-    circuit: MapCircuit, index: int, data, obs: Observable, *, obs_matrix=None
+    circuit: MapCircuit,
+    index: int,
+    data,
+    obs: Observable,
+    *,
+    environments: DenseEnvironments | None = None,
 ) -> LocalObjective:
     """Build the Hermitian matrix M of the single-component energy landscape.
 
-    A dense state needs ``obs.matrix()``; a caller that already holds it, as
-    a sweep does, passes it as ``obs_matrix``."""
+    A dense state is cut through ``environments``, the cache of its forward
+    states and backward operators under ``obs``; a sweep passes the one it
+    keeps, and without it the call builds a cold one."""
     if not obs.is_hermitian:
         raise ValidationError("objective assembly needs a Hermitian observable")
+    if data.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
+        raise ValidationError("data, circuit, and observable qubit counts differ")
+    if not 0 <= index < len(circuit.components):
+        raise ValidationError(f"no component {index} in circuit")
     comp = circuit.components[index]
     if isinstance(data, DensityMatrix):
-        m_raw = _dense_objective(circuit, index, data, obs, obs_matrix)
+        environments = environments or DenseEnvironments(data, obs.matrix())
+        m_raw = environments.objective(circuit, index)
     else:
         m_raw = _product_objective(circuit, index, data, obs)
     return LocalObjective(component=index, arity=comp.map.arity, matrix=herm(m_raw))
@@ -468,6 +553,34 @@ def _initialize(circuit: MapCircuit, init: str, seed: int) -> MapCircuit:
     return MapCircuit(circuit.num_qubits, tuple(comps), topology=circuit.topology)
 
 
+def _collapse_if_cheaper(circuit: MapCircuit, data, obs: Observable):
+    """``data`` as the input of a sweep: the one rule that decides when
+    product rows are collapsed (:func:`virtualmap.estimation.collapse`).
+
+    Rows are collapsed when N <= 10 and R T 4^peak > 4^N, R being the rows,
+    T the observable's terms and peak the widest residual of the circuit's
+    plan: the (rows, terms) batch of light-cone residuals would then hold
+    more entries than the dense operator. Timings of both paths on
+    ``brickwork(N, 4)`` at N = 8-10 (``scripts/objective_replay.py``) put
+    the crossover of one objective assembly, the step a sweep repeats,
+    between 0.4 and 1.9 of that ratio at every N. Rows stay as they are when
+    the collapse itself would hold a tensor larger than the dense operator,
+    as frames of more than four outcomes can make it: its count tensor has
+    prod M_q entries. A single row is never collapsed: there is nothing to
+    merge, and the classical ansatz keeps its light-cone path at every N. A
+    dense state is returned as it is.
+    """
+    if isinstance(data, DensityMatrix) or data.num_qubits > _DENSE_LIMIT or len(data.weights) < 2:
+        return data
+    n = data.num_qubits
+    dims = [len(t) for t in data.tables]
+    # the collapse's tensors: the counts with the first q outcome axes
+    # traded for 2 x 2 blocks
+    held = max(math.prod(dims[q:]) * 4**q for q in range(n + 1))
+    work = len(data.weights) * len(obs.terms) * 4 ** schedule(circuit).peak_active
+    return collapse(data) if work > 4**n and held <= 4**n else data
+
+
 def sweep(
     circuit: MapCircuit,
     data,
@@ -481,10 +594,12 @@ def sweep(
     order = options.order or tuple(range(len(current.components)))
     if any(i < 0 or i >= len(current.components) for i in order):
         raise ValidationError("sweep order refers to missing components")
+    data = _collapse_if_cheaper(current, data, obs)
     energy = circuit_energy(current, data, obs)
     report = SweepReport(initial_energy=energy, exact_energy=exact_energy)
-    # every visit of a dense state runs the observable's matrix backward
-    obs_matrix = obs.matrix() if isinstance(data, DensityMatrix) else None
+    environments = (
+        DenseEnvironments(data, obs.matrix()) if isinstance(data, DensityMatrix) else None
+    )
     installs = 0
     # component -> (installs after its last visit, objective, solution, info)
     last_visit: dict[int, tuple] = {}
@@ -499,7 +614,7 @@ def sweep(
                 _, objective, choi_new, info = seen
             else:
                 objective = assemble_local_objective(
-                    current, index, data, obs, obs_matrix=obs_matrix
+                    current, index, data, obs, environments=environments
                 )
                 choi_new, info = minimize_over_cptp(objective, options.sdp)
             choi_cur = superop_to_choi(current.components[index].map)

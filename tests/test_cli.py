@@ -313,6 +313,64 @@ class TestOptimize:
         for prev, nxt in zip(energies, energies[1:]):
             assert nxt <= prev + 1e-8
 
+    @pytest.mark.parametrize("shots, below_floor", [(20, True), (200, False)])
+    def test_summary_flags_a_fit_to_the_shots(
+        self, tmp_path, capsys, obs_file, shots, below_floor
+    ):
+        from virtualmap.densesim import noisy_chain_state, sample_outcomes, write_batch
+
+        write_batch(sample_outcomes(noisy_chain_state(3), "sic", shots, seed=0), tmp_path / "b.csv")
+        save_circuit(brickwork(3, 2), tmp_path / "start.json")
+        argv = ["optimize", "--observable", str(obs_file), "--circuit", str(tmp_path / "start.json")]
+        argv += ["--batch", str(tmp_path / "b.csv"), "--rounds", "3", "--init", "random_unitary"]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["energy_floor"] == pytest.approx(-4.2, abs=1e-12)
+        assert summary["below_floor"] is below_floor
+        assert (summary["final_energy"] < -4.2) is below_floor
+        assert summary["final_energy"] < summary["exact_energy"]
+        assert "--holdout" in summary["hint"]
+
+    def test_hint_points_to_the_holdout_estimate(self, tmp_path, capsys, obs_file):
+        from virtualmap.densesim import noisy_chain_state, sample_outcomes, write_batch
+
+        for name, seed in (("b.csv", 0), ("h.csv", 1)):
+            write_batch(sample_outcomes(noisy_chain_state(3), "sic", 20, seed=seed), tmp_path / name)
+        save_circuit(brickwork(3, 2), tmp_path / "start.json")
+        argv = ["optimize", "--observable", str(obs_file), "--circuit", str(tmp_path / "start.json")]
+        argv += ["--batch", str(tmp_path / "b.csv"), "--holdout", str(tmp_path / "h.csv")]
+        argv += ["--rounds", "3", "--init", "random_unitary"]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["below_floor"] is True and "holdout" in summary
+        assert "under holdout" in summary["hint"] and "--holdout" not in summary["hint"]
+
+    @pytest.mark.parametrize(
+        "final, exact, keys",
+        [
+            (-1.0 - 1e-13, None, {"below_floor": False}),
+            (-1.0 - 1e-6, None, {"below_floor": True, "hint": "-sum |c_k|"}),
+            (-0.9 - 1e-13, -0.9, {"below_floor": False}),
+            (-0.9 - 1e-6, -0.9, {"below_floor": False, "hint": "exact ground energy"}),
+            (-1.5, -0.9, {"below_floor": True, "hint": "-sum |c_k|"}),
+        ],
+    )
+    @pytest.mark.parametrize("holdout", [None, {"batch": "h.csv", "value": -0.8, "sigma": 0.1}])
+    def test_overfit_keys_ignore_round_off(self, final, exact, keys, holdout):
+        from virtualmap.cli import _overfit_keys
+        from virtualmap.varopt import SweepReport
+
+        obs = Observable.from_terms(2, [(0.5, "ZI"), (-0.5, "XX")])
+        got = _overfit_keys(obs, SweepReport(initial_energy=final, exact_energy=exact), holdout)
+        assert got["energy_floor"] == -1.0
+        assert got["below_floor"] is keys["below_floor"]
+        assert ("hint" in got) is ("hint" in keys)
+        if "hint" in keys:
+            assert keys["hint"] in got["hint"]
+            # a run with held-out shots is pointed to their estimate, not told to take some
+            assert ("--holdout" in got["hint"]) is (holdout is None)
+            assert ("under holdout" in got["hint"]) is (holdout is not None)
+
     def test_requires_exactly_one_data_source(self, tmp_path, obs_file):
         circ_path = tmp_path / "start.json"
         save_circuit(brickwork(3, 1), circ_path)
@@ -360,6 +418,9 @@ class TestAnsatz:
         summary = json.loads(capsys.readouterr().out)
         assert summary["unconverged_steps"] == 0
         assert summary["max_gap"] <= 1e-9
+        # the ground energy -1 is the floor itself, reached to round-off
+        assert summary["energy_floor"] == -1.0
+        assert summary["below_floor"] is False and "hint" not in summary
         assert main(base + ["--sdp-max-iters", "1"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["unconverged_steps"] == summary["iterations"] > 0

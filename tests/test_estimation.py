@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cube_povm,
@@ -10,6 +12,7 @@ from conftest import (
     random_mixed_circuit,
     split_pairs,
 )
+from virtualmap import estimation, varopt
 from virtualmap.cone import Component, MapCircuit, brickwork, evaluate_trace
 from virtualmap.densesim import (
     DensityMatrix,
@@ -22,15 +25,20 @@ from virtualmap.densesim import (
 from virtualmap.errors import NumericalError, ValidationError
 from virtualmap.estimation import (
     Estimate,
+    ProductInputData,
+    classical_input,
+    collapse,
     data_from_batch,
     data_from_distribution,
     dual_arrays,
     estimate,
     estimate_covariance,
     estimate_exact,
+    row_weights,
     shot_weight,
 )
-from virtualmap.maps import LocalMap, cnot_map, random_cptp_map
+from virtualmap.linalg import kron_all
+from virtualmap.maps import LocalMap, cnot_map, random_cptp_map, random_tp_hermitian_map
 from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
 from virtualmap.varopt import assemble_local_objective, circuit_energy
@@ -515,3 +523,81 @@ class TestNonFiniteInput:
         duals[2, 0, 1] = np.nan
         with pytest.raises(ValidationError, match="finite"):
             dual_arrays([duals] * 2, 2)
+
+
+def _random_rows(n: int, rng: np.random.Generator) -> ProductInputData:
+    """Random Hermitian factor tables, a different number of outcomes per
+    qubit and no dual-frame relation among them, with random rows and signed
+    weights."""
+    tables = []
+    for _ in range(n):
+        g = rng.standard_normal((int(rng.integers(1, 7)), 2, 2))
+        g = g + 1j * rng.standard_normal(g.shape)
+        tables.append(g + g.conj().transpose(0, 2, 1))
+    count = int(rng.integers(1, 40))
+    rows = np.stack([rng.integers(0, len(t), size=count) for t in tables], axis=1)
+    return ProductInputData(rng.standard_normal(count), tables, rows)
+
+
+def _random_observable(n: int, rng: np.random.Generator) -> Observable:
+    letters = ["".join("IXYZ"[k] for k in rng.integers(0, 4, size=n)) for _ in range(4)]
+    return Observable.from_terms(n, [(float(rng.standard_normal()), ps) for ps in letters])
+
+
+class TestCollapse:
+    def test_matches_the_weighted_kronecker_sum(self):
+        rng = np.random.default_rng(40)
+        data = _random_rows(3, rng)
+        want = sum(
+            w * kron_all([data.tables[q][row[q]] for q in range(3)])
+            for w, row in zip(data.weights, data.rows)
+        )
+        np.testing.assert_allclose(collapse(data).matrix, want, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31), n=st.integers(min_value=2, max_value=5))
+    def test_energy_and_objectives_agree_with_rows(self, seed, n):
+        """CPTP, non-CP and non-trace-preserving components over custom
+        frames: the collapse gives every energy and every M of the rows."""
+        rng = np.random.default_rng(seed)
+        circ = random_mixed_circuit(n, rng)
+        if rng.random() < 0.5:  # a leaky component
+            leak = random_tp_hermitian_map(2, rng).superop * 0.8
+            circ = circ.with_component(int(rng.integers(len(circ.components))), LocalMap(leak))
+        data = _random_rows(n, rng)
+        obs = _random_observable(n, rng)
+        rho = collapse(data)
+        per_row = row_weights(circ, data.tables, data.rows, obs).real
+        scale = np.abs(data.weights * per_row).sum() + 1e-300
+        e_rows = float(np.dot(data.weights, per_row))
+        assert abs(circuit_energy(circ, rho, obs) - e_rows) <= 1e-12 * scale
+        for index in range(len(circ.components)):
+            m_rows = assemble_local_objective(circ, index, data, obs).matrix
+            m_dense = assemble_local_objective(circ, index, rho, obs).matrix
+            assert np.abs(m_dense - m_rows).max() <= 1e-12 * (np.abs(m_rows).max() + 1e-300)
+
+
+def _refuse_collapse(monkeypatch):
+    """Fail on any collapse, whichever module's name for it is called."""
+
+    def refuse(data):
+        pytest.fail("rows were collapsed")
+
+    monkeypatch.setattr(estimation, "collapse", refuse)
+    monkeypatch.setattr(varopt, "collapse", refuse)
+
+
+class TestRowsStayRows:
+    def test_energy_never_collapses(self, monkeypatch):
+        _refuse_collapse(monkeypatch)
+        batch = sample_outcomes(noisy_chain_state(3), "sic", 2000, seed=5)
+        data = data_from_batch(batch, "sic")
+        circ, obs = brickwork(3, 2), xx_hamiltonian(3)
+        per_row = row_weights(circ, data.tables, data.rows, obs).real
+        assert circuit_energy(circ, data, obs) == pytest.approx(np.dot(data.weights, per_row), rel=1e-13)
+
+    def test_estimate_never_collapses(self, monkeypatch):
+        _refuse_collapse(monkeypatch)
+        batch = sample_outcomes(noisy_chain_state(3), "sic", 2000, seed=6)
+        est = estimate(batch, "sic", brickwork(3, 2), xx_hamiltonian(3), keep_per_shot=True)
+        assert est.per_shot.shape == (2000,)

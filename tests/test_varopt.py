@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_min, cube_povm, random_mixed_circuit, stinespring_choi
-from virtualmap.cone import Component, MapCircuit, brickwork, schedule, staircase
+from virtualmap import densesim, varopt
+from virtualmap.cone import Component, MapCircuit, _group_support_first, brickwork, schedule, staircase
 from virtualmap.densesim import (
     DensityMatrix,
+    apply_circuit_dense,
     computational_zero,
     maximally_mixed,
     noisy_chain_state,
@@ -19,14 +21,18 @@ from virtualmap.errors import ValidationError
 from virtualmap.estimation import (
     ProductInputData,
     classical_input,
+    collapse,
     data_from_batch,
     data_from_distribution,
+    dual_arrays,
     estimate,
     estimate_exact,
 )
+from virtualmap.linalg import apply_superop_local
 from virtualmap.maps import (
     ChoiMatrix,
     LocalMap,
+    adjoint_map,
     choi_to_superop,
     identity_map,
     random_cptp_map,
@@ -50,7 +56,9 @@ from virtualmap.varopt import (
     zreset_compose,
 )
 from virtualmap.varopt import (
+    DenseEnvironments,
     SweepStep,
+    _cut_objective,
     _dense_objective,
     _max_steps,
     _product_objective,
@@ -134,11 +142,27 @@ class TestInputData:
             (np.ones(1), [np.eye(2)[None], np.eye(3)[None]], np.zeros((1, 2), int), "table 1"),
             (np.ones(1), [np.eye(2)[None]] * 2, np.array([[0, 1]]), "outcome 1"),
             (np.ones(1), [np.eye(2)[None]] * 2, np.array([[-1, 0]]), "outcome -1"),
+            (np.array([np.nan]), [np.eye(2)[None]] * 2, np.zeros((1, 2), int), "weights"),
+            (np.array([np.inf]), [np.eye(2)[None]] * 2, np.zeros((1, 2), int), "weights"),
+            (np.ones(1), [np.eye(2)[None], np.full((1, 2, 2), np.inf)], np.zeros((1, 2), int), "table 1"),
+            (np.ones(1), [np.full((1, 2, 2), np.nan), np.eye(2)[None]], np.zeros((1, 2), int), "table 0"),
         ],
     )
     def test_rejects_malformed_rows(self, weights, tables, rows, message):
         with pytest.raises(ValidationError, match=message):
             ProductInputData(weights, tables, rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_dense_state(self, bad):
+        m = maximally_mixed(3).matrix.copy()
+        m[2, 5] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix(3, m)
+
+    def test_classical_input_with_infinite_tables_gives_no_energy(self):
+        data = classical_input(3)
+        with pytest.raises(ValidationError, match="non-finite"):
+            ProductInputData(data.weights, [np.full_like(t, np.inf) for t in data.tables], data.rows)
 
 
 class TestCircuitEnergy:
@@ -249,6 +273,179 @@ def _assert_objectives_match_dense(circ, rho, data, obs):
         want = _dense_objective(circ, index, rho, obs)
         got = _product_objective(circ, index, data, obs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), index
+
+
+def _from_scratch(circ, index, rho, obs):
+    """The dense cut objective rebuilt from nothing: rho run forward through
+    the components before the cut, the observable backward through the
+    adjoints of those after it."""
+    n = circ.num_qubits
+    fwd = apply_circuit_dense(MapCircuit(n, circ.components[:index]), rho.matrix)
+    bwd = obs.matrix()
+    for c in reversed(circ.components[index + 1 :]):
+        bwd = apply_superop_local(bwd, adjoint_map(c.map).superop, c.qubits, n)
+    support = circ.components[index].qubits
+    ds = 2 ** len(support)
+    shape = (ds, 2**n // ds, ds, 2**n // ds, 1, 1)
+    r = _group_support_first(fwd[..., None, None], range(n), support).reshape(shape)
+    rbar = _group_support_first(bwd[..., None, None], range(n), support).reshape(shape)
+    return _cut_objective(r, rbar, np.ones((1, 1))).reshape(ds * ds, ds * ds)
+
+
+def _count_dense_applications(monkeypatch):
+    calls = []
+    real = densesim.apply_superop_local
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(densesim, "apply_superop_local", counting)
+    monkeypatch.setattr(varopt, "apply_superop_local", counting)
+    return calls
+
+
+class TestDenseEnvironments:
+    @pytest.mark.parametrize(
+        "order", [(0, 1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1, 0), (3, 0, 6, 3, 1, 7, 5, 2, 4)]
+    )
+    def test_objectives_are_bit_identical_with_installs(self, order):
+        rng = np.random.default_rng(80)
+        rho = noisy_chain_state(5, theta=0.3, p=0.02)
+        circ = brickwork(5, 4, lambda layer, qubits: random_cptp_map(2, rng))
+        assert len(circ.components) == 8
+        obs = xx_hamiltonian(5, field=0.6, periodic=True)
+        environments = DenseEnvironments(rho, obs.matrix())
+        for visit, index in enumerate(order * 2):
+            got = environments.objective(circ, index)
+            assert np.array_equal(got, _dense_objective(circ, index, rho, obs)), (visit, index)
+            assert np.array_equal(got, _from_scratch(circ, index, rho, obs)), (visit, index)
+            if visit % 3 != 2:  # install at most visits, not all
+                circ = circ.with_component(index, random_unitary_map(2, rng))
+            if visit % 4 == 1:  # and now and then at a second component too
+                other = int(rng.integers(len(circ.components)))
+                circ = circ.with_component(other, random_unitary_map(2, rng))
+        # another circuit on the same register starts over
+        shorter = brickwork(5, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        for index in (3, 0):
+            got = environments.objective(shorter, index)
+            assert np.array_equal(got, _from_scratch(shorter, index, rho, obs))
+
+    def test_index_order_round_costs_fewer_than_three_applications_per_component(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(81)
+        rho = noisy_chain_state(4, theta=0.3, p=0.02)
+        circ = staircase(4, 3, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(4, field=0.6)
+        k = len(circ.components)
+        assert k == 9
+        environments = DenseEnvironments(rho, obs.matrix())
+        calls = _count_dense_applications(monkeypatch)
+        for _ in range(3):
+            before = len(calls)
+            for index in range(k):
+                environments.objective(circ, index)
+                circ = circ.with_component(index, random_cptp_map(2, rng))
+            # the forward state advances K - 1 times, the backward operators
+            # are rebuilt once from the end, keeping 0, 3, 6 and the block
+            # 7-8, and then 1-2 and 4-5 are recomputed from 0 and 3
+            assert len(calls) - before == 2 * (k - 1) + 4
+        # without installs nothing is invalidated, and blocks passed are dropped
+        for index in range(k):
+            environments.objective(circ, index)
+        # 0, 3, 6 and a block of two, not all nine
+        assert environments.peak_bytes == 5 * obs.matrix().nbytes
+
+    def test_sweep_cuts_through_one_environment(self, monkeypatch):
+        rho = noisy_chain_state(4, theta=0.3, p=0.01)
+        obs = xx_hamiltonian(4, field=0.4)
+        options = SweepOptions(rounds=2, init="random_unitary", seed=2)
+        k = len(brickwork(4, 2).components)
+        calls = _count_dense_applications(monkeypatch)
+        _, report = sweep(brickwork(4, 2), rho, obs, options)
+        assert all(s.installed for s in report.steps)
+        # two energies of K applications, and per round 2 (K - 1) and the
+        # backward operator 1, recomputed from 0 between the kept 0 and 2
+        assert k == 3 and len(calls) == 2 * k + 2 * (2 * (k - 1) + 1)
+
+
+class TestCollapseRule:
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_classical_row_stays_on_the_row_path(self, n, layers):
+        data = classical_input(n)
+        # even with many terms per row
+        obs = Observable.from_terms(n, [(1.0, "Z" * k + "X" * (n - k)) for k in range(n + 1)])
+        assert varopt._collapse_if_cheaper(staircase(n, layers), data, obs) is data
+
+    def test_measured_batch_collapses(self):
+        batch = sample_outcomes(noisy_chain_state(3), "sic", 2000, seed=4)
+        data = data_from_batch(batch, "sic")
+        got = varopt._collapse_if_cheaper(brickwork(3, 2), data, xx_hamiltonian(3))
+        assert isinstance(got, DensityMatrix)
+        np.testing.assert_array_equal(got.matrix, collapse(data).matrix)
+
+    def test_few_rows_stay_beyond_the_crossover(self):
+        # brickwork(10, 4) peaks at 5 active qubits; 20 rows x 30 terms x 4^5
+        # residual entries are fewer than the 4^10 of the dense operator
+        rng = np.random.default_rng(41)
+        data = ProductInputData(np.full(20, 0.05), dual_arrays("sic", 10), rng.integers(0, 4, (20, 10)))
+        assert varopt._collapse_if_cheaper(brickwork(10, 4), data, xx_hamiltonian(10, periodic=True)) is data
+
+    def test_rows_above_the_dense_limit_stay(self):
+        rng = np.random.default_rng(42)
+        data = ProductInputData(np.full(500, 0.002), dual_arrays("sic", 11), rng.integers(0, 4, (500, 11)))
+        assert varopt._collapse_if_cheaper(brickwork(11, 1), data, xx_hamiltonian(11)) is data
+
+    def test_rows_stay_when_the_collapse_would_outgrow_the_operator(self, monkeypatch):
+        # six outcomes per qubit: 6^10 counts against the 4^10 entries of the
+        # dense operator, although 500 rows x 30 terms x 4^5 are far more
+        monkeypatch.setattr(varopt, "collapse", lambda d: pytest.fail("collapsed"))
+        rng = np.random.default_rng(43)
+        data = ProductInputData(
+            np.full(500, 0.002), dual_arrays(compute_duals(cube_povm()), 10), rng.integers(0, 6, (500, 10))
+        )
+        assert varopt._collapse_if_cheaper(brickwork(10, 4), data, xx_hamiltonian(10, periodic=True)) is data
+
+    def test_small_frames_still_collapse(self):
+        # two outcomes on qubit 0 and four elsewhere: every tensor of the
+        # collapse is at most 4^N
+        batch = sample_outcomes(noisy_chain_state(3), "sic", 2000, seed=4)
+        data = data_from_batch(batch, "sic")
+        zbasis = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        data = ProductInputData(data.weights, [zbasis, *data.tables[1:]], data.rows % [2, 4, 4])
+        got = varopt._collapse_if_cheaper(brickwork(3, 2), data, xx_hamiltonian(3))
+        np.testing.assert_array_equal(got.matrix, collapse(data).matrix)
+
+
+class TestSweepCollapse:
+    def test_batch_is_collapsed_once_before_the_first_visit(self, monkeypatch):
+        batch = sample_outcomes(noisy_chain_state(3), "sic", 2000, seed=7)
+        data = data_from_batch(batch, "sic")
+        obs = xx_hamiltonian(3, field=0.4)
+        options = SweepOptions(rounds=2, init="random_unitary", seed=1)
+        want_circuit, want = sweep(brickwork(3, 2), collapse(data), obs, options)
+        collapsed, kinds = [], []
+        real_assemble = varopt.assemble_local_objective
+
+        def assemble(circuit, index, d, o, **kwargs):
+            kinds.append(type(d))
+            return real_assemble(circuit, index, d, o, **kwargs)
+
+        monkeypatch.setattr(varopt, "collapse", lambda d: collapsed.append(d) or collapse(d))
+        monkeypatch.setattr(varopt, "assemble_local_objective", assemble)
+        got_circuit, got = sweep(brickwork(3, 2), data, obs, options)
+        assert collapsed == [data]
+        assert kinds and set(kinds) == {DensityMatrix}
+        assert got.steps == want.steps and got.initial_energy == want.initial_energy
+        for a, b in zip(got_circuit.components, want_circuit.components):
+            assert np.array_equal(a.map.superop, b.map.superop)
+
+    def test_classical_input_sweeps_on_rows(self, monkeypatch):
+        monkeypatch.setattr(varopt, "collapse", lambda d: pytest.fail("collapsed one row"))
+        obs = xx_hamiltonian(3, field=0.4)
+        sweep(staircase(3, 1), classical_input(3), obs, SweepOptions(rounds=1, init="random_unitary"))
 
 
 class TestDeepCircuitObjectives:
