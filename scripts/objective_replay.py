@@ -26,6 +26,13 @@ The script records:
   of the batch sweep in a fresh interpreter, with its peak resident memory,
   the peak bytes of its kept backward operators and the K operators a
   whole backward stack would hold;
+* the exact limits on the same chain and ``brickwork(N, 4)`` at N = 8 and 9:
+  the seconds and values of ``estimate_exact`` with explicit SIC duals (the
+  enumerated 4^N outcome distribution, collapsed to one operator) and of
+  ``circuit_energy`` on the dense state; and, on ``brickwork(6, 4)``, the
+  relative disagreement of that limit with the light-cone sum over the
+  enumerated rows, ``circuit_energy`` of ``data_from_distribution``; above
+  1e-12 the script exits with status 1;
 * with ``--crossover``, the table behind the collapse rule: for N = 8-10 on
   ``brickwork(N, 4)`` and uniformly random SIC rows, the seconds of one
   energy and of one assembly (the middle component) on rows and on the
@@ -69,7 +76,9 @@ from virtualmap.estimation import (
     circuit_energy,
     collapse,
     data_from_batch,
+    data_from_distribution,
     dual_arrays,
+    estimate_exact,
 )
 from virtualmap.linalg import unique_rows
 from virtualmap.pauli import xx_hamiltonian
@@ -80,6 +89,9 @@ TOL = 1e-13
 ROUNDS = 3
 ROW_COMPONENTS = (0, 7)
 DEEP_LAYERS = 5
+EXACT_N = (8, 9)
+EXACT_AGREEMENT_N = 6
+EXACT_TOL = 1e-12
 CROSSOVER_N = (8, 9, 10)
 CROSSOVER_ROWS = (1, 4, 16, 64, 256, 1024, 4096, 20000)
 ROW_ASSEMBLY_LIMIT = 1024
@@ -94,12 +106,17 @@ def seconds(fn, repeats=1):
     return float(np.median(times))
 
 
+def chain(n):
+    """The periodic N-qubit XX chain and its perturbed ground state."""
+    ham = xx_hamiltonian(n, coupling=1.0, field=FIELD, periodic=True)
+    _, vec = exact_ground_energy(ham)
+    return ham, build_perturbed_state(DensityMatrix(n, np.outer(vec, vec.conj())), 0.05, 21)
+
+
 def case(n, layout):
     """The shots of the perturbed N-qubit chain, ``layout`` (an N-qubit
     circuit) in its random unitary initialisation, and the chain."""
-    ham = xx_hamiltonian(n, coupling=1.0, field=FIELD, periodic=True)
-    _, vec = exact_ground_energy(ham)
-    rho = build_perturbed_state(DensityMatrix(n, np.outer(vec, vec.conj())), 0.05, 21)
+    ham, rho = chain(n)
     batch = sample_outcomes(rho, "sic", 4000, seed=1)
     circuit = varopt._initialize(layout, "random_unitary", 0)
     return circuit, data_from_batch(batch, "sic"), ham
@@ -239,6 +256,37 @@ def deep_record():
     return json.loads(run.stdout)
 
 
+def exact_record(repeats):
+    """The exact limits at N in EXACT_N, and their agreement with the row sum."""
+    timings = []
+    for n in EXACT_N:
+        obs, rho = chain(n)
+        circuit = varopt._initialize(brickwork(n, 4), "random_unitary", 0)
+        timings.append(
+            {
+                "N": n,
+                "estimate_exact_sic_s": seconds(
+                    lambda: estimate_exact(rho, "sic", circuit, obs, duals="sic"), repeats
+                ),
+                "dense_energy_s": seconds(lambda: circuit_energy(circuit, rho, obs), repeats),
+                "estimate_exact_sic": estimate_exact(rho, "sic", circuit, obs, duals="sic"),
+                "dense_energy": circuit_energy(circuit, rho, obs),
+            }
+        )
+    n = EXACT_AGREEMENT_N
+    obs, rho = chain(n)
+    circuit = varopt._initialize(brickwork(n, 4), "random_unitary", 0)
+    limit = estimate_exact(rho, "sic", circuit, obs, duals="sic")
+    rows = circuit_energy(circuit, data_from_distribution(rho, "sic", "sic"), obs)
+    diff = abs(limit - rows) / abs(rows)
+    return {
+        "timings": timings,
+        "agreement": {"circuit": f"brickwork({n}, 4)", "limit": limit, "row_sum": rows},
+        "max_rel_diff": diff,
+        "ok": diff <= EXACT_TOL,
+    }
+
+
 def crossover():
     table = []
     for n in CROSSOVER_N:
@@ -291,6 +339,7 @@ def main(argv=None) -> int:
 
     record = replay(args.repeats)
     record["deep_sweep"] = deep_record()
+    record["exact"] = exact_record(args.repeats)
     if args.crossover:
         record["crossover"] = crossover()
     record.update(
@@ -310,8 +359,13 @@ def main(argv=None) -> int:
             f"(limit {TOL:g})",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    if not record["exact"]["ok"]:
+        print(
+            f"error: estimate_exact differs from the row sum by "
+            f"{record['exact']['max_rel_diff']:.3e} (limit {EXACT_TOL:g})",
+            file=sys.stderr,
+        )
+    return 0 if record["ok"] and record["exact"]["ok"] else 1
 
 
 if __name__ == "__main__":

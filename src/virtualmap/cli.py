@@ -23,6 +23,7 @@ import numpy as np
 
 from .cone import MapCircuit, brickwork, evaluate_trace, evaluate_trace_backward, load_circuit, save_circuit
 from .densesim import (
+    EXACT_DIAG_LIMIT,
     ORACLE_LIMIT,
     batch_to_text,
     build_state,
@@ -146,7 +147,7 @@ def _sweep_options(args) -> SweepOptions:
 
 
 def _exact_energy_if_small(obs) -> float | None:
-    if obs.num_qubits > 12:
+    if obs.num_qubits > EXACT_DIAG_LIMIT:
         return None
     return exact_ground_value(obs)
 

@@ -559,9 +559,8 @@ def split_residuals(circuit: MapCircuit, index: int, in_factors, out_factors):
     more than the plan's ``peak_active``.
 
     Factors are per qubit, (2, 2), (2, 2, R, 1) or (2, 2, 1, T) as in
-    :func:`_run_steps`. Returns two arrays of shape (ds, dm, ds, dm, R, T),
-    R and T being 1 where no factor has that axis: ds spans the component's
-    qubits (in its own order), dm the other active qubits (ascending).
+    :func:`_run_steps`. Returns the pair as :func:`group_cut_pair` lays it
+    out.
     """
     if not 0 <= index < len(circuit.components):
         raise ValidationError(f"no component {index} in circuit")
@@ -569,32 +568,28 @@ def split_residuals(circuit: MapCircuit, index: int, in_factors, out_factors):
     cut = steps.index(ScheduleStep("apply", component=index))
     active, res_f = _run_steps(circuit, steps[:cut], in_factors, out_factors)
     _, res_b = _run_steps(circuit, steps[:cut:-1], out_factors, in_factors, backward=True)
-    sup = circuit.components[index].qubits
-    ds = 2 ** len(sup)
-    dm = 2 ** (len(active) - len(sup))
+    return group_cut_pair(res_f, res_b, active, circuit.components[index].qubits)
+
+
+def group_cut_pair(res_f, res_b, active, support):
+    """A residual pair on the qubits ``active`` (ascending), support first:
+    two arrays of shape (ds, dm, ds, dm, R, T), batch shapes broadcast, ds
+    spanning ``support`` (in component order), dm the other active qubits."""
+    active = list(active)
+    a = len(active)
+    order = [active.index(q) for q in support]
+    order += [p for p, q in enumerate(active) if q not in support]
+    ds = 2 ** len(support)
+    dm = 2**a // ds
     shape = (ds, dm, ds, dm) + np.broadcast_shapes(res_f.shape[2:], res_b.shape[2:])
 
     def grouped(res):
-        t = _group_support_first(res, active, sup)
-        return np.broadcast_to(t.reshape((ds, dm, ds, dm) + t.shape[2:]), shape)
+        batch = res.shape[2:]
+        t = res.reshape((2,) * (2 * a) + batch)
+        t = t.transpose([*order, *[a + p for p in order], *range(2 * a, 2 * a + len(batch))])
+        return np.broadcast_to(t.reshape((ds, dm, ds, dm) + batch), shape)
 
     return grouped(res_f), grouped(res_b)
-
-
-def _group_support_first(res, shared, support):
-    """Permute a (rows, terms) batch of residuals on ``shared`` (ascending) so
-    the support qubits come first (in component order), spectators after
-    (ascending)."""
-    shared = list(shared)
-    a = len(shared)
-    order = [shared.index(q) for q in support] + [
-        shared.index(q) for q in shared if q not in support
-    ]
-    batch = res.shape[2:]
-    t = res.reshape((2,) * (2 * a) + batch)
-    t = t.transpose([*order, *[a + p for p in order], *range(2 * a, 2 * a + len(batch))])
-    d = 2**a
-    return t.reshape((d, d) + batch)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ __all__ = [
 
 _DENSE_LIMIT = 10
 ORACLE_LIMIT = 6
+EXACT_DIAG_LIMIT = 12  # largest observable diagonalized densely
 # Trace drift allowed to a trace-preserving map, relative to the operator's
 # Frobenius norm (at least 1, which covers every density matrix): round-off
 # in the trace grows with the size of the entries, not with the trace.
@@ -373,8 +374,8 @@ def noisy_chain_state(num_qubits: int, theta: float = 0.05, p: float = 1e-3) -> 
 
 
 def _dense_hamiltonian(obs: Observable) -> np.ndarray:
-    if obs.num_qubits > 12:
-        raise ValidationError("exact diagonalization limited to N <= 12")
+    if obs.num_qubits > EXACT_DIAG_LIMIT:
+        raise ValidationError(f"exact diagonalization limited to N <= {EXACT_DIAG_LIMIT}")
     if not obs.is_hermitian:
         raise ValidationError("observable is not Hermitian")
     return obs.matrix()

@@ -21,19 +21,20 @@ The kernel's input, :class:`ProductInputData`, is the one product-row format
 of the package: per-qubit (M_q, 2, 2) factor tables, an (R, N) integer row
 array choosing one factor per qubit, and a weight per row. It is built here
 from a measured batch (:func:`data_from_batch`), from the exact outcome
-distribution (:func:`data_from_distribution`, which also serves
-:func:`estimate_exact`), and for the classical all-zeros register
-(:func:`classical_input`); the variational sweep consumes the same rows.
-:func:`circuit_energy` is the one exact energy, of such rows or of a dense
-state; :func:`estimate_exact` and the sweep both call it.
+distribution (:func:`data_from_distribution`), and for the classical
+all-zeros register (:func:`classical_input`); the variational sweep consumes
+the same rows. :func:`circuit_energy` is the one exact energy, of such rows or
+of a dense state (Re Tr[L(rho) H], H the observable's matrix);
+:func:`estimate_exact` and the sweep both call it.
 
 Energies and objectives are linear in the rows, so they need only the
 empirical dual operator sum_i w_i (x)_q D_{m_iq}. :func:`collapse` builds it
-as a :class:`~virtualmap.densesim.DensityMatrix` (N <= 10); a sweep
+as a :class:`~virtualmap.densesim.DensityMatrix` (N <= 10). A sweep
 collapses a large batch once before its first visit, by the rule of
-:mod:`virtualmap.varopt`. :func:`circuit_energy` takes rows as they are given,
-and :func:`estimate` never collapses, because its error bar needs the weight
-of every row.
+:mod:`virtualmap.varopt`, and :func:`estimate_exact` collapses the enumerated
+outcome distribution, whose rows number up to 4^N. :func:`circuit_energy`
+takes rows as they are given, and :func:`estimate` never collapses, because
+its error bar needs the weight of every row.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from .densesim import (
     outcome_distribution,
 )
 from .errors import NumericalError, ValidationError
-from .linalg import unique_rows
-from .pauli import Observable, expectation_oracle
+from .linalg import trace_mul, unique_rows
+from .pauli import Observable
 from .povm import DualFrame, SingleQubitPOVM, compute_duals, get_povm
 
 _RESIDUE_TOL = 1e-8
@@ -130,7 +131,8 @@ def dual_arrays(duals, num_qubits: int) -> list[np.ndarray]:
 @dataclass
 class ProductInputData:
     """Weighted product rows: row i is the tensor product over qubits q of
-    ``tables[q][rows[i, q]]``, with weight ``weights[i]``."""
+    ``tables[q][rows[i, q]]``, with weight ``weights[i]``. Rows are stored
+    as ``np.intp`` once their range is checked."""
 
     weights: np.ndarray  # (R,)
     tables: list[np.ndarray]  # N arrays of shape (M_q, 2, 2)
@@ -157,8 +159,9 @@ class ProductInputData:
             )
         if not np.isfinite(self.weights.sum()):
             raise ValidationError("row weights must be finite")
-        low = self.rows.min(axis=0, initial=0)
-        high = self.rows.max(axis=0, initial=-1)
+        # checked before the cast, so a huge unsigned entry is refused, not wrapped
+        low = self.rows.min(axis=0, initial=0).tolist()
+        high = self.rows.max(axis=0).tolist() if len(self.rows) else [-1] * self.num_qubits
         for q, t in enumerate(self.tables):
             if t.ndim != 3 or t.shape[1:] != (2, 2):
                 raise ValidationError(f"factor table {q} must be (M, 2, 2), got {t.shape}")
@@ -167,6 +170,7 @@ class ProductInputData:
             if low[q] < 0 or high[q] >= len(t):
                 bad = low[q] if low[q] < 0 else high[q]
                 raise ValidationError(f"outcome {bad} out of range for qubit {q}")
+        self.rows = self.rows.astype(np.intp, copy=False)
 
     @property
     def num_qubits(self) -> int:
@@ -251,13 +255,13 @@ def row_weights(circuit: MapCircuit, tables, rows, obs: Observable) -> np.ndarra
 
 def circuit_energy(circuit: MapCircuit, data, obs: Observable) -> float:
     """The exact energy Re sum_k c_k Tr[L(input) P_k]: sum_i w_i times it over
-    the weighted rows of :class:`ProductInputData`, or it on a
-    :class:`DensityMatrix` (N <= 10) with the circuit applied densely."""
+    the weighted rows of :class:`ProductInputData`, or Re Tr[L(rho) H] on a
+    :class:`DensityMatrix` (N <= 10), H being the observable's matrix."""
     if data.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("data, circuit, and observable qubit counts differ")
     if isinstance(data, DensityMatrix):
         out = apply_circuit_dense(circuit, data.matrix)
-        reals, _ = _real_weights(expectation_oracle(out, obs))
+        reals, _ = _real_weights(trace_mul(out, obs.matrix()))
         return float(reals[0])
     reals, _ = _real_weights(row_weights(circuit, data.tables, data.rows, obs))
     return float(np.dot(data.weights, reals))
@@ -326,17 +330,16 @@ def estimate_exact(
 ) -> float:
     """Infinite-shot limit sum_m p_m w_m of the estimator.
 
-    Without ``duals`` this is :func:`circuit_energy` on rho itself: the sum
-    over the 4^N outcome distribution rearranged by linearity of the
-    dual-frame identity. Explicit ``duals`` (a frame that need not be dual to
-    ``povms``, which only makes sense in the literal sum) enumerate that
-    distribution, for N <= 9.
+    The weights are linear in the duals, so this is :func:`circuit_energy`
+    on sum_m p_m (x)_q D_{m_q}: rho itself by the dual-frame identity, or,
+    with explicit ``duals`` (a frame that need not be dual to ``povms``), the
+    enumerated outcome distribution (N <= 9) summed back by :func:`collapse`.
     """
     if rho.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("state, circuit, and observable qubit counts differ")
     if not obs.is_hermitian:
         raise ValidationError("exact estimation needs a Hermitian observable")
-    data = rho if duals is None else data_from_distribution(rho, povms, duals)
+    data = rho if duals is None else collapse(data_from_distribution(rho, povms, duals))
     return circuit_energy(circuit, data, obs)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ PAULI_LETTERS = "IXYZ"
 
 # Bits of the column shift x (X, Y) and diagonal signs (-1)^z (Y, Z) of a letter.
 _FLIP_BITS = str.maketrans("IXYZ", "0110")
-_SIGNS = {c: np.array([1, -1 if c in "YZ" else 1]) for c in PAULI_LETTERS}
+_SIGN_BITS = str.maketrans("IXYZ", "0011")
 
 _HERMITIAN_TOL = 1e-12
 _MERGE_DROP_TOL = 1e-15
@@ -107,13 +106,17 @@ class Observable:
     def matrix(self) -> np.ndarray:
         """Dense matrix. Each term is a signed permutation, P[r, r ^ x] =
         (-i)^{#Y} (-1)^{popcount(r & z)}, where x has a bit for every X or Y
-        letter and z for every Y or Z letter (qubit 0 most significant)."""
+        letter and z for every Y or Z letter (qubit 0 most significant); the
+        popcount parities come from one table, built by doubling."""
         d = 2**self.num_qubits
         out = np.zeros((d, d), dtype=complex)
         rows = np.arange(d)
+        parity = np.zeros(1, dtype=int)
+        for _ in range(self.num_qubits):
+            parity = np.concatenate([parity, 1 - parity])
         for coeff, ps in self.terms:
             flip = int(ps.letters.translate(_FLIP_BITS), 2)
-            signs = reduce(np.kron, [_SIGNS[c] for c in ps.letters])
+            signs = 1 - 2 * parity[rows & int(ps.letters.translate(_SIGN_BITS), 2)]
             out[rows, rows ^ flip] += coeff * (-1j) ** ps.letters.count("Y") * signs
         return out
 
@@ -201,9 +204,9 @@ def xx_hamiltonian(
 def expectation_oracle(rho: np.ndarray, obs: Observable) -> complex:
     """Sum_k c_k Tr[rho P_k] by per-qubit tensor contraction.
 
-    Independent of any map machinery; used as the reference value in tests and
-    exact estimates. Returns a complex number; callers decide whether to keep
-    the real part.
+    Independent of any map machinery and of :meth:`Observable.matrix`; used
+    as the reference value in tests. Returns a complex number; callers decide
+    whether to keep the real part.
     """
     rho = np.asarray(rho)
     n = obs.num_qubits

@@ -54,7 +54,7 @@ import numpy as np
 
 from .cone import (
     MapCircuit,
-    _group_support_first,
+    group_cut_pair,
     row_chunks,
     row_factors,
     schedule,
@@ -67,7 +67,6 @@ from .estimation import ProductInputData, circuit_energy, classical_input, colla
 from .linalg import apply_superop_local, herm, trace_mul
 from .maps import (
     ChoiMatrix,
-    adjoint_map,
     choi_marginal,
     choi_to_superop,
     compose,
@@ -166,9 +165,10 @@ class DenseEnvironments:
         # Heisenberg-picture operand: the adjoint of a trace-preserving map is
         # unital, not trace-preserving, so its action legitimately changes the
         # trace of an observable and must bypass the state-application checks.
+        # Its superoperator is S^H, as in the backward cone pass.
         for u in range(base + 1, t + 1):
             c = comps[k - u]
-            op = apply_superop_local(op, adjoint_map(c.map).superop, c.qubits, n)
+            op = apply_superop_local(op, c.map.superop.conj().T, c.qubits, n)
             if u % s == 0 or u // s == t // s:
                 stored[u] = op
         self.peak_bytes = max(self.peak_bytes, sum(b.nbytes for b in stored.values()))
@@ -187,18 +187,9 @@ class DenseEnvironments:
         self._forward = (index, fwd)
         bwd = self._backward_at(len(self._components) - 1 - index, n)
         support = self._components[index].qubits
-        ds = 2 ** len(support)
-        shape = (ds, 2**n // ds, ds, 2**n // ds, 1, 1)
-        r = _group_support_first(fwd.matrix[..., None, None], range(n), support).reshape(shape)
-        rbar = _group_support_first(bwd[..., None, None], range(n), support).reshape(shape)
+        r, rbar = group_cut_pair(fwd.matrix[..., None, None], bwd[..., None, None], range(n), support)
+        ds = r.shape[0]
         return _cut_objective(r, rbar, np.ones((1, 1))).reshape(ds * ds, ds * ds)
-
-
-def _dense_objective(
-    circuit: MapCircuit, index: int, rho: DensityMatrix, obs: Observable
-) -> np.ndarray:
-    """The dense cut objective of one component, from a cold cache."""
-    return DenseEnvironments(rho, obs.matrix()).objective(circuit, index)
 
 
 def _product_objective(

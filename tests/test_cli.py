@@ -440,6 +440,13 @@ class TestAnsatz:
         write_observable(Observable.from_terms(2, [(1.0, "ZI")]), obs_path)
         assert main(["ansatz", "--observable", str(obs_path), "--rounds", "1"] + flag) == 2
 
+    def test_no_exact_energy_above_the_diagonalization_limit(self, tmp_path, capsys):
+        obs_path = tmp_path / "obs.json"
+        write_observable(xx_hamiltonian(13, field=0.95), obs_path)
+        assert main(["ansatz", "--observable", str(obs_path), "--rounds", "0"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert "exact_energy" not in summary
+
     def test_zreset_output_is_input_independent(self, tmp_path):
         obs_path = tmp_path / "obs.json"
         write_observable(Observable.from_terms(2, [(1.0, "ZI")]), obs_path)

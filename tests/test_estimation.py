@@ -207,6 +207,26 @@ class TestEstimateExact:
             estimate_exact(rho, "sic", MapCircuit(10, ()), xx_hamiltonian(10), duals="sic")
 
 
+class TestDenseEnergy:
+    @pytest.mark.parametrize("kind", ["cptp", "non-cp", "non-tp"])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_the_per_term_oracle(self, kind, n):
+        """Tr[L(rho) H] with H the observable's matrix, against the per-term
+        tensor contraction of the same dense output."""
+        rng = np.random.default_rng(17 * n + len(kind))
+        draw = {
+            "cptp": lambda: random_cptp_map(2, rng),
+            "non-cp": lambda: random_tp_hermitian_map(2, rng),
+            "non-tp": lambda: LocalMap(0.9 * random_cptp_map(2, rng).superop),
+        }[kind]
+        circ = brickwork(n, 2, lambda layer, qubits: draw())
+        rho = noisy_chain_state(n, theta=0.3, p=0.02)
+        for obs in (xx_hamiltonian(n, field=0.7), _random_observable(n, rng)):
+            want = expectation_oracle(apply_circuit_dense(circ, rho.matrix), obs).real
+            got = circuit_energy(circ, rho, obs)
+            assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+
 class TestCovariance:
     def test_self_covariance_is_variance(self):
         batch = sample_outcomes(noisy_chain_state(2), "sic", 100, seed=3)
@@ -440,7 +460,7 @@ class TestBatchedKernel:
         want = np.cov(wa, wb, ddof=1)[0, 1] / batch.num_shots
         assert abs(estimate_covariance(a, b) - want) <= 1e-12
 
-    @pytest.mark.parametrize("kind", ["brickwork", "general", "non-tp"])
+    @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
     def test_enumerate_with_custom_duals(self, kind):
         rng = np.random.default_rng(92)
         circ = kernel_circuits(rng)[kind]
@@ -455,6 +475,9 @@ class TestBatchedKernel:
             for idx in np.ndindex(p.shape)
         )
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
+        # the collapsed limit against the light-cone sum of its rows
+        rows = circuit_energy(circ, data_from_distribution(rho, "sic", [duals] * 4), obs)
+        assert abs(got - rows) <= 1e-12 * abs(rows)
 
     def test_enumerate_with_overcomplete_povm(self):
         rng = np.random.default_rng(93)
@@ -470,6 +493,8 @@ class TestBatchedKernel:
             for idx in np.ndindex(p.shape)
         )
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
+        rows = circuit_energy(circ, data_from_distribution(rho, cube, cube), obs)
+        assert abs(got - rows) <= 1e-12 * abs(rows)
         dense = estimate_exact(rho, cube, circ, obs)
         assert abs(got - dense) <= 1e-10
 

@@ -116,6 +116,20 @@ class TestObservable:
                     want += coeff * ps.matrix()
                 assert np.array_equal(obs.matrix(), want), terms
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_parity_signs_exact_for_y_heavy_strings(self, n):
+        # the signs (-1)^popcount(r & z) read from the doubled parity table;
+        # Y letters carry both a sign bit and a phase
+        rng = np.random.default_rng(40 + n)
+        terms = [(float(rng.normal()), "Y" * n)] + [
+            (float(rng.normal()), "".join(rng.choice(list("IXYYYZ"), n))) for _ in range(3)
+        ]
+        obs = Observable.from_terms(n, terms)
+        want = np.zeros((2**n, 2**n), dtype=complex)
+        for coeff, ps in obs.terms:
+            want += coeff * ps.matrix()
+        assert np.array_equal(obs.matrix(), want), terms
+
 
 class TestParseAndWrite:
     def test_single_term_parse(self):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import brute_force_min, cube_povm, random_mixed_circuit, stinespring_choi
 from virtualmap import densesim, varopt
-from virtualmap.cone import Component, MapCircuit, _group_support_first, brickwork, schedule, staircase
+from virtualmap.cone import Component, MapCircuit, brickwork, group_cut_pair, schedule, staircase
 from virtualmap.densesim import (
     DensityMatrix,
     apply_circuit_dense,
@@ -59,7 +59,6 @@ from virtualmap.varopt import (
     DenseEnvironments,
     SweepStep,
     _cut_objective,
-    _dense_objective,
     _max_steps,
     _product_objective,
     _schur_matrix,
@@ -114,7 +113,9 @@ class TestInputData:
         data = data_from_distribution(rho, "sic")
         assert data.rows.shape == (4**8, 8)
         energy = circuit_energy(circ, data, obs)
-        assert energy == estimate_exact(rho, "sic", circ, obs, duals="sic")
+        # the row sum against its collapse: equal up to round-off
+        summed = estimate_exact(rho, "sic", circ, obs, duals="sic")
+        assert abs(energy - summed) <= 1e-12 * abs(energy)
         dense = estimate_exact(rho, "sic", circ, obs)
         assert abs(energy - dense) < 1e-9 * (1 + abs(dense))
 
@@ -146,11 +147,25 @@ class TestInputData:
             (np.array([np.inf]), [np.eye(2)[None]] * 2, np.zeros((1, 2), int), "weights"),
             (np.ones(1), [np.eye(2)[None], np.full((1, 2, 2), np.inf)], np.zeros((1, 2), int), "table 1"),
             (np.ones(1), [np.full((1, 2, 2), np.nan), np.eye(2)[None]], np.zeros((1, 2), int), "table 0"),
+            (np.ones(1), [np.eye(2)[None]] * 2, np.array([[0, 2**63]], np.uint64), f"outcome {2**63} "),
         ],
     )
     def test_rejects_malformed_rows(self, weights, tables, rows, message):
         with pytest.raises(ValidationError, match=message):
             ProductInputData(weights, tables, rows)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+    def test_unsigned_rows_match_signed_rows(self, dtype):
+        batch = sample_outcomes(noisy_chain_state(3), "sic", 300, seed=4)
+        data = data_from_batch(batch, "sic")
+        signed = ProductInputData(data.weights, data.tables, data.rows.astype(np.int64))
+        unsigned = ProductInputData(data.weights, data.tables, data.rows.astype(dtype))
+        assert unsigned.rows.dtype == np.intp
+        rng = np.random.default_rng(6)
+        circ = brickwork(3, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(3, field=0.4)
+        assert circuit_energy(circ, unsigned, obs) == circuit_energy(circ, signed, obs)
+        assert np.array_equal(collapse(unsigned).matrix, collapse(signed).matrix)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_rejects_non_finite_dense_state(self, bad):
@@ -270,7 +285,7 @@ def _certified(info, tol):
 
 def _assert_objectives_match_dense(circ, rho, data, obs):
     for index in range(len(circ.components)):
-        want = _dense_objective(circ, index, rho, obs)
+        want = DenseEnvironments(rho, obs.matrix()).objective(circ, index)
         got = _product_objective(circ, index, data, obs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), index
 
@@ -285,10 +300,8 @@ def _from_scratch(circ, index, rho, obs):
     for c in reversed(circ.components[index + 1 :]):
         bwd = apply_superop_local(bwd, adjoint_map(c.map).superop, c.qubits, n)
     support = circ.components[index].qubits
-    ds = 2 ** len(support)
-    shape = (ds, 2**n // ds, ds, 2**n // ds, 1, 1)
-    r = _group_support_first(fwd[..., None, None], range(n), support).reshape(shape)
-    rbar = _group_support_first(bwd[..., None, None], range(n), support).reshape(shape)
+    r, rbar = group_cut_pair(fwd[..., None, None], bwd[..., None, None], range(n), support)
+    ds = r.shape[0]
     return _cut_objective(r, rbar, np.ones((1, 1))).reshape(ds * ds, ds * ds)
 
 
@@ -318,7 +331,8 @@ class TestDenseEnvironments:
         environments = DenseEnvironments(rho, obs.matrix())
         for visit, index in enumerate(order * 2):
             got = environments.objective(circ, index)
-            assert np.array_equal(got, _dense_objective(circ, index, rho, obs)), (visit, index)
+            cold = DenseEnvironments(rho, obs.matrix()).objective(circ, index)
+            assert np.array_equal(got, cold), (visit, index)
             assert np.array_equal(got, _from_scratch(circ, index, rho, obs)), (visit, index)
             if visit % 3 != 2:  # install at most visits, not all
                 circ = circ.with_component(index, random_unitary_map(2, rng))
@@ -751,11 +765,12 @@ class TestSweepReuse:
         assert report.steps == want
 
     def test_dense_sweep_builds_the_observable_matrix_once(self, monkeypatch):
+        # once for the environments and once for each of the sweep's two
+        # energies, however many components are visited
         from virtualmap import varopt
 
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
         obs = xx_hamiltonian(4, field=0.4)
-        options = SweepOptions(rounds=2, init="random_unitary", seed=2)
         real_matrix, real_assemble = Observable.matrix, varopt.assemble_local_objective
         built, seen = [], []
 
@@ -770,8 +785,14 @@ class TestSweepReuse:
 
         monkeypatch.setattr(Observable, "matrix", matrix)
         monkeypatch.setattr(varopt, "assemble_local_objective", assemble)
-        sweep(brickwork(4, 2), rho, obs, options)
-        assert len(built) == 1 and len(seen) > 1
+        builds, visits = [], []
+        for rounds in (1, 3):
+            options = SweepOptions(rounds=rounds, init="random_unitary", seed=2)
+            start = len(built)
+            _, report = sweep(brickwork(4, 2), rho, obs, options)
+            builds.append(len(built) - start)
+            visits.append(len(report.steps))
+        assert builds == [3, 3] and 1 < visits[0] < visits[1]
         monkeypatch.undo()
         for circuit, index, m in seen:
             assert np.array_equal(m, assemble_local_objective(circuit, index, rho, obs).matrix)
