@@ -16,34 +16,42 @@ The script records:
 * the largest disagreement of M between the two, relative to the largest
   entry of the row M; above 1e-13 the script exits with status 1;
 * the wall time of a 3-round sweep, and the ``linalg.apply_superop_local``
-  calls of each of its rounds, with the sweep's dense environments
-  (``after``) and with a cold cache at every visit (``before``, the cost of
-  rebuilding the forward state and the backward operator every time). The
-  calls of a round are those of the sweep run to that round minus those of
-  the sweep run one round fewer, so the two energies every sweep computes
-  cancel. The peak bytes of the kept backward operators are recorded too;
+  calls of each of its rounds, with the walk the sweep keeps (``after``) and
+  with a cold walk at every visit (``before``, the cost of rebuilding the
+  forward state and the backward operator every time). The calls of a round
+  are those of the sweep run to that round minus those of the sweep run one
+  round fewer, so the two energies every sweep computes cancel. The peak
+  bytes of the kept backward operators are recorded too;
 * the same case at N=10 on the deep ``staircase(10, 5)`` (K = 45): one round
   of the batch sweep in a fresh interpreter, with its peak resident memory,
   the peak bytes of its kept backward operators and the K operators a
   whole backward stack would hold;
+* one round of the classical ansatz on ``staircase(24, 3)`` (K = 69) against
+  the periodic N=24 XX chain (72 terms), from the ``random_unitary``
+  initialisation at seed 0: the ``apply_superop_local`` calls and seconds
+  of the round's objective assemblies (the median over ``--repeats``
+  sweeps) and the peak bytes of the walk the sweep keeps, and the same for
+  the round's visits assembled again with a cold walk each; an M that is
+  not ``np.array_equal`` to its cold assembly exits with status 1;
 * the exact limits on the same chain and ``brickwork(N, 4)`` at N = 8 and 9:
   the seconds and values of ``estimate_exact`` with explicit SIC duals (the
-  enumerated 4^N outcome distribution, collapsed to one operator) and of
-  ``circuit_energy`` on the dense state; and, on ``brickwork(6, 4)``, the
-  relative disagreement of that limit with the light-cone sum over the
-  enumerated rows, ``circuit_energy`` of ``data_from_distribution``; above
-  1e-12 the script exits with status 1;
+  enumerated 4^N outcome distribution, contracted with the dual tables into
+  one operator) and of ``circuit_energy`` on the dense state; and, on
+  ``brickwork(6, 4)``, the relative disagreement of that limit with the
+  light-cone sum over the enumerated rows, ``circuit_energy`` of
+  ``data_from_distribution``; above 1e-12 the script exits with status 1;
 * with ``--crossover``, the table behind the collapse rule: for N = 8-10 on
   ``brickwork(N, 4)`` and uniformly random SIC rows, the seconds of one
   energy and of one assembly (the middle component) on rows and on the
   collapse, next to R T 4^peak / 4^N. The dense energy includes the collapse;
-  the dense assembly is one visit of a sweep in index order: a round's time,
-  collapse included, over K. Row assemblies are timed up to 1024 rows.
+  the dense assembly is one visit of a sweep in index order through the
+  walk it keeps: a round's time, collapse included, over K. Row assemblies
+  are timed up to 1024 rows.
 
 Timings are the median of ``--repeats`` runs, except the row assemblies,
-the deep sweep and the crossover, which run once. The script prints one JSON record;
-``--out`` also stores it in a JSON file under the key ``--tag``, keeping the
-file's other keys.
+the deep sweep, the cold ansatz round and the crossover, which run once. The
+script prints one JSON record; ``--out`` also stores it in a JSON file under
+the key ``--tag``, keeping the file's other keys.
 
 Example:
     python3 scripts/objective_replay.py --crossover --tag change --out BENCH_objective.json
@@ -63,7 +71,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from virtualmap import densesim, varopt
+from virtualmap import cone, densesim, varopt
 from virtualmap.cone import brickwork, schedule, staircase
 from virtualmap.densesim import (
     DensityMatrix,
@@ -74,6 +82,7 @@ from virtualmap.densesim import (
 from virtualmap.estimation import (
     ProductInputData,
     circuit_energy,
+    classical_input,
     collapse,
     data_from_batch,
     data_from_distribution,
@@ -95,6 +104,7 @@ EXACT_TOL = 1e-12
 CROSSOVER_N = (8, 9, 10)
 CROSSOVER_ROWS = (1, 4, 16, 64, 256, 1024, 4096, 20000)
 ROW_ASSEMBLY_LIMIT = 1024
+ANSATZ_N, ANSATZ_LAYERS = 24, 3
 
 
 def seconds(fn, repeats=1):
@@ -123,8 +133,10 @@ def case(n, layout):
 
 
 class Counted:
-    """Counts ``apply_superop_local`` calls made by the dense path, by
-    wrapping the names ``varopt`` and ``densesim`` call."""
+    """Counts ``apply_superop_local`` calls, by wrapping the name in every
+    module that calls it."""
+
+    MODULES = [m for m in (cone, densesim, varopt) if hasattr(m, "apply_superop_local")]
 
     def __init__(self):
         self.calls = 0
@@ -136,30 +148,41 @@ class Counted:
             self.calls += 1
             return real(*args, **kwargs)
 
-        densesim.apply_superop_local = varopt.apply_superop_local = counting
+        for module in self.MODULES:
+            module.apply_superop_local = counting
         return self
 
     def __exit__(self, *exc):
-        densesim.apply_superop_local = varopt.apply_superop_local = self.real
+        for module in self.MODULES:
+            module.apply_superop_local = self.real
 
 
 class Assemblies:
-    """The sweep's assemblies, with its environments or (``cold``) without
-    them, and the peak bytes of the kept backward operators."""
+    """The sweep's assemblies, through the walks it keeps or (``cold``) with
+    a cold walk each: their visits (circuit, component, M), seconds and,
+    with ``counter``, apply calls, and the peak bytes of the kept backward
+    residuals."""
 
-    def __init__(self, cold: bool):
+    def __init__(self, cold: bool, counter: Counted | None = None):
         self.cold = cold
+        self.counter = counter
         self.peak_bytes = 0
+        self.visits = []
+        self.seconds = 0.0
+        self.calls = 0
 
     def __enter__(self):
         real = self.real = varopt.assemble_local_objective
 
-        def assemble(*args, environments=None, **kwargs):
-            if self.cold:
-                environments = None
-            objective = real(*args, environments=environments, **kwargs)
-            if environments is not None:
-                self.peak_bytes = max(self.peak_bytes, environments.peak_bytes)
+        def assemble(*args, **kwargs):
+            calls = self.counter.calls if self.counter else 0
+            start = time.perf_counter()
+            objective = real(*args) if self.cold else real(*args, **kwargs)
+            self.seconds += time.perf_counter() - start
+            self.calls += (self.counter.calls if self.counter else 0) - calls
+            self.visits.append((args[0], args[1], objective.matrix))
+            for walk, _ in kwargs.get("walks") or ():
+                self.peak_bytes = max(self.peak_bytes, walk.peak_bytes)
             return objective
 
         varopt.assemble_local_objective = assemble
@@ -185,7 +208,7 @@ def sweep_record(circuit, data, obs, cold: bool, repeats: int):
         "rounds_run": max((s.round for s in report.steps), default=0),
         "final_energy": report.final_energy,
         "apply_calls_per_round": [b - a for a, b in zip(calls, calls[1:])],
-        "stack_peak_bytes": None if cold else cache.peak_bytes,
+        "stack_peak_bytes": None if cold else cache.peak_bytes or None,
     }
 
 
@@ -240,7 +263,7 @@ def deep_sweep():
         "components": k,
         "rows": len(data.weights),
         "sweep_s": wall,
-        "stack_peak_bytes": cache.peak_bytes,
+        "stack_peak_bytes": cache.peak_bytes or None,
         "whole_stack_bytes": k * 16 * 4**n,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
@@ -287,6 +310,39 @@ def exact_record(repeats):
     }
 
 
+def ansatz_round(repeats):
+    """One sweep round of the classical ansatz on ``staircase(24, 3)``: its
+    assemblies through the kept walk, then each visit again cold."""
+    n = ANSATZ_N
+    obs = xx_hamiltonian(n, coupling=1.0, field=FIELD, periodic=True)
+    circuit = varopt._initialize(staircase(n, ANSATZ_LAYERS), "random_unitary", 0)
+    data = classical_input(n)
+    options = SweepOptions(rounds=1, accept_tol=1e-8, init="keep")
+    runs = []
+    for _ in range(repeats):
+        with Counted() as counter, Assemblies(cold=False, counter=counter) as kept:
+            sweep(circuit, data, obs, options)
+        runs.append(kept)
+    with Counted() as counter, Assemblies(cold=True, counter=counter) as cold:
+        for visited, index, _ in kept.visits:
+            varopt.assemble_local_objective(visited, index, data, obs)
+    identical = [np.array_equal(a[2], b[2]) for a, b in zip(kept.visits, cold.visits)]
+    return {
+        "circuit": f"staircase({n}, {ANSATZ_LAYERS})",
+        "components": len(circuit.components),
+        "terms": len(obs.terms),
+        "steps": len(schedule(circuit).steps),
+        "visits": len(kept.visits),
+        "apply_calls_per_round": kept.calls,
+        "seconds_per_round": float(np.median([run.seconds for run in runs])),
+        "peak_bytes": kept.peak_bytes or None,
+        "cold_apply_calls_per_round": cold.calls,
+        "cold_seconds_per_round": cold.seconds,
+        "differing": identical.count(False),
+        "ok": len(identical) == len(kept.visits) > 0 and all(identical),
+    }
+
+
 def crossover():
     table = []
     for n in CROSSOVER_N:
@@ -294,7 +350,6 @@ def crossover():
         circuit = varopt._initialize(brickwork(n, 4), "random_unitary", 0)
         peak = schedule(circuit).peak_active
         k = len(circuit.components)
-        obs_matrix = obs.matrix()
         rng = np.random.default_rng(n)
         for drawn in CROSSOVER_ROWS:
             rows, _, counts = unique_rows(rng.integers(0, 4, size=(drawn, n)))
@@ -304,9 +359,10 @@ def crossover():
                 circuit_energy(circuit, collapse(data), obs)
 
             def dense_round():
-                environments = varopt.DenseEnvironments(collapse(data), obs_matrix)
+                rho = collapse(data)
+                walks = list(varopt._cut_walks(circuit, rho, obs))
                 for index in range(k):
-                    environments.objective(circuit, index)
+                    assemble_local_objective(circuit, index, rho, obs, walks=walks)
 
             table.append(
                 {
@@ -340,6 +396,7 @@ def main(argv=None) -> int:
     record = replay(args.repeats)
     record["deep_sweep"] = deep_record()
     record["exact"] = exact_record(args.repeats)
+    record["ansatz_round"] = ansatz_round(args.repeats)
     if args.crossover:
         record["crossover"] = crossover()
     record.update(
@@ -365,7 +422,13 @@ def main(argv=None) -> int:
             f"{record['exact']['max_rel_diff']:.3e} (limit {EXACT_TOL:g})",
             file=sys.stderr,
         )
-    return 0 if record["ok"] and record["exact"]["ok"] else 1
+    if not record["ansatz_round"]["ok"]:
+        print(
+            f"error: {record['ansatz_round']['differing']} objectives of the ansatz round "
+            "differ from their cold assembly",
+            file=sys.stderr,
+        )
+    return 0 if record["ok"] and record["exact"]["ok"] and record["ansatz_round"]["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -59,13 +59,14 @@ so that live (rows, terms) residuals stay below ``_BATCH_ENTRIES`` entries.
 No plan may be wider than ``MAX_ACTIVE_QUBITS``: ``cone_plan`` refuses it
 before any residual is allocated.
 
-To single out one component, ``split_residuals`` cuts the whole-register
-plan at the component: the steps before the cut give the forward residual,
-the steps after it, run backwards on the adjoint maps, the backward one. Both
-residuals, for a (rows, terms) batch, live on the qubits active at the cut:
-the component's support and the spectators. For one pair, with r
-and rbar of shape (ds, dm, ds, dm) (support, spectators), the circuit's value
-with the component replaced by any map L is linear in L:
+To single out one component, a ``CutWalk`` cuts a step list at its apply
+step: the steps before it give the forward residual, the steps after it, run
+backwards on the adjoint maps, the backward one, and the walk keeps both
+across cuts. On the whole-register plan they live on the qubits active at
+the cut, the component's support and the spectators; a dense state is the
+same walk over one apply step per component on the whole register. For one
+pair, with r and rbar of shape (ds, dm, ds, dm) (support, spectators), the
+circuit's value with the component replaced by any map L is linear in L:
 
     value(L) = sum_{w,u} Tr[L(r[:, w, :, u]) rbar[:, u, :, w]].
 
@@ -75,6 +76,7 @@ The variational layer assembles its objectives from this form.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -91,6 +93,9 @@ from .pauli import PAULI_MATRICES, PauliString
 # A component counts as trace preserving, and may be left out of a term's
 # cone, only if vec(I)^T S matches vec(I)^T to this absolute tolerance.
 _TP_TOL = 1e-12
+# Trace drift allowed to a map flagged trace preserving, times the operator's
+# Frobenius norm if above 1: round-off grows with the entries, not the trace.
+_TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -398,21 +403,24 @@ def _factor_list(factors, num_qubits: int) -> list[np.ndarray]:
     return mats
 
 
-def _run_steps(circuit, steps, in_factors, out_factors, backward=False):
+EMPTY_REGISTER = ((), np.ones((1, 1, 1, 1), dtype=complex))  # no active qubit, residual one
+
+
+def _run_steps(circuit, steps, in_factors, out_factors, backward=False, start=EMPTY_REGISTER):
     """Execute schedule steps on a batch of residuals with two batch axes.
 
     The residuals are (rows, terms) batches. Each per-qubit factor is (2, 2),
     shared by the batch, or carries its own batch shape: (2, 2, R, 1) for one
     factor per row, (2, 2, 1, T) for one per term. Broadcasting forms the
     (R, T) batch only at the first step whose factor needs both, so the steps
-    before it run once per row. Returns the active qubit list and the
+    before it run once per row. ``start`` is the (active qubits, residual)
+    pair the steps begin from. Returns the active qubit list and the
     residuals, shape (2^a, 2^a, R', T') for a active qubits, where R' and T'
     are 1 if no factor so far had that axis. With ``backward`` the steps are
     given in reverse order and run backwards in time: a trace step absorbs,
     an absorb step traces out, and a component applies its adjoint map.
     """
-    active: list[int] = []
-    res = np.ones((1, 1, 1, 1), dtype=complex)
+    active, res = list(start[0]), start[1]
     comps = circuit.components
     grow = "trace" if backward else "absorb"
     for step in steps:
@@ -430,6 +438,17 @@ def _run_steps(circuit, steps, in_factors, out_factors, backward=False):
             res = multiply_trace_out(res, out_factors[step.qubit], pos, len(active))
             active.pop(pos)
     return active, res
+
+
+def check_trace_kept(before: np.ndarray, after: np.ndarray, local_map: LocalMap) -> None:
+    """Refuse a map flagged trace preserving that moved the trace of an item
+    of a (2^a, 2^a, *batch) operator batch by over ``_TRACE_TOL``."""
+    drift = np.abs(np.trace(after) - np.trace(before))
+    # flags and norms are taken only when a drift is above the absolute floor
+    if np.any(drift > _TRACE_TOL) and local_map.flags().tp:
+        norms = np.maximum(np.linalg.norm(before, axis=(0, 1)), 1.0)
+        if np.any(drift > _TRACE_TOL * norms):
+            raise ValidationError("trace not preserved by a trace-preserving map")
 
 
 def _run_plan(circuit, plan: ConePlan, in_factors, out_factors) -> np.ndarray:
@@ -450,8 +469,8 @@ def evaluate_trace(circuit, dual_factors, pauli):
 
 def evaluate_trace_backward(circuit, dual_factors, pauli):
     """Tr[Ldag(G_0 (x) ...) (F_0 (x) ...)]: the steps of ``schedule(circuit)``
-    run in reverse order on the adjoint maps, the backward pass of
-    ``split_residuals``. Equals the forward value for Hermiticity-preserving
+    run in reverse order on the adjoint maps, the backward pass of a
+    ``CutWalk``. Equals the forward value for Hermiticity-preserving
     circuits with Hermitian factors."""
     n = circuit.num_qubits
     ins = _factor_list(pauli, n)
@@ -546,29 +565,79 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the whole-register plan cut at one component
+# a step list cut at one component
 
 
-def split_residuals(circuit: MapCircuit, index: int, in_factors, out_factors):
-    """Batched forward and backward residuals around component ``index``.
+class CutWalk:
+    """The residual pairs of a step list cut at each of its components.
 
-    The whole-register plan is cut at the component's apply step. The steps
-    before the cut give the forward residual; the steps after it, run
-    backwards on the adjoint maps with the two factor sets exchanged, give
-    the backward residual. Both live on the qubits active at the cut, never
-    more than the plan's ``peak_active``.
-
-    Factors are per qubit, (2, 2), (2, 2, R, 1) or (2, 2, 1, T) as in
-    :func:`_run_steps`. Returns the pair as :func:`group_cut_pair` lays it
-    out.
+    Built from the steps (run as by :func:`_run_steps`), the in- and
+    out-factors and each direction's start (active qubits, residual). The
+    cut at apply step c pairs the forward start run through ``steps[:c]``
+    with the backward start run backwards through ``steps[c + 1:]``. The
+    forward residual is kept at one step and advanced, and a cut behind it
+    starts again. Backward residual t (the last t steps) is kept for every
+    s-th t, s = ceil(sqrt(L)) for L steps, and for the block of the last
+    cut; others are recomputed from the kept one below. Components that are
+    not the very objects of the previous call count as installed: an install
+    drops the forward residual past its apply step and the backward ones
+    through it. Every value is bit for bit that of the steps run from
+    scratch, so a fresh walk is a cold cut. ``peak_bytes`` is the most the
+    kept backward residuals held together. Forward applies are checked by
+    :func:`check_trace_kept`; backward ones are not, since the adjoint of a
+    trace-preserving map is unital and may change the trace.
     """
-    if not 0 <= index < len(circuit.components):
-        raise ValidationError(f"no component {index} in circuit")
-    steps = schedule(circuit).steps
-    cut = steps.index(ScheduleStep("apply", component=index))
-    active, res_f = _run_steps(circuit, steps[:cut], in_factors, out_factors)
-    _, res_b = _run_steps(circuit, steps[:cut:-1], out_factors, in_factors, backward=True)
-    return group_cut_pair(res_f, res_b, active, circuit.components[index].qubits)
+
+    def __init__(self, steps, in_factors, out_factors, forward_start, backward_start):
+        self._steps = tuple(steps)
+        self._ins, self._outs = in_factors, out_factors
+        self._start = forward_start
+        self._cuts = {s.component: p for p, s in enumerate(self._steps) if s.kind == "apply"}
+        self._components: tuple = ()
+        self._forward = (0, *forward_start)
+        self._backward = {0: backward_start}
+        self.peak_bytes = backward_start[1].nbytes
+
+    def _backward_at(self, circuit: MapCircuit, t: int):
+        steps, stored = self._steps, self._backward
+        s = math.isqrt(len(steps) - 1) + 1
+        base = max(u for u in stored if u <= t)
+        state = stored[base]
+        for u in [u for u in stored if u % s and u // s != t // s]:
+            del stored[u]
+        for u in range(base + 1, t + 1):
+            step = steps[len(steps) - u]
+            state = _run_steps(circuit, (step,), self._outs, self._ins, backward=True, start=state)
+            if u % s == 0 or u // s == t // s:
+                stored[u] = state
+        self.peak_bytes = max(self.peak_bytes, sum(res.nbytes for _, res in stored.values()))
+        return state
+
+    def pair(self, circuit: MapCircuit, index: int):
+        """The residuals around component ``index`` of ``circuit``, laid out
+        by :func:`group_cut_pair`."""
+        if index not in self._cuts:
+            raise ValidationError(f"no component {index} in circuit")
+        comps, cut = circuit.components, self._cuts[index]
+        installed = [self._cuts[j] for j, (a, b) in enumerate(zip(comps, self._components)) if a is not b]
+        if installed:
+            if self._forward[0] > min(installed):
+                self._forward = (0, *self._start)
+            through = len(self._steps) - max(installed)
+            for t in [t for t in self._backward if t >= through]:
+                del self._backward[t]
+        self._components = comps
+        p, *state = self._forward
+        if p > cut:
+            p, state = 0, self._start
+        for step in self._steps[p:cut]:
+            before = state[1]
+            state = _run_steps(circuit, (step,), self._ins, self._outs, start=state)
+            if step.kind == "apply":
+                check_trace_kept(before, state[1], comps[step.component].map)
+        self._forward = (cut, *state)
+        _, res_b = self._backward_at(circuit, len(self._steps) - 1 - cut)
+        return group_cut_pair(state[1], res_b, state[0], comps[index].qubits)
 
 
 def group_cut_pair(res_f, res_b, active, support):

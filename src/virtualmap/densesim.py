@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cone import MapCircuit, brickwork
+from .cone import MapCircuit, brickwork, check_trace_kept
 from .errors import ValidationError, json_int
 from .linalg import apply_superop_local
 from .maps import LocalMap, map_from_spec, noisy_cnot, random_cptp_map
@@ -50,10 +50,6 @@ __all__ = [
 _DENSE_LIMIT = 10
 ORACLE_LIMIT = 6
 EXACT_DIAG_LIMIT = 12  # largest observable diagonalized densely
-# Trace drift allowed to a trace-preserving map, relative to the operator's
-# Frobenius norm (at least 1, which covers every density matrix): round-off
-# in the trace grows with the size of the entries, not with the trace.
-_TRACE_TOL = 1e-10
 
 
 @dataclass
@@ -115,19 +111,14 @@ def from_statevector(psi: np.ndarray) -> DensityMatrix:
 
 def apply_local_map(rho: DensityMatrix, m: LocalMap, qubits) -> DensityMatrix:
     """Apply a k-local map to the named qubits of a dense state; a map flagged
-    trace preserving must keep the trace to ``_TRACE_TOL`` times the larger
-    of 1 and the operator's Frobenius norm."""
+    trace preserving must keep the trace (:func:`virtualmap.cone.check_trace_kept`)."""
     qubits = tuple(int(q) for q in qubits)
     if len(qubits) != m.arity:
         raise ValidationError(f"map arity {m.arity} does not match qubits {qubits}")
     if any(q < 0 or q >= rho.num_qubits for q in qubits):
         raise ValidationError(f"qubits {qubits} outside register")
-    before = np.trace(rho.matrix)
     out = apply_superop_local(rho.matrix, m.superop, qubits, rho.num_qubits)
-    drift = abs(np.trace(out) - before)
-    # the norm is taken only when the drift is above the absolute floor
-    if drift > _TRACE_TOL and m.flags().tp and drift > _TRACE_TOL * np.linalg.norm(rho.matrix):
-        raise ValidationError("trace not preserved by a trace-preserving map")
+    check_trace_kept(rho.matrix, out, m)
     return DensityMatrix(rho.num_qubits, out)
 
 

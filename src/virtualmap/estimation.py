@@ -31,8 +31,9 @@ Energies and objectives are linear in the rows, so they need only the
 empirical dual operator sum_i w_i (x)_q D_{m_iq}. :func:`collapse` builds it
 as a :class:`~virtualmap.densesim.DensityMatrix` (N <= 10). A sweep
 collapses a large batch once before its first visit, by the rule of
-:mod:`virtualmap.varopt`, and :func:`estimate_exact` collapses the enumerated
-outcome distribution, whose rows number up to 4^N. :func:`circuit_energy`
+:mod:`virtualmap.varopt`, and :func:`estimate_exact` contracts the enumerated
+outcome distribution, 4^N probabilities, with the dual tables in the same
+way, without forming its rows. :func:`circuit_energy`
 takes rows as they are given, and :func:`estimate` never collapses, because
 its error bar needs the weight of every row.
 """
@@ -186,16 +187,23 @@ def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:
     )
 
 
-def data_from_distribution(rho: DensityMatrix, povms, duals=None) -> ProductInputData:
-    """The exact outcome distribution of ``povms`` on ``rho`` (N <= 9) as
-    product rows: every outcome string of nonzero probability, qubit 0 most
-    significant, over ``duals`` (by default the canonical duals of ``povms``)."""
+def _distribution(rho: DensityMatrix, povms, duals):
+    """The outcome probabilities of ``povms`` on ``rho`` (N <= 9), and the
+    tables of ``duals`` (by default the canonical duals of ``povms``)."""
     if rho.num_qubits > 9:
         raise ValidationError("enumeration limited to N <= 9")
     p = outcome_distribution(rho, povms)
     tables = dual_arrays(povms if duals is None else duals, rho.num_qubits)
     if any(t.shape[0] != m for t, m in zip(tables, p.shape)):
         raise ValidationError("dual frames and POVMs differ in outcome counts")
+    return p, tables
+
+
+def data_from_distribution(rho: DensityMatrix, povms, duals=None) -> ProductInputData:
+    """The exact outcome distribution of ``povms`` on ``rho`` (N <= 9) as
+    product rows: every outcome string of nonzero probability, qubit 0 most
+    significant, over ``duals`` (by default the canonical duals of ``povms``)."""
+    p, tables = _distribution(rho, povms, duals)
     rows = np.argwhere(p != 0.0)
     return ProductInputData(p[tuple(rows.T)], tables, rows)
 
@@ -210,16 +218,21 @@ def classical_input(num_qubits: int) -> ProductInputData:
 
 def collapse(data: ProductInputData) -> DensityMatrix:
     """The empirical dual operator sum_i w_i (x)_q tables[q][rows[i, q]] as a
-    dense 2^N operator (N <= 10): one weighted ``bincount`` of the rows into
-    an (M_0, ..., M_{N-1}) tensor, then one ``tensordot`` per qubit with its
-    table. The count tensor holds prod M_q entries, 4^N for four-outcome
-    frames and more for larger ones."""
-    n = data.num_qubits
-    _dense_dim(n)
+    dense 2^N operator (N <= 10): :func:`_dual_operator` of the rows' weighted
+    ``bincount``, a tensor of prod M_q entries (4^N for four outcomes)."""
+    _dense_dim(data.num_qubits)
     dims = tuple(len(t) for t in data.tables)
     flat = np.ravel_multi_index(tuple(data.rows.T), dims)
-    t = np.bincount(flat, data.weights, minlength=int(np.prod(dims))).reshape(dims)
-    for table in data.tables:  # axis 0 is always the next qubit's outcome
+    counts = np.bincount(flat, data.weights, minlength=int(np.prod(dims))).reshape(dims)
+    return _dual_operator(counts, data.tables)
+
+
+def _dual_operator(weights: np.ndarray, tables) -> DensityMatrix:
+    """sum_m weights[m] (x)_q tables[q][m_q] for an (M_0, ..., M_{N-1})
+    weight tensor: one ``tensordot`` per qubit with its table."""
+    n = len(tables)
+    t = weights
+    for table in tables:  # axis 0 is always the next qubit's outcome
         t = np.tensordot(t, table, axes=(0, 0))
     # axes (row_0, col_0, ..., row_{N-1}, col_{N-1}), qubit 0 most significant
     t = t.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
@@ -333,13 +346,14 @@ def estimate_exact(
     The weights are linear in the duals, so this is :func:`circuit_energy`
     on sum_m p_m (x)_q D_{m_q}: rho itself by the dual-frame identity, or,
     with explicit ``duals`` (a frame that need not be dual to ``povms``), the
-    enumerated outcome distribution (N <= 9) summed back by :func:`collapse`.
+    enumerated outcome distribution (N <= 9) contracted with the dual tables
+    by :func:`_dual_operator`.
     """
     if rho.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("state, circuit, and observable qubit counts differ")
     if not obs.is_hermitian:
         raise ValidationError("exact estimation needs a Hermitian observable")
-    data = rho if duals is None else collapse(data_from_distribution(rho, povms, duals))
+    data = rho if duals is None else _dual_operator(*_distribution(rho, povms, duals))
     return circuit_energy(circuit, data, obs)
 
 

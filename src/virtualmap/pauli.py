@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,13 @@ class Observable:
         return all(abs(c.imag) <= _HERMITIAN_TOL for c, _ in self.terms)
 
     def matrix(self) -> np.ndarray:
-        """Dense matrix. Each term is a signed permutation, P[r, r ^ x] =
+        """Dense matrix, built once per instance and read-only, since every
+        caller shares it."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        """Each term is a signed permutation, P[r, r ^ x] =
         (-i)^{#Y} (-1)^{popcount(r & z)}, where x has a bit for every X or Y
         letter and z for every Y or Z letter (qubit 0 most significant); the
         popcount parities come from one table, built by doubling."""
@@ -118,6 +125,7 @@ class Observable:
             flip = int(ps.letters.translate(_FLIP_BITS), 2)
             signs = 1 - 2 * parity[rows & int(ps.letters.translate(_SIGN_BITS), 2)]
             out[rows, rows ^ flip] += coeff * (-1j) ** ps.letters.count("Y") * signs
+        out.setflags(write=False)
         return out
 
     def __len__(self) -> int:

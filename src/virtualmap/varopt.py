@@ -28,19 +28,20 @@ weighted product rows of :class:`virtualmap.estimation.ProductInputData` (dual
 effects of measured outcomes or of the exact distribution, or the classical
 all-zeros register) or a :class:`virtualmap.densesim.DensityMatrix`, which
 optimizes the infinite-shot energy directly at small qubit counts. Both kinds
-share the contraction: product rows cut the whole-register plan into a (rows,
-terms) batch of residual pairs on the qubits active at the cut, and a dense
-state is one pair on the whole register with weight one. The sweep's energies
-come from :func:`virtualmap.estimation.circuit_energy`, which takes the same
-two kinds of input. A sweep first decides, by one rule
-(:func:`_collapse_if_cheaper`), whether to collapse its rows
-(:func:`virtualmap.estimation.collapse`), so a large batch at N <= 10 is
-optimized as its empirical dual operator, a dense state. On a dense state
-the sweep keeps :class:`DenseEnvironments`: the input run forward to the cut
-and checkpoints of the observable run backward to it, which an installed map
-invalidates only where it enters. A round in index order then costs fewer
-than 3K dense map applications, not K(K - 1), and holds about 2 sqrt(K)
-backward operators.
+are cut by a :class:`virtualmap.cone.CutWalk`: product rows on the
+whole-register plan, a (rows, terms) batch of residual pairs on the qubits
+active at the cut, and a dense state over one apply step per component, one
+pair on the whole register. The sweep's energies come from
+:func:`virtualmap.estimation.circuit_energy`, which takes the same two kinds
+of input. A sweep first decides, by one rule (:func:`_collapse_if_cheaper`),
+whether to collapse its rows (:func:`virtualmap.estimation.collapse`), so a
+large batch at N <= 10 is optimized as its empirical dual operator. Where
+the cut is one walk (a dense state, or rows in one chunk of
+:func:`virtualmap.cone.row_chunks`) the sweep keeps it, so an installed map
+invalidates residuals only where it enters: a dense round in index order
+costs fewer than 3K map applications, not K(K - 1), and a round of rows
+about two plan passes per component whose apply step precedes the last
+one's. Rows of several chunks get a cold walk per chunk at every visit.
 """
 
 from __future__ import annotations
@@ -49,22 +50,24 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from .cone import (
+    EMPTY_REGISTER,
+    CutWalk,
     MapCircuit,
-    group_cut_pair,
+    ScheduleStep,
     row_chunks,
     row_factors,
     schedule,
-    split_residuals,
     term_factors,
 )
-from .densesim import _DENSE_LIMIT, DensityMatrix, apply_local_map
+from .densesim import _DENSE_LIMIT, DensityMatrix
 from .errors import NumericalError, ValidationError
-from .estimation import ProductInputData, circuit_energy, classical_input, collapse
-from .linalg import apply_superop_local, herm, trace_mul
+from .estimation import circuit_energy, classical_input, collapse
+from .linalg import herm, trace_mul
 from .maps import (
     ChoiMatrix,
     choi_marginal,
@@ -112,132 +115,48 @@ def _cut_objective(r: np.ndarray, rbar: np.ndarray, weight: np.ndarray) -> np.nd
     return (lhs.reshape(ds * ds, -1) @ rhs).reshape(ds, ds, ds, ds).transpose(1, 2, 0, 3)
 
 
-class DenseEnvironments:
-    """Cached operands of the dense cut for one input state and observable.
-
-    The forward state is the input run through ``components[:p]``; it is
-    held for one p at a time and advanced one component at a time. Backward
-    operator t is the observable run through the adjoints of the last t
-    components. Of these only every s-th is kept (s = ceil(sqrt(K))), plus
-    the block of s - 1 between two kept ones that the last cut needed; an
-    operator outside them is recomputed from the kept one below it. Every
-    call names the circuit it is about; components that are not the very
-    objects the cache was built from count as installed, and an install at
-    component j drops the forward state if it is past j and every backward
-    operator that runs through j. A round of visits in index order therefore
-    costs fewer than 3K dense applications (K - 1 forward, K - 1 backward and
-    fewer than K recomputed between the kept operators) and holds about
-    2 sqrt(K) backward operators. The values are those of the same
-    applications done from scratch, bit for bit, so a fresh instance is the
-    cold cache of a standalone call. ``peak_bytes`` is the largest size the
-    kept backward operators reached together (each is 16 * 4^N bytes).
-    """
-
-    def __init__(self, rho: DensityMatrix, obs_matrix: np.ndarray):
-        self._rho = rho
-        self._components: tuple = ()
-        self._forward = (0, rho)
-        self._backward = {0: obs_matrix}
-        self.peak_bytes = obs_matrix.nbytes
-
-    def _sync(self, circuit: MapCircuit) -> None:
-        comps = circuit.components
-        if len(comps) != len(self._components):
-            changed = range(len(comps))
-        else:
-            changed = [j for j, (a, b) in enumerate(zip(comps, self._components)) if a is not b]
-        if changed:
-            if self._forward[0] > changed[0]:
-                self._forward = (0, self._rho)
-            for t in [t for t in self._backward if t >= len(comps) - changed[-1]]:
-                del self._backward[t]
-            self._components = comps
-
-    def _backward_at(self, t: int, n: int) -> np.ndarray:
-        """Backward operator t, from the nearest kept one at or below it."""
-        comps, stored = self._components, self._backward
-        k = len(comps)
-        s = math.isqrt(k - 1) + 1
-        base = max(u for u in stored if u <= t)
-        op = stored[base]
-        for u in [u for u in stored if u % s and u // s != t // s]:
-            del stored[u]
-        # Heisenberg-picture operand: the adjoint of a trace-preserving map is
-        # unital, not trace-preserving, so its action legitimately changes the
-        # trace of an observable and must bypass the state-application checks.
-        # Its superoperator is S^H, as in the backward cone pass.
-        for u in range(base + 1, t + 1):
-            c = comps[k - u]
-            op = apply_superop_local(op, c.map.superop.conj().T, c.qubits, n)
-            if u % s == 0 or u // s == t // s:
-                stored[u] = op
-        self.peak_bytes = max(self.peak_bytes, sum(b.nbytes for b in stored.values()))
-        return op
-
-    def objective(self, circuit: MapCircuit, index: int) -> np.ndarray:
-        """The whole register cut at component ``index``: the forward state
-        and the backward operator contracted as one residual pair."""
-        self._sync(circuit)
-        n = circuit.num_qubits
-        p, fwd = self._forward
-        if p > index:
-            p, fwd = 0, self._rho
-        for c in self._components[p:index]:
-            fwd = apply_local_map(fwd, c.map, c.qubits)
-        self._forward = (index, fwd)
-        bwd = self._backward_at(len(self._components) - 1 - index, n)
-        support = self._components[index].qubits
-        r, rbar = group_cut_pair(fwd.matrix[..., None, None], bwd[..., None, None], range(n), support)
-        ds = r.shape[0]
-        return _cut_objective(r, rbar, np.ones((1, 1))).reshape(ds * ds, ds * ds)
-
-
-def _product_objective(
-    circuit: MapCircuit, index: int, data: ProductInputData, obs: Observable
-) -> np.ndarray:
-    """sum_i w_i sum_k c_k sum_a kron(R_a^T, Rbar_a), over a (rows, terms)
-    batch of cut residuals per chunk of rows."""
+def _cut_walks(circuit: MapCircuit, data, obs: Observable):
+    """(walk, (R, T) weights) pairs that cut ``data`` under ``obs``: a dense
+    state's one walk, starting from the state and the observable's matrix,
+    or per chunk of product rows a walk of the plan from the empty register,
+    weighted by the rows' weights times the terms' coefficients. Yielded one
+    at a time, so a cold walk is dropped once its chunk is summed."""
     n = circuit.num_qubits
-    peak = schedule(circuit).peak_active
+    if isinstance(data, DensityMatrix):
+        whole = tuple(range(n))
+        steps = [ScheduleStep("apply", component=j) for j in range(len(circuit.components))]
+        forward, backward = data.matrix[..., None, None], obs.matrix()[..., None, None]
+        yield CutWalk(steps, (), (), (whole, forward), (whole, backward)), np.ones((1, 1))
+        return
+    plan = schedule(circuit)
     coeffs = np.array([c for c, _ in obs.terms])
     paulis = [ps for _, ps in obs.terms]
-    ds = 2**circuit.components[index].map.arity
-    m4 = np.zeros((ds, ds, ds, ds), dtype=complex)
-    for term_chunk, chunks in row_chunks(len(data.weights), peak, len(coeffs)):
+    for term_chunk, chunks in row_chunks(len(data.weights), plan.peak_active, len(coeffs)):
         outs = term_factors(paulis[term_chunk], n)
         for chunk in chunks:
             ins = row_factors(data.tables, data.rows[chunk])
-            r, rbar = split_residuals(circuit, index, ins, outs)
-            m4 += _cut_objective(r, rbar, data.weights[chunk, None] * coeffs[term_chunk])
-    return m4.reshape(ds * ds, ds * ds)
+            walk = CutWalk(plan.steps, ins, outs, EMPTY_REGISTER, EMPTY_REGISTER)
+            yield walk, data.weights[chunk, None] * coeffs[term_chunk]
 
 
 def assemble_local_objective(
-    circuit: MapCircuit,
-    index: int,
-    data,
-    obs: Observable,
-    *,
-    environments: DenseEnvironments | None = None,
+    circuit: MapCircuit, index: int, data, obs: Observable, *, walks: list | None = None
 ) -> LocalObjective:
-    """Build the Hermitian matrix M of the single-component energy landscape.
-
-    A dense state is cut through ``environments``, the cache of its forward
-    states and backward operators under ``obs``; a sweep passes the one it
-    keeps, and without it the call builds a cold one."""
+    """The Hermitian M of the single-component energy landscape: sum_i w_i
+    sum_k c_k sum_a kron(R_a^T, Rbar_a) over the pairs of the cut at the
+    component, through the ``walks`` a sweep keeps, or cold walks."""
     if not obs.is_hermitian:
         raise ValidationError("objective assembly needs a Hermitian observable")
     if data.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("data, circuit, and observable qubit counts differ")
     if not 0 <= index < len(circuit.components):
         raise ValidationError(f"no component {index} in circuit")
-    comp = circuit.components[index]
-    if isinstance(data, DensityMatrix):
-        environments = environments or DenseEnvironments(data, obs.matrix())
-        m_raw = environments.objective(circuit, index)
-    else:
-        m_raw = _product_objective(circuit, index, data, obs)
-    return LocalObjective(component=index, arity=comp.map.arity, matrix=herm(m_raw))
+    arity = circuit.components[index].map.arity
+    ds = 2**arity
+    m4 = np.zeros((ds, ds, ds, ds), dtype=complex)
+    for walk, weight in walks or _cut_walks(circuit, data, obs):
+        m4 += _cut_objective(*walk.pair(circuit, index), weight)
+    return LocalObjective(component=index, arity=arity, matrix=herm(m4.reshape(ds * ds, ds * ds)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +507,9 @@ def sweep(
     data = _collapse_if_cheaper(current, data, obs)
     energy = circuit_energy(current, data, obs)
     report = SweepReport(initial_energy=energy, exact_energy=exact_energy)
-    environments = (
-        DenseEnvironments(data, obs.matrix()) if isinstance(data, DensityMatrix) else None
-    )
+    # a cut of one walk is kept across the sweep; several chunks are cut cold
+    head = list(islice(_cut_walks(current, data, obs), 2))
+    walks = head if len(head) == 1 else None
     installs = 0
     # component -> (installs after its last visit, objective, solution, info)
     last_visit: dict[int, tuple] = {}
@@ -604,9 +523,7 @@ def sweep(
                 # same as then.
                 _, objective, choi_new, info = seen
             else:
-                objective = assemble_local_objective(
-                    current, index, data, obs, environments=environments
-                )
+                objective = assemble_local_objective(current, index, data, obs, walks=walks)
                 choi_new, info = minimize_over_cptp(objective, options.sdp)
             choi_cur = superop_to_choi(current.components[index].map)
             v_before = objective.value(choi_cur)

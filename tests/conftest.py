@@ -7,10 +7,12 @@ import pytest
 from hypothesis import strategies as st
 
 from virtualmap.cone import (
+    EMPTY_REGISTER,
     Component,
+    CutWalk,
     MapCircuit,
     brickwork,
-    split_residuals,
+    schedule,
     staircase,
 )
 from virtualmap.linalg import trace_mul
@@ -106,6 +108,13 @@ def replace_component(circuit: MapCircuit, index: int, new_map) -> MapCircuit:
     return circuit.with_component(index, new_map)
 
 
+def cut_pair(circuit: MapCircuit, index: int, in_factors, out_factors):
+    """The residual pair of a cold walk on the whole-register plan cut at
+    component ``index``: the split of a standalone call."""
+    walk = CutWalk(schedule(circuit).steps, in_factors, out_factors, EMPTY_REGISTER, EMPTY_REGISTER)
+    return walk.pair(circuit, index)
+
+
 def split_pairs(circuit: MapCircuit, index: int, factors, pauli) -> list:
     """Residual pairs (R_a, Rbar_a) of one row and term such that, for any map
     L on component ``index``'s qubits, the circuit's value with that component
@@ -115,7 +124,7 @@ def split_pairs(circuit: MapCircuit, index: int, factors, pauli) -> list:
     built explicitly here as a reference for the folded sum in the library.
     """
     r, rbar = (
-        res[..., 0, 0] for res in split_residuals(circuit, index, list(factors), pauli.matrices())
+        res[..., 0, 0] for res in cut_pair(circuit, index, list(factors), pauli.matrices())
     )
     normalized = [PAULI_MATRICES[c] / np.sqrt(2.0) for c in "IXYZ"]
     basis = [np.ones((1, 1), dtype=complex)]

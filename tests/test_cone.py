@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_all_close,
+    cut_pair,
     json_junk,
     kernel_circuits,
     kernel_observable,
@@ -31,7 +32,6 @@ from virtualmap.cone import (
     load_circuit,
     save_circuit,
     schedule,
-    split_residuals,
     staircase,
     term_groups,
 )
@@ -549,7 +549,7 @@ class TestBatchedKernel:
         got = evaluate_rows(leaky, tables, rows, [pauli])[:, 0]
         assert np.max(np.abs(got - _per_row(leaky, tables, rows, pauli))) <= 1e-12
 
-    def test_split_residuals_batch_matches_single_rows(self):
+    def test_cut_pair_batch_matches_single_rows(self):
         rng = np.random.default_rng(49)
         circ = random_mixed_circuit(5, rng)
         duals = [random_product_duals(5, rng) for _ in range(4)]
@@ -562,12 +562,12 @@ class TestBatchedKernel:
                 np.stack([PauliString(p).matrices()[q] for p in letters], axis=-1)[:, :, None]
                 for q in range(5)
             ]
-            r, rbar = split_residuals(circ, index, ins, outs)
+            r, rbar = cut_pair(circ, index, ins, outs)
             assert r.shape[-2:] == rbar.shape[-2:] == (4, 4)
             for b in range(4):
                 for t in range(4):
                     pauli = PauliString(letters[t])
-                    one_r, one_rbar = split_residuals(circ, index, duals[b], pauli.matrices())
+                    one_r, one_rbar = cut_pair(circ, index, duals[b], pauli.matrices())
                     assert_all_close(r[..., b, t], one_r[..., 0, 0], 1e-12)
                     assert_all_close(rbar[..., b, t], one_rbar[..., 0, 0], 1e-12)
                 pauli = PauliString(letters[b])
@@ -723,7 +723,7 @@ class TestSplitEvaluate:
         eye = [np.eye(2)] * 4
         for index in (7, -1):
             with pytest.raises(ValidationError):
-                split_residuals(brickwork(4, 1), index, eye, eye)
+                cut_pair(brickwork(4, 1), index, eye, eye)
 
 
 class TestCutPlan:
@@ -738,7 +738,7 @@ class TestCutPlan:
         peak = schedule(circ).peak_active
         assert peak <= cap
         for index in range(len(circ.components)):
-            r, rbar = split_residuals(circ, index, eye, eye)
+            r, rbar = cut_pair(circ, index, eye, eye)
             assert r.shape == rbar.shape
             width = int(np.log2(r.shape[1] * r.shape[2]))
             assert len(circ.components[index].qubits) <= width <= peak, index

@@ -206,6 +206,12 @@ class TestEstimateExact:
         with pytest.raises(ValidationError, match="N <= 9"):
             estimate_exact(rho, "sic", MapCircuit(10, ()), xx_hamiltonian(10), duals="sic")
 
+    def test_duals_must_match_the_outcome_counts(self):
+        rho = noisy_chain_state(2)
+        six = np.tile(_sic_dual_matrices()[:1], (6, 1, 1))
+        with pytest.raises(ValidationError, match="differ in outcome counts"):
+            estimate_exact(rho, "sic", MapCircuit(2, ()), xx_hamiltonian(2), duals=[six] * 2)
+
 
 class TestDenseEnergy:
     @pytest.mark.parametrize("kind", ["cptp", "non-cp", "non-tp"])

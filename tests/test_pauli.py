@@ -100,6 +100,15 @@ class TestObservable:
         expected = 0.5 * _dense_string("XX") - 2.0 * _dense_string("ZI")
         np.testing.assert_allclose(obs.matrix(), expected, atol=0)
 
+    def test_matrix_is_built_once_and_read_only(self):
+        obs = Observable.from_terms(3, [(0.5, "XXI"), (-2.0, "ZIY")])
+        m = obs.matrix()
+        assert obs.matrix() is m and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+        # equal observables stay equal, and the cache is not a field
+        assert obs == Observable.from_terms(3, [(0.5, "XXI"), (-2.0, "ZIY")])
+
     def test_matrix_equals_kron_sum_exactly(self):
         # the signed-permutation build against the Kronecker chain of each term
         rng = np.random.default_rng(3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_min, cube_povm, random_mixed_circuit, stinespring_choi
-from virtualmap import densesim, varopt
+from virtualmap import cone, densesim, varopt
 from virtualmap.cone import Component, MapCircuit, brickwork, group_cut_pair, schedule, staircase
 from virtualmap.densesim import (
     DensityMatrix,
@@ -28,10 +28,11 @@ from virtualmap.estimation import (
     estimate,
     estimate_exact,
 )
-from virtualmap.linalg import apply_superop_local
+from virtualmap.linalg import apply_superop_local, unique_rows
 from virtualmap.maps import (
     ChoiMatrix,
     LocalMap,
+    MapFlags,
     adjoint_map,
     choi_to_superop,
     identity_map,
@@ -56,11 +57,10 @@ from virtualmap.varopt import (
     zreset_compose,
 )
 from virtualmap.varopt import (
-    DenseEnvironments,
     SweepStep,
     _cut_objective,
+    _cut_walks,
     _max_steps,
-    _product_objective,
     _schur_matrix,
 )
 
@@ -283,10 +283,21 @@ def _certified(info, tol):
     return info["gap"] <= tol * (1.0 + abs(info["value"]))
 
 
+def _raw_objective(circ, index, data, obs, walks=None):
+    """M as assemble_local_objective sums it, before the Hermitian part is
+    taken: cold walks, one per chunk, unless ``walks`` are given."""
+    ds = 2 ** circ.components[index].map.arity
+    parts = [
+        _cut_objective(*walk.pair(circ, index), weight)
+        for walk, weight in walks or _cut_walks(circ, data, obs)
+    ]
+    return sum(parts).reshape(ds * ds, ds * ds)
+
+
 def _assert_objectives_match_dense(circ, rho, data, obs):
     for index in range(len(circ.components)):
-        want = DenseEnvironments(rho, obs.matrix()).objective(circ, index)
-        got = _product_objective(circ, index, data, obs)
+        want = _raw_objective(circ, index, rho, obs)
+        got = _raw_objective(circ, index, data, obs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), index
 
 
@@ -314,8 +325,14 @@ def _count_dense_applications(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(densesim, "apply_superop_local", counting)
-    monkeypatch.setattr(varopt, "apply_superop_local", counting)
+    monkeypatch.setattr(cone, "apply_superop_local", counting)
     return calls
+
+
+def _leaky_map():
+    """A map flagged trace preserving that loses a thousandth of the trace."""
+    flags = MapFlags(cp=True, tp=True, hermiticity_preserving=True)
+    return LocalMap(0.999 * identity_map(2).superop, _flags=flags)
 
 
 class TestDenseEnvironments:
@@ -328,10 +345,11 @@ class TestDenseEnvironments:
         circ = brickwork(5, 4, lambda layer, qubits: random_cptp_map(2, rng))
         assert len(circ.components) == 8
         obs = xx_hamiltonian(5, field=0.6, periodic=True)
-        environments = DenseEnvironments(rho, obs.matrix())
+        walks = list(_cut_walks(circ, rho, obs))
+        assert len(walks) == 1
         for visit, index in enumerate(order * 2):
-            got = environments.objective(circ, index)
-            cold = DenseEnvironments(rho, obs.matrix()).objective(circ, index)
+            got = _raw_objective(circ, index, rho, obs, walks)
+            cold = _raw_objective(circ, index, rho, obs)
             assert np.array_equal(got, cold), (visit, index)
             assert np.array_equal(got, _from_scratch(circ, index, rho, obs)), (visit, index)
             if visit % 3 != 2:  # install at most visits, not all
@@ -339,10 +357,10 @@ class TestDenseEnvironments:
             if visit % 4 == 1:  # and now and then at a second component too
                 other = int(rng.integers(len(circ.components)))
                 circ = circ.with_component(other, random_unitary_map(2, rng))
-        # another circuit on the same register starts over
+        # a walk's steps fix the supports: another circuit gets its own walk
         shorter = brickwork(5, 2, lambda layer, qubits: random_cptp_map(2, rng))
         for index in (3, 0):
-            got = environments.objective(shorter, index)
+            got = _raw_objective(shorter, index, rho, obs)
             assert np.array_equal(got, _from_scratch(shorter, index, rho, obs))
 
     def test_index_order_round_costs_fewer_than_three_applications_per_component(
@@ -354,12 +372,12 @@ class TestDenseEnvironments:
         obs = xx_hamiltonian(4, field=0.6)
         k = len(circ.components)
         assert k == 9
-        environments = DenseEnvironments(rho, obs.matrix())
+        ((walk, _),) = _cut_walks(circ, rho, obs)
         calls = _count_dense_applications(monkeypatch)
         for _ in range(3):
             before = len(calls)
             for index in range(k):
-                environments.objective(circ, index)
+                walk.pair(circ, index)
                 circ = circ.with_component(index, random_cptp_map(2, rng))
             # the forward state advances K - 1 times, the backward operators
             # are rebuilt once from the end, keeping 0, 3, 6 and the block
@@ -367,9 +385,9 @@ class TestDenseEnvironments:
             assert len(calls) - before == 2 * (k - 1) + 4
         # without installs nothing is invalidated, and blocks passed are dropped
         for index in range(k):
-            environments.objective(circ, index)
+            walk.pair(circ, index)
         # 0, 3, 6 and a block of two, not all nine
-        assert environments.peak_bytes == 5 * obs.matrix().nbytes
+        assert walk.peak_bytes == 5 * obs.matrix().nbytes
 
     def test_sweep_cuts_through_one_environment(self, monkeypatch):
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
@@ -382,6 +400,75 @@ class TestDenseEnvironments:
         # two energies of K applications, and per round 2 (K - 1) and the
         # backward operator 1, recomputed from 0 between the kept 0 and 2
         assert k == 3 and len(calls) == 2 * k + 2 * (2 * (k - 1) + 1)
+
+    def test_wrongly_flagged_map_is_refused(self):
+        # the trace check of every dense forward application holds on the walk
+        rho = noisy_chain_state(4, theta=0.3, p=0.01)
+        obs = xx_hamiltonian(4, field=0.4)
+        circ = brickwork(4, 2).with_component(0, _leaky_map())
+        with pytest.raises(ValidationError, match="trace not preserved"):
+            sweep(circ, rho, obs, SweepOptions(rounds=1))
+        with pytest.raises(ValidationError, match="trace not preserved"):
+            assemble_local_objective(circ, 2, rho, obs)
+
+
+class TestRowWalk:
+    @pytest.mark.parametrize("order", [tuple(range(9)), tuple(range(8, -1, -1)), (4, 0, 7, 4, 2, 8, 1)])
+    @pytest.mark.parametrize("kind", ["classical", "batch"])
+    def test_objectives_are_bit_identical_with_installs(self, kind, order):
+        rng = np.random.default_rng(82)
+        circ = staircase(4, 3, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(4, field=0.6, periodic=True)
+        if kind == "classical":
+            data = classical_input(4)
+        else:
+            data = data_from_batch(sample_outcomes(noisy_chain_state(4), "sic", 50, seed=6), "sic")
+            assert len(data.weights) > 1
+        walks = list(_cut_walks(circ, data, obs))
+        assert len(walks) == 1
+        for visit, index in enumerate(order * 2):
+            got = _raw_objective(circ, index, data, obs, walks)
+            assert np.array_equal(got, _raw_objective(circ, index, data, obs)), (visit, index)
+            if visit % 3 != 2:
+                circ = circ.with_component(index, random_unitary_map(2, rng))
+            if visit % 4 == 1:
+                other = int(rng.integers(len(circ.components)))
+                circ = circ.with_component(other, random_unitary_map(2, rng))
+
+    def test_index_order_round_runs_the_plan_a_few_times(self, monkeypatch):
+        # staircase(6, 2): component i+1's apply step comes before component
+        # i's once, so a round in index order runs the plan's steps about
+        # four times, not once per component
+        rng = np.random.default_rng(83)
+        circ = staircase(6, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(6, field=0.6, periodic=True)
+        data = classical_input(6)
+        k = len(circ.components)
+        ((walk, _),) = _cut_walks(circ, data, obs)
+        calls = _count_dense_applications(monkeypatch)
+        for index in range(k):
+            walk.pair(circ, index)
+            circ = circ.with_component(index, random_cptp_map(2, rng))
+        kept = len(calls)
+        calls.clear()
+        for index in range(k):
+            _raw_objective(circ, index, data, obs)
+        assert kept < 4 * k < len(calls)
+
+    def test_wrongly_flagged_map_is_refused_per_row(self):
+        # the leak shows only in rows whose residual has a trace: a row of
+        # traceless factors passes, and a batch holding one row with a trace
+        # does not
+        obs = xx_hamiltonian(4, field=0.4)
+        circ = brickwork(4, 2).with_component(0, _leaky_map())
+        steps = schedule(circ).steps
+        last = max(range(len(circ.components)), key=lambda j: steps.index(cone.ScheduleStep("apply", component=j)))
+        tables = [np.array([np.diag([1.0, -1.0]), np.diag([1.0, 0.0])], dtype=complex)] * 4
+        traceless = ProductInputData(np.ones(1), tables, np.zeros((1, 4), dtype=int))
+        assemble_local_objective(circ, last, traceless, obs)
+        both = ProductInputData(np.ones(2), tables, np.array([[0, 0, 0, 0], [1, 1, 1, 1]]))
+        with pytest.raises(ValidationError, match="trace not preserved"):
+            assemble_local_objective(circ, last, both, obs)
 
 
 class TestCollapseRule:
@@ -489,12 +576,33 @@ class TestDeepCircuitObjectives:
         circ = brickwork(5, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(5, field=0.7)
         data = data_from_batch(sample_outcomes(noisy_chain_state(5), "sic", 20, seed=3), "sic")
-        want = [_product_objective(circ, k, data, obs) for k in range(len(circ.components))]
+        want = [_raw_objective(circ, k, data, obs) for k in range(len(circ.components))]
         # three terms of one row per chunk
         monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", 3 * 4 ** schedule(circ).peak_active)
         for k, m in enumerate(want):
-            got = _product_objective(circ, k, data, obs)
+            got = _raw_objective(circ, k, data, obs)
             assert np.max(np.abs(got - m)) <= 1e-12 * np.max(np.abs(m)), k
+
+
+    def test_row_chunks_match_one_chunk_and_the_collapse(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        circ = brickwork(5, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(5, field=0.7)
+        data = data_from_batch(sample_outcomes(noisy_chain_state(5), "sic", 400, seed=8), "sic")
+        assert len(list(_cut_walks(circ, data, obs))) == 1
+        k = len(circ.components)
+        want = [_raw_objective(circ, j, data, obs) for j in range(k)]
+        dense = [_raw_objective(circ, j, collapse(data), obs) for j in range(k)]
+        # seven rows of all the terms per chunk
+        entries = 7 * len(obs.terms) * 4 ** schedule(circ).peak_active
+        monkeypatch.setattr(cone, "_BATCH_ENTRIES", entries)
+        assert len(list(_cut_walks(circ, data, obs))) == -(-len(data.weights) // 7)
+        for j in range(k):
+            got = _raw_objective(circ, j, data, obs)
+            scale = np.max(np.abs(want[j]))
+            assert np.max(np.abs(got - want[j])) <= 1e-13 * scale, j
+            for m in (got, want[j]):
+                assert np.max(np.abs(m - dense[j])) <= 1e-12 * np.max(np.abs(dense[j])), j
 
 
 class TestMinimizeOverCptp:
@@ -765,18 +873,17 @@ class TestSweepReuse:
         assert report.steps == want
 
     def test_dense_sweep_builds_the_observable_matrix_once(self, monkeypatch):
-        # once for the environments and once for each of the sweep's two
+        # once per observable, shared by the walk and the sweep's two
         # energies, however many components are visited
         from virtualmap import varopt
 
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
-        obs = xx_hamiltonian(4, field=0.4)
         real_matrix, real_assemble = Observable.matrix, varopt.assemble_local_objective
-        built, seen = [], []
+        returned, seen = [], []
 
         def matrix(self):
-            built.append(self)
-            return real_matrix(self)
+            returned.append(real_matrix(self))  # kept alive, so ids stay distinct
+            return returned[-1]
 
         def assemble(circuit, index, data, o, **kwargs):
             objective = real_assemble(circuit, index, data, o, **kwargs)
@@ -787,15 +894,44 @@ class TestSweepReuse:
         monkeypatch.setattr(varopt, "assemble_local_objective", assemble)
         builds, visits = [], []
         for rounds in (1, 3):
+            obs = xx_hamiltonian(4, field=0.4)
             options = SweepOptions(rounds=rounds, init="random_unitary", seed=2)
-            start = len(built)
+            start = len(returned)
             _, report = sweep(brickwork(4, 2), rho, obs, options)
-            builds.append(len(built) - start)
+            # the walk and the two energies each ask, and get the one build
+            assert len(returned) - start == 3
+            builds.append(len({id(m) for m in returned[start:]}))
             visits.append(len(report.steps))
-        assert builds == [3, 3] and 1 < visits[0] < visits[1]
+            assert not returned[-1].flags.writeable
+        assert builds == [1, 1] and 1 < visits[0] < visits[1]
         monkeypatch.undo()
         for circuit, index, m in seen:
             assert np.array_equal(m, assemble_local_objective(circuit, index, rho, obs).matrix)
+
+    def test_multi_row_sweep_matches_cold_visits(self, monkeypatch):
+        # six-outcome frames: the collapse would outgrow the dense operator,
+        # so the rows stay rows, and fit one chunk, so the sweep keeps one walk
+        rng = np.random.default_rng(84)
+        rows, _, counts = unique_rows(rng.integers(0, 6, size=(60, 4)))
+        data = ProductInputData(counts / 60, dual_arrays(compute_duals(cube_povm()), 4), rows)
+        obs = xx_hamiltonian(4, field=0.4)
+        circ = brickwork(4, 3)
+        assert len(data.weights) > 1
+        assert varopt._collapse_if_cheaper(circ, data, obs) is data
+        options = SweepOptions(rounds=2, init="random_unitary", seed=5)
+        want = _resolve_every_visit(circ, data, obs, options)
+        kept = []
+        real = varopt.assemble_local_objective
+
+        def assemble(circuit, index, d, o, **kwargs):
+            kept.append(kwargs["walks"])
+            return real(circuit, index, d, o, **kwargs)
+
+        monkeypatch.setattr(varopt, "assemble_local_objective", assemble)
+        _, report = sweep(circ, data, obs, options)
+        assert any(s.installed for s in report.steps)
+        assert report.steps == want
+        assert len(kept[0]) == 1 and all(w is kept[0] for w in kept)
 
     def test_installing_a_map_forces_a_fresh_solve(self, monkeypatch):
         # every visit of this chain installs, so nothing may be reused
