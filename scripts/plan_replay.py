@@ -9,8 +9,7 @@ circuit, each timed pass measures
 * ``group_s``: grouping the chain's terms into support groups, as
   ``row_weights`` does first;
 * ``plans_s``: then one light-cone plan per group, as ``row_weights`` builds
-  them before contracting (a tree whose grouping schedules every term's plan
-  finds most of them cached here);
+  them before contracting;
 * ``total_s``: the two together.
 
 The groups are checked against the rule stated on per-term plans: a term's
@@ -38,8 +37,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from virtualmap import cone, estimation
-from virtualmap.cone import cone_plan, staircase
+from virtualmap import cone
+from virtualmap.cone import cone_plan, staircase, term_groups
 from virtualmap.pauli import xx_hamiltonian
 
 CASES = {"staircase-24-3": (24, 3), "staircase-40-3": (40, 3), "staircase-64-2": (64, 2)}
@@ -50,14 +49,6 @@ def clear_structure_caches():
     for fn in vars(cone).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
-    # the term-group memo of trees from before ``cone.term_groups``
-    getattr(estimation, "_GROUP_CACHE", {}).clear()
-
-
-def groups_of(circuit, obs):
-    if hasattr(cone, "term_groups"):
-        return cone.term_groups(circuit, [ps for _, ps in obs.terms])
-    return estimation._support_groups(circuit, obs)
 
 
 def per_term_rule(circuit, obs):
@@ -76,7 +67,7 @@ def cold_pass(n, layers, obs):
     clear_structure_caches()
     circuit = staircase(n, layers)
     start = time.perf_counter()
-    groups = groups_of(circuit, obs)
+    groups = term_groups(circuit, [ps for _, ps in obs.terms])
     grouped = time.perf_counter()
     plans = [
         cone_plan(circuit, sorted({q for k in g for q in obs.terms[k][1].support}))

@@ -17,7 +17,9 @@ active qubits and interleaves three step kinds:
 A qubit is finished once every component acting on it has been applied; the
 scheduler picks the next qubit to finish greedily, minimizing the number of
 active qubits, which reproduces the narrow sweep on layered nearest-neighbour
-circuits.
+circuits. ``_cone`` is the one light-cone walk: the scheduler takes each
+qubit's cone from it once and drops the components of every finished qubit's
+cone from the others.
 
 Every whole-trace contraction runs a ``ConePlan``: the schedule of one output
 support's backward light cone (``cone_plan``). A plan depends only on the
@@ -232,25 +234,19 @@ class ScheduleStep:
     component: int | None = None
 
 
-def _closure(preds, remaining: set[int], seeds) -> list[int]:
-    """Downward closure of ``seeds`` under ``preds``, each component's earlier
-    overlapping components, restricted to ``remaining``; returned in order."""
-    chosen = set(seeds)
-    work = list(seeds)
-    while work:
-        for pred in preds[work.pop()]:
-            if pred in remaining and pred not in chosen:
-                chosen.add(pred)
-                work.append(pred)
-    return sorted(chosen)
-
-
 def _greedy_schedule(supports, component_pool, traceable) -> tuple[list[ScheduleStep], int]:
     """Greedy sweep: repeatedly finish the traceable qubit whose causal cone
-    keeps the active set smallest. Returns (steps, peak)."""
-    remaining = set(component_pool)
-    pool = sorted(remaining)
-    preds = {ci: [p for p in pool if p < ci and set(supports[p]) & set(supports[ci])] for ci in pool}
+    keeps the active set smallest (the first such qubit on ties). Returns
+    (steps, peak).
+
+    Each qubit's cone is taken once, by :func:`_cone` over the pool's
+    supports, and loses every applied cone's components: an applied cone is
+    closed under earlier overlapping components, so what is left of a cone
+    is the cone among the components not yet applied."""
+    pool = set(component_pool)
+    pooled = tuple(s if ci in pool else () for ci, s in enumerate(supports))
+    # the uncached body: per-qubit cones would evict the shared memo's entries
+    cones = {q: _cone.__wrapped__(pooled, None, (q,))[0][::-1] for q in traceable}
     active: list[int] = []
     absorbed: set[int] = set()
     steps: list[ScheduleStep] = []
@@ -262,21 +258,20 @@ def _greedy_schedule(supports, component_pool, traceable) -> tuple[list[Schedule
             absorbed.add(q)
             insort(active, q)
 
+    def cost(q):
+        return len(set(active).union([q], *(supports[ci] for ci in cones[q])))
+
     pending = sorted(traceable)
     while pending:
-        best = None
-        for q in pending:
-            cone = _closure(preds, remaining, [ci for ci in remaining if q in supports[ci]])
-            cost = len(set(active) | {q} | {qq for ci in cone for qq in supports[ci]})
-            if best is None or cost < best[0]:
-                best = (cost, q, cone)
-        cost, q, cone = best
+        q = min(pending, key=cost)  # the first of equal costs
+        cone = cones.pop(q)
         for ci in cone:
             for qq in sorted(supports[ci]):
                 absorb(qq)
             steps.append(ScheduleStep("apply", component=ci))
-            remaining.discard(ci)
             peak = max(peak, len(active))
+        picked = set(cone)
+        cones = {p: [ci for ci in c if ci not in picked] for p, c in cones.items()}
         absorb(q)
         peak = max(peak, len(active))
         steps.append(ScheduleStep("trace", qubit=q))

@@ -188,10 +188,10 @@ def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:
 
 
 def _distribution(rho: DensityMatrix, povms, duals):
-    """The outcome probabilities of ``povms`` on ``rho`` (N <= 9), and the
-    tables of ``duals`` (by default the canonical duals of ``povms``)."""
-    if rho.num_qubits > 9:
-        raise ValidationError("enumeration limited to N <= 9")
+    """The outcome probabilities of ``povms`` on ``rho`` (N <= 10, the dense
+    limit), and the tables of ``duals`` (by default the canonical duals of
+    ``povms``)."""
+    _dense_dim(rho.num_qubits)
     p = outcome_distribution(rho, povms)
     tables = dual_arrays(povms if duals is None else duals, rho.num_qubits)
     if any(t.shape[0] != m for t, m in zip(tables, p.shape)):
@@ -200,7 +200,7 @@ def _distribution(rho: DensityMatrix, povms, duals):
 
 
 def data_from_distribution(rho: DensityMatrix, povms, duals=None) -> ProductInputData:
-    """The exact outcome distribution of ``povms`` on ``rho`` (N <= 9) as
+    """The exact outcome distribution of ``povms`` on ``rho`` (N <= 10) as
     product rows: every outcome string of nonzero probability, qubit 0 most
     significant, over ``duals`` (by default the canonical duals of ``povms``)."""
     p, tables = _distribution(rho, povms, duals)
@@ -346,7 +346,7 @@ def estimate_exact(
     The weights are linear in the duals, so this is :func:`circuit_energy`
     on sum_m p_m (x)_q D_{m_q}: rho itself by the dual-frame identity, or,
     with explicit ``duals`` (a frame that need not be dual to ``povms``), the
-    enumerated outcome distribution (N <= 9) contracted with the dual tables
+    enumerated outcome distribution (N <= 10) contracted with the dual tables
     by :func:`_dual_operator`.
     """
     if rho.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:

@@ -21,6 +21,7 @@ from conftest import (
 from virtualmap.cone import (
     Component,
     MapCircuit,
+    _cone,
     _plan,
     brickwork,
     circuit_from_dict,
@@ -281,6 +282,76 @@ class TestSchedule:
             misses = _plan.cache_info().misses
             evaluate_trace_backward(circ, [np.eye(2)] * n, "Z" * n)
             assert _plan.cache_info().misses == misses
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_plan_matches_the_per_pick_closure_greedy(self, data):
+        """Every plan is step for step the one of the reference greedy, which
+        recomputes each pending qubit's closure at every pick."""
+        n = data.draw(st.integers(1, 9), label="n")
+        component = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+        supports = tuple(map(tuple, data.draw(st.lists(component, max_size=14), label="supports")))
+        tp = data.draw(st.none() | st.tuples(*[st.booleans()] * len(supports)), label="tp")
+        output = st.just(range(n)) | st.sets(st.integers(0, n - 1))
+        support = tuple(sorted(data.draw(output, label="support")))
+        cone_misses = _cone.cache_info().misses
+        plan = _plan(supports, tp, support)
+        # the per-qubit cones of a schedule bypass the shared memo
+        assert _cone.cache_info().misses - cone_misses <= 1
+        members, qubits = _cone(supports, tp, support)
+        want, peak = _reference_schedule(supports, members, qubits)
+        assert plan.qubits == qubits
+        assert [(s.kind, s.qubit, s.component) for s in plan.steps] == want
+        assert plan.peak_active == peak
+
+
+def _reference_schedule(supports, pool, traceable):
+    """The greedy sweep as a per-pick closure: at every pick, each pending
+    qubit's cone is the downward closure, under earlier overlapping
+    components, of the unapplied pool components touching it. The first
+    pending qubit of least active-set size wins. Returns ((kind, qubit,
+    component) steps, peak)."""
+    remaining = set(pool)
+    active, absorbed, steps, peak = set(), set(), [], 0
+
+    def closure(q):
+        chosen = {ci for ci in remaining if q in supports[ci]}
+        work = list(chosen)
+        while work:
+            ci = work.pop()
+            for p in remaining - chosen:
+                if p < ci and set(supports[p]) & set(supports[ci]):
+                    chosen.add(p)
+                    work.append(p)
+        return sorted(chosen)
+
+    def absorb(q):
+        if q not in absorbed:
+            steps.append(("absorb", q, None))
+            absorbed.add(q)
+            active.add(q)
+
+    pending = sorted(traceable)
+    while pending:
+        best = None
+        for q in pending:
+            cone = closure(q)
+            cost = len(active | {q} | {qq for ci in cone for qq in supports[ci]})
+            if best is None or cost < best[0]:
+                best = (cost, q, cone)
+        _, q, cone = best
+        for ci in cone:
+            for qq in sorted(supports[ci]):
+                absorb(qq)
+            steps.append(("apply", None, ci))
+            remaining.discard(ci)
+            peak = max(peak, len(active))
+        absorb(q)
+        peak = max(peak, len(active))
+        steps.append(("trace", q, None))
+        active.discard(q)
+        pending.remove(q)
+    return steps, peak
 
 
 class TestEvaluateTrace:

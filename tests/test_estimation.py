@@ -201,10 +201,19 @@ class TestEstimateExact:
         val = estimate_exact(rho, "sic", MapCircuit(2, ()), obs, duals=duals)
         assert abs(val - expectation_oracle(rho.matrix, obs)) < 1e-10
 
+    def test_enumeration_reaches_the_dense_limit(self):
+        rng = np.random.default_rng(3)
+        rho = noisy_chain_state(10, theta=0.3, p=0.02)
+        circ = brickwork(10, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(10, field=0.5)
+        a = estimate_exact(rho, "sic", circ, obs, duals="sic")
+        b = estimate_exact(rho, "sic", circ, obs)
+        assert abs(a - b) <= 1e-12
+
     def test_enumeration_limit(self):
-        rho = DensityMatrix(10, np.eye(1024) / 1024)
-        with pytest.raises(ValidationError, match="N <= 9"):
-            estimate_exact(rho, "sic", MapCircuit(10, ()), xx_hamiltonian(10), duals="sic")
+        rho = DensityMatrix(11, np.eye(2048) / 2048)
+        with pytest.raises(ValidationError, match="N <= 10"):
+            estimate_exact(rho, "sic", MapCircuit(11, ()), xx_hamiltonian(11), duals="sic")
 
     def test_duals_must_match_the_outcome_counts(self):
         rho = noisy_chain_state(2)
