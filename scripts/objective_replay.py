@@ -57,10 +57,7 @@ Example:
     python3 scripts/objective_replay.py --crossover --tag change --out BENCH_objective.json
 """
 
-import argparse
 import json
-import os
-import platform
 import resource
 import subprocess
 import sys
@@ -69,8 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+from replay import Calls, emit, parse, parser
 from virtualmap import cone, densesim, varopt
 from virtualmap.cone import brickwork, schedule, staircase
 from virtualmap.densesim import (
@@ -132,38 +128,19 @@ def case(n, layout):
     return circuit, data_from_batch(batch, "sic"), ham
 
 
-class Counted:
-    """Counts ``apply_superop_local`` calls, by wrapping the name in every
-    module that calls it."""
-
-    MODULES = [m for m in (cone, densesim, varopt) if hasattr(m, "apply_superop_local")]
-
-    def __init__(self):
-        self.calls = 0
-
-    def __enter__(self):
-        real = self.real = densesim.apply_superop_local
-
-        def counting(*args, **kwargs):
-            self.calls += 1
-            return real(*args, **kwargs)
-
-        for module in self.MODULES:
-            module.apply_superop_local = counting
-        return self
-
-    def __exit__(self, *exc):
-        for module in self.MODULES:
-            module.apply_superop_local = self.real
+def applies() -> Calls:
+    """Counts ``apply_superop_local`` calls in every module that calls it."""
+    return Calls([cone, densesim, varopt], ["apply_superop_local"])
 
 
-class Assemblies:
+class Assemblies(Calls):
     """The sweep's assemblies, through the walks it keeps or (``cold``) with
     a cold walk each: their visits (circuit, component, M), seconds and,
-    with ``counter``, apply calls, and the peak bytes of the kept backward
-    residuals."""
+    with ``counter`` (an :func:`applies`), apply calls, and the peak bytes
+    of the kept backward residuals."""
 
-    def __init__(self, cold: bool, counter: Counted | None = None):
+    def __init__(self, cold: bool, counter: Calls | None = None):
+        super().__init__([varopt], ["assemble_local_objective"])
         self.cold = cold
         self.counter = counter
         self.peak_bytes = 0
@@ -171,25 +148,19 @@ class Assemblies:
         self.seconds = 0.0
         self.calls = 0
 
-    def __enter__(self):
-        real = self.real = varopt.assemble_local_objective
+    def applied(self) -> int:
+        return self.counter.counts["apply_superop_local"] if self.counter else 0
 
-        def assemble(*args, **kwargs):
-            calls = self.counter.calls if self.counter else 0
-            start = time.perf_counter()
-            objective = real(*args) if self.cold else real(*args, **kwargs)
-            self.seconds += time.perf_counter() - start
-            self.calls += (self.counter.calls if self.counter else 0) - calls
-            self.visits.append((args[0], args[1], objective.matrix))
-            for walk, _ in kwargs.get("walks") or ():
-                self.peak_bytes = max(self.peak_bytes, walk.peak_bytes)
-            return objective
-
-        varopt.assemble_local_objective = assemble
-        return self
-
-    def __exit__(self, *exc):
-        varopt.assemble_local_objective = self.real
+    def call(self, real, args, kwargs):
+        calls = self.applied()
+        start = time.perf_counter()
+        objective = real(*args) if self.cold else real(*args, **kwargs)
+        self.seconds += time.perf_counter() - start
+        self.calls += self.applied() - calls
+        self.visits.append((args[0], args[1], objective.matrix))
+        for walk, _ in kwargs.get("walks") or ():
+            self.peak_bytes = max(self.peak_bytes, walk.peak_bytes)
+        return objective
 
 
 def sweep_record(circuit, data, obs, cold: bool, repeats: int):
@@ -198,9 +169,9 @@ def sweep_record(circuit, data, obs, cold: bool, repeats: int):
     calls = []
     with Assemblies(cold) as cache:
         for rounds in range(ROUNDS + 1):
-            with Counted() as counter:
+            with applies() as counter:
                 _, report = sweep(circuit, data, obs, SweepOptions(rounds=rounds, **options))
-            calls.append(counter.calls)
+            calls.append(counter.counts["apply_superop_local"])
         full = SweepOptions(rounds=ROUNDS, **options)
         wall = seconds(lambda: sweep(circuit, data, obs, full), repeats)
     return {
@@ -320,10 +291,10 @@ def ansatz_round(repeats):
     options = SweepOptions(rounds=1, accept_tol=1e-8, init="keep")
     runs = []
     for _ in range(repeats):
-        with Counted() as counter, Assemblies(cold=False, counter=counter) as kept:
+        with applies() as counter, Assemblies(cold=False, counter=counter) as kept:
             sweep(circuit, data, obs, options)
         runs.append(kept)
-    with Counted() as counter, Assemblies(cold=True, counter=counter) as cold:
+    with applies() as counter, Assemblies(cold=True, counter=counter) as cold:
         for visited, index, _ in kept.visits:
             varopt.assemble_local_objective(visited, index, data, obs)
     identical = [np.array_equal(a[2], b[2]) for a, b in zip(kept.visits, cold.visits)]
@@ -384,32 +355,16 @@ def crossover():
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5, help="timed runs per median (>= 1)")
-    parser.add_argument("--crossover", action="store_true", help="also time the N = 8-10 table")
-    parser.add_argument("--out", type=Path, default=None, help="JSON file to store the record in")
-    parser.add_argument("--tag", default="current", help="key of the record in --out")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-
+    p = parser(__doc__, 5, "timed runs per median")
+    p.add_argument("--crossover", action="store_true", help="also time the N = 8-10 table")
+    args = parse(p, argv)
     record = replay(args.repeats)
     record["deep_sweep"] = deep_record()
     record["exact"] = exact_record(args.repeats)
     record["ansatz_round"] = ansatz_round(args.repeats)
     if args.crossover:
         record["crossover"] = crossover()
-    record.update(
-        repeats=args.repeats,
-        python=platform.python_version(),
-        numpy=np.__version__,
-        machine=f"{platform.machine()}, {os.cpu_count()} CPUs",
-    )
-    print(json.dumps(record))
-    if args.out is not None:
-        stored = json.loads(args.out.read_text()) if args.out.exists() else {}
-        stored[args.tag] = record
-        args.out.write_text(json.dumps(stored, indent=2) + "\n")
+    emit(record, args)
     if not record["ok"]:
         print(
             f"error: collapsed M differs from the row M by {record['max_rel_diff']:.3e} "

@@ -25,18 +25,10 @@ Example:
     python3 scripts/plan_replay.py --repeats 3 --tag change --out BENCH_plan.json
 """
 
-import argparse
-import json
-import os
-import platform
 import sys
 import time
-from pathlib import Path
 
-import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+from replay import emit, parse, parser, quartiles
 from virtualmap import cone
 from virtualmap.cone import cone_plan, staircase, term_groups
 from virtualmap.pauli import xx_hamiltonian
@@ -77,11 +69,6 @@ def cold_pass(n, layers, obs):
     return circuit, groups, plans, grouped - start, planned - grouped
 
 
-def quartiles(values, key):
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {f"{key}_median": float(median), f"{key}_q1": float(q1), f"{key}_q3": float(q3)}
-
-
 def replay(name, repeats):
     n, layers = CASES[name]
     obs = xx_hamiltonian(n, coupling=1.0, field=0.95, periodic=True)
@@ -105,30 +92,13 @@ def replay(name, repeats):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=3, help="cold passes per case (>= 1)")
-    parser.add_argument(
+    p = parser(__doc__, 3, "cold passes per case")
+    p.add_argument(
         "--case", action="append", choices=sorted(CASES), help="case to run (repeatable; default all)"
     )
-    parser.add_argument("--out", type=Path, default=None, help="JSON file to store the record in")
-    parser.add_argument("--tag", default="current", help="key of the record in --out")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-
+    args = parse(p, argv)
     names = args.case or list(CASES)
-    record = {name: replay(name, args.repeats) for name in names}
-    record.update(
-        repeats=args.repeats,
-        python=platform.python_version(),
-        numpy=np.__version__,
-        machine=f"{platform.machine()}, {os.cpu_count()} CPUs",
-    )
-    print(json.dumps(record))
-    if args.out is not None:
-        stored = json.loads(args.out.read_text()) if args.out.exists() else {}
-        stored[args.tag] = record
-        args.out.write_text(json.dumps(stored, indent=2) + "\n")
+    record = emit({name: replay(name, args.repeats) for name in names}, args)
     failed = [name for name in names if not record[name]["ok"]]
     for name in failed:
         print(f"error: {name} groups differ from the per-term plan rule", file=sys.stderr)

@@ -23,18 +23,12 @@ Example:
     python3 scripts/weights_replay.py --repeats 7 --tag change --out BENCH_weights.json
 """
 
-import argparse
-import json
-import os
-import platform
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+from replay import Calls, emit, parse, parser, quartiles
 from virtualmap import cone, estimation
 from virtualmap.cone import brickwork
 from virtualmap.densesim import (
@@ -103,32 +97,6 @@ def singleton_sum(circuits, tables, rows, obs):
     ]
 
 
-def counted(circuits, tables, rows, obs):
-    """Cone runs and kernel calls of one pass, by wrapping the names that
-    ``estimation`` and ``cone`` call."""
-    counts = {"cone_runs": 0, **{name: 0 for name in KERNELS}}
-    originals = {"evaluate_rows": estimation.evaluate_rows}
-    originals.update({name: getattr(cone, name) for name in KERNELS})
-
-    def wrap(key, fn):
-        def counting(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return counting
-
-    estimation.evaluate_rows = wrap("cone_runs", originals["evaluate_rows"])
-    for name in KERNELS:
-        setattr(cone, name, wrap(name, originals[name]))
-    try:
-        weights(circuits, tables, rows, obs)
-    finally:
-        estimation.evaluate_rows = originals["evaluate_rows"]
-        for name in KERNELS:
-            setattr(cone, name, originals[name])
-    return counts
-
-
 def replay(name, repeats):
     circuits, tables, rows, obs = CASES[name]()
     got = weights(circuits, tables, rows, obs)
@@ -139,41 +107,23 @@ def replay(name, repeats):
         start = time.perf_counter()
         weights(circuits, tables, rows, obs)
         seconds.append(time.perf_counter() - start)
-    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    with Calls([estimation, cone], ["evaluate_rows", *KERNELS]) as calls:
+        weights(circuits, tables, rows, obs)
     return {
         "circuits": len(circuits),
         "rows": len(rows),
         "terms": len(obs.terms),
-        **counted(circuits, tables, rows, obs),
+        "cone_runs": calls.counts.pop("evaluate_rows"),
+        **calls.counts,
         "max_rel_diff": diff,
         "ok": diff <= TOL,
-        "s_median": float(median),
-        "s_q1": float(q1),
-        "s_q3": float(q3),
+        **quartiles(seconds, "s"),
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7, help="timed passes per case (>= 1)")
-    parser.add_argument("--out", type=Path, default=None, help="JSON file to store the record in")
-    parser.add_argument("--tag", default="current", help="key of the record in --out")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-
-    record = {name: replay(name, args.repeats) for name in CASES}
-    record.update(
-        repeats=args.repeats,
-        python=platform.python_version(),
-        numpy=np.__version__,
-        machine=f"{platform.machine()}, {os.cpu_count()} CPUs",
-    )
-    print(json.dumps(record))
-    if args.out is not None:
-        stored = json.loads(args.out.read_text()) if args.out.exists() else {}
-        stored[args.tag] = record
-        args.out.write_text(json.dumps(stored, indent=2) + "\n")
+    args = parse(parser(__doc__, 7, "timed passes per case"), argv)
+    record = emit({name: replay(name, args.repeats) for name in CASES}, args)
     failed = [name for name in CASES if not record[name]["ok"]]
     for name in failed:
         print(f"error: {name} differs from the singleton-group sum", file=sys.stderr)

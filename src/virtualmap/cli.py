@@ -87,13 +87,7 @@ def _cmd_estimate(args) -> int:
     rows = []
     for circ, circ_id in circuits:
         for obs, obs_id in observables:
-            est = estimate(
-                batch,
-                list(batch.povm_labels),
-                circ,
-                obs,
-                labels=(obs_id, circ_id, batch_id),
-            )
+            est = estimate(batch, list(batch.povm_labels), circ, obs)
             row = {
                 "observable": obs_id,
                 "circuit": circ_id,
@@ -164,7 +158,7 @@ def _overfit_keys(obs, report, holdout=None) -> dict:
     shots that give the estimate gets there. The hint points to the
     ``holdout`` estimate when the run has one, and to ``--holdout`` when not."""
     final = report.final_energy
-    floor = -sum(abs(c) for c, _ in obs.terms)
+    floor = float(-sum(abs(c) for c, _ in obs.terms))
     below_floor = final < floor - _BELOW_TOL * (1.0 + abs(floor))
     keys = {"energy_floor": floor, "below_floor": below_floor}
     exact = report.exact_energy
@@ -224,13 +218,7 @@ def _cmd_optimize(args) -> int:
     holdout = None
     if args.holdout:
         hbatch = read_batch(args.holdout)
-        est = estimate(
-            hbatch,
-            list(hbatch.povm_labels),
-            final,
-            obs,
-            labels=(_label(args.observable), _label(args.circuit), _label(args.holdout)),
-        )
+        est = estimate(hbatch, list(hbatch.povm_labels), final, obs)
         holdout = {"batch": _label(args.holdout), "value": est.value, "sigma": est.sigma}
     return _finish_sweep(args, obs, final, report, holdout)
 

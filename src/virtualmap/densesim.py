@@ -71,13 +71,13 @@ class DensityMatrix:
             raise ValidationError("operator has non-finite entries")
         self.matrix = m
 
-    def validate(self, positivity: bool = True) -> None:
+    def validate(self) -> None:
         m = self.matrix
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValidationError("state is not Hermitian")
         if abs(np.trace(m) - 1.0) > 1e-10:
             raise ValidationError(f"state trace {np.trace(m):.6g} != 1")
-        if positivity and np.linalg.eigvalsh(m).min() < -1e-8:
+        if np.linalg.eigvalsh(m).min() < -1e-8:
             raise ValidationError("state has a significantly negative eigenvalue")
 
 

@@ -66,7 +66,6 @@ _RESIDUE_TOL = 1e-8
 class Estimate:
     """A mean/uncertainty pair with optional per-shot weights attached.
 
-    ``labels`` identifies (observable, circuit, batch) for reporting;
     ``batch_key`` fingerprints the outcome data so covariances are only taken
     between estimates that really share shots.
     """
@@ -77,7 +76,6 @@ class Estimate:
     imag_residue: float
     per_shot: np.ndarray | None = None
     batch_key: str | None = None
-    labels: tuple[str, str, str] | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.value) and np.isfinite(self.sigma) and self.sigma >= 0):
@@ -305,7 +303,6 @@ def estimate(
     circuit: MapCircuit,
     obs: Observable,
     keep_per_shot: bool = False,
-    labels: tuple[str, str, str] | None = None,
 ) -> Estimate:
     """Mean shot weight with its standard error, from a measurement batch."""
     if not obs.is_hermitian:
@@ -330,7 +327,6 @@ def estimate(
         imag_residue=residue,
         per_shot=per_shot,
         batch_key=_batch_key(batch),
-        labels=labels,
     )
 
 

@@ -278,23 +278,20 @@ def random_unitary_map(arity: int, rng: np.random.Generator) -> LocalMap:
     return unitary_map(haar_unitary(2**arity, rng))
 
 
-def random_cptp_map(
-    arity: int, rng: np.random.Generator, kraus_rank: int | None = None
-) -> LocalMap:
+def random_cptp_map(arity: int, rng: np.random.Generator) -> LocalMap:
     """Sample a CPTP map from the Ginibre-Choi ensemble.
 
     W = G G^dag for a complex Gaussian G, normalized on the input marginal so
     that Tr_out C = I.
     """
     d = 2**arity
-    r = d * d if kraus_rank is None else kraus_rank
-    g = rng.standard_normal((d * d, r)) + 1j * rng.standard_normal((d * d, r))
+    g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     w = g @ g.conj().T
     x = choi_marginal(w, d)
     vals, vecs = np.linalg.eigh(x)
     if vals.min() <= 1e-12:
         # rank-deficient draw; retry with fresh randomness
-        return random_cptp_map(arity, rng, kraus_rank)
+        return random_cptp_map(arity, rng)
     inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
     c = np.kron(inv_sqrt, np.eye(d)) @ w @ np.kron(inv_sqrt, np.eye(d))
     return choi_to_superop(ChoiMatrix(herm(c)))

@@ -371,6 +371,17 @@ class TestOptimize:
             assert ("--holdout" in got["hint"]) is (holdout is None)
             assert ("under holdout" in got["hint"]) is (holdout is not None)
 
+    def test_overfit_keys_of_an_empty_observable(self, tmp_path, capsys):
+        write_observable(Observable.from_terms(4, []), tmp_path / "empty.json")
+        save_circuit(brickwork(4, 1), tmp_path / "start.json")
+        argv = ["optimize", "--observable", str(tmp_path / "empty.json")]
+        argv += ["--circuit", str(tmp_path / "start.json"), "--classical", "--rounds", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert '"energy_floor": 0.0,' in out
+        summary = json.loads(out)
+        assert summary["below_floor"] is False and "hint" not in summary
+
     def test_requires_exactly_one_data_source(self, tmp_path, obs_file):
         circ_path = tmp_path / "start.json"
         save_circuit(brickwork(3, 1), circ_path)

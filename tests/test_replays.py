@@ -1,0 +1,108 @@
+"""The replay scripts' shared harness (``scripts/replay.py``) and the
+self-gating of the solver and plan replays, loaded from ``scripts/`` by path."""
+
+import importlib.util
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+from virtualmap import varopt
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def load(monkeypatch):
+    """Import ``scripts/<name>.py``; its ``from replay import`` finds the
+    harness beside it."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
+
+
+def _modules():
+    def f(x, scale=1):
+        return x * scale
+
+    def g():
+        return "g"
+
+    a, b = types.ModuleType("a"), types.ModuleType("b")
+    a.f, a.g, b.f = f, g, f
+    return a, b
+
+
+class TestCalls:
+    def test_counts_per_name_and_keeps_arguments(self, load):
+        replay = load("replay")
+        a, b = _modules()
+        with replay.Calls([a, b], ["f", "g"], keep=True) as calls:
+            assert a.f(2) == 2 and b.f(3, scale=2) == 6 and a.g() == "g"
+        assert calls.counts == {"f": 2, "g": 1}
+        assert calls.args["f"] == [((2,), {}), ((3,), {"scale": 2})]
+        assert calls.args["g"] == [((), {})]
+
+    def test_restores_every_name_when_the_body_raises(self, load):
+        replay = load("replay")
+        a, b = _modules()
+        originals = (a.f, a.g, b.f)
+        with pytest.raises(RuntimeError):
+            with replay.Calls([a, b], ["f", "g"]):
+                a.f(1)
+                raise RuntimeError
+        assert (a.f, a.g, b.f) == originals
+
+    def test_a_name_no_module_binds_is_refused(self, load):
+        replay = load("replay")
+        with pytest.raises(AttributeError, match="h"):
+            replay.Calls(list(_modules()), ["f", "h"])
+
+
+def test_records_keep_the_files_other_keys(load, tmp_path, capsys):
+    replay = load("replay")
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"parent": {"x": 1}}))
+    p = replay.parser("A replay.\n", 3, "passes")
+    with pytest.raises(SystemExit):
+        replay.parse(p, ["--repeats", "0"])
+    assert "--repeats must be at least 1" in capsys.readouterr().err
+    args = replay.parse(p, ["--out", str(out), "--tag", "change"])
+    replay.emit({"y": 2}, args)
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["y"] == 2 and printed["repeats"] == 3 and "machine" in printed
+    assert json.loads(out.read_text()) == {"parent": {"x": 1}, "change": printed}
+
+
+class TestSolverReplay:
+    def test_replays_the_sweeps_own_subproblems(self, load, capsys):
+        assert load("solver_replay").main(["--repeats", "1"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["unconverged"] == 0
+        assert record["subproblems"] == record["sweep_solves"] > 0
+
+    def test_an_unconverged_solve_fails_the_replay(self, load, capsys, monkeypatch):
+        real = varopt.minimize_over_cptp
+
+        def unconverged(*args, **kwargs):
+            choi, info = real(*args, **kwargs)
+            return choi, {**info, "converged": False}
+
+        monkeypatch.setattr(varopt, "minimize_over_cptp", unconverged)
+        assert load("solver_replay").main(["--repeats", "1"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["unconverged"] > 0
+        assert captured.err.startswith("error:")
+
+
+def test_plan_replay_checks_its_groups(load, capsys):
+    plan = load("plan_replay")
+    assert plan.main(["--repeats", "1", "--case", "staircase-24-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["staircase-24-3"]["ok"] is True
