@@ -81,8 +81,6 @@ from .povm import (
     compute_duals,
     get_povm,
     make_sic_povm,
-    read_povm,
-    write_povm,
 )
 from .varopt import (
     LocalObjective,

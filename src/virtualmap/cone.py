@@ -86,7 +86,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, json_int
+from .errors import ValidationError, json_int, parse_json, read_text
 from .linalg import apply_superop_local, insert_factor, multiply_trace_out, unique_rows
 from .maps import LocalMap, invert_map, map_from_spec, map_to_payload
 from .pauli import PAULI_MATRICES, PauliString
@@ -703,8 +703,4 @@ def save_circuit(circuit: MapCircuit, path) -> None:
 
 
 def load_circuit(path) -> MapCircuit:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"circuit file is not valid JSON: {exc}") from exc
-    return circuit_from_dict(payload)
+    return circuit_from_dict(parse_json(read_text(path, "circuit file"), "circuit file"))

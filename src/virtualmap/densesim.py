@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cone import MapCircuit, brickwork, check_trace_kept
-from .errors import ValidationError, json_int
+from .errors import ValidationError, json_int, parse_json, read_text
 from .linalg import apply_superop_local
 from .maps import LocalMap, map_from_spec, noisy_cnot, random_cptp_map
 from .pauli import Observable
@@ -271,7 +271,7 @@ def write_batch(batch: OutcomeBatch, path) -> None:
 
 
 def read_batch(path) -> OutcomeBatch:
-    lines = Path(path).read_text().strip().splitlines()
+    lines = read_text(path, "batch file").strip().splitlines()
     if not lines:
         raise ValidationError("empty batch file")
     m = _HEADER_RE.match(lines[0])
@@ -309,12 +309,7 @@ def load_state_prep(path_or_payload, num_qubits: int | None = None):
     the register size is inferred from the largest index unless given.
     """
     if isinstance(path_or_payload, (str, Path)):
-        import json
-
-        try:
-            payload = json.loads(Path(path_or_payload).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"state-prep file is not valid JSON: {exc}") from exc
+        payload = parse_json(read_text(path_or_payload, "state-prep file"), "state-prep file")
     else:
         payload = path_or_payload
     if isinstance(payload, dict):

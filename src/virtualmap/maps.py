@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, complex_json, json_complex
 from .linalg import herm, unvec, vec
 
 _FLAG_TOL = 1e-10
@@ -401,10 +401,7 @@ def map_from_spec(spec, arity: int) -> LocalMap:
 
 
 def map_to_payload(m: LocalMap) -> dict:
-    return {
-        "convention": "col-vec",
-        "superop": [[[z.real, z.imag] for z in row] for row in m.superop],
-    }
+    return {"convention": "col-vec", "superop": complex_json(m.superop)}
 
 
 def map_from_payload(payload: dict, arity: int) -> LocalMap:
@@ -412,12 +409,7 @@ def map_from_payload(payload: dict, arity: int) -> LocalMap:
         raise ValidationError(
             f"map payload must declare convention 'col-vec', got {payload.get('convention')!r}"
         )
-    try:
-        s = np.array(
-            [[complex(z[0], z[1]) for z in row] for row in payload["superop"]]
-        )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ValidationError(f"malformed superoperator payload: {exc}") from exc
+    s = json_complex(payload.get("superop"), 2, "superoperator payload")
     if s.shape != (4**arity, 4**arity):
         raise ValidationError(
             f"superoperator shape {s.shape} does not match {arity} qubit(s)"

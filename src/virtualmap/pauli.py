@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, json_int
+from .errors import ValidationError, complex_json, json_complex, json_int, parse_json, read_text
 from .linalg import kron_all
 
 PAULI_MATRICES: dict[str, np.ndarray] = {
@@ -94,7 +94,8 @@ class Observable:
             coeff = complex(coeff)
             if not np.isfinite(coeff.real) or not np.isfinite(coeff.imag):
                 raise ValidationError(f"non-finite coefficient on term {ps}")
-            merged[ps.letters] = merged.get(ps.letters, 0.0) + coeff
+            # a string's first coefficient is kept as given, signed zeros too
+            merged[ps.letters] = merged[ps.letters] + coeff if ps.letters in merged else coeff
         kept = sorted(
             (letters, c) for letters, c in merged.items() if abs(c) > _MERGE_DROP_TOL
         )
@@ -135,16 +136,16 @@ class Observable:
 def parse_observable(source) -> Observable:
     """Load an observable from a JSON file path, JSON text, or a dict."""
     if isinstance(source, (str, Path)):
-        p = Path(source)
+        text = str(source)
         try:
-            is_file = p.is_file()
+            is_file = Path(source).is_file()
         except OSError:  # inline JSON text can be too long for a file name
             is_file = False
-        text = p.read_text() if is_file else str(source)
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"observable is not valid JSON: {exc}") from exc
+        if is_file:
+            text = read_text(source, "observable file")
+        elif not text.lstrip().startswith("{"):
+            raise ValidationError(f"no observable file {text!r}")
+        payload = parse_json(text, "observable")
     else:
         payload = source
     if not isinstance(payload, dict):
@@ -160,24 +161,21 @@ def parse_observable(source) -> Observable:
     for entry in raw_terms:
         try:
             raw = entry["coeff"]
-            if isinstance(raw, (int, float)):
-                coeff = complex(float(raw), 0.0)
-            else:
-                re_im = raw
-                coeff = complex(float(re_im[0]), float(re_im[1]))
             letters = entry["pauli"]
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed observable term {entry!r}") from exc
+        if type(raw) in (int, float):  # a real coefficient
+            raw = [raw, 0.0]
+        coeff = complex(json_complex(raw, 0, f"coeff of observable term {entry!r}"))
         terms.append((coeff, PauliString(letters)))
     return Observable.from_terms(n, terms)
 
 
 def observable_to_dict(obs: Observable) -> dict:
+    coeffs = complex_json([c for c, _ in obs.terms])
     return {
         "num_qubits": obs.num_qubits,
-        "terms": [
-            {"coeff": [c.real, c.imag], "pauli": ps.letters} for c, ps in obs.terms
-        ],
+        "terms": [{"coeff": c, "pauli": ps.letters} for c, (_, ps) in zip(coeffs, obs.terms)],
     }
 
 

@@ -9,9 +9,7 @@ overcomplete input falls back to the pseudoinverse (canonical duals).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -107,38 +105,3 @@ def get_povm(label: str) -> SingleQubitPOVM:
         raise ValidationError(
             f"unknown POVM preset {label!r}; available: {sorted(POVM_PRESETS)}"
         ) from None
-
-
-def povm_to_dict(povm: SingleQubitPOVM) -> dict:
-    return {
-        "label": povm.label,
-        "effects": [
-            [[[z.real, z.imag] for z in row] for row in eff] for eff in povm.effects
-        ],
-    }
-
-
-def povm_from_dict(payload: dict) -> SingleQubitPOVM:
-    try:
-        label = str(payload["label"])
-        effects = np.array(
-            [
-                [[complex(z[0], z[1]) for z in row] for row in eff]
-                for eff in payload["effects"]
-            ]
-        )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ValidationError(f"malformed POVM payload: {exc}") from exc
-    return SingleQubitPOVM(label=label, effects=effects)
-
-
-def write_povm(povm: SingleQubitPOVM, path) -> None:
-    Path(path).write_text(json.dumps(povm_to_dict(povm), indent=1) + "\n")
-
-
-def read_povm(path) -> SingleQubitPOVM:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"POVM file is not valid JSON: {exc}") from exc
-    return povm_from_dict(payload)

@@ -572,6 +572,7 @@ class TestMalformedInputs:
             ("oracle-check --instances 0 --circuit", _CIRCUIT),
             ("oracle-check --tol nan --circuit", _CIRCUIT),
             ("oracle-check --tol -1 --circuit", _CIRCUIT),
+            ("oracle-check --circuit", "[" * 100_000),
         ],
         ids=[
             "null-components",
@@ -597,6 +598,7 @@ class TestMalformedInputs:
             "zero-instances",
             "nan-tol",
             "negative-tol",
+            "deeply-nested-json",
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, text):
@@ -609,6 +611,33 @@ class TestMalformedInputs:
         assert main(command.split() + [str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag", ["--circuit", "--observable", "--batch", "--state", "--exact-state"]
+    )
+    def test_file_that_is_not_text_exits_2(
+        self, tmp_path, capsys, obs_file, identity_circuit_file, flag
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        valid = ["--observable", str(obs_file), "--circuit", str(identity_circuit_file)]
+        argv = {
+            "--circuit": ["oracle-check", "--circuit", str(bad)],
+            "--observable": ["ansatz", "--observable", str(bad)],
+            "--batch": ["estimate", "--batch", str(bad), *valid],
+            "--state": ["sample", "--S", "5", "--state", str(bad)],
+            "--exact-state": ["optimize", *valid, "--exact-state", str(bad)],
+        }[flag]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is not text" in err and err.count("\n") == 1
+
+    def test_missing_observable_file_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "xx11.jsn"
+        capsys.readouterr()
+        assert main(["ansatz", "--observable", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: no observable file '{missing}'\n"
 
     def test_non_integer_order_exits_2(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"

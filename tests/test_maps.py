@@ -348,6 +348,30 @@ class TestPayloadsAndPresets:
         with pytest.raises(ValidationError):
             map_from_payload(payload, 2)
 
+    @pytest.mark.parametrize(
+        "entry", [[1.0, 0.0, 0.0], [True, 0.0], [0.0, False], [1.0], "10", None, [10**400, 0]]
+    )
+    def test_payload_refuses_entries_that_are_not_number_pairs(self, entry):
+        payload = map_to_payload(identity_map(1))
+        payload["superop"][1][2] = entry
+        with pytest.raises(ValidationError):
+            map_from_payload(payload, 1)
+
+    def test_payload_refuses_ragged_rows(self):
+        payload = map_to_payload(identity_map(1))
+        del payload["superop"][2][3]
+        with pytest.raises(ValidationError):
+            map_from_payload(payload, 1)
+
+    def test_payload_round_trip_is_bit_exact_with_negative_zeros(self):
+        s = random_cptp_map(1, np.random.default_rng(20)).superop.copy()
+        s[0, 1] = complex(-0.0, -0.0)
+        s[1, 0] = complex(0.0, -0.0)
+        s[2, 3] = complex(-0.0, 0.5)
+        m = LocalMap(s)
+        back = map_from_payload(map_to_payload(m), 1)
+        assert back.superop.tobytes() == m.superop.tobytes()
+
     def test_preset_strings(self):
         assert np.allclose(map_from_spec("identity", 2).superop, np.eye(16))
         assert np.allclose(map_from_spec("cnot", 2).superop, cnot_map().superop)

@@ -191,6 +191,22 @@ class TestParseAndWrite:
         with pytest.raises(ValidationError):
             parse_observable({"num_qubits": 1, "terms": [{"coeff": [1.0], "pauli": "Z"}]})
 
+    @pytest.mark.parametrize(
+        "coeff",
+        ["10", "12", [1, 2, 3], True, [True, False], [True, 2.0], ["1", "2"], [10**400, 0]],
+    )
+    def test_rejects_coefficients_that_are_not_number_pairs(self, coeff):
+        with pytest.raises(ValidationError):
+            parse_observable({"num_qubits": 1, "terms": [{"coeff": coeff, "pauli": "Z"}]})
+
+    @pytest.mark.parametrize("coeff, parts", [(-0.5, [-0.5, 0.0]), ([0.5, -0.0], [0.5, -0.0])])
+    def test_coefficients_keep_the_sign_of_zero(self, coeff, parts):
+        ((c, _),) = parse_observable(
+            {"num_qubits": 1, "terms": [{"coeff": coeff, "pauli": "Z"}]}
+        ).terms
+        assert [c.real, c.imag] == parts
+        assert np.signbit([c.real, c.imag]).tolist() == np.signbit(parts).tolist()
+
     def test_rejects_bad_letter(self):
         with pytest.raises(ValidationError):
             parse_observable(
@@ -201,6 +217,10 @@ class TestParseAndWrite:
         text = json.dumps({"num_qubits": 1, "terms": [{"coeff": [2.0, 0.0], "pauli": "X"}]})
         obs = parse_observable(text)
         assert obs.terms[0][0] == 2.0
+
+    def test_parses_json_text_after_whitespace(self):
+        text = json.dumps({"num_qubits": 1, "terms": [{"coeff": 2.0, "pauli": "X"}]})
+        assert parse_observable(" \n" + text).terms[0][0] == 2.0
 
     def test_parses_json_text_longer_than_a_file_name(self):
         terms = [{"coeff": [0.5, 0.0], "pauli": "Z" * k + "I" * (40 - k)} for k in range(1, 9)]

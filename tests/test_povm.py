@@ -1,7 +1,5 @@
 """Tetrahedral SIC POVM closed forms and dual-frame duality checks."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -12,10 +10,6 @@ from virtualmap.povm import (
     compute_duals,
     get_povm,
     make_sic_povm,
-    povm_from_dict,
-    povm_to_dict,
-    read_povm,
-    write_povm,
 )
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -158,39 +152,10 @@ class TestValidation:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        povm = make_sic_povm()
-        path = tmp_path / "povm.json"
-        write_povm(povm, path)
-        back = read_povm(path)
-        assert back.label == povm.label
-        np.testing.assert_allclose(back.effects, povm.effects, atol=1e-15)
-
-    def test_rejects_bad_json(self, tmp_path):
-        path = tmp_path / "povm.json"
-        path.write_text("nope[")
-        with pytest.raises(ValidationError):
-            read_povm(path)
-
-    def test_rejects_missing_fields(self, tmp_path):
-        path = tmp_path / "povm.json"
-        path.write_text('{"label": "x"}')
-        with pytest.raises(ValidationError):
-            read_povm(path)
-
-    def test_rejects_overflowing_entry(self, tmp_path):
-        payload = povm_to_dict(make_sic_povm())
-        payload["effects"][0][0][0] = [10**400, 0]
-        path = tmp_path / "povm.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError, match="malformed POVM payload"):
-            read_povm(path)
-
     @pytest.mark.parametrize("where", [(0, 0, 0), (1, 0, 1)])
     def test_rejects_non_finite_effect(self, where):
         # without the check these reach matrix_rank, whose SVD fails on NaN
-        m, i, j = where
-        payload = povm_to_dict(make_sic_povm())
-        payload["effects"][m][i][j] = [float("nan"), 0.0]
+        effects = np.array(make_sic_povm().effects)
+        effects[where] = complex(float("nan"), 0.0)
         with pytest.raises(ValidationError, match="POVM effects must be finite"):
-            povm_from_dict(payload)
+            SingleQubitPOVM(label="sic", effects=effects)
