@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,8 +44,8 @@ from .varopt import SdpOptions, SweepOptions, classical_ansatz, sweep, zreset_co
 
 
 def _label(path_or_text: str) -> str:
-    p = Path(path_or_text)
-    return p.stem if p.suffix else path_or_text
+    """A file's stem; anything else, such as inline JSON text, as given."""
+    return Path(path_or_text).stem if os.path.isfile(path_or_text) else path_or_text
 
 
 def _emit(text: str, out: str | None) -> None:

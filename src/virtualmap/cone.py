@@ -18,8 +18,8 @@ A qubit is finished once every component acting on it has been applied; the
 scheduler picks the next qubit to finish greedily, minimizing the number of
 active qubits, which reproduces the narrow sweep on layered nearest-neighbour
 circuits. ``_cone`` is the one light-cone walk: the scheduler takes each
-qubit's cone from it once and drops the components of every finished qubit's
-cone from the others.
+qubit's cone from it once, costs a pick by its cone's qubits not yet
+absorbed, and applies only its cone's components not yet applied.
 
 Every whole-trace contraction runs a ``ConePlan``: the schedule of one output
 support's backward light cone (``cone_plan``). A plan depends only on the
@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -95,8 +95,8 @@ from .pauli import PAULI_MATRICES, PauliString
 # A component counts as trace preserving, and may be left out of a term's
 # cone, only if vec(I)^T S matches vec(I)^T to this absolute tolerance.
 _TP_TOL = 1e-12
-# Trace drift allowed to a map flagged trace preserving, times the operator's
-# Frobenius norm if above 1: round-off grows with the entries, not the trace.
+# Trace drift allowed beyond what a map's TP residual explains, times the
+# operator's Frobenius norm if above 1: round-off grows with the entries.
 _TRACE_TOL = 1e-10
 
 
@@ -240,42 +240,39 @@ def _greedy_schedule(supports, component_pool, traceable) -> tuple[list[Schedule
     (steps, peak).
 
     Each qubit's cone is taken once, by :func:`_cone` over the pool's
-    supports, and loses every applied cone's components: an applied cone is
-    closed under earlier overlapping components, so what is left of a cone
-    is the cone among the components not yet applied."""
+    supports. A finished qubit's cone is all absorbed and applied, so a pick
+    costs its cone's qubits not yet absorbed (on top of the active set all
+    picks share) and applies its cone's components not yet applied."""
     pool = set(component_pool)
     pooled = tuple(s if ci in pool else () for ci, s in enumerate(supports))
     # the uncached body: per-qubit cones would evict the shared memo's entries
-    cones = {q: _cone.__wrapped__(pooled, None, (q,))[0][::-1] for q in traceable}
-    active: list[int] = []
-    absorbed: set[int] = set()
+    cones = {q: _cone.__wrapped__(pooled, None, (q,)) for q in traceable}
+    reach = {q: set(qubits) for q, (_, qubits) in cones.items()}
+    applied, absorbed = set(), set()
     steps: list[ScheduleStep] = []
-    peak = 0
+    active = peak = 0
 
     def absorb(q):
+        nonlocal active
         if q not in absorbed:
             steps.append(ScheduleStep("absorb", qubit=q))
             absorbed.add(q)
-            insort(active, q)
-
-    def cost(q):
-        return len(set(active).union([q], *(supports[ci] for ci in cones[q])))
+            active += 1
 
     pending = sorted(traceable)
     while pending:
-        q = min(pending, key=cost)  # the first of equal costs
-        cone = cones.pop(q)
-        for ci in cone:
-            for qq in sorted(supports[ci]):
-                absorb(qq)
-            steps.append(ScheduleStep("apply", component=ci))
-            peak = max(peak, len(active))
-        picked = set(cone)
-        cones = {p: [ci for ci in c if ci not in picked] for p, c in cones.items()}
+        q = min(pending, key=lambda p: len(reach[p] - absorbed))  # the first of equal costs
+        for ci in reversed(cones[q][0]):
+            if ci not in applied:
+                applied.add(ci)
+                for qq in sorted(supports[ci]):
+                    absorb(qq)
+                steps.append(ScheduleStep("apply", component=ci))
+                peak = max(peak, active)
         absorb(q)
-        peak = max(peak, len(active))
+        peak = max(peak, active)
         steps.append(ScheduleStep("trace", qubit=q))
-        active.remove(q)
+        active -= 1
         pending.remove(q)
     return steps, peak
 
@@ -436,13 +433,15 @@ def _run_steps(circuit, steps, in_factors, out_factors, backward=False, start=EM
 
 
 def check_trace_kept(before: np.ndarray, after: np.ndarray, local_map: LocalMap) -> None:
-    """Refuse a map flagged trace preserving that moved the trace of an item
-    of a (2^a, 2^a, *batch) operator batch by over ``_TRACE_TOL``."""
+    """Refuse an application of ``local_map`` that moved the trace of an item X
+    of a (2^a, 2^a, *batch) batch by over (``_TRACE_TOL`` + r 2^a) max(1, ||X||_F),
+    for the map's TP residual r: exact arithmetic moves it by r 2^a ||X||_F at most."""
     drift = np.abs(np.trace(after) - np.trace(before))
-    # flags and norms are taken only when a drift is above the absolute floor
-    if np.any(drift > _TRACE_TOL) and local_map.flags().tp:
+    tol = _TRACE_TOL + local_map.tp_residual * before.shape[0]
+    # norms are taken only when a drift is above the absolute floor
+    if np.any(drift > tol):
         norms = np.maximum(np.linalg.norm(before, axis=(0, 1)), 1.0)
-        if np.any(drift > _TRACE_TOL * norms):
+        if np.any(drift > tol * norms):
             raise ValidationError("trace not preserved by a trace-preserving map")
 
 

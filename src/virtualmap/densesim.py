@@ -110,8 +110,8 @@ def from_statevector(psi: np.ndarray) -> DensityMatrix:
 
 
 def apply_local_map(rho: DensityMatrix, m: LocalMap, qubits) -> DensityMatrix:
-    """Apply a k-local map to the named qubits of a dense state; a map flagged
-    trace preserving must keep the trace (:func:`virtualmap.cone.check_trace_kept`)."""
+    """Apply a k-local map to the named qubits of a dense state; the trace may
+    move only as far as the map's TP residual allows (:func:`virtualmap.cone.check_trace_kept`)."""
     qubits = tuple(int(q) for q in qubits)
     if len(qubits) != m.arity:
         raise ValidationError(f"map arity {m.arity} does not match qubits {qubits}")

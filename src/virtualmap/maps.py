@@ -23,7 +23,7 @@ covers every map this package feeds into estimation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -59,7 +59,6 @@ class LocalMap:
     """
 
     superop: np.ndarray
-    _flags: MapFlags | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.asarray(self.superop, dtype=complex)
@@ -90,12 +89,14 @@ class LocalMap:
         row = self.superop.reshape(d, d, d * d).trace(axis1=0, axis2=1)  # vec(I)^T S
         return float(np.max(np.abs(row - np.eye(d).reshape(-1))))
 
+    @cached_property
+    def _flags(self) -> MapFlags:
+        c = superop_to_choi(self).matrix
+        hp = bool(np.max(np.abs(c - c.conj().T)) <= _FLAG_TOL)
+        cp = bool(np.linalg.eigvalsh(herm(c)).min() >= -_FLAG_TOL) and hp
+        return MapFlags(cp, self.tp_residual <= _FLAG_TOL, hp)
+
     def flags(self) -> MapFlags:
-        if self._flags is None:
-            c = superop_to_choi(self).matrix
-            hp = bool(np.max(np.abs(c - c.conj().T)) <= _FLAG_TOL)
-            cp = bool(np.linalg.eigvalsh(herm(c)).min() >= -_FLAG_TOL) and hp
-            self._flags = MapFlags(cp, self.tp_residual <= _FLAG_TOL, hp)
         return self._flags
 
 

@@ -185,6 +185,19 @@ class TestEstimate:
         assert abs(row["value"] - 1.0) < 1e-9
         assert row["sigma"] < 1e-7
 
+    def test_labels_name_files_by_stem_and_inline_text_as_given(
+        self, tmp_path, chain_prep, obs_file, identity_circuit_file
+    ):
+        batch = self._sample(tmp_path, chain_prep, shots=20)
+        inline = '{"num_qubits": 3, "terms": [{"coeff": 1.0, "pauli": "ZZI"}]}'
+        report = tmp_path / "r.json"
+        argv = ["estimate", "--batch", str(batch), "--circuit", str(identity_circuit_file)]
+        rc = main(argv + ["--observable", str(obs_file), "--observable", inline, "--out", str(report)])
+        assert rc == 0
+        rows = json.loads(report.read_text())
+        assert [r["observable"] for r in rows] == ["obs", inline]
+        assert {(r["circuit"], r["batch"]) for r in rows} == {("identity", "batch")}
+
     def test_non_finite_circuit_exits_2(self, tmp_path, chain_prep, obs_file, capsys):
         batch = self._sample(tmp_path, chain_prep, shots=20)
         circuit = tmp_path / "nan.json"

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import json_junk, map_specs, small_or_junk
+from virtualmap import densesim
 from virtualmap.cone import MapCircuit, brickwork
 from virtualmap.densesim import (
     DensityMatrix,
@@ -32,7 +33,6 @@ from virtualmap.densesim import (
 from virtualmap.errors import ValidationError
 from virtualmap.maps import (
     LocalMap,
-    MapFlags,
     cnot_map,
     depolarizing_map,
     identity_map,
@@ -106,19 +106,29 @@ class TestApplyLocalMap:
         expected[3, 3] = 1.0
         np.testing.assert_allclose(out.matrix, expected, atol=1e-14)
 
-    def test_trace_check_scales_with_the_operator(self):
+    def test_trace_check_scales_with_the_operator(self, monkeypatch):
         # round-off in the trace of a large operator is above 1e-10 absolute
         rng = np.random.default_rng(53)
         circ = brickwork(6, 3, lambda layer, qubits: random_cptp_map(2, rng))
         op = 1e5 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         out = apply_circuit_dense(circ, op)
         assert abs(np.trace(out) - np.trace(op)) <= 1e-10 * np.linalg.norm(op)
-        # a map wrongly flagged trace preserving still fails, on either scale
-        flags = MapFlags(cp=True, tp=True, hermiticity_preserving=True)
-        leaky = LocalMap(0.999 * identity_map(2).superop, _flags=flags)
+        # a kernel that loses a thousandth of the trace still fails, on either scale
+        real = densesim.apply_superop_local
+        monkeypatch.setattr(densesim, "apply_superop_local", lambda *a: 0.999 * real(*a))
         for big in (op, maximally_mixed(6).matrix):
             with pytest.raises(ValidationError, match="trace not preserved"):
-                apply_local_map(DensityMatrix(6, big), leaky, (2, 3))
+                apply_local_map(DensityMatrix(6, big), identity_map(2), (2, 3))
+
+    def test_trace_check_allows_the_maps_tp_residual(self):
+        # 9e-11 on every entry of vec(I)^T S passes as trace preserving, and
+        # moves the trace of |++><++| by 16 x 9e-11 / 4, over 1e-10
+        superop = np.eye(16, dtype=complex)
+        superop[0] += 9e-11
+        near = LocalMap(superop)
+        assert near.tp_residual <= 1e-10 and near.flags().tp
+        out = apply_local_map(from_statevector(np.full(4, 0.5)), near, (0, 1))
+        assert abs(np.trace(out.matrix) - 1) > 1e-10
 
 
 class TestPerturbedState:

@@ -1,8 +1,10 @@
-"""The replay scripts' shared harness (``scripts/replay.py``) and the
-self-gating of the solver and plan replays, loaded from ``scripts/`` by path."""
+"""The replay scripts' shared harness (``scripts/replay.py``), the
+self-gating of the solver and plan replays, and the two paper-experiment
+scripts at their smallest size, loaded from ``scripts/`` by path."""
 
 import importlib.util
 import json
+import re
 import types
 from pathlib import Path
 
@@ -106,3 +108,23 @@ def test_plan_replay_checks_its_groups(load, capsys):
     plan = load("plan_replay")
     assert plan.main(["--repeats", "1", "--case", "staircase-24-3"]) == 0
     assert json.loads(capsys.readouterr().out)["staircase-24-3"]["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "name, argv, summary",
+    [
+        (
+            "estimation_experiment",
+            ["--N", "3", "--batches", "3", "--S", "200"],
+            r"worst grand-mean z-score \d+\.\d\d; pooled 3-sigma coverage [01]\.\d{4} over 27 runs",
+        ),
+        (
+            "ansatz_experiment",
+            ["--N", "4", "--fields", "0.95", "--seeds", "1", "--rounds", "2"],
+            r"  field 0\.95: exact E0 = -3\.9000000000, best relative error \d\.\d{3}e[-+]\d\d",
+        ),
+    ],
+)
+def test_experiment_runs_at_its_smallest_size(load, capsys, name, argv, summary):
+    assert load(name).main(argv) == 0
+    assert re.fullmatch(summary, capsys.readouterr().out.splitlines()[-1])

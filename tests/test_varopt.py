@@ -32,10 +32,8 @@ from virtualmap.linalg import apply_superop_local, unique_rows
 from virtualmap.maps import (
     ChoiMatrix,
     LocalMap,
-    MapFlags,
     adjoint_map,
     choi_to_superop,
-    identity_map,
     random_cptp_map,
     random_tp_hermitian_map,
     random_unitary_map,
@@ -329,10 +327,16 @@ def _count_dense_applications(monkeypatch):
     return calls
 
 
-def _leaky_map():
-    """A map flagged trace preserving that loses a thousandth of the trace."""
-    flags = MapFlags(cp=True, tp=True, hermiticity_preserving=True)
-    return LocalMap(0.999 * identity_map(2).superop, _flags=flags)
+def _leak_trace(monkeypatch):
+    """Make every dense and light-cone map application lose a thousandth of
+    the trace, as a faulty kernel would."""
+    real = densesim.apply_superop_local
+
+    def leaking(*args, **kwargs):
+        return 0.999 * real(*args, **kwargs)
+
+    monkeypatch.setattr(densesim, "apply_superop_local", leaking)
+    monkeypatch.setattr(cone, "apply_superop_local", leaking)
 
 
 class TestDenseEnvironments:
@@ -401,11 +405,12 @@ class TestDenseEnvironments:
         # backward operator 1, recomputed from 0 between the kept 0 and 2
         assert k == 3 and len(calls) == 2 * k + 2 * (2 * (k - 1) + 1)
 
-    def test_wrongly_flagged_map_is_refused(self):
+    def test_leaking_kernel_is_refused(self, monkeypatch):
         # the trace check of every dense forward application holds on the walk
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
         obs = xx_hamiltonian(4, field=0.4)
-        circ = brickwork(4, 2).with_component(0, _leaky_map())
+        circ = brickwork(4, 2)
+        _leak_trace(monkeypatch)
         with pytest.raises(ValidationError, match="trace not preserved"):
             sweep(circ, rho, obs, SweepOptions(rounds=1))
         with pytest.raises(ValidationError, match="trace not preserved"):
@@ -455,12 +460,13 @@ class TestRowWalk:
             _raw_objective(circ, index, data, obs)
         assert kept < 4 * k < len(calls)
 
-    def test_wrongly_flagged_map_is_refused_per_row(self):
+    def test_leaking_kernel_is_refused_per_row(self, monkeypatch):
         # the leak shows only in rows whose residual has a trace: a row of
         # traceless factors passes, and a batch holding one row with a trace
         # does not
         obs = xx_hamiltonian(4, field=0.4)
-        circ = brickwork(4, 2).with_component(0, _leaky_map())
+        circ = brickwork(4, 2)
+        _leak_trace(monkeypatch)
         steps = schedule(circ).steps
         last = max(range(len(circ.components)), key=lambda j: steps.index(cone.ScheduleStep("apply", component=j)))
         tables = [np.array([np.diag([1.0, -1.0]), np.diag([1.0, 0.0])], dtype=complex)] * 4
