@@ -190,6 +190,7 @@ def _finish_sweep(args, obs, circuit, report, holdout_summary=None) -> int:
         "iterations": len(report.steps),
         "max_gap": max((s.gap for s in report.steps), default=0.0),
         "unconverged_steps": sum(not s.converged for s in report.steps),
+        "newton_steps": sum(s.newton_steps for s in report.steps),
     }
     if report.exact_energy is not None:
         summary["exact_energy"] = report.exact_energy

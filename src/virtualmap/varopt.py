@@ -14,11 +14,11 @@ pairs into M. The subproblem is a small semidefinite program, solved by a
 primal-dual interior-point method (Mehrotra predictor-corrector steps in the
 HKM direction, about ten Newton steps per solve). Its matrices are d^2 x d^2
 for a d-dimensional component, so a step costs about as much as the numpy
-calls it makes: each step factors S and C once, builds the Schur matrix from
-one block product, and takes the primal and dual step lengths of the predictor
-and of the corrector with one batched eigvalsh each. The dual variable Y
-proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I) on the optimum, so
-every solve reports a certified optimality gap next to its value, and the
+calls it makes: each step factors C and S with one batched Cholesky, builds
+the Schur matrix from one block product, and takes the primal and dual step
+lengths of the predictor and of the corrector with one batched eigvalsh each.
+The dual variable Y proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I)
+on the optimum, so every solve reports a certified optimality gap, and the
 returned map is exactly trace-preserving. A sweep visits components
 cyclically, installing a new map only when it lowers the energy, and records
 each solve's gap and convergence. M does not depend on the visited component's
@@ -49,6 +49,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -65,7 +66,7 @@ from .cone import (
     term_factors,
 )
 from .densesim import _DENSE_LIMIT, DensityMatrix
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, json_int
 from .estimation import circuit_energy, classical_input, collapse
 from .linalg import herm, trace_mul
 from .maps import (
@@ -168,14 +169,14 @@ def assemble_local_objective(
 class SdpOptions:
     """Settings of the interior-point solver for the per-component subproblem.
 
-    ``max_iters`` caps the Newton (predictor-corrector) steps; a solve needs
-    about ten, and each step takes its step lengths from one batched
-    eigenvalue call per direction.  ``tol`` is the target relative certified
-    gap: the solver stops once the returned channel's value exceeds a proven
-    lower bound on the optimum by at most ``tol * (1 + |value|)``, and
-    ``converged`` reports that test on the returned channel whatever ended the
-    loop.  Near a degenerate optimal face the attainable gap levels off around
-    1e-11 (relative to the scale of M), so a solve may end with
+    ``max_iters``, an integer, caps the Newton (predictor-corrector) steps; a
+    solve needs about ten, each factoring the primal and dual matrices with
+    one batched Cholesky.  ``tol``, a real number, is the target relative
+    certified gap: the solver stops once the returned channel's value exceeds
+    a proven lower bound on the optimum by at most ``tol * (1 + |value|)``,
+    and ``converged`` reports that test on the returned channel whatever ended
+    the loop.  Near a degenerate optimal face the attainable gap levels off
+    around 1e-11 (relative to the scale of M), so a solve may end with
     ``converged=False`` and a gap just above the target; the gap is always
     reported.  A sweep solves a component's subproblem again only if some map
     was installed since its last visit.
@@ -185,9 +186,10 @@ class SdpOptions:
     tol: float = 1e-11
 
     def __post_init__(self):
-        if self.max_iters < 0:
+        if json_int(self.max_iters, "max_iters") < 0:
             raise ValidationError("max_iters must be non-negative")
-        if not (np.isfinite(self.tol) and self.tol > 0.0):
+        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
+        if not (real and math.isfinite(self.tol) and self.tol > 0.0):
             raise ValidationError("tol must be a positive finite number")
 
 
@@ -257,11 +259,17 @@ def _schur_matrix(x: np.ndarray, s_inv: np.ndarray, dim: int) -> np.ndarray:
     return ((k.transpose(0, 2, 1, 3) + k.transpose(2, 0, 3, 1).conj()) * 0.5).reshape(side, side)
 
 
-def _max_steps(roots: np.ndarray, dirs: np.ndarray) -> list[float]:
+def _max_steps(roots: np.ndarray, roots_h: np.ndarray, dirs: np.ndarray) -> list[float]:
     """Largest a_i with Z_i + a_i dZ_i >= 0 for a stack of cones, given roots
-    with root_i Z_i root_i^H = I (inf where dZ_i >= 0): one batched eigvalsh."""
-    lam = np.linalg.eigvalsh(roots @ dirs @ roots.conj().transpose(0, 2, 1))[:, 0]
+    with root_i Z_i root_i^H = I and their adjoints ``roots_h`` (inf where
+    dZ_i >= 0): one batched eigvalsh."""
+    lam = np.linalg.eigvalsh(roots @ dirs @ roots_h)[:, 0]
     return [np.inf if v >= 0.0 else -1.0 / v for v in lam.tolist()]
+
+
+def _dual_bound(y: np.ndarray, s: np.ndarray, dim: int) -> float:
+    """Tr Y + dim * lambda_min(S), the lower bound on the optimum that Y proves."""
+    return float(y.trace().real) + dim * float(np.linalg.eigvalsh(s)[0])
 
 
 def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
@@ -274,9 +282,13 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     optimum; the loop stops once the polished primal point is within
     ``options.tol`` of it.  Returns (C, dual bound, Newton steps).
 
-    Each step factors S once (eigh, which also gives the root Lambda^-1/2 V^H
-    of S^-1) and C once (Cholesky), and takes the primal and dual step lengths
-    of the predictor and of the corrector with one batched eigvalsh each.
+    Each step factors C and S with one batched Cholesky and one batched
+    inverse, which give the roots R with R Z R^H = I and S^-1 = R_S^H R_S, and
+    takes the primal and dual step lengths of the predictor and of the
+    corrector with one batched eigvalsh each.  lambda_min(S) <= min diag S, so
+    the stopping test cannot pass, and lambda_min(S) is not computed, while
+    Tr Y + dim * min diag S is more than the tolerance below the value.  Every
+    exit takes the bound from the last S.
     """
     side = dim * dim
     eye = _eye(dim)
@@ -284,28 +296,29 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     lam = np.linalg.eigvalsh(m)
     x = np.eye(side, dtype=complex) / dim
     y = (lam[0] - 1.0 - max(-lam[0], lam[-1])) * eye
-    roots = np.empty((2, side, side), dtype=complex)  # R Z R^H = I for Z = C, S
+    cones = np.empty((2, side, side), dtype=complex)  # C and S
     dirs = np.empty((2, side, side), dtype=complex)  # dC and dS
     for steps in range(options.max_iters + 1):
-        # X and Y stay exactly Hermitian, so S is too: eigh reads one triangle
+        # X and Y stay exactly Hermitian, so S is too: Cholesky reads one triangle
         s = m - lift(y)
-        s_vals, s_vecs = np.linalg.eigh(s)
-        bound = float(y.trace().real) + dim * s_vals[0]
         value = np.vdot(x, m).real
-        if value - bound <= options.tol * (1.0 + abs(value)):
-            polished = _tp_polish(x, dim)
-            value = np.vdot(polished, m).real
-            if value - bound <= options.tol * (1.0 + abs(value)):
-                return polished, bound, steps
-        if steps == options.max_iters or s_vals[0] <= 0.0:
+        slack = options.tol * (1.0 + abs(value))
+        if value - y.trace().real - dim * s.diagonal().real.min() <= slack:
+            bound = _dual_bound(y, s, dim)
+            if value - bound <= slack:
+                polished = _tp_polish(x, dim)
+                value = np.vdot(polished, m).real
+                if value - bound <= options.tol * (1.0 + abs(value)):
+                    return polished, bound, steps
+        if steps == options.max_iters:
             break
+        cones[0], cones[1] = x, s
         try:
-            roots[0] = np.linalg.inv(np.linalg.cholesky(x))
+            roots = np.linalg.inv(np.linalg.cholesky(cones))  # R Z R^H = I
         except np.linalg.LinAlgError:
             break
-        s_vecs_h = s_vecs.conj().T
-        s_inv = (s_vecs / s_vals) @ s_vecs_h
-        roots[1] = s_vecs_h / np.sqrt(s_vals)[:, None]
+        roots_h = roots.conj().transpose(0, 2, 1)
+        s_inv = roots_h[1] @ roots[1]
         mu = np.vdot(x, s).real / side
         schur = _schur_matrix(x, s_inv, dim)
 
@@ -319,17 +332,17 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
 
         dirs[0], dy_aff = direction(None)
         np.negative(lift(dy_aff), out=dirs[1])
-        a_p, a_d = (min(1.0, a) for a in _max_steps(roots, dirs))
+        a_p, a_d = (min(1.0, a) for a in _max_steps(roots, roots_h, dirs))
         sigma = (np.vdot(x + a_p * dirs[0], s + a_d * dirs[1]).real / side / mu) ** 3
         dx, dy = direction(sigma * mu * s_inv - dirs[0] @ dirs[1] @ s_inv)
         dirs[0] = dx
         np.negative(lift(dy), out=dirs[1])
-        a_p, a_d = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(roots, dirs))
+        a_p, a_d = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(roots, roots_h, dirs))
         if min(a_p, a_d) < _MIN_STEP:
             break
         x = x + a_p * dx
         y = y + a_d * dy
-    return _tp_polish(x, dim), bound, steps
+    return _tp_polish(x, dim), _dual_bound(y, s, dim), steps
 
 
 def minimize_over_cptp(
@@ -344,7 +357,11 @@ def minimize_over_cptp(
     and ``tp_residual``.
     """
     options = options or SdpOptions()
-    m = objective.matrix if isinstance(objective, LocalObjective) else np.asarray(objective)
+    m = np.asarray(objective.matrix if isinstance(objective, LocalObjective) else objective)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(f"objective must be a non-empty square matrix, got shape {m.shape}")
+    if not np.issubdtype(m.dtype, np.number):
+        raise ValidationError(f"objective must be numeric, got dtype {m.dtype}")
     m = herm(m)
     side = m.shape[0]
     dim = int(round(np.sqrt(side)))
@@ -389,6 +406,7 @@ class SweepStep:
     energy: float
     gap: float  # certified optimality gap of the subproblem solve
     converged: bool  # gap within the SdpOptions tolerance
+    newton_steps: int  # Newton steps of the solve; 0 when the visit reuses one
 
 
 @dataclass
@@ -517,7 +535,8 @@ def sweep(
         improved = False
         for index in order:
             seen = last_visit.get(index)
-            if seen is not None and seen[0] == installs:
+            reused = seen is not None and seen[0] == installs
+            if reused:
                 # No map changed since the last visit, and M does not depend on
                 # the component's own map: the subproblem and its solve are the
                 # same as then.
@@ -548,6 +567,7 @@ def sweep(
                     energy=energy,
                     gap=info["gap"],
                     converged=info["converged"],
+                    newton_steps=0 if reused else info["iters"],
                 )
             )
         if not improved:

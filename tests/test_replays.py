@@ -1,6 +1,7 @@
 """The replay scripts' shared harness (``scripts/replay.py``), the
-self-gating of the solver and plan replays, and the two paper-experiment
-scripts at their smallest size, loaded from ``scripts/`` by path."""
+self-gating of the solver and plan replays, the CLI's Newton step total
+counted by the harness, and the two paper-experiment scripts at their
+smallest size, loaded from ``scripts/`` by path."""
 
 import importlib.util
 import json
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from virtualmap import varopt
+from virtualmap.cli import main
+from virtualmap.pauli import write_observable, xx_hamiltonian
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -89,6 +92,10 @@ class TestSolverReplay:
         record = json.loads(capsys.readouterr().out)
         assert record["unconverged"] == 0
         assert record["subproblems"] == record["sweep_solves"] > 0
+        # the random set is recorded, not gated
+        assert record["random_objectives"] == 600
+        assert 0 <= record["random_unconverged"] < 600 < record["random_newton_steps"]
+        assert record["random_worst_gap_over_tol"] > 0.0
 
     def test_an_unconverged_solve_fails_the_replay(self, load, capsys, monkeypatch):
         real = varopt.minimize_over_cptp
@@ -98,10 +105,33 @@ class TestSolverReplay:
             return choi, {**info, "converged": False}
 
         monkeypatch.setattr(varopt, "minimize_over_cptp", unconverged)
-        assert load("solver_replay").main(["--repeats", "1"]) == 1
+        replay = load("solver_replay")
+        replay.RANDOM_OBJECTIVES = 2  # the random set does not gate
+        assert replay.main(["--repeats", "1"]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["unconverged"] > 0
         assert captured.err.startswith("error:")
+
+
+def test_summary_newton_steps_total_the_runs_solves(load, tmp_path, capsys):
+    # a visit that reuses an earlier solve adds no Newton steps
+    replay = load("replay")
+
+    class Iters(replay.Calls):
+        total = 0
+
+        def call(self, real, args, kwargs):
+            choi, info = real(*args, **kwargs)
+            self.total += info["iters"]
+            return choi, info
+
+    obs = tmp_path / "obs.json"
+    write_observable(xx_hamiltonian(5, coupling=1.0, field=0.95, periodic=True), obs)
+    with Iters([varopt], ["minimize_over_cptp"]) as solves:
+        assert main(["ansatz", "--observable", str(obs), "--rounds", "24", "--seed", "0"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["newton_steps"] == solves.total > 0
+    assert 0 < solves.counts["minimize_over_cptp"] < summary["iterations"]
 
 
 def test_plan_replay_checks_its_groups(load, capsys):

@@ -745,12 +745,54 @@ class TestMinimizeOverCptp:
         with pytest.raises(ValidationError):
             minimize_over_cptp(LocalObjective(component=0, arity=1, matrix=m))
 
+    @pytest.mark.parametrize("shape", [(16, 4), (2, 16, 16), (16,), (0, 0)])
+    def test_rejects_malformed_objective(self, shape):
+        with pytest.raises(ValidationError, match="non-empty square"):
+            minimize_over_cptp(np.ones(shape))
+        with pytest.raises(ValidationError, match="non-empty square"):
+            minimize_over_cptp(LocalObjective(component=0, arity=2, matrix=np.ones(shape)))
+
+    @pytest.mark.parametrize("entries", [[["a"]], [[1.0, None], [None, 1.0]], [[True, False]] * 2])
+    def test_rejects_non_numeric_objective(self, entries):
+        with pytest.raises(ValidationError, match="numeric"):
+            minimize_over_cptp(np.array(entries))
+
     @pytest.mark.parametrize(
-        "kwargs", [{"max_iters": -1}, {"tol": 0.0}, {"tol": -1e-9}, {"tol": float("nan")}]
+        "kwargs",
+        [
+            {"max_iters": -1},
+            {"tol": 0.0},
+            {"tol": -1e-9},
+            {"tol": float("nan")},
+            {"max_iters": 2.5},
+            {"max_iters": "3"},
+            {"max_iters": True},
+            {"tol": "1e-9"},
+            {"tol": True},
+        ],
     )
     def test_bad_options_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             SdpOptions(**kwargs)
+
+    def test_every_exit_reports_a_proven_bound(self):
+        # max_iters 0..12 ends the loop at every stage of the solve: the bound
+        # returned by a capped solve still holds against random channels and
+        # the converged solve's channel, and converged is the gap test
+        rng = np.random.default_rng(41)
+        tol = SdpOptions().tol
+        exits = set()
+        for arity in (1, 2, 1, 2):
+            objective = LocalObjective(0, arity, _random_hermitian(4**arity, rng))
+            best, _ = minimize_over_cptp(objective)
+            channels = [best] + [superop_to_choi(random_cptp_map(arity, rng)) for _ in range(20)]
+            lowest = min(objective.value(c) for c in channels)
+            for max_iters in range(13):
+                _, info = minimize_over_cptp(objective, SdpOptions(max_iters=max_iters))
+                assert info["dual_bound"] <= lowest + 1e-12 * (1.0 + abs(lowest))
+                assert info["converged"] == (info["gap"] <= tol * (1.0 + abs(info["value"])))
+                exits.add(info["converged"])
+        assert exits == {False, True}
 
 
 def _positive_definite(dim, rng):
@@ -759,6 +801,18 @@ def _positive_definite(dim, rng):
 
 
 class TestInteriorPointKernels:
+    def test_stacked_cholesky_roots_invert_both_matrices(self):
+        # one Cholesky and one inverse of the stacked (C, S) give R Z R^H = I
+        # for both, and S^-1 = R_S^H R_S
+        rng = np.random.default_rng(33)
+        for side in (4, 16):
+            pair = np.stack([_positive_definite(side, rng), _positive_definite(side, rng)])
+            roots = np.linalg.inv(np.linalg.cholesky(pair))
+            roots_h = roots.conj().transpose(0, 2, 1)
+            assert np.abs(roots @ pair @ roots_h - np.eye(side)).max() <= 1e-12
+            want = np.linalg.inv(pair[1])
+            assert np.abs(roots_h[1] @ roots[1] - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_batched_step_lengths_match_per_matrix_eigvalsh(self):
         rng = np.random.default_rng(31)
         for side in (4, 16):
@@ -767,6 +821,7 @@ class TestInteriorPointKernels:
             roots = np.stack(
                 [np.linalg.inv(np.linalg.cholesky(x)), vecs.conj().T / np.sqrt(vals)[:, None]]
             )
+            roots_h = roots.conj().transpose(0, 2, 1)
             # the second pair's direction is positive definite: no step limit
             for dirs in (
                 np.stack([_random_hermitian(side, rng), _random_hermitian(side, rng)]),
@@ -776,7 +831,7 @@ class TestInteriorPointKernels:
                 for root, d in zip(roots, dirs):
                     lam = np.linalg.eigvalsh(root @ d @ root.conj().T)[0]
                     want.append(np.inf if lam >= 0.0 else -1.0 / lam)
-                np.testing.assert_allclose(_max_steps(roots, dirs), want, rtol=1e-12)
+                np.testing.assert_allclose(_max_steps(roots, roots_h, dirs), want, rtol=1e-12)
             assert want[1] == np.inf
 
     @pytest.mark.parametrize("dim", [2, 4])
@@ -807,9 +862,13 @@ def _resolve_every_visit(circuit, data, obs, options):
     current, start = sweep(circuit, data, obs, replace(options, rounds=0))
     energy = start.initial_energy
     steps = []
+    # component -> installs after its last visit: a visit with none since
+    # repeats that visit's solve, and counts no Newton steps
+    installs, last_visit = 0, {}
     for rnd in range(1, options.rounds + 1):
         improved = False
         for index in options.order or range(len(current.components)):
+            repeated = last_visit.get(index) == installs
             objective = assemble_local_objective(current, index, data, obs)
             choi_new, info = minimize_over_cptp(objective, options.sdp)
             v_before = objective.value(superop_to_choi(current.components[index].map))
@@ -818,7 +877,9 @@ def _resolve_every_visit(circuit, data, obs, options):
             if installed:
                 current = current.with_component(index, choi_to_superop(choi_new))
                 energy = energy - v_before + v_new
+                installs += 1
                 improved = True
+            last_visit[index] = installs
             steps.append(
                 SweepStep(
                     round=rnd,
@@ -830,6 +891,7 @@ def _resolve_every_visit(circuit, data, obs, options):
                     energy=energy,
                     gap=info["gap"],
                     converged=info["converged"],
+                    newton_steps=0 if repeated else info["iters"],
                 )
             )
         if not improved:
