@@ -1,24 +1,31 @@
 #!/usr/bin/env python3
-"""Replay the CPTP subproblems of one classical-ansatz run through the solver.
+"""Replay the CPTP subproblems of two sweeps through the solver.
 
-The run is the one the ``ansatz-n5`` benchmark job makes: the periodic N=5 XX
-chain at field 0.95, one staircase layer, 24 rounds, seed 0. The objective
-matrices are the ones that run itself hands to ``minimize_over_cptp`` (a
-visit whose subproblem is unchanged since the component's last visit is not
-solved again, so none repeats). The script solves them all again,
-``--repeats`` times, and prints one JSON record: subproblems, Newton steps,
-unconverged solves, the number of solves the run made (the subproblems, by
-construction) and the median and quartiles of the seconds per Newton step.
-Any unconverged solve of the run exits with status 1. ``--out`` also stores
-the record in a JSON file under the key ``--tag``, keeping the file's other
-keys.
+The first run is the one the ``ansatz-n5`` benchmark job makes: the periodic
+N=5 XX chain at field 0.95, one staircase layer, 24 rounds, seed 0. The
+objective matrices are the ones that run itself hands to
+``minimize_over_cptp`` (a visit whose subproblem is unchanged since the
+component's last visit is not solved again, so none repeats). The script
+solves them all again, ``--repeats`` times, and prints one JSON record:
+subproblems, Newton steps, the most steps of one solve, unconverged solves,
+the calls of the dual bound's eigvalsh, the number of solves the run made
+(the subproblems, by construction) and the median and quartiles of the
+seconds per Newton step.
 
-The record also holds the solver's gap floor on a seeded random set: 600
-Hermitian objectives from ``default_rng(0)``, alternating 4x4 and 16x16,
-each scaled by 10^U(-2, 2), solved once at the default settings. It gives
-their Newton steps, unconverged count and the worst ratio of the certified
-gap to ``tol * (1 + |value|)``. A few of these solves end unconverged near a
-degenerate optimal face, so this set does not gate the exit status.
+The second run is an exact-state sweep at N=3, where the solver used to
+stall: ``brickwork(3, 2)`` in its ``random_unitary`` initialisation (seed 0)
+against the ground state of the periodic N=3 XX chain at field 0.95,
+perturbed by ``build_perturbed_state(rho, 0.05, 21)``, for 3 rounds. Its
+subproblems are solved once, and the record gives the same counts under
+``exact_*`` keys. Any unconverged solve of either run exits with status 1.
+``--out`` also stores the record in a JSON file under the key ``--tag``,
+keeping the file's other keys.
+
+The record also holds the solver on a seeded random set: 600 Hermitian
+objectives from ``default_rng(0)``, alternating 4x4 and 16x16, each scaled
+by 10^U(-2, 2), solved once at the default settings. It gives the same
+counts under ``random_*`` keys and the worst ratio of the certified gap to
+``tol * (1 + |value|)``. This set does not gate the exit status.
 
 Example:
     python3 scripts/solver_replay.py --repeats 15 --tag change --out BENCH_solver.json
@@ -31,10 +38,13 @@ import numpy as np
 
 from replay import Calls, emit, parse, parser, quartiles
 from virtualmap import varopt
+from virtualmap.cone import brickwork
+from virtualmap.densesim import DensityMatrix, build_perturbed_state, exact_ground_energy
 from virtualmap.pauli import xx_hamiltonian
-from virtualmap.varopt import SweepOptions, classical_ansatz
+from virtualmap.varopt import SweepOptions, classical_ansatz, sweep
 
 N, FIELD, ROUNDS, SEED = 5, 0.95, 24, 0
+EXACT_N, EXACT_LAYERS, EXACT_ROUNDS = 3, 2, 3
 RANDOM_OBJECTIVES = 600
 
 
@@ -48,19 +58,50 @@ def random_objectives():
         yield (g + g.conj().T) / 2.0 * 10.0 ** rng.uniform(-2, 2)
 
 
-def gap_floor(options) -> dict:
-    steps = unconverged = 0
+def sweep_objectives(run) -> tuple[list, int]:
+    """The objective matrices ``run()`` hands to the solver, and its solves."""
+    with Calls([varopt], ["minimize_over_cptp"], keep=True) as solves:
+        run()
+    mats = [objective.matrix for (objective, _), _ in solves.args["minimize_over_cptp"]]
+    return mats, solves.counts["minimize_over_cptp"]
+
+
+def solve_all(mats, options, prefix: str = "") -> dict:
+    """Solve each of ``mats`` once: Newton steps, most steps of one solve,
+    unconverged solves, dual-bound eigvalsh calls and the worst certified gap
+    over ``tol * (1 + |value|)``, under keys that start with ``prefix``."""
+    steps = most = unconverged = 0
     worst = 0.0
-    for m in random_objectives():
-        _, info = varopt.minimize_over_cptp(m, options)
-        steps += info["iters"]
-        unconverged += not info["converged"]
-        worst = max(worst, info["gap"] / (options.tol * (1.0 + abs(info["value"]))))
+    with Calls([varopt], ["_dual_bound"]) as bounds:
+        for m in mats:
+            _, info = varopt.minimize_over_cptp(m, options)
+            steps += info["iters"]
+            most = max(most, info["iters"])
+            unconverged += not info["converged"]
+            worst = max(worst, info["gap"] / (options.tol * (1.0 + abs(info["value"]))))
     return {
-        "random_objectives": RANDOM_OBJECTIVES,
-        "random_newton_steps": steps,
-        "random_unconverged": unconverged,
-        "random_worst_gap_over_tol": worst,
+        f"{prefix}newton_steps": steps,
+        f"{prefix}most_steps": most,
+        f"{prefix}unconverged": unconverged,
+        f"{prefix}dual_bound_calls": bounds.counts["_dual_bound"],
+        f"{prefix}worst_gap_over_tol": worst,
+    }
+
+
+def exact_state_run(options) -> dict:
+    obs = xx_hamiltonian(EXACT_N, coupling=1.0, field=FIELD, periodic=True)
+    _, vec = exact_ground_energy(obs)
+    rho = build_perturbed_state(DensityMatrix(EXACT_N, np.outer(vec, vec.conj())), 0.05, 21)
+    start = brickwork(EXACT_N, EXACT_LAYERS)
+    sweep_options = SweepOptions(rounds=EXACT_ROUNDS, seed=SEED, init="random_unitary")
+    mats, _ = sweep_objectives(lambda: sweep(start, rho, obs, sweep_options))
+    return {
+        "exact_run": (
+            f"exact-state sweep, brickwork({EXACT_N}, {EXACT_LAYERS}) on the perturbed XX "
+            f"ground state N={EXACT_N}, field {FIELD}, {EXACT_ROUNDS} rounds, seed {SEED}"
+        ),
+        "exact_subproblems": len(mats),
+        **solve_all(mats, options, "exact_"),
     }
 
 
@@ -68,34 +109,38 @@ def main(argv=None) -> int:
     args = parse(parser(__doc__, 15, "timed replays"), argv)
     obs = xx_hamiltonian(N, coupling=1.0, field=FIELD, periodic=True)
     options = SweepOptions(rounds=ROUNDS, seed=SEED, init="random_unitary")
-    with Calls([varopt], ["minimize_over_cptp"], keep=True) as solves:
-        classical_ansatz(obs, layers=1, options=options)
-    mats = [objective.matrix for (objective, _), _ in solves.args["minimize_over_cptp"]]
+    mats, solves = sweep_objectives(lambda: classical_ansatz(obs, layers=1, options=options))
+    counts = solve_all(mats, options.sdp)
 
     per_step = []
     for _ in range(args.repeats):
-        steps = unconverged = 0
         start = time.perf_counter()
         for m in mats:
-            _, info = varopt.minimize_over_cptp(m, options.sdp)
-            steps += info["iters"]
-            unconverged += not info["converged"]
-        per_step.append((time.perf_counter() - start) / steps)
-    emit(
+            varopt.minimize_over_cptp(m, options.sdp)
+        per_step.append((time.perf_counter() - start) / counts["newton_steps"])
+    exact = exact_state_run(options.sdp)
+    record = emit(
         {
             "run": f"classical ansatz, XX chain N={N}, field {FIELD}, {ROUNDS} rounds, seed {SEED}",
             "subproblems": len(mats),
-            "sweep_solves": solves.counts["minimize_over_cptp"],
-            "newton_steps": steps,
-            "unconverged": unconverged,
+            "sweep_solves": solves,
+            **counts,
             **quartiles(per_step, "s_per_step"),
-            **gap_floor(options.sdp),
+            **exact,
+            "random_objectives": RANDOM_OBJECTIVES,
+            **solve_all(random_objectives(), options.sdp, "random_"),
         },
         args,
     )
-    if unconverged:
-        print(f"error: {unconverged} of {len(mats)} subproblems end unconverged", file=sys.stderr)
-    return 1 if unconverged else 0
+    if record["unconverged"] or record["exact_unconverged"]:
+        print(
+            f"error: {record['unconverged']} of {len(mats)} ansatz and "
+            f"{record['exact_unconverged']} of {record['exact_subproblems']} exact-state "
+            "subproblems end unconverged",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

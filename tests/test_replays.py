@@ -92,6 +92,14 @@ class TestSolverReplay:
         record = json.loads(capsys.readouterr().out)
         assert record["unconverged"] == 0
         assert record["subproblems"] == record["sweep_solves"] > 0
+        # the exact-state N=3 sweep took 93 Newton steps, at most 18 in one
+        # solve, before Mehrotra's sigma was floored
+        assert record["exact_unconverged"] == 0
+        assert record["exact_subproblems"] > 0
+        assert record["exact_newton_steps"] <= 80 and record["exact_most_steps"] <= 14
+        # a dual-bound eigvalsh runs on at most a few steps of a solve
+        for prefix in ("", "exact_", "random_"):
+            assert 0 < record[f"{prefix}dual_bound_calls"] < record[f"{prefix}newton_steps"]
         # the random set is recorded, not gated
         assert record["random_objectives"] == 600
         assert 0 <= record["random_unconverged"] < 600 < record["random_newton_steps"]
@@ -109,8 +117,9 @@ class TestSolverReplay:
         replay.RANDOM_OBJECTIVES = 2  # the random set does not gate
         assert replay.main(["--repeats", "1"]) == 1
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["unconverged"] > 0
-        assert captured.err.startswith("error:")
+        record = json.loads(captured.out)
+        assert record["unconverged"] > 0 and record["exact_unconverged"] > 0
+        assert captured.err.startswith("error:") and "exact-state" in captured.err
 
 
 def test_summary_newton_steps_total_the_runs_solves(load, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Variational loop: local objectives, CPTP minimization, sweeps."""
 
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -59,6 +60,7 @@ from virtualmap.varopt import (
     _cut_objective,
     _cut_walks,
     _max_steps,
+    _rayleigh,
     _schur_matrix,
 )
 
@@ -66,6 +68,17 @@ from virtualmap.varopt import (
 def _random_hermitian(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2.0
+
+
+def _replay_random_objectives():
+    """The seeded random set of scripts/solver_replay.py: alternating 4x4
+    and 16x16 Hermitian matrices from default_rng(0), each scaled by
+    10^U(-2, 2)."""
+    rng = np.random.default_rng(0)
+    for i in range(600):
+        side = 4 if i % 2 == 0 else 16
+        g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        yield (g + g.conj().T) / 2.0 * 10.0 ** rng.uniform(-2, 2)
 
 
 class TestInputData:
@@ -775,6 +788,41 @@ class TestMinimizeOverCptp:
         with pytest.raises(ValidationError):
             SdpOptions(**kwargs)
 
+    @pytest.mark.parametrize("index", [54, 278])
+    def test_objectives_that_stalled_at_the_gap_floor_converge(self, index):
+        # with Mehrotra's sigma unfloored these two ended converged=False:
+        # the iterate left the central path and the primal steps collapsed
+        m = next(islice(_replay_random_objectives(), index, None))
+        _, info = minimize_over_cptp(m)
+        assert info["converged"]
+        assert info["iters"] <= 14
+
+    def test_rayleigh_pretest_changes_no_result(self, monkeypatch):
+        # the pretest only skips dual-bound eigvalsh calls whose stopping test
+        # would fail: without it every solve returns the same bits
+        rng = np.random.default_rng(43)
+        mats = [
+            _random_hermitian(4 ** (1 + i % 2), rng) * 10.0 ** rng.uniform(-2, 2)
+            for i in range(200)
+        ]
+        real_bound = varopt._dual_bound
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real_bound(*args)
+
+        monkeypatch.setattr(varopt, "_dual_bound", counting)
+        want = [minimize_over_cptp(m) for m in mats]
+        with_pretest = len(calls)
+        monkeypatch.setattr(varopt, "_rayleigh", lambda s, s_inv: np.inf)
+        for m, (choi, info) in zip(mats, want):
+            got_choi, got = minimize_over_cptp(m)
+            np.testing.assert_array_equal(got_choi.matrix, choi.matrix)
+            for key in ("iters", "gap", "dual_bound"):
+                assert got[key] == info[key], key
+        assert with_pretest < len(calls) - with_pretest
+
     def test_every_exit_reports_a_proven_bound(self):
         # max_iters 0..12 ends the loop at every stage of the solve: the bound
         # returned by a capped solve still holds against random channels and
@@ -833,6 +881,17 @@ class TestInteriorPointKernels:
                     want.append(np.inf if lam >= 0.0 else -1.0 / lam)
                 np.testing.assert_allclose(_max_steps(roots, roots_h, dirs), want, rtol=1e-12)
             assert want[1] == np.inf
+
+    def test_rayleigh_bounds_the_smallest_eigenvalue_from_above(self):
+        # at the inverse of S itself, of a nearby matrix and of an unrelated one
+        rng = np.random.default_rng(34)
+        for side in (4, 16) * 50:
+            s = _positive_definite(side, rng) * 10.0 ** rng.uniform(-3, 3)
+            lowest = np.linalg.eigvalsh(s)[0]
+            near = s + 1e-3 * np.abs(lowest) * _random_hermitian(side, rng)
+            for other in (s, near, _positive_definite(side, rng)):
+                assert _rayleigh(s, np.linalg.inv(other)) >= lowest
+            assert _rayleigh(s, np.eye(side)) == s[0, 0].real
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_one_block_schur_matches_two_block_average(self, dim):
