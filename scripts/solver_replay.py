@@ -9,23 +9,27 @@ component's last visit is not solved again, so none repeats). The script
 solves them all again, ``--repeats`` times, and prints one JSON record:
 subproblems, Newton steps, the most steps of one solve, unconverged solves,
 the calls of the dual bound's eigvalsh, the number of solves the run made
-(the subproblems, by construction) and the median and quartiles of the
-seconds per Newton step.
+(the subproblems, by construction) and the minimum, median and quartiles of
+the seconds per Newton step. The minimum is the least disturbed by other load
+on the machine; to compare two versions, run them alternately and compare
+their minima.
 
 The second run is an exact-state sweep at N=3, where the solver used to
 stall: ``brickwork(3, 2)`` in its ``random_unitary`` initialisation (seed 0)
 against the ground state of the periodic N=3 XX chain at field 0.95,
 perturbed by ``build_perturbed_state(rho, 0.05, 21)``, for 3 rounds. Its
 subproblems are solved once, and the record gives the same counts under
-``exact_*`` keys. Any unconverged solve of either run exits with status 1.
-``--out`` also stores the record in a JSON file under the key ``--tag``,
-keeping the file's other keys.
+``exact_*`` keys.
 
 The record also holds the solver on a seeded random set: 600 Hermitian
 objectives from ``default_rng(0)``, alternating 4x4 and 16x16, each scaled
 by 10^U(-2, 2), solved once at the default settings. It gives the same
-counts under ``random_*`` keys and the worst ratio of the certified gap to
-``tol * (1 + |value|)``. This set does not gate the exit status.
+counts under ``random_*`` keys. Every set also records the worst ratio of
+the certified gap to ``tol * (1 + |value|)``.
+
+Any unconverged solve in any of the three sets exits with status 1.
+``--out`` also stores the record in a JSON file under the key ``--tag``,
+keeping the file's other keys.
 
 Example:
     python3 scripts/solver_replay.py --repeats 15 --tag change --out BENCH_solver.json
@@ -125,6 +129,7 @@ def main(argv=None) -> int:
             "subproblems": len(mats),
             "sweep_solves": solves,
             **counts,
+            "s_per_step_min": min(per_step),
             **quartiles(per_step, "s_per_step"),
             **exact,
             "random_objectives": RANDOM_OBJECTIVES,
@@ -132,10 +137,11 @@ def main(argv=None) -> int:
         },
         args,
     )
-    if record["unconverged"] or record["exact_unconverged"]:
+    if record["unconverged"] or record["exact_unconverged"] or record["random_unconverged"]:
         print(
-            f"error: {record['unconverged']} of {len(mats)} ansatz and "
-            f"{record['exact_unconverged']} of {record['exact_subproblems']} exact-state "
+            f"error: {record['unconverged']} of {len(mats)} ansatz, "
+            f"{record['exact_unconverged']} of {record['exact_subproblems']} exact-state and "
+            f"{record['random_unconverged']} of {RANDOM_OBJECTIVES} random "
             "subproblems end unconverged",
             file=sys.stderr,
         )

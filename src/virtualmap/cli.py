@@ -40,7 +40,7 @@ from .linalg import kron_all, trace_mul
 from .maps import random_cptp_map, random_tp_hermitian_map, random_unitary_map
 from .pauli import PauliString, parse_observable
 from .povm import compute_duals, get_povm
-from .varopt import SdpOptions, SweepOptions, classical_ansatz, sweep, zreset_compose
+from .varopt import SWEEP_INITS, SdpOptions, SweepOptions, classical_ansatz, sweep, zreset_compose
 
 
 def _label(path_or_text: str) -> str:
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_optimizer_flags(p):
         p.add_argument("--rounds", type=int, default=10)
         p.add_argument("--accept-tol", type=float, default=1e-8)
-        p.add_argument("--init", default="keep", choices=["keep", "identity", "random_unitary", "random_cptp"])
+        p.add_argument("--init", default="keep", choices=SWEEP_INITS)
         p.add_argument(
             "--sdp-max-iters",
             type=int,

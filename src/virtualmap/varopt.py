@@ -16,16 +16,19 @@ HKM direction, about ten Newton steps per solve). Its matrices are d^2 x d^2
 for a d-dimensional component, so a step costs about as much as the numpy
 calls it makes: each step factors C and S with one batched Cholesky, builds
 the Schur matrix from one block product, and takes the primal and dual step
-lengths of the predictor and of the corrector with one batched eigvalsh each.
-Mehrotra's centering parameter is floored at 1 - _STEP_FRACTION, which keeps
-the iterate near the central path: solves no longer stall near degenerate
-optima (0 of 600 seeded random subproblems end unconverged, 2 did unfloored),
-and the ``optimize-n3`` benchmark job takes 74 Newton steps instead of 90-99.
+lengths of its corrector with one batched eigvalsh. The centering parameter
+is fixed at 1 - _STEP_FRACTION = 0.05, which keeps the iterate near the
+central path, so solves do not stall near degenerate optima (0 of 600 seeded
+random subproblems end unconverged). Mehrotra's adaptive (mu_aff / mu)^3,
+floored at that value, was at the floor in 350 of the 379 Newton steps of the
+``ansatz-n5`` job and cost the predictor's step lengths, a second eigvalsh:
+fixed, the job takes 378 steps and a step about a fifth less time. The
+predictor's direction stays, for the corrector's second-order term.
 The dual variable Y proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I)
 on the optimum, so every solve reports a certified optimality gap, and the
 returned map is exactly trace-preserving. lambda_min(S) costs one more
 eigvalsh, run only where two cheap upper bounds on it (min diag S, then a
-Rayleigh quotient) leave the stop possible: 49 calls in the 379 Newton steps
+Rayleigh quotient) leave the stop possible: 46 calls in the 378 Newton steps
 of the ``ansatz-n5`` job. A sweep visits components
 cyclically, installing a new map only when it lowers the energy, and records
 each solve's gap and convergence. M does not depend on the visited component's
@@ -186,10 +189,11 @@ class SdpOptions:
     the loop.  Near a degenerate optimal face the attainable gap levels off
     around 1e-11 (relative to the scale of M), so a solve may end with
     ``converged=False`` and a gap just above the target; the gap is always
-    reported.  The solver floors Mehrotra's centering parameter at 0.05, which
-    keeps the iterates near the central path, so solves rarely stall there: on
-    600 seeded random objectives (``scripts/solver_replay.py``) every solve
-    converges within 14 Newton steps.  The proven lower bound needs the
+    reported.  The solver fixes its centering parameter at 0.05, which keeps
+    the iterates near the central path, so solves rarely stall there: on 600
+    seeded random objectives (``scripts/solver_replay.py``) every solve
+    converges within 14 Newton steps.  Each Newton step takes its step
+    lengths with one batched eigvalsh.  The proven lower bound needs the
     smallest eigenvalue of the dual slack S; it is computed only on the steps
     where min diag S and a Rayleigh quotient of S, both upper bounds on it,
     leave the stopping test able to pass, and on exit.  A sweep solves a
@@ -215,6 +219,11 @@ _MIN_STEP = 1e-6
 # Bolder steps (0.98, 0.99) save a Newton step here and there but leave the
 # iterate off-centre, and more solves then stall above tol = 1e-11.
 _STEP_FRACTION = 0.95
+# Centering parameter: the corrector aims at mu * _SIGMA. A step that stops
+# short of the boundary by 1 - _STEP_FRACTION cannot cut mu by much more than
+# that, and aiming lower pushes the iterate off the central path, where the
+# primal steps collapse.
+_SIGMA = 1.0 - _STEP_FRACTION
 
 
 @functools.cache
@@ -300,8 +309,8 @@ def _rayleigh(s: np.ndarray, s_inv: np.ndarray) -> float:
 
 
 def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
-    """Primal-dual interior point: Mehrotra predictor-corrector steps in the
-    HKM direction.
+    """Primal-dual interior point: predictor-corrector steps in the HKM
+    direction, centering fixed at _SIGMA.
 
     Primal: min Tr[C M] s.t. C >= 0, Tr_out C = I.  Dual: max Tr Y s.t.
     S = M - Y (x) I >= 0.  Since Tr C = dim on the primal set, every Hermitian
@@ -310,10 +319,11 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     ``options.tol`` of it.  Returns (C, dual bound, Newton steps).
 
     Each step factors C and S with one batched Cholesky and one batched
-    inverse, which give the roots R with R Z R^H = I and S^-1 = R_S^H R_S, and
-    takes the primal and dual step lengths of the predictor and of the
-    corrector with one batched eigvalsh each.  The centering parameter is
-    Mehrotra's (mu_aff / mu)^3, floored at 1 - _STEP_FRACTION.  lambda_min(S)
+    inverse, which give the roots R with R Z R^H = I and S^-1 = R_S^H R_S.
+    The corrector aims at _SIGMA * mu = 0.05 mu and keeps Mehrotra's
+    second-order term dC_aff dS_aff S^-1 from the predictor's direction, whose
+    step lengths are not taken: the step makes one batched eigvalsh, for the
+    corrector's primal and dual step lengths.  lambda_min(S)
     is at most min diag S and at most the Rayleigh quotient of S at the column
     of the previous step's S^-1 with the largest diagonal (:func:`_rayleigh`),
     so the stopping test cannot pass, and lambda_min(S) is not computed, while
@@ -369,16 +379,10 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
             t = x @ lift(dy) @ s_inv
             return herm(t if extra is None else t + extra) - x, dy
 
+        # the predictor's direction gives the corrector its second-order term
         dirs[0], dy_aff = direction(None)
         np.negative(lift(dy_aff), out=dirs[1])
-        a_p, a_d = (min(1.0, a) for a in _max_steps(roots, roots_h, dirs))
-        # Mehrotra's centering, floored: a corrector that stops short of the
-        # boundary by 1 - _STEP_FRACTION cannot cut mu by more than about
-        # 1 / (1 - _STEP_FRACTION), and aiming lower pushes the iterate
-        # off the central path, where the primal steps collapse
-        ratio = np.vdot(x + a_p * dirs[0], s + a_d * dirs[1]).real / side / mu
-        sigma = max(ratio**3, 1.0 - _STEP_FRACTION)
-        dx, dy = direction(sigma * mu * s_inv - dirs[0] @ dirs[1] @ s_inv)
+        dx, dy = direction(_SIGMA * mu * s_inv - dirs[0] @ dirs[1] @ s_inv)
         dirs[0] = dx
         np.negative(lift(dy), out=dirs[1])
         a_p, a_d = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(roots, roots_h, dirs))
@@ -489,21 +493,31 @@ class SweepReport:
         return buf.getvalue()
 
 
+# The ways a sweep may start: its circuit as given, or every map replaced.
+SWEEP_INITS = ("keep", "identity", "random_unitary", "random_cptp")
+
+
 @dataclass
 class SweepOptions:
     rounds: int = 10
     accept_tol: float = 1e-8
     order: tuple[int, ...] | None = None
-    init: str = "keep"  # keep | identity | random_unitary | random_cptp
+    init: str = "keep"  # one of SWEEP_INITS
     seed: int = 0
     sdp: SdpOptions = field(default_factory=SdpOptions)
 
     def __post_init__(self):
-        if self.rounds < 0:
+        if json_int(self.rounds, "rounds") < 0:
             raise ValidationError("rounds must be non-negative")
-        if not (np.isfinite(self.accept_tol) and self.accept_tol >= 0.0):
+        tol = self.accept_tol
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and math.isfinite(tol) and tol >= 0.0):
             raise ValidationError("accept_tol must be a non-negative finite number")
-        if self.seed < 0:
+        for i in () if self.order is None else self.order:
+            json_int(i, "a sweep order entry")
+        if self.init not in SWEEP_INITS:
+            raise ValidationError(f"unknown init {self.init!r}")
+        if json_int(self.seed, "seed") < 0:
             raise ValidationError("seed must be non-negative")
 
 

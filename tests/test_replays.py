@@ -100,10 +100,10 @@ class TestSolverReplay:
         # a dual-bound eigvalsh runs on at most a few steps of a solve
         for prefix in ("", "exact_", "random_"):
             assert 0 < record[f"{prefix}dual_bound_calls"] < record[f"{prefix}newton_steps"]
-        # the random set is recorded, not gated
         assert record["random_objectives"] == 600
-        assert 0 <= record["random_unconverged"] < 600 < record["random_newton_steps"]
+        assert record["random_unconverged"] == 0 and record["random_newton_steps"] > 600
         assert record["random_worst_gap_over_tol"] > 0.0
+        assert 0.0 < record["s_per_step_min"] <= record["s_per_step_q1"]
 
     def test_an_unconverged_solve_fails_the_replay(self, load, capsys, monkeypatch):
         real = varopt.minimize_over_cptp
@@ -114,12 +114,32 @@ class TestSolverReplay:
 
         monkeypatch.setattr(varopt, "minimize_over_cptp", unconverged)
         replay = load("solver_replay")
-        replay.RANDOM_OBJECTIVES = 2  # the random set does not gate
+        replay.RANDOM_OBJECTIVES = 2
         assert replay.main(["--repeats", "1"]) == 1
         captured = capsys.readouterr()
         record = json.loads(captured.out)
         assert record["unconverged"] > 0 and record["exact_unconverged"] > 0
+        assert record["random_unconverged"] == 2
         assert captured.err.startswith("error:") and "exact-state" in captured.err
+
+    def test_an_unconverged_random_solve_fails_the_replay(self, load, capsys, monkeypatch):
+        replay = load("solver_replay")
+        replay.RANDOM_OBJECTIVES = 2
+        forced = list(replay.random_objectives())
+        monkeypatch.setattr(replay, "random_objectives", lambda: iter(forced))
+        real = varopt.minimize_over_cptp
+
+        def unconverged_on_the_first(m, *args, **kwargs):
+            choi, info = real(m, *args, **kwargs)
+            return choi, {**info, "converged": info["converged"] and m is not forced[0]}
+
+        monkeypatch.setattr(varopt, "minimize_over_cptp", unconverged_on_the_first)
+        assert replay.main(["--repeats", "1"]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert record["unconverged"] == record["exact_unconverged"] == 0
+        assert record["random_unconverged"] == 1
+        assert captured.err.startswith("error:") and "1 of 2 random" in captured.err
 
 
 def test_summary_newton_steps_total_the_runs_solves(load, tmp_path, capsys):

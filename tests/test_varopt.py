@@ -44,6 +44,7 @@ from virtualmap.maps import (
 from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
 from virtualmap.varopt import (
+    SWEEP_INITS,
     LocalObjective,
     SdpOptions,
     SweepOptions,
@@ -882,6 +883,27 @@ class TestInteriorPointKernels:
                 np.testing.assert_allclose(_max_steps(roots, roots_h, dirs), want, rtol=1e-12)
             assert want[1] == np.inf
 
+    def test_one_step_length_eigvalsh_per_newton_step(self, monkeypatch):
+        # the centering parameter is fixed, so only the corrector's step
+        # lengths are taken: a converged solve makes one batched eigvalsh
+        # through _max_steps per Newton step
+        rng = np.random.default_rng(35)
+        real_steps = varopt._max_steps
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real_steps(*args)
+
+        monkeypatch.setattr(varopt, "_max_steps", counting)
+        iters = 0
+        for i in range(50):
+            m = _random_hermitian(4 ** (1 + i % 2), rng) * 10.0 ** rng.uniform(-2, 2)
+            _, info = minimize_over_cptp(m)
+            assert info["converged"], i
+            iters += info["iters"]
+        assert len(calls) == iters > 0
+
     def test_rayleigh_bounds_the_smallest_eigenvalue_from_above(self):
         # at the inverse of S itself, of a nearby matrix and of an unrelated one
         rng = np.random.default_rng(34)
@@ -1138,11 +1160,27 @@ class TestSweep:
             {"accept_tol": float("nan")},
             {"accept_tol": float("inf")},
             {"seed": -1},
+            # validated like SdpOptions: a ValidationError at construction,
+            # never a TypeError mid-sweep or a boolean read as a number
+            {"rounds": 2.5},
+            {"rounds": "2"},
+            {"rounds": True},
+            {"seed": 1.5},
+            {"seed": True},
+            {"order": (0, 1.0)},
+            {"order": (0, True)},
+            {"accept_tol": "1e-8"},
+            {"accept_tol": True},
+            {"init": "whatever"},
         ],
     )
     def test_bad_options_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             SweepOptions(**kwargs)
+
+    def test_every_init_is_accepted(self):
+        for init in SWEEP_INITS:
+            assert SweepOptions(init=init, order=(1, 0)).init == init
 
     def test_steps_record_certificate(self):
         obs = xx_hamiltonian(3, field=0.4)
