@@ -8,11 +8,10 @@ objective matrices are the ones that run itself hands to
 component's last visit is not solved again, so none repeats). The script
 solves them all again, ``--repeats`` times, and prints one JSON record:
 subproblems, Newton steps, the most steps of one solve, unconverged solves,
-the calls of the dual bound's eigvalsh, the number of solves the run made
-(the subproblems, by construction) and the minimum, median and quartiles of
-the seconds per Newton step. The minimum is the least disturbed by other load
-on the machine; to compare two versions, run them alternately and compare
-their minima.
+the number of solves the run made (the subproblems, by construction) and the
+minimum, median and quartiles of the seconds per Newton step. The minimum is
+the least disturbed by other load on the machine; to compare two versions,
+run them alternately and compare their minima.
 
 The second run is an exact-state sweep at N=3, where the solver used to
 stall: ``brickwork(3, 2)`` in its ``random_unitary`` initialisation (seed 0)
@@ -72,22 +71,20 @@ def sweep_objectives(run) -> tuple[list, int]:
 
 def solve_all(mats, options, prefix: str = "") -> dict:
     """Solve each of ``mats`` once: Newton steps, most steps of one solve,
-    unconverged solves, dual-bound eigvalsh calls and the worst certified gap
-    over ``tol * (1 + |value|)``, under keys that start with ``prefix``."""
+    unconverged solves and the worst certified gap over
+    ``tol * (1 + |value|)``, under keys that start with ``prefix``."""
     steps = most = unconverged = 0
     worst = 0.0
-    with Calls([varopt], ["_dual_bound"]) as bounds:
-        for m in mats:
-            _, info = varopt.minimize_over_cptp(m, options)
-            steps += info["iters"]
-            most = max(most, info["iters"])
-            unconverged += not info["converged"]
-            worst = max(worst, info["gap"] / (options.tol * (1.0 + abs(info["value"]))))
+    for m in mats:
+        _, info = varopt.minimize_over_cptp(m, options)
+        steps += info["iters"]
+        most = max(most, info["iters"])
+        unconverged += not info["converged"]
+        worst = max(worst, info["gap"] / (options.tol * (1.0 + abs(info["value"]))))
     return {
         f"{prefix}newton_steps": steps,
         f"{prefix}most_steps": most,
         f"{prefix}unconverged": unconverged,
-        f"{prefix}dual_bound_calls": bounds.counts["_dual_bound"],
         f"{prefix}worst_gap_over_tol": worst,
     }
 

@@ -2,6 +2,7 @@
 reads and checks: text, JSON, integers and complex ``[re, im]`` pairs."""
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,11 @@ def parse_json(text: str, what: str):
 
 
 def json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; text, fractions and booleans raise."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """``value`` as an ``int`` if it is an integer, numpy's included; text,
+    fractions and booleans raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def json_complex(value, ndim: int, what: str) -> np.ndarray:

@@ -137,8 +137,9 @@ def parse_observable(source) -> Observable:
     """Load an observable from a JSON file path, JSON text, or a dict."""
     if isinstance(source, (str, Path)):
         text = str(source)
+        # any path but a directory is read, so a pipe such as <(cat obs.json) is too
         try:
-            is_file = Path(source).is_file()
+            is_file = Path(source).exists() and not Path(source).is_dir()
         except OSError:  # inline JSON text can be too long for a file name
             is_file = False
         if is_file:

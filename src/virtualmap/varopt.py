@@ -16,20 +16,15 @@ HKM direction, about ten Newton steps per solve). Its matrices are d^2 x d^2
 for a d-dimensional component, so a step costs about as much as the numpy
 calls it makes: each step factors C and S with one batched Cholesky, builds
 the Schur matrix from one block product, and takes the primal and dual step
-lengths of its corrector with one batched eigvalsh. The centering parameter
-is fixed at 1 - _STEP_FRACTION = 0.05, which keeps the iterate near the
-central path, so solves do not stall near degenerate optima (0 of 600 seeded
-random subproblems end unconverged). Mehrotra's adaptive (mu_aff / mu)^3,
-floored at that value, was at the floor in 350 of the 379 Newton steps of the
-``ansatz-n5`` job and cost the predictor's step lengths, a second eigvalsh:
-fixed, the job takes 378 steps and a step about a fifth less time. The
-predictor's direction stays, for the corrector's second-order term.
-The dual variable Y proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I)
-on the optimum, so every solve reports a certified optimality gap, and the
-returned map is exactly trace-preserving. lambda_min(S) costs one more
-eigvalsh, run only where two cheap upper bounds on it (min diag S, then a
-Rayleigh quotient) leave the stop possible: 46 calls in the 378 Newton steps
-of the ``ansatz-n5`` job. A sweep visits components
+lengths of its corrector with one batched eigvalsh. The centering parameter is
+fixed at 1 - _STEP_FRACTION = 0.05, which keeps the iterate near the central
+path, so solves do not stall near degenerate optima (0 of 600 seeded random
+subproblems end unconverged). The predictor's direction stays, for the
+corrector's second-order term, but its step lengths are not taken. The dual
+variable Y, with slack S = M - Y (x) I, proves the lower bound
+Tr Y + dim / ||S^-1||_inf on the optimum, read off the S^-1 the step's
+Cholesky gives, so every solve reports a certified optimality gap, and the
+returned map is exactly trace-preserving. A sweep visits components
 cyclically, installing a new map only when it lowers the energy, and records
 each solve's gap and convergence. M does not depend on the visited component's
 own map, so when no map has been installed since a component's previous visit,
@@ -45,13 +40,13 @@ pair on the whole register. The sweep's energies come from
 :func:`virtualmap.estimation.circuit_energy`, which takes the same two kinds
 of input. A sweep first decides, by one rule (:func:`_collapse_if_cheaper`),
 whether to collapse its rows (:func:`virtualmap.estimation.collapse`), so a
-large batch at N <= 10 is optimized as its empirical dual operator. Where
-the cut is one walk (a dense state, or rows in one chunk of
+large batch at N <= 10 is optimized as its empirical dual operator. Where the
+cut is one walk (a dense state, or rows in one chunk of
 :func:`virtualmap.cone.row_chunks`) the sweep keeps it, so an installed map
-invalidates residuals only where it enters: a dense round in index order
-costs fewer than 3K map applications, not K(K - 1), and a round of rows
-about two plan passes per component whose apply step precedes the last
-one's. Rows of several chunks get a cold walk per chunk at every visit.
+invalidates residuals only where it enters: a dense round in index order costs
+fewer than 3K map applications, not K(K - 1), and a round of rows about two
+plan passes per component whose apply step precedes the last one's. Rows of
+several chunks get a cold walk per chunk at every visit.
 """
 
 from __future__ import annotations
@@ -193,19 +188,19 @@ class SdpOptions:
     the iterates near the central path, so solves rarely stall there: on 600
     seeded random objectives (``scripts/solver_replay.py``) every solve
     converges within 14 Newton steps.  Each Newton step takes its step
-    lengths with one batched eigvalsh.  The proven lower bound needs the
-    smallest eigenvalue of the dual slack S; it is computed only on the steps
-    where min diag S and a Rayleigh quotient of S, both upper bounds on it,
-    leave the stopping test able to pass, and on exit.  A sweep solves a
-    component's subproblem again only if some map was installed since its last
-    visit.
+    lengths with one batched eigvalsh.  The proven lower bound is
+    Tr Y + d / ||S^-1||_inf, from the dual variable Y, its slack
+    S = M - Y (x) I and the inverse of S that the step's Cholesky gives: it
+    costs no eigenvalue computation.  A sweep solves a component's subproblem
+    again only if some map was installed since its last visit.
     """
 
     max_iters: int = 50
     tol: float = 1e-11
 
     def __post_init__(self):
-        if json_int(self.max_iters, "max_iters") < 0:
+        self.max_iters = json_int(self.max_iters, "max_iters")
+        if self.max_iters < 0:
             raise ValidationError("max_iters must be non-negative")
         real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
         if not (real and math.isfinite(self.tol) and self.tol > 0.0):
@@ -293,19 +288,11 @@ def _max_steps(roots: np.ndarray, roots_h: np.ndarray, dirs: np.ndarray) -> list
     return [np.inf if v >= 0.0 else -1.0 / v for v in lam.tolist()]
 
 
-def _dual_bound(y: np.ndarray, s: np.ndarray, dim: int) -> float:
-    """Tr Y + dim * lambda_min(S), the lower bound on the optimum that Y proves."""
-    return float(y.trace().real) + dim * float(np.linalg.eigvalsh(s)[0])
-
-
-def _rayleigh(s: np.ndarray, s_inv: np.ndarray) -> float:
-    """v^H S v / v^H v at the column v of ``s_inv`` with the largest diagonal:
-    an upper bound on lambda_min(S), as every Rayleigh quotient is. With the
-    inverse of a nearby S, v = S^-1 e_j is one step of inverse iteration from
-    the e_j that weighs the small eigenvalues most, so the bound is tight
-    near the optimum, where S changes little from step to step."""
-    v = s_inv[:, np.argmax(s_inv.diagonal().real)]
-    return np.vdot(v, s @ v).real / np.vdot(v, v).real
+def _min_eig_floor(s_inv: np.ndarray) -> float:
+    """1 / max row-sum |S^-1|, a lower bound on lambda_min(S) for S > 0: no
+    eigenvalue of S^-1 exceeds its induced infinity-norm, so lambda_min(S) =
+    1 / rho(S^-1) >= 1 / ||S^-1||_inf, with equality for diagonal S."""
+    return 1.0 / float(np.abs(s_inv).sum(axis=1).max())
 
 
 def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
@@ -313,22 +300,20 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     direction, centering fixed at _SIGMA.
 
     Primal: min Tr[C M] s.t. C >= 0, Tr_out C = I.  Dual: max Tr Y s.t.
-    S = M - Y (x) I >= 0.  Since Tr C = dim on the primal set, every Hermitian
-    Y proves the lower bound Tr Y + dim * lambda_min(M - Y (x) I) on the
-    optimum; the loop stops once the polished primal point is within
-    ``options.tol`` of it.  Returns (C, dual bound, Newton steps).
+    S = M - Y (x) I >= 0.  Since Tr C = dim on the primal set, every Y with
+    S > 0 proves the lower bound Tr Y + dim * lambda_min(S) >= Tr Y +
+    dim / ||S^-1||_inf on the optimum (:func:`_min_eig_floor`); the loop
+    stops once the polished primal point is within ``options.tol`` of it.
+    Returns (C, dual bound, Newton steps).
 
     Each step factors C and S with one batched Cholesky and one batched
-    inverse, which give the roots R with R Z R^H = I and S^-1 = R_S^H R_S.
-    The corrector aims at _SIGMA * mu = 0.05 mu and keeps Mehrotra's
-    second-order term dC_aff dS_aff S^-1 from the predictor's direction, whose
-    step lengths are not taken: the step makes one batched eigvalsh, for the
-    corrector's primal and dual step lengths.  lambda_min(S)
-    is at most min diag S and at most the Rayleigh quotient of S at the column
-    of the previous step's S^-1 with the largest diagonal (:func:`_rayleigh`),
-    so the stopping test cannot pass, and lambda_min(S) is not computed, while
-    Tr Y + dim * either bound is more than the tolerance below the value.
-    Every exit takes the bound from the last S.
+    inverse, which give the roots R with R Z R^H = I and S^-1 = R_S^H R_S,
+    and takes the bound from that S^-1.  The corrector aims at _SIGMA * mu =
+    0.05 mu and keeps Mehrotra's second-order term dC_aff dS_aff S^-1 from the
+    predictor's direction, whose step lengths are not taken: the step makes
+    one batched eigvalsh, for the corrector's primal and dual step lengths.
+    Every exit returns the bound of the last S that factored, or the start's
+    exact bound dim * lambda_min(M) if none did.
     """
     side = dim * dim
     eye = _eye(dim)
@@ -336,31 +321,12 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     lam = np.linalg.eigvalsh(m)
     x = np.eye(side, dtype=complex) / dim
     y = (lam[0] - 1.0 - max(-lam[0], lam[-1])) * eye
-    # before the first factorization e_0 stands in for a column of S^-1
-    s_inv = _eye(side)
+    bound = dim * lam[0]  # Tr Y + dim * lambda_min(S) at the start
     cones = np.empty((2, side, side), dtype=complex)  # C and S
     dirs = np.empty((2, side, side), dtype=complex)  # dC and dS
     for steps in range(options.max_iters + 1):
         # X and Y stay exactly Hermitian, so S is too: Cholesky reads one triangle
         s = m - lift(y)
-        value = np.vdot(x, m).real
-        slack = options.tol * (1.0 + abs(value))
-        # the gap if lambda_min(S) were 0; min diag S and the Rayleigh
-        # quotient bound lambda_min(S) from above, so while either leaves
-        # the gap above the slack the stopping test cannot pass
-        unproven = value - y.trace().real
-        if (
-            unproven - dim * s.diagonal().real.min() <= slack
-            and unproven - dim * _rayleigh(s, s_inv) <= slack
-        ):
-            bound = _dual_bound(y, s, dim)
-            if value - bound <= slack:
-                polished = _tp_polish(x, dim)
-                value = np.vdot(polished, m).real
-                if value - bound <= options.tol * (1.0 + abs(value)):
-                    return polished, bound, steps
-        if steps == options.max_iters:
-            break
         cones[0], cones[1] = x, s
         try:
             roots = np.linalg.inv(np.linalg.cholesky(cones))  # R Z R^H = I
@@ -368,6 +334,15 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
             break
         roots_h = roots.conj().transpose(0, 2, 1)
         s_inv = roots_h[1] @ roots[1]
+        bound = y.trace().real + dim * _min_eig_floor(s_inv)
+        value = np.vdot(x, m).real
+        if value - bound <= options.tol * (1.0 + abs(value)):
+            polished = _tp_polish(x, dim)
+            value = np.vdot(polished, m).real
+            if value - bound <= options.tol * (1.0 + abs(value)):
+                return polished, bound, steps
+        if steps == options.max_iters:
+            break
         mu = np.vdot(x, s).real / side
         schur = _schur_matrix(x, s_inv, dim)
 
@@ -390,7 +365,7 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
             break
         x = x + a_p * dx
         y = y + a_d * dy
-    return _tp_polish(x, dim), _dual_bound(y, s, dim), steps
+    return _tp_polish(x, dim), bound, steps
 
 
 def minimize_over_cptp(
@@ -507,17 +482,19 @@ class SweepOptions:
     sdp: SdpOptions = field(default_factory=SdpOptions)
 
     def __post_init__(self):
-        if json_int(self.rounds, "rounds") < 0:
+        self.rounds = json_int(self.rounds, "rounds")
+        if self.rounds < 0:
             raise ValidationError("rounds must be non-negative")
         tol = self.accept_tol
         real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
         if not (real and math.isfinite(tol) and tol >= 0.0):
             raise ValidationError("accept_tol must be a non-negative finite number")
-        for i in () if self.order is None else self.order:
-            json_int(i, "a sweep order entry")
+        if self.order is not None:
+            self.order = tuple(json_int(i, "a sweep order entry") for i in self.order)
         if self.init not in SWEEP_INITS:
             raise ValidationError(f"unknown init {self.init!r}")
-        if json_int(self.seed, "seed") < 0:
+        self.seed = json_int(self.seed, "seed")
+        if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
 

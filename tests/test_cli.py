@@ -1,6 +1,8 @@
 """Command-line interface: workflows, file outputs, exit codes."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -651,6 +653,35 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert main(["ansatz", "--observable", str(missing)]) == 2
         assert capsys.readouterr().err == f"error: no observable file '{missing}'\n"
+        # a directory is not read as a file, and is no JSON text either
+        assert main(["ansatz", "--observable", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: no observable file '{tmp_path}'\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_observable_is_read_from_a_pipe(self, tmp_path, obs_file, identity_circuit_file):
+        # as the shell's <(cat obs.json) hands it over: a path that is no regular file
+        batch = tmp_path / "batch.csv"
+        assert main(["sample", "--mixed", "--N", "3", "--S", "50", "--out", str(batch)]) == 0
+        pipe = tmp_path / "obs.pipe"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "w") as f:
+                f.write(obs_file.read_text())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        reports = [tmp_path / "piped.json", tmp_path / "plain.json"]
+        for observable, report in zip((pipe, obs_file), reports):
+            argv = ["estimate", "--batch", str(batch), "--observable", str(observable)]
+            argv += ["--circuit", str(identity_circuit_file), "--out", str(report)]
+            rc = main(argv)
+            if writer.is_alive():  # the pipe was never opened: release its writer
+                os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+            assert rc == 0
+        writer.join(5)
+        piped, plain = (json.loads(r.read_text())[0] for r in reports)
+        assert piped["value"] == plain["value"]
 
     def test_non_integer_order_exits_2(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"

@@ -97,9 +97,6 @@ class TestSolverReplay:
         assert record["exact_unconverged"] == 0
         assert record["exact_subproblems"] > 0
         assert record["exact_newton_steps"] <= 80 and record["exact_most_steps"] <= 14
-        # a dual-bound eigvalsh runs on at most a few steps of a solve
-        for prefix in ("", "exact_", "random_"):
-            assert 0 < record[f"{prefix}dual_bound_calls"] < record[f"{prefix}newton_steps"]
         assert record["random_objectives"] == 600
         assert record["random_unconverged"] == 0 and record["random_newton_steps"] > 600
         assert record["random_worst_gap_over_tol"] > 0.0
