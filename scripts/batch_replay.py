@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Replay the shot-record path of ``optimize --batch``: read a batch file and count its rows.
+
+Two cases, each written once with ``densesim.write_batch`` to a temporary
+directory:
+
+* ``optimize-n3``: 20000 SIC shots at seed 1 from the perturbed ground state
+  of the periodic N=3 XX chain (field 0.95, noise strength 0.05, noise seed
+  21), the shape of the ``optimize-n3`` benchmark job's batch: at most 64
+  distinct rows.
+* ``random-1e6-8``: 10^6 uniformly random rows of N=8 outcomes, seed 8.
+
+Each timed pass measures ``read_s``, ``densesim.read_batch`` on the file,
+and ``count_s``, ``estimation.data_from_batch`` on the batch read: its
+distinct rows, weighted by their counts. Both are checked against a
+reference, ``np.loadtxt`` on the file and ``linalg.unique_rows`` on its
+rows: the outcomes must equal the rows written and those ``np.loadtxt``
+reads, and the rows, their dtype and the weights of ``data_from_batch`` must
+equal those the reference gives, bit for bit. A mismatch exits with status 1.
+
+The script prints one JSON record: per case the shots, qubits, distinct
+rows, the check, and the median and quartiles of both timings over
+``--repeats`` passes. ``--out`` also stores the record in a JSON file under
+the key ``--tag``, keeping the file's other keys.
+
+Example:
+    python3 scripts/batch_replay.py --repeats 7 --tag change --out BENCH_batch.json
+"""
+
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from replay import emit, parse, parser, quartiles
+from virtualmap import densesim, estimation
+from virtualmap.densesim import (
+    DensityMatrix,
+    OutcomeBatch,
+    build_perturbed_state,
+    exact_ground_energy,
+    sample_outcomes,
+)
+from virtualmap.linalg import unique_rows
+from virtualmap.pauli import xx_hamiltonian
+
+
+def optimize_n3_batch():
+    ham = xx_hamiltonian(3, coupling=1.0, field=0.95, periodic=True)
+    _, vec = exact_ground_energy(ham)
+    rho = build_perturbed_state(DensityMatrix(3, np.outer(vec, vec.conj())), 0.05, 21)
+    return sample_outcomes(rho, "sic", 20000, seed=1)
+
+
+def random_batch():
+    rows = np.random.default_rng(8).integers(0, 4, size=(10**6, 8))
+    return OutcomeBatch(rows, ("sic",) * 8, 8)
+
+
+CASES = {"optimize-n3": optimize_n3_batch, "random-1e6-8": random_batch}
+
+
+def matches_reference(path: Path, written: OutcomeBatch) -> bool:
+    read = densesim.read_batch(path)
+    loaded = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+    got = estimation.data_from_batch(read, "sic")
+    uniq, _, counts = unique_rows(loaded)
+    want = estimation.ProductInputData(counts / len(loaded), got.tables, uniq)
+    return (
+        np.array_equal(read.outcomes, written.outcomes)
+        and np.array_equal(read.outcomes, loaded)
+        and got.rows.dtype == want.rows.dtype
+        and np.array_equal(got.rows, want.rows)
+        and got.weights.dtype == want.weights.dtype
+        and got.weights.tobytes() == want.weights.tobytes()
+    )
+
+
+def replay(name, repeats):
+    written = CASES[name]()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.csv"
+        densesim.write_batch(written, path)
+        ok = matches_reference(path, written)
+        read_s, count_s = [], []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            batch = densesim.read_batch(path)
+            read = time.perf_counter()
+            data = estimation.data_from_batch(batch, "sic")
+            read_s.append(read - start)
+            count_s.append(time.perf_counter() - read)
+    return {
+        "shots": written.num_shots,
+        "qubits": written.num_qubits,
+        "distinct_rows": len(data.rows),
+        "ok": ok,
+        **quartiles(read_s, "read_s"),
+        **quartiles(count_s, "count_s"),
+    }
+
+
+def main(argv=None) -> int:
+    p = parser(__doc__, 7, "timed passes per case")
+    p.add_argument(
+        "--case", action="append", choices=sorted(CASES), help="case to run (repeatable; default all)"
+    )
+    args = parse(p, argv)
+    names = args.case or list(CASES)
+    record = emit({name: replay(name, args.repeats) for name in names}, args)
+    failed = [name for name in names if not record[name]["ok"]]
+    for name in failed:
+        print(f"error: {name}: outcomes or row counts differ from the reference", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

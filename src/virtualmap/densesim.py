@@ -270,32 +270,84 @@ def write_batch(batch: OutcomeBatch, path) -> None:
     Path(path).write_text(batch_to_text(batch))
 
 
+# The bytes "d," of a row's outcome and "d\n" of its last one, read as one
+# little-endian uint16 each, are these pairs plus d.
+_PAIR_DIGIT, _PAIR_LAST = np.frombuffer(b"0,0\n", dtype="<u2")
+
+
+def _row_digits(pairs: np.ndarray) -> np.ndarray:
+    """The outcomes of the (R, N) rows ``pairs``, each row the N byte pairs
+    ``d,`` ... ``d\\n`` as uint16; a pair that breaks that layout gives a
+    value above 3 (uint16 wraps below zero)."""
+    digits = pairs - _PAIR_DIGIT
+    digits[:, -1] += _PAIR_DIGIT - _PAIR_LAST
+    return digits
+
+
+def _first_bad_row(body: np.ndarray, n: int) -> int:
+    """Index of the first line of ``body`` (uint8, ending in a newline) that
+    is not a row of ``n`` outcomes."""
+    ends = np.flatnonzero(body == ord("\n")) + 1
+    starts = np.concatenate(([0], ends[:-1]))
+    ok = ends - starts == 2 * n
+    fit = np.flatnonzero(ok)
+    if fit.size:  # else 2N may exceed the file, and no row needs its bytes checked
+        rows = body[starts[fit, None] + np.arange(2 * n)].view("<u2")
+        ok[fit] = _row_digits(rows).max(axis=1) <= 3
+    return int(np.argmin(ok))
+
+
 def read_batch(path) -> OutcomeBatch:
-    lines = read_text(path, "batch file").strip().splitlines()
-    if not lines:
+    """The outcome batch in a file: a header line, then S rows of N outcomes,
+    each written ``d,d,...,d`` with d a digit 0-3 and ended by a newline, which
+    the last row may omit. Blank lines before the header and after the last
+    row are skipped; ``read_text`` reads a ``\\r\\n`` line ending as ``\\n``.
+    The rows are checked and decoded as one array over the file's bytes."""
+    text = read_text(path, "batch file")
+    first = len(text) - len(text.lstrip())
+    if first == len(text):
         raise ValidationError("empty batch file")
-    m = _HEADER_RE.match(lines[0])
+    head_end = text.find("\n", first)
+    if head_end < 0:
+        head_end = len(text)
+    m = _HEADER_RE.match(text[first:head_end])
     if not m:
-        raise ValidationError(f"malformed batch header: {lines[0]!r}")
+        raise ValidationError(f"malformed batch header: {text[first:head_end]!r}")
     n = int(m.group("n"))
     s = int(m.group("s"))
-    povm_field = m.group("povm")
-    labels = tuple(povm_field.split("|")) if "|" in povm_field else (povm_field,) * n
-    if len(lines) - 1 != s:
-        raise ValidationError(f"header says S={s} but file has {len(lines) - 1} rows")
+    data = text.encode()
+    offset = len(text[: head_end + 1].encode())
+    stop = len(data)
+    while stop > offset and data[stop - 1] == ord("\n"):
+        stop -= 1
+    if stop == len(data):
+        data += b"\n"
+    body = np.frombuffer(data, np.uint8, count=stop + 1 - offset, offset=offset)
+    # S rows of N outcomes take exactly 2SN bytes; the size is checked before
+    # anything is allocated for the S rows
+    if body.size == 2 * s * n:
+        digits = _row_digits(body.view("<u2").reshape(s, n))
+        if digits.max() <= 3:
+            povm = m.group("povm")
+            labels = tuple(povm.split("|")) if "|" in povm else (povm,) * n
+            return OutcomeBatch(digits, labels, int(m.group("seed")), m.group("source") or "")
+    num_rows = data.count(b"\n", offset, stop) + (stop > offset)
+    if num_rows != s:
+        raise ValidationError(f"header says S={s} but file has {num_rows} rows")
     if s == 0:
         raise ValidationError("batch file has no outcome rows")
-    try:
-        outcomes = np.loadtxt(
-            lines[1:], delimiter=",", dtype=np.int64, ndmin=2, comments=None
-        )
-    except ValueError as exc:
-        raise ValidationError(f"malformed outcome row: {exc}") from exc
-    if len(outcomes) != s:  # loadtxt skips blank lines
-        raise ValidationError(f"header says S={s} but file has {len(outcomes)} outcome rows")
-    if outcomes.shape[1] != n:
-        raise ValidationError(f"header says N={n} but rows have {outcomes.shape[1]} entries")
-    return OutcomeBatch(outcomes, labels, int(m.group("seed")), m.group("source") or "")
+    if n == 0:
+        raise ValidationError("header says N=0, but a row needs at least one outcome")
+    bad = _first_bad_row(body, n)
+    # every row before the bad one is 2N bytes long
+    row_start = offset + 2 * n * bad
+    row = data[row_start : data.find(b"\n", row_start)].decode(errors="replace")
+    if len(row) > 40:
+        row = row[:40] + "..."
+    line = text.count("\n", 0, first) + 2 + bad
+    raise ValidationError(
+        f"malformed outcome row on line {line}: {row!r} (want N={n} digits 0-3 as d,d,...,d)"
+    )
 
 
 # ---------------------------------------------------------------------------

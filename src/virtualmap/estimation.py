@@ -176,10 +176,35 @@ class ProductInputData:
         return self.rows.shape[1]
 
 
+_KEY_QUBITS = 31  # base-4 digits that fit in one int64 key
+
+
+def _row_counts(outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a batch's outcomes, in lexicographic order, and
+    their counts, exactly as :func:`~virtualmap.linalg.unique_rows` returns
+    them. Up to 31 qubits each row is one base-4 int64 key, qubit 0 most
+    significant, so the keys sort in row order and one ``np.unique`` counts
+    them; wider rows go through ``unique_rows``."""
+    n = outcomes.shape[1]
+    if n > _KEY_QUBITS:
+        uniq, _, counts = unique_rows(outcomes)
+        return uniq, counts
+    keys = outcomes[:, 0].astype(np.int64)
+    for column in outcomes.T[1:]:
+        keys <<= 2
+        keys |= column
+    keys, counts = np.unique(keys, return_counts=True)
+    uniq = np.empty((len(keys), n), dtype=outcomes.dtype)
+    for q in reversed(range(n)):
+        uniq[:, q] = keys & 3
+        keys >>= 2
+    return uniq, counts
+
+
 def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:
     """Collapse a measurement batch to its distinct outcome rows, weighted by
     their frequencies, over the dual frames ``duals``."""
-    uniq, _, counts = unique_rows(batch.outcomes)
+    uniq, counts = _row_counts(batch.outcomes)
     return ProductInputData(
         counts / batch.num_shots, dual_arrays(duals, batch.num_qubits), uniq
     )

@@ -1,5 +1,7 @@
 """Dense simulation: state builders, map application, sampling, batch files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -275,15 +277,89 @@ class TestBatchFiles:
 
     @pytest.mark.parametrize(
         "body",
-        ["", "0,1,300\n", "0,1,4\n", "0,-1,2\n", "0,1\n", "0,1.0,2\n", "0,1,2 # c\n"],
-        ids=["no-rows", "above-int8", "out-of-range", "negative", "short", "float", "comment"],
+        [
+            "",
+            "0,1,300\n",
+            "0,1,4\n",
+            "0,-1,2\n",
+            "0,1\n",
+            "0,1.0,2\n",
+            "0,1,2 # c\n",
+            "0,+1,2\n",
+            "0, 1,2\n",
+            "0,01,2\n",
+            "0,1,2 \n",
+            "0\t1\t2\n",
+            "0,1,2,\n",
+        ],
+        ids=[
+            "no-rows",
+            "above-int8",
+            "out-of-range",
+            "negative",
+            "short",
+            "float",
+            "comment",
+            "plus-sign",
+            "leading-space",
+            "leading-zero",
+            "trailing-space",
+            "tabs",
+            "trailing-comma",
+        ],
     )
     def test_bad_single_row_body(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         s = 1 if body else 0
         path.write_text(f"# povm=sic seed=0 N=3 S={s}\n{body}")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="on line 2:" if body else "no outcome rows"):
             read_batch(path)
+
+    def test_bad_row_message_names_its_line(self, tmp_path):
+        # blank lines before the header count as lines too
+        path = tmp_path / "bad.csv"
+        path.write_text("\n\n# povm=sic seed=0 N=2 S=4\n0,1\n1,2\n3,+1\n2,2\n")
+        with pytest.raises(ValidationError, match=r"on line 6: '3,\+1'"):
+            read_batch(path)
+
+    @pytest.mark.parametrize(
+        "ending",
+        [
+            lambda t: t.replace("\n", "\r\n"),
+            lambda t: t[:-1],
+            lambda t: t + "\n\n",
+            lambda t: "\n" + t,
+        ],
+        ids=["crlf", "no-final-newline", "trailing-blank-lines", "leading-blank-line"],
+    )
+    def test_line_endings_read_as_newline(self, tmp_path, ending):
+        batch = OutcomeBatch(np.array([[0, 3, 1], [2, 2, 0], [1, 1, 3]]), ("sic",) * 3, 5, "x")
+        path = tmp_path / "batch.csv"
+        path.write_bytes(ending(batch_to_text(batch)).encode())
+        back = read_batch(path)
+        np.testing.assert_array_equal(back.outcomes, batch.outcomes)
+        assert back.outcomes.dtype == np.int8
+        assert (back.povm_labels, back.seed, back.source) == (("sic",) * 3, 5, "x")
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("N=1 S=1000000000000", "S=1000000000000 but file has 1 rows"),
+            ("N=1000000000000 S=1", "on line 2:"),
+        ],
+        ids=["huge-S", "huge-N"],
+    )
+    def test_huge_header_counts_exit_before_allocating(self, tmp_path, header, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# povm=sic seed=0 {header}\n0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=message):
+                read_batch(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_blank_line_inside_body(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -319,6 +395,7 @@ class TestBatchFiles:
         write_batch(batch, path)
         back = read_batch(path)
         np.testing.assert_array_equal(back.outcomes, arr)
+        np.testing.assert_array_equal(back.outcomes, np.loadtxt(path, delimiter=",", ndmin=2))
         assert back.outcomes.dtype == np.int8
         assert back.povm_labels == labels
         assert back.seed == seed and back.source == source

@@ -37,7 +37,7 @@ from virtualmap.estimation import (
     row_weights,
     shot_weight,
 )
-from virtualmap.linalg import kron_all
+from virtualmap.linalg import kron_all, unique_rows
 from virtualmap.maps import LocalMap, cnot_map, random_cptp_map, random_tp_hermitian_map
 from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
@@ -641,3 +641,42 @@ class TestRowsStayRows:
         batch = sample_outcomes(noisy_chain_state(3), "sic", 2000, seed=6)
         est = estimate(batch, "sic", brickwork(3, 2), xx_hamiltonian(3), keep_per_shot=True)
         assert est.per_shot.shape == (2000,)
+
+
+class TestRowCounts:
+    """``data_from_batch`` counts rows by one sort of base-4 keys up to 31
+    qubits and through ``unique_rows`` above; either way its rows, their
+    dtype and their weights are those of the ``unique_rows`` path, bit for
+    bit."""
+
+    @staticmethod
+    def _assert_as_unique_rows(outcomes):
+        batch = OutcomeBatch(outcomes, ("sic",) * outcomes.shape[1], 0)
+        got = data_from_batch(batch, "sic")
+        uniq, _, counts = unique_rows(batch.outcomes)
+        want = ProductInputData(counts / batch.num_shots, got.tables, uniq)
+        assert got.rows.dtype == want.rows.dtype and got.weights.dtype == want.weights.dtype
+        np.testing.assert_array_equal(got.rows, want.rows)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        rows, row_counts = estimation._row_counts(batch.outcomes)
+        assert rows.dtype == uniq.dtype and row_counts.dtype == counts.dtype
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        shots=st.integers(1, 300),
+        alphabet=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_small_registers(self, n, shots, alphabet, seed):
+        # a smaller alphabet repeats rows more often
+        rng = np.random.default_rng(seed)
+        self._assert_as_unique_rows(rng.integers(0, alphabet, size=(shots, n)))
+
+    @pytest.mark.parametrize("n", [31, 40])
+    def test_widest_key_and_wide_rows(self, n):
+        # N = 31 fills the int64 key up to bit 61; N = 40 takes unique_rows
+        rng = np.random.default_rng(n)
+        rows = rng.integers(0, 4, size=(50, n))
+        rows[:, 0] = 3  # the most significant digit of every key at its largest
+        self._assert_as_unique_rows(np.concatenate([rows, rows[::3], np.full((4, n), 3)]))

@@ -1,5 +1,5 @@
 """The replay scripts' shared harness (``scripts/replay.py``), the
-self-gating of the solver and plan replays, the CLI's Newton step total
+self-gating of the solver, plan and batch replays, the CLI's Newton step total
 counted by the harness, and the two paper-experiment scripts at their
 smallest size, loaded from ``scripts/`` by path."""
 
@@ -9,9 +9,10 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from virtualmap import varopt
+from virtualmap import densesim, estimation, varopt
 from virtualmap.cli import main
 from virtualmap.pauli import write_observable, xx_hamiltonian
 
@@ -164,6 +165,38 @@ def test_plan_replay_checks_its_groups(load, capsys):
     plan = load("plan_replay")
     assert plan.main(["--repeats", "1", "--case", "staircase-24-3"]) == 0
     assert json.loads(capsys.readouterr().out)["staircase-24-3"]["ok"] is True
+
+
+class TestBatchReplay:
+    def test_checks_the_optimize_n3_batch(self, load, capsys):
+        assert load("batch_replay").main(["--repeats", "1", "--case", "optimize-n3"]) == 0
+        record = json.loads(capsys.readouterr().out)["optimize-n3"]
+        assert record["ok"] is True and record["shots"] == 20000
+        assert 1 < record["distinct_rows"] <= 64 and record["read_s_median"] > 0.0
+
+    @pytest.mark.parametrize("fault", ["read", "count"])
+    def test_a_mismatch_fails_the_replay(self, load, capsys, monkeypatch, fault):
+        if fault == "read":
+            real_read = densesim.read_batch
+
+            def read_one_flipped(path):
+                batch = real_read(path)
+                batch.outcomes[0, 0] ^= 1
+                return batch
+
+            monkeypatch.setattr(densesim, "read_batch", read_one_flipped)
+        else:
+            real_counts = estimation._row_counts
+
+            def counts_reversed(outcomes):
+                rows, counts = real_counts(outcomes)
+                return rows, np.ascontiguousarray(counts[::-1])
+
+            monkeypatch.setattr(estimation, "_row_counts", counts_reversed)
+        assert load("batch_replay").main(["--repeats", "1", "--case", "optimize-n3"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["optimize-n3"]["ok"] is False
+        assert captured.err.startswith("error: optimize-n3")
 
 
 @pytest.mark.parametrize(
