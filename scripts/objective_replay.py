@@ -158,7 +158,7 @@ class Assemblies(Calls):
         self.seconds += time.perf_counter() - start
         self.calls += self.applied() - calls
         self.visits.append((args[0], args[1], objective.matrix))
-        for walk, _ in kwargs.get("walks") or ():
+        for walk in kwargs.get("walks") or ():
             self.peak_bytes = max(self.peak_bytes, walk.peak_bytes)
         return objective
 

@@ -64,15 +64,19 @@ before any residual is allocated.
 To single out one component, a ``CutWalk`` cuts a step list at its apply
 step: the steps before it give the forward residual, the steps after it, run
 backwards on the adjoint maps, the backward one, and the walk keeps both
-across cuts. On the whole-register plan they live on the qubits active at
-the cut, the component's support and the spectators; a dense state is the
-same walk over one apply step per component on the whole register. For one
+across cuts. Product rows are walked on the whole-register plan, one walk
+per chunk of their (rows, terms) batch, from the empty register; there the
+residuals live on the qubits active at the cut, the component's support and
+the spectators. A dense state is one walk over one apply step per component
+on the whole register, from the state and the observable's matrix. For one
 pair, with r and rbar of shape (ds, dm, ds, dm) (support, spectators), the
 circuit's value with the component replaced by any map L is linear in L:
 
     value(L) = sum_{w,u} Tr[L(r[:, w, :, u]) rbar[:, u, :, w]].
 
-The variational layer assembles its objectives from this form.
+Each walk carries the (R, T) weights of its batch items and contracts its
+own pairs into its share of the variational objective M
+(``CutWalk.objective``); no other module reads the residuals' layout.
 """
 
 from __future__ import annotations
@@ -395,10 +399,10 @@ def _factor_list(factors, num_qubits: int) -> list[np.ndarray]:
     return mats
 
 
-EMPTY_REGISTER = ((), np.ones((1, 1, 1, 1), dtype=complex))  # no active qubit, residual one
+_EMPTY_REGISTER = ((), np.ones((1, 1, 1, 1), dtype=complex))  # no active qubit, residual one
 
 
-def _run_steps(circuit, steps, in_factors, out_factors, backward=False, start=EMPTY_REGISTER):
+def _run_steps(circuit, steps, in_factors, out_factors, backward=False, start=_EMPTY_REGISTER):
     """Execute schedule steps on a batch of residuals with two batch axes.
 
     The residuals are (rows, terms) batches. Each per-qubit factor is (2, 2),
@@ -481,42 +485,41 @@ def evaluate_trace_backward(circuit, dual_factors, pauli):
 _BATCH_ENTRIES = 1 << 18
 
 
-def row_chunks(num_rows: int, peak_active: int, terms: int):
-    """Chunks of a (rows, terms) batch small enough that its residuals on
-    ``peak_active`` qubits hold at most ``_BATCH_ENTRIES`` entries (a single
-    (row, term) pair may exceed it): a list of (terms slice, rows slices).
-    The term axis is split only where one row of all the terms would exceed
-    the budget."""
-    item = 4**peak_active
-    term_size = max(1, min(terms, _BATCH_ENTRIES // item))
-    row_size = max(1, _BATCH_ENTRIES // (term_size * item))
-    rows = [
-        slice(start, min(start + row_size, num_rows)) for start in range(0, num_rows, row_size)
-    ]
-    return [
-        (slice(start, min(start + term_size, terms)), rows)
-        for start in range(0, max(terms, 1), term_size)
-    ]
-
-
-def row_factors(tables, rows) -> list[np.ndarray]:
-    """Input factors of a batch of rows, one (2, 2, R, 1) array per table:
-    ``tables[j][rows[:, j]]`` with the batch axes behind the operator axes."""
-    return [t[rows[:, j]].transpose(1, 2, 0)[..., None] for j, t in enumerate(tables)]
-
-
-def term_factors(terms, num_qubits: int) -> list[np.ndarray]:
-    """Per-qubit output factors of a list of Pauli terms: the shared (2, 2)
-    letter where every term has the same one, else (2, 2, 1, T)."""
-    out = []
-    for q in range(num_qubits):
+def _term_factors(terms, qubits) -> dict:
+    """Output factors of a list of Pauli terms on ``qubits``: the shared
+    (2, 2) letter where every term has the same one, else (2, 2, 1, T)."""
+    out = {}
+    for q in qubits:
         letters = [ps.letters[q] for ps in terms]
         if len(set(letters)) == 1:
-            out.append(PAULI_MATRICES[letters[0]])
+            out[q] = PAULI_MATRICES[letters[0]]
         else:
             stacked = np.array([PAULI_MATRICES[c] for c in letters]).reshape(-1, 2, 2)
-            out.append(stacked.transpose(1, 2, 0)[:, :, None])
+            out[q] = stacked.transpose(1, 2, 0)[:, :, None]
     return out
+
+
+def _chunks(tables, rows, terms, qubits, peak_active):
+    """The chunks of a (rows, terms) batch whose residuals on ``peak_active``
+    qubits hold at most ``_BATCH_ENTRIES`` entries (a single (row, term) pair
+    may exceed it); the term axis is split only where one row of all the
+    terms would exceed the budget. Yields per chunk its rows and terms
+    slices and its in- and out-factors on ``qubits``: one (2, 2, R, 1) array
+    ``tables[q][rows[:, j]]`` for the j-th qubit q, and the terms' factors
+    (:func:`_term_factors`)."""
+    item = 4**peak_active
+    term_size = max(1, min(len(terms), _BATCH_ENTRIES // item))
+    row_size = max(1, _BATCH_ENTRIES // (term_size * item))
+    for t in range(0, max(len(terms), 1), term_size):
+        term_chunk = slice(t, t + term_size)
+        outs = _term_factors(terms[term_chunk], qubits)
+        for r in range(0, len(rows), row_size):
+            row_chunk = slice(r, r + row_size)
+            ins = {
+                q: tables[q][rows[row_chunk, j]].transpose(1, 2, 0)[..., None]
+                for j, q in enumerate(qubits)
+            }
+            yield row_chunk, term_chunk, ins, outs
 
 
 def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
@@ -546,15 +549,10 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
             values *= np.trace(tables[q], axis1=1, axis2=2)[rows[:, q], None]
     if not plan.qubits:
         return np.repeat(values, len(terms), axis=1)
-    cols = list(plan.qubits)
-    cone_tables = [tables[q] for q in cols]
-    uniq, inverse, _ = unique_rows(rows[:, cols])
+    uniq, inverse, _ = unique_rows(rows[:, plan.qubits])
     cone_values = np.empty((len(uniq), len(terms)), dtype=complex)
-    for term_chunk, chunks in row_chunks(len(uniq), plan.peak_active, len(terms)):
-        outs = term_factors(terms[term_chunk], n)
-        for chunk in chunks:
-            ins = dict(zip(cols, row_factors(cone_tables, uniq[chunk])))
-            cone_values[chunk, term_chunk] = _run_plan(circuit, plan, ins, outs)
+    for row_chunk, term_chunk, ins, outs in _chunks(tables, uniq, terms, plan.qubits, plan.peak_active):
+        cone_values[row_chunk, term_chunk] = _run_plan(circuit, plan, ins, outs)
     return values * cone_values[inverse]
 
 
@@ -563,34 +561,65 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
 
 
 class CutWalk:
-    """The residual pairs of a step list cut at each of its components.
+    """The cuts of a step list at each of its components, and each cut's
+    share of the objective M.
 
     Built from the steps (run as by :func:`_run_steps`), the in- and
-    out-factors and each direction's start (active qubits, residual). The
-    cut at apply step c pairs the forward start run through ``steps[:c]``
-    with the backward start run backwards through ``steps[c + 1:]``. The
-    forward residual is kept at one step and advanced, and a cut behind it
-    starts again. Backward residual t (the last t steps) is kept for every
-    s-th t, s = ceil(sqrt(L)) for L steps, and for the block of the last
-    cut; others are recomputed from the kept one below. Components that are
-    not the very objects of the previous call count as installed: an install
-    drops the forward residual past its apply step and the backward ones
-    through it. Every value is bit for bit that of the steps run from
-    scratch, so a fresh walk is a cold cut. ``peak_bytes`` is the most the
-    kept backward residuals held together. Forward applies are checked by
-    :func:`check_trace_kept`; backward ones are not, since the adjoint of a
-    trace-preserving map is unital and may change the trace.
+    out-factors, the (R, T) weights of the batch items and each direction's
+    start (active qubits, residual), by default the empty register;
+    :meth:`dense` and :meth:`rows` build the walks of the two kinds of
+    input. The cut at apply step c pairs the forward start run through
+    ``steps[:c]`` with the backward start run backwards through
+    ``steps[c + 1:]``. The forward residual is kept at one step and
+    advanced, and a cut behind it starts again. Backward residual t (the last
+    t steps) is kept for every s-th t, s = ceil(sqrt(L)) for L steps, and for
+    the block of the last cut; others are recomputed from the kept one below.
+    Components that are not the very objects of the previous call count as
+    installed: an install drops the forward residual past its apply step and
+    the backward ones through it. Every value is bit for bit that of the
+    steps run from scratch, so a fresh walk is a cold cut. ``peak_bytes`` is
+    the most the kept backward residuals held together. Forward applies are
+    checked by :func:`check_trace_kept`; backward ones are not, since the
+    adjoint of a trace-preserving map is unital and may change the trace.
     """
 
-    def __init__(self, steps, in_factors, out_factors, forward_start, backward_start):
+    def __init__(
+        self, steps, in_factors, out_factors, weights,
+        forward_start=_EMPTY_REGISTER, backward_start=_EMPTY_REGISTER,
+    ):
         self._steps = tuple(steps)
         self._ins, self._outs = in_factors, out_factors
+        self.weights = weights
         self._start = forward_start
         self._cuts = {s.component: p for p, s in enumerate(self._steps) if s.kind == "apply"}
         self._components: tuple = ()
         self._forward = (0, *forward_start)
         self._backward = {0: backward_start}
         self.peak_bytes = backward_start[1].nbytes
+
+    @classmethod
+    def dense(cls, circuit: MapCircuit, state: np.ndarray, observable: np.ndarray) -> "CutWalk":
+        """The walk of a dense state: one apply step per component on the
+        whole register, from the state forward and the observable's matrix
+        backward, weight one."""
+        whole = tuple(range(circuit.num_qubits))
+        steps = [ScheduleStep("apply", component=j) for j in range(len(circuit.components))]
+        forward, backward = (whole, state[..., None, None]), (whole, observable[..., None, None])
+        return cls(steps, (), (), np.ones((1, 1)), forward, backward)
+
+    @classmethod
+    def rows(cls, circuit: MapCircuit, tables, rows, weights, terms):
+        """The walks of product rows under (coefficient, Pauli string)
+        ``terms``: per chunk of the (rows, terms) batch, a walk of the
+        whole-register plan weighted by the rows' ``weights`` times the
+        terms' coefficients. Yielded one at a time, so a cold walk is dropped
+        once its chunk is summed."""
+        plan = schedule(circuit)
+        coeffs = np.array([c for c, _ in terms])
+        paulis = [ps for _, ps in terms]
+        qubits = range(circuit.num_qubits)
+        for row_chunk, term_chunk, ins, outs in _chunks(tables, rows, paulis, qubits, plan.peak_active):
+            yield cls(plan.steps, ins, outs, weights[row_chunk, None] * coeffs[term_chunk])
 
     def _backward_at(self, circuit: MapCircuit, t: int):
         steps, stored = self._steps, self._backward
@@ -607,9 +636,9 @@ class CutWalk:
         self.peak_bytes = max(self.peak_bytes, sum(res.nbytes for _, res in stored.values()))
         return state
 
-    def pair(self, circuit: MapCircuit, index: int):
-        """The residuals around component ``index`` of ``circuit``, laid out
-        by :func:`group_cut_pair`."""
+    def residuals(self, circuit: MapCircuit, index: int):
+        """The cut at component ``index`` of ``circuit``: the qubits active
+        there (ascending) and the forward and backward residuals on them."""
         if index not in self._cuts:
             raise ValidationError(f"no component {index} in circuit")
         comps, cut = circuit.components, self._cuts[index]
@@ -631,28 +660,31 @@ class CutWalk:
                 check_trace_kept(before, state[1], comps[step.component].map)
         self._forward = (cut, *state)
         _, res_b = self._backward_at(circuit, len(self._steps) - 1 - cut)
-        return group_cut_pair(state[1], res_b, state[0], comps[index].qubits)
+        return state[0], state[1], res_b
 
-
-def group_cut_pair(res_f, res_b, active, support):
-    """A residual pair on the qubits ``active`` (ascending), support first:
-    two arrays of shape (ds, dm, ds, dm, R, T), batch shapes broadcast, ds
-    spanning ``support`` (in component order), dm the other active qubits."""
-    active = list(active)
-    a = len(active)
-    order = [active.index(q) for q in support]
-    order += [p for p, q in enumerate(active) if q not in support]
-    ds = 2 ** len(support)
-    dm = 2**a // ds
-    shape = (ds, dm, ds, dm) + np.broadcast_shapes(res_f.shape[2:], res_b.shape[2:])
-
-    def grouped(res):
-        batch = res.shape[2:]
-        t = res.reshape((2,) * (2 * a) + batch)
-        t = t.transpose([*order, *[a + p for p in order], *range(2 * a, 2 * a + len(batch))])
-        return np.broadcast_to(t.reshape((ds, dm, ds, dm) + batch), shape)
-
-    return grouped(res_f), grouped(res_b)
+    def objective(self, circuit: MapCircuit, index: int) -> np.ndarray:
+        """This walk's share of M at component ``index``, the (ds^2, ds^2)
+        matrix with Tr[C M] the energy of Choi matrix C there: M[(y,X),(x,Y)]
+        = sum_{i,k} weight_ik sum_{w,u} r[x,w,y,u] rbar[X,u,Y,w] for the
+        residuals r, rbar of item (i, k), rows (x, w) and columns (y, u)
+        split into support (in component order) and spectators. Each
+        residual is transposed once from its (2,) * 2a + batch tensor into
+        the operands of one matmul over (i, k, w, u)."""
+        active, res_f, res_b = self.residuals(circuit, index)
+        support = circuit.components[index].qubits
+        a, ds = len(active), 2 ** len(support)
+        x = [active.index(q) for q in support]  # the support's row axes
+        w = [p for p, q in enumerate(active) if q not in support]  # the spectators'
+        y, u, b = [a + p for p in x], [a + p for p in w], [2 * a, 2 * a + 1]
+        batch = np.broadcast_shapes(res_f.shape[2:], res_b.shape[2:])
+        weights = self.weights.reshape(self.weights.shape + (1,) * (2 * len(w)))
+        fwd = res_f.reshape((2,) * (2 * a) + res_f.shape[2:]).transpose(x + y + b + w + u)
+        lhs = np.multiply(fwd, weights, order="C").reshape(ds * ds, -1)
+        # the forward residual's spectator rows meet the backward one's columns
+        bwd = res_b.reshape((2,) * (2 * a) + res_b.shape[2:]).transpose(b + u + w + x + y)
+        rhs = np.broadcast_to(bwd, batch + bwd.shape[2:]).reshape(-1, ds * ds)
+        m = (lhs @ rhs).reshape(ds, ds, ds, ds).transpose(1, 2, 0, 3)
+        return m.reshape(ds * ds, ds * ds)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Each recorded outcome string m contributes a shot weight
 
     w_m = Re sum_k c_k Tr[L(D_{m_0} (x) ... (x) D_{m_{N-1}}) P_k].
 
-Identical outcome strings are collapsed first (there are at most 4^N distinct
-strings), and the estimate is the count-weighted sample mean with the
-unbiased sample variance; the reduction order is fixed by sorting, so results
-are deterministic for a given batch.
+Identical outcome strings are collapsed first, by :func:`data_from_batch`
+(there are at most 4^N distinct strings), and the estimate is the
+frequency-weighted sample mean with the unbiased sample variance; the mean is
+:func:`circuit_energy`'s sum over the same rows, and the reduction order is
+fixed by sorting, so results are deterministic for a given batch.
 
 The weights of all rows are computed together, one support group of Pauli
 terms at a time (:func:`virtualmap.cone.term_groups`), by the batched cone
@@ -337,14 +338,14 @@ def estimate(
     if batch.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("batch, circuit, and observable qubit counts differ")
     s = batch.num_shots
-    uniq, inverse, counts = unique_rows(batch.outcomes)
-    data = ProductInputData(counts / s, dual_arrays(duals, circuit.num_qubits), uniq)
+    data = data_from_batch(batch, duals)
     reals, residue = _real_weights(row_weights(circuit, data.tables, data.rows, obs))
-    value = float(np.dot(counts, reals) / s)
-    second = float(np.dot(counts, reals**2) / s)
+    value = float(np.dot(data.weights, reals))
+    second = float(np.dot(data.weights, reals**2))
     var_unbiased = max(second - value**2, 0.0) * s / (s - 1)
     sigma = float(np.sqrt(var_unbiased / s))
-    per_shot = reals[inverse] if keep_per_shot else None
+    # the rows are unique_rows' in its order, so its inverse maps shots to them
+    per_shot = reals[unique_rows(batch.outcomes)[1]] if keep_per_shot else None
     return Estimate(
         value=value,
         sigma=sigma,

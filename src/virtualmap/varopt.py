@@ -9,10 +9,11 @@ the problem to
 where M is assembled from the frozen remainder of the circuit and the input
 data: the circuit cut at the component gives a forward residual (the input run
 through the components before it) and a backward one (the observable run
-through the adjoints of those after it), and one contraction turns residual
-pairs into M. The subproblem is a small semidefinite program, solved by a
-primal-dual interior-point method (Mehrotra predictor-corrector steps in the
-HKM direction, about ten Newton steps per solve). Its matrices are d^2 x d^2
+through the adjoints of those after it), and the walk that holds them
+contracts them into its share of M. The subproblem is a small semidefinite
+program, solved by a primal-dual interior-point method (Mehrotra
+predictor-corrector steps in the HKM direction, about ten Newton steps per
+solve). Its matrices are d^2 x d^2
 for a d-dimensional component, so a step costs about as much as the numpy
 calls it makes: each step factors C and S with one batched Cholesky, builds
 the Schur matrix from one block product, and takes the primal and dual step
@@ -32,21 +33,21 @@ the sweep reuses that visit's objective and solve. Input data is either the
 weighted product rows of :class:`virtualmap.estimation.ProductInputData` (dual
 effects of measured outcomes or of the exact distribution, or the classical
 all-zeros register) or a :class:`virtualmap.densesim.DensityMatrix`, which
-optimizes the infinite-shot energy directly at small qubit counts. Both kinds
-are cut by a :class:`virtualmap.cone.CutWalk`: product rows on the
-whole-register plan, a (rows, terms) batch of residual pairs on the qubits
-active at the cut, and a dense state over one apply step per component, one
-pair on the whole register. The sweep's energies come from
+optimizes the infinite-shot energy directly at small qubit counts. This
+module only tells the two kinds apart: :class:`virtualmap.cone.CutWalk`
+builds their walks (``CutWalk.dense``, ``CutWalk.rows``) and contracts each
+walk's share of M (``CutWalk.objective``), and the objective is their sum's
+Hermitian part. The sweep's energies come from
 :func:`virtualmap.estimation.circuit_energy`, which takes the same two kinds
 of input. A sweep first decides, by one rule (:func:`_collapse_if_cheaper`),
 whether to collapse its rows (:func:`virtualmap.estimation.collapse`), so a
 large batch at N <= 10 is optimized as its empirical dual operator. Where the
-cut is one walk (a dense state, or rows in one chunk of
-:func:`virtualmap.cone.row_chunks`) the sweep keeps it, so an installed map
-invalidates residuals only where it enters: a dense round in index order costs
-fewer than 3K map applications, not K(K - 1), and a round of rows about two
-plan passes per component whose apply step precedes the last one's. Rows of
-several chunks get a cold walk per chunk at every visit.
+cut is one walk (a dense state, or rows that fit one chunk of the residual
+budget) the sweep keeps it, so an installed map invalidates residuals only
+where it enters: a dense round in index order costs fewer than 3K map
+applications, not K(K - 1), and a round of rows about two plan passes per
+component whose apply step precedes the last one's. Rows of several chunks
+get a cold walk per chunk at every visit.
 """
 
 from __future__ import annotations
@@ -61,16 +62,7 @@ from itertools import islice
 
 import numpy as np
 
-from .cone import (
-    EMPTY_REGISTER,
-    CutWalk,
-    MapCircuit,
-    ScheduleStep,
-    row_chunks,
-    row_factors,
-    schedule,
-    term_factors,
-)
+from .cone import CutWalk, MapCircuit, schedule, staircase
 from .densesim import _DENSE_LIMIT, DensityMatrix
 from .errors import NumericalError, ValidationError, json_int
 from .estimation import circuit_energy, classical_input, collapse
@@ -108,50 +100,20 @@ class LocalObjective:
         return float(np.real(trace_mul(mat, self.matrix)))
 
 
-def _cut_objective(r: np.ndarray, rbar: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """sum_{i,k} weight_ik sum_a kron(R_a^T, Rbar_a) for (ds, dm, ds, dm, R, T)
-    residual pairs and (R, T) weights, as a (ds, ds, ds, ds) array. The
-    spectator-basis sum is folded into the contraction:
-    sum_a R_a[x,y] Rbar_a[X,Y] = sum_{w,u} r[x,w,y,u] rbar[X,u,Y,w], so the
-    energy sum_{x,y,X,Y} C[(x,Y),(y,X)] r[x,w,y,u] rbar[X,u,Y,w] is Tr[C M]
-    with M[(y,X),(x,Y)]."""
-    ds = r.shape[0]
-    # one matmul over (i, k, w, u)
-    lhs = np.multiply(r.transpose(0, 2, 4, 5, 1, 3), weight[:, :, None, None], order="C")
-    rhs = rbar.transpose(4, 5, 3, 1, 0, 2).reshape(-1, ds * ds)
-    return (lhs.reshape(ds * ds, -1) @ rhs).reshape(ds, ds, ds, ds).transpose(1, 2, 0, 3)
-
-
 def _cut_walks(circuit: MapCircuit, data, obs: Observable):
-    """(walk, (R, T) weights) pairs that cut ``data`` under ``obs``: a dense
-    state's one walk, starting from the state and the observable's matrix,
-    or per chunk of product rows a walk of the plan from the empty register,
-    weighted by the rows' weights times the terms' coefficients. Yielded one
-    at a time, so a cold walk is dropped once its chunk is summed."""
-    n = circuit.num_qubits
+    """The walks that cut ``data`` under ``obs``: a dense state's one walk,
+    or the walks of product rows, yielded one chunk at a time."""
     if isinstance(data, DensityMatrix):
-        whole = tuple(range(n))
-        steps = [ScheduleStep("apply", component=j) for j in range(len(circuit.components))]
-        forward, backward = data.matrix[..., None, None], obs.matrix()[..., None, None]
-        yield CutWalk(steps, (), (), (whole, forward), (whole, backward)), np.ones((1, 1))
-        return
-    plan = schedule(circuit)
-    coeffs = np.array([c for c, _ in obs.terms])
-    paulis = [ps for _, ps in obs.terms]
-    for term_chunk, chunks in row_chunks(len(data.weights), plan.peak_active, len(coeffs)):
-        outs = term_factors(paulis[term_chunk], n)
-        for chunk in chunks:
-            ins = row_factors(data.tables, data.rows[chunk])
-            walk = CutWalk(plan.steps, ins, outs, EMPTY_REGISTER, EMPTY_REGISTER)
-            yield walk, data.weights[chunk, None] * coeffs[term_chunk]
+        return [CutWalk.dense(circuit, data.matrix, obs.matrix())]
+    return CutWalk.rows(circuit, data.tables, data.rows, data.weights, obs.terms)
 
 
 def assemble_local_objective(
     circuit: MapCircuit, index: int, data, obs: Observable, *, walks: list | None = None
 ) -> LocalObjective:
-    """The Hermitian M of the single-component energy landscape: sum_i w_i
-    sum_k c_k sum_a kron(R_a^T, Rbar_a) over the pairs of the cut at the
-    component, through the ``walks`` a sweep keeps, or cold walks."""
+    """The Hermitian M of the single-component energy landscape: the sum of
+    the walks' shares at the component (:meth:`virtualmap.cone.CutWalk.objective`),
+    through the ``walks`` a sweep keeps, or cold walks."""
     if not obs.is_hermitian:
         raise ValidationError("objective assembly needs a Hermitian observable")
     if data.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
@@ -159,11 +121,10 @@ def assemble_local_objective(
     if not 0 <= index < len(circuit.components):
         raise ValidationError(f"no component {index} in circuit")
     arity = circuit.components[index].map.arity
-    ds = 2**arity
-    m4 = np.zeros((ds, ds, ds, ds), dtype=complex)
-    for walk, weight in walks or _cut_walks(circuit, data, obs):
-        m4 += _cut_objective(*walk.pair(circuit, index), weight)
-    return LocalObjective(component=index, arity=arity, matrix=herm(m4.reshape(ds * ds, ds * ds)))
+    side = 4**arity
+    shares = (walk.objective(circuit, index) for walk in walks or _cut_walks(circuit, data, obs))
+    matrix = sum(shares, np.zeros((side, side), dtype=complex))
+    return LocalObjective(component=index, arity=arity, matrix=herm(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +634,6 @@ def classical_ansatz(
     state-preparation recipe; combine with :func:`zreset_compose` to make it
     input-independent.
     """
-    from .cone import staircase
-
     options = options or SweepOptions(init="random_unitary")
     if options.init == "keep":
         options = replace(options, init="random_unitary")

@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from virtualmap.cone import (
-    EMPTY_REGISTER,
-    Component,
-    CutWalk,
-    MapCircuit,
-    brickwork,
-    schedule,
-    staircase,
-)
+from virtualmap.cone import Component, CutWalk, MapCircuit, brickwork, schedule, staircase
 from virtualmap.linalg import trace_mul
 from virtualmap.maps import (
     LocalMap,
@@ -108,11 +100,59 @@ def replace_component(circuit: MapCircuit, index: int, new_map) -> MapCircuit:
     return circuit.with_component(index, new_map)
 
 
+def group_cut_pair(res_f, res_b, active, support):
+    """A residual pair on the qubits ``active`` (ascending), support first:
+    two arrays of shape (ds, dm, ds, dm, R, T), batch shapes broadcast, ds
+    spanning ``support`` (in component order), dm the other active qubits.
+    With :func:`cut_objective`, the two-step reference for
+    ``CutWalk.objective``."""
+    active = list(active)
+    a = len(active)
+    order = [active.index(q) for q in support]
+    order += [p for p, q in enumerate(active) if q not in support]
+    ds = 2 ** len(support)
+    dm = 2**a // ds
+    shape = (ds, dm, ds, dm) + np.broadcast_shapes(res_f.shape[2:], res_b.shape[2:])
+
+    def grouped(res):
+        batch = res.shape[2:]
+        t = res.reshape((2,) * (2 * a) + batch)
+        t = t.transpose([*order, *[a + p for p in order], *range(2 * a, 2 * a + len(batch))])
+        return np.broadcast_to(t.reshape((ds, dm, ds, dm) + batch), shape)
+
+    return grouped(res_f), grouped(res_b)
+
+
+def cut_objective(r: np.ndarray, rbar: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum_{i,k} weight_ik sum_a kron(R_a^T, Rbar_a) for (ds, dm, ds, dm, R, T)
+    residual pairs and (R, T) weights, as a (ds^2, ds^2) matrix. The
+    spectator-basis sum is folded into the contraction:
+    sum_a R_a[x,y] Rbar_a[X,Y] = sum_{w,u} r[x,w,y,u] rbar[X,u,Y,w], so the
+    energy sum_{x,y,X,Y} C[(x,Y),(y,X)] r[x,w,y,u] rbar[X,u,Y,w] is Tr[C M]
+    with M[(y,X),(x,Y)]."""
+    ds = r.shape[0]
+    # one matmul over (i, k, w, u)
+    lhs = np.multiply(r.transpose(0, 2, 4, 5, 1, 3), weight[:, :, None, None], order="C")
+    rhs = rbar.transpose(4, 5, 3, 1, 0, 2).reshape(-1, ds * ds)
+    m4 = (lhs.reshape(ds * ds, -1) @ rhs).reshape(ds, ds, ds, ds).transpose(1, 2, 0, 3)
+    return m4.reshape(ds * ds, ds * ds)
+
+
+def reference_objective(walk: CutWalk, circuit: MapCircuit, index: int) -> np.ndarray:
+    """The walk's share of M at component ``index`` by the two-step
+    reference: :func:`group_cut_pair`, then :func:`cut_objective`."""
+    active, res_f, res_b = walk.residuals(circuit, index)
+    pair = group_cut_pair(res_f, res_b, active, circuit.components[index].qubits)
+    return cut_objective(*pair, walk.weights)
+
+
 def cut_pair(circuit: MapCircuit, index: int, in_factors, out_factors):
     """The residual pair of a cold walk on the whole-register plan cut at
-    component ``index``: the split of a standalone call."""
-    walk = CutWalk(schedule(circuit).steps, in_factors, out_factors, EMPTY_REGISTER, EMPTY_REGISTER)
-    return walk.pair(circuit, index)
+    component ``index``: the split of a standalone call, laid out by
+    :func:`group_cut_pair`."""
+    walk = CutWalk(schedule(circuit).steps, in_factors, out_factors, np.ones((1, 1)))
+    active, res_f, res_b = walk.residuals(circuit, index)
+    return group_cut_pair(res_f, res_b, active, circuit.components[index].qubits)
 
 
 def split_pairs(circuit: MapCircuit, index: int, factors, pauli) -> list:

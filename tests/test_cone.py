@@ -14,12 +14,14 @@ from conftest import (
     map_specs,
     random_mixed_circuit,
     random_product_duals,
+    reference_objective,
     small_or_junk,
     split_pairs,
     split_value,
 )
 from virtualmap.cone import (
     Component,
+    CutWalk,
     MapCircuit,
     _cone,
     _plan,
@@ -36,6 +38,7 @@ from virtualmap.cone import (
     staircase,
     term_groups,
 )
+from virtualmap.densesim import noisy_chain_state
 from virtualmap.errors import ValidationError
 from virtualmap.linalg import (
     apply_superop_local,
@@ -55,7 +58,7 @@ from virtualmap.maps import (
     random_tp_hermitian_map,
     random_unitary_map,
 )
-from virtualmap.pauli import Observable, PauliString
+from virtualmap.pauli import Observable, PauliString, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
 
 
@@ -814,6 +817,85 @@ class TestCutPlan:
             width = int(np.log2(r.shape[1] * r.shape[2]))
             assert len(circ.components[index].qubits) <= width <= peak, index
 
+
+
+def _one_qubit_circuit(rng):
+    """N=4 with two one-qubit components between two-qubit ones."""
+    return MapCircuit(
+        4,
+        (
+            Component(1, (0, 2), random_cptp_map(2, rng)),
+            Component(2, (3,), random_unitary_map(1, rng)),
+            Component(2, (1,), random_cptp_map(1, rng)),
+            Component(3, (2, 1), random_cptp_map(2, rng)),
+            Component(3, (3, 0), random_tp_hermitian_map(2, rng)),
+        ),
+    )
+
+
+def _cut_walk_case(kind, rng):
+    """A circuit and the walks of one kind of input under the XX chain."""
+    if kind == "one-qubit":
+        circ, obs = _one_qubit_circuit(rng), xx_hamiltonian(4, field=0.6, periodic=True)
+    elif kind == "no-spectators":
+        circ = brickwork(2, 3, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(2, field=0.5)
+    else:
+        circ = staircase(6, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(6, field=0.7, periodic=True)
+    n = circ.num_qubits
+    if kind == "classical":
+        zero = np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
+        row = np.zeros((1, n), dtype=int)
+        return circ, list(CutWalk.rows(circ, [zero] * n, row, np.ones(1), obs.terms))
+    duals = np.asarray(compute_duals(make_sic_povm()).duals)
+    rows, _, counts = unique_rows(rng.integers(0, 4, size=(60, n)))
+    walks = list(CutWalk.rows(circ, [duals] * n, rows, counts / 60, obs.terms))
+    state = noisy_chain_state(n, theta=0.3, p=0.02).matrix
+    return circ, [CutWalk.dense(circ, state, obs.matrix())] + walks
+
+
+class TestCutObjective:
+    """``CutWalk.objective`` against the two-step reference contraction."""
+
+    @pytest.mark.parametrize("kind", ["classical", "dense-and-rows", "one-qubit", "no-spectators"])
+    def test_bit_identical_to_the_reference(self, kind):
+        rng = np.random.default_rng(96)
+        circ, walks = _cut_walk_case(kind, rng)
+        k = len(circ.components)
+        # visits in index order, then reversed, installing a map at most
+        for visit, index in enumerate([*range(k), *reversed(range(k))]):
+            for walk in walks:
+                want = reference_objective(walk, circ, index)
+                assert np.array_equal(walk.objective(circ, index), want), (visit, index)
+                if kind == "no-spectators":
+                    active, _, _ = walk.residuals(circ, index)
+                    assert sorted(active) == sorted(circ.components[index].qubits)
+            if visit % 3 != 2:
+                arity = circ.components[index].map.arity
+                circ = circ.with_component(index, random_unitary_map(arity, rng))
+
+    @pytest.mark.parametrize("per_chunk", ["rows", "terms"])
+    def test_chunks_are_bit_identical_to_the_reference(self, monkeypatch, per_chunk):
+        import virtualmap.cone as cone_module
+
+        rng = np.random.default_rng(97)
+        circ = brickwork(6, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(6, field=0.7, periodic=True)
+        duals = np.asarray(compute_duals(make_sic_povm()).duals)
+        rows, _, counts = unique_rows(rng.integers(0, 4, size=(40, 6)))
+        item = 4 ** schedule(circ).peak_active
+        # five rows of all the terms, or two terms of one row, per chunk
+        budget = 5 * len(obs.terms) * item if per_chunk == "rows" else 2 * item
+        monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", budget)
+        walks = list(CutWalk.rows(circ, [duals] * 6, rows, counts / 40, obs.terms))
+        if per_chunk == "rows":
+            assert len(walks) == -(-len(rows) // 5)
+        else:
+            assert len(walks) == len(rows) * -(-len(obs.terms) // 2)
+        for index in range(len(circ.components)):
+            for walk in walks:
+                assert np.array_equal(walk.objective(circ, index), reference_objective(walk, circ, index))
 
 class TestCircuitFiles:
     def test_round_trip(self, tmp_path):

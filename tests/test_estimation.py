@@ -109,6 +109,20 @@ class TestEstimate:
         var = np.sum((est.per_shot - est.value) ** 2) / (s - 1)
         assert abs(est.sigma - np.sqrt(var / s)) < 1e-10
 
+    def test_value_is_the_energy_of_the_batch_rows(self, monkeypatch):
+        # the rows and the sum of circuit_energy on data_from_batch, bit for
+        # bit, and no per-shot inverse unless it is asked for
+        rng = np.random.default_rng(12)
+        batch = sample_outcomes(noisy_chain_state(5), "sic", 3000, seed=9)
+        circ = brickwork(5, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(5, field=0.6)
+        want = circuit_energy(circ, data_from_batch(batch, "sic"), obs)
+        with_shots = estimate(batch, "sic", circ, obs, keep_per_shot=True)
+        monkeypatch.setattr(estimation, "unique_rows", lambda rows: pytest.fail("inverse taken"))
+        est = estimate(batch, "sic", circ, obs)
+        assert est.value == with_shots.value == want
+        assert est.sigma == with_shots.sigma and est.per_shot is None
+
     def test_row_permutation_invariance(self):
         rho = noisy_chain_state(3)
         batch = sample_outcomes(rho, "sic", 128, seed=6)

@@ -6,9 +6,16 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from conftest import brute_force_min, cube_povm, random_mixed_circuit, stinespring_choi
+from conftest import (
+    brute_force_min,
+    cube_povm,
+    cut_objective,
+    group_cut_pair,
+    random_mixed_circuit,
+    stinespring_choi,
+)
 from virtualmap import cone, densesim, varopt
-from virtualmap.cone import Component, MapCircuit, brickwork, group_cut_pair, schedule, staircase
+from virtualmap.cone import Component, MapCircuit, brickwork, schedule, staircase
 from virtualmap.densesim import (
     DensityMatrix,
     apply_circuit_dense,
@@ -58,7 +65,6 @@ from virtualmap.varopt import (
 )
 from virtualmap.varopt import (
     SweepStep,
-    _cut_objective,
     _cut_walks,
     _max_steps,
     _min_eig_floor,
@@ -298,12 +304,7 @@ def _certified(info, tol):
 def _raw_objective(circ, index, data, obs, walks=None):
     """M as assemble_local_objective sums it, before the Hermitian part is
     taken: cold walks, one per chunk, unless ``walks`` are given."""
-    ds = 2 ** circ.components[index].map.arity
-    parts = [
-        _cut_objective(*walk.pair(circ, index), weight)
-        for walk, weight in walks or _cut_walks(circ, data, obs)
-    ]
-    return sum(parts).reshape(ds * ds, ds * ds)
+    return sum(walk.objective(circ, index) for walk in walks or _cut_walks(circ, data, obs))
 
 
 def _assert_objectives_match_dense(circ, rho, data, obs):
@@ -324,8 +325,7 @@ def _from_scratch(circ, index, rho, obs):
         bwd = apply_superop_local(bwd, adjoint_map(c.map).superop, c.qubits, n)
     support = circ.components[index].qubits
     r, rbar = group_cut_pair(fwd[..., None, None], bwd[..., None, None], range(n), support)
-    ds = r.shape[0]
-    return _cut_objective(r, rbar, np.ones((1, 1))).reshape(ds * ds, ds * ds)
+    return cut_objective(r, rbar, np.ones((1, 1)))
 
 
 def _count_dense_applications(monkeypatch):
@@ -390,12 +390,12 @@ class TestDenseEnvironments:
         obs = xx_hamiltonian(4, field=0.6)
         k = len(circ.components)
         assert k == 9
-        ((walk, _),) = _cut_walks(circ, rho, obs)
+        (walk,) = _cut_walks(circ, rho, obs)
         calls = _count_dense_applications(monkeypatch)
         for _ in range(3):
             before = len(calls)
             for index in range(k):
-                walk.pair(circ, index)
+                walk.residuals(circ, index)
                 circ = circ.with_component(index, random_cptp_map(2, rng))
             # the forward state advances K - 1 times, the backward operators
             # are rebuilt once from the end, keeping 0, 3, 6 and the block
@@ -403,7 +403,7 @@ class TestDenseEnvironments:
             assert len(calls) - before == 2 * (k - 1) + 4
         # without installs nothing is invalidated, and blocks passed are dropped
         for index in range(k):
-            walk.pair(circ, index)
+            walk.residuals(circ, index)
         # 0, 3, 6 and a block of two, not all nine
         assert walk.peak_bytes == 5 * obs.matrix().nbytes
 
@@ -463,10 +463,10 @@ class TestRowWalk:
         obs = xx_hamiltonian(6, field=0.6, periodic=True)
         data = classical_input(6)
         k = len(circ.components)
-        ((walk, _),) = _cut_walks(circ, data, obs)
+        (walk,) = _cut_walks(circ, data, obs)
         calls = _count_dense_applications(monkeypatch)
         for index in range(k):
-            walk.pair(circ, index)
+            walk.residuals(circ, index)
             circ = circ.with_component(index, random_cptp_map(2, rng))
         kept = len(calls)
         calls.clear()
