@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Replay the shot-weight kernel ``estimation.row_weights`` on three cases.
+"""Replay the shot-weight kernel ``estimation.row_weights`` on four cases.
 
 * ``estimate-n8``: the ``estimate-n8`` benchmark job's inputs (perturbed
   ground state of the periodic N=8 XX chain at field 0.95, 64 SIC shots,
   seed 1), deduplicated as ``estimate`` does, under its two circuits:
   ``brickwork(8, 2)`` of identity maps and the inverted noise circuit.
+* ``estimate-n8-20k``: the same with 20 000 shots, about 13 000 distinct
+  rows.
 * ``brickwork-10-4``: ``brickwork(10, 4)`` of random CPTP maps, the N=10 XX
   chain, 2000 random SIC rows.
 * ``wide-z12``: ``brickwork(12, 2)`` of random CPTP maps, the N=12 XX chain
@@ -14,9 +16,11 @@
 Each case is checked against the sum of singleton groups (one single-term
 observable per call), within 1e-12 of 1 + |w| per row; a failed check exits
 with status 1. The script prints one JSON record: per case the number of
-cone runs (``evaluate_rows`` calls), the calls of the three ``linalg``
-kernels, and the median and quartiles of the seconds per ``row_weights``
-pass over ``--repeats`` timed passes. ``--out`` also stores the record in a
+cone runs (``evaluate_rows`` calls), how many of them built an outcome
+table and how many walked the rows (``cone._outcome_table`` and
+``cone._walk`` calls), the calls of the ``linalg`` kernels, and the median
+and quartiles of the seconds per ``row_weights`` pass over ``--repeats``
+timed passes. ``--out`` also stores the record in a
 JSON file under the key ``--tag``, keeping the file's other keys.
 
 Example:
@@ -44,16 +48,16 @@ from virtualmap.pauli import Observable, xx_hamiltonian
 
 FIELD = 0.95
 TOL = 1e-12
-KERNELS = ("insert_factor", "apply_superop_local", "multiply_trace_out")
+KERNELS = ("insert_factor", "apply_superop_local", "multiply_trace_out", "trace_out_each")
 
 
-def estimate_n8_case():
+def estimate_n8_case(shots=64):
     """The estimate-n8 job's unique rows under both of its circuits."""
     n = 8
     ham = xx_hamiltonian(n, coupling=1.0, field=FIELD, periodic=True)
     _, vec = exact_ground_energy(ham)
     rho = build_perturbed_state(DensityMatrix(n, np.outer(vec, vec.conj())), 0.05, 21)
-    rows, _, _ = unique_rows(sample_outcomes(rho, "sic", 64, seed=1).outcomes)
+    rows, _, _ = unique_rows(sample_outcomes(rho, "sic", shots, seed=1).outcomes)
     circuits = [brickwork(n, 2), perturbation_circuit(n, 0.05, 21).inverse()]
     return circuits, estimation.dual_arrays("sic", n), rows, ham
 
@@ -74,6 +78,7 @@ def wide_z12_case():
 
 CASES = {
     "estimate-n8": estimate_n8_case,
+    "estimate-n8-20k": lambda: estimate_n8_case(20000),
     "brickwork-10-4": lambda: random_case(
         10, 4, 2000, xx_hamiltonian(10, coupling=1.0, field=FIELD, periodic=True), seed=10
     ),
@@ -107,13 +112,15 @@ def replay(name, repeats):
         start = time.perf_counter()
         weights(circuits, tables, rows, obs)
         seconds.append(time.perf_counter() - start)
-    with Calls([estimation, cone], ["evaluate_rows", *KERNELS]) as calls:
+    with Calls([estimation, cone], ["evaluate_rows", "_outcome_table", "_walk", *KERNELS]) as calls:
         weights(circuits, tables, rows, obs)
     return {
         "circuits": len(circuits),
         "rows": len(rows),
         "terms": len(obs.terms),
         "cone_runs": calls.counts.pop("evaluate_rows"),
+        "table_runs": calls.counts.pop("_outcome_table"),
+        "walk_runs": calls.counts.pop("_walk"),
         **calls.counts,
         "max_rel_diff": diff,
         "ok": diff <= TOL,

@@ -55,11 +55,21 @@ term spanning the register stays on its own. Grouping reads only the cones'
 qubit sets (``_cone``, the walk a plan then schedules), so it schedules
 nothing; it is memoized on the structure like the plans.
 
-Rows that agree on the cone's qubits are contracted once, and batches are cut
-into chunks of rows, and of terms where one row of all of them is too many,
-so that live (rows, terms) residuals stay below ``_BATCH_ENTRIES`` entries.
-No plan may be wider than ``MAX_ACTIVE_QUBITS``: ``cone_plan`` refuses it
-before any residual is allocated.
+A group's cone is contracted one of two ways. The walk runs the plan
+forwards over the rows: rows that agree on the cone's qubits are contracted
+once, and batches are cut into chunks of rows, and of terms where one row of
+all of them is too many, so that live (rows, terms) residuals stay below
+``_BATCH_ENTRIES`` entries. The outcome table runs the plan backwards once,
+in the Heisenberg picture, from the terms' factors, and traces each cone
+qubit out against all of its input factors at once, so the result holds the
+group's values for every outcome of the cone's qubits and the rows only look
+theirs up. Its cost does not grow with the rows. ``evaluate_rows`` takes the
+table when its residual entries, summed over the steps, are fewer than the
+walk's per row times the rows, and its largest residual fits
+``_BATCH_ENTRIES``; both counts depend only on the plan and the tables'
+outcome counts, and are cached on the plan. A single row never takes the
+table. No plan may be wider than ``MAX_ACTIVE_QUBITS``: ``cone_plan`` refuses
+it before any residual is allocated.
 
 To single out one component, a ``CutWalk`` cuts a step list at its apply
 step: the steps before it give the forward residual, the steps after it, run
@@ -84,14 +94,16 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError, json_int, parse_json, read_text
-from .linalg import apply_superop_local, insert_factor, multiply_trace_out, unique_rows
+from .linalg import (
+    apply_superop_local, insert_factor, multiply_trace_out, trace_out_each, unique_rows,
+)
 from .maps import LocalMap, invert_map, map_from_spec, map_to_payload
 from .pauli import PAULI_MATRICES, PauliString
 
@@ -292,6 +304,45 @@ class ConePlan:
     qubits: tuple[int, ...]
     steps: tuple[ScheduleStep, ...]
     peak_active: int
+    # outcome-table costs per tuple of outcome counts, filled by ``table_cost``
+    _table_costs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def outcome_axes(self) -> tuple[int, ...]:
+        """The qubits in the order the steps, run backwards, trace them out:
+        the axes of an outcome table (:func:`_outcome_table`)."""
+        return tuple(s.qubit for s in reversed(self.steps) if s.kind == "absorb")
+
+    @cached_property
+    def row_entries(self) -> int:
+        """Residual entries the steps make for one (row, term) item, run
+        forwards: the walk's cost per row."""
+        total = active = 0
+        for s in self.steps:
+            active += {"absorb": 1, "trace": -1}.get(s.kind, 0)
+            total += 4**active
+        return total
+
+    def table_cost(self, sizes: tuple[int, ...]) -> tuple[int, int]:
+        """Residual entries the steps make for one term, run backwards with
+        qubit ``outcome_axes[j]`` traced out against all its ``sizes[j]``
+        outcomes, summed and at the largest: the outcome table's cost and
+        peak."""
+        cost = self._table_costs.get(sizes)
+        if cost is None:
+            pending = iter(sizes)  # in the order the backward steps trace out
+            total = peak = 0
+            active, outcomes = 0, 1
+            for s in reversed(self.steps):
+                if s.kind == "trace":
+                    active += 1
+                elif s.kind == "absorb":
+                    active -= 1
+                    outcomes *= next(pending)
+                entries = 4**active * outcomes
+                total, peak = total + entries, max(peak, entries)
+            cost = self._table_costs[sizes] = (total, peak)
+        return cost
 
 
 # Cones, plans and term groups depend on structure only, so circuits that
@@ -402,7 +453,10 @@ def _factor_list(factors, num_qubits: int) -> list[np.ndarray]:
 _EMPTY_REGISTER = ((), np.ones((1, 1, 1, 1), dtype=complex))  # no active qubit, residual one
 
 
-def _run_steps(circuit, steps, in_factors, out_factors, backward=False, start=_EMPTY_REGISTER):
+def _run_steps(
+    circuit, steps, in_factors, out_factors, backward=False, start=_EMPTY_REGISTER,
+    trace_out=None,
+):
     """Execute schedule steps on a batch of residuals with two batch axes.
 
     The residuals are (rows, terms) batches. Each per-qubit factor is (2, 2),
@@ -415,7 +469,10 @@ def _run_steps(circuit, steps, in_factors, out_factors, backward=False, start=_E
     are 1 if no factor so far had that axis. With ``backward`` the steps are
     given in reverse order and run backwards in time: a trace step absorbs,
     an absorb step traces out, and a component applies its adjoint map.
+    ``trace_out`` is the kernel that traces a qubit out against its factor,
+    by default ``multiply_trace_out``.
     """
+    trace_out = trace_out or multiply_trace_out
     active, res = list(start[0]), start[1]
     comps = circuit.components
     grow = "trace" if backward else "absorb"
@@ -431,7 +488,7 @@ def _run_steps(circuit, steps, in_factors, out_factors, backward=False, start=_E
             res = apply_superop_local(res, superop, positions, len(active))
         else:
             pos = active.index(step.qubit)
-            res = multiply_trace_out(res, out_factors[step.qubit], pos, len(active))
+            res = trace_out(res, out_factors[step.qubit], pos, len(active))
             active.pop(pos)
     return active, res
 
@@ -522,6 +579,35 @@ def _chunks(tables, rows, terms, qubits, peak_active):
             yield row_chunk, term_chunk, ins, outs
 
 
+def _walk(circuit, plan: ConePlan, tables, rows, terms) -> np.ndarray:
+    """The (R, T) values of a group's cone, run forwards once per distinct
+    row of its cone columns, in chunks, and scattered back."""
+    uniq, inverse, _ = unique_rows(rows[:, plan.qubits])
+    values = np.empty((len(uniq), len(terms)), dtype=complex)
+    for row_chunk, term_chunk, ins, outs in _chunks(tables, uniq, terms, plan.qubits, plan.peak_active):
+        values[row_chunk, term_chunk] = _run_plan(circuit, plan, ins, outs)
+    return values[inverse]
+
+
+def _outcome_table(circuit, plan: ConePlan, tables, terms) -> np.ndarray:
+    """The values of a group's cone for every outcome of its qubits: an
+    (M_q for q in ``plan.outcome_axes``, T) table.
+
+    The steps run backwards from the terms' factors over a (terms,
+    outcomes) batch. Each qubit is traced out against its whole stack of
+    F^dagger (:func:`~virtualmap.linalg.trace_out_each`), which opens its
+    outcome axis, and conj Tr[L^dagger(P) F^dagger] = Tr[P L(F)] for
+    Hermitian P, whatever the maps and tables."""
+    ins = {q: f.reshape(2, 2, -1, 1) for q, f in _term_factors(terms, plan.qubits).items()}
+    daggers = {q: tables[q].conj().transpose(0, 2, 1) for q in plan.qubits}
+    _, res = _run_steps(
+        circuit, plan.steps[::-1], ins, daggers, backward=True, trace_out=trace_out_each
+    )
+    sizes = tuple(len(tables[q]) for q in plan.outcome_axes)
+    table = res[0, 0].T.conj().reshape(sizes + (-1,))
+    return np.broadcast_to(table, sizes + (len(terms),))
+
+
 def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
     """Tr[L(F_row) P_t] for every row of a batch and every term of a group,
     over the group's joint light cone.
@@ -529,10 +615,19 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
     ``tables[q]`` is an (M_q, 2, 2) array of input factors for qubit q,
     ``rows`` an (R, N) integer array picking one factor per qubit, and
     ``terms`` a sequence of T Pauli strings. The plan is the light cone of
-    the union of the terms' supports, run once over a (rows, terms) batch;
-    returns an (R, T) array. Qubits outside the cone contribute Tr F_q. Rows
-    that agree on the cone's qubits are contracted once, in chunks, and
-    scattered back.
+    the union of the terms' supports; returns an (R, T) array. Qubits
+    outside the cone contribute Tr F_q. The cone is evaluated one of two
+    ways, by whichever makes fewer residual entries
+    (``ConePlan.row_entries``, ``ConePlan.table_cost``):
+
+    * the walk runs the plan forwards over a (rows, terms) batch; rows that
+      agree on the cone's qubits are contracted once, in chunks, and
+      scattered back;
+    * the outcome table runs it backwards once over every outcome of the
+      cone's qubits (:func:`_outcome_table`), and the rows look their values
+      up, at a cost that does not grow with the rows. It is taken only if
+      its largest residual over all the terms fits ``_BATCH_ENTRIES``, and
+      never for a single row.
     """
     n = circuit.num_qubits
     terms = list(terms)
@@ -549,11 +644,11 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
             values *= np.trace(tables[q], axis1=1, axis2=2)[rows[:, q], None]
     if not plan.qubits:
         return np.repeat(values, len(terms), axis=1)
-    uniq, inverse, _ = unique_rows(rows[:, plan.qubits])
-    cone_values = np.empty((len(uniq), len(terms)), dtype=complex)
-    for row_chunk, term_chunk, ins, outs in _chunks(tables, uniq, terms, plan.qubits, plan.peak_active):
-        cone_values[row_chunk, term_chunk] = _run_plan(circuit, plan, ins, outs)
-    return values * cone_values[inverse]
+    total, peak = plan.table_cost(tuple(len(tables[q]) for q in plan.outcome_axes))
+    if total < plan.row_entries * len(rows) and peak * len(terms) <= _BATCH_ENTRIES:
+        table = _outcome_table(circuit, plan, tables, terms)
+        return values * table[tuple(rows[:, plan.outcome_axes].T)]
+    return values * _walk(circuit, plan, tables, rows, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@ fixed by sorting, so results are deterministic for a given batch.
 The weights of all rows are computed together, one support group of Pauli
 terms at a time (:func:`virtualmap.cone.term_groups`), by the batched cone
 kernel (:func:`virtualmap.cone.evaluate_rows`). Each group is one contraction
-of the light cone of its support over a (rows, terms) batch, pruned exactly as
-:mod:`virtualmap.cone` describes; the weights are the per-term values times
-the coefficients. The dual frame of each preset POVM label is built once per
-process and shared read-only.
+of the light cone of its support, pruned exactly as :mod:`virtualmap.cone`
+describes: either a forward walk over a (rows, terms) batch, or, when it
+makes fewer residual entries, one outcome table over every outcome of the
+cone's qubits that the rows look up, so a large batch costs little more than
+a small one. The weights are the per-term values times the coefficients.
+The dual frame of each preset POVM label is built once per process and
+shared read-only.
 
 The kernel's input, :class:`ProductInputData`, is the one product-row format
 of the package: per-qubit (M_q, 2, 2) factor tables, an (R, N) integer row
@@ -180,26 +183,31 @@ class ProductInputData:
 _KEY_QUBITS = 31  # base-4 digits that fit in one int64 key
 
 
-def _row_counts(outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a batch's outcomes, in lexicographic order, and
-    their counts, exactly as :func:`~virtualmap.linalg.unique_rows` returns
-    them. Up to 31 qubits each row is one base-4 int64 key, qubit 0 most
-    significant, so the keys sort in row order and one ``np.unique`` counts
-    them; wider rows go through ``unique_rows``."""
+def _row_counts(outcomes: np.ndarray, return_inverse: bool = False) -> tuple:
+    """The distinct rows of a batch's outcomes, in lexicographic order,
+    with ``return_inverse`` the row of each shot, and the rows' counts,
+    exactly as :func:`~virtualmap.linalg.unique_rows` returns them. Up to 31
+    qubits each row is one base-4 int64 key, qubit 0 most significant, so
+    the keys sort in row order and one ``np.unique`` finds them all; wider
+    rows go through ``unique_rows``. The inverse is taken only when asked
+    for: it turns ``np.unique``'s sort into an argsort."""
     n = outcomes.shape[1]
     if n > _KEY_QUBITS:
-        uniq, _, counts = unique_rows(outcomes)
-        return uniq, counts
-    keys = outcomes[:, 0].astype(np.int64)
-    for column in outcomes.T[1:]:
-        keys <<= 2
-        keys |= column
-    keys, counts = np.unique(keys, return_counts=True)
-    uniq = np.empty((len(keys), n), dtype=outcomes.dtype)
-    for q in reversed(range(n)):
-        uniq[:, q] = keys & 3
-        keys >>= 2
-    return uniq, counts
+        uniq, inverse, counts = unique_rows(outcomes)
+    else:
+        keys = outcomes[:, 0].astype(np.int64)
+        for column in outcomes.T[1:]:
+            keys <<= 2
+            keys |= column
+        if return_inverse:
+            keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        else:
+            (keys, counts), inverse = np.unique(keys, return_counts=True), None
+        uniq = np.empty((len(keys), n), dtype=outcomes.dtype)
+        for q in reversed(range(n)):
+            uniq[:, q] = keys & 3
+            keys >>= 2
+    return (uniq, inverse, counts) if return_inverse else (uniq, counts)
 
 
 def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:
@@ -338,14 +346,18 @@ def estimate(
     if batch.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("batch, circuit, and observable qubit counts differ")
     s = batch.num_shots
-    data = data_from_batch(batch, duals)
+    if keep_per_shot:
+        # the data_from_batch rows, with the row of each shot from the same sort
+        uniq, inverse, counts = _row_counts(batch.outcomes, return_inverse=True)
+        data = ProductInputData(counts / s, dual_arrays(duals, batch.num_qubits), uniq)
+    else:
+        data = data_from_batch(batch, duals)
     reals, residue = _real_weights(row_weights(circuit, data.tables, data.rows, obs))
     value = float(np.dot(data.weights, reals))
     second = float(np.dot(data.weights, reals**2))
     var_unbiased = max(second - value**2, 0.0) * s / (s - 1)
     sigma = float(np.sqrt(var_unbiased / s))
-    # the rows are unique_rows' in its order, so its inverse maps shots to them
-    per_shot = reals[unique_rows(batch.outcomes)[1]] if keep_per_shot else None
+    per_shot = reals[inverse] if keep_per_shot else None
     return Estimate(
         value=value,
         sigma=sigma,

@@ -98,6 +98,23 @@ def multiply_trace_out(op: np.ndarray, factor: np.ndarray, position: int, n: int
     return res.reshape((d, d) + res.shape[4:])
 
 
+def trace_out_each(op: np.ndarray, factors: np.ndarray, position: int, n: int) -> np.ndarray:
+    """Tr_q[op @ (factors[m] on qubit q)] for every factor of a stack,
+    removing qubit ``position`` and opening one axis of factors.
+
+    ``op`` is (2^n, 2^n, T, O) and ``factors`` (M, 2, 2); returns
+    (2^(n-1), 2^(n-1), T, O * M), item (t, o * M + m) being that of
+    ``op[..., t, o]`` and ``factors[m]``. The qubit's four entries are moved
+    last and contracted by one matmul with the (4, M) factor matrix.
+    """
+    hi, lo = 2**position, 2 ** (n - 1 - position)
+    t, o = op.shape[2:]
+    x = op.reshape(hi, 2, lo, hi, 2, lo, t * o).transpose(0, 2, 3, 5, 6, 1, 4)
+    weights = np.asarray(factors).transpose(2, 1, 0).reshape(4, -1)  # [(a, b), m] = factors[m, b, a]
+    d = 2 ** (n - 1)
+    return (x.reshape(-1, 4) @ weights).reshape(d, d, t, -1)
+
+
 def insert_factor(op: np.ndarray, factor: np.ndarray, slot: int, n: int) -> np.ndarray:
     """Tensor a single-qubit factor into a batch of n-qubit operators at ``slot``.
 

@@ -46,6 +46,7 @@ from virtualmap.linalg import (
     kron_all,
     multiply_trace_out,
     trace_mul,
+    trace_out_each,
     unique_rows,
 )
 from virtualmap.maps import (
@@ -553,6 +554,18 @@ class TestBatchedKernel:
                 want = apply_superop_local(flat, superop, [pos], n)
                 assert_all_close(got.reshape(want.shape), want, 1e-14)
 
+    def test_trace_out_each_traces_against_every_factor(self):
+        rng = np.random.default_rng(56)
+        factors = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+        for n in (1, 2, 3):
+            d = 2**n
+            op = rng.standard_normal((d, d, 2, 5)) + 1j * rng.standard_normal((d, d, 2, 5))
+            for pos in range(n):
+                got = trace_out_each(op, factors, pos, n)
+                assert got.shape == (d // 2, d // 2, 2, 5 * 6)
+                for m, f in enumerate(factors):
+                    assert_all_close(got[..., m::6], multiply_trace_out(op, f, pos, n), 1e-14)
+
     def test_insert_then_trace_out_recovers_operator(self):
         rng = np.random.default_rng(42)
         ops = np.moveaxis(rng.standard_normal((3, 4, 4)) + 0j, 0, -1)
@@ -681,7 +694,7 @@ class TestBatchedKernel:
 
             return wrapped
 
-        for name in ("insert_factor", "apply_superop_local", "multiply_trace_out"):
+        for name in ("insert_factor", "apply_superop_local", "multiply_trace_out", "trace_out_each"):
             monkeypatch.setattr(cone_module, name, recording(getattr(cone_module, name)))
         budget = 1 << 10
         monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", budget)
@@ -699,26 +712,38 @@ class TestBatchedKernel:
         n = circ.num_qubits
         tables = _random_tables(n, rng, outcomes=4)
         rows = rng.integers(0, 4, size=(200, n))
-        split = False
+        split = tabled = False
         for group in term_groups(circ, [ps for _, ps in obs.terms]):
             terms = [obs.terms[k][1] for k in group]
             plan = cone_plan(circ, sorted({q for ps in terms for q in ps.support}))
             per_call = min(len(terms), budget // 4**plan.peak_active)
             split |= per_call < len(terms)
-            shapes.clear()
-            got = evaluate_rows(circ, tables, rows, terms)
-            assert len(shapes) >= len(plan.steps)  # one call per step and chunk
-            for shape in (s for pair in shapes for s in pair):
-                assert shape[0] <= 2**plan.peak_active
-                assert np.prod(shape) <= budget
-            if len(terms) > 1:
-                # the first steps run once per row, before the term axis forms
-                assert shapes[0][1][-1] == 1
-                assert max(s[-1] for pair in shapes for s in pair) == per_call
-            for t, pauli in enumerate(terms):
-                one = evaluate_rows(circ, tables, rows, [pauli])[:, 0]
-                assert np.max(np.abs(got[:, t] - one) / (1.0 + np.abs(one))) <= 1e-12, pauli
+            # the walk takes the rows up to the rule's threshold, or all of
+            # them where the table would not fit the budget
+            total, peak = plan.table_cost((4,) * len(plan.qubits))
+            fits = plan.qubits and peak * len(terms) <= budget
+            walked = rows[: total // plan.row_entries] if fits else rows
+            cases = [walked] if len(walked) == len(rows) else [walked, rows]
+            for batch in cases:
+                shapes.clear()
+                got = evaluate_rows(circ, tables, batch, terms)
+                for shape in (s for pair in shapes for s in pair):
+                    assert shape[0] <= 2**plan.peak_active
+                    assert np.prod(shape) <= budget
+                if batch is walked:
+                    assert len(shapes) >= len(plan.steps)  # one call per step and chunk
+                    if len(terms) > 1:
+                        # the first steps run once per row, before the term axis forms
+                        assert shapes[0][1][-1] == 1
+                        assert max(s[-1] for pair in shapes for s in pair) == per_call
+                else:
+                    assert len(shapes) == len(plan.steps)  # one table, no chunks
+                    tabled = True
+                for t, pauli in enumerate(terms):
+                    one = evaluate_rows(circ, tables, batch, [pauli])[:, 0]
+                    assert np.max(np.abs(got[:, t] - one) / (1.0 + np.abs(one))) <= 1e-12, pauli
         assert split == (kind == "wide-group")
+        assert tabled == (kind != "wide-group")
 
     @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
     def test_kernel_term_cone_plans_are_well_formed(self, kind):
@@ -748,6 +773,100 @@ class TestBatchedKernel:
             home = next(s for s in supports if set(ps.support) <= set(s) <= cone)
             homes.setdefault(home, []).append(k)
         assert term_groups(circ, terms) == tuple(tuple(g) for g in homes.values())
+
+
+def _general_map(arity, rng):
+    """A random complex superoperator: neither trace nor Hermiticity
+    preserving."""
+    d = 4**arity
+    return LocalMap((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d)
+
+
+class TestOutcomeTables:
+    """``evaluate_rows`` contracts a group by the forward walk or by one
+    outcome table its rows look up; both agree with per-row traces."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        import virtualmap.cone as cone_module
+
+        calls = []
+        real = cone_module._outcome_table
+
+        def spying(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cone_module, "_outcome_table", spying)
+        return calls
+
+    @staticmethod
+    def _assert_per_row(circ, tables, rows, terms, got):
+        for t, pauli in enumerate(terms):
+            want = _per_row(circ, tables, rows, pauli)
+            assert np.max(np.abs(got[:, t] - want) / (1.0 + np.abs(want))) <= 1e-12, pauli
+
+    def test_both_sides_of_the_rule_match_per_row_traces(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        circ = brickwork(6, 2, lambda layer, qubits: random_tp_hermitian_map(2, rng))
+        tables = _random_tables(6, rng, outcomes=4)
+        terms = [PauliString(p) for p in ("IIXXII", "IIYYII", "IIZIII")]
+        plan = cone_plan(circ, (2, 3))
+        total, _ = plan.table_cost((4,) * len(plan.qubits))
+        threshold = total // plan.row_entries  # the most rows the walk takes
+        assert threshold > 1
+        calls = self._spy(monkeypatch)
+        for count in (1, threshold, threshold + 1):
+            rows = rng.integers(0, 4, size=(count, 6))
+            calls.clear()
+            got = evaluate_rows(circ, tables, rows, terms)
+            assert got.shape == (count, len(terms))
+            assert len(calls) == (count > threshold)
+            self._assert_per_row(circ, tables, rows, terms, got)
+
+    def test_any_linear_maps_and_tables(self, monkeypatch):
+        # maps that preserve neither trace nor Hermiticity, a trace-scaling
+        # component outside every local cone, and non-Hermitian tables of six
+        # outcomes: conj Tr[Ldag(P) Fdag] = Tr[P L(F)] needs only P Hermitian
+        rng = np.random.default_rng(54)
+        circ = MapCircuit(
+            5,
+            (
+                Component(1, (0, 1), _general_map(2, rng)),
+                Component(1, (2, 3), random_cptp_map(2, rng)),
+                Component(2, (1, 2), _general_map(2, rng)),
+                Component(2, (3, 4), _scaled_identity(2, 0.9)),
+                Component(3, (0,), _general_map(1, rng)),
+            ),
+        )
+        flags = [c.map.flags() for c in circ.components]
+        assert not flags[0].tp and not flags[0].hermiticity_preserving and not flags[3].tp
+        tables = [rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2)) for _ in range(5)]
+        rows = rng.integers(0, 6, size=(300, 5))
+        calls = self._spy(monkeypatch)
+        for letters in (["ZIIII"], ["IXYII", "IZIII", "IIXII"], ["IIIIY"], ["YIIZX"]):
+            terms = [PauliString(p) for p in letters]
+            calls.clear()
+            got = evaluate_rows(circ, tables, rows, terms)
+            assert len(calls) == 1, letters
+            self._assert_per_row(circ, tables, rows, terms, got)
+
+    def test_a_table_over_the_budget_takes_the_walk(self, monkeypatch):
+        import virtualmap.cone as cone_module
+
+        rng = np.random.default_rng(55)
+        circ = brickwork(6, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        tables = _random_tables(6, rng, outcomes=4)
+        rows = rng.integers(0, 4, size=(300, 6))
+        terms = [PauliString(p) for p in ("IIXXII", "IIYYII", "IIZIII")]
+        plan = cone_plan(circ, (2, 3))
+        total, peak = plan.table_cost((4,) * len(plan.qubits))
+        assert total < plan.row_entries * len(rows)  # cheaper, but too large
+        monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", peak * len(terms) - 1)
+        calls = self._spy(monkeypatch)
+        got = evaluate_rows(circ, tables, rows, terms)
+        assert not calls
+        self._assert_per_row(circ, tables, rows, terms, got)
 
 
 class TestUniqueRows:

@@ -660,8 +660,9 @@ class TestRowsStayRows:
 class TestRowCounts:
     """``data_from_batch`` counts rows by one sort of base-4 keys up to 31
     qubits and through ``unique_rows`` above; either way its rows, their
-    dtype and their weights are those of the ``unique_rows`` path, bit for
-    bit."""
+    dtype and their weights, and the row of each shot that ``estimate``
+    takes for its per-shot weights, are those of the ``unique_rows`` path,
+    bit for bit."""
 
     @staticmethod
     def _assert_as_unique_rows(outcomes):
@@ -674,6 +675,13 @@ class TestRowCounts:
         assert got.weights.tobytes() == want.weights.tobytes()
         rows, row_counts = estimation._row_counts(batch.outcomes)
         assert rows.dtype == uniq.dtype and row_counts.dtype == counts.dtype
+        # the inverse comes from the same sort, as unique_rows gives it
+        _, inverse, _ = unique_rows(batch.outcomes)
+        rows, shot_rows, row_counts = estimation._row_counts(batch.outcomes, return_inverse=True)
+        np.testing.assert_array_equal(rows, uniq)
+        assert row_counts.tobytes() == counts.tobytes()
+        assert shot_rows.dtype == inverse.dtype and shot_rows.shape == inverse.shape
+        np.testing.assert_array_equal(shot_rows, inverse)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -686,6 +694,22 @@ class TestRowCounts:
         # a smaller alphabet repeats rows more often
         rng = np.random.default_rng(seed)
         self._assert_as_unique_rows(rng.integers(0, alphabet, size=(shots, n)))
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_per_shot_weights_take_each_shot_s_row(self, n):
+        # the key sort's inverse (N <= 31) and unique_rows' (N = 40) both
+        # give each shot the weight of its row, bit for bit
+        rng = np.random.default_rng(n)
+        rows = rng.integers(0, 4, size=(120, n))
+        outcomes = np.concatenate([rows, rows[::4], rows[:7]])[rng.permutation(157)]
+        batch = OutcomeBatch(outcomes, ("sic",) * n, 0)
+        circ = brickwork(n, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(n, field=0.6)
+        est = estimate(batch, "sic", circ, obs, keep_per_shot=True)
+        uniq, inverse, _ = unique_rows(batch.outcomes)
+        reals = row_weights(circ, dual_arrays("sic", n), uniq, obs).real
+        assert est.per_shot.tobytes() == reals[inverse].tobytes()
+        assert est.value == estimate(batch, "sic", circ, obs).value
 
     @pytest.mark.parametrize("n", [31, 40])
     def test_widest_key_and_wide_rows(self, n):
