@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Replay the shot-record path of ``optimize --batch``: read a batch file and count its rows.
 
-Two cases, each written once with ``densesim.write_batch`` to a temporary
+Three cases, each written once with ``densesim.write_batch`` to a temporary
 directory:
 
 * ``optimize-n3``: 20000 SIC shots at seed 1 from the perturbed ground state
@@ -9,11 +9,13 @@ directory:
   21), the shape of the ``optimize-n3`` benchmark job's batch: at most 64
   distinct rows.
 * ``random-1e6-8``: 10^6 uniformly random rows of N=8 outcomes, seed 8.
+* ``wide-n40``: 20000 shots of N=40 drawn from 5000 uniformly random rows,
+  seed 40: too wide for one int64 key per row, so the rows are lexsorted.
 
 Each timed pass measures ``read_s``, ``densesim.read_batch`` on the file,
 and ``count_s``, ``estimation.data_from_batch`` on the batch read: its
 distinct rows, weighted by their counts. Both are checked against a
-reference, ``np.loadtxt`` on the file and ``linalg.unique_rows`` on its
+reference, ``np.loadtxt`` on the file and ``np.unique(axis=0)`` on its
 rows: the outcomes must equal the rows written and those ``np.loadtxt``
 reads, and the rows, their dtype and the weights of ``data_from_batch`` must
 equal those the reference gives, bit for bit. A mismatch exits with status 1.
@@ -43,7 +45,6 @@ from virtualmap.densesim import (
     exact_ground_energy,
     sample_outcomes,
 )
-from virtualmap.linalg import unique_rows
 from virtualmap.pauli import xx_hamiltonian
 
 
@@ -59,14 +60,20 @@ def random_batch():
     return OutcomeBatch(rows, ("sic",) * 8, 8)
 
 
-CASES = {"optimize-n3": optimize_n3_batch, "random-1e6-8": random_batch}
+def wide_batch():
+    rng = np.random.default_rng(40)
+    rows = rng.integers(0, 4, size=(5000, 40))
+    return OutcomeBatch(rows[rng.integers(0, len(rows), size=20000)], ("sic",) * 40, 40)
+
+
+CASES = {"optimize-n3": optimize_n3_batch, "random-1e6-8": random_batch, "wide-n40": wide_batch}
 
 
 def matches_reference(path: Path, written: OutcomeBatch) -> bool:
     read = densesim.read_batch(path)
     loaded = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
     got = estimation.data_from_batch(read, "sic")
-    uniq, _, counts = unique_rows(loaded)
+    uniq, counts = np.unique(loaded, axis=0, return_counts=True)
     want = estimation.ProductInputData(counts / len(loaded), got.tables, uniq)
     return (
         np.array_equal(read.outcomes, written.outcomes)

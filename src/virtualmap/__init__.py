@@ -55,7 +55,6 @@ from .estimation import (
 from .maps import (
     ChoiMatrix,
     LocalMap,
-    adjoint_map,
     choi_to_superop,
     cnot_map,
     compose,

@@ -4,8 +4,8 @@ Each recorded outcome string m contributes a shot weight
 
     w_m = Re sum_k c_k Tr[L(D_{m_0} (x) ... (x) D_{m_{N-1}}) P_k].
 
-Identical outcome strings are collapsed first, by :func:`data_from_batch`
-(there are at most 4^N distinct strings), and the estimate is the
+Identical outcome strings (at most 4^N) are collapsed first by the one row
+index, :func:`~virtualmap.linalg.unique_rows`, and the estimate is the
 frequency-weighted sample mean with the unbiased sample variance; the mean is
 :func:`circuit_energy`'s sum over the same rows, and the reduction order is
 fixed by sorting, so results are deterministic for a given batch.
@@ -27,9 +27,10 @@ array choosing one factor per qubit, and a weight per row. It is built here
 from a measured batch (:func:`data_from_batch`), from the exact outcome
 distribution (:func:`data_from_distribution`), and for the classical
 all-zeros register (:func:`classical_input`); the variational sweep consumes
-the same rows. :func:`circuit_energy` is the one exact energy, of such rows or
-of a dense state (Re Tr[L(rho) H], H the observable's matrix);
-:func:`estimate_exact` and the sweep both call it.
+the same rows, and rows reach :func:`row_weights` only in it, range-checked,
+:func:`shot_weight`'s one outcome too. :func:`circuit_energy` is the one
+exact energy, of such rows or of a dense state (Re Tr[L(rho) H], H the
+observable's matrix); :func:`estimate_exact` and the sweep both call it.
 
 Energies and objectives are linear in the rows, so they need only the
 empirical dual operator sum_i w_i (x)_q D_{m_iq}. :func:`collapse` builds it
@@ -180,40 +181,10 @@ class ProductInputData:
         return self.rows.shape[1]
 
 
-_KEY_QUBITS = 31  # base-4 digits that fit in one int64 key
-
-
-def _row_counts(outcomes: np.ndarray, return_inverse: bool = False) -> tuple:
-    """The distinct rows of a batch's outcomes, in lexicographic order,
-    with ``return_inverse`` the row of each shot, and the rows' counts,
-    exactly as :func:`~virtualmap.linalg.unique_rows` returns them. Up to 31
-    qubits each row is one base-4 int64 key, qubit 0 most significant, so
-    the keys sort in row order and one ``np.unique`` finds them all; wider
-    rows go through ``unique_rows``. The inverse is taken only when asked
-    for: it turns ``np.unique``'s sort into an argsort."""
-    n = outcomes.shape[1]
-    if n > _KEY_QUBITS:
-        uniq, inverse, counts = unique_rows(outcomes)
-    else:
-        keys = outcomes[:, 0].astype(np.int64)
-        for column in outcomes.T[1:]:
-            keys <<= 2
-            keys |= column
-        if return_inverse:
-            keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        else:
-            (keys, counts), inverse = np.unique(keys, return_counts=True), None
-        uniq = np.empty((len(keys), n), dtype=outcomes.dtype)
-        for q in reversed(range(n)):
-            uniq[:, q] = keys & 3
-            keys >>= 2
-    return (uniq, inverse, counts) if return_inverse else (uniq, counts)
-
-
 def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:
     """Collapse a measurement batch to its distinct outcome rows, weighted by
     their frequencies, over the dual frames ``duals``."""
-    uniq, counts = _row_counts(batch.outcomes)
+    uniq, _, counts = unique_rows(batch.outcomes, return_inverse=False)
     return ProductInputData(
         counts / batch.num_shots, dual_arrays(duals, batch.num_qubits), uniq
     )
@@ -284,17 +255,14 @@ def _real_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
     return w.real.copy(), float(residue.max(initial=0.0))
 
 
-def row_weights(circuit: MapCircuit, tables, rows, obs: Observable) -> np.ndarray:
-    """sum_k c_k Tr[L(F_row) P_k] for every row of per-qubit factor indices.
-
-    ``tables[q]`` holds the (M_q, 2, 2) factors of qubit q; ``rows`` is an
-    (R, N) integer array. Each support group is one call of the kernel.
-    Returns R complex weights.
+def row_weights(circuit: MapCircuit, data: ProductInputData, obs: Observable) -> np.ndarray:
+    """sum_k c_k Tr[L(F_row) P_k] for every row of ``data``, its weights
+    aside: R complex weights. Each support group is one call of the kernel.
     """
-    total = np.zeros(len(rows), dtype=complex)
+    total = np.zeros(len(data.rows), dtype=complex)
     for group in term_groups(circuit, [ps for _, ps in obs.terms]):
         coeffs = np.array([obs.terms[k][0] for k in group])
-        total += evaluate_rows(circuit, tables, rows, [obs.terms[k][1] for k in group]) @ coeffs
+        total += evaluate_rows(circuit, data.tables, data.rows, [obs.terms[k][1] for k in group]) @ coeffs
     return total
 
 
@@ -308,21 +276,21 @@ def circuit_energy(circuit: MapCircuit, data, obs: Observable) -> float:
         out = apply_circuit_dense(circuit, data.matrix)
         reals, _ = _real_weights(trace_mul(out, obs.matrix()))
         return float(reals[0])
-    reals, _ = _real_weights(row_weights(circuit, data.tables, data.rows, obs))
+    reals, _ = _real_weights(row_weights(circuit, data, obs))
     return float(np.dot(data.weights, reals))
 
 
 def shot_weight(outcome, duals, circuit: MapCircuit, obs: Observable) -> float:
-    """Weight of a single outcome string under a Hermitian observable."""
+    """Weight of a single outcome string, a row of :class:`ProductInputData`."""
     if not obs.is_hermitian:
         raise ValidationError("shot weights need a Hermitian observable")
-    arrays = dual_arrays(duals, circuit.num_qubits)
-    row = np.asarray(outcome, dtype=int).reshape(1, -1)
+    row = np.asarray(outcome).reshape(1, -1)
     if row.shape[1] != circuit.num_qubits:
         raise ValidationError(
             f"outcome covers {row.shape[1]} qubits, circuit has {circuit.num_qubits}"
         )
-    reals, _ = _real_weights(row_weights(circuit, arrays, row, obs))
+    data = ProductInputData(np.ones(1), dual_arrays(duals, circuit.num_qubits), row)
+    reals, _ = _real_weights(row_weights(circuit, data, obs))
     return float(reals[0])
 
 
@@ -346,13 +314,10 @@ def estimate(
     if batch.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("batch, circuit, and observable qubit counts differ")
     s = batch.num_shots
-    if keep_per_shot:
-        # the data_from_batch rows, with the row of each shot from the same sort
-        uniq, inverse, counts = _row_counts(batch.outcomes, return_inverse=True)
-        data = ProductInputData(counts / s, dual_arrays(duals, batch.num_qubits), uniq)
-    else:
-        data = data_from_batch(batch, duals)
-    reals, residue = _real_weights(row_weights(circuit, data.tables, data.rows, obs))
+    # the data_from_batch rows, and the row of each shot only if it is kept
+    uniq, inverse, counts = unique_rows(batch.outcomes, return_inverse=keep_per_shot)
+    data = ProductInputData(counts / s, dual_arrays(duals, batch.num_qubits), uniq)
+    reals, residue = _real_weights(row_weights(circuit, data, obs))
     value = float(np.dot(data.weights, reals))
     second = float(np.dot(data.weights, reals**2))
     var_unbiased = max(second - value**2, 0.0) * s / (s - 1)

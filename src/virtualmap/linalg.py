@@ -129,21 +129,53 @@ def insert_factor(op: np.ndarray, factor: np.ndarray, slot: int, n: int) -> np.n
     return m.reshape((d, d) + m.shape[6:])
 
 
-def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def unique_rows(rows: np.ndarray, return_inverse: bool = True) -> tuple:
     """Distinct rows of an (R, K) integer array, K >= 1, with inverse and counts.
 
     Returns exactly ``np.unique(rows, axis=0, return_inverse=True,
-    return_counts=True)`` (rows in lexicographic order, column 0 most
-    significant, and a 1-D inverse), from one ``np.lexsort`` and a mask of
-    where neighbouring sorted rows differ instead of a sort of void records.
+    return_counts=True)``, dtypes included: rows in lexicographic order,
+    column 0 most significant, a 1-D inverse and the counts. With
+    ``return_inverse`` false the inverse is ``None`` and the rows are sorted,
+    not argsorted. If the values span ``bits`` bits and bits * K <= 63, each
+    row is one int64 key, column 0 in the high bits and every entry offset by
+    the smallest when that is negative; wider rows are ordered by one
+    ``np.lexsort``. Sorted neighbours that differ mark the distinct rows.
     """
     rows = np.asarray(rows)
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
+    bits = 64
+    if rows.size and np.can_cast(rows.dtype, np.int64):
+        low = min(int(rows.min()), 0)
+        bits = (int(rows.max()) - low).bit_length()
+    keyed = bits * rows.shape[1] <= 63
     starts = np.ones(len(rows), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
+    if keyed:
+        ranked = np.zeros(len(rows), dtype=np.int64)
+        for column in rows.T:
+            ranked <<= bits
+            ranked += column
+            if low:
+                ranked -= low
+        if return_inverse:
+            order = ranked.argsort()
+            ranked = ranked[order]
+        else:
+            ranked.sort()
+        np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    inverse = None
+    if return_inverse:
+        inverse = np.empty(len(rows), dtype=np.intp)
+        inverse[order] = np.cumsum(starts) - 1
     first = np.flatnonzero(starts)
-    counts = np.diff(first, append=len(rows))
-    return ranked[first], inverse, counts
+    if keyed:
+        keys = ranked[first]
+        uniq = np.empty((len(first), rows.shape[1]), dtype=rows.dtype)
+        for q in reversed(range(rows.shape[1])):
+            uniq[:, q] = (keys & ((1 << bits) - 1)) + low
+            keys >>= bits
+    else:
+        uniq = ranked[first]
+    return uniq, inverse, np.diff(first, append=len(rows))

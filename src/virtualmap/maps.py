@@ -142,10 +142,6 @@ def choi_marginal(c: np.ndarray, d: int) -> np.ndarray:
     return c.reshape(d, d, d, d).trace(axis1=1, axis2=3)
 
 
-def adjoint_map(m: LocalMap) -> LocalMap:
-    return LocalMap(m.superop.conj().T)
-
-
 def invert_map(m: LocalMap) -> LocalMap:
     cond = np.linalg.cond(m.superop)
     if not np.isfinite(cond) or cond > _COND_LIMIT:

@@ -51,7 +51,6 @@ from virtualmap.linalg import (
 )
 from virtualmap.maps import (
     LocalMap,
-    adjoint_map,
     cnot_map,
     depolarizing_map,
     identity_map,
@@ -433,7 +432,7 @@ class TestEvaluateTrace:
             op = PauliString(letters).matrix()
             for comp in reversed(circ.components):
                 w = _qubit_permutation(n, comp.qubits)
-                moved = _apply_front(w @ op @ w.T, adjoint_map(comp.map).superop, n, 2)
+                moved = _apply_front(w @ op @ w.T, comp.map.superop.conj().T, n, 2)
                 op = w.T @ moved @ w
             want = np.trace(kron_all(factors) @ op)
             got = evaluate_trace_backward(circ, factors, PauliString(letters))
@@ -869,8 +868,23 @@ class TestOutcomeTables:
         self._assert_per_row(circ, tables, rows, terms, got)
 
 
+def _assert_as_np_unique(rows):
+    """unique_rows against np.unique(axis=0), bit for bit and dtypes
+    included; without the inverse, the same rows and counts and None."""
+    u, i, c = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    uniq, inverse, counts = unique_rows(rows)
+    for got, ref in zip((uniq, inverse, counts), (u, i.reshape(-1), c)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    np.testing.assert_array_equal(uniq[inverse], rows)
+    uniq, inverse, counts = unique_rows(rows, return_inverse=False)
+    assert inverse is None
+    assert uniq.dtype == u.dtype and uniq.tobytes() == u.tobytes()
+    assert counts.dtype == c.dtype and counts.tobytes() == c.tobytes()
+
+
 class TestUniqueRows:
-    @pytest.mark.parametrize("dtype", [np.int8, np.intp])
+    @pytest.mark.parametrize("dtype", [np.int8, np.intp, np.uint8])
     @pytest.mark.parametrize(
         "shape, low, high",
         [((1, 5), 0, 4), ((40, 1), 0, 4), ((25, 3), 2, 3), ((500, 6), 0, 4), ((300, 4), -3, 3)],
@@ -878,12 +892,36 @@ class TestUniqueRows:
     )
     def test_equals_np_unique(self, dtype, shape, low, high):
         rows = np.random.default_rng(77).integers(low, high, size=shape).astype(dtype)
-        uniq, inverse, counts = unique_rows(rows)
-        u, i, c = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
-        for got, ref in zip((uniq, inverse, counts), (u, i.reshape(-1), c)):
-            assert got.dtype == ref.dtype and got.shape == ref.shape
-            np.testing.assert_array_equal(got, ref)
-        np.testing.assert_array_equal(uniq[inverse], rows)
+        _assert_as_np_unique(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.int8, np.int16, np.intp, np.uint8]),
+        shape=st.tuples(st.integers(1, 80), st.integers(1, 40)),
+        bits=st.integers(0, 5),
+        signed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_np_unique(self, dtype, shape, bits, signed, seed):
+        # bits = 0 makes every row equal; a repeated tail makes counts above one
+        rng = np.random.default_rng(seed)
+        low = -(2**bits // 2) if signed and np.dtype(dtype).kind == "i" else 0
+        rows = rng.integers(low, low + 2**bits, size=shape).astype(dtype)
+        _assert_as_np_unique(np.concatenate([rows, rows[: rng.integers(0, shape[0] + 1)]]))
+
+    @pytest.mark.parametrize(
+        "columns, low, high",
+        [(31, 0, 4), (32, 0, 4), (21, 0, 8), (22, 0, 8), (21, -4, 4), (22, -4, 4)],
+        ids=["2-bit-key", "2-bit-lexsort", "3-bit-key", "3-bit-lexsort", "signed-key", "signed-lexsort"],
+    )
+    def test_both_sides_of_the_key_width(self, columns, low, high):
+        # bits * K = 62 or 63 fits one int64 key, 64 or 66 does not; the
+        # largest and smallest rows set the key's top and bottom
+        rng = np.random.default_rng(columns)
+        rows = rng.integers(low, high, size=(80, columns))
+        rows[:, 0] = high - 1
+        rows[::9], rows[1::9] = high - 1, low
+        _assert_as_np_unique(np.concatenate([rows, rows[::3]]))
 
 
 class TestSplitEvaluate:

@@ -37,7 +37,7 @@ from virtualmap.estimation import (
     row_weights,
     shot_weight,
 )
-from virtualmap.linalg import kron_all, unique_rows
+from virtualmap.linalg import kron_all
 from virtualmap.maps import LocalMap, cnot_map, random_cptp_map, random_tp_hermitian_map
 from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
@@ -84,6 +84,27 @@ class TestShotWeight:
         with pytest.raises(ValidationError):
             shot_weight(np.array([0]), "sic", MapCircuit(1, ()), obs)
 
+    @pytest.mark.parametrize(
+        "outcome",
+        [[0, 1, -1], [0, 1, 4], [0, 1, 7], [0.5, 1, 2], [True, False, True], [0, 1], [0, 1, 2, 3]],
+        ids=["negative", "four", "seven", "fractional", "boolean", "short", "long"],
+    )
+    def test_rejects_malformed_outcomes(self, outcome):
+        # each is a row ProductInputData refuses, never a weight of another row
+        with pytest.raises(ValidationError):
+            shot_weight(outcome, "sic", brickwork(3, 1), xx_hamiltonian(3, 1.0, 0.5))
+
+    def test_integer_outcomes_of_any_dtype_give_one_weight(self):
+        rng = np.random.default_rng(3)
+        circ = brickwork(3, 1, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(3, 1.0, 0.5)
+        for outcome in ([0, 1, 3], [3, 3, 3], [2, 0, 1]):
+            weights = {
+                shot_weight(np.array(outcome, dtype=dtype), "sic", circ, obs)
+                for dtype in (np.int8, np.uint8, np.intp)
+            }
+            assert weights == {shot_weight(outcome, "sic", circ, obs)}
+
 
 class TestEstimate:
     def test_two_shot_hand_computation(self):
@@ -118,7 +139,13 @@ class TestEstimate:
         obs = xx_hamiltonian(5, field=0.6)
         want = circuit_energy(circ, data_from_batch(batch, "sic"), obs)
         with_shots = estimate(batch, "sic", circ, obs, keep_per_shot=True)
-        monkeypatch.setattr(estimation, "unique_rows", lambda rows: pytest.fail("inverse taken"))
+        real_unique = estimation.unique_rows
+
+        def without_inverse(rows, return_inverse=True):
+            assert not return_inverse, "inverse taken"
+            return real_unique(rows, return_inverse=False)
+
+        monkeypatch.setattr(estimation, "unique_rows", without_inverse)
         est = estimate(batch, "sic", circ, obs)
         assert est.value == with_shots.value == want
         assert est.sigma == with_shots.sigma and est.per_shot is None
@@ -344,7 +371,7 @@ class TestSupportGroups:
             return real(circuit, tables, rows, terms)
 
         monkeypatch.setattr(estimation, "evaluate_rows", recording)
-        got = estimation.row_weights(circ, tables, rows, obs)
+        got = estimation.row_weights(circ, ProductInputData(np.ones(len(rows)), tables, rows), obs)
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
         return calls
 
@@ -374,8 +401,7 @@ class TestSupportGroups:
         rng = np.random.default_rng(98)
         circ = brickwork(6, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(6, field=0.5)
-        tables = dual_arrays("sic", 6)
-        rows = rng.integers(0, 4, size=(20, 6))
+        data = ProductInputData(np.ones(20), dual_arrays("sic", 6), rng.integers(0, 4, size=(20, 6)))
         scheduled = []
         real = cone._greedy_schedule
 
@@ -389,12 +415,12 @@ class TestSupportGroups:
         # grouping reads the cones' qubit sets and schedules nothing
         groups = cone.term_groups(circ, [ps for _, ps in obs.terms])
         assert scheduled == []
-        first = estimation.row_weights(circ, tables, rows, obs)
+        first = estimation.row_weights(circ, data, obs)
         assert len(scheduled) == len(groups) == 6
         scheduled.clear()
         # a new circuit of the same structure, as a sweep's with_component makes
         again = circ.with_component(0, circ.components[0].map)
-        assert np.array_equal(estimation.row_weights(again, tables, rows, obs), first)
+        assert np.array_equal(estimation.row_weights(again, data, obs), first)
         assert scheduled == []
 
 
@@ -621,7 +647,7 @@ class TestCollapse:
         data = _random_rows(n, rng)
         obs = _random_observable(n, rng)
         rho = collapse(data)
-        per_row = row_weights(circ, data.tables, data.rows, obs).real
+        per_row = row_weights(circ, data, obs).real
         scale = np.abs(data.weights * per_row).sum() + 1e-300
         e_rows = float(np.dot(data.weights, per_row))
         assert abs(circuit_energy(circ, rho, obs) - e_rows) <= 1e-12 * scale
@@ -647,7 +673,7 @@ class TestRowsStayRows:
         batch = sample_outcomes(noisy_chain_state(3), "sic", 2000, seed=5)
         data = data_from_batch(batch, "sic")
         circ, obs = brickwork(3, 2), xx_hamiltonian(3)
-        per_row = row_weights(circ, data.tables, data.rows, obs).real
+        per_row = row_weights(circ, data, obs).real
         assert circuit_energy(circ, data, obs) == pytest.approx(np.dot(data.weights, per_row), rel=1e-13)
 
     def test_estimate_never_collapses(self, monkeypatch):
@@ -658,30 +684,20 @@ class TestRowsStayRows:
 
 
 class TestRowCounts:
-    """``data_from_batch`` counts rows by one sort of base-4 keys up to 31
-    qubits and through ``unique_rows`` above; either way its rows, their
-    dtype and their weights, and the row of each shot that ``estimate``
-    takes for its per-shot weights, are those of the ``unique_rows`` path,
-    bit for bit."""
+    """``data_from_batch`` and ``estimate`` count a batch's rows with
+    ``unique_rows``: the rows, their dtype and their weights, and the row of
+    each shot that ``estimate`` takes for its per-shot weights, are those of
+    ``np.unique(axis=0)``, bit for bit."""
 
     @staticmethod
-    def _assert_as_unique_rows(outcomes):
+    def _assert_as_np_unique(outcomes):
         batch = OutcomeBatch(outcomes, ("sic",) * outcomes.shape[1], 0)
         got = data_from_batch(batch, "sic")
-        uniq, _, counts = unique_rows(batch.outcomes)
+        uniq, counts = np.unique(batch.outcomes, axis=0, return_counts=True)
         want = ProductInputData(counts / batch.num_shots, got.tables, uniq)
         assert got.rows.dtype == want.rows.dtype and got.weights.dtype == want.weights.dtype
         np.testing.assert_array_equal(got.rows, want.rows)
         assert got.weights.tobytes() == want.weights.tobytes()
-        rows, row_counts = estimation._row_counts(batch.outcomes)
-        assert rows.dtype == uniq.dtype and row_counts.dtype == counts.dtype
-        # the inverse comes from the same sort, as unique_rows gives it
-        _, inverse, _ = unique_rows(batch.outcomes)
-        rows, shot_rows, row_counts = estimation._row_counts(batch.outcomes, return_inverse=True)
-        np.testing.assert_array_equal(rows, uniq)
-        assert row_counts.tobytes() == counts.tobytes()
-        assert shot_rows.dtype == inverse.dtype and shot_rows.shape == inverse.shape
-        np.testing.assert_array_equal(shot_rows, inverse)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -693,12 +709,12 @@ class TestRowCounts:
     def test_small_registers(self, n, shots, alphabet, seed):
         # a smaller alphabet repeats rows more often
         rng = np.random.default_rng(seed)
-        self._assert_as_unique_rows(rng.integers(0, alphabet, size=(shots, n)))
+        self._assert_as_np_unique(rng.integers(0, alphabet, size=(shots, n)))
 
     @pytest.mark.parametrize("n", [5, 40])
     def test_per_shot_weights_take_each_shot_s_row(self, n):
-        # the key sort's inverse (N <= 31) and unique_rows' (N = 40) both
-        # give each shot the weight of its row, bit for bit
+        # an int64 key per row (N = 5) and the lexsort (N = 40) both give
+        # each shot the weight of its row, bit for bit
         rng = np.random.default_rng(n)
         rows = rng.integers(0, 4, size=(120, n))
         outcomes = np.concatenate([rows, rows[::4], rows[:7]])[rng.permutation(157)]
@@ -706,15 +722,18 @@ class TestRowCounts:
         circ = brickwork(n, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(n, field=0.6)
         est = estimate(batch, "sic", circ, obs, keep_per_shot=True)
-        uniq, inverse, _ = unique_rows(batch.outcomes)
-        reals = row_weights(circ, dual_arrays("sic", n), uniq, obs).real
-        assert est.per_shot.tobytes() == reals[inverse].tobytes()
+        uniq, inverse, counts = np.unique(
+            batch.outcomes, axis=0, return_inverse=True, return_counts=True
+        )
+        data = ProductInputData(counts / len(outcomes), dual_arrays("sic", n), uniq)
+        reals = row_weights(circ, data, obs).real
+        assert est.per_shot.tobytes() == reals[inverse.reshape(-1)].tobytes()
         assert est.value == estimate(batch, "sic", circ, obs).value
 
     @pytest.mark.parametrize("n", [31, 40])
     def test_widest_key_and_wide_rows(self, n):
-        # N = 31 fills the int64 key up to bit 61; N = 40 takes unique_rows
+        # N = 31 fills the int64 key up to bit 61; N = 40 takes the lexsort
         rng = np.random.default_rng(n)
         rows = rng.integers(0, 4, size=(50, n))
         rows[:, 0] = 3  # the most significant digit of every key at its largest
-        self._assert_as_unique_rows(np.concatenate([rows, rows[::3], np.full((4, n), 3)]))
+        self._assert_as_np_unique(np.concatenate([rows, rows[::3], np.full((4, n), 3)]))

@@ -186,13 +186,13 @@ class TestBatchReplay:
 
             monkeypatch.setattr(densesim, "read_batch", read_one_flipped)
         else:
-            real_counts = estimation._row_counts
+            real_unique = estimation.unique_rows
 
-            def counts_reversed(outcomes):
-                rows, counts = real_counts(outcomes)
-                return rows, np.ascontiguousarray(counts[::-1])
+            def counts_reversed(rows, return_inverse=True):
+                uniq, inverse, counts = real_unique(rows, return_inverse)
+                return uniq, inverse, np.ascontiguousarray(counts[::-1])
 
-            monkeypatch.setattr(estimation, "_row_counts", counts_reversed)
+            monkeypatch.setattr(estimation, "unique_rows", counts_reversed)
         assert load("batch_replay").main(["--repeats", "1", "--case", "optimize-n3"]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["optimize-n3"]["ok"] is False

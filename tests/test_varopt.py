@@ -40,7 +40,6 @@ from virtualmap.linalg import apply_superop_local, unique_rows
 from virtualmap.maps import (
     ChoiMatrix,
     LocalMap,
-    adjoint_map,
     choi_to_superop,
     random_cptp_map,
     random_tp_hermitian_map,
@@ -322,7 +321,7 @@ def _from_scratch(circ, index, rho, obs):
     fwd = apply_circuit_dense(MapCircuit(n, circ.components[:index]), rho.matrix)
     bwd = obs.matrix()
     for c in reversed(circ.components[index + 1 :]):
-        bwd = apply_superop_local(bwd, adjoint_map(c.map).superop, c.qubits, n)
+        bwd = apply_superop_local(bwd, c.map.superop.conj().T, c.qubits, n)
     support = circ.components[index].qubits
     r, rbar = group_cut_pair(fwd[..., None, None], bwd[..., None, None], range(n), support)
     return cut_objective(r, rbar, np.ones((1, 1)))
