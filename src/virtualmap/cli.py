@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -301,16 +303,22 @@ def _cmd_oracle_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the width argparse computes itself, looked up once, not by every formatter
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="virtualmap",
         description="Estimate and optimize observable averages under virtual local-map circuits.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
     common.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = sub.add_parser("sample", parents=[common], help="draw measurement outcomes from a state")
+    def command(name, summary):
+        return sub.add_parser(name, parents=[common], help=summary, formatter_class=formatter)
+
+    p = command("sample", "draw measurement outcomes from a state")
     p.add_argument("--state", help="state-preparation JSON file")
     p.add_argument("--mixed", action="store_true", help="use the maximally mixed state")
     p.add_argument("--N", type=int, help="number of qubits (required with --mixed)")
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output batch CSV (stdout if omitted)")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("estimate", parents=[common], help="estimate observables from a batch")
+    p = command("estimate", "estimate observables from a batch")
     p.add_argument("--batch", required=True, help="outcome batch CSV")
     p.add_argument("--observable", action="append", required=True, help="observable JSON (repeatable)")
     p.add_argument("--circuit", action="append", required=True, help="circuit JSON (repeatable)")
@@ -348,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-circuit", help="write the optimized circuit JSON here")
         p.add_argument("--report", help="write the sweep report CSV here")
 
-    p = sub.add_parser("optimize", parents=[common], help="optimize a circuit's maps under CPTP")
+    p = command("optimize", "optimize a circuit's maps under CPTP")
     p.add_argument("--observable", required=True)
     p.add_argument("--circuit", required=True)
     p.add_argument("--batch", help="optimize against a measured batch")
@@ -359,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_optimizer_flags(p)
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("ansatz", parents=[common], help="classical-input variational ground-state run")
+    p = command("ansatz", "classical-input variational ground-state run")
     p.add_argument("--observable", required=True)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--order", help="component visit order, e.g. 0,2,1")
     add_optimizer_flags(p)
     p.set_defaults(func=_cmd_ansatz)
 
-    p = sub.add_parser("oracle-check", parents=[common], help="cone-vs-dense self check (N <= 6)")
+    p = command("oracle-check", "cone-vs-dense self check (N <= 6)")
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--circuit", help="check a specific circuit file instead of random ones")

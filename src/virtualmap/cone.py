@@ -38,9 +38,10 @@ per Pauli term, or (2, 2) where every term has the same letter.
 Broadcasting forms the (R, T) batch only at the first step whose factor
 needs it, so the steps before it run once per row, not once per (row, term)
 pair. The single-row entry points are batches of one. ``evaluate_rows`` runs
-a support group, a list of Pauli terms, over a whole batch of rows in one
-pass and contracts only the backward light cone of the union of their
-supports. The pruning is exact:
+a support group, a list of (coefficient, Pauli string) terms, over a whole
+batch of rows in one pass, returns sum_t c_t Tr[L(F_row) P_t] per row and
+contracts only the backward light cone of the union of their supports. The
+pruning is exact:
 
 * a component outside the cone is dropped only if it is trace preserving to
   round-off (vec(I)^T S = vec(I)^T within ``_TP_TOL``); otherwise it joins the
@@ -60,16 +61,19 @@ forwards over the rows: rows that agree on the cone's qubits are contracted
 once, and batches are cut into chunks of rows, and of terms where one row of
 all of them is too many, so that live (rows, terms) residuals stay below
 ``_BATCH_ENTRIES`` entries. The outcome table runs the plan backwards once,
-in the Heisenberg picture, from the terms' factors, and traces each cone
-qubit out against all of its input factors at once, so the result holds the
-group's values for every outcome of the cone's qubits and the rows only look
-theirs up. Its cost does not grow with the rows. ``evaluate_rows`` takes the
-table when its residual entries, summed over the steps, are fewer than the
-walk's per row times the rows, and its largest residual fits
-``_BATCH_ENTRIES``; both counts depend only on the plan and the tables'
-outcome counts, and are cached on the plan. A single row never takes the
-table. No plan may be wider than ``MAX_ACTIVE_QUBITS``: ``cone_plan`` refuses
-it before any residual is allocated.
+in the Heisenberg picture, from the terms' factors, contracts the term axis
+with the coefficients once the last letter that differs between terms is in,
+and traces each cone qubit out against all of its input factors at once, so
+the result holds the group's weighted sum for every outcome of the cone's
+qubits and the rows only look theirs up. Its cost does not grow with the
+rows. ``evaluate_rows`` takes the table when its residual entries, summed
+over the steps, are fewer than the walk's per row times the rows, and its
+largest residual over all the terms fits ``_BATCH_ENTRIES``; both counts
+depend only on the plan and the tables' outcome counts, and are cached on
+the plan. A single row never takes the table. The walk's (R, T) values are
+contracted with the coefficients last. No plan may be wider than
+``MAX_ACTIVE_QUBITS``: ``cone_plan`` refuses it before any residual is
+allocated.
 
 To single out one component, a ``CutWalk`` cuts a step list at its apply
 step: the steps before it give the forward residual, the steps after it, run
@@ -95,7 +99,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -589,66 +593,90 @@ def _walk(circuit, plan: ConePlan, tables, rows, terms) -> np.ndarray:
     return values[inverse]
 
 
-def _outcome_table(circuit, plan: ConePlan, tables, terms) -> np.ndarray:
-    """The values of a group's cone for every outcome of its qubits: an
-    (M_q for q in ``plan.outcome_axes``, T) table.
+def _outcome_table(circuit, plan: ConePlan, tables, coeffs, paulis) -> np.ndarray:
+    """sum_t c_t Tr[L(F) P_t] of a group's cone for every outcome F of its
+    qubits: an (M_q for q in ``plan.outcome_axes``) table.
 
     The steps run backwards from the terms' factors over a (terms,
     outcomes) batch. Each qubit is traced out against its whole stack of
     F^dagger (:func:`~virtualmap.linalg.trace_out_each`), which opens its
     outcome axis, and conj Tr[L^dagger(P) F^dagger] = Tr[P L(F)] for
-    Hermitian P, whatever the maps and tables."""
-    ins = {q: f.reshape(2, 2, -1, 1) for q, f in _term_factors(terms, plan.qubits).items()}
+    Hermitian P, whatever the maps and tables. Right after the last letter
+    that differs between the terms enters, the term axis is contracted with
+    conj c, so every later step runs on a term axis of one."""
+    steps = plan.steps[::-1]
+    ins = {q: f.reshape(2, 2, -1, 1) for q, f in _term_factors(paulis, plan.qubits).items()}
     daggers = {q: tables[q].conj().transpose(0, 2, 1) for q in plan.qubits}
-    _, res = _run_steps(
-        circuit, plan.steps[::-1], ins, daggers, backward=True, trace_out=trace_out_each
+    per_term = [p + 1 for p, s in enumerate(steps) if s.kind == "trace" and ins[s.qubit].shape[2] > 1]
+    fold = max(per_term, default=0)
+    run = partial(
+        _run_steps, circuit, in_factors=ins, out_factors=daggers, backward=True, trace_out=trace_out_each
     )
-    sizes = tuple(len(tables[q]) for q in plan.outcome_axes)
-    table = res[0, 0].T.conj().reshape(sizes + (-1,))
-    return np.broadcast_to(table, sizes + (len(terms),))
+    active, res = run(steps[:fold])
+    # no term axis formed where every term has the same letters
+    weights = coeffs.conj() if res.shape[2] > 1 else coeffs.conj().sum(keepdims=True)
+    _, res = run(steps[fold:], start=(active, weights[None] @ res))  # (1, T) @ (T, O) per entry
+    return res[0, 0, 0].conj().reshape(tuple(len(tables[q]) for q in plan.outcome_axes))
+
+
+def _checked_terms(terms, num_qubits: int) -> tuple[np.ndarray, list[PauliString]]:
+    """The coefficients and Pauli strings of (coefficient, PauliString) pairs."""
+    terms = list(terms)
+    for term in terms:
+        pair = isinstance(term, (tuple, list)) and len(term) == 2 and isinstance(term[1], PauliString)
+        if not (pair and isinstance(term[0], (int, float, complex, np.number))):
+            got = f"bare Pauli string {term}" if isinstance(term, PauliString) else repr(term)
+            raise ValidationError(f"terms are (coefficient, PauliString) pairs, got {got}")
+        value = complex(term[0])
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ValidationError(f"non-finite coefficient {term[0]} on term {term[1]}")
+        if term[1].num_qubits != num_qubits:
+            raise ValidationError(
+                f"Pauli string covers {term[1].num_qubits} qubits, circuit has {num_qubits}"
+            )
+    return np.array([c for c, _ in terms]), [ps for _, ps in terms]
 
 
 def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
-    """Tr[L(F_row) P_t] for every row of a batch and every term of a group,
-    over the group's joint light cone.
+    """sum_t c_t Tr[L(F_row) P_t] for every row of a batch, over the joint
+    light cone of a group of terms.
 
     ``tables[q]`` is an (M_q, 2, 2) array of input factors for qubit q,
     ``rows`` an (R, N) integer array picking one factor per qubit, and
-    ``terms`` a sequence of T Pauli strings. The plan is the light cone of
-    the union of the terms' supports; returns an (R, T) array. Qubits
-    outside the cone contribute Tr F_q. The cone is evaluated one of two
-    ways, by whichever makes fewer residual entries
-    (``ConePlan.row_entries``, ``ConePlan.table_cost``):
+    ``terms`` a sequence of T (coefficient, PauliString) pairs. The plan is
+    the light cone of the union of the terms' supports; returns an (R,)
+    array, zeros for no terms. Qubits outside the cone contribute Tr F_q.
+    The cone is evaluated one of two ways, by whichever makes fewer residual
+    entries (``ConePlan.row_entries``, ``ConePlan.table_cost``):
 
     * the walk runs the plan forwards over a (rows, terms) batch; rows that
       agree on the cone's qubits are contracted once, in chunks, and
-      scattered back;
+      scattered back, and the (R, T) values times the outside traces are
+      contracted with the coefficients last;
     * the outcome table runs it backwards once over every outcome of the
-      cone's qubits (:func:`_outcome_table`), and the rows look their values
-      up, at a cost that does not grow with the rows. It is taken only if
-      its largest residual over all the terms fits ``_BATCH_ENTRIES``, and
-      never for a single row.
+      cone's qubits, folding the coefficients in on the way
+      (:func:`_outcome_table`), and the rows look their values up, at a cost
+      that does not grow with the rows. It is taken only if its largest
+      residual over all the terms fits ``_BATCH_ENTRIES``, and never for a
+      single row.
     """
     n = circuit.num_qubits
-    terms = list(terms)
-    for ps in terms:
-        if ps.num_qubits != n:
-            raise ValidationError(
-                f"Pauli string covers {ps.num_qubits} qubits, circuit has {n}"
-            )
-    plan = cone_plan(circuit, sorted({q for ps in terms for q in ps.support}))
+    coeffs, paulis = _checked_terms(terms, n)
     rows = np.asarray(rows)
+    if not paulis:
+        return np.zeros(len(rows), dtype=complex)
+    plan = cone_plan(circuit, sorted({q for ps in paulis for q in ps.support}))
     values = np.ones((len(rows), 1), dtype=complex)
     for q in range(n):
         if q not in plan.qubits:
             values *= np.trace(tables[q], axis1=1, axis2=2)[rows[:, q], None]
     if not plan.qubits:
-        return np.repeat(values, len(terms), axis=1)
+        return np.repeat(values, len(paulis), axis=1) @ coeffs
     total, peak = plan.table_cost(tuple(len(tables[q]) for q in plan.outcome_axes))
-    if total < plan.row_entries * len(rows) and peak * len(terms) <= _BATCH_ENTRIES:
-        table = _outcome_table(circuit, plan, tables, terms)
-        return values * table[tuple(rows[:, plan.outcome_axes].T)]
-    return values * _walk(circuit, plan, tables, rows, terms)
+    if total < plan.row_entries * len(rows) and peak * len(paulis) <= _BATCH_ENTRIES:
+        table = _outcome_table(circuit, plan, tables, coeffs, paulis)
+        return values[:, 0] * table[tuple(rows[:, plan.outcome_axes].T)]
+    return (values * _walk(circuit, plan, tables, rows, paulis)) @ coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +738,7 @@ class CutWalk:
         terms' coefficients. Yielded one at a time, so a cold walk is dropped
         once its chunk is summed."""
         plan = schedule(circuit)
-        coeffs = np.array([c for c, _ in terms])
-        paulis = [ps for _, ps in terms]
+        coeffs, paulis = _checked_terms(terms, circuit.num_qubits)
         qubits = range(circuit.num_qubits)
         for row_chunk, term_chunk, ins, outs in _chunks(tables, rows, paulis, qubits, plan.peak_active):
             yield cls(plan.steps, ins, outs, weights[row_chunk, None] * coeffs[term_chunk])

@@ -17,7 +17,8 @@ of the light cone of its support, pruned exactly as :mod:`virtualmap.cone`
 describes: either a forward walk over a (rows, terms) batch, or, when it
 makes fewer residual entries, one outcome table over every outcome of the
 cone's qubits that the rows look up, so a large batch costs little more than
-a small one. The weights are the per-term values times the coefficients.
+a small one. The kernel takes the group's (coefficient, Pauli string) terms
+and returns the coefficient-weighted sum per row, which the groups add up.
 The dual frame of each preset POVM label is built once per process and
 shared read-only.
 
@@ -257,12 +258,12 @@ def _real_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
 
 def row_weights(circuit: MapCircuit, data: ProductInputData, obs: Observable) -> np.ndarray:
     """sum_k c_k Tr[L(F_row) P_k] for every row of ``data``, its weights
-    aside: R complex weights. Each support group is one call of the kernel.
+    aside: R complex weights. Each support group is one call of the kernel,
+    which returns the group's coefficient-weighted sum.
     """
     total = np.zeros(len(data.rows), dtype=complex)
     for group in term_groups(circuit, [ps for _, ps in obs.terms]):
-        coeffs = np.array([obs.terms[k][0] for k in group])
-        total += evaluate_rows(circuit, data.tables, data.rows, [obs.terms[k][1] for k in group]) @ coeffs
+        total += evaluate_rows(circuit, data.tables, data.rows, [obs.terms[k] for k in group])
     return total
 
 

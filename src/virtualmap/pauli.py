@@ -54,7 +54,7 @@ class PauliString:
     def num_qubits(self) -> int:
         return len(self.letters)
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(q for q, c in enumerate(self.letters) if c != "I")
 

@@ -690,3 +690,15 @@ class TestMalformedInputs:
         assert main(["ansatz", "--observable", str(obs), "--order", "0,a"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("columns", [60, 100])
+@pytest.mark.parametrize("command", ["sample", "estimate", "oracle-check"])
+def test_help_wraps_at_the_columns_variable(monkeypatch, capsys, command, columns):
+    # the parser reads the terminal width once; COLUMNS still sets it (these
+    # commands have no unbreakable choice lists, so every line fits)
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    widest = max(len(line) for line in capsys.readouterr().out.splitlines())
+    assert columns - 2 - 20 < widest <= columns - 2

@@ -473,6 +473,24 @@ def _scaled_identity(arity, scale):
     return LocalMap(scale * identity_map(arity).superop)
 
 
+def _one(circuit, tables, rows, pauli):
+    """evaluate_rows of one term with coefficient one: its per-row values."""
+    return evaluate_rows(circuit, tables, rows, [(1.0, pauli)])
+
+
+def _random_coeffs(count, rng):
+    return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+
+def _assert_weighted_sum(got, coeffs, per_term):
+    """got equals sum_t coeffs[t] per_term[t] within 1e-12 of the sum of the
+    terms' magnitudes, plus one."""
+    want = sum(c * v for c, v in zip(coeffs, per_term))
+    scale = 1.0 + sum(abs(c) * np.abs(v) for c, v in zip(coeffs, per_term))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want) / scale) <= 1e-12
+
+
 class TestBatchedKernel:
     def test_helpers_match_item_by_item(self):
         rng = np.random.default_rng(41)
@@ -586,13 +604,16 @@ class TestBatchedKernel:
         rows = rng.integers(0, 5, size=(30, 5))
         rows[10:15] = rows[:5]  # repeated rows share one contraction
         paulis = [PauliString(p) for p in ("ZIIII", "IIIXY", "XIZIY", "IIIII", "YXZXI")]
-        group = evaluate_rows(circ, tables, rows, paulis)
-        assert group.shape == (30, 5)
-        for t, pauli in enumerate(paulis):
-            got = evaluate_rows(circ, tables, rows, [pauli])[:, 0]
+        coeffs = _random_coeffs(len(paulis), rng)
+        group = evaluate_rows(circ, tables, rows, list(zip(coeffs, paulis)))
+        assert group.shape == (30,)
+        wants = []
+        for pauli in paulis:
+            got = _one(circ, tables, rows, pauli)
             want = _per_row(circ, tables, rows, pauli)
             assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12, pauli
-            assert np.max(np.abs(group[:, t] - want) / (1.0 + np.abs(want))) <= 1e-12, pauli
+            wants.append(want)
+        _assert_weighted_sum(group, coeffs, wants)
 
     def test_trace_preserving_components_outside_cone_are_pruned(self):
         rng = np.random.default_rng(46)
@@ -614,10 +635,10 @@ class TestBatchedKernel:
         assert set(plan.qubits) == {0, 1, 4, 5}
         tables = _random_tables(6, rng, outcomes=3)
         rows = rng.integers(0, 3, size=(12, 6))
-        got = evaluate_rows(circ, tables, rows, [pauli])[:, 0]
+        got = _one(circ, tables, rows, pauli)
         assert np.max(np.abs(got - _per_row(circ, tables, rows, pauli))) <= 1e-12
         tp_only = circ.with_component(2, identity_map(2))
-        assert np.max(np.abs(got - 0.9 * evaluate_rows(tp_only, tables, rows, [pauli])[:, 0])) <= 1e-12
+        assert np.max(np.abs(got - 0.9 * _one(tp_only, tables, rows, pauli))) <= 1e-12
 
     def test_identity_term_cone(self):
         rng = np.random.default_rng(48)
@@ -629,10 +650,10 @@ class TestBatchedKernel:
         traces = np.prod(
             [np.trace(tables[q][rows[:, q]], axis1=1, axis2=2) for q in range(4)], axis=0
         )
-        assert np.max(np.abs(evaluate_rows(circ, tables, rows, [pauli])[:, 0] - traces)) <= 1e-12
+        assert np.max(np.abs(_one(circ, tables, rows, pauli) - traces)) <= 1e-12
         leaky = circ.with_component(1, _scaled_identity(2, 0.9))
         assert cone_plan(leaky, pauli.support).qubits != ()
-        got = evaluate_rows(leaky, tables, rows, [pauli])[:, 0]
+        got = _one(leaky, tables, rows, pauli)
         assert np.max(np.abs(got - _per_row(leaky, tables, rows, pauli))) <= 1e-12
 
     def test_cut_pair_batch_matches_single_rows(self):
@@ -672,11 +693,10 @@ class TestBatchedKernel:
         # nested supports (0) < (0, 3) < all, (1) < (1, 2), and the identity
         letters = ("ZIII", "YIIZ", "IIII", "IXXI", "IXII", "XIIY", "ZZZZ")
         terms = [PauliString(p) for p in letters]
-        group = evaluate_rows(circ, tables, rows, terms)
-        assert group.shape == (40, len(terms))
-        for t, pauli in enumerate(terms):
-            one = evaluate_rows(circ, tables, rows, [pauli])[:, 0]
-            assert np.max(np.abs(group[:, t] - one) / (1.0 + np.abs(one))) <= 1e-12, pauli
+        coeffs = _random_coeffs(len(terms), rng)
+        group = evaluate_rows(circ, tables, rows, list(zip(coeffs, terms)))
+        assert group.shape == (40,)
+        _assert_weighted_sum(group, coeffs, [_one(circ, tables, rows, pauli) for pauli in terms])
 
     @pytest.mark.parametrize("kind", ["xx-chain", "non-tp", "wide-group"])
     def test_residuals_stay_within_plan_and_budget(self, monkeypatch, kind):
@@ -713,8 +733,8 @@ class TestBatchedKernel:
         rows = rng.integers(0, 4, size=(200, n))
         split = tabled = False
         for group in term_groups(circ, [ps for _, ps in obs.terms]):
-            terms = [obs.terms[k][1] for k in group]
-            plan = cone_plan(circ, sorted({q for ps in terms for q in ps.support}))
+            terms = [obs.terms[k] for k in group]
+            plan = cone_plan(circ, sorted({q for _, ps in terms for q in ps.support}))
             per_call = min(len(terms), budget // 4**plan.peak_active)
             split |= per_call < len(terms)
             # the walk takes the rows up to the rule's threshold, or all of
@@ -738,9 +758,9 @@ class TestBatchedKernel:
                 else:
                     assert len(shapes) == len(plan.steps)  # one table, no chunks
                     tabled = True
-                for t, pauli in enumerate(terms):
-                    one = evaluate_rows(circ, tables, batch, [pauli])[:, 0]
-                    assert np.max(np.abs(got[:, t] - one) / (1.0 + np.abs(one))) <= 1e-12, pauli
+                _assert_weighted_sum(
+                    got, [c for c, _ in terms], [_one(circ, tables, batch, ps) for _, ps in terms]
+                )
         assert split == (kind == "wide-group")
         assert tabled == (kind != "wide-group")
 
@@ -781,6 +801,23 @@ def _general_map(arity, rng):
     return LocalMap((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d)
 
 
+def _any_linear_case(rng):
+    """An N=5 circuit of maps that preserve neither trace nor Hermiticity,
+    with a trace-scaling component, and non-Hermitian tables of six outcomes."""
+    circ = MapCircuit(
+        5,
+        (
+            Component(1, (0, 1), _general_map(2, rng)),
+            Component(1, (2, 3), random_cptp_map(2, rng)),
+            Component(2, (1, 2), _general_map(2, rng)),
+            Component(2, (3, 4), _scaled_identity(2, 0.9)),
+            Component(3, (0,), _general_map(1, rng)),
+        ),
+    )
+    tables = [rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2)) for _ in range(5)]
+    return circ, tables
+
+
 class TestOutcomeTables:
     """``evaluate_rows`` contracts a group by the forward walk or by one
     outcome table its rows look up; both agree with per-row traces."""
@@ -801,15 +838,18 @@ class TestOutcomeTables:
 
     @staticmethod
     def _assert_per_row(circ, tables, rows, terms, got):
-        for t, pauli in enumerate(terms):
-            want = _per_row(circ, tables, rows, pauli)
-            assert np.max(np.abs(got[:, t] - want) / (1.0 + np.abs(want))) <= 1e-12, pauli
+        """got is the coefficient-weighted sum of the (coefficient, Pauli
+        string) ``terms``' per-row traces."""
+        _assert_weighted_sum(
+            got, [c for c, _ in terms], [_per_row(circ, tables, rows, ps) for _, ps in terms]
+        )
 
     def test_both_sides_of_the_rule_match_per_row_traces(self, monkeypatch):
         rng = np.random.default_rng(53)
         circ = brickwork(6, 2, lambda layer, qubits: random_tp_hermitian_map(2, rng))
         tables = _random_tables(6, rng, outcomes=4)
-        terms = [PauliString(p) for p in ("IIXXII", "IIYYII", "IIZIII")]
+        paulis = [PauliString(p) for p in ("IIXXII", "IIYYII", "IIZIII")]
+        terms = list(zip(_random_coeffs(len(paulis), rng), paulis))
         plan = cone_plan(circ, (2, 3))
         total, _ = plan.table_cost((4,) * len(plan.qubits))
         threshold = total // plan.row_entries  # the most rows the walk takes
@@ -819,7 +859,7 @@ class TestOutcomeTables:
             rows = rng.integers(0, 4, size=(count, 6))
             calls.clear()
             got = evaluate_rows(circ, tables, rows, terms)
-            assert got.shape == (count, len(terms))
+            assert got.shape == (count,)
             assert len(calls) == (count > threshold)
             self._assert_per_row(circ, tables, rows, terms, got)
 
@@ -828,23 +868,13 @@ class TestOutcomeTables:
         # component outside every local cone, and non-Hermitian tables of six
         # outcomes: conj Tr[Ldag(P) Fdag] = Tr[P L(F)] needs only P Hermitian
         rng = np.random.default_rng(54)
-        circ = MapCircuit(
-            5,
-            (
-                Component(1, (0, 1), _general_map(2, rng)),
-                Component(1, (2, 3), random_cptp_map(2, rng)),
-                Component(2, (1, 2), _general_map(2, rng)),
-                Component(2, (3, 4), _scaled_identity(2, 0.9)),
-                Component(3, (0,), _general_map(1, rng)),
-            ),
-        )
+        circ, tables = _any_linear_case(rng)
         flags = [c.map.flags() for c in circ.components]
         assert not flags[0].tp and not flags[0].hermiticity_preserving and not flags[3].tp
-        tables = [rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2)) for _ in range(5)]
         rows = rng.integers(0, 6, size=(300, 5))
         calls = self._spy(monkeypatch)
         for letters in (["ZIIII"], ["IXYII", "IZIII", "IIXII"], ["IIIIY"], ["YIIZX"]):
-            terms = [PauliString(p) for p in letters]
+            terms = list(zip(_random_coeffs(len(letters), rng), map(PauliString, letters)))
             calls.clear()
             got = evaluate_rows(circ, tables, rows, terms)
             assert len(calls) == 1, letters
@@ -857,7 +887,8 @@ class TestOutcomeTables:
         circ = brickwork(6, 2, lambda layer, qubits: random_cptp_map(2, rng))
         tables = _random_tables(6, rng, outcomes=4)
         rows = rng.integers(0, 4, size=(300, 6))
-        terms = [PauliString(p) for p in ("IIXXII", "IIYYII", "IIZIII")]
+        paulis = [PauliString(p) for p in ("IIXXII", "IIYYII", "IIZIII")]
+        terms = list(zip(_random_coeffs(len(paulis), rng), paulis))
         plan = cone_plan(circ, (2, 3))
         total, peak = plan.table_cost((4,) * len(plan.qubits))
         assert total < plan.row_entries * len(rows)  # cheaper, but too large
@@ -866,6 +897,153 @@ class TestOutcomeTables:
         got = evaluate_rows(circ, tables, rows, terms)
         assert not calls
         self._assert_per_row(circ, tables, rows, terms, got)
+
+
+def _fold_case(kind, rng):
+    """(circuit, tables, rows, Pauli strings, whether the group takes the
+    outcome table) for one side of the fold."""
+    tp_circ = brickwork(6, 2, lambda layer, qubits: random_tp_hermitian_map(2, rng))
+    tp_tables = _random_tables(6, rng, outcomes=4)
+    bond = ["IIXXII", "IIYYII", "IIZIII"]
+    plan = cone_plan(tp_circ, (2, 3))
+    threshold = plan.table_cost((4,) * len(plan.qubits))[0] // plan.row_entries
+    if kind in ("walk", "table"):
+        count = threshold + (kind == "table")
+        return tp_circ, tp_tables, rng.integers(0, 4, size=(count, 6)), bond, kind == "table"
+    if kind == "non-tp":
+        circ = brickwork(6, 1, lambda layer, qubits: random_cptp_map(2, rng))
+        circ = circ.with_component(2, _scaled_identity(2, 0.9))
+        return circ, tp_tables, rng.integers(0, 4, size=(300, 6)), ["ZIIIII", "XZIIII", "IYIIII"], True
+    if kind == "any-linear":
+        circ, tables = _any_linear_case(rng)
+        return circ, tables, rng.integers(0, 6, size=(300, 5)), ["IXYII", "IZIII", "IIXII"], True
+    rows = rng.integers(0, 4, size=(300, 6))
+    if kind == "one-term":
+        return tp_circ, tp_tables, rows, ["IIXYII"], True
+    if kind == "repeated-term":  # every term has the same letters: no term axis forms
+        return tp_circ, tp_tables, rows, ["IIXYII", "IIXYII"], True
+    # an all-identity term beside local ones, then on its own (an empty cone)
+    if kind == "identity-term":
+        return tp_circ, tp_tables, rows, ["IIIIII", "IIZZII", "IIIXII"], True
+    return tp_circ, tp_tables, rows, ["IIIIII"], False
+
+
+class TestCoefficientFold:
+    """``evaluate_rows`` returns sum_t c_t Tr[L(F_row) P_t]; the outcome table
+    folds the coefficients in once the last term-dependent letter is in."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["walk", "table", "non-tp", "any-linear", "one-term", "repeated-term", "identity-term", "identity-only"],
+    )
+    def test_weighted_sum_of_single_terms(self, monkeypatch, kind):
+        rng = np.random.default_rng(57)
+        circ, tables, rows, letters, tabled = _fold_case(kind, rng)
+        paulis = [PauliString(p) for p in letters]
+        calls = TestOutcomeTables._spy(monkeypatch)
+        for _ in range(3):
+            coeffs = _random_coeffs(len(paulis), rng)
+            calls.clear()
+            got = evaluate_rows(circ, tables, rows, list(zip(coeffs, paulis)))
+            assert len(calls) == tabled
+            _assert_weighted_sum(got, coeffs, [_one(circ, tables, rows, ps) for ps in paulis])
+
+    def test_term_axis_is_one_after_the_fold(self, monkeypatch):
+        import virtualmap.cone as cone_module
+
+        calls = []
+        for name in ("insert_factor", "apply_superop_local", "trace_out_each"):
+            real = getattr(cone_module, name)
+
+            def recording(op, factor, where, n, _real=real, _name=name):
+                out = _real(op, factor, where, n)
+                calls.append((_name, np.shape(factor), out.shape))
+                return out
+
+            monkeypatch.setattr(cone_module, name, recording)
+        rng = np.random.default_rng(58)
+        circ = brickwork(8, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        tables = _random_tables(8, rng, outcomes=4)
+        paulis = [PauliString(p) for p in ("IIIIZIII", "IIIXXIII", "IIIYYIII")]
+        coeffs = _random_coeffs(len(paulis), rng)
+        plan = cone_plan(circ, (3, 4))
+        table = cone_module._outcome_table(circ, plan, tables, coeffs, paulis)
+        assert table.shape == (4,) * len(plan.qubits)
+        assert len(calls) == len(plan.steps)
+        per_term = [i for i, (name, factor, _) in enumerate(calls) if name == "insert_factor" and factor[2] > 1]
+        last = per_term[-1]
+        assert last < len(calls) - 1  # steps are left to run after the fold
+        assert all(out[2] == len(paulis) for _, _, out in calls[per_term[0] : last + 1])
+        assert all(out[2] == 1 for _, _, out in calls[last + 1 :])
+        # the table agrees with the walk on every outcome
+        outcomes = np.array(np.meshgrid(*[range(4)] * len(plan.qubits), indexing="ij")).reshape(len(plan.qubits), -1).T
+        rows = np.zeros((len(outcomes), 8), dtype=int)
+        rows[:, plan.outcome_axes] = outcomes
+        walked = cone_module._walk(circ, plan, tables, rows, paulis) @ coeffs
+        assert np.max(np.abs(table[tuple(outcomes.T)] - walked) / (1.0 + np.abs(walked))) <= 1e-12
+
+
+class TestKernelInput:
+    """``evaluate_rows`` takes (coefficient, PauliString) pairs and refuses
+    anything else."""
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(59)
+        circ = brickwork(4, 1, lambda layer, qubits: random_cptp_map(2, rng))
+        return circ, _random_tables(4, rng, outcomes=4), rng.integers(0, 4, size=(7, 4))
+
+    def test_bare_pauli_string_names_the_pair_form(self):
+        circ, tables, rows = self._case()
+        with pytest.raises(ValidationError, match=r"\(coefficient, PauliString\) pairs, got bare Pauli string ZZII"):
+            evaluate_rows(circ, tables, rows, [(1.0, PauliString("XIII")), PauliString("ZZII")])
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            (PauliString("ZZII"), 1.0),
+            (1.0, "ZZII"),
+            (1.0, PauliString("ZZII"), 2.0),
+            "ZZII",
+            ("1.0", PauliString("ZZII")),
+            (None, PauliString("ZZII")),
+            [1.0],
+        ],
+        ids=["swapped", "text-string", "triple", "text", "text-coefficient", "none-coefficient", "one-entry"],
+    )
+    def test_rejects_terms_that_are_not_pairs(self, term):
+        circ, tables, rows = self._case()
+        with pytest.raises(ValidationError, match=r"\(coefficient, PauliString\) pairs"):
+            evaluate_rows(circ, tables, rows, [term])
+
+    @pytest.mark.parametrize(
+        "coeff", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0), np.float64(np.nan)]
+    )
+    def test_rejects_non_finite_coefficients(self, coeff):
+        circ, tables, rows = self._case()
+        with pytest.raises(ValidationError, match="non-finite coefficient"):
+            evaluate_rows(circ, tables, rows, [(1.0, PauliString("XIII")), (coeff, PauliString("ZZII"))])
+
+    def test_rejects_a_string_of_another_register(self):
+        circ, tables, rows = self._case()
+        with pytest.raises(ValidationError, match="covers 3 qubits"):
+            evaluate_rows(circ, tables, rows, [(1.0, PauliString("ZZI"))])
+
+    def test_no_terms_give_zeros(self):
+        circ, tables, rows = self._case()
+        leaky = circ.with_component(0, _scaled_identity(2, 0.9))
+        for c in (circ, leaky):
+            got = evaluate_rows(c, tables, rows, [])
+            assert got.dtype == complex and got.shape == (len(rows),)
+            assert not np.any(got)
+
+    def test_numbers_of_any_kind_are_coefficients(self):
+        circ, tables, rows = self._case()
+        ps = PauliString("ZZII")
+        want = _one(circ, tables, rows, ps)
+        for coeff in (2, 2.0, 2 + 0j, np.int64(2), np.float32(2.0), np.complex128(2.0)):
+            got = evaluate_rows(circ, tables, rows, [(coeff, ps)])
+            assert np.max(np.abs(got - 2.0 * want)) <= 1e-12, type(coeff)
 
 
 def _assert_as_np_unique(rows):

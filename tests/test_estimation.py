@@ -363,11 +363,11 @@ class TestSupportGroups:
 
         tables = dual_arrays("sic", circ.num_qubits)
         real = estimation.evaluate_rows
-        want = sum(c * real(circ, tables, rows, [ps])[:, 0] for c, ps in obs.terms)
+        want = sum(c * real(circ, tables, rows, [(1.0, ps)]) for c, ps in obs.terms)
         calls = []
 
         def recording(circuit, tables, rows, terms):
-            calls.append([ps.letters for ps in terms])
+            calls.append([ps.letters for _, ps in terms])
             return real(circuit, tables, rows, terms)
 
         monkeypatch.setattr(estimation, "evaluate_rows", recording)

@@ -1,6 +1,7 @@
 """Pauli strings, observables, Hamiltonian constructors, and the dense oracle."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ class TestPauliString:
         assert p.num_qubits == 5
         assert p.support == (0, 2, 4)
         assert p.weight == 3
+
+    def test_support_is_computed_once_and_leaves_equality_alone(self):
+        p, q = PauliString("XIZIY"), PauliString("XIZIY")
+        assert p.support is p.support
+        assert p == q and hash(p) == hash(q)  # q's support never read
+        again = pickle.loads(pickle.dumps(p))
+        assert again == p and hash(again) == hash(p) and again.support == (0, 2, 4)
+        with pytest.raises(AttributeError):
+            p.letters = "ZZZZZ"
 
     def test_matrix_is_kron_in_qubit_order(self):
         p = PauliString("XIZ")
