@@ -16,9 +16,9 @@
 Each case is checked against the sum of singleton groups (one single-term
 observable per call), within 1e-12 of 1 + |w| per row; a failed check exits
 with status 1. The script prints one JSON record: per case the number of
-cone runs (``evaluate_rows`` calls), how many of them built an outcome
-table and how many walked the rows (``cone._outcome_table`` and
-``cone._walk`` calls), the calls of the ``linalg`` kernels, and the median
+cone runs (``evaluate_rows`` calls), how many of them ran backwards into an
+outcome table and how many per row (``cone._outcome_table`` and
+``cone._row_values`` calls), the calls of the ``linalg`` kernels, and the median
 and quartiles of the seconds per ``row_weights`` pass over ``--repeats``
 timed passes. ``--out`` also stores the record in a
 JSON file under the key ``--tag``, keeping the file's other keys.
@@ -116,7 +116,7 @@ def replay(name, repeats):
         start = time.perf_counter()
         weights(circuits, data, obs)
         seconds.append(time.perf_counter() - start)
-    with Calls([estimation, cone], ["evaluate_rows", "_outcome_table", "_walk", *KERNELS]) as calls:
+    with Calls([estimation, cone], ["evaluate_rows", "_outcome_table", "_row_values", *KERNELS]) as calls:
         weights(circuits, data, obs)
     return {
         "circuits": len(circuits),
@@ -124,7 +124,7 @@ def replay(name, repeats):
         "terms": len(obs.terms),
         "cone_runs": calls.counts.pop("evaluate_rows"),
         "table_runs": calls.counts.pop("_outcome_table"),
-        "walk_runs": calls.counts.pop("_walk"),
+        "row_runs": calls.counts.pop("_row_values"),
         **calls.counts,
         "max_rel_diff": diff,
         "ok": diff <= TOL,

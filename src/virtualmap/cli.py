@@ -339,7 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_optimizer_flags(p):
         p.add_argument("--rounds", type=int, default=10)
         p.add_argument("--accept-tol", type=float, default=1e-8)
-        p.add_argument("--init", default="keep", choices=SWEEP_INITS)
+        p.add_argument(
+            "--init",
+            default="keep",
+            choices=SWEEP_INITS,
+            help="maps the sweep starts from: the circuit's own (keep), identity maps, or random unitary "
+            "or CPTP maps drawn from --seed; ansatz has no circuit to keep, so keep starts from random "
+            "unitaries",
+        )
         p.add_argument(
             "--sdp-max-iters",
             type=int,

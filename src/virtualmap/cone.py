@@ -31,17 +31,16 @@ evaluation runs that plan's steps in reverse order on the adjoint maps, with
 the roles of the two factor sets exchanged (the same backward pass the
 objectives use); for Hermiticity-preserving circuits both directions agree.
 
-The residual carries two trailing batch axes, rows and terms, behind its two
-operator axes, so every kernel's innermost loop runs over the batch: input
+The residual carries two trailing batch axes behind its two operator axes,
+so every kernel's innermost loop runs over the batch; run forwards, input
 factors are (2, 2, R, 1), one per row, and output factors (2, 2, 1, T), one
-per Pauli term, or (2, 2) where every term has the same letter.
-Broadcasting forms the (R, T) batch only at the first step whose factor
-needs it, so the steps before it run once per row, not once per (row, term)
-pair. The single-row entry points are batches of one. ``evaluate_rows`` runs
-a support group, a list of (coefficient, Pauli string) terms, over a whole
-batch of rows in one pass, returns sum_t c_t Tr[L(F_row) P_t] per row and
-contracts only the backward light cone of the union of their supports. The
-pruning is exact:
+per Pauli term, or (2, 2) where every term has the same letter, and
+broadcasting forms the (R, T) batch only at the first step whose factor
+needs it. The single-row entry points are batches of one. ``evaluate_rows``
+runs a support group, a list of (coefficient, Pauli string) terms, over a
+batch of rows, returns sum_t c_t Tr[L(F_row) P_t] per row and contracts only
+the backward light cone of the union of their supports. The pruning is
+exact:
 
 * a component outside the cone is dropped only if it is trace preserving to
   round-off (vec(I)^T S = vec(I)^T within ``_TP_TOL``); otherwise it joins the
@@ -56,24 +55,24 @@ term spanning the register stays on its own. Grouping reads only the cones'
 qubit sets (``_cone``, the walk a plan then schedules), so it schedules
 nothing; it is memoized on the structure like the plans.
 
-A group's cone is contracted one of two ways. The walk runs the plan
-forwards over the rows: rows that agree on the cone's qubits are contracted
-once, and batches are cut into chunks of rows, and of terms where one row of
-all of them is too many, so that live (rows, terms) residuals stay below
-``_BATCH_ENTRIES`` entries. The outcome table runs the plan backwards once,
-in the Heisenberg picture, from the terms' factors, contracts the term axis
-with the coefficients once the last letter that differs between terms is in,
-and traces each cone qubit out against all of its input factors at once, so
-the result holds the group's weighted sum for every outcome of the cone's
-qubits and the rows only look theirs up. Its cost does not grow with the
-rows. ``evaluate_rows`` takes the table when its residual entries, summed
-over the steps, are fewer than the walk's per row times the rows, and its
-largest residual over all the terms fits ``_BATCH_ENTRIES``; both counts
-depend only on the plan and the tables' outcome counts, and are cached on
-the plan. A single row never takes the table. The walk's (R, T) values are
-contracted with the coefficients last. No plan may be wider than
-``MAX_ACTIVE_QUBITS``: ``cone_plan`` refuses it before any residual is
-allocated.
+A group's cone is contracted by one backward run (``_backward``), in the
+Heisenberg picture: the steps run in reverse on the adjoint maps from the
+terms' factors over a (terms, outcomes) batch; right after the last letter
+that differs between terms enters, the term axis is contracted with the
+coefficients, and conj Tr[L^dagger(P) F^dagger] = Tr[P L(F)] for Hermitian P
+holds whatever the maps and tables. Only the trace-out differs. The outcome
+table traces each cone qubit out against its whole stack of F^dagger, so it
+holds the weighted sum for every outcome of the cone's qubits, which the rows
+look up, at a cost that does not grow with the rows. Per row, each qubit is
+traced out against each row's own F^dagger: rows that agree on the cone's
+qubits are contracted once, in chunks of rows, and of terms where one row of
+all of them is too many, so that live residuals stay below
+``_BATCH_ENTRIES`` entries. ``evaluate_rows`` takes the table when its
+residual entries, summed over the steps, are fewer than one row's times the
+rows and its largest residual over all the terms fits ``_BATCH_ENTRIES``
+(``ConePlan.table_cost``, cached on the plan); a single row never takes it.
+No plan may be wider than ``MAX_ACTIVE_QUBITS``: ``cone_plan`` refuses it
+before any residual is allocated.
 
 To single out one component, a ``CutWalk`` cuts a step list at its apply
 step: the steps before it give the forward residual, the steps after it, run
@@ -317,21 +316,11 @@ class ConePlan:
         the axes of an outcome table (:func:`_outcome_table`)."""
         return tuple(s.qubit for s in reversed(self.steps) if s.kind == "absorb")
 
-    @cached_property
-    def row_entries(self) -> int:
-        """Residual entries the steps make for one (row, term) item, run
-        forwards: the walk's cost per row."""
-        total = active = 0
-        for s in self.steps:
-            active += {"absorb": 1, "trace": -1}.get(s.kind, 0)
-            total += 4**active
-        return total
-
     def table_cost(self, sizes: tuple[int, ...]) -> tuple[int, int]:
         """Residual entries the steps make for one term, run backwards with
         qubit ``outcome_axes[j]`` traced out against all its ``sizes[j]``
         outcomes, summed and at the largest: the outcome table's cost and
-        peak."""
+        peak, and with one outcome per qubit, one row's."""
         cost = self._table_costs.get(sizes)
         if cost is None:
             pending = iter(sizes)  # in the order the backward steps trace out
@@ -463,11 +452,12 @@ def _run_steps(
 ):
     """Execute schedule steps on a batch of residuals with two batch axes.
 
-    The residuals are (rows, terms) batches. Each per-qubit factor is (2, 2),
-    shared by the batch, or carries its own batch shape: (2, 2, R, 1) for one
-    factor per row, (2, 2, 1, T) for one per term. Broadcasting forms the
-    (R, T) batch only at the first step whose factor needs both, so the steps
-    before it run once per row. ``start`` is the (active qubits, residual)
+    The residuals are (rows, terms) batches, or (terms, outcomes) ones in
+    :func:`_backward`. Each per-qubit factor is (2, 2), shared by the batch,
+    or carries its own batch shape, such as (2, 2, R, 1) for one factor per
+    row and (2, 2, 1, T) for one per term. Broadcasting forms a batch axis
+    only at the first step whose factor has it, so the steps before it run
+    once per item of the other. ``start`` is the (active qubits, residual)
     pair the steps begin from. Returns the active qubit list and the
     residuals, shape (2^a, 2^a, R', T') for a active qubits, where R' and T'
     are 1 if no factor so far had that axis. With ``backward`` the steps are
@@ -510,20 +500,15 @@ def check_trace_kept(before: np.ndarray, after: np.ndarray, local_map: LocalMap)
             raise ValidationError("trace not preserved by a trace-preserving map")
 
 
-def _run_plan(circuit, plan: ConePlan, in_factors, out_factors) -> np.ndarray:
-    """Run a whole-trace plan; returns one value per (row, term) batch item."""
-    active, res = _run_steps(circuit, plan.steps, in_factors, out_factors)
-    if active:
-        raise ValidationError("plan did not trace every qubit")
-    return res[0, 0]
-
-
 def evaluate_trace(circuit, dual_factors, pauli):
     """Tr[L(F_0 (x) ... ) (G_0 (x) ...)] via the causal-cone sweep."""
     n = circuit.num_qubits
     ins = _factor_list(dual_factors, n)
     outs = _factor_list(pauli, n)
-    return complex(_run_plan(circuit, schedule(circuit), ins, outs)[0, 0])
+    active, res = _run_steps(circuit, schedule(circuit).steps, ins, outs)
+    if active:
+        raise ValidationError("plan did not trace every qubit")
+    return complex(res[0, 0, 0, 0])
 
 
 def evaluate_trace_backward(circuit, dual_factors, pauli):
@@ -560,63 +545,68 @@ def _term_factors(terms, qubits) -> dict:
     return out
 
 
-def _chunks(tables, rows, terms, qubits, peak_active):
-    """The chunks of a (rows, terms) batch whose residuals on ``peak_active``
+def _chunks(rows: int, terms: int, peak_active: int):
+    """The (rows, terms) slices of a batch whose residuals on ``peak_active``
     qubits hold at most ``_BATCH_ENTRIES`` entries (a single (row, term) pair
-    may exceed it); the term axis is split only where one row of all the
-    terms would exceed the budget. Yields per chunk its rows and terms
-    slices and its in- and out-factors on ``qubits``: one (2, 2, R, 1) array
-    ``tables[q][rows[:, j]]`` for the j-th qubit q, and the terms' factors
-    (:func:`_term_factors`)."""
+    may exceed it), terms outermost; the term axis is split only where one
+    row of all the terms would exceed the budget."""
     item = 4**peak_active
-    term_size = max(1, min(len(terms), _BATCH_ENTRIES // item))
+    term_size = max(1, min(terms, _BATCH_ENTRIES // item))
     row_size = max(1, _BATCH_ENTRIES // (term_size * item))
-    for t in range(0, max(len(terms), 1), term_size):
-        term_chunk = slice(t, t + term_size)
-        outs = _term_factors(terms[term_chunk], qubits)
-        for r in range(0, len(rows), row_size):
-            row_chunk = slice(r, r + row_size)
-            ins = {
-                q: tables[q][rows[row_chunk, j]].transpose(1, 2, 0)[..., None]
-                for j, q in enumerate(qubits)
-            }
-            yield row_chunk, term_chunk, ins, outs
+    for t in range(0, max(terms, 1), term_size):
+        for r in range(0, rows, row_size):
+            yield slice(r, r + row_size), slice(t, t + term_size)
 
 
-def _walk(circuit, plan: ConePlan, tables, rows, terms) -> np.ndarray:
-    """The (R, T) values of a group's cone, run forwards once per distinct
-    row of its cone columns, in chunks, and scattered back."""
-    uniq, inverse, _ = unique_rows(rows[:, plan.qubits])
-    values = np.empty((len(uniq), len(terms)), dtype=complex)
-    for row_chunk, term_chunk, ins, outs in _chunks(tables, uniq, terms, plan.qubits, plan.peak_active):
-        values[row_chunk, term_chunk] = _run_plan(circuit, plan, ins, outs)
-    return values[inverse]
+def _backward(circuit, plan: ConePlan, coeffs, paulis, duals, trace_out) -> np.ndarray:
+    """sum_t c_t Tr[L(F) P_t] of a group's cone for every outcome F of a
+    batch: the one contraction of the weight kernel.
 
-
-def _outcome_table(circuit, plan: ConePlan, tables, coeffs, paulis) -> np.ndarray:
-    """sum_t c_t Tr[L(F) P_t] of a group's cone for every outcome F of its
-    qubits: an (M_q for q in ``plan.outcome_axes``) table.
-
-    The steps run backwards from the terms' factors over a (terms,
-    outcomes) batch. Each qubit is traced out against its whole stack of
-    F^dagger (:func:`~virtualmap.linalg.trace_out_each`), which opens its
-    outcome axis, and conj Tr[L^dagger(P) F^dagger] = Tr[P L(F)] for
-    Hermitian P, whatever the maps and tables. Right after the last letter
-    that differs between the terms enters, the term axis is contracted with
-    conj c, so every later step runs on a term axis of one."""
+    The steps run backwards from the terms' factors over a (terms, outcomes)
+    batch, and ``trace_out`` traces each qubit out against its ``duals``, the
+    F^dagger of the batch, which opens or meets the outcome axis. Right after
+    the last letter that differs between the terms enters, the term axis is
+    contracted with conj c, so every later step runs on a term axis of one,
+    and conj Tr[L^dagger(P) F^dagger] = Tr[P L(F)] for Hermitian P, whatever
+    the maps and tables. Returns the outcome axis."""
     steps = plan.steps[::-1]
     ins = {q: f.reshape(2, 2, -1, 1) for q, f in _term_factors(paulis, plan.qubits).items()}
-    daggers = {q: tables[q].conj().transpose(0, 2, 1) for q in plan.qubits}
     per_term = [p + 1 for p, s in enumerate(steps) if s.kind == "trace" and ins[s.qubit].shape[2] > 1]
     fold = max(per_term, default=0)
     run = partial(
-        _run_steps, circuit, in_factors=ins, out_factors=daggers, backward=True, trace_out=trace_out_each
+        _run_steps, circuit, in_factors=ins, out_factors=duals, backward=True, trace_out=trace_out
     )
     active, res = run(steps[:fold])
     # no term axis formed where every term has the same letters
     weights = coeffs.conj() if res.shape[2] > 1 else coeffs.conj().sum(keepdims=True)
     _, res = run(steps[fold:], start=(active, weights[None] @ res))  # (1, T) @ (T, O) per entry
-    return res[0, 0, 0].conj().reshape(tuple(len(tables[q]) for q in plan.outcome_axes))
+    return res[0, 0, 0].conj()
+
+
+def _outcome_table(circuit, plan: ConePlan, tables, coeffs, paulis) -> np.ndarray:
+    """The group's weighted sum for every outcome of its cone's qubits, an
+    (M_q for q in ``plan.outcome_axes``) table: each qubit is traced out
+    against its whole stack of F^dagger
+    (:func:`~virtualmap.linalg.trace_out_each`), which opens its outcome
+    axis."""
+    daggers = {q: tables[q].conj().transpose(0, 2, 1) for q in plan.qubits}
+    table = _backward(circuit, plan, coeffs, paulis, daggers, trace_out_each)
+    return table.reshape(tuple(len(tables[q]) for q in plan.outcome_axes))
+
+
+def _row_values(circuit, plan: ConePlan, tables, rows, coeffs, paulis) -> np.ndarray:
+    """The group's weighted sum per row: each qubit is traced out against
+    each row's own F^dagger, a (2, 2, 1, R) factor, once per distinct row of
+    the cone's columns, in chunks (:func:`_chunks`) whose terms fold their
+    own coefficients and add up, and scattered back."""
+    uniq, inverse, _ = unique_rows(rows[:, plan.qubits])
+    values = np.zeros(len(uniq), dtype=complex)
+    for rs, ts in _chunks(len(uniq), len(paulis), plan.peak_active):
+        daggers = {
+            q: tables[q][uniq[rs, j]].conj().transpose(2, 1, 0)[:, :, None] for j, q in enumerate(plan.qubits)
+        }
+        values[rs] += _backward(circuit, plan, coeffs[ts], paulis[ts], daggers, multiply_trace_out)
+    return values[inverse]
 
 
 def _checked_terms(terms, num_qubits: int) -> tuple[np.ndarray, list[PauliString]]:
@@ -624,7 +614,9 @@ def _checked_terms(terms, num_qubits: int) -> tuple[np.ndarray, list[PauliString
     terms = list(terms)
     for term in terms:
         pair = isinstance(term, (tuple, list)) and len(term) == 2 and isinstance(term[1], PauliString)
-        if not (pair and isinstance(term[0], (int, float, complex, np.number))):
+        # a boolean is no coefficient, as in json_complex and SdpOptions
+        number = pair and isinstance(term[0], (int, float, complex, np.number)) and not isinstance(term[0], bool)
+        if not number:
             got = f"bare Pauli string {term}" if isinstance(term, PauliString) else repr(term)
             raise ValidationError(f"terms are (coefficient, PauliString) pairs, got {got}")
         value = complex(term[0])
@@ -646,19 +638,11 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
     ``terms`` a sequence of T (coefficient, PauliString) pairs. The plan is
     the light cone of the union of the terms' supports; returns an (R,)
     array, zeros for no terms. Qubits outside the cone contribute Tr F_q.
-    The cone is evaluated one of two ways, by whichever makes fewer residual
-    entries (``ConePlan.row_entries``, ``ConePlan.table_cost``):
-
-    * the walk runs the plan forwards over a (rows, terms) batch; rows that
-      agree on the cone's qubits are contracted once, in chunks, and
-      scattered back, and the (R, T) values times the outside traces are
-      contracted with the coefficients last;
-    * the outcome table runs it backwards once over every outcome of the
-      cone's qubits, folding the coefficients in on the way
-      (:func:`_outcome_table`), and the rows look their values up, at a cost
-      that does not grow with the rows. It is taken only if its largest
-      residual over all the terms fits ``_BATCH_ENTRIES``, and never for a
-      single row.
+    The cone is contracted by one backward run (:func:`_backward`), either
+    into an outcome table the rows look up (:func:`_outcome_table`) or per
+    distinct row (:func:`_row_values`), whichever makes fewer residual
+    entries (``ConePlan.table_cost``); the table is taken only if its largest
+    residual over all the terms fits ``_BATCH_ENTRIES``, never for one row.
     """
     n = circuit.num_qubits
     coeffs, paulis = _checked_terms(terms, n)
@@ -672,11 +656,12 @@ def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
             values *= np.trace(tables[q], axis1=1, axis2=2)[rows[:, q], None]
     if not plan.qubits:
         return np.repeat(values, len(paulis), axis=1) @ coeffs
-    total, peak = plan.table_cost(tuple(len(tables[q]) for q in plan.outcome_axes))
-    if total < plan.row_entries * len(rows) and peak * len(paulis) <= _BATCH_ENTRIES:
+    sizes = tuple(len(tables[q]) for q in plan.outcome_axes)
+    total, peak = plan.table_cost(sizes)
+    if total < plan.table_cost((1,) * len(sizes))[0] * len(rows) and peak * len(paulis) <= _BATCH_ENTRIES:
         table = _outcome_table(circuit, plan, tables, coeffs, paulis)
         return values[:, 0] * table[tuple(rows[:, plan.outcome_axes].T)]
-    return (values * _walk(circuit, plan, tables, rows, paulis)) @ coeffs
+    return values[:, 0] * _row_values(circuit, plan, tables, rows, coeffs, paulis)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +725,9 @@ class CutWalk:
         plan = schedule(circuit)
         coeffs, paulis = _checked_terms(terms, circuit.num_qubits)
         qubits = range(circuit.num_qubits)
-        for row_chunk, term_chunk, ins, outs in _chunks(tables, rows, paulis, qubits, plan.peak_active):
+        for row_chunk, term_chunk in _chunks(len(rows), len(paulis), plan.peak_active):
+            ins = {q: tables[q][rows[row_chunk, q]].transpose(1, 2, 0)[..., None] for q in qubits}
+            outs = _term_factors(paulis[term_chunk], qubits)
             yield cls(plan.steps, ins, outs, weights[row_chunk, None] * coeffs[term_chunk])
 
     def _backward_at(self, circuit: MapCircuit, t: int):

@@ -12,13 +12,14 @@ fixed by sorting, so results are deterministic for a given batch.
 
 The weights of all rows are computed together, one support group of Pauli
 terms at a time (:func:`virtualmap.cone.term_groups`), by the batched cone
-kernel (:func:`virtualmap.cone.evaluate_rows`). Each group is one contraction
-of the light cone of its support, pruned exactly as :mod:`virtualmap.cone`
-describes: either a forward walk over a (rows, terms) batch, or, when it
-makes fewer residual entries, one outcome table over every outcome of the
-cone's qubits that the rows look up, so a large batch costs little more than
-a small one. The kernel takes the group's (coefficient, Pauli string) terms
-and returns the coefficient-weighted sum per row, which the groups add up.
+kernel (:func:`virtualmap.cone.evaluate_rows`). Each group is one backward
+contraction of the light cone of its support from its terms, pruned exactly
+as :mod:`virtualmap.cone` describes, traced out either against each row's
+own dual operators or, when it makes fewer residual entries, against all of
+them into an outcome table that the rows look up, so a large batch costs
+little more than a small one. The kernel takes the group's (coefficient,
+Pauli string) terms and returns the coefficient-weighted sum per row, which
+the groups add up.
 The dual frame of each preset POVM label is built once per process and
 shared read-only.
 

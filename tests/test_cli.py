@@ -460,6 +460,22 @@ class TestAnsatz:
         assert main(base + ["--init", "random_unitary", "--out-circuit", str(tmp_path / "b.json")]) == 0
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
+    def test_init_keep_starts_from_random_unitaries(self, tmp_path, capsys):
+        # ansatz has no circuit to keep: keep and random_unitary are one run
+        obs_path = tmp_path / "obs.json"
+        write_observable(xx_hamiltonian(3, field=0.4), obs_path)
+        base = ["ansatz", "--observable", str(obs_path), "--rounds", "2", "--seed", "3"]
+        outputs = []
+        for init in ("keep", "random_unitary"):
+            report = tmp_path / f"{init}.csv"
+            assert main(base + ["--init", init, "--report", str(report)]) == 0
+            outputs.append((capsys.readouterr().out, report.read_text()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["iterations"] > 0
+        with pytest.raises(SystemExit):
+            main(["ansatz", "--help"])
+        assert "keep starts from random unitaries" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("flag", [["--sdp-tol", "0"], ["--sdp-max-iters", "-1"]])
     def test_bad_solver_settings_exit_2(self, tmp_path, flag):
         obs_path = tmp_path / "obs.json"

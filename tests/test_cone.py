@@ -482,6 +482,25 @@ def _random_coeffs(count, rng):
     return rng.standard_normal(count) + 1j * rng.standard_normal(count)
 
 
+def _one_row_entries(plan):
+    """Residual entries of one row's backward run: the table of one outcome."""
+    return plan.table_cost((1,) * len(plan.qubits))[0]
+
+
+def _assert_table_is_per_row(circ, plan, tables, coeffs, paulis, table):
+    """The outcome table equals the per-row run on every outcome of the
+    plan's qubits."""
+    import virtualmap.cone as cone_module
+
+    sizes = [len(tables[q]) for q in plan.outcome_axes]
+    outcomes = np.array(np.meshgrid(*map(range, sizes), indexing="ij")).reshape(len(sizes), -1).T
+    rows = np.zeros((len(outcomes), circ.num_qubits), dtype=int)
+    rows[:, plan.outcome_axes] = outcomes
+    per_row = cone_module._row_values(circ, plan, tables, rows, coeffs, paulis)
+    assert table.shape == tuple(sizes)
+    assert np.max(np.abs(table[tuple(outcomes.T)] - per_row) / (1.0 + np.abs(per_row))) <= 1e-12
+
+
 def _assert_weighted_sum(got, coeffs, per_term):
     """got equals sum_t coeffs[t] per_term[t] within 1e-12 of the sum of the
     terms' magnitudes, plus one."""
@@ -737,24 +756,25 @@ class TestBatchedKernel:
             plan = cone_plan(circ, sorted({q for _, ps in terms for q in ps.support}))
             per_call = min(len(terms), budget // 4**plan.peak_active)
             split |= per_call < len(terms)
-            # the walk takes the rows up to the rule's threshold, or all of
-            # them where the table would not fit the budget
+            # rows up to the rule's threshold run per row, or all of them
+            # where the table would not fit the budget
             total, peak = plan.table_cost((4,) * len(plan.qubits))
             fits = plan.qubits and peak * len(terms) <= budget
-            walked = rows[: total // plan.row_entries] if fits else rows
-            cases = [walked] if len(walked) == len(rows) else [walked, rows]
+            per_row = rows[: total // _one_row_entries(plan)] if fits else rows
+            cases = [per_row] if len(per_row) == len(rows) else [per_row, rows]
             for batch in cases:
                 shapes.clear()
                 got = evaluate_rows(circ, tables, batch, terms)
                 for shape in (s for pair in shapes for s in pair):
                     assert shape[0] <= 2**plan.peak_active
                     assert np.prod(shape) <= budget
-                if batch is walked:
+                if batch is per_row:
                     assert len(shapes) >= len(plan.steps)  # one call per step and chunk
                     if len(terms) > 1:
-                        # the first steps run once per row, before the term axis forms
+                        # residuals are (terms, rows) batches; the first steps
+                        # run once per term, before the row axis forms
                         assert shapes[0][1][-1] == 1
-                        assert max(s[-1] for pair in shapes for s in pair) == per_call
+                        assert max(s[-2] for pair in shapes for s in pair) == per_call
                 else:
                     assert len(shapes) == len(plan.steps)  # one table, no chunks
                     tabled = True
@@ -763,6 +783,87 @@ class TestBatchedKernel:
                 )
         assert split == (kind == "wide-group")
         assert tabled == (kind != "wide-group")
+
+    def test_term_slices_fold_their_own_coefficients(self, monkeypatch):
+        # the wide group of eleven terms, run per row: one row of all the
+        # terms is over budget, so each slice of terms folds its own
+        # coefficients and the slices add up
+        import virtualmap.cone as cone_module
+
+        rng = np.random.default_rng(60)
+        circ = brickwork(6, 3, lambda layer, qubits: random_cptp_map(2, rng))
+        letters = ["II" + a + b + "II" for a in "XYZ" for b in "XYZ"] + ["IIZIII", "IIIZII"]
+        paulis = [PauliString(p) for p in letters]
+        coeffs = _random_coeffs(len(paulis), rng)
+        tables = _random_tables(6, rng, outcomes=4)
+        rows = rng.integers(0, 4, size=(200, 6))
+        plan = cone_plan(circ, (2, 3))
+        whole = cone_module._row_values(circ, plan, tables, rows, coeffs, paulis)
+        shapes, folds = [], []
+        for name in ("insert_factor", "apply_superop_local", "multiply_trace_out"):
+            real = getattr(cone_module, name)
+
+            def recording(op, factor, where, n, _real=real):
+                out = _real(op, factor, where, n)
+                shapes.extend((op.shape, out.shape))
+                return out
+
+            monkeypatch.setattr(cone_module, name, recording)
+        real_backward = cone_module._backward
+
+        def backward(circuit, plan, coeffs, paulis, duals, trace_out):
+            folds.append(tuple(coeffs))
+            return real_backward(circuit, plan, coeffs, paulis, duals, trace_out)
+
+        monkeypatch.setattr(cone_module, "_backward", backward)
+        budget = 1 << 10
+        monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", budget)
+        per_call = budget // 4**plan.peak_active
+        assert 1 < per_call < len(paulis)
+        got = cone_module._row_values(circ, plan, tables, rows, coeffs, paulis)
+        assert max(np.prod(s) for s in shapes) <= budget
+        assert max(s[-2] for s in shapes) == per_call
+        # each slice of terms folds its own coefficients, once per chunk of rows
+        slices = list(dict.fromkeys(folds))
+        assert np.array_equal(np.concatenate(slices), coeffs)
+        assert max(map(len, slices)) == per_call and len(folds) % len(slices) == 0
+        assert np.max(np.abs(got - whole) / (1.0 + np.abs(whole))) <= 1e-13
+        _assert_weighted_sum(got, coeffs, [_one(circ, tables, rows, ps) for ps in paulis])
+
+    @pytest.mark.parametrize("kind", ["xx-chain", "staircase", "non-tp", "general"])
+    def test_one_row_makes_the_entries_of_a_one_outcome_table(self, monkeypatch, kind):
+        # the rule's per-row cost, table_cost((1,) * k)[0], is what one row's
+        # backward run makes, step by step
+        import virtualmap.cone as cone_module
+
+        entries = []
+        for name in ("insert_factor", "apply_superop_local", "multiply_trace_out", "trace_out_each"):
+            real = getattr(cone_module, name)
+
+            def recording(op, factor, where, n, _real=real):
+                out = _real(op, factor, where, n)
+                entries.append(out.size)
+                return out
+
+            monkeypatch.setattr(cone_module, name, recording)
+        rng = np.random.default_rng(61)
+        if kind == "xx-chain":
+            circ, obs = brickwork(8, 2, lambda layer, qubits: random_cptp_map(2, rng)), xx_hamiltonian(8, 0.7)
+        elif kind == "staircase":
+            circ, obs = staircase(5, 1, lambda layer, qubits: random_cptp_map(2, rng)), xx_hamiltonian(5, 0.7)
+        else:
+            circ, obs = kernel_circuits(rng)[kind], kernel_observable()
+        n = circ.num_qubits
+        tables = _random_tables(n, rng, outcomes=4)
+        row = rng.integers(0, 4, size=(1, n))
+        for _, pauli in obs.terms:
+            plan = cone_plan(circ, pauli.support)
+            if not plan.qubits:
+                continue
+            entries.clear()
+            evaluate_rows(circ, tables, row, [(1.0, pauli)])
+            assert len(entries) == len(plan.steps)
+            assert sum(entries) == _one_row_entries(plan), pauli
 
     @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
     def test_kernel_term_cone_plans_are_well_formed(self, kind):
@@ -819,8 +920,8 @@ def _any_linear_case(rng):
 
 
 class TestOutcomeTables:
-    """``evaluate_rows`` contracts a group by the forward walk or by one
-    outcome table its rows look up; both agree with per-row traces."""
+    """``evaluate_rows`` contracts a group per row or into one outcome table
+    its rows look up; both agree with per-row traces."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -852,7 +953,7 @@ class TestOutcomeTables:
         terms = list(zip(_random_coeffs(len(paulis), rng), paulis))
         plan = cone_plan(circ, (2, 3))
         total, _ = plan.table_cost((4,) * len(plan.qubits))
-        threshold = total // plan.row_entries  # the most rows the walk takes
+        threshold = total // _one_row_entries(plan)  # the most rows run per row
         assert threshold > 1
         calls = self._spy(monkeypatch)
         for count in (1, threshold, threshold + 1):
@@ -880,7 +981,26 @@ class TestOutcomeTables:
             assert len(calls) == 1, letters
             self._assert_per_row(circ, tables, rows, terms, got)
 
-    def test_a_table_over_the_budget_takes_the_walk(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["non-tp", "any-linear"])
+    def test_per_row_agrees_with_the_table_on_every_outcome(self, kind):
+        import virtualmap.cone as cone_module
+
+        rng = np.random.default_rng(62)
+        if kind == "non-tp":
+            circ = kernel_circuits(rng)[kind]
+            tables = _random_tables(4, rng, outcomes=3)
+            groups = (["ZIII"], ["IXXI", "IXII", "IIZI"], ["YIIZ", "ZIII"], ["ZZZZ"])
+        else:
+            circ, tables = _any_linear_case(rng)
+            groups = (["ZIIII"], ["IXYII", "IZIII", "IIXII"], ["IIIIY"], ["YIIZX"])
+        for letters in groups:
+            paulis = [PauliString(p) for p in letters]
+            coeffs = _random_coeffs(len(paulis), rng)
+            plan = cone_plan(circ, sorted({q for ps in paulis for q in ps.support}))
+            table = cone_module._outcome_table(circ, plan, tables, coeffs, paulis)
+            _assert_table_is_per_row(circ, plan, tables, coeffs, paulis, table)
+
+    def test_a_table_over_the_budget_runs_per_row(self, monkeypatch):
         import virtualmap.cone as cone_module
 
         rng = np.random.default_rng(55)
@@ -891,7 +1011,7 @@ class TestOutcomeTables:
         terms = list(zip(_random_coeffs(len(paulis), rng), paulis))
         plan = cone_plan(circ, (2, 3))
         total, peak = plan.table_cost((4,) * len(plan.qubits))
-        assert total < plan.row_entries * len(rows)  # cheaper, but too large
+        assert total < _one_row_entries(plan) * len(rows)  # cheaper, but too large
         monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", peak * len(terms) - 1)
         calls = self._spy(monkeypatch)
         got = evaluate_rows(circ, tables, rows, terms)
@@ -906,8 +1026,8 @@ def _fold_case(kind, rng):
     tp_tables = _random_tables(6, rng, outcomes=4)
     bond = ["IIXXII", "IIYYII", "IIZIII"]
     plan = cone_plan(tp_circ, (2, 3))
-    threshold = plan.table_cost((4,) * len(plan.qubits))[0] // plan.row_entries
-    if kind in ("walk", "table"):
+    threshold = plan.table_cost((4,) * len(plan.qubits))[0] // _one_row_entries(plan)
+    if kind in ("per-row", "table"):
         count = threshold + (kind == "table")
         return tp_circ, tp_tables, rng.integers(0, 4, size=(count, 6)), bond, kind == "table"
     if kind == "non-tp":
@@ -929,12 +1049,12 @@ def _fold_case(kind, rng):
 
 
 class TestCoefficientFold:
-    """``evaluate_rows`` returns sum_t c_t Tr[L(F_row) P_t]; the outcome table
+    """``evaluate_rows`` returns sum_t c_t Tr[L(F_row) P_t]; its backward run
     folds the coefficients in once the last term-dependent letter is in."""
 
     @pytest.mark.parametrize(
         "kind",
-        ["walk", "table", "non-tp", "any-linear", "one-term", "repeated-term", "identity-term", "identity-only"],
+        ["per-row", "table", "non-tp", "any-linear", "one-term", "repeated-term", "identity-term", "identity-only"],
     )
     def test_weighted_sum_of_single_terms(self, monkeypatch, kind):
         rng = np.random.default_rng(57)
@@ -975,12 +1095,8 @@ class TestCoefficientFold:
         assert last < len(calls) - 1  # steps are left to run after the fold
         assert all(out[2] == len(paulis) for _, _, out in calls[per_term[0] : last + 1])
         assert all(out[2] == 1 for _, _, out in calls[last + 1 :])
-        # the table agrees with the walk on every outcome
-        outcomes = np.array(np.meshgrid(*[range(4)] * len(plan.qubits), indexing="ij")).reshape(len(plan.qubits), -1).T
-        rows = np.zeros((len(outcomes), 8), dtype=int)
-        rows[:, plan.outcome_axes] = outcomes
-        walked = cone_module._walk(circ, plan, tables, rows, paulis) @ coeffs
-        assert np.max(np.abs(table[tuple(outcomes.T)] - walked) / (1.0 + np.abs(walked))) <= 1e-12
+        # the table agrees with the per-row run on every outcome
+        _assert_table_is_per_row(circ, plan, tables, coeffs, paulis, table)
 
 
 class TestKernelInput:
@@ -1008,8 +1124,13 @@ class TestKernelInput:
             ("1.0", PauliString("ZZII")),
             (None, PauliString("ZZII")),
             [1.0],
+            (True, PauliString("ZZII")),
+            (np.True_, PauliString("ZZII")),
         ],
-        ids=["swapped", "text-string", "triple", "text", "text-coefficient", "none-coefficient", "one-entry"],
+        ids=[
+            "swapped", "text-string", "triple", "text", "text-coefficient", "none-coefficient", "one-entry",
+            "bool-coefficient", "numpy-bool-coefficient",
+        ],
     )
     def test_rejects_terms_that_are_not_pairs(self, term):
         circ, tables, rows = self._case()
