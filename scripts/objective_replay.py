@@ -20,8 +20,8 @@ The script records:
   with a cold walk at every visit (``before``, the cost of rebuilding the
   forward state and the backward operator every time). The calls of a round
   are those of the sweep run to that round minus those of the sweep run one
-  round fewer, so the two energies every sweep computes cancel. The peak
-  bytes of the kept backward operators are recorded too;
+  round fewer, so the one energy every sweep computes at its end cancels.
+  The peak bytes of the kept backward operators are recorded too;
 * the same case at N=10 on the deep ``staircase(10, 5)`` (K = 45): one round
   of the batch sweep in a fresh interpreter, with its peak resident memory,
   the peak bytes of its kept backward operators and the K operators a

@@ -4,14 +4,14 @@
 The first run is the one the ``ansatz-n5`` benchmark job makes: the periodic
 N=5 XX chain at field 0.95, one staircase layer, 24 rounds, seed 0. The
 objective matrices are the ones that run itself hands to
-``minimize_over_cptp`` (a visit whose subproblem is unchanged since the
-component's last visit is not solved again, so none repeats). The script
-solves them all again, ``--repeats`` times, and prints one JSON record:
-subproblems, Newton steps, the most steps of one solve, unconverged solves,
-the number of solves the run made (the subproblems, by construction) and the
-minimum, median and quartiles of the seconds per Newton step. The minimum is
-the least disturbed by other load on the machine; to compare two versions,
-run them alternately and compare their minima.
+``minimize_over_cptp`` (the sweep skips a component that no install has
+changed since its last solve, so none repeats). The script solves them all
+again, ``--repeats`` times, and prints one JSON record: subproblems, Newton
+steps, the most steps of one solve, unconverged solves, the number of solves
+the run made (the subproblems, by construction), the steps of its sweep
+report, and the minimum, median and quartiles of the seconds per Newton
+step. The minimum is the least disturbed by other load on the machine; to
+compare two versions, run them alternately and compare their minima.
 
 The second run is an exact-state sweep at N=3, where the solver used to
 stall: ``brickwork(3, 2)`` in its ``random_unitary`` initialisation (seed 0)
@@ -26,7 +26,8 @@ by 10^U(-2, 2), solved once at the default settings. It gives the same
 counts under ``random_*`` keys. Every set also records the worst ratio of
 the certified gap to ``tol * (1 + |value|)``.
 
-Any unconverged solve in any of the three sets exits with status 1.
+Any unconverged solve in any of the three sets exits with status 1, and so
+does an ``ansatz-n5`` sweep whose steps are not its solves, one each.
 ``--out`` also stores the record in a JSON file under the key ``--tag``,
 keeping the file's other keys.
 
@@ -61,12 +62,13 @@ def random_objectives():
         yield (g + g.conj().T) / 2.0 * 10.0 ** rng.uniform(-2, 2)
 
 
-def sweep_objectives(run) -> tuple[list, int]:
-    """The objective matrices ``run()`` hands to the solver, and its solves."""
+def sweep_objectives(run) -> tuple[list, int, int]:
+    """The objective matrices ``run()`` hands to the solver, its solves and
+    the steps of the sweep report it returns."""
     with Calls([varopt], ["minimize_over_cptp"], keep=True) as solves:
-        run()
+        _, report = run()
     mats = [objective.matrix for (objective, _), _ in solves.args["minimize_over_cptp"]]
-    return mats, solves.counts["minimize_over_cptp"]
+    return mats, solves.counts["minimize_over_cptp"], len(report.steps)
 
 
 def solve_all(mats, options, prefix: str = "") -> dict:
@@ -95,7 +97,7 @@ def exact_state_run(options) -> dict:
     rho = build_perturbed_state(DensityMatrix(EXACT_N, np.outer(vec, vec.conj())), 0.05, 21)
     start = brickwork(EXACT_N, EXACT_LAYERS)
     sweep_options = SweepOptions(rounds=EXACT_ROUNDS, seed=SEED, init="random_unitary")
-    mats, _ = sweep_objectives(lambda: sweep(start, rho, obs, sweep_options))
+    mats, _, _ = sweep_objectives(lambda: sweep(start, rho, obs, sweep_options))
     return {
         "exact_run": (
             f"exact-state sweep, brickwork({EXACT_N}, {EXACT_LAYERS}) on the perturbed XX "
@@ -110,7 +112,7 @@ def main(argv=None) -> int:
     args = parse(parser(__doc__, 15, "timed replays"), argv)
     obs = xx_hamiltonian(N, coupling=1.0, field=FIELD, periodic=True)
     options = SweepOptions(rounds=ROUNDS, seed=SEED, init="random_unitary")
-    mats, solves = sweep_objectives(lambda: classical_ansatz(obs, layers=1, options=options))
+    mats, solves, steps = sweep_objectives(lambda: classical_ansatz(obs, layers=1, options=options))
     counts = solve_all(mats, options.sdp)
 
     per_step = []
@@ -125,6 +127,7 @@ def main(argv=None) -> int:
             "run": f"classical ansatz, XX chain N={N}, field {FIELD}, {ROUNDS} rounds, seed {SEED}",
             "subproblems": len(mats),
             "sweep_solves": solves,
+            "sweep_steps": steps,
             **counts,
             "s_per_step_min": min(per_step),
             **quartiles(per_step, "s_per_step"),
@@ -142,6 +145,9 @@ def main(argv=None) -> int:
             "subproblems end unconverged",
             file=sys.stderr,
         )
+        return 1
+    if steps != solves:
+        print(f"error: the ansatz sweep reports {steps} steps for {solves} solves", file=sys.stderr)
         return 1
     return 0
 

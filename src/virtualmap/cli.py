@@ -5,9 +5,9 @@ CSV formats owned by the library modules, and exits with 0 on success, 2 on
 validation errors (bad inputs, malformed files, out-of-range sizes), and 3 on
 numerical failures (a failed oracle self-check, an ill-conditioned map to
 invert, a shot weight with an imaginary residue, an infeasible subproblem
-solution, drifted sweep energy bookkeeping). A subproblem solve that misses
-its gap target is not a failure: ``optimize`` and ``ansatz`` count it in
-``unconverged_steps`` and exit 0.
+solution, a sweep whose last objective's energy differs from the circuit's
+own). A subproblem solve that misses its gap target is not a failure:
+``optimize`` and ``ansatz`` count it in ``unconverged_steps`` and exit 0.
 """
 
 from __future__ import annotations

@@ -28,18 +28,20 @@ Cholesky gives, so every solve reports a certified optimality gap, and the
 returned map is exactly trace-preserving. A sweep visits components
 cyclically, installing a new map only when it lowers the energy, and records
 each solve's gap and convergence. M does not depend on the visited component's
-own map, so when no map has been installed since a component's previous visit,
-the sweep reuses that visit's objective and solve. Input data is either the
-weighted product rows of :class:`virtualmap.estimation.ProductInputData` (dual
-effects of measured outcomes or of the exact distribution, or the classical
-all-zeros register) or a :class:`virtualmap.densesim.DensityMatrix`, which
-optimizes the infinite-shot energy directly at small qubit counts. This
-module only tells the two kinds apart: :class:`virtualmap.cone.CutWalk`
-builds their walks (``CutWalk.dense``, ``CutWalk.rows``) and contracts each
-walk's share of M (``CutWalk.objective``), and the objective is their sum's
-Hermitian part. The sweep's energies come from
+own map, so a component visited since the last install is settled: a second
+solve would repeat the last one, so the sweep skips it, and it stops once
+every component is settled. Each energy it reports is Tr[C M] of an objective
+it holds, at the current map or at the installed solution; one call of
 :func:`virtualmap.estimation.circuit_energy`, which takes the same two kinds
-of input. A sweep first decides, by one rule (:func:`_collapse_if_cheaper`),
+of input, checks the last. Input data is either the weighted product rows of
+:class:`virtualmap.estimation.ProductInputData` (dual effects of measured
+outcomes or of the exact distribution, or the classical all-zeros register)
+or a :class:`virtualmap.densesim.DensityMatrix`, which optimizes the
+infinite-shot energy directly at small qubit counts. This module only tells
+the two kinds apart: :class:`virtualmap.cone.CutWalk` builds their walks
+(``CutWalk.dense``, ``CutWalk.rows``) and contracts each walk's share of M
+(``CutWalk.objective``), and the objective is their sum's Hermitian part. A
+sweep first decides, by one rule (:func:`_collapse_if_cheaper`),
 whether to collapse its rows (:func:`virtualmap.estimation.collapse`), so a
 large batch at N <= 10 is optimized as its empirical dual operator. Where the
 cut is one walk (a dense state, or rows that fit one chunk of the residual
@@ -152,8 +154,9 @@ class SdpOptions:
     lengths with one batched eigvalsh.  The proven lower bound is
     Tr Y + d / ||S^-1||_inf, from the dual variable Y, its slack
     S = M - Y (x) I and the inverse of S that the step's Cholesky gives: it
-    costs no eigenvalue computation.  A sweep solves a component's subproblem
-    again only if some map was installed since its last visit.
+    costs no eigenvalue computation.  A sweep skips a component whose
+    subproblem no install has changed since its last solve, so each of its
+    steps is one solve.
     """
 
     max_iters: int = 50
@@ -384,13 +387,12 @@ class SweepStep:
     round: int
     component: int
     value_before: float
-    value_after: float
     installed: bool
     subproblem_value: float
     energy: float
     gap: float  # certified optimality gap of the subproblem solve
     converged: bool  # gap within the SdpOptions tolerance
-    newton_steps: int  # Newton steps of the solve; 0 when the visit reuses one
+    newton_steps: int  # Newton steps of the solve
 
 
 @dataclass
@@ -519,66 +521,53 @@ def sweep(
     if any(i < 0 or i >= len(current.components) for i in order):
         raise ValidationError("sweep order refers to missing components")
     data = _collapse_if_cheaper(current, data, obs)
-    energy = circuit_energy(current, data, obs)
-    report = SweepReport(initial_energy=energy, exact_energy=exact_energy)
     # a cut of one walk is kept across the sweep; several chunks are cut cold
     head = list(islice(_cut_walks(current, data, obs), 2))
     walks = head if len(head) == 1 else None
-    installs = 0
-    # component -> (installs after its last visit, objective, solution, info)
-    last_visit: dict[int, tuple] = {}
+    # Components visited since the last install. M does not depend on a
+    # component's own map, so a settled component's solve would repeat its
+    # last one and install nothing: it is skipped, and the sweep ends once
+    # every component is settled.
+    settled: set[int] = set()
+    steps: list[SweepStep] = []
     for rnd in range(1, options.rounds + 1):
-        improved = False
         for index in order:
-            seen = last_visit.get(index)
-            reused = seen is not None and seen[0] == installs
-            if reused:
-                # No map changed since the last visit, and M does not depend on
-                # the component's own map: the subproblem and its solve are the
-                # same as then.
-                _, objective, choi_new, info = seen
-            else:
-                objective = assemble_local_objective(current, index, data, obs, walks=walks)
-                choi_new, info = minimize_over_cptp(objective, options.sdp)
-            choi_cur = superop_to_choi(current.components[index].map)
-            v_before = objective.value(choi_cur)
-            v_new = objective.value(choi_new)
-            if v_new < v_before - options.accept_tol:
+            if index in settled:
+                continue
+            objective = assemble_local_objective(current, index, data, obs, walks=walks)
+            choi_new, info = minimize_over_cptp(objective, options.sdp)
+            # E(circuit) = Tr[C M] at the current map, and at the solve's
+            # map it is the solve's value
+            v_before = objective.value(superop_to_choi(current.components[index].map))
+            installed = info["value"] < v_before - options.accept_tol
+            if installed:
                 current = current.with_component(index, choi_to_superop(choi_new))
-                energy = energy - v_before + v_new
-                installs += 1
-                installed = True
-                improved = True
-            else:
-                installed = False
-            last_visit[index] = (installs, objective, choi_new, info)
-            report.steps.append(
+                settled.clear()
+            settled.add(index)
+            steps.append(
                 SweepStep(
                     round=rnd,
                     component=index,
                     value_before=v_before,
-                    value_after=v_new if installed else v_before,
                     installed=installed,
                     subproblem_value=info["value"],
-                    energy=energy,
+                    energy=info["value"] if installed else v_before,
                     gap=info["gap"],
                     converged=info["converged"],
-                    newton_steps=0 if reused else info["iters"],
+                    newton_steps=info["iters"],
                 )
             )
-        if not improved:
+        if settled.issuperset(order):
             break
-    # Guard against drift in the incremental energy bookkeeping.
-    recomputed = circuit_energy(current, data, obs)
-    if abs(recomputed - energy) > 1e-6 * (1.0 + abs(recomputed)):
-        raise NumericalError(
-            f"energy bookkeeping drifted: incremental {energy} vs direct {recomputed}"
-        )
-    if report.steps:
-        report.steps[-1].energy = recomputed
-    else:
-        report.initial_energy = recomputed
-    return current, report
+    # The one energy not read off an objective checks the last that was.
+    energy = circuit_energy(current, data, obs)
+    if steps:
+        held = steps[-1].energy
+        if abs(energy - held) > 1e-6 * (1.0 + abs(energy)):
+            raise NumericalError(f"sweep energy drifted: objective {held} vs direct {energy}")
+        steps[-1].energy = energy
+    initial = steps[0].value_before if steps else energy
+    return current, SweepReport(initial, steps, exact_energy)
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,21 @@ class TestAnsatz:
         assert summary["unconverged_steps"] == summary["iterations"] > 0
         assert summary["max_gap"] > 1e-9
 
+    def test_summary_counts_solves_not_visits(self, tmp_path, capsys, monkeypatch):
+        # no solve is counted twice: every solve stops short at 6 Newton
+        # steps, and each is one iteration and one unconverged step
+        from virtualmap import varopt
+
+        solves = []
+        real = varopt.minimize_over_cptp
+        monkeypatch.setattr(varopt, "minimize_over_cptp", lambda *a: solves.append(a) or real(*a))
+        obs_path = tmp_path / "obs.json"
+        write_observable(xx_hamiltonian(5, coupling=1.0, field=0.95, periodic=True), obs_path)
+        argv = ["ansatz", "--observable", str(obs_path), "--rounds", "24", "--seed", "0"]
+        assert main(argv + ["--sdp-max-iters", "6"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["unconverged_steps"] == summary["iterations"] == len(solves) == 34
+
     def test_default_init_is_random_unitary(self, tmp_path):
         obs_path = tmp_path / "obs.json"
         write_observable(xx_hamiltonian(3, field=0.4), obs_path)

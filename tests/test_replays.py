@@ -92,7 +92,8 @@ class TestSolverReplay:
         assert load("solver_replay").main(["--repeats", "1"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["unconverged"] == 0
-        assert record["subproblems"] == record["sweep_solves"] > 0
+        assert record["subproblems"] == record["sweep_solves"] == record["sweep_steps"] == 34
+        assert record["newton_steps"] == 378
         # the exact-state N=3 sweep took 93 Newton steps, at most 18 in one
         # solve, before Mehrotra's sigma was floored
         assert record["exact_unconverged"] == 0
@@ -120,6 +121,23 @@ class TestSolverReplay:
         assert record["random_unconverged"] == 2
         assert captured.err.startswith("error:") and "exact-state" in captured.err
 
+    def test_a_step_without_its_own_solve_fails_the_replay(self, load, capsys, monkeypatch):
+        real = varopt.sweep
+
+        def repeating(*args, **kwargs):
+            circuit, report = real(*args, **kwargs)
+            report.steps.append(report.steps[-1])
+            return circuit, report
+
+        monkeypatch.setattr(varopt, "sweep", repeating)
+        replay = load("solver_replay")
+        replay.RANDOM_OBJECTIVES = 2
+        assert replay.main(["--repeats", "1"]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert record["sweep_steps"] == record["sweep_solves"] + 1
+        assert captured.err == "error: the ansatz sweep reports 35 steps for 34 solves\n"
+
     def test_an_unconverged_random_solve_fails_the_replay(self, load, capsys, monkeypatch):
         replay = load("solver_replay")
         replay.RANDOM_OBJECTIVES = 2
@@ -141,7 +159,7 @@ class TestSolverReplay:
 
 
 def test_summary_newton_steps_total_the_runs_solves(load, tmp_path, capsys):
-    # a visit that reuses an earlier solve adds no Newton steps
+    # every step is one solve, and a settled component is not visited
     replay = load("replay")
 
     class Iters(replay.Calls):
@@ -158,7 +176,7 @@ def test_summary_newton_steps_total_the_runs_solves(load, tmp_path, capsys):
         assert main(["ansatz", "--observable", str(obs), "--rounds", "24", "--seed", "0"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["newton_steps"] == solves.total > 0
-    assert 0 < solves.counts["minimize_over_cptp"] < summary["iterations"]
+    assert solves.counts["minimize_over_cptp"] == summary["iterations"] == 34
 
 
 def test_plan_replay_checks_its_groups(load, capsys):

@@ -25,7 +25,7 @@ from virtualmap.densesim import (
     outcome_distribution,
     sample_outcomes,
 )
-from virtualmap.errors import ValidationError
+from virtualmap.errors import NumericalError, ValidationError
 from virtualmap.estimation import (
     ProductInputData,
     classical_input,
@@ -414,9 +414,9 @@ class TestDenseEnvironments:
         calls = _count_dense_applications(monkeypatch)
         _, report = sweep(brickwork(4, 2), rho, obs, options)
         assert all(s.installed for s in report.steps)
-        # two energies of K applications, and per round 2 (K - 1) and the
+        # one energy of K applications, and per round 2 (K - 1) and the
         # backward operator 1, recomputed from 0 between the kept 0 and 2
-        assert k == 3 and len(calls) == 2 * k + 2 * (2 * (k - 1) + 1)
+        assert k == 3 and len(calls) == k + 2 * (2 * (k - 1) + 1)
 
     def test_leaking_kernel_is_refused(self, monkeypatch):
         # the trace check of every dense forward application holds on the walk
@@ -939,46 +939,57 @@ class TestInteriorPointKernels:
 
 
 def _resolve_every_visit(circuit, data, obs, options):
-    """The steps of sweep() when every visit assembles and solves afresh."""
-    current, start = sweep(circuit, data, obs, replace(options, rounds=0))
-    energy = start.initial_energy
-    steps = []
-    # component -> installs after its last visit: a visit with none since
-    # repeats that visit's solve, and counts no Newton steps
-    installs, last_visit = 0, {}
+    """The visits of a sweep that assembles and solves afresh at every visit,
+    settled components too, and runs rounds until one installs nothing: its
+    circuit, and each visit's step with whether the component was settled
+    (visited since the last install)."""
+    current, _ = sweep(circuit, data, obs, replace(options, rounds=0))
+    visits, settled = [], set()
     for rnd in range(1, options.rounds + 1):
         improved = False
         for index in options.order or range(len(current.components)):
-            repeated = last_visit.get(index) == installs
             objective = assemble_local_objective(current, index, data, obs)
             choi_new, info = minimize_over_cptp(objective, options.sdp)
             v_before = objective.value(superop_to_choi(current.components[index].map))
             v_new = objective.value(choi_new)
             installed = v_new < v_before - options.accept_tol
+            step = SweepStep(
+                round=rnd,
+                component=index,
+                value_before=v_before,
+                installed=installed,
+                subproblem_value=info["value"],
+                energy=v_new if installed else v_before,
+                gap=info["gap"],
+                converged=info["converged"],
+                newton_steps=info["iters"],
+            )
+            visits.append((step, index in settled))
             if installed:
                 current = current.with_component(index, choi_to_superop(choi_new))
-                energy = energy - v_before + v_new
-                installs += 1
+                settled.clear()
                 improved = True
-            last_visit[index] = installs
-            steps.append(
-                SweepStep(
-                    round=rnd,
-                    component=index,
-                    value_before=v_before,
-                    value_after=v_new if installed else v_before,
-                    installed=installed,
-                    subproblem_value=info["value"],
-                    energy=energy,
-                    gap=info["gap"],
-                    converged=info["converged"],
-                    newton_steps=0 if repeated else info["iters"],
-                )
-            )
+            settled.add(index)
         if not improved:
             break
+    return current, visits
+
+
+def _settled_visits_dropped(circuit, data, obs, options):
+    """What sweep() must return, from _resolve_every_visit: its circuit, its
+    steps without the visits to settled components, which install nothing,
+    and the last step's energy taken from the circuit; and the visits."""
+    current, visits = _resolve_every_visit(circuit, data, obs, options)
+    assert not any(step.installed for step, settled in visits if settled)
+    steps = [step for step, settled in visits if not settled]
     steps[-1].energy = circuit_energy(current, data, obs)
-    return steps
+    return current, steps, visits
+
+
+def _assert_same_maps(got, want):
+    assert len(got.components) == len(want.components)
+    for a, b in zip(got.components, want.components):
+        assert np.array_equal(a.map.superop, b.map.superop)
 
 
 def _count_solves(monkeypatch):
@@ -1000,32 +1011,75 @@ def _count_solves(monkeypatch):
     return calls
 
 
+def _count_energies(monkeypatch):
+    calls = []
+    real = varopt.circuit_energy
+
+    def counting(*args, **kwargs):
+        calls.append((args[0], real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(varopt, "circuit_energy", counting)
+    return calls
+
+
+def _six_outcome_rows(n, shots, seed):
+    """Rows of six-outcome frames on ``n`` qubits: their collapse would
+    outgrow the dense operator, so a sweep keeps them as rows."""
+    rng = np.random.default_rng(seed)
+    rows, _, counts = unique_rows(rng.integers(0, 6, size=(shots, n)))
+    return ProductInputData(counts / shots, dual_arrays(compute_duals(cube_povm()), n), rows)
+
+
 class TestSweepReuse:
+    """A sweep skips settled components: each of its steps is one solve, and
+    its steps are those of a sweep that solves every visit, without the
+    visits to settled components."""
+
     def test_ansatz_skips_unchanged_subproblems(self, monkeypatch):
         obs = xx_hamiltonian(5, coupling=1.0, field=0.95, periodic=True)
         options = SweepOptions(rounds=24, seed=0, init="random_unitary")
-        want = _resolve_every_visit(staircase(5, 1), classical_input(5), obs, options)
+        circ, want, visits = _settled_visits_dropped(staircase(5, 1), classical_input(5), obs, options)
         calls = _count_solves(monkeypatch)
-        _, report = classical_ansatz(obs, layers=1, options=options)
-        assert len(report.steps) == len(want) == 36
+        best, report = classical_ansatz(obs, layers=1, options=options)
+        assert len(visits) == 36 and len(report.steps) == 34
         assert calls == {"assemble": 34, "solve": 34}
         assert report.steps == want
+        _assert_same_maps(best, circ)
 
     def test_dense_state_skips_unchanged_subproblems(self, monkeypatch):
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
         obs = xx_hamiltonian(4, field=0.4)
         options = SweepOptions(rounds=10, init="random_unitary", seed=0, accept_tol=1e-4)
-        want = _resolve_every_visit(staircase(4, 1), rho, obs, options)
+        circ, want, visits = _settled_visits_dropped(staircase(4, 1), rho, obs, options)
         calls = _count_solves(monkeypatch)
-        _, report = sweep(staircase(4, 1), rho, obs, options)
-        assert calls["assemble"] == calls["solve"] < len(report.steps)
+        best, report = sweep(staircase(4, 1), rho, obs, options)
+        assert calls["assemble"] == calls["solve"] == len(report.steps) < len(visits)
         assert report.steps == want
+        _assert_same_maps(best, circ)
+
+    def test_order_with_repeats_skips_settled_visits(self, monkeypatch):
+        # the second visit of 0 in a row, and a 2 with no install since the
+        # last, repeat a solve
+        rho = noisy_chain_state(4, theta=0.3, p=0.01)
+        obs = xx_hamiltonian(4, field=0.4)
+        options = SweepOptions(rounds=4, order=(0, 0, 2, 1, 2), init="random_unitary", seed=3)
+        circ, want, visits = _settled_visits_dropped(brickwork(4, 2), rho, obs, options)
+        assert len(visits) > len(want)
+        calls = _count_solves(monkeypatch)
+        best, report = sweep(brickwork(4, 2), rho, obs, options)
+        assert calls["solve"] == len(report.steps)
+        assert report.steps == want
+        _assert_same_maps(best, circ)
+        # the second 0 of a round repeats the first
+        assert not any(
+            a.round == b.round and a.component == b.component == 0
+            for a, b in zip(report.steps, report.steps[1:])
+        )
 
     def test_dense_sweep_builds_the_observable_matrix_once(self, monkeypatch):
-        # once per observable, shared by the walk and the sweep's two
-        # energies, however many components are visited
-        from virtualmap import varopt
-
+        # once per observable, shared by the walk and the sweep's one
+        # energy, however many components are visited
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
         real_matrix, real_assemble = Observable.matrix, varopt.assemble_local_objective
         returned, seen = [], []
@@ -1047,8 +1101,8 @@ class TestSweepReuse:
             options = SweepOptions(rounds=rounds, init="random_unitary", seed=2)
             start = len(returned)
             _, report = sweep(brickwork(4, 2), rho, obs, options)
-            # the walk and the two energies each ask, and get the one build
-            assert len(returned) - start == 3
+            # the walk and the energy each ask, and get the one build
+            assert len(returned) - start == 2
             builds.append(len({id(m) for m in returned[start:]}))
             visits.append(len(report.steps))
             assert not returned[-1].flags.writeable
@@ -1060,15 +1114,13 @@ class TestSweepReuse:
     def test_multi_row_sweep_matches_cold_visits(self, monkeypatch):
         # six-outcome frames: the collapse would outgrow the dense operator,
         # so the rows stay rows, and fit one chunk, so the sweep keeps one walk
-        rng = np.random.default_rng(84)
-        rows, _, counts = unique_rows(rng.integers(0, 6, size=(60, 4)))
-        data = ProductInputData(counts / 60, dual_arrays(compute_duals(cube_povm()), 4), rows)
+        data = _six_outcome_rows(4, 60, 84)
         obs = xx_hamiltonian(4, field=0.4)
         circ = brickwork(4, 3)
         assert len(data.weights) > 1
         assert varopt._collapse_if_cheaper(circ, data, obs) is data
         options = SweepOptions(rounds=2, init="random_unitary", seed=5)
-        want = _resolve_every_visit(circ, data, obs, options)
+        want_circ, want, _ = _settled_visits_dropped(circ, data, obs, options)
         kept = []
         real = varopt.assemble_local_objective
 
@@ -1077,22 +1129,78 @@ class TestSweepReuse:
             return real(circuit, index, d, o, **kwargs)
 
         monkeypatch.setattr(varopt, "assemble_local_objective", assemble)
-        _, report = sweep(circ, data, obs, options)
+        best, report = sweep(circ, data, obs, options)
         assert any(s.installed for s in report.steps)
         assert report.steps == want
+        _assert_same_maps(best, want_circ)
         assert len(kept[0]) == 1 and all(w is kept[0] for w in kept)
 
     def test_installing_a_map_forces_a_fresh_solve(self, monkeypatch):
-        # every visit of this chain installs, so nothing may be reused
+        # every visit of this chain installs, so none is skipped
         rho = noisy_chain_state(3, theta=0.3, p=0.01)
         obs = xx_hamiltonian(3, field=0.4)
         options = SweepOptions(rounds=3, init="random_unitary", seed=2)
-        want = _resolve_every_visit(brickwork(3, 2), rho, obs, options)
-        assert all(s.installed for s in want)
+        circ, want, visits = _settled_visits_dropped(brickwork(3, 2), rho, obs, options)
+        assert all(s.installed for s in want) and len(visits) == len(want)
         calls = _count_solves(monkeypatch)
-        _, report = sweep(brickwork(3, 2), rho, obs, options)
+        best, report = sweep(brickwork(3, 2), rho, obs, options)
         assert calls["solve"] == len(report.steps)
         assert report.steps == want
+        _assert_same_maps(best, circ)
+
+
+class TestSweepEnergies:
+    """A sweep's energies come from the objectives it holds: one call of
+    circuit_energy checks the last of them."""
+
+    def _data(self, kind, monkeypatch):
+        if kind == "single-row":
+            return staircase(5, 1), classical_input(5), 10
+        if kind == "multi-chunk-rows":
+            data = _six_outcome_rows(4, 60, 85)
+            circ = brickwork(4, 2)
+            obs = xx_hamiltonian(4, field=0.4)
+            # five rows of all the terms per chunk
+            entries = 5 * len(obs.terms) * 4 ** schedule(circ).peak_active
+            monkeypatch.setattr(cone, "_BATCH_ENTRIES", entries)
+            assert len(list(islice(_cut_walks(circ, data, obs), 2))) == 2
+            return circ, data, 2
+        if kind == "collapsed-rows":
+            batch = sample_outcomes(noisy_chain_state(4), "sic", 2000, seed=9)
+            return brickwork(4, 2), data_from_batch(batch, "sic"), 3
+        return brickwork(4, 2), noisy_chain_state(4, theta=0.3, p=0.01), 3
+
+    @pytest.mark.parametrize(
+        "kind", ["single-row", "multi-chunk-rows", "collapsed-rows", "dense-state"]
+    )
+    @pytest.mark.parametrize("rounds", [None, 0])
+    def test_one_circuit_energy_per_sweep(self, kind, rounds, monkeypatch):
+        circ, data, default_rounds = self._data(kind, monkeypatch)
+        obs = xx_hamiltonian(data.num_qubits, field=0.4)
+        rounds = default_rounds if rounds is None else rounds
+        options = SweepOptions(rounds=rounds, init="random_unitary", seed=4)
+        start, _ = sweep(circ, data, obs, replace(options, rounds=0))
+        want = circuit_energy(start, data, obs)
+        calls = _count_energies(monkeypatch)
+        best, report = sweep(circ, data, obs, options)
+        ((circuit, energy),) = calls
+        assert circuit is best and report.final_energy == energy
+        assert abs(report.initial_energy - want) <= 1e-12 * abs(want)
+        if rounds:
+            assert report.initial_energy == report.steps[0].value_before
+            assert any(s.installed for s in report.steps)
+        else:
+            assert not report.steps and report.initial_energy == energy
+
+    def test_drifted_energy_is_refused(self, monkeypatch):
+        # the last step's energy, read off its objective, is checked against
+        # the circuit's energy
+        rho = noisy_chain_state(3, theta=0.3, p=0.01)
+        obs = xx_hamiltonian(3, field=0.4)
+        real = varopt.circuit_energy
+        monkeypatch.setattr(varopt, "circuit_energy", lambda *a: real(*a) + 1e-3)
+        with pytest.raises(NumericalError, match="drifted"):
+            sweep(brickwork(3, 2), rho, obs, SweepOptions(rounds=1, init="random_unitary"))
 
 
 class TestSweep:
