@@ -26,7 +26,6 @@ from .densesim import (
     build_perturbed_state,
     build_state,
     computational_zero,
-    dense_map_circuit_oracle,
     exact_ground_energy,
     from_statevector,
     maximally_mixed,

@@ -28,16 +28,16 @@ from .cone import MapCircuit, brickwork, evaluate_trace, evaluate_trace_backward
 from .densesim import (
     EXACT_DIAG_LIMIT,
     ORACLE_LIMIT,
+    apply_circuit_dense,
     batch_to_text,
     build_state,
-    dense_map_circuit_oracle,
     exact_ground_value,
     maximally_mixed,
     read_batch,
     sample_outcomes,
 )
 from .errors import NumericalError, ValidationError
-from .estimation import classical_input, data_from_batch, estimate, estimate_exact
+from .estimation import classical_input, data_from_batch, dual_arrays, estimate, estimate_exact
 from .linalg import kron_all, trace_mul
 from .maps import random_cptp_map, random_tp_hermitian_map, random_unitary_map
 from .pauli import PauliString, parse_observable
@@ -217,12 +217,17 @@ def _cmd_optimize(args) -> int:
         data = build_state(args.exact_state, circuit.num_qubits)
     else:
         data = classical_input(circuit.num_qubits)
+    if args.holdout:
+        # read and checked before the sweep, so a bad holdout costs no solve
+        hbatch = read_batch(args.holdout)
+        if hbatch.num_qubits != circuit.num_qubits:
+            raise ValidationError(f"holdout N={hbatch.num_qubits}, circuit N={circuit.num_qubits}")
+        hduals = dual_arrays(list(hbatch.povm_labels), hbatch.num_qubits)
     options = _sweep_options(args)
     final, report = sweep(circuit, data, obs, options, exact_energy=_exact_energy_if_small(obs))
     holdout = None
     if args.holdout:
-        hbatch = read_batch(args.holdout)
-        est = estimate(hbatch, list(hbatch.povm_labels), final, obs)
+        est = estimate(hbatch, hduals, final, obs)
         holdout = {"batch": _label(args.holdout), "value": est.value, "sigma": est.sigma}
     return _finish_sweep(args, obs, final, report, holdout)
 
@@ -278,7 +283,7 @@ def _cmd_oracle_check(args) -> int:
         pauli = PauliString(letters)
         cone_val = complex(evaluate_trace(circ, factors, pauli))
         back_val = complex(evaluate_trace_backward(circ, factors, pauli))
-        dense_out = dense_map_circuit_oracle(circ, kron_all(factors))
+        dense_out = apply_circuit_dense(circ, kron_all(factors))
         dense_val = complex(trace_mul(dense_out, pauli.matrix()))
         worst_rel = max(worst_rel, abs(cone_val - dense_val) / max(1.0, abs(dense_val)))
         worst_fb = max(worst_fb, abs(cone_val - back_val))

@@ -815,6 +815,19 @@ def circuit_to_dict(circuit: MapCircuit) -> dict:
     }
 
 
+def component_from_dict(entry, layer: int | None = None) -> Component:
+    """The component of a circuit or state-prep step ``{"layer": ..., "qubits":
+    [...], "map": ...}``, in layer ``layer`` if given, else the entry's own."""
+    try:
+        if layer is None:
+            layer = json_int(entry["layer"], "layer")
+        qubits = tuple(json_int(q, "qubit") for q in entry["qubits"])
+        spec = entry["map"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed step {entry!r}: {exc}") from exc
+    return Component(layer, qubits, map_from_spec(spec, len(qubits)))
+
+
 def circuit_from_dict(payload: dict) -> MapCircuit:
     if not isinstance(payload, dict):
         raise ValidationError("circuit payload must be a JSON object")
@@ -826,16 +839,7 @@ def circuit_from_dict(payload: dict) -> MapCircuit:
         raise ValidationError(f"circuit payload missing field {exc}") from exc
     if not isinstance(raw, list):
         raise ValidationError("circuit components must be a JSON list")
-    comps = []
-    for entry in raw:
-        try:
-            layer = json_int(entry["layer"], "layer")
-            qubits = tuple(json_int(q, "qubit") for q in entry["qubits"])
-            spec = entry["map"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed circuit component {entry!r}: {exc}") from exc
-        comps.append(Component(layer, qubits, map_from_spec(spec, len(qubits))))
-    return MapCircuit(n, tuple(comps), topology)
+    return MapCircuit(n, tuple(map(component_from_dict, raw)), topology)
 
 
 def save_circuit(circuit: MapCircuit, path) -> None:

@@ -1,12 +1,13 @@
 """Dense reference simulation, measurement sampling, and state builders.
 
 Everything here works with full 2^N density matrices (N <= 10) and exists to
-feed and cross-check the causal-cone machinery: the dense circuit oracle,
-exact outcome distributions, perturbed-state construction, and the noisy
-two-qubit gate model. :func:`apply_circuit_dense` is the one loop of a
-circuit's maps over a dense operator, one checked :func:`apply_local_map` per
-component, and :func:`sample_outcomes` the one sampler: it draws from the
-enumerated outcome distribution, 4^N real probabilities.
+feed and cross-check the causal-cone machinery. :func:`apply_circuit_dense`
+is the one loop of a circuit's maps over a dense operator, one checked
+:func:`apply_local_map` per component: ``oracle-check``'s dense reference and
+the source of every prepared state, a state-prep file being a circuit on
+|0...0> (:func:`load_state_prep`). :func:`sample_outcomes` is the one
+sampler: it draws from the enumerated outcome distribution, 4^N real
+probabilities.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cone import MapCircuit, brickwork, check_trace_kept
+from .cone import Component, MapCircuit, brickwork, check_trace_kept, component_from_dict
 from .errors import ValidationError, json_int, parse_json, read_text
 from .linalg import apply_superop_local
-from .maps import LocalMap, map_from_spec, noisy_cnot, random_cptp_map
+from .maps import LocalMap, noisy_cnot, random_cptp_map
 from .pauli import Observable
 from .povm import SingleQubitPOVM, get_povm
 
@@ -29,7 +30,6 @@ __all__ = [
     "OutcomeBatch",
     "apply_local_map",
     "apply_circuit_dense",
-    "dense_map_circuit_oracle",
     "build_perturbed_state",
     "perturbation_circuit",
     "noisy_cnot",
@@ -130,13 +130,6 @@ def apply_circuit_dense(circuit: MapCircuit, op: np.ndarray) -> np.ndarray:
     for comp in circuit.components:
         rho = apply_local_map(rho, comp.map, comp.qubits)
     return rho.matrix
-
-
-def dense_map_circuit_oracle(circuit: MapCircuit, input_op: np.ndarray) -> np.ndarray:
-    """Reference full-register evaluation of a map circuit (N <= 6)."""
-    if circuit.num_qubits > ORACLE_LIMIT:
-        raise ValidationError(f"oracle limited to N <= {ORACLE_LIMIT}")
-    return apply_circuit_dense(circuit, input_op)
 
 
 def perturbation_circuit(num_qubits: int, p: float = 0.05, seed: int = 0) -> MapCircuit:
@@ -354,11 +347,15 @@ def read_batch(path) -> OutcomeBatch:
 # state-prep files
 
 
-def load_state_prep(path_or_payload, num_qubits: int | None = None):
-    """Load an ordered list of (qubits, map) state-preparation steps.
+def load_state_prep(path_or_payload, num_qubits: int | None = None) -> MapCircuit:
+    """The state-preparation circuit in a file or payload, one layer per step.
 
-    The file is a JSON list of {"qubits": [...], "map": <preset or payload>};
-    the register size is inferred from the largest index unless given.
+    The payload is a JSON list of steps ``{"qubits": [...], "map": <preset or
+    payload>}``, or an object with an optional ``"num_qubits"`` and a
+    ``"steps"`` or ``"components"`` list of them, so a circuit file loads as
+    one step per component, its layers ignored. The register is the payload's
+    ``num_qubits``, else ``num_qubits``, else the largest qubit + 1; a
+    ``num_qubits`` that differs from the payload's raises.
     """
     if isinstance(path_or_payload, (str, Path)):
         payload = parse_json(read_text(path_or_payload, "state-prep file"), "state-prep file")
@@ -366,49 +363,37 @@ def load_state_prep(path_or_payload, num_qubits: int | None = None):
         payload = path_or_payload
     if isinstance(payload, dict):
         if "num_qubits" in payload:
-            num_qubits = json_int(payload["num_qubits"], "state-prep num_qubits")
+            own = json_int(payload["num_qubits"], "state-prep num_qubits")
+            if num_qubits is not None and num_qubits != own:
+                raise ValidationError(
+                    f"state-prep file says num_qubits={own}, but N={num_qubits} was given"
+                )
+            num_qubits = own
         payload = payload.get("steps", payload.get("components"))
     if not isinstance(payload, list):
         raise ValidationError("state-prep payload must be a JSON list of steps")
-    steps = []
-    top = -1
-    for entry in payload:
-        try:
-            qubits = tuple(json_int(q, "state-prep qubit") for q in entry["qubits"])
-            spec = entry["map"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed state-prep step {entry!r}: {exc}") from exc
-        if not qubits or len(set(qubits)) != len(qubits):
-            raise ValidationError(
-                f"state-prep step qubits {list(qubits)} must be distinct and non-empty"
-            )
-        steps.append((qubits, map_from_spec(spec, len(qubits))))
-        top = max(top, *qubits)
+    steps = [component_from_dict(entry, layer) for layer, entry in enumerate(payload, 1)]
     if num_qubits is None:
-        num_qubits = top + 1
-    if num_qubits < 1:
-        raise ValidationError("state-prep needs at least one qubit")
-    if num_qubits < top + 1:
-        raise ValidationError(f"steps address qubit {top} but N={num_qubits}")
-    return num_qubits, steps
+        num_qubits = max((q + 1 for c in steps for q in c.qubits), default=0)
+    return MapCircuit(num_qubits, tuple(steps))
+
+
+def _from_zero(circuit: MapCircuit) -> DensityMatrix:
+    """|0...0><0...0| run through ``circuit``."""
+    n = circuit.num_qubits
+    return DensityMatrix(n, apply_circuit_dense(circuit, computational_zero(n).matrix))
 
 
 def build_state(path_or_payload, num_qubits: int | None = None) -> DensityMatrix:
-    """Apply a state-prep file to |0...0><0...0|."""
-    n, steps = load_state_prep(path_or_payload, num_qubits)
-    rho = computational_zero(n)
-    for qubits, m in steps:
-        rho = apply_local_map(rho, m, qubits)
-    return rho
+    """|0...0><0...0| run through the circuit of :func:`load_state_prep`."""
+    return _from_zero(load_state_prep(path_or_payload, num_qubits))
 
 
 def noisy_chain_state(num_qubits: int, theta: float = 0.05, p: float = 1e-3) -> DensityMatrix:
     """|0...0> run through a chain of noisy CNOTs (0,1),(1,2),...,(N-2,N-1)."""
-    rho = computational_zero(num_qubits)
     gate = noisy_cnot(theta, p)
-    for i in range(num_qubits - 1):
-        rho = apply_local_map(rho, gate, (i, i + 1))
-    return rho
+    chain = (Component(1, (i, i + 1), gate) for i in range(num_qubits - 1))
+    return _from_zero(MapCircuit(num_qubits, tuple(chain)))
 
 
 def _dense_hamiltonian(obs: Observable) -> np.ndarray:

@@ -74,7 +74,8 @@ class Estimate:
     """A mean/uncertainty pair with optional per-shot weights attached.
 
     ``batch_key`` fingerprints the outcome data so covariances are only taken
-    between estimates that really share shots.
+    between estimates that really share shots; it is set only together with
+    ``per_shot``, the one case :func:`estimate_covariance` accepts.
     """
 
     value: float
@@ -324,14 +325,13 @@ def estimate(
     second = float(np.dot(data.weights, reals**2))
     var_unbiased = max(second - value**2, 0.0) * s / (s - 1)
     sigma = float(np.sqrt(var_unbiased / s))
-    per_shot = reals[inverse] if keep_per_shot else None
     return Estimate(
         value=value,
         sigma=sigma,
         num_shots=s,
         imag_residue=residue,
-        per_shot=per_shot,
-        batch_key=_batch_key(batch),
+        per_shot=reals[inverse] if keep_per_shot else None,
+        batch_key=_batch_key(batch) if keep_per_shot else None,
     )
 
 

@@ -15,8 +15,8 @@ from conftest import ACCEPTANCE_RESULTS, brute_force_min, random_mixed_circuit
 from virtualmap.cone import MapCircuit, brickwork, evaluate_trace, evaluate_trace_backward, staircase
 from virtualmap.densesim import (
     DensityMatrix,
+    apply_circuit_dense,
     build_perturbed_state,
-    dense_map_circuit_oracle,
     exact_ground_energy,
     noisy_chain_state,
     perturbation_circuit,
@@ -198,7 +198,7 @@ def test_criterion_02_cone_oracle_equivalence():
             pauli = PauliString(letters)
             fwd = evaluate_trace(circ, factors, pauli)
             bwd = evaluate_trace_backward(circ, factors, pauli)
-            dense = dense_map_circuit_oracle(circ, kron_all(factors))
+            dense = apply_circuit_dense(circ, kron_all(factors))
             want = trace_mul(dense, pauli.matrix())
             worst_rel = max(worst_rel, abs(fwd - want) / (1.0 + abs(want)))
             worst_fb = max(worst_fb, abs(fwd - bwd))

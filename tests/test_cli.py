@@ -397,6 +397,29 @@ class TestOptimize:
         summary = json.loads(out)
         assert summary["below_floor"] is False and "hint" not in summary
 
+    @pytest.mark.parametrize("fault", ["missing", "unknown-povm", "other-register"])
+    def test_bad_holdout_exits_2_before_any_solve(self, tmp_path, monkeypatch, capsys, obs_file, fault):
+        import virtualmap.cli as cli
+        from virtualmap.densesim import noisy_chain_state, sample_outcomes, write_batch
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("swept before reading the holdout batch")
+
+        monkeypatch.setattr(cli, "sweep", unexpected)
+        write_batch(sample_outcomes(noisy_chain_state(3), "sic", 20, seed=0), tmp_path / "b.csv")
+        holdout = tmp_path / "h.csv"
+        if fault == "unknown-povm":
+            holdout.write_text("# povm=foo seed=0 N=3 S=2\n0,1,2\n3,2,1\n")
+        elif fault == "other-register":
+            write_batch(sample_outcomes(noisy_chain_state(2), "sic", 20, seed=1), holdout)
+        save_circuit(brickwork(3, 2), tmp_path / "start.json")
+        out = tmp_path / "best.json"
+        argv = ["optimize", "--observable", str(obs_file), "--circuit", str(tmp_path / "start.json")]
+        argv += ["--batch", str(tmp_path / "b.csv"), "--holdout", str(holdout), "--out-circuit", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_requires_exactly_one_data_source(self, tmp_path, obs_file):
         circ_path = tmp_path / "start.json"
         save_circuit(brickwork(3, 1), circ_path)
@@ -554,7 +577,7 @@ class TestOracleCheck:
             raise AssertionError("built a circuit for an oversized register")
 
         monkeypatch.setattr(cli, "_random_check_circuit", unexpected)
-        monkeypatch.setattr(cli, "dense_map_circuit_oracle", unexpected)
+        monkeypatch.setattr(cli, "apply_circuit_dense", unexpected)
         if source == "N":
             args = ["--N", "40"]
         else:
@@ -574,6 +597,29 @@ class TestOracleCheck:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "pass"
+
+
+class TestStatePrepSize:
+    """An explicit register size must agree with the state-prep file's own."""
+
+    @pytest.mark.parametrize("command", ["sample", "estimate", "optimize"])
+    def test_size_that_disagrees_with_the_file_exits_2(self, tmp_path, capsys, command):
+        prep = tmp_path / "prep.json"
+        prep.write_text(json.dumps({"num_qubits": 3, "steps": [{"qubits": [0, 1], "map": "cnot"}]}))
+        write_observable(xx_hamiltonian(5), tmp_path / "obs.json")
+        save_circuit(brickwork(5, 1), tmp_path / "c.json")
+        files = ["--observable", str(tmp_path / "obs.json"), "--circuit", str(tmp_path / "c.json")]
+        if command == "sample":
+            argv = ["sample", "--state", str(prep), "--N", "5", "--S", "10"]
+        elif command == "estimate":
+            assert main(["sample", "--mixed", "--N", "5", "--S", "10", "--out", str(tmp_path / "b.csv")]) == 0
+            argv = ["estimate", "--batch", str(tmp_path / "b.csv"), *files, "--exact-state", str(prep)]
+        else:
+            argv = ["optimize", *files, "--exact-state", str(prep), "--rounds", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "num_qubits=3" in captured.err and "N=5" in captured.err
 
 
 # valid inputs, for the malformed run settings below

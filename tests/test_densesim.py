@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import json_junk, map_specs, small_or_junk
 from virtualmap import densesim
-from virtualmap.cone import MapCircuit, brickwork
+from virtualmap.cone import MapCircuit, brickwork, save_circuit
 from virtualmap.densesim import (
     DensityMatrix,
     OutcomeBatch,
@@ -19,7 +19,6 @@ from virtualmap.densesim import (
     build_perturbed_state,
     build_state,
     computational_zero,
-    dense_map_circuit_oracle,
     exact_ground_energy,
     exact_ground_value,
     from_statevector,
@@ -161,13 +160,13 @@ class TestPerturbedState:
     def test_tp_circuit_preserves_trace(self):
         rng = np.random.default_rng(5)
         circ = brickwork(4, 2, lambda layer, qubits: random_cptp_map(2, rng))
-        out = dense_map_circuit_oracle(circ, maximally_mixed(4).matrix)
+        out = apply_circuit_dense(circ, maximally_mixed(4).matrix)
         assert abs(np.trace(out) - 1.0) <= 1e-10
 
-    def test_oracle_size_guard(self):
-        circ = brickwork(7, 1)
-        with pytest.raises(ValidationError):
-            dense_map_circuit_oracle(circ, np.eye(2**7) / 2**7)
+    def test_dense_size_guard(self):
+        # refused from the circuit's size, before the operator is read
+        with pytest.raises(ValidationError, match="N <= 10"):
+            apply_circuit_dense(brickwork(11, 1), np.eye(2))
 
 
 class TestOutcomeDistribution:
@@ -447,8 +446,39 @@ class TestStatePrepFiles:
         np.testing.assert_allclose(rho.matrix, computational_zero(3).matrix, atol=1e-14)
 
     def test_infers_register_size(self):
-        n, steps = load_state_prep([{"qubits": [2, 3], "map": "identity"}])
-        assert n == 4 and len(steps) == 1
+        circuit = load_state_prep([{"qubits": [2, 3], "map": "identity"}])
+        assert circuit.num_qubits == 4 and len(circuit.components) == 1
+
+    def test_one_layer_per_step(self):
+        steps = [{"qubits": [0, 1], "map": "cnot"}, {"qubits": [1], "map": "identity"}]
+        circuit = load_state_prep({"steps": steps})
+        assert circuit.topology == "general"
+        assert [(c.layer, c.qubits) for c in circuit.components] == [(1, (0, 1)), (2, (1,))]
+
+    def test_register_size_precedence(self):
+        steps = [{"qubits": [0, 1], "map": "cnot"}]
+        assert load_state_prep(steps, num_qubits=3).num_qubits == 3
+        assert load_state_prep({"num_qubits": 4, "steps": steps}).num_qubits == 4
+        assert load_state_prep({"num_qubits": 4, "steps": steps}, num_qubits=4).num_qubits == 4
+
+    def test_explicit_size_must_match_the_file(self):
+        payload = {"num_qubits": 3, "steps": [{"qubits": [0, 1], "map": "cnot"}]}
+        with pytest.raises(ValidationError, match="num_qubits=3.*N=5"):
+            load_state_prep(payload, num_qubits=5)
+
+    def test_list_object_and_circuit_forms_give_identical_states(self, tmp_path):
+        import json
+
+        steps = [
+            {"qubits": [q, q + 1], "map": "noisy_cnot(0.05, 1e-3)"} for q in range(3)
+        ] + [{"qubits": [2], "map": "random_cptp(seed=4)"}]
+        (tmp_path / "list.json").write_text(json.dumps(steps))
+        (tmp_path / "object.json").write_text(json.dumps({"num_qubits": 4, "steps": steps}))
+        save_circuit(load_state_prep(tmp_path / "object.json"), tmp_path / "circuit.json")
+        states = [build_state(tmp_path / f"{name}.json") for name in ("list", "object", "circuit")]
+        assert all(rho.num_qubits == 4 for rho in states)
+        assert np.array_equal(states[0].matrix, states[1].matrix)
+        assert np.array_equal(states[0].matrix, states[2].matrix)
 
     def test_rejects_small_register(self):
         with pytest.raises(ValidationError):
@@ -484,10 +514,11 @@ class TestStatePrepFiles:
         if wrap is not None:
             payload = {"num_qubits": num_qubits, wrap: payload}
         try:
-            n, steps = load_state_prep(payload)
+            circuit = load_state_prep(payload)
         except ValidationError:
             return
-        assert n >= 1 and all(max(q) < n for q, _ in steps)
+        assert circuit.num_qubits >= 1
+        assert all(0 <= q < circuit.num_qubits for c in circuit.components for q in c.qubits)
         # only JSON integers load: no text, fractions or booleans
         if isinstance(payload, dict):
             assert type(payload.get("num_qubits", 1)) is int

@@ -314,6 +314,18 @@ class TestCovariance:
         with pytest.raises(ValidationError):
             estimate_covariance(kept, kept_other)
 
+    def test_batch_key_only_with_per_shot_weights(self):
+        batch = sample_outcomes(noisy_chain_state(2), "sic", 50, seed=5)
+        other = sample_outcomes(noisy_chain_state(2), "sic", 50, seed=6)
+        obs = xx_hamiltonian(2)
+        circ = MapCircuit(2, ())
+        assert estimate(batch, "sic", circ, obs).batch_key is None
+        kept = estimate(batch, "sic", circ, obs, keep_per_shot=True)
+        kept_other = estimate(other, "sic", circ, obs, keep_per_shot=True)
+        assert kept.batch_key is not None and kept.batch_key != kept_other.batch_key
+        with pytest.raises(ValidationError, match="same batch"):
+            estimate_covariance(kept, kept_other)
+
 
 class TestDualArrays:
     def test_string_broadcast(self):
