@@ -7,9 +7,9 @@ of identity maps: ``staircase(24, 3)``, ``staircase(40, 3)`` and
 circuit, each timed pass measures
 
 * ``group_s``: grouping the chain's terms into support groups, as
-  ``row_weights`` does first;
-* ``plans_s``: then one light-cone plan per group, as ``row_weights`` builds
-  them before contracting;
+  ``evaluate_rows`` does first;
+* ``plans_s``: then one light-cone plan per group, as ``evaluate_rows``
+  builds them before contracting;
 * ``total_s``: the two together.
 
 The groups are checked against the rule stated on per-term plans: a term's

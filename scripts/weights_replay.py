@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Replay the shot-weight kernel ``estimation.row_weights`` on four cases.
+"""Replay the shot-weight kernel ``cone.evaluate_rows`` on four cases.
 
 * ``estimate-n8``: the ``estimate-n8`` benchmark job's inputs (perturbed
   ground state of the periodic N=8 XX chain at field 0.95, 64 SIC shots,
@@ -16,12 +16,13 @@
 Each case is checked against the sum of singleton groups (one single-term
 observable per call), within 1e-12 of 1 + |w| per row; a failed check exits
 with status 1. The script prints one JSON record: per case the number of
-cone runs (``evaluate_rows`` calls), how many of them ran backwards into an
+cone runs (term-group contractions), how many of them ran backwards into an
 outcome table and how many per row (``cone._outcome_table`` and
-``cone._row_values`` calls), the calls of the ``linalg`` kernels, and the median
-and quartiles of the seconds per ``row_weights`` pass over ``--repeats``
-timed passes. ``--out`` also stores the record in a
-JSON file under the key ``--tag``, keeping the file's other keys.
+``cone._row_values`` calls, which add up to the cone runs), the calls of the
+``linalg`` kernels, and the median and quartiles of the seconds per
+``evaluate_rows`` pass over ``--repeats`` timed passes. ``--out`` also
+stores the record in a JSON file under the key ``--tag``, keeping the file's
+other keys.
 
 Example:
     python3 scripts/weights_replay.py --repeats 7 --tag change --out BENCH_weights.json
@@ -94,14 +95,14 @@ CASES = {
 
 
 def weights(circuits, data, obs):
-    return [estimation.row_weights(c, data, obs) for c in circuits]
+    return [cone.evaluate_rows(c, data, obs) for c in circuits]
 
 
 def singleton_sum(circuits, data, obs):
     """The same weights with every term contracted on its own."""
     n = obs.num_qubits
     return [
-        sum(estimation.row_weights(c, data, Observable.from_terms(n, [term])) for term in obs.terms)
+        sum(cone.evaluate_rows(c, data, Observable.from_terms(n, [term])) for term in obs.terms)
         for c in circuits
     ]
 
@@ -116,15 +117,16 @@ def replay(name, repeats):
         start = time.perf_counter()
         weights(circuits, data, obs)
         seconds.append(time.perf_counter() - start)
-    with Calls([estimation, cone], ["evaluate_rows", "_outcome_table", "_row_values", *KERNELS]) as calls:
+    with Calls([cone], ["_outcome_table", "_row_values", *KERNELS]) as calls:
         weights(circuits, data, obs)
+    tables, rows = calls.counts.pop("_outcome_table"), calls.counts.pop("_row_values")
     return {
         "circuits": len(circuits),
         "rows": len(data.rows),
         "terms": len(obs.terms),
-        "cone_runs": calls.counts.pop("evaluate_rows"),
-        "table_runs": calls.counts.pop("_outcome_table"),
-        "row_runs": calls.counts.pop("_row_values"),
+        "cone_runs": tables + rows,
+        "table_runs": tables,
+        "row_runs": rows,
         **calls.counts,
         "max_rel_diff": diff,
         "ok": diff <= TOL,

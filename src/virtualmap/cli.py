@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cone import MapCircuit, brickwork, evaluate_trace, evaluate_trace_backward, load_circuit, save_circuit
+from .cone import MapCircuit, brickwork, evaluate_rows, evaluate_trace, evaluate_trace_backward
+from .cone import load_circuit, save_circuit
 from .densesim import (
     EXACT_DIAG_LIMIT,
     ORACLE_LIMIT,
@@ -37,10 +38,11 @@ from .densesim import (
     sample_outcomes,
 )
 from .errors import NumericalError, ValidationError
-from .estimation import classical_input, data_from_batch, dual_arrays, estimate, estimate_exact
+from .estimation import ProductInputData, classical_input, data_from_batch, dual_arrays
+from .estimation import estimate, estimate_exact
 from .linalg import kron_all, trace_mul
 from .maps import random_cptp_map, random_tp_hermitian_map, random_unitary_map
-from .pauli import PauliString, parse_observable
+from .pauli import Observable, PauliString, parse_observable
 from .povm import compute_duals, get_povm
 from .varopt import SWEEP_INITS, SdpOptions, SweepOptions, classical_ansatz, sweep, zreset_compose
 
@@ -283,9 +285,13 @@ def _cmd_oracle_check(args) -> int:
         pauli = PauliString(letters)
         cone_val = complex(evaluate_trace(circ, factors, pauli))
         back_val = complex(evaluate_trace_backward(circ, factors, pauli))
+        # the same row through the weight kernel that estimates run
+        row = ProductInputData(np.ones(1), [duals] * n, outcome[None])
+        rows_val = complex(evaluate_rows(circ, row, Observable.from_terms(n, [(1.0, pauli)]))[0])
         dense_out = apply_circuit_dense(circ, kron_all(factors))
         dense_val = complex(trace_mul(dense_out, pauli.matrix()))
-        worst_rel = max(worst_rel, abs(cone_val - dense_val) / max(1.0, abs(dense_val)))
+        for val in (cone_val, rows_val):
+            worst_rel = max(worst_rel, abs(val - dense_val) / max(1.0, abs(dense_val)))
         worst_fb = max(worst_fb, abs(cone_val - back_val))
     ok = worst_rel <= args.tol and worst_fb <= max(args.tol, 1e-12)
     report = {

@@ -37,10 +37,10 @@ factors are (2, 2, R, 1), one per row, and output factors (2, 2, 1, T), one
 per Pauli term, or (2, 2) where every term has the same letter, and
 broadcasting forms the (R, T) batch only at the first step whose factor
 needs it. The single-row entry points are batches of one. ``evaluate_rows``
-runs a support group, a list of (coefficient, Pauli string) terms, over a
-batch of rows, returns sum_t c_t Tr[L(F_row) P_t] per row and contracts only
-the backward light cone of the union of their supports. The pruning is
-exact:
+takes the product rows of a ``ProductInputData`` and an ``Observable``,
+returns sum_k c_k Tr[L(F_row) P_k] per row, and contracts each support group
+of its terms over only the backward light cone of the union of their
+supports. The pruning is exact:
 
 * a component outside the cone is dropped only if it is trace preserving to
   round-off (vec(I)^T S = vec(I)^T within ``_TP_TOL``); otherwise it joins the
@@ -48,10 +48,11 @@ exact:
 * a qubit outside the cone contributes the factor Tr F_q, which need not be
   one (custom dual frames).
 
-``term_groups`` forms the support groups: a term joins the widest term
-support that contains its own and lies inside its own light cone, so the N
-bond groups of a nearest-neighbour chain absorb its one-site terms, while a
-term spanning the register stays on its own. Grouping reads only the cones'
+``term_groups`` forms the support groups, which ``evaluate_rows`` adds up
+in order: a term joins the widest term support that contains its own and
+lies inside its own light cone, so the N bond groups of a nearest-neighbour
+chain absorb its one-site terms, while a term spanning the register stays on
+its own. Grouping reads only the cones'
 qubit sets (``_cone``, the walk a plan then schedules), so it schedules
 nothing; it is memoized on the structure like the plans.
 
@@ -108,7 +109,7 @@ from .linalg import (
     apply_superop_local, insert_factor, multiply_trace_out, trace_out_each, unique_rows,
 )
 from .maps import LocalMap, invert_map, map_from_spec, map_to_payload
-from .pauli import PAULI_MATRICES, PauliString
+from .pauli import PAULI_MATRICES, Observable, PauliString
 
 
 # A component counts as trace preserving, and may be left out of a term's
@@ -565,8 +566,9 @@ def _backward(circuit, plan: ConePlan, coeffs, paulis, duals, trace_out) -> np.n
     The steps run backwards from the terms' factors over a (terms, outcomes)
     batch, and ``trace_out`` traces each qubit out against its ``duals``, the
     F^dagger of the batch, which opens or meets the outcome axis. Right after
-    the last letter that differs between the terms enters, the term axis is
-    contracted with conj c, so every later step runs on a term axis of one,
+    the last letter that differs between the terms (distinct, as an
+    observable's are) enters, the term axis is contracted with conj c, so
+    every later step runs on a term axis of one,
     and conj Tr[L^dagger(P) F^dagger] = Tr[P L(F)] for Hermitian P, whatever
     the maps and tables. Returns the outcome axis."""
     steps = plan.steps[::-1]
@@ -577,9 +579,7 @@ def _backward(circuit, plan: ConePlan, coeffs, paulis, duals, trace_out) -> np.n
         _run_steps, circuit, in_factors=ins, out_factors=duals, backward=True, trace_out=trace_out
     )
     active, res = run(steps[:fold])
-    # no term axis formed where every term has the same letters
-    weights = coeffs.conj() if res.shape[2] > 1 else coeffs.conj().sum(keepdims=True)
-    _, res = run(steps[fold:], start=(active, weights[None] @ res))  # (1, T) @ (T, O) per entry
+    _, res = run(steps[fold:], start=(active, coeffs.conj()[None] @ res))  # (1, T) @ (T, O) per entry
     return res[0, 0, 0].conj()
 
 
@@ -609,59 +609,49 @@ def _row_values(circuit, plan: ConePlan, tables, rows, coeffs, paulis) -> np.nda
     return values[inverse]
 
 
-def _checked_terms(terms, num_qubits: int) -> tuple[np.ndarray, list[PauliString]]:
-    """The coefficients and Pauli strings of (coefficient, PauliString) pairs."""
-    terms = list(terms)
-    for term in terms:
-        pair = isinstance(term, (tuple, list)) and len(term) == 2 and isinstance(term[1], PauliString)
-        # a boolean is no coefficient, as in json_complex and SdpOptions
-        number = pair and isinstance(term[0], (int, float, complex, np.number)) and not isinstance(term[0], bool)
-        if not number:
-            got = f"bare Pauli string {term}" if isinstance(term, PauliString) else repr(term)
-            raise ValidationError(f"terms are (coefficient, PauliString) pairs, got {got}")
-        value = complex(term[0])
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValidationError(f"non-finite coefficient {term[0]} on term {term[1]}")
-        if term[1].num_qubits != num_qubits:
-            raise ValidationError(
-                f"Pauli string covers {term[1].num_qubits} qubits, circuit has {num_qubits}"
-            )
-    return np.array([c for c, _ in terms]), [ps for _, ps in terms]
+def _terms(circuit: MapCircuit, data, obs: Observable) -> tuple[np.ndarray, list[PauliString]]:
+    """The coefficients and Pauli strings of ``obs``, once ``data`` and
+    ``obs`` are checked to cover the circuit's register."""
+    if data.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
+        raise ValidationError("data, circuit, and observable qubit counts differ")
+    return np.array([c for c, _ in obs.terms]), [ps for _, ps in obs.terms]
 
 
-def evaluate_rows(circuit: MapCircuit, tables, rows, terms) -> np.ndarray:
-    """sum_t c_t Tr[L(F_row) P_t] for every row of a batch, over the joint
-    light cone of a group of terms.
+def evaluate_rows(circuit: MapCircuit, data, obs: Observable) -> np.ndarray:
+    """sum_k c_k Tr[L(F_row) P_k] over the terms of ``obs`` for every row of
+    ``data``, its weights aside: an (R,) array, zeros for no terms.
 
-    ``tables[q]`` is an (M_q, 2, 2) array of input factors for qubit q,
-    ``rows`` an (R, N) integer array picking one factor per qubit, and
-    ``terms`` a sequence of T (coefficient, PauliString) pairs. The plan is
-    the light cone of the union of the terms' supports; returns an (R,)
-    array, zeros for no terms. Qubits outside the cone contribute Tr F_q.
-    The cone is contracted by one backward run (:func:`_backward`), either
-    into an outcome table the rows look up (:func:`_outcome_table`) or per
-    distinct row (:func:`_row_values`), whichever makes fewer residual
-    entries (``ConePlan.table_cost``); the table is taken only if its largest
-    residual over all the terms fits ``_BATCH_ENTRIES``, never for one row.
+    ``data`` is a :class:`~virtualmap.estimation.ProductInputData`, whose
+    rows are range-checked: ``tables[q]`` is an (M_q, 2, 2) array of input
+    factors for qubit q and ``rows`` an (R, N) array picking one per qubit.
+    Each support group (:func:`term_groups`) is one backward run over the
+    light cone of the union of its supports, into an outcome table
+    (:func:`_outcome_table`) or per distinct row (:func:`_row_values`) by the
+    module's table rule (``ConePlan.table_cost``); qubits outside a group's
+    cone contribute Tr F_q, and the groups are added in order.
     """
-    n = circuit.num_qubits
-    coeffs, paulis = _checked_terms(terms, n)
-    rows = np.asarray(rows)
-    if not paulis:
-        return np.zeros(len(rows), dtype=complex)
-    plan = cone_plan(circuit, sorted({q for ps in paulis for q in ps.support}))
-    values = np.ones((len(rows), 1), dtype=complex)
-    for q in range(n):
-        if q not in plan.qubits:
-            values *= np.trace(tables[q], axis1=1, axis2=2)[rows[:, q], None]
-    if not plan.qubits:
-        return np.repeat(values, len(paulis), axis=1) @ coeffs
-    sizes = tuple(len(tables[q]) for q in plan.outcome_axes)
-    total, peak = plan.table_cost(sizes)
-    if total < plan.table_cost((1,) * len(sizes))[0] * len(rows) and peak * len(paulis) <= _BATCH_ENTRIES:
-        table = _outcome_table(circuit, plan, tables, coeffs, paulis)
-        return values[:, 0] * table[tuple(rows[:, plan.outcome_axes].T)]
-    return values[:, 0] * _row_values(circuit, plan, tables, rows, coeffs, paulis)
+    coeffs, paulis = _terms(circuit, data, obs)
+    tables, rows = data.tables, data.rows
+    traces = [np.trace(t, axis1=1, axis2=2)[rows[:, q], None] for q, t in enumerate(tables)]
+    total = np.zeros(len(rows), dtype=complex)
+    for group in term_groups(circuit, paulis):
+        cs, ps = coeffs[list(group)], [paulis[k] for k in group]
+        plan = cone_plan(circuit, sorted({q for p in ps for q in p.support}))
+        values = np.ones((len(rows), 1), dtype=complex)
+        for q in range(circuit.num_qubits):
+            if q not in plan.qubits:
+                values *= traces[q]
+        if not plan.qubits:
+            total += np.repeat(values, len(ps), axis=1) @ cs
+            continue
+        sizes = tuple(len(tables[q]) for q in plan.outcome_axes)
+        cost, peak = plan.table_cost(sizes)
+        if cost < plan.table_cost((1,) * len(sizes))[0] * len(rows) and peak * len(ps) <= _BATCH_ENTRIES:
+            table = _outcome_table(circuit, plan, tables, cs, ps)
+            total += values[:, 0] * table[tuple(rows[:, plan.outcome_axes].T)]
+        else:
+            total += values[:, 0] * _row_values(circuit, plan, tables, rows, cs, ps)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -716,19 +706,20 @@ class CutWalk:
         return cls(steps, (), (), np.ones((1, 1)), forward, backward)
 
     @classmethod
-    def rows(cls, circuit: MapCircuit, tables, rows, weights, terms):
-        """The walks of product rows under (coefficient, Pauli string)
-        ``terms``: per chunk of the (rows, terms) batch, a walk of the
-        whole-register plan weighted by the rows' ``weights`` times the
-        terms' coefficients. Yielded one at a time, so a cold walk is dropped
-        once its chunk is summed."""
+    def rows(cls, circuit: MapCircuit, data, obs: Observable):
+        """The walks of the product rows of ``data`` (as
+        :func:`evaluate_rows` takes them) under ``obs``: per chunk of the
+        (rows, terms) batch, a walk of the whole-register plan weighted by
+        the rows' ``data.weights`` times the terms' coefficients. Yielded one
+        at a time, so a cold walk is dropped once its chunk is summed."""
         plan = schedule(circuit)
-        coeffs, paulis = _checked_terms(terms, circuit.num_qubits)
+        coeffs, paulis = _terms(circuit, data, obs)
+        tables, rows = data.tables, data.rows
         qubits = range(circuit.num_qubits)
         for row_chunk, term_chunk in _chunks(len(rows), len(paulis), plan.peak_active):
             ins = {q: tables[q][rows[row_chunk, q]].transpose(1, 2, 0)[..., None] for q in qubits}
             outs = _term_factors(paulis[term_chunk], qubits)
-            yield cls(plan.steps, ins, outs, weights[row_chunk, None] * coeffs[term_chunk])
+            yield cls(plan.steps, ins, outs, data.weights[row_chunk, None] * coeffs[term_chunk])
 
     def _backward_at(self, circuit: MapCircuit, t: int):
         steps, stored = self._steps, self._backward

@@ -10,16 +10,16 @@ frequency-weighted sample mean with the unbiased sample variance; the mean is
 :func:`circuit_energy`'s sum over the same rows, and the reduction order is
 fixed by sorting, so results are deterministic for a given batch.
 
-The weights of all rows are computed together, one support group of Pauli
-terms at a time (:func:`virtualmap.cone.term_groups`), by the batched cone
-kernel (:func:`virtualmap.cone.evaluate_rows`). Each group is one backward
+The weights of all rows are computed together by one call of the batched
+cone kernel (:func:`virtualmap.cone.evaluate_rows`), which takes the rows
+and the observable and returns the coefficient-weighted sum per row. It
+contracts one support group of Pauli terms at a time
+(:func:`virtualmap.cone.term_groups`): each group is one backward
 contraction of the light cone of its support from its terms, pruned exactly
 as :mod:`virtualmap.cone` describes, traced out either against each row's
 own dual operators or, when it makes fewer residual entries, against all of
 them into an outcome table that the rows look up, so a large batch costs
-little more than a small one. The kernel takes the group's (coefficient,
-Pauli string) terms and returns the coefficient-weighted sum per row, which
-the groups add up.
+little more than a small one.
 The dual frame of each preset POVM label is built once per process and
 shared read-only.
 
@@ -29,7 +29,7 @@ array choosing one factor per qubit, and a weight per row. It is built here
 from a measured batch (:func:`data_from_batch`), from the exact outcome
 distribution (:func:`data_from_distribution`), and for the classical
 all-zeros register (:func:`classical_input`); the variational sweep consumes
-the same rows, and rows reach :func:`row_weights` only in it, range-checked,
+the same rows, and rows reach the kernel only in it, range-checked,
 :func:`shot_weight`'s one outcome too. :func:`circuit_energy` is the one
 exact energy, of such rows or of a dense state (Re Tr[L(rho) H], H the
 observable's matrix); :func:`estimate_exact` and the sweep both call it.
@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cone import MapCircuit, evaluate_rows, term_groups
+from .cone import MapCircuit, evaluate_rows
 from .densesim import (
     DensityMatrix,
     OutcomeBatch,
@@ -258,17 +258,6 @@ def _real_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
     return w.real.copy(), float(residue.max(initial=0.0))
 
 
-def row_weights(circuit: MapCircuit, data: ProductInputData, obs: Observable) -> np.ndarray:
-    """sum_k c_k Tr[L(F_row) P_k] for every row of ``data``, its weights
-    aside: R complex weights. Each support group is one call of the kernel,
-    which returns the group's coefficient-weighted sum.
-    """
-    total = np.zeros(len(data.rows), dtype=complex)
-    for group in term_groups(circuit, [ps for _, ps in obs.terms]):
-        total += evaluate_rows(circuit, data.tables, data.rows, [obs.terms[k] for k in group])
-    return total
-
-
 def circuit_energy(circuit: MapCircuit, data, obs: Observable) -> float:
     """The exact energy Re sum_k c_k Tr[L(input) P_k]: sum_i w_i times it over
     the weighted rows of :class:`ProductInputData`, or Re Tr[L(rho) H] on a
@@ -279,7 +268,7 @@ def circuit_energy(circuit: MapCircuit, data, obs: Observable) -> float:
         out = apply_circuit_dense(circuit, data.matrix)
         reals, _ = _real_weights(trace_mul(out, obs.matrix()))
         return float(reals[0])
-    reals, _ = _real_weights(row_weights(circuit, data, obs))
+    reals, _ = _real_weights(evaluate_rows(circuit, data, obs))
     return float(np.dot(data.weights, reals))
 
 
@@ -293,7 +282,7 @@ def shot_weight(outcome, duals, circuit: MapCircuit, obs: Observable) -> float:
             f"outcome covers {row.shape[1]} qubits, circuit has {circuit.num_qubits}"
         )
     data = ProductInputData(np.ones(1), dual_arrays(duals, circuit.num_qubits), row)
-    reals, _ = _real_weights(row_weights(circuit, data, obs))
+    reals, _ = _real_weights(evaluate_rows(circuit, data, obs))
     return float(reals[0])
 
 
@@ -320,7 +309,7 @@ def estimate(
     # the data_from_batch rows, and the row of each shot only if it is kept
     uniq, inverse, counts = unique_rows(batch.outcomes, return_inverse=keep_per_shot)
     data = ProductInputData(counts / s, dual_arrays(duals, batch.num_qubits), uniq)
-    reals, residue = _real_weights(row_weights(circuit, data, obs))
+    reals, residue = _real_weights(evaluate_rows(circuit, data, obs))
     value = float(np.dot(data.weights, reals))
     second = float(np.dot(data.weights, reals**2))
     var_unbiased = max(second - value**2, 0.0) * s / (s - 1)

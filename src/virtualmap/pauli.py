@@ -81,12 +81,21 @@ class Observable:
 
     @classmethod
     def from_terms(cls, num_qubits: int, terms) -> "Observable":
+        """The sum of (coefficient, Pauli string or its letters) ``terms``.
+        Every term is checked here, the one place terms enter: a coefficient
+        is a finite int, float, complex or numpy number, but not a bool."""
         if num_qubits < 1:
             raise ValidationError("observable needs at least one qubit")
         merged: dict[str, complex] = {}
-        for coeff, ps in terms:
-            if isinstance(ps, str):
-                ps = PauliString(ps)
+        for term in terms:
+            pair = isinstance(term, (tuple, list)) and len(term) == 2
+            # a boolean is no coefficient, as in json_complex and SdpOptions
+            number = pair and isinstance(term[0], (int, float, complex, np.number))
+            if not number or isinstance(term[0], bool):
+                got = f"bare Pauli string {term}" if isinstance(term, PauliString) else repr(term)
+                raise ValidationError(f"terms are (coefficient, PauliString) pairs, got {got}")
+            coeff, ps = term
+            ps = ps if isinstance(ps, PauliString) else PauliString(ps)
             if ps.num_qubits != num_qubits:
                 raise ValidationError(
                     f"term {ps} covers {ps.num_qubits} qubits, expected {num_qubits}"

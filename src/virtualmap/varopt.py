@@ -107,7 +107,7 @@ def _cut_walks(circuit: MapCircuit, data, obs: Observable):
     or the walks of product rows, yielded one chunk at a time."""
     if isinstance(data, DensityMatrix):
         return [CutWalk.dense(circuit, data.matrix, obs.matrix())]
-    return CutWalk.rows(circuit, data.tables, data.rows, data.weights, obs.terms)
+    return CutWalk.rows(circuit, data, obs)
 
 
 def assemble_local_objective(

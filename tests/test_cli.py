@@ -586,6 +586,19 @@ class TestOracleCheck:
         assert main(["oracle-check", *args]) == 2
         assert "oracle limited to N <= 6" in capsys.readouterr().err
 
+    def test_a_perturbed_weight_kernel_fails_with_3(self, monkeypatch, capsys):
+        # the kernel estimates run is checked on the same row as the traces
+        import virtualmap.cli as cli
+
+        real = cli.evaluate_rows
+        monkeypatch.setattr(cli, "evaluate_rows", lambda *args: real(*args) + 1e-6)
+        rc = main(["oracle-check", "--N", "4", "--instances", "3", "--seed", "0"])
+        assert rc == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "fail"
+        assert payload["max_relative_error"] > payload["tolerance"]
+        assert payload["max_forward_backward_gap"] <= payload["tolerance"]
+
     def test_impossible_tolerance_fails_with_3(self):
         rc = main(["oracle-check", "--N", "3", "--instances", "1", "--tol", "0"])
         assert rc == 3

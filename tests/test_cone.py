@@ -40,6 +40,7 @@ from virtualmap.cone import (
 )
 from virtualmap.densesim import noisy_chain_state
 from virtualmap.errors import ValidationError
+from virtualmap.estimation import ProductInputData, classical_input, dual_arrays
 from virtualmap.linalg import (
     apply_superop_local,
     insert_factor,
@@ -473,9 +474,20 @@ def _scaled_identity(arity, scale):
     return LocalMap(scale * identity_map(arity).superop)
 
 
+def _data(tables, rows):
+    """Rows of weight one over ``tables``, as the kernel takes them."""
+    return ProductInputData(np.ones(len(rows)), tables, rows)
+
+
+def _rows(circuit, tables, rows, terms):
+    """evaluate_rows of the observable of the (coefficient, Pauli string)
+    ``terms``: their weighted sum per row."""
+    return evaluate_rows(circuit, _data(tables, rows), Observable.from_terms(circuit.num_qubits, terms))
+
+
 def _one(circuit, tables, rows, pauli):
     """evaluate_rows of one term with coefficient one: its per-row values."""
-    return evaluate_rows(circuit, tables, rows, [(1.0, pauli)])
+    return _rows(circuit, tables, rows, [(1.0, pauli)])
 
 
 def _random_coeffs(count, rng):
@@ -624,15 +636,15 @@ class TestBatchedKernel:
         rows[10:15] = rows[:5]  # repeated rows share one contraction
         paulis = [PauliString(p) for p in ("ZIIII", "IIIXY", "XIZIY", "IIIII", "YXZXI")]
         coeffs = _random_coeffs(len(paulis), rng)
-        group = evaluate_rows(circ, tables, rows, list(zip(coeffs, paulis)))
-        assert group.shape == (30,)
+        total = _rows(circ, tables, rows, list(zip(coeffs, paulis)))
+        assert total.shape == (30,)
         wants = []
         for pauli in paulis:
             got = _one(circ, tables, rows, pauli)
             want = _per_row(circ, tables, rows, pauli)
             assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12, pauli
             wants.append(want)
-        _assert_weighted_sum(group, coeffs, wants)
+        _assert_weighted_sum(total, coeffs, wants)
 
     def test_trace_preserving_components_outside_cone_are_pruned(self):
         rng = np.random.default_rng(46)
@@ -713,9 +725,9 @@ class TestBatchedKernel:
         letters = ("ZIII", "YIIZ", "IIII", "IXXI", "IXII", "XIIY", "ZZZZ")
         terms = [PauliString(p) for p in letters]
         coeffs = _random_coeffs(len(terms), rng)
-        group = evaluate_rows(circ, tables, rows, list(zip(coeffs, terms)))
-        assert group.shape == (40,)
-        _assert_weighted_sum(group, coeffs, [_one(circ, tables, rows, pauli) for pauli in terms])
+        got = _rows(circ, tables, rows, list(zip(coeffs, terms)))
+        assert got.shape == (40,)
+        _assert_weighted_sum(got, coeffs, [_one(circ, tables, rows, pauli) for pauli in terms])
 
     @pytest.mark.parametrize("kind", ["xx-chain", "non-tp", "wide-group"])
     def test_residuals_stay_within_plan_and_budget(self, monkeypatch, kind):
@@ -753,6 +765,8 @@ class TestBatchedKernel:
         split = tabled = False
         for group in term_groups(circ, [ps for _, ps in obs.terms]):
             terms = [obs.terms[k] for k in group]
+            # the group's own terms form one group again
+            assert term_groups(circ, [ps for _, ps in terms]) == (tuple(range(len(terms))),)
             plan = cone_plan(circ, sorted({q for _, ps in terms for q in ps.support}))
             per_call = min(len(terms), budget // 4**plan.peak_active)
             split |= per_call < len(terms)
@@ -764,7 +778,7 @@ class TestBatchedKernel:
             cases = [per_row] if len(per_row) == len(rows) else [per_row, rows]
             for batch in cases:
                 shapes.clear()
-                got = evaluate_rows(circ, tables, batch, terms)
+                got = _rows(circ, tables, batch, terms)
                 for shape in (s for pair in shapes for s in pair):
                     assert shape[0] <= 2**plan.peak_active
                     assert np.prod(shape) <= budget
@@ -861,7 +875,7 @@ class TestBatchedKernel:
             if not plan.qubits:
                 continue
             entries.clear()
-            evaluate_rows(circ, tables, row, [(1.0, pauli)])
+            _one(circ, tables, row, pauli)
             assert len(entries) == len(plan.steps)
             assert sum(entries) == _one_row_entries(plan), pauli
 
@@ -959,7 +973,7 @@ class TestOutcomeTables:
         for count in (1, threshold, threshold + 1):
             rows = rng.integers(0, 4, size=(count, 6))
             calls.clear()
-            got = evaluate_rows(circ, tables, rows, terms)
+            got = _rows(circ, tables, rows, terms)
             assert got.shape == (count,)
             assert len(calls) == (count > threshold)
             self._assert_per_row(circ, tables, rows, terms, got)
@@ -977,7 +991,7 @@ class TestOutcomeTables:
         for letters in (["ZIIII"], ["IXYII", "IZIII", "IIXII"], ["IIIIY"], ["YIIZX"]):
             terms = list(zip(_random_coeffs(len(letters), rng), map(PauliString, letters)))
             calls.clear()
-            got = evaluate_rows(circ, tables, rows, terms)
+            got = _rows(circ, tables, rows, terms)
             assert len(calls) == 1, letters
             self._assert_per_row(circ, tables, rows, terms, got)
 
@@ -1014,7 +1028,7 @@ class TestOutcomeTables:
         assert total < _one_row_entries(plan) * len(rows)  # cheaper, but too large
         monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", peak * len(terms) - 1)
         calls = self._spy(monkeypatch)
-        got = evaluate_rows(circ, tables, rows, terms)
+        got = _rows(circ, tables, rows, terms)
         assert not calls
         self._assert_per_row(circ, tables, rows, terms, got)
 
@@ -1040,7 +1054,7 @@ def _fold_case(kind, rng):
     rows = rng.integers(0, 4, size=(300, 6))
     if kind == "one-term":
         return tp_circ, tp_tables, rows, ["IIXYII"], True
-    if kind == "repeated-term":  # every term has the same letters: no term axis forms
+    if kind == "repeated-term":  # the observable merges the two into one term
         return tp_circ, tp_tables, rows, ["IIXYII", "IIXYII"], True
     # an all-identity term beside local ones, then on its own (an empty cone)
     if kind == "identity-term":
@@ -1064,7 +1078,7 @@ class TestCoefficientFold:
         for _ in range(3):
             coeffs = _random_coeffs(len(paulis), rng)
             calls.clear()
-            got = evaluate_rows(circ, tables, rows, list(zip(coeffs, paulis)))
+            got = _rows(circ, tables, rows, list(zip(coeffs, paulis)))
             assert len(calls) == tabled
             _assert_weighted_sum(got, coeffs, [_one(circ, tables, rows, ps) for ps in paulis])
 
@@ -1100,8 +1114,9 @@ class TestCoefficientFold:
 
 
 class TestKernelInput:
-    """``evaluate_rows`` takes (coefficient, PauliString) pairs and refuses
-    anything else."""
+    """``evaluate_rows`` and ``CutWalk.rows`` take the rows of a
+    ``ProductInputData`` and an ``Observable`` of the circuit's register, so
+    ``Observable.from_terms`` is the one checker of the terms they run."""
 
     @staticmethod
     def _case():
@@ -1112,13 +1127,12 @@ class TestKernelInput:
     def test_bare_pauli_string_names_the_pair_form(self):
         circ, tables, rows = self._case()
         with pytest.raises(ValidationError, match=r"\(coefficient, PauliString\) pairs, got bare Pauli string ZZII"):
-            evaluate_rows(circ, tables, rows, [(1.0, PauliString("XIII")), PauliString("ZZII")])
+            _rows(circ, tables, rows, [(1.0, PauliString("XIII")), PauliString("ZZII")])
 
     @pytest.mark.parametrize(
         "term",
         [
             (PauliString("ZZII"), 1.0),
-            (1.0, "ZZII"),
             (1.0, PauliString("ZZII"), 2.0),
             "ZZII",
             ("1.0", PauliString("ZZII")),
@@ -1128,14 +1142,14 @@ class TestKernelInput:
             (np.True_, PauliString("ZZII")),
         ],
         ids=[
-            "swapped", "text-string", "triple", "text", "text-coefficient", "none-coefficient", "one-entry",
+            "swapped", "triple", "text", "text-coefficient", "none-coefficient", "one-entry",
             "bool-coefficient", "numpy-bool-coefficient",
         ],
     )
     def test_rejects_terms_that_are_not_pairs(self, term):
         circ, tables, rows = self._case()
         with pytest.raises(ValidationError, match=r"\(coefficient, PauliString\) pairs"):
-            evaluate_rows(circ, tables, rows, [term])
+            _rows(circ, tables, rows, [term])
 
     @pytest.mark.parametrize(
         "coeff", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0), np.float64(np.nan)]
@@ -1143,18 +1157,35 @@ class TestKernelInput:
     def test_rejects_non_finite_coefficients(self, coeff):
         circ, tables, rows = self._case()
         with pytest.raises(ValidationError, match="non-finite coefficient"):
-            evaluate_rows(circ, tables, rows, [(1.0, PauliString("XIII")), (coeff, PauliString("ZZII"))])
+            _rows(circ, tables, rows, [(1.0, PauliString("XIII")), (coeff, PauliString("ZZII"))])
 
     def test_rejects_a_string_of_another_register(self):
         circ, tables, rows = self._case()
         with pytest.raises(ValidationError, match="covers 3 qubits"):
-            evaluate_rows(circ, tables, rows, [(1.0, PauliString("ZZI"))])
+            _rows(circ, tables, rows, [(1.0, PauliString("ZZI"))])
+        # an observable of another register is refused by both entry points
+        obs = Observable.from_terms(3, [(1.0, "ZZI")])
+        with pytest.raises(ValidationError, match="qubit counts differ"):
+            evaluate_rows(circ, _data(tables, rows), obs)
+        with pytest.raises(ValidationError, match="qubit counts differ"):
+            list(CutWalk.rows(circ, _data(tables, rows), obs))
+
+    @pytest.mark.parametrize(
+        "row", [[0, 0, -1], [0, 0, 4], [0.0, 0.0, 3.0]], ids=["negative", "past-the-table", "float"]
+    )
+    @pytest.mark.parametrize("entry", ["evaluate_rows", "CutWalk.rows"])
+    def test_rows_outside_their_tables_are_refused(self, row, entry):
+        # unchecked, a negative row would read its table from the end
+        circ, obs = brickwork(3, 1), Observable.from_terms(3, [(1.0, "ZZZ")])
+        run = evaluate_rows if entry == "evaluate_rows" else lambda *args: list(CutWalk.rows(*args))
+        with pytest.raises(ValidationError, match="outcome|rows must be integers"):
+            run(circ, ProductInputData(np.ones(1), dual_arrays("sic", 3), np.array([row])), obs)
 
     def test_no_terms_give_zeros(self):
         circ, tables, rows = self._case()
         leaky = circ.with_component(0, _scaled_identity(2, 0.9))
         for c in (circ, leaky):
-            got = evaluate_rows(c, tables, rows, [])
+            got = _rows(c, tables, rows, [])
             assert got.dtype == complex and got.shape == (len(rows),)
             assert not np.any(got)
 
@@ -1163,7 +1194,7 @@ class TestKernelInput:
         ps = PauliString("ZZII")
         want = _one(circ, tables, rows, ps)
         for coeff in (2, 2.0, 2 + 0j, np.int64(2), np.float32(2.0), np.complex128(2.0)):
-            got = evaluate_rows(circ, tables, rows, [(coeff, ps)])
+            got = _rows(circ, tables, rows, [(coeff, ps)])
             assert np.max(np.abs(got - 2.0 * want)) <= 1e-12, type(coeff)
 
 
@@ -1301,12 +1332,10 @@ def _cut_walk_case(kind, rng):
         obs = xx_hamiltonian(6, field=0.7, periodic=True)
     n = circ.num_qubits
     if kind == "classical":
-        zero = np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
-        row = np.zeros((1, n), dtype=int)
-        return circ, list(CutWalk.rows(circ, [zero] * n, row, np.ones(1), obs.terms))
+        return circ, list(CutWalk.rows(circ, classical_input(n), obs))
     duals = np.asarray(compute_duals(make_sic_povm()).duals)
     rows, _, counts = unique_rows(rng.integers(0, 4, size=(60, n)))
-    walks = list(CutWalk.rows(circ, [duals] * n, rows, counts / 60, obs.terms))
+    walks = list(CutWalk.rows(circ, ProductInputData(counts / 60, [duals] * n, rows), obs))
     state = noisy_chain_state(n, theta=0.3, p=0.02).matrix
     return circ, [CutWalk.dense(circ, state, obs.matrix())] + walks
 
@@ -1344,7 +1373,7 @@ class TestCutObjective:
         # five rows of all the terms, or two terms of one row, per chunk
         budget = 5 * len(obs.terms) * item if per_chunk == "rows" else 2 * item
         monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", budget)
-        walks = list(CutWalk.rows(circ, [duals] * 6, rows, counts / 40, obs.terms))
+        walks = list(CutWalk.rows(circ, ProductInputData(counts / 40, [duals] * 6, rows), obs))
         if per_chunk == "rows":
             assert len(walks) == -(-len(rows) // 5)
         else:

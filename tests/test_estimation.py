@@ -13,7 +13,7 @@ from conftest import (
     split_pairs,
 )
 from virtualmap import estimation, varopt
-from virtualmap.cone import Component, MapCircuit, brickwork, evaluate_trace
+from virtualmap.cone import Component, MapCircuit, brickwork, evaluate_rows, evaluate_trace, term_groups
 from virtualmap.densesim import (
     DensityMatrix,
     OutcomeBatch,
@@ -34,7 +34,6 @@ from virtualmap.estimation import (
     estimate,
     estimate_covariance,
     estimate_exact,
-    row_weights,
     shot_weight,
 )
 from virtualmap.linalg import kron_all
@@ -369,21 +368,23 @@ class TestDualArrays:
 class TestSupportGroups:
     @staticmethod
     def _run(monkeypatch, circ, obs, rows):
-        """row_weights with the term lists of its kernel calls, and the sum of
-        singleton groups as reference."""
-        from virtualmap import estimation
+        """The weights with the term lists of the group contractions they
+        ran, and the sum of single-term observables as reference."""
+        from virtualmap import cone
 
-        tables = dual_arrays("sic", circ.num_qubits)
-        real = estimation.evaluate_rows
-        want = sum(c * real(circ, tables, rows, [(1.0, ps)]) for c, ps in obs.terms)
+        n = circ.num_qubits
+        data = ProductInputData(np.ones(len(rows)), dual_arrays("sic", n), rows)
+        want = sum(c * evaluate_rows(circ, data, Observable.from_terms(n, [(1.0, ps)])) for c, ps in obs.terms)
         calls = []
+        for name in ("_outcome_table", "_row_values"):
+            real = getattr(cone, name)
 
-        def recording(circuit, tables, rows, terms):
-            calls.append([ps.letters for _, ps in terms])
-            return real(circuit, tables, rows, terms)
+            def recording(*args, _real=real):
+                calls.append([ps.letters for ps in args[-1]])
+                return _real(*args)
 
-        monkeypatch.setattr(estimation, "evaluate_rows", recording)
-        got = estimation.row_weights(circ, ProductInputData(np.ones(len(rows)), tables, rows), obs)
+            monkeypatch.setattr(cone, name, recording)
+        got = evaluate_rows(circ, data, obs)
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
         return calls
 
@@ -392,6 +393,9 @@ class TestSupportGroups:
         circ = brickwork(8, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(8, field=0.7)
         calls = self._run(monkeypatch, circ, obs, rng.integers(0, 4, size=(50, 8)))
+        # one call contracts each group of term_groups once, in its order
+        groups = term_groups(circ, [ps for _, ps in obs.terms])
+        assert calls == [[obs.terms[k][1].letters for k in group] for group in groups]
         assert len(calls) == 8
         assert sorted(p for group in calls for p in group) == sorted(ps.letters for _, ps in obs.terms)
         for group in calls:
@@ -427,12 +431,12 @@ class TestSupportGroups:
         # grouping reads the cones' qubit sets and schedules nothing
         groups = cone.term_groups(circ, [ps for _, ps in obs.terms])
         assert scheduled == []
-        first = estimation.row_weights(circ, data, obs)
+        first = evaluate_rows(circ, data, obs)
         assert len(scheduled) == len(groups) == 6
         scheduled.clear()
         # a new circuit of the same structure, as a sweep's with_component makes
         again = circ.with_component(0, circ.components[0].map)
-        assert np.array_equal(estimation.row_weights(again, data, obs), first)
+        assert np.array_equal(evaluate_rows(again, data, obs), first)
         assert scheduled == []
 
 
@@ -659,7 +663,7 @@ class TestCollapse:
         data = _random_rows(n, rng)
         obs = _random_observable(n, rng)
         rho = collapse(data)
-        per_row = row_weights(circ, data, obs).real
+        per_row = evaluate_rows(circ, data, obs).real
         scale = np.abs(data.weights * per_row).sum() + 1e-300
         e_rows = float(np.dot(data.weights, per_row))
         assert abs(circuit_energy(circ, rho, obs) - e_rows) <= 1e-12 * scale
@@ -685,7 +689,7 @@ class TestRowsStayRows:
         batch = sample_outcomes(noisy_chain_state(3), "sic", 2000, seed=5)
         data = data_from_batch(batch, "sic")
         circ, obs = brickwork(3, 2), xx_hamiltonian(3)
-        per_row = row_weights(circ, data, obs).real
+        per_row = evaluate_rows(circ, data, obs).real
         assert circuit_energy(circ, data, obs) == pytest.approx(np.dot(data.weights, per_row), rel=1e-13)
 
     def test_estimate_never_collapses(self, monkeypatch):
@@ -738,7 +742,7 @@ class TestRowCounts:
             batch.outcomes, axis=0, return_inverse=True, return_counts=True
         )
         data = ProductInputData(counts / len(outcomes), dual_arrays("sic", n), uniq)
-        reals = row_weights(circ, data, obs).real
+        reals = evaluate_rows(circ, data, obs).real
         assert est.per_shot.tobytes() == reals[inverse.reshape(-1)].tobytes()
         assert est.value == estimate(batch, "sic", circ, obs).value
 

@@ -101,6 +101,16 @@ class TestObservable:
         with pytest.raises(ValidationError):
             Observable.from_terms(1, [(float("nan"), "Z")])
 
+    @pytest.mark.parametrize(
+        "coeff",
+        [True, np.True_, "1.5", "1+2j", None],
+        ids=["bool", "numpy-bool", "text", "complex-text", "none"],
+    )
+    def test_rejects_coefficients_that_are_not_numbers(self, coeff):
+        # a boolean is no coefficient, and text is not parsed as one
+        with pytest.raises(ValidationError, match=r"\(coefficient, PauliString\) pairs, got \("):
+            Observable.from_terms(1, [(coeff, "Z")])
+
     def test_hermitian_flag(self):
         assert Observable.from_terms(1, [(1.0, "Z")]).is_hermitian
         assert not Observable.from_terms(1, [(1.0j, "Z")]).is_hermitian
