@@ -157,7 +157,7 @@ class Assemblies(Calls):
         objective = real(*args) if self.cold else real(*args, **kwargs)
         self.seconds += time.perf_counter() - start
         self.calls += self.applied() - calls
-        self.visits.append((args[0], args[1], objective.matrix))
+        self.visits.append((args[0], args[1], objective))
         for walk in kwargs.get("walks") or ():
             self.peak_bytes = max(self.peak_bytes, walk.peak_bytes)
         return objective
@@ -199,11 +199,11 @@ def replay(repeats):
     dense_s = []
     for index in range(k):
         dense_s.append(seconds(lambda: assemble_local_objective(circuit, index, rho, obs), repeats))
-        dense[index] = assemble_local_objective(circuit, index, rho, obs).matrix
+        dense[index] = assemble_local_objective(circuit, index, rho, obs)
     rows_s, diffs = [], []
     for index in ROW_COMPONENTS:
         start = time.perf_counter()
-        m_rows = assemble_local_objective(circuit, index, data, obs).matrix
+        m_rows = assemble_local_objective(circuit, index, data, obs)
         rows_s.append(time.perf_counter() - start)
         diffs.append(float(np.max(np.abs(dense[index] - m_rows)) / np.max(np.abs(m_rows))))
     record.update(

@@ -67,7 +67,7 @@ def sweep_objectives(run) -> tuple[list, int, int]:
     the steps of the sweep report it returns."""
     with Calls([varopt], ["minimize_over_cptp"], keep=True) as solves:
         _, report = run()
-    mats = [objective.matrix for (objective, _), _ in solves.args["minimize_over_cptp"]]
+    mats = [objective for (objective, _), _ in solves.args["minimize_over_cptp"]]
     return mats, solves.counts["minimize_over_cptp"], len(report.steps)
 
 

@@ -81,7 +81,6 @@ from .povm import (
     make_sic_povm,
 )
 from .varopt import (
-    LocalObjective,
     SdpOptions,
     SweepOptions,
     SweepReport,

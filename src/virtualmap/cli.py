@@ -129,7 +129,7 @@ def _cmd_estimate(args) -> int:
 
 def _sweep_options(args) -> SweepOptions:
     order = None
-    if getattr(args, "order", None):
+    if args.order is not None:
         try:
             order = tuple(int(x) for x in args.order.split(","))
         except ValueError as exc:
@@ -280,15 +280,14 @@ def _cmd_oracle_check(args) -> int:
         circ = circuits[0] if circuits else _random_check_circuit(args.N, rng)
         n = circ.num_qubits
         outcome = rng.integers(0, duals.shape[0], size=n)
-        factors = [duals[m] for m in outcome]
         letters = "".join("IXYZ"[k] for k in rng.integers(0, 4, size=n))
         pauli = PauliString(letters)
-        cone_val = complex(evaluate_trace(circ, factors, pauli))
-        back_val = complex(evaluate_trace_backward(circ, factors, pauli))
-        # the same row through the weight kernel that estimates run
+        # one row and one term through the two references and the weight kernel
         row = ProductInputData(np.ones(1), [duals] * n, outcome[None])
-        rows_val = complex(evaluate_rows(circ, row, Observable.from_terms(n, [(1.0, pauli)]))[0])
-        dense_out = apply_circuit_dense(circ, kron_all(factors))
+        term = Observable.from_terms(n, [(1.0, pauli)])
+        runs = (evaluate_trace, evaluate_trace_backward, evaluate_rows)
+        cone_val, back_val, rows_val = (complex(run(circ, row, term)[0]) for run in runs)
+        dense_out = apply_circuit_dense(circ, kron_all([duals[m] for m in outcome]))
         dense_val = complex(trace_mul(dense_out, pauli.matrix()))
         for val in (cone_val, rows_val):
             worst_rel = max(worst_rel, abs(val - dense_val) / max(1.0, abs(dense_val)))

@@ -26,21 +26,25 @@ support's backward light cone (``cone_plan``). A plan depends only on the
 component supports and, for a partial support, on which components are trace
 preserving, so plans are memoized on that structure and shared by every
 circuit a sweep derives with ``with_component``. ``schedule`` is the plan of
-every qubit, which ``evaluate_trace`` runs for a single row. Backward
-evaluation runs that plan's steps in reverse order on the adjoint maps, with
-the roles of the two factor sets exchanged (the same backward pass the
-objectives use); for Hermiticity-preserving circuits both directions agree.
+every qubit.
 
-The residual carries two trailing batch axes behind its two operator axes,
-so every kernel's innermost loop runs over the batch; run forwards, input
-factors are (2, 2, R, 1), one per row, and output factors (2, 2, 1, T), one
-per Pauli term, or (2, 2) where every term has the same letter, and
-broadcasting forms the (R, T) batch only at the first step whose factor
-needs it. The single-row entry points are batches of one. ``evaluate_rows``
-takes the product rows of a ``ProductInputData`` and an ``Observable``,
-returns sum_k c_k Tr[L(F_row) P_k] per row, and contracts each support group
-of its terms over only the backward light cone of the union of their
-supports. The pruning is exact:
+Every contraction takes ``(circuit, data, obs)``: the product rows of a
+``ProductInputData`` (or, for ``CutWalk.dense``, a ``DensityMatrix``) and an
+``Observable``, checked to cover the circuit's register. The residual
+carries two trailing batch axes behind its two operator axes, so every
+kernel's innermost loop runs over the batch; run forwards, input factors are
+(2, 2, R, 1), one per row, and output factors (2, 2, 1, T), one per Pauli
+term, or (2, 2) where every term has the same letter, and broadcasting forms
+the (R, T) batch only at the first step whose factor needs it. The two
+whole-register references, ``evaluate_trace`` and
+``evaluate_trace_backward``, run ``schedule(circuit)`` over the same (rows,
+terms) chunks as ``CutWalk.rows`` and return sum_k c_k Tr[L(F_row) P_k] per
+row; the backward one runs the steps in reverse order on the adjoint maps,
+with the roles of the two factor sets exchanged (the same backward pass the
+objectives use), and for Hermiticity-preserving circuits both directions
+agree. ``evaluate_rows``, the weight kernel, returns the same values and
+contracts each support group of the terms over only the backward light cone
+of the union of their supports. The pruning is exact:
 
 * a component outside the cone is dropped only if it is trace preserving to
   round-off (vec(I)^T S = vec(I)^T within ``_TP_TOL``); otherwise it joins the
@@ -429,21 +433,6 @@ def _term_groups(supports, tp, term_supports) -> tuple[tuple[int, ...], ...]:
 # evaluation
 
 
-def _factor_list(factors, num_qubits: int) -> list[np.ndarray]:
-    if isinstance(factors, PauliString):
-        if factors.num_qubits != num_qubits:
-            raise ValidationError(
-                f"Pauli string covers {factors.num_qubits} qubits, circuit has {num_qubits}"
-            )
-        return factors.matrices()
-    if isinstance(factors, str):
-        return _factor_list(PauliString(factors), num_qubits)
-    mats = [np.asarray(f, dtype=complex) for f in factors]
-    if len(mats) != num_qubits or any(m.shape != (2, 2) for m in mats):
-        raise ValidationError(f"need {num_qubits} single-qubit factors")
-    return mats
-
-
 _EMPTY_REGISTER = ((), np.ones((1, 1, 1, 1), dtype=complex))  # no active qubit, residual one
 
 
@@ -499,29 +488,6 @@ def check_trace_kept(before: np.ndarray, after: np.ndarray, local_map: LocalMap)
         norms = np.maximum(np.linalg.norm(before, axis=(0, 1)), 1.0)
         if np.any(drift > tol * norms):
             raise ValidationError("trace not preserved by a trace-preserving map")
-
-
-def evaluate_trace(circuit, dual_factors, pauli):
-    """Tr[L(F_0 (x) ... ) (G_0 (x) ...)] via the causal-cone sweep."""
-    n = circuit.num_qubits
-    ins = _factor_list(dual_factors, n)
-    outs = _factor_list(pauli, n)
-    active, res = _run_steps(circuit, schedule(circuit).steps, ins, outs)
-    if active:
-        raise ValidationError("plan did not trace every qubit")
-    return complex(res[0, 0, 0, 0])
-
-
-def evaluate_trace_backward(circuit, dual_factors, pauli):
-    """Tr[Ldag(G_0 (x) ...) (F_0 (x) ...)]: the steps of ``schedule(circuit)``
-    run in reverse order on the adjoint maps, the backward pass of a
-    ``CutWalk``. Equals the forward value for Hermiticity-preserving
-    circuits with Hermitian factors."""
-    n = circuit.num_qubits
-    ins = _factor_list(pauli, n)
-    outs = _factor_list(dual_factors, n)
-    _, res = _run_steps(circuit, schedule(circuit).steps[::-1], ins, outs, backward=True)
-    return complex(res[0, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +620,42 @@ def evaluate_rows(circuit: MapCircuit, data, obs: Observable) -> np.ndarray:
     return total
 
 
+def _whole_register_chunks(circuit: MapCircuit, data, obs: Observable):
+    """The (rows, terms) chunks (:func:`_chunks`) of ``data`` under ``obs``
+    on the whole-register plan ``schedule(circuit)``: per chunk, the plan,
+    the row slice, the rows' (2, 2, R, 1) factors, the terms' factors
+    (:func:`_term_factors`) and their coefficients."""
+    plan = schedule(circuit)
+    coeffs, paulis = _terms(circuit, data, obs)
+    tables, rows = data.tables, data.rows
+    qubits = range(circuit.num_qubits)
+    for row_chunk, term_chunk in _chunks(len(rows), len(paulis), plan.peak_active):
+        ins = {q: tables[q][rows[row_chunk, q]].transpose(1, 2, 0)[..., None] for q in qubits}
+        yield plan, row_chunk, ins, _term_factors(paulis[term_chunk], qubits), coeffs[term_chunk]
+
+
+def evaluate_trace(circuit: MapCircuit, data, obs: Observable) -> np.ndarray:
+    """sum_k c_k Tr[L(F_row) P_k] for every row of ``data``, taken and
+    returned as by :func:`evaluate_rows`, with nothing pruned: the steps of
+    ``schedule(circuit)`` run forwards over every qubit, one (rows, terms)
+    chunk at a time. The reference the weight kernel is checked against."""
+    values = np.zeros(len(data.rows), dtype=complex)
+    for plan, rows, ins, outs, coeffs in _whole_register_chunks(circuit, data, obs):
+        values[rows] += _run_steps(circuit, plan.steps, ins, outs)[1][0, 0] @ coeffs
+    return values
+
+
+def evaluate_trace_backward(circuit: MapCircuit, data, obs: Observable) -> np.ndarray:
+    """sum_k c_k Tr[F_row L^dagger(P_k)] per row, as :func:`evaluate_trace`
+    takes them: the steps of ``schedule(circuit)`` run in reverse order on
+    the adjoint maps, the backward pass of a ``CutWalk``. Equals the forward
+    value for Hermiticity-preserving circuits with Hermitian factors."""
+    values = np.zeros(len(data.rows), dtype=complex)
+    for plan, rows, ins, outs, coeffs in _whole_register_chunks(circuit, data, obs):
+        values[rows] += _run_steps(circuit, plan.steps[::-1], outs, ins, backward=True)[1][0, 0] @ coeffs
+    return values
+
+
 # ---------------------------------------------------------------------------
 # a step list cut at one component
 
@@ -696,14 +698,17 @@ class CutWalk:
         self.peak_bytes = backward_start[1].nbytes
 
     @classmethod
-    def dense(cls, circuit: MapCircuit, state: np.ndarray, observable: np.ndarray) -> "CutWalk":
-        """The walk of a dense state: one apply step per component on the
-        whole register, from the state forward and the observable's matrix
-        backward, weight one."""
+    def dense(cls, circuit: MapCircuit, state, obs: Observable):
+        """The walk of a dense state, a
+        :class:`~virtualmap.densesim.DensityMatrix`, under ``obs``: one apply
+        step per component on the whole register, from the state's matrix
+        forward and the observable's backward, weight one. Yielded as
+        :meth:`rows` yields its walks."""
+        _terms(circuit, state, obs)
         whole = tuple(range(circuit.num_qubits))
         steps = [ScheduleStep("apply", component=j) for j in range(len(circuit.components))]
-        forward, backward = (whole, state[..., None, None]), (whole, observable[..., None, None])
-        return cls(steps, (), (), np.ones((1, 1)), forward, backward)
+        forward, backward = (whole, state.matrix[..., None, None]), (whole, obs.matrix()[..., None, None])
+        yield cls(steps, (), (), np.ones((1, 1)), forward, backward)
 
     @classmethod
     def rows(cls, circuit: MapCircuit, data, obs: Observable):
@@ -712,14 +717,8 @@ class CutWalk:
         (rows, terms) batch, a walk of the whole-register plan weighted by
         the rows' ``data.weights`` times the terms' coefficients. Yielded one
         at a time, so a cold walk is dropped once its chunk is summed."""
-        plan = schedule(circuit)
-        coeffs, paulis = _terms(circuit, data, obs)
-        tables, rows = data.tables, data.rows
-        qubits = range(circuit.num_qubits)
-        for row_chunk, term_chunk in _chunks(len(rows), len(paulis), plan.peak_active):
-            ins = {q: tables[q][rows[row_chunk, q]].transpose(1, 2, 0)[..., None] for q in qubits}
-            outs = _term_factors(paulis[term_chunk], qubits)
-            yield cls(plan.steps, ins, outs, data.weights[row_chunk, None] * coeffs[term_chunk])
+        for plan, rows, ins, outs, coeffs in _whole_register_chunks(circuit, data, obs):
+            yield cls(plan.steps, ins, outs, data.weights[rows, None] * coeffs)
 
     def _backward_at(self, circuit: MapCircuit, t: int):
         steps, stored = self._steps, self._backward

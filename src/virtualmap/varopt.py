@@ -39,8 +39,10 @@ outcomes or of the exact distribution, or the classical all-zeros register)
 or a :class:`virtualmap.densesim.DensityMatrix`, which optimizes the
 infinite-shot energy directly at small qubit counts. This module only tells
 the two kinds apart: :class:`virtualmap.cone.CutWalk` builds their walks
-(``CutWalk.dense``, ``CutWalk.rows``) and contracts each walk's share of M
-(``CutWalk.objective``), and the objective is their sum's Hermitian part. A
+(``CutWalk.dense``, ``CutWalk.rows``, which both take ``(circuit, data,
+obs)``) and contracts each walk's share of M (``CutWalk.objective``). The
+objective is their sum's Hermitian part, a plain (4^k, 4^k) array for a
+k-qubit component, which :func:`minimize_over_cptp` takes as it is. A
 sweep first decides, by one rule (:func:`_collapse_if_cheaper`),
 whether to collapse its rows (:func:`virtualmap.estimation.collapse`), so a
 large batch at N <= 10 is optimized as its empirical dual operator. Where the
@@ -89,44 +91,27 @@ from .pauli import Observable
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LocalObjective:
-    """Hermitian M with E(circuit with C at component) = Re Tr[C M]."""
-
-    component: int
-    arity: int
-    matrix: np.ndarray
-
-    def value(self, choi: ChoiMatrix | np.ndarray) -> float:
-        mat = choi.matrix if isinstance(choi, ChoiMatrix) else choi
-        return float(np.real(trace_mul(mat, self.matrix)))
-
-
 def _cut_walks(circuit: MapCircuit, data, obs: Observable):
-    """The walks that cut ``data`` under ``obs``: a dense state's one walk,
-    or the walks of product rows, yielded one chunk at a time."""
-    if isinstance(data, DensityMatrix):
-        return [CutWalk.dense(circuit, data.matrix, obs.matrix())]
-    return CutWalk.rows(circuit, data, obs)
+    """The walks that cut ``data`` under ``obs``, yielded one at a time: a
+    dense state's one walk, or the walks of product rows, one per chunk."""
+    return (CutWalk.dense if isinstance(data, DensityMatrix) else CutWalk.rows)(circuit, data, obs)
 
 
 def assemble_local_objective(
     circuit: MapCircuit, index: int, data, obs: Observable, *, walks: list | None = None
-) -> LocalObjective:
-    """The Hermitian M of the single-component energy landscape: the sum of
-    the walks' shares at the component (:meth:`virtualmap.cone.CutWalk.objective`),
-    through the ``walks`` a sweep keeps, or cold walks."""
+) -> np.ndarray:
+    """The Hermitian (4^k, 4^k) matrix M of the energy landscape at component
+    ``index``, of arity k: the circuit with Choi matrix C there has energy
+    Re Tr[C M]. M is the sum of the walks' shares at the component
+    (:meth:`virtualmap.cone.CutWalk.objective`), through the ``walks`` a
+    sweep keeps, or cold walks, which check the registers."""
     if not obs.is_hermitian:
         raise ValidationError("objective assembly needs a Hermitian observable")
-    if data.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
-        raise ValidationError("data, circuit, and observable qubit counts differ")
     if not 0 <= index < len(circuit.components):
         raise ValidationError(f"no component {index} in circuit")
-    arity = circuit.components[index].map.arity
-    side = 4**arity
+    side = 4 ** circuit.components[index].map.arity
     shares = (walk.objective(circuit, index) for walk in walks or _cut_walks(circuit, data, obs))
-    matrix = sum(shares, np.zeros((side, side), dtype=complex))
-    return LocalObjective(component=index, arity=arity, matrix=herm(matrix))
+    return herm(sum(shares, np.zeros((side, side), dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +317,9 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     return _tp_polish(x, dim), bound, steps
 
 
-def minimize_over_cptp(
-    objective: LocalObjective | np.ndarray, options: SdpOptions | None = None
-) -> tuple[ChoiMatrix, dict]:
-    """min Re Tr[C M] over Choi matrices of channels, with a certified gap.
+def minimize_over_cptp(objective: np.ndarray, options: SdpOptions | None = None) -> tuple[ChoiMatrix, dict]:
+    """min Re Tr[C M] over Choi matrices C of channels, with a certified gap,
+    for the square matrix M ``objective`` (its Hermitian part is taken).
 
     Returns the final iterate, made exactly trace-preserving, and its
     diagnostics: ``iters`` (Newton steps), ``value``, ``dual_bound`` (a proven
@@ -344,7 +328,7 @@ def minimize_over_cptp(
     and ``tp_residual``.
     """
     options = options or SdpOptions()
-    m = np.asarray(objective.matrix if isinstance(objective, LocalObjective) else objective)
+    m = np.asarray(objective)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValidationError(f"objective must be a non-empty square matrix, got shape {m.shape}")
     if not np.issubdtype(m.dtype, np.number):
@@ -538,7 +522,8 @@ def sweep(
             choi_new, info = minimize_over_cptp(objective, options.sdp)
             # E(circuit) = Tr[C M] at the current map, and at the solve's
             # map it is the solve's value
-            v_before = objective.value(superop_to_choi(current.components[index].map))
+            choi_now = superop_to_choi(current.components[index].map)
+            v_before = float(np.real(trace_mul(choi_now.matrix, objective)))
             installed = info["value"] < v_before - options.accept_tol
             if installed:
                 current = current.with_component(index, choi_to_superop(choi_new))

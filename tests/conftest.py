@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from virtualmap.cone import Component, CutWalk, MapCircuit, brickwork, schedule, staircase
+from virtualmap.estimation import ProductInputData
 from virtualmap.linalg import trace_mul
 from virtualmap.maps import (
     LocalMap,
@@ -15,7 +16,7 @@ from virtualmap.maps import (
     random_tp_hermitian_map,
     random_unitary_map,
 )
-from virtualmap.pauli import PAULI_MATRICES, Observable
+from virtualmap.pauli import PAULI_MATRICES, Observable, PauliString
 from virtualmap.povm import SingleQubitPOVM, compute_duals, make_sic_povm
 
 # Criterion results recorded by tests/test_acceptance.py: list of
@@ -90,6 +91,18 @@ def random_product_duals(n: int, rng: np.random.Generator) -> list[np.ndarray]:
         h = h - np.eye(2) * (np.trace(h) - 1.0) / 2.0
         out.append(h)
     return out
+
+
+def one_row(factors) -> ProductInputData:
+    """The product of the single-qubit ``factors`` as one row of weight one."""
+    tables = [np.asarray(f)[None] for f in factors]
+    return ProductInputData(np.ones(1), tables, np.zeros((1, len(tables)), dtype=int))
+
+
+def one_term(pauli) -> Observable:
+    """The Pauli string ``pauli``, or its letters, with coefficient one."""
+    pauli = PauliString(pauli) if isinstance(pauli, str) else pauli
+    return Observable.from_terms(pauli.num_qubits, [(1.0, pauli)])
 
 
 def random_pauli_letters(n: int, rng: np.random.Generator) -> str:
@@ -176,6 +189,11 @@ def split_pairs(circuit: MapCircuit, index: int, factors, pauli) -> list:
 def split_value(pairs, local_map) -> complex:
     """sum_a Tr[L(R_a) Rbar_a] for pairs from :func:`split_pairs`."""
     return complex(sum(trace_mul(local_map.apply(r), rbar) for r, rbar in pairs))
+
+
+def objective_value(objective: np.ndarray, choi) -> float:
+    """Re Tr[C M] of the Choi matrix ``choi`` against the objective M."""
+    return float(np.real(trace_mul(choi.matrix, objective)))
 
 
 def assert_all_close(a, b, atol, msg=""):

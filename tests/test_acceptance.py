@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_RESULTS, brute_force_min, random_mixed_circuit
+from conftest import ACCEPTANCE_RESULTS, brute_force_min, objective_value, random_mixed_circuit
 from virtualmap.cone import MapCircuit, brickwork, evaluate_trace, evaluate_trace_backward, staircase
 from virtualmap.densesim import (
     DensityMatrix,
@@ -23,6 +23,7 @@ from virtualmap.densesim import (
     sample_outcomes,
 )
 from virtualmap.estimation import (
+    ProductInputData,
     classical_input,
     data_from_batch,
     estimate,
@@ -39,7 +40,6 @@ from virtualmap.maps import (
 from virtualmap.pauli import Observable, PauliString, expectation_oracle, xx_hamiltonian
 from virtualmap.povm import TETRAHEDRON, compute_duals, make_sic_povm
 from virtualmap.varopt import (
-    LocalObjective,
     SweepOptions,
     assemble_local_objective,
     circuit_energy,
@@ -193,12 +193,14 @@ def test_criterion_02_cone_oracle_equivalence():
     for n in (3, 4, 5):
         for _ in range(100):
             circ = random_mixed_circuit(n, rng)
-            factors = [duals[m] for m in rng.integers(0, 4, size=n)]
+            outcome = rng.integers(0, 4, size=n)
             letters = "".join("IXYZ"[k] for k in rng.integers(0, 4, size=n))
             pauli = PauliString(letters)
-            fwd = evaluate_trace(circ, factors, pauli)
-            bwd = evaluate_trace_backward(circ, factors, pauli)
-            dense = apply_circuit_dense(circ, kron_all(factors))
+            row = ProductInputData(np.ones(1), [duals] * n, outcome[None])
+            term = Observable.from_terms(n, [(1.0, pauli)])
+            fwd = evaluate_trace(circ, row, term)[0]
+            bwd = evaluate_trace_backward(circ, row, term)[0]
+            dense = apply_circuit_dense(circ, kron_all([duals[m] for m in outcome]))
             want = trace_mul(dense, pauli.matrix())
             worst_rel = max(worst_rel, abs(fwd - want) / (1.0 + abs(want)))
             worst_fb = max(worst_fb, abs(fwd - bwd))
@@ -326,7 +328,7 @@ def test_criterion_05_local_objective_consistency():
             if rng.random() < 0.5
             else random_tp_hermitian_map(2, rng)
         )
-        predicted = objective.value(superop_to_choi(new_map))
+        predicted = objective_value(objective, superop_to_choi(new_map))
         actual = estimate(
             batch, "sic", circ.with_component(index, new_map), obs
         ).value
@@ -350,15 +352,13 @@ def test_criterion_06_sdp_subsolver():
     for fixture in range(5):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = (g + g.conj().T) / 2.0
-        objective = LocalObjective(component=0, arity=1, matrix=m)
-        choi, info = minimize_over_cptp(objective)
+        choi, info = minimize_over_cptp(m)
         reference = brute_force_min(m, seed=fixture)
         neg, tp_res = cptp_residuals(choi.matrix, 2)
         worst_gap = max(worst_gap, abs(info["value"] - reference))
         worst_feas = max(worst_feas, neg, tp_res)
 
-    identity_objective = LocalObjective(component=0, arity=1, matrix=np.eye(4))
-    _, info = minimize_over_cptp(identity_objective)
+    _, info = minimize_over_cptp(np.eye(4))
     identity_err = abs(info["value"] - 2.0)
 
     elapsed = time.perf_counter() - t0

@@ -420,6 +420,13 @@ class TestOptimize:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_empty_order_exits_2(self, tmp_path, capsys, obs_file):
+        # an empty list once ran as the default order, visiting every component
+        save_circuit(brickwork(3, 1), tmp_path / "start.json")
+        argv = ["optimize", "--observable", str(obs_file), "--circuit", str(tmp_path / "start.json")]
+        assert main(argv + ["--classical", "--order", ""]) == 2
+        assert "--order must list component indices" in capsys.readouterr().err
+
     def test_requires_exactly_one_data_source(self, tmp_path, obs_file):
         circ_path = tmp_path / "start.json"
         save_circuit(brickwork(3, 1), circ_path)
@@ -772,6 +779,13 @@ class TestMalformedInputs:
         writer.join(5)
         piped, plain = (json.loads(r.read_text())[0] for r in reports)
         assert piped["value"] == plain["value"]
+
+    def test_empty_order_exits_2(self, tmp_path, capsys):
+        obs = tmp_path / "obs.json"
+        write_observable(xx_hamiltonian(2, field=0.5), obs)
+        capsys.readouterr()
+        assert main(["ansatz", "--observable", str(obs), "--order", ""]) == 2
+        assert "--order must list component indices" in capsys.readouterr().err
 
     def test_non_integer_order_exits_2(self, tmp_path, capsys):
         obs = tmp_path / "obs.json"

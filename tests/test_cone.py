@@ -12,6 +12,8 @@ from conftest import (
     kernel_circuits,
     kernel_observable,
     map_specs,
+    one_row,
+    one_term,
     random_mixed_circuit,
     random_product_duals,
     reference_objective,
@@ -177,7 +179,7 @@ class TestContainers:
             ),
         )
         for letters in ("ZIII", "XYZX"):
-            got = evaluate_trace(combined, duals, PauliString(letters))
+            got = evaluate_trace(combined, one_row(duals), one_term(letters))[0]
             want = trace_mul(kron_all(list(duals)), PauliString(letters).matrix())
             assert abs(got - want) < 1e-10
 
@@ -284,7 +286,7 @@ class TestSchedule:
             assert schedule(circ) is cone_plan(circ, tuple(range(n)))
             # the backward pass runs the same plan in reverse, with no plan of its own
             misses = _plan.cache_info().misses
-            evaluate_trace_backward(circ, [np.eye(2)] * n, "Z" * n)
+            evaluate_trace_backward(circ, one_row([np.eye(2)] * n), one_term("Z" * n))
             assert _plan.cache_info().misses == misses
 
     @settings(max_examples=300, deadline=None)
@@ -364,7 +366,7 @@ class TestEvaluateTrace:
         duals = random_product_duals(3, rng)
         circ = MapCircuit(3, ())
         for letters in ("III", "XYZ", "ZZI"):
-            got = evaluate_trace(circ, duals, PauliString(letters))
+            got = evaluate_trace(circ, one_row(duals), one_term(letters))[0]
             want = 1.0
             for d, ch in zip(duals, letters):
                 want *= trace_mul(d, PauliString(ch).matrix())
@@ -375,7 +377,7 @@ class TestEvaluateTrace:
         circ = brickwork(5, 2, lambda layer, qubits: random_cptp_map(2, rng))
         duals = random_product_duals(5, rng)
         # trace of each dual is 1, so Tr[Lambda(D)] must be 1 for TP maps
-        got = evaluate_trace(circ, duals, PauliString("IIIII"))
+        got = evaluate_trace(circ, one_row(duals), one_term("IIIII"))[0]
         assert abs(got - 1.0) < 1e-10
 
     def test_matches_dense_oracle(self):
@@ -385,7 +387,7 @@ class TestEvaluateTrace:
             circ = random_mixed_circuit(n, rng)
             duals = random_product_duals(n, rng)
             letters = "".join(rng.choice(list("IXYZ"), size=n))
-            got = evaluate_trace(circ, duals, PauliString(letters))
+            got = evaluate_trace(circ, one_row(duals), one_term(letters))[0]
             want = _dense_circuit_value(circ, duals, letters)
             assert abs(got - want) < 1e-10 * (1 + abs(want))
 
@@ -396,8 +398,8 @@ class TestEvaluateTrace:
             circ = random_mixed_circuit(n, rng)
             duals = random_product_duals(n, rng)
             letters = "".join(rng.choice(list("IXYZ"), size=n))
-            f = evaluate_trace(circ, duals, PauliString(letters))
-            b = evaluate_trace_backward(circ, duals, PauliString(letters))
+            f = evaluate_trace(circ, one_row(duals), one_term(letters))[0]
+            b = evaluate_trace_backward(circ, one_row(duals), one_term(letters))[0]
             assert abs(f - b) < 1e-12 * (1 + abs(f))
 
     def test_linearity_in_component(self):
@@ -411,7 +413,7 @@ class TestEvaluateTrace:
 
         mix = LocalMap(0.3 * m_a.superop + 0.7 * m_b.superop)
         vals = [
-            evaluate_trace(circ.with_component(1, m), duals, p)
+            evaluate_trace(circ.with_component(1, m), one_row(duals), one_term(p))[0]
             for m in (m_a, m_b, mix)
         ]
         assert abs(0.3 * vals[0] + 0.7 * vals[1] - vals[2]) < 1e-12
@@ -419,8 +421,8 @@ class TestEvaluateTrace:
     def test_backward_runs_adjoint_maps_on_the_observable(self):
         # Random complex superoperators do not preserve Hermiticity, so the
         # forward value cannot stand in for the backward one here: only the
-        # adjoint maps applied to P in reverse order, then traced against F,
-        # reproduce Tr[(x)F . Ldag((x)P)].
+        # adjoint maps applied to each P_k in reverse order, then traced
+        # against each row's F, reproduce sum_k c_k Tr[(x)F . Ldag((x)P_k)].
         rng = np.random.default_rng(29)
 
         def cplx(*shape):
@@ -428,16 +430,104 @@ class TestEvaluateTrace:
 
         for n in (3, 4, 5):
             circ = brickwork(n, 3, lambda layer, qubits: LocalMap(cplx(16, 16) / 4.0))
-            factors = list(cplx(n, 2, 2))
-            letters = "".join(rng.choice(list("IXYZ"), size=n))
-            op = PauliString(letters).matrix()
-            for comp in reversed(circ.components):
-                w = _qubit_permutation(n, comp.qubits)
-                moved = _apply_front(w @ op @ w.T, comp.map.superop.conj().T, n, 2)
-                op = w.T @ moved @ w
-            want = np.trace(kron_all(factors) @ op)
-            got = evaluate_trace_backward(circ, factors, PauliString(letters))
-            assert abs(got - want) <= 1e-12 * abs(want)
+            tables = list(cplx(n, 3, 2, 2))
+            rows = rng.integers(0, 3, size=(4, n))
+            obs = Observable.from_terms(
+                n, [(complex(c), "".join(rng.choice(list("IXYZ"), size=n))) for c in cplx(3)]
+            )
+            want = np.zeros(len(rows), dtype=complex)
+            for coeff, pauli in obs.terms:
+                op = pauli.matrix()
+                for comp in reversed(circ.components):
+                    w = _qubit_permutation(n, comp.qubits)
+                    moved = _apply_front(w @ op @ w.T, comp.map.superop.conj().T, n, 2)
+                    op = w.T @ moved @ w
+                for r, row in enumerate(rows):
+                    want[r] += coeff * np.trace(kron_all([t[m] for t, m in zip(tables, row)]) @ op)
+            got = evaluate_trace_backward(circ, _data(tables, rows), obs)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), n
+
+
+class TestWholeRegisterReferences:
+    """``evaluate_trace`` and ``evaluate_trace_backward`` take
+    ``(circuit, data, obs)`` as the weight kernel does and return one value
+    per row."""
+
+    @staticmethod
+    def _case(rng, n=4, count=9):
+        circ = random_mixed_circuit(n, rng)
+        letters = ("ZIXY"[:n], "IXXI"[:n], "YZIZ"[:n], "I" * n)
+        obs = Observable.from_terms(n, list(zip(_random_coeffs(len(letters), rng), letters)))
+        return circ, _random_tables(n, rng, outcomes=3), rng.integers(0, 3, size=(count, n)), obs
+
+    def test_non_finite_tables_reach_no_reference(self):
+        # a NaN factor once reached the references and gave a NaN trace
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="non-finite"):
+                one_row([np.full((2, 2), bad)] * 3)
+
+    @pytest.mark.parametrize("entry", ["forward", "backward"])
+    def test_rows_and_terms_match_the_dense_oracle(self, entry):
+        rng = np.random.default_rng(101)
+        run = evaluate_trace if entry == "forward" else evaluate_trace_backward
+        for n in (2, 3, 4):
+            circ, tables, rows, obs = self._case(rng, n)
+            got = run(circ, _data(tables, rows), obs)
+            assert got.shape == (len(rows),)
+            for r, row in enumerate(rows):
+                factors = [t[m] for t, m in zip(tables, row)]
+                want = sum(c * _dense_circuit_value(circ, factors, ps.letters) for c, ps in obs.terms)
+                assert abs(got[r] - want) <= 1e-10 * (1 + abs(want)), (n, r)
+
+    @pytest.mark.parametrize("per_chunk", ["rows", "terms"])
+    def test_chunked_batches_match_the_unsplit_run(self, monkeypatch, per_chunk):
+        import virtualmap.cone as cone_module
+
+        rng = np.random.default_rng(102)
+        circ, tables, rows, obs = self._case(rng, count=11)
+        data = _data(tables, rows)
+        whole = [run(circ, data, obs) for run in (evaluate_trace, evaluate_trace_backward)]
+        item = 4 ** schedule(circ).peak_active
+        # three rows of all the terms, or two terms of one row, per chunk
+        budget = 3 * len(obs.terms) * item if per_chunk == "rows" else 2 * item
+        monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", budget)
+        chunks = list(cone_module._chunks(len(rows), len(obs.terms), schedule(circ).peak_active))
+        assert len({rs.start for rs, _ in chunks}) > 1
+        assert (len({ts.start for _, ts in chunks}) > 1) == (per_chunk == "terms")
+        for run, want in zip((evaluate_trace, evaluate_trace_backward), whole):
+            got = run(circ, data, obs)
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+
+    def test_no_terms_give_zeros(self):
+        rng = np.random.default_rng(103)
+        circ, tables, rows, _ = self._case(rng)
+        for run in (evaluate_trace, evaluate_trace_backward):
+            got = run(circ, _data(tables, rows), Observable.from_terms(4, []))
+            assert got.dtype == complex and got.shape == (len(rows),)
+            assert not np.any(got)
+
+    @pytest.mark.parametrize("other", ["data", "observable"])
+    @pytest.mark.parametrize(
+        "entry",
+        ["evaluate_rows", "evaluate_trace", "evaluate_trace_backward", "CutWalk.rows", "CutWalk.dense"],
+    )
+    def test_another_register_is_refused_by_every_entry_point(self, entry, other):
+        circ = brickwork(4, 1)
+        sizes = {"data": 3, "observable": 4} if other == "data" else {"data": 4, "observable": 3}
+        obs = one_term("Z" * sizes["observable"])
+        if entry == "CutWalk.dense":
+            data = noisy_chain_state(sizes["data"])
+        else:
+            data = _data(dual_arrays("sic", sizes["data"]), np.zeros((2, sizes["data"]), dtype=int))
+        runs = {
+            "evaluate_rows": evaluate_rows,
+            "evaluate_trace": evaluate_trace,
+            "evaluate_trace_backward": evaluate_trace_backward,
+            "CutWalk.rows": lambda *args: list(CutWalk.rows(*args)),
+            "CutWalk.dense": lambda *args: list(CutWalk.dense(*args)),
+        }
+        with pytest.raises(ValidationError, match="qubit counts differ"):
+            runs[entry](circ, data, obs)
 
 
 def _general_circuit(rng):
@@ -462,12 +552,8 @@ def _random_tables(n, rng, outcomes=5):
 
 
 def _per_row(circuit, tables, rows, pauli):
-    return np.array(
-        [
-            evaluate_trace(circuit, [tables[q][m] for q, m in enumerate(row)], pauli)
-            for row in rows
-        ]
-    )
+    """The whole-register reference of one term with coefficient one."""
+    return evaluate_trace(circuit, _data(tables, rows), one_term(pauli))
 
 
 def _scaled_identity(arity, scale):
@@ -711,7 +797,7 @@ class TestBatchedKernel:
                 pauli = PauliString(letters[b])
                 pairs = split_pairs(circ, index, duals[b], pauli)
                 got = split_value(pairs, circ.components[index].map)
-                want = evaluate_trace(circ, duals[b], pauli)
+                want = evaluate_trace(circ, one_row(duals[b]), one_term(pauli))[0]
                 assert abs(got - want) < 1e-10 * (1 + abs(want))
 
     @pytest.mark.parametrize("kind", ["brickwork", "staircase", "general", "non-tp"])
@@ -1263,7 +1349,7 @@ class TestSplitEvaluate:
             duals = random_product_duals(n, rng)
             letters = "".join(rng.choice(list("IXYZ"), size=n))
             p = PauliString(letters)
-            want = evaluate_trace(circ, duals, p)
+            want = evaluate_trace(circ, one_row(duals), one_term(p))[0]
             for index in range(len(circ.components)):
                 pairs = split_pairs(circ, index, duals, p)
                 got = split_value(pairs, circ.components[index].map)
@@ -1277,7 +1363,7 @@ class TestSplitEvaluate:
         pairs = split_pairs(circ, 2, duals, p)
         m_new = random_cptp_map(2, rng)
         got = split_value(pairs, m_new)
-        want = evaluate_trace(circ.with_component(2, m_new), duals, p)
+        want = evaluate_trace(circ.with_component(2, m_new), one_row(duals), one_term(p))[0]
         assert abs(got - want) < 1e-10 * (1 + abs(want))
 
     def test_index_out_of_range(self):
@@ -1336,8 +1422,8 @@ def _cut_walk_case(kind, rng):
     duals = np.asarray(compute_duals(make_sic_povm()).duals)
     rows, _, counts = unique_rows(rng.integers(0, 4, size=(60, n)))
     walks = list(CutWalk.rows(circ, ProductInputData(counts / 60, [duals] * n, rows), obs))
-    state = noisy_chain_state(n, theta=0.3, p=0.02).matrix
-    return circ, [CutWalk.dense(circ, state, obs.matrix())] + walks
+    state = noisy_chain_state(n, theta=0.3, p=0.02)
+    return circ, [*CutWalk.dense(circ, state, obs), *walks]
 
 
 class TestCutObjective:
@@ -1479,11 +1565,8 @@ class TestSicDualsIntegration:
         p = outcome_distribution(rho, "sic")
         duals = np.asarray(compute_duals(make_sic_povm()).duals)
         circ = brickwork(2, 1, lambda layer, qubits: cnot_map())
-        pauli = PauliString("ZZ")
-        acc = 0.0
-        for idx in np.ndindex(p.shape):
-            acc += p[idx] * evaluate_trace(
-                circ, [duals[idx[0]], duals[idx[1]]], pauli
-            )
+        rows = np.array(list(np.ndindex(p.shape)))
+        data = ProductInputData(p[tuple(rows.T)], [duals] * 2, rows)
+        acc = data.weights @ evaluate_trace(circ, data, one_term("ZZ"))
         # CNOT fixes |00>, so <ZZ> = 1
         assert abs(acc - 1.0) < 1e-12

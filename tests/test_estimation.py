@@ -466,8 +466,10 @@ class TestEstimateContainer:
 # the batched, cone-pruned kernel against per-row references
 
 
-def _reference_weight(circuit, factors, obs):
-    return sum(coeff * evaluate_trace(circuit, factors, ps) for coeff, ps in obs.terms)
+def _reference_weights(circuit, tables, rows, obs):
+    """sum_k c_k Tr[L(F_row) P_k] for each of ``rows`` over ``tables``, by the
+    whole-register reference."""
+    return evaluate_trace(circuit, ProductInputData(np.ones(len(rows)), tables, rows), obs)
 
 
 def _weighted_factor_rows(data):
@@ -503,9 +505,7 @@ class TestBatchedKernel:
         batch = sample_outcomes(noisy_chain_state(4), "sic", 150, seed=9)
         duals = _sic_dual_matrices()
         est = estimate(batch, "sic", circ, obs, keep_per_shot=True)
-        weights = np.array(
-            [_reference_weight(circ, [duals[m] for m in row], obs).real for row in batch.outcomes]
-        )
+        weights = _reference_weights(circ, [duals] * circ.num_qubits, batch.outcomes, obs).real
         s = batch.num_shots
         value = weights.mean()
         sigma = np.sqrt(max((weights**2).mean() - value**2, 0.0) * s / (s - 1) / s)
@@ -523,9 +523,7 @@ class TestBatchedKernel:
         a = estimate(batch, "sic", circ, obs_a, keep_per_shot=True)
         b = estimate(batch, "sic", circ, obs_b, keep_per_shot=True)
         wa, wb = (
-            np.array(
-                [_reference_weight(circ, [duals[m] for m in row], o).real for row in batch.outcomes]
-            )
+            _reference_weights(circ, [duals] * circ.num_qubits, batch.outcomes, o).real
             for o in (obs_a, obs_b)
         )
         want = np.cov(wa, wb, ddof=1)[0, 1] / batch.num_shots
@@ -541,10 +539,8 @@ class TestBatchedKernel:
         assert np.max(np.abs(np.trace(duals, axis1=1, axis2=2) - 1.0)) > 1e-3
         got = estimate_exact(rho, "sic", circ, obs, duals=[duals] * 4)
         p = outcome_distribution(rho, "sic")
-        want = sum(
-            p[idx] * _reference_weight(circ, [duals[m] for m in idx], obs).real
-            for idx in np.ndindex(p.shape)
-        )
+        outcomes = np.array(list(np.ndindex(p.shape)))
+        want = p[tuple(outcomes.T)] @ _reference_weights(circ, [duals] * 4, outcomes, obs).real
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
         # the collapsed limit against the light-cone sum of its rows
         rows = circuit_energy(circ, data_from_distribution(rho, "sic", [duals] * 4), obs)
@@ -559,10 +555,8 @@ class TestBatchedKernel:
         got = estimate_exact(rho, cube, circ, obs, duals=cube)
         duals = np.asarray(compute_duals(cube).duals)
         p = outcome_distribution(rho, cube)
-        want = sum(
-            p[idx] * _reference_weight(circ, [duals[m] for m in idx], obs).real
-            for idx in np.ndindex(p.shape)
-        )
+        outcomes = np.array(list(np.ndindex(p.shape)))
+        want = p[tuple(outcomes.T)] @ _reference_weights(circ, [duals] * 4, outcomes, obs).real
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
         rows = circuit_energy(circ, data_from_distribution(rho, cube, cube), obs)
         assert abs(got - rows) <= 1e-12 * abs(rows)
@@ -576,12 +570,10 @@ class TestBatchedKernel:
         obs = kernel_observable()
         batch = sample_outcomes(noisy_chain_state(4), "sic", 60, seed=11)
         data = data_from_batch(batch, "sic")
-        want = sum(
-            w * _reference_weight(circ, row, obs).real for w, row in _weighted_factor_rows(data)
-        )
+        want = data.weights @ _reference_weights(circ, data.tables, data.rows, obs).real
         assert abs(circuit_energy(circ, data, obs) - want) <= 1e-12 * (1 + abs(want))
         for index in range(len(circ.components)):
-            got = assemble_local_objective(circ, index, data, obs).matrix
+            got = assemble_local_objective(circ, index, data, obs)
             ref = _reference_objective(circ, index, data, obs)
             assert np.max(np.abs(got - ref)) <= 1e-12 * (1 + np.abs(ref).max())
 
@@ -592,8 +584,8 @@ class TestBatchedKernel:
         rho = noisy_chain_state(4, theta=0.2, p=0.01)
         product = data_from_distribution(rho, "sic")
         for index in range(len(circ.components)):
-            m_prod = assemble_local_objective(circ, index, product, obs).matrix
-            m_dense = assemble_local_objective(circ, index, rho, obs).matrix
+            m_prod = assemble_local_objective(circ, index, product, obs)
+            m_dense = assemble_local_objective(circ, index, rho, obs)
             assert np.max(np.abs(m_prod - m_dense)) <= 1e-12 * (1 + np.abs(m_dense).max())
 
 
@@ -668,8 +660,8 @@ class TestCollapse:
         e_rows = float(np.dot(data.weights, per_row))
         assert abs(circuit_energy(circ, rho, obs) - e_rows) <= 1e-12 * scale
         for index in range(len(circ.components)):
-            m_rows = assemble_local_objective(circ, index, data, obs).matrix
-            m_dense = assemble_local_objective(circ, index, rho, obs).matrix
+            m_rows = assemble_local_objective(circ, index, data, obs)
+            m_dense = assemble_local_objective(circ, index, rho, obs)
             assert np.abs(m_dense - m_rows).max() <= 1e-12 * (np.abs(m_rows).max() + 1e-300)
 
 

@@ -11,6 +11,7 @@ from conftest import (
     cube_povm,
     cut_objective,
     group_cut_pair,
+    objective_value,
     random_mixed_circuit,
     stinespring_choi,
 )
@@ -51,7 +52,6 @@ from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
 from virtualmap.varopt import (
     SWEEP_INITS,
-    LocalObjective,
     SdpOptions,
     SweepOptions,
     assemble_local_objective,
@@ -247,7 +247,7 @@ class TestLocalObjective:
             for index in range(len(circ.components)):
                 objective = assemble_local_objective(circ, index, data, obs)
                 choi = superop_to_choi(circ.components[index].map)
-                assert abs(objective.value(choi) - energy) < 1e-9 * (1 + abs(energy))
+                assert abs(objective_value(objective, choi) - energy) < 1e-9 * (1 + abs(energy))
 
     def test_predicts_energy_of_replacement(self):
         rho = noisy_chain_state(3, theta=0.3, p=0.02)
@@ -259,7 +259,7 @@ class TestLocalObjective:
             objective = assemble_local_objective(circ, index, data, obs)
             # a channel, and a Hermiticity-preserving map that is not CP
             for new_map in (random_cptp_map(2, rng), random_tp_hermitian_map(2, rng)):
-                predicted = objective.value(superop_to_choi(new_map))
+                predicted = objective_value(objective, superop_to_choi(new_map))
                 actual = circuit_energy(circ.with_component(index, new_map), data, obs)
                 assert abs(predicted - actual) < 1e-9 * (1 + abs(actual)), index
 
@@ -271,8 +271,8 @@ class TestLocalObjective:
         prod = data_from_distribution(rho, "sic")
         dense = rho
         for index in range(len(circ.components)):
-            m_prod = assemble_local_objective(circ, index, prod, obs).matrix
-            m_dense = assemble_local_objective(circ, index, dense, obs).matrix
+            m_prod = assemble_local_objective(circ, index, prod, obs)
+            m_dense = assemble_local_objective(circ, index, dense, obs)
             np.testing.assert_allclose(m_prod, m_dense, atol=1e-9)
 
     def test_identity_observable_costs_trace(self):
@@ -284,7 +284,7 @@ class TestLocalObjective:
         rng = np.random.default_rng(8)
         for _ in range(3):
             choi = superop_to_choi(random_cptp_map(2, rng))
-            assert abs(objective.value(choi) - 1.0) < 1e-9
+            assert abs(objective_value(objective, choi) - 1.0) < 1e-9
 
     def test_requires_hermitian_observable(self):
         obs = Observable.from_terms(2, [(1.0j, "ZZ")])
@@ -627,8 +627,7 @@ class TestDeepCircuitObjectives:
 class TestMinimizeOverCptp:
     def test_identity_cost_is_trace_of_choi(self):
         # every TP Choi on one qubit has trace 2
-        objective = LocalObjective(component=0, arity=1, matrix=np.eye(4))
-        choi, info = minimize_over_cptp(objective)
+        choi, info = minimize_over_cptp(np.eye(4))
         assert abs(info["value"] - 2.0) < 1e-6
         neg, tp = cptp_residuals(choi.matrix, 2)
         assert neg <= 1e-7 and tp <= 1e-7
@@ -636,8 +635,7 @@ class TestMinimizeOverCptp:
     def test_achievable_zero_cost(self):
         # penalize the |0><0| -> |1><1| transition only; identity map scores 0
         m = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        objective = LocalObjective(component=0, arity=1, matrix=m)
-        choi, info = minimize_over_cptp(objective)
+        choi, info = minimize_over_cptp(m)
         assert info["value"] <= 1e-7
         neg, tp = cptp_residuals(choi.matrix, 2)
         assert neg <= 1e-7 and tp <= 1e-7
@@ -648,13 +646,11 @@ class TestMinimizeOverCptp:
         h = np.diag([3.0, -1.0])
         rho0 = np.diag([1.0, 0.0])
         m = np.kron(rho0.T, h)
-        objective = LocalObjective(component=0, arity=1, matrix=m)
-        choi, info = minimize_over_cptp(objective)
+        choi, info = minimize_over_cptp(m)
         assert abs(info["value"] - (-1.0)) < 1e-6
 
     def test_zero_objective_returns_depolarizing(self):
-        objective = LocalObjective(component=0, arity=1, matrix=np.zeros((4, 4)))
-        choi, info = minimize_over_cptp(objective)
+        choi, info = minimize_over_cptp(np.zeros((4, 4)))
         np.testing.assert_allclose(choi.matrix, np.eye(4) / 2.0, atol=1e-9)
 
     def test_two_qubit_case_reaches_certified_value(self):
@@ -663,8 +659,7 @@ class TestMinimizeOverCptp:
         rng = np.random.default_rng(12)
         for arity in (1, 2):
             for _ in range(10):
-                m = _random_hermitian(4**arity, rng)
-                objective = LocalObjective(component=0, arity=arity, matrix=m)
+                objective = _random_hermitian(4**arity, rng)
                 choi, info = minimize_over_cptp(objective)
                 assert info["converged"]
                 assert _certified(info, 1e-9)
@@ -673,7 +668,7 @@ class TestMinimizeOverCptp:
                 assert neg <= 1e-7 and tp <= 1e-7
                 for _ in range(5):
                     other = superop_to_choi(random_cptp_map(arity, rng))
-                    assert objective.value(other) >= info["dual_bound"] - 1e-12
+                    assert objective_value(objective, other) >= info["dual_bound"] - 1e-12
 
     def test_dual_bound_below_brute_force_minimum(self):
         # criterion 6's fixtures: an explicit channel found by a multi-start
@@ -681,7 +676,7 @@ class TestMinimizeOverCptp:
         rng = np.random.default_rng(606)
         for fixture in range(5):
             m = _random_hermitian(4, rng)
-            _, info = minimize_over_cptp(LocalObjective(component=0, arity=1, matrix=m))
+            _, info = minimize_over_cptp(m)
             assert info["dual_bound"] <= brute_force_min(m, seed=fixture, starts=2) + 1e-12
 
     def test_brute_force_choi_matches_kraus_superoperator(self):
@@ -699,7 +694,7 @@ class TestMinimizeOverCptp:
     @pytest.mark.parametrize("c", [-2.5, 0.0, 3.0])
     def test_multiple_of_identity_is_solved_at_the_start(self, c):
         # Tr[C (c I)] = c * dim for every channel; the start I/dim is optimal
-        choi, info = minimize_over_cptp(LocalObjective(0, 2, c * np.eye(16)))
+        choi, info = minimize_over_cptp(c * np.eye(16))
         assert info["iters"] == 0 and info["converged"]
         assert info["value"] == pytest.approx(4.0 * c, abs=1e-12)
         np.testing.assert_array_equal(choi.matrix, np.eye(16) / 4.0)
@@ -721,7 +716,7 @@ class TestMinimizeOverCptp:
             "neg_rank_one": (-np.outer(v, v.conj()), None),
             "half_degenerate": ((q * np.repeat([0.0, 1.0], 8)) @ q.conj().T, None),
         }[case]
-        choi, info = minimize_over_cptp(LocalObjective(component=0, arity=2, matrix=m))
+        choi, info = minimize_over_cptp(m)
         assert _certified(info, 1e-9)
         assert not info["converged"] or _certified(info, SdpOptions().tol)
         if want is not None:
@@ -731,7 +726,7 @@ class TestMinimizeOverCptp:
 
     def test_iteration_cap_reports_unconverged(self):
         rng = np.random.default_rng(14)
-        objective = LocalObjective(0, 2, _random_hermitian(16, rng))
+        objective = _random_hermitian(16, rng)
         choi, info = minimize_over_cptp(objective, SdpOptions(max_iters=1))
         assert info["iters"] == 1
         assert not info["converged"]
@@ -756,14 +751,14 @@ class TestMinimizeOverCptp:
         m = np.eye(4)
         m[1, 2] = np.nan
         with pytest.raises(ValidationError):
-            minimize_over_cptp(LocalObjective(component=0, arity=1, matrix=m))
+            minimize_over_cptp(m)
 
     @pytest.mark.parametrize("shape", [(16, 4), (2, 16, 16), (16,), (0, 0)])
     def test_rejects_malformed_objective(self, shape):
         with pytest.raises(ValidationError, match="non-empty square"):
             minimize_over_cptp(np.ones(shape))
         with pytest.raises(ValidationError, match="non-empty square"):
-            minimize_over_cptp(LocalObjective(component=0, arity=2, matrix=np.ones(shape)))
+            minimize_over_cptp(np.ones(shape))
 
     @pytest.mark.parametrize("entries", [[["a"]], [[1.0, None], [None, 1.0]], [[True, False]] * 2])
     def test_rejects_non_numeric_objective(self, entries):
@@ -830,10 +825,10 @@ class TestMinimizeOverCptp:
         tol = SdpOptions().tol
         exits = set()
         for arity in (1, 2, 1, 2):
-            objective = LocalObjective(0, arity, _random_hermitian(4**arity, rng))
+            objective = _random_hermitian(4**arity, rng)
             best, _ = minimize_over_cptp(objective)
             channels = [best] + [superop_to_choi(random_cptp_map(arity, rng)) for _ in range(20)]
-            lowest = min(objective.value(c) for c in channels)
+            lowest = min(objective_value(objective, c) for c in channels)
             for max_iters in range(13):
                 _, info = minimize_over_cptp(objective, SdpOptions(max_iters=max_iters))
                 assert info["dual_bound"] <= lowest + 1e-12 * (1.0 + abs(lowest))
@@ -950,8 +945,8 @@ def _resolve_every_visit(circuit, data, obs, options):
         for index in options.order or range(len(current.components)):
             objective = assemble_local_objective(current, index, data, obs)
             choi_new, info = minimize_over_cptp(objective, options.sdp)
-            v_before = objective.value(superop_to_choi(current.components[index].map))
-            v_new = objective.value(choi_new)
+            v_before = objective_value(objective, superop_to_choi(current.components[index].map))
+            v_new = objective_value(objective, choi_new)
             installed = v_new < v_before - options.accept_tol
             step = SweepStep(
                 round=rnd,
@@ -1090,7 +1085,7 @@ class TestSweepReuse:
 
         def assemble(circuit, index, data, o, **kwargs):
             objective = real_assemble(circuit, index, data, o, **kwargs)
-            seen.append((circuit, index, objective.matrix))
+            seen.append((circuit, index, objective))
             return objective
 
         monkeypatch.setattr(Observable, "matrix", matrix)
@@ -1109,7 +1104,7 @@ class TestSweepReuse:
         assert builds == [1, 1] and 1 < visits[0] < visits[1]
         monkeypatch.undo()
         for circuit, index, m in seen:
-            assert np.array_equal(m, assemble_local_objective(circuit, index, rho, obs).matrix)
+            assert np.array_equal(m, assemble_local_objective(circuit, index, rho, obs))
 
     def test_multi_row_sweep_matches_cold_visits(self, monkeypatch):
         # six-outcome frames: the collapse would outgrow the dense operator,
