@@ -28,7 +28,7 @@ from .cone import MapCircuit, brickwork, evaluate_rows, evaluate_trace, evaluate
 from .cone import load_circuit, save_circuit
 from .densesim import (
     EXACT_DIAG_LIMIT,
-    ORACLE_LIMIT,
+    _dense_dim,
     apply_circuit_dense,
     batch_to_text,
     build_state,
@@ -270,8 +270,7 @@ def _cmd_oracle_check(args) -> int:
         raise ValidationError("--tol must be a non-negative finite number")
     circuits = [load_circuit(args.circuit)] if args.circuit else None
     # checked before the loop, so a large --N never builds a random circuit
-    if (circuits[0].num_qubits if circuits else args.N) > ORACLE_LIMIT:
-        raise ValidationError(f"oracle limited to N <= {ORACLE_LIMIT}")
+    _dense_dim(circuits[0].num_qubits if circuits else args.N)
     rng = np.random.default_rng(args.seed)
     duals = np.asarray(compute_duals(get_povm(args.povm)).duals)
     worst_rel = 0.0
@@ -369,7 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
             default=SdpOptions.tol,
             help="target relative certified gap of each subproblem solve",
         )
-        p.add_argument("--zreset", action="store_true", help="compose first-layer resets into the result")
+        p.add_argument(
+            "--zreset",
+            action="store_true",
+            help="compose a reset before each qubit's first map into the result",
+        )
         p.add_argument("--out-circuit", help="write the optimized circuit JSON here")
         p.add_argument("--report", help="write the sweep report CSV here")
 
@@ -391,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_optimizer_flags(p)
     p.set_defaults(func=_cmd_ansatz)
 
-    p = command("oracle-check", "cone-vs-dense self check (N <= 6)")
+    p = command("oracle-check", "cone-vs-dense self check (N <= 10)")
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--circuit", help="check a specific circuit file instead of random ones")

@@ -1,7 +1,12 @@
 """Causal-cone evaluation of local-map circuits.
 
-Circuits are ordered lists of k-local components. The quantity of interest is
-the full-register trace
+A circuit is its register size and an ordered list of k-local components,
+each its qubits and its map; list order is application order and nothing
+else is stored. ``brickwork`` and ``staircase`` number layers only while they
+build the list. A circuit file holds the same: ``{"num_qubits", "components":
+[{"qubits", "map"}, ...]}``, the step format state-prep files share; keys it
+does not read, such as an older file's ``"layer"`` and ``"topology"``, are
+ignored. The quantity of interest is the full-register trace
 
     Tr[ L(F_0 (x) ... (x) F_{N-1}) . (G_0 (x) ... (x) G_{N-1}) ]
 
@@ -126,7 +131,6 @@ _TRACE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Component:
-    layer: int
     qubits: tuple[int, ...]
     map: LocalMap
 
@@ -140,8 +144,6 @@ class Component:
             raise ValidationError(
                 f"map arity {self.map.arity} does not match qubits {self.qubits}"
             )
-        if self.layer < 1:
-            raise ValidationError("layers are numbered from 1")
 
 
 @dataclass(eq=False)
@@ -149,39 +151,21 @@ class MapCircuit:
     """An ordered sequence of local-map components on ``num_qubits`` qubits.
 
     List order is application order. Treat instances as immutable; use
-    :meth:`with_component` for functional updates. ``topology`` is a tag set
-    by the builders ("brickwork", "staircase", "general"); a "brickwork"
-    circuit may not overlap supports within a layer.
+    :meth:`with_component` for functional updates.
     """
 
     num_qubits: int
     components: tuple[Component, ...]
-    topology: str = "general"
 
     def __post_init__(self):
         self.components = tuple(self.components)
         if self.num_qubits < 1:
             raise ValidationError("circuit needs at least one qubit")
-        last_layer = 0
-        per_layer_support: dict[int, set] = {}
         for comp in self.components:
             if any(q < 0 or q >= self.num_qubits for q in comp.qubits):
                 raise ValidationError(
                     f"component qubits {comp.qubits} outside register of {self.num_qubits}"
                 )
-            if comp.layer < last_layer:
-                raise ValidationError("component list must be ordered by layer")
-            last_layer = comp.layer
-            sup = per_layer_support.setdefault(comp.layer, set())
-            if self.topology == "brickwork" and sup & set(comp.qubits):
-                raise ValidationError(
-                    f"brickwork layer {comp.layer} has overlapping supports"
-                )
-            sup |= set(comp.qubits)
-
-    @property
-    def num_layers(self) -> int:
-        return max((c.layer for c in self.components), default=0)
 
     @property
     def supports(self) -> tuple[tuple[int, ...], ...]:
@@ -196,34 +180,27 @@ class MapCircuit:
 
     def with_component(self, index: int, new_map: LocalMap) -> "MapCircuit":
         comps = list(self.components)
-        old = comps[index]
-        comps[index] = Component(old.layer, old.qubits, new_map)
-        return MapCircuit(self.num_qubits, tuple(comps), self.topology)
+        comps[index] = Component(comps[index].qubits, new_map)
+        return MapCircuit(self.num_qubits, tuple(comps))
 
     def inverse(self) -> "MapCircuit":
         """Reverse the order and invert every component map."""
-        top = self.num_layers
-        comps = [
-            Component(top + 1 - c.layer, c.qubits, invert_map(c.map))
-            for c in reversed(self.components)
-        ]
-        return MapCircuit(self.num_qubits, tuple(comps), "general")
+        comps = [Component(c.qubits, invert_map(c.map)) for c in reversed(self.components)]
+        return MapCircuit(self.num_qubits, tuple(comps))
 
 
 def brickwork(num_qubits: int, layers: int, map_factory=None) -> MapCircuit:
     """Alternating-pairing layered circuit: odd layers couple (0,1),(2,3),...,
     even layers couple (1,2),(3,4),.... Odd registers leave the last qubit
     idle in alternating layers."""
-    comps = _layered(num_qubits, layers, map_factory, staircase_layers=False)
-    return MapCircuit(num_qubits, comps, "brickwork")
+    return MapCircuit(num_qubits, _layered(num_qubits, layers, map_factory, staircase_layers=False))
 
 
 def staircase(num_qubits: int, layers: int, map_factory=None) -> MapCircuit:
     """Sequential layered circuit: every layer couples (0,1),(1,2),...,
     (N-2,N-1) in ascending order. One layer already connects the whole chain,
     which is what the single-layer variational runs use."""
-    comps = _layered(num_qubits, layers, map_factory, staircase_layers=True)
-    return MapCircuit(num_qubits, comps, "staircase")
+    return MapCircuit(num_qubits, _layered(num_qubits, layers, map_factory, staircase_layers=True))
 
 
 def _layered(num_qubits, layers, map_factory, staircase_layers):
@@ -243,7 +220,7 @@ def _layered(num_qubits, layers, map_factory, staircase_layers):
             starts = range(0 if layer % 2 == 1 else 1, num_qubits - 1, 2)
         for i in starts:
             qubits = (i, i + 1)
-            comps.append(Component(layer, qubits, map_factory(layer, qubits)))
+            comps.append(Component(qubits, map_factory(layer, qubits)))
     return tuple(comps)
 
 
@@ -793,29 +770,22 @@ class CutWalk:
 def circuit_to_dict(circuit: MapCircuit) -> dict:
     return {
         "num_qubits": circuit.num_qubits,
-        "topology": circuit.topology,
         "components": [
-            {
-                "layer": c.layer,
-                "qubits": list(c.qubits),
-                "map": map_to_payload(c.map),
-            }
-            for c in circuit.components
+            {"qubits": list(c.qubits), "map": map_to_payload(c.map)} for c in circuit.components
         ],
     }
 
 
-def component_from_dict(entry, layer: int | None = None) -> Component:
-    """The component of a circuit or state-prep step ``{"layer": ..., "qubits":
-    [...], "map": ...}``, in layer ``layer`` if given, else the entry's own."""
+def component_from_dict(entry) -> Component:
+    """The component of a circuit or state-prep step ``{"qubits": [...],
+    "map": ...}``; other keys, such as an older file's ``"layer"``, are
+    ignored."""
     try:
-        if layer is None:
-            layer = json_int(entry["layer"], "layer")
         qubits = tuple(json_int(q, "qubit") for q in entry["qubits"])
         spec = entry["map"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed step {entry!r}: {exc}") from exc
-    return Component(layer, qubits, map_from_spec(spec, len(qubits)))
+    return Component(qubits, map_from_spec(spec, len(qubits)))
 
 
 def circuit_from_dict(payload: dict) -> MapCircuit:
@@ -823,13 +793,12 @@ def circuit_from_dict(payload: dict) -> MapCircuit:
         raise ValidationError("circuit payload must be a JSON object")
     try:
         n = json_int(payload["num_qubits"], "num_qubits")
-        topology = str(payload.get("topology", "general"))
         raw = payload["components"]
     except KeyError as exc:
         raise ValidationError(f"circuit payload missing field {exc}") from exc
     if not isinstance(raw, list):
         raise ValidationError("circuit components must be a JSON list")
-    return MapCircuit(n, tuple(map(component_from_dict, raw)), topology)
+    return MapCircuit(n, tuple(map(component_from_dict, raw)))
 
 
 def save_circuit(circuit: MapCircuit, path) -> None:

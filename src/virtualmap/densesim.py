@@ -5,9 +5,9 @@ feed and cross-check the causal-cone machinery. :func:`apply_circuit_dense`
 is the one loop of a circuit's maps over a dense operator, one checked
 :func:`apply_local_map` per component: ``oracle-check``'s dense reference and
 the source of every prepared state, a state-prep file being a circuit on
-|0...0> (:func:`load_state_prep`). :func:`sample_outcomes` is the one
-sampler: it draws from the enumerated outcome distribution, 4^N real
-probabilities.
+|0...0> whose steps are circuit-file components (:func:`load_state_prep`).
+:func:`sample_outcomes` is the one sampler: it draws from the enumerated
+outcome distribution, 4^N real probabilities.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 10
-ORACLE_LIMIT = 6
 EXACT_DIAG_LIMIT = 12  # largest observable diagonalized densely
 
 
@@ -348,14 +347,14 @@ def read_batch(path) -> OutcomeBatch:
 
 
 def load_state_prep(path_or_payload, num_qubits: int | None = None) -> MapCircuit:
-    """The state-preparation circuit in a file or payload, one layer per step.
+    """The state-preparation circuit in a file or payload, one component per step.
 
     The payload is a JSON list of steps ``{"qubits": [...], "map": <preset or
     payload>}``, or an object with an optional ``"num_qubits"`` and a
-    ``"steps"`` or ``"components"`` list of them, so a circuit file loads as
-    one step per component, its layers ignored. The register is the payload's
-    ``num_qubits``, else ``num_qubits``, else the largest qubit + 1; a
-    ``num_qubits`` that differs from the payload's raises.
+    ``"steps"`` or ``"components"`` list of them. A step is a circuit file's
+    component, so a circuit file loads as the same circuit. The register is
+    the payload's ``num_qubits``, else ``num_qubits``, else the largest
+    qubit + 1; a ``num_qubits`` that differs from the payload's raises.
     """
     if isinstance(path_or_payload, (str, Path)):
         payload = parse_json(read_text(path_or_payload, "state-prep file"), "state-prep file")
@@ -372,7 +371,7 @@ def load_state_prep(path_or_payload, num_qubits: int | None = None) -> MapCircui
         payload = payload.get("steps", payload.get("components"))
     if not isinstance(payload, list):
         raise ValidationError("state-prep payload must be a JSON list of steps")
-    steps = [component_from_dict(entry, layer) for layer, entry in enumerate(payload, 1)]
+    steps = [component_from_dict(entry) for entry in payload]
     if num_qubits is None:
         num_qubits = max((q + 1 for c in steps for q in c.qubits), default=0)
     return MapCircuit(num_qubits, tuple(steps))
@@ -392,7 +391,7 @@ def build_state(path_or_payload, num_qubits: int | None = None) -> DensityMatrix
 def noisy_chain_state(num_qubits: int, theta: float = 0.05, p: float = 1e-3) -> DensityMatrix:
     """|0...0> run through a chain of noisy CNOTs (0,1),(1,2),...,(N-2,N-1)."""
     gate = noisy_cnot(theta, p)
-    chain = (Component(1, (i, i + 1), gate) for i in range(num_qubits - 1))
+    chain = (Component((i, i + 1), gate) for i in range(num_qubits - 1))
     return _from_zero(MapCircuit(num_qubits, tuple(chain)))
 
 

@@ -264,6 +264,8 @@ def circuit_energy(circuit: MapCircuit, data, obs: Observable) -> float:
     :class:`DensityMatrix` (N <= 10), H being the observable's matrix."""
     if data.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
         raise ValidationError("data, circuit, and observable qubit counts differ")
+    if not obs.is_hermitian:
+        raise ValidationError("circuit energies need a Hermitian observable")
     if isinstance(data, DensityMatrix):
         out = apply_circuit_dense(circuit, data.matrix)
         reals, _ = _real_weights(trace_mul(out, obs.matrix()))

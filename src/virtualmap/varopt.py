@@ -51,7 +51,10 @@ budget) the sweep keeps it, so an installed map invalidates residuals only
 where it enters: a dense round in index order costs fewer than 3K map
 applications, not K(K - 1), and a round of rows about two plan passes per
 component whose apply step precedes the last one's. Rows of several chunks
-get a cold walk per chunk at every visit.
+get a cold walk per chunk at every visit. :func:`zreset_compose` makes an
+optimized circuit input-independent by absorbing a reset to |0> into each
+qubit's first component, so that the circuit prepares on any input what it
+prepared on |0...0>.
 """
 
 from __future__ import annotations
@@ -438,6 +441,8 @@ class SweepOptions:
             raise ValidationError("accept_tol must be a non-negative finite number")
         if self.order is not None:
             self.order = tuple(json_int(i, "a sweep order entry") for i in self.order)
+            if not self.order:
+                raise ValidationError("sweep order must list at least one component")
         if self.init not in SWEEP_INITS:
             raise ValidationError(f"unknown init {self.init!r}")
         self.seed = json_int(self.seed, "seed")
@@ -460,7 +465,7 @@ def _initialize(circuit: MapCircuit, init: str, seed: int) -> MapCircuit:
         else:
             raise ValidationError(f"unknown init {init!r}")
         comps.append(replace(comp, map=new))
-    return MapCircuit(circuit.num_qubits, tuple(comps), topology=circuit.topology)
+    return MapCircuit(circuit.num_qubits, tuple(comps))
 
 
 def _collapse_if_cheaper(circuit: MapCircuit, data, obs: Observable):
@@ -561,23 +566,18 @@ def sweep(
 
 
 def zreset_compose(circuit: MapCircuit) -> MapCircuit:
-    """Absorb a reset of every qubit into the first-layer maps.
+    """Absorb a reset of every qubit into the qubit's first component.
 
-    Walking the first layer in order, each component is precomposed with a
-    reset-to-|0> on those of its qubits that no earlier first-layer component
-    has already reset. The result ignores the input state entirely, so the
-    circuit can be applied to hardware in any initial state. Raises if the
-    first layer does not touch every qubit (later layers would then leak the
-    input through untouched wires).
+    Walking the components in order, each is precomposed with a reset-to-|0>
+    on those of its qubits that no earlier component acts on. A qubit idle
+    before its first component is reset there as at time 0, so the result
+    ignores the input state entirely and the circuit can be applied to
+    hardware in any initial state. Raises if some qubit is touched by no
+    component (the input would leak through its untouched wire).
     """
-    if not circuit.components:
-        raise ValidationError("cannot compose resets into an empty circuit")
-    first_layer = circuit.components[0].layer
     comps = list(circuit.components)
     done: set[int] = set()
     for i, comp in enumerate(comps):
-        if comp.layer != first_layer:
-            break
         fresh = [q for q in comp.qubits if q not in done]
         if fresh:
             factors = [
@@ -590,10 +590,8 @@ def zreset_compose(circuit: MapCircuit) -> MapCircuit:
         done.update(comp.qubits)
     if done != set(range(circuit.num_qubits)):
         missing = sorted(set(range(circuit.num_qubits)) - done)
-        raise ValidationError(
-            f"reset composition needs the first layer to touch every qubit; missing {missing}"
-        )
-    return MapCircuit(circuit.num_qubits, tuple(comps), topology=circuit.topology)
+        raise ValidationError(f"reset composition needs a component on every qubit; missing {missing}")
+    return MapCircuit(circuit.num_qubits, tuple(comps))
 
 
 def classical_ansatz(

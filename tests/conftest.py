@@ -60,9 +60,9 @@ def kernel_circuits(rng: np.random.Generator) -> dict[str, MapCircuit]:
     general = MapCircuit(
         4,
         (
-            Component(1, (0, 2), random_cptp_map(2, rng)),
-            Component(2, (3,), random_unitary_map(1, rng)),
-            Component(2, (1, 2), random_tp_hermitian_map(2, rng)),
+            Component((0, 2), random_cptp_map(2, rng)),
+            Component((3,), random_unitary_map(1, rng)),
+            Component((1, 2), random_tp_hermitian_map(2, rng)),
         ),
     )
     leaky = brickwork(4, 1, lambda layer, qubits: random_cptp_map(2, rng))

@@ -247,7 +247,7 @@ class TestEstimate:
         from virtualmap.cone import circuit_from_dict
 
         comps = [
-            {"layer": 1, "qubits": [i, j], "map": "identity"}
+            {"qubits": [i, j], "map": "identity"}
             for i in range(n)
             for j in range(i + 1, n)
         ]
@@ -427,6 +427,33 @@ class TestOptimize:
         assert main(argv + ["--classical", "--order", ""]) == 2
         assert "--order must list component indices" in capsys.readouterr().err
 
+    def test_zreset_composes_odd_brickwork(self, tmp_path, capsys):
+        # qubit 4 is idle in brickwork(5, 2)'s first layer: it is reset at its
+        # first map, so the result scores its classical energy on any input
+        from virtualmap.densesim import maximally_mixed
+        from virtualmap.varopt import circuit_energy
+
+        obs = xx_hamiltonian(5, field=0.4)
+        write_observable(obs, tmp_path / "obs.json")
+        save_circuit(brickwork(5, 2), tmp_path / "start.json")
+        out = tmp_path / "best.json"
+        argv = ["optimize", "--observable", str(tmp_path / "obs.json"), "--classical"]
+        argv += ["--circuit", str(tmp_path / "start.json"), "--init", "random_unitary"]
+        assert main(argv + ["--rounds", "1", "--zreset", "--out-circuit", str(out)]) == 0
+        final = json.loads(capsys.readouterr().out)["final_energy"]
+        e_mixed = circuit_energy(load_circuit(out), maximally_mixed(5), obs)
+        assert abs(e_mixed - final) <= 1e-9 * (1.0 + abs(final))
+
+    def test_non_hermitian_observable_exits_2(self, tmp_path, capsys):
+        # above N=12 no exact diagonalization refuses it first; the imaginary
+        # part lies below the shot weights' residue tolerance
+        obs = tmp_path / "obs.json"
+        write_observable(Observable.from_terms(13, [(1 + 1e-10j, "Z" * 13)]), obs)
+        save_circuit(brickwork(13, 1), tmp_path / "start.json")
+        argv = ["optimize", "--observable", str(obs), "--circuit", str(tmp_path / "start.json")]
+        assert main(argv + ["--classical", "--rounds", "0"]) == 2
+        assert "Hermitian observable" in capsys.readouterr().err
+
     def test_requires_exactly_one_data_source(self, tmp_path, obs_file):
         circ_path = tmp_path / "start.json"
         save_circuit(brickwork(3, 1), circ_path)
@@ -572,8 +599,12 @@ class TestOracleCheck:
         assert payload["instances"] == 3
         assert payload["max_relative_error"] <= payload["tolerance"]
 
+    def test_runs_up_to_the_dense_limit(self, capsys):
+        assert main(["oracle-check", "--N", "10", "--instances", "1", "--seed", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
     def test_register_too_large_for_oracle(self):
-        rc = main(["oracle-check", "--N", "7", "--instances", "1"])
+        rc = main(["oracle-check", "--N", "11", "--instances", "1"])
         assert rc == 2
 
     @pytest.mark.parametrize("source", ["N", "circuit"])
@@ -586,12 +617,12 @@ class TestOracleCheck:
         monkeypatch.setattr(cli, "_random_check_circuit", unexpected)
         monkeypatch.setattr(cli, "apply_circuit_dense", unexpected)
         if source == "N":
-            args = ["--N", "40"]
+            args = ["--N", "11"]
         else:
-            save_circuit(brickwork(7, 1), tmp_path / "c.json")
+            save_circuit(brickwork(11, 1), tmp_path / "c.json")
             args = ["--circuit", str(tmp_path / "c.json")]
         assert main(["oracle-check", *args]) == 2
-        assert "oracle limited to N <= 6" in capsys.readouterr().err
+        assert "dense states need 1 <= N <= 10, got N=11" in capsys.readouterr().err
 
     def test_a_perturbed_weight_kernel_fails_with_3(self, monkeypatch, capsys):
         # the kernel estimates run is checked on the same row as the traces
@@ -645,7 +676,7 @@ class TestStatePrepSize:
 # valid inputs, for the malformed run settings below
 _PREP = '[{"qubits": [0, 1], "map": "cnot"}]'
 _OBS = '{"num_qubits": 2, "terms": [{"coeff": 1.0, "pauli": "ZZ"}]}'
-_CIRCUIT = '{"num_qubits": 2, "components": [{"layer": 1, "qubits": [0, 1], "map": "cnot"}]}'
+_CIRCUIT = '{"num_qubits": 2, "components": [{"qubits": [0, 1], "map": "cnot"}]}'
 
 
 class TestMalformedInputs:
@@ -655,7 +686,7 @@ class TestMalformedInputs:
             ("oracle-check --circuit", '{"num_qubits": 2, "components": null}'),
             (
                 "oracle-check --circuit",
-                '{"num_qubits": 2, "components": [{"layer": 1e400, "qubits": [0, 1], "map": "cnot"}]}',
+                '{"num_qubits": 2, "components": [{"qubits": [0, 1e400], "map": "cnot"}]}',
             ),
             ("ansatz --observable", '{"num_qubits": 2, "terms": 3}'),
             ("sample --S 5 --state", '[{"qubits": [], "map": "identity"}]'),
@@ -665,7 +696,7 @@ class TestMalformedInputs:
             ("oracle-check --circuit", None),  # a directory, not a file
             (
                 "oracle-check --circuit",
-                '{"num_qubits": 2, "components": [{"layer": 1.7, "qubits": [0, 1], "map": "cnot"}]}',
+                '{"num_qubits": 2, "components": [{"qubits": [0, 1.7], "map": "cnot"}]}',
             ),
             ("oracle-check --circuit", '{"num_qubits": true, "components": []}'),
             ("sample --S 5 --state", '[{"qubits": "01", "map": "identity"}]'),
@@ -688,14 +719,14 @@ class TestMalformedInputs:
         ],
         ids=[
             "null-components",
-            "overflowing-layer",
+            "overflowing-qubit",
             "scalar-terms",
             "empty-step-qubits",
             "text-num-qubits",
             "qubit-30",
             "negative-seed",
             "directory",
-            "fractional-layer",
+            "fractional-qubit",
             "boolean-num-qubits",
             "text-qubits",
             "text-observable-num-qubits",

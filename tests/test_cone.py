@@ -1,5 +1,7 @@
 """Circuit containers, light-cone plans, trace evaluation, split form."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,31 +107,20 @@ def _dense_circuit_value(circuit, factors, letters):
 class TestContainers:
     def test_component_validation(self):
         with pytest.raises(ValidationError):
-            Component(0, (0, 1), cnot_map())
+            Component((0, 0), cnot_map())
         with pytest.raises(ValidationError):
-            Component(1, (0, 0), cnot_map())
-        with pytest.raises(ValidationError):
-            Component(1, (0,), cnot_map())
+            Component((0,), cnot_map())
         # an empty component would sit in no qubit's cone and never be applied
         with pytest.raises(ValidationError, match="at least one qubit"):
-            Component(1, (), LocalMap(np.array([[2.0]])))
+            Component((), LocalMap(np.array([[2.0]])))
 
-    def test_layer_ordering_enforced(self):
-        comps = (
-            Component(2, (0, 1), cnot_map()),
-            Component(1, (1, 2), cnot_map()),
-        )
-        with pytest.raises(ValidationError):
-            MapCircuit(3, comps)
-
-    def test_brickwork_topology_rejects_overlap(self):
-        comps = (
-            Component(1, (0, 1), cnot_map()),
-            Component(1, (1, 2), cnot_map()),
-        )
-        MapCircuit(3, comps)  # fine under general topology
-        with pytest.raises(ValidationError):
-            MapCircuit(3, comps, topology="brickwork")
+    def test_register_range_is_the_only_circuit_check(self):
+        # any order of overlapping supports is a circuit; list order is
+        # application order
+        comps = (Component((1, 2), cnot_map()), Component((0, 1), cnot_map()))
+        assert MapCircuit(3, comps).supports == ((1, 2), (0, 1))
+        with pytest.raises(ValidationError, match="outside register"):
+            MapCircuit(2, comps)
 
     def test_builder_component_counts(self):
         assert len(brickwork(6, 1).components) == 3
@@ -140,19 +131,18 @@ class TestContainers:
         assert len(staircase(4, 2).components) == 6
 
     def test_brickwork_layer_structure(self):
-        circ = brickwork(6, 2)
-        by_layer = {}
-        for c in circ.components:
-            by_layer.setdefault(c.layer, []).append(c.qubits)
-        assert by_layer[1] == [(0, 1), (2, 3), (4, 5)]
-        assert by_layer[2] == [(1, 2), (3, 4)]
+        assert brickwork(6, 2).supports == ((0, 1), (2, 3), (4, 5), (1, 2), (3, 4))
+        # an odd register leaves its last qubit idle in the odd layers
+        assert brickwork(5, 2).supports == ((0, 1), (2, 3), (1, 2), (3, 4))
 
     def test_staircase_is_sequential(self):
-        circ = staircase(4, 1)
-        assert [c.qubits for c in circ.components] == [(0, 1), (1, 2), (2, 3)]
-        assert [c.layer for c in circ.components] == [1, 1, 1]
-        deep = staircase(4, 2)
-        assert [c.layer for c in deep.components] == [1, 1, 1, 2, 2, 2]
+        assert staircase(4, 1).supports == ((0, 1), (1, 2), (2, 3))
+        assert staircase(4, 2).supports == ((0, 1), (1, 2), (2, 3)) * 2
+
+    def test_builders_pass_the_layer_to_the_factory(self):
+        seen = []
+        brickwork(4, 3, lambda layer, qubits: seen.append((layer, qubits)) or cnot_map())
+        assert seen == [(1, (0, 1)), (1, (2, 3)), (2, (1, 2)), (3, (0, 1)), (3, (2, 3))]
 
     def test_with_component_replaces_map(self):
         circ = brickwork(4, 1)
@@ -170,14 +160,7 @@ class TestContainers:
         ]
         # composed action is identity on a test operand
         duals = random_product_duals(4, np.random.default_rng(1))
-        combined = MapCircuit(
-            4,
-            tuple(circ.components)
-            + tuple(
-                Component(c.layer + circ.num_layers, c.qubits, c.map)
-                for c in inv.components
-            ),
-        )
+        combined = MapCircuit(4, circ.components + inv.components)
         for letters in ("ZIII", "XYZX"):
             got = evaluate_trace(combined, one_row(duals), one_term(letters))[0]
             want = trace_mul(kron_all(list(duals)), PauliString(letters).matrix())
@@ -242,13 +225,8 @@ class TestSchedule:
     def test_infeasible_cap_raises(self):
         # complete graph on 4 qubits: every pair coupled in sequence, so no
         # order of the sweep stays within 3 active qubits
-        comps = []
-        layer = 1
-        for a in range(4):
-            for b in range(a + 1, 4):
-                comps.append(Component(layer, (a, b), cnot_map()))
-                layer += 1
-        circ = MapCircuit(4, tuple(comps))
+        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        circ = MapCircuit(4, tuple(Component(p, cnot_map()) for p in pairs))
         sched = schedule(circ)
         assert sched.peak_active == 4
         _check_plan(circ, sched, range(4))
@@ -533,11 +511,11 @@ class TestWholeRegisterReferences:
 def _general_circuit(rng):
     """Non-layered circuit mixing one- and two-qubit maps on N=5."""
     comps = (
-        Component(1, (0, 2), random_cptp_map(2, rng)),
-        Component(2, (3,), random_unitary_map(1, rng)),
-        Component(2, (4, 1), random_tp_hermitian_map(2, rng)),
-        Component(3, (2, 3), random_cptp_map(2, rng)),
-        Component(4, (0,), random_tp_hermitian_map(1, rng)),
+        Component((0, 2), random_cptp_map(2, rng)),
+        Component((3,), random_unitary_map(1, rng)),
+        Component((4, 1), random_tp_hermitian_map(2, rng)),
+        Component((2, 3), random_cptp_map(2, rng)),
+        Component((0,), random_tp_hermitian_map(1, rng)),
     )
     return MapCircuit(5, comps)
 
@@ -1008,11 +986,11 @@ def _any_linear_case(rng):
     circ = MapCircuit(
         5,
         (
-            Component(1, (0, 1), _general_map(2, rng)),
-            Component(1, (2, 3), random_cptp_map(2, rng)),
-            Component(2, (1, 2), _general_map(2, rng)),
-            Component(2, (3, 4), _scaled_identity(2, 0.9)),
-            Component(3, (0,), _general_map(1, rng)),
+            Component((0, 1), _general_map(2, rng)),
+            Component((2, 3), random_cptp_map(2, rng)),
+            Component((1, 2), _general_map(2, rng)),
+            Component((3, 4), _scaled_identity(2, 0.9)),
+            Component((0,), _general_map(1, rng)),
         ),
     )
     tables = [rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2)) for _ in range(5)]
@@ -1397,11 +1375,11 @@ def _one_qubit_circuit(rng):
     return MapCircuit(
         4,
         (
-            Component(1, (0, 2), random_cptp_map(2, rng)),
-            Component(2, (3,), random_unitary_map(1, rng)),
-            Component(2, (1,), random_cptp_map(1, rng)),
-            Component(3, (2, 1), random_cptp_map(2, rng)),
-            Component(3, (3, 0), random_tp_hermitian_map(2, rng)),
+            Component((0, 2), random_cptp_map(2, rng)),
+            Component((3,), random_unitary_map(1, rng)),
+            Component((1,), random_cptp_map(1, rng)),
+            Component((2, 1), random_cptp_map(2, rng)),
+            Component((3, 0), random_tp_hermitian_map(2, rng)),
         ),
     )
 
@@ -1476,9 +1454,8 @@ class TestCircuitFiles:
         save_circuit(circ, path)
         back = load_circuit(path)
         assert back.num_qubits == circ.num_qubits
-        assert back.topology == circ.topology
+        assert back.supports == circ.supports
         for a, b in zip(circ.components, back.components):
-            assert a.layer == b.layer and a.qubits == b.qubits
             assert_all_close(a.map.superop, b.map.superop, atol=1e-15)
 
     def test_dict_round_trip(self):
@@ -1527,11 +1504,11 @@ class TestCircuitFiles:
             circ = circuit_from_dict(payload)
         except ValidationError:
             return
-        assert all(c.qubits and c.layer >= 1 for c in circ.components)
-        # only JSON integers load: no text, fractions or booleans
+        assert all(c.qubits for c in circ.components)
+        # only JSON integers load: no text, fractions or booleans; an older
+        # file's "layer" and "topology" keys are not read
         assert type(payload["num_qubits"]) is int
         for entry in payload["components"]:
-            assert type(entry["layer"]) is int
             assert all(type(q) is int for q in entry["qubits"])
 
     @pytest.mark.parametrize(
@@ -1539,8 +1516,8 @@ class TestCircuitFiles:
         [
             ("num_qubits", True),
             ("num_qubits", 2.0),
-            ("layer", 1.7),
-            ("layer", "1"),
+            ("num_qubits", "2"),
+            ("qubits", [0, 1.5]),
             ("qubits", "01"),
             ("qubits", [0, True]),
         ],
@@ -1553,6 +1530,36 @@ class TestCircuitFiles:
             payload["components"][0][field] = value
         with pytest.raises(ValidationError, match="integer"):
             circuit_from_dict(payload)
+
+
+    def test_older_files_with_layers_and_topology_load(self):
+        # the format that numbered every component's layer and tagged the
+        # builder; the keys are ignored like any other unread key
+        rng = np.random.default_rng(5)
+        layers = []
+
+        def factory(layer, qubits):
+            layers.append(layer)
+            return random_cptp_map(2, rng)
+
+        circ = brickwork(5, 3, factory)
+        payload = circuit_to_dict(circ)
+        payload["topology"] = "brickwork"
+        for entry, layer in zip(payload["components"], layers):
+            entry["layer"] = layer
+        back = circuit_from_dict(json.loads(json.dumps(payload)))
+        assert back.supports == circ.supports
+        for a, b in zip(circ.components, back.components):
+            assert np.array_equal(a.map.superop, b.map.superop)
+        # even a value the older format refused is not read
+        payload["components"][0]["layer"] = 1.7
+        payload["topology"] = ["junk"]
+        assert circuit_from_dict(payload).supports == circ.supports
+
+    def test_writes_qubits_and_map_per_component(self):
+        payload = circuit_to_dict(brickwork(3, 1))
+        assert set(payload) == {"num_qubits", "components"}
+        assert [set(entry) for entry in payload["components"]] == [{"qubits", "map"}]
 
 
 class TestSicDualsIntegration:

@@ -449,11 +449,9 @@ class TestStatePrepFiles:
         circuit = load_state_prep([{"qubits": [2, 3], "map": "identity"}])
         assert circuit.num_qubits == 4 and len(circuit.components) == 1
 
-    def test_one_layer_per_step(self):
+    def test_one_component_per_step(self):
         steps = [{"qubits": [0, 1], "map": "cnot"}, {"qubits": [1], "map": "identity"}]
-        circuit = load_state_prep({"steps": steps})
-        assert circuit.topology == "general"
-        assert [(c.layer, c.qubits) for c in circuit.components] == [(1, (0, 1)), (2, (1,))]
+        assert load_state_prep({"steps": steps}).supports == ((0, 1), (1,))
 
     def test_register_size_precedence(self):
         steps = [{"qubits": [0, 1], "map": "cnot"}]

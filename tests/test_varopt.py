@@ -42,10 +42,13 @@ from virtualmap.maps import (
     ChoiMatrix,
     LocalMap,
     choi_to_superop,
+    compose,
+    identity_map,
     random_cptp_map,
     random_tp_hermitian_map,
     random_unitary_map,
     superop_to_choi,
+    tensor_maps,
     zreset_map,
 )
 from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
@@ -227,6 +230,14 @@ class TestCircuitEnergy:
         e_prod = circuit_energy(circ, data_from_distribution(rho, "sic"), obs)
         assert abs(e_dense - e_prod) < 1e-9 * (1 + abs(e_dense))
 
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["rows", "dense"])
+    def test_non_hermitian_observable_rejected(self, dense):
+        # an imaginary part far below the shot weights' residue tolerance
+        obs = Observable.from_terms(2, [(1 + 1e-10j, "ZZ")])
+        data = computational_zero(2) if dense else classical_input(2)
+        with pytest.raises(ValidationError, match="Hermitian"):
+            circuit_energy(brickwork(2, 1), data, obs)
 
     def test_dense_state_above_the_dense_limit_rejected(self):
         obs = Observable.from_terms(11, [(1.0, "Z" + "I" * 10)])
@@ -1245,6 +1256,11 @@ class TestSweep:
                 SweepOptions(order=(3,), rounds=1),
             )
 
+    def test_empty_order_rejected(self):
+        # an empty order would otherwise fall back to visiting every component
+        with pytest.raises(ValidationError, match="at least one component"):
+            SweepOptions(order=(), rounds=1)
+
     def test_bad_init_rejected(self):
         obs = Observable.from_terms(2, [(1.0, "ZI")])
         with pytest.raises(ValidationError):
@@ -1357,10 +1373,39 @@ class TestZresetCompose:
         )
 
     def test_untouched_qubit_rejected(self):
-        # first layer of brickwork(3, 1) only covers qubits 0 and 1
-        circ = brickwork(3, 1)
-        with pytest.raises(ValidationError):
-            zreset_compose(circ)
+        # no component of brickwork(3, 1) acts on qubit 2
+        with pytest.raises(ValidationError, match=r"missing \[2\]"):
+            zreset_compose(brickwork(3, 1))
+        with pytest.raises(ValidationError, match=r"missing \[0, 1\]"):
+            zreset_compose(MapCircuit(2, ()))
+
+    def test_reset_goes_before_each_qubits_first_component(self):
+        rng = np.random.default_rng(8)
+        circ = brickwork(5, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        composed = zreset_compose(circ).components
+        reset, keep = zreset_map(), identity_map(1)
+        # qubit 4 is idle in the first layer and reset at its first map
+        expected = [
+            compose([tensor_maps(reset, reset), circ.components[0].map]),
+            compose([tensor_maps(reset, reset), circ.components[1].map]),
+            circ.components[2].map,
+            compose([tensor_maps(keep, reset), circ.components[3].map]),
+        ]
+        for got, want in zip(composed, expected):
+            assert np.array_equal(got.map.superop, want.superop)
+        assert [c.qubits for c in composed] == list(circ.supports)
+
+    @pytest.mark.parametrize("n, layers", [(5, 2), (7, 3)])
+    def test_odd_brickwork_ignores_its_input(self, n, layers):
+        rng = np.random.default_rng(n)
+        circ = brickwork(n, layers, lambda layer, qubits: random_cptp_map(2, rng))
+        composed = zreset_compose(circ)
+        want = apply_circuit_dense(composed, computational_zero(n).matrix)
+        for _ in range(3):
+            g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            rho = g @ g.conj().T
+            got = apply_circuit_dense(composed, rho / np.trace(rho))
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_energy_matches_zero_input_run(self):
         rng = np.random.default_rng(13)
