@@ -847,6 +847,40 @@ class TestMinimizeOverCptp:
                 exits.add(info["converged"])
         assert exits == {False, True}
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_failed_factorization_ends_the_solve_with_a_proven_bound(self, monkeypatch):
+        # tol = 1e-30 is out of reach, so the loop runs until the Cholesky of
+        # C or S fails near the boundary, or a step falls below _MIN_STEP, or
+        # max_iters. Only the failed factorization ends an unconverged solve
+        # before max_iters with as many step-length calls as Newton steps
+        # (the _MIN_STEP exit comes after its step's call). It must end
+        # quietly with the bound of the last S that factored, and a finite
+        # CPTP channel.
+        rng = np.random.default_rng(44)
+        options = SdpOptions(tol=1e-30, max_iters=200)
+        real_steps = varopt._max_steps
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real_steps(*args)
+
+        monkeypatch.setattr(varopt, "_max_steps", counting)
+        failed = 0
+        for i in range(60):
+            arity = 1 + i % 2
+            m = _random_hermitian(4**arity, rng) * 10.0 ** rng.uniform(-2, 2)
+            calls.clear()
+            choi, info = minimize_over_cptp(m, options)
+            failed += not info["converged"] and len(calls) == info["iters"] < options.max_iters
+            assert np.all(np.isfinite(choi.matrix)), i
+            neg, tp = cptp_residuals(choi.matrix, 2**arity)
+            assert neg <= 1e-9 and tp <= 1e-12, i
+            channels = [superop_to_choi(random_cptp_map(arity, rng)) for _ in range(10)]
+            lowest = min(objective_value(m, c) for c in channels + [choi])
+            assert info["dual_bound"] <= lowest + 1e-12 * (1.0 + abs(lowest)), i
+        assert failed >= 40
+
 
 def _positive_definite(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
