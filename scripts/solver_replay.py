@@ -24,7 +24,10 @@ The record also holds the solver on a seeded random set: 600 Hermitian
 objectives from ``default_rng(0)``, alternating 4x4 and 16x16, each scaled
 by 10^U(-2, 2), solved once at the default settings. It gives the same
 counts under ``random_*`` keys. Every set also records the worst ratio of
-the certified gap to ``tol * (1 + |value|)``.
+the certified gap to ``tol * (1 + |value|)``, and a SHA-256 digest over each
+solve's returned Choi matrix bytes, dual bound and Newton steps, in order:
+two versions of the solver give the same answers bit for bit exactly when
+their digests agree.
 
 Any unconverged solve in any of the three sets exits with status 1, and so
 does an ``ansatz-n5`` sweep whose steps are not its solves, one each.
@@ -35,6 +38,8 @@ Example:
     python3 scripts/solver_replay.py --repeats 15 --tag change --out BENCH_solver.json
 """
 
+import hashlib
+import struct
 import sys
 import time
 
@@ -73,12 +78,15 @@ def sweep_objectives(run) -> tuple[list, int, int]:
 
 def solve_all(mats, options, prefix: str = "") -> dict:
     """Solve each of ``mats`` once: Newton steps, most steps of one solve,
-    unconverged solves and the worst certified gap over
-    ``tol * (1 + |value|)``, under keys that start with ``prefix``."""
+    unconverged solves, the worst certified gap over ``tol * (1 + |value|)``
+    and the digest of the answers, under keys that start with ``prefix``."""
     steps = most = unconverged = 0
     worst = 0.0
+    digest = hashlib.sha256()
     for m in mats:
-        _, info = varopt.minimize_over_cptp(m, options)
+        choi, info = varopt.minimize_over_cptp(m, options)
+        digest.update(choi.matrix.tobytes())
+        digest.update(struct.pack("<dq", info["dual_bound"], info["iters"]))
         steps += info["iters"]
         most = max(most, info["iters"])
         unconverged += not info["converged"]
@@ -88,6 +96,7 @@ def solve_all(mats, options, prefix: str = "") -> dict:
         f"{prefix}most_steps": most,
         f"{prefix}unconverged": unconverged,
         f"{prefix}worst_gap_over_tol": worst,
+        f"{prefix}digest": digest.hexdigest(),
     }
 
 

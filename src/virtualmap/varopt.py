@@ -13,11 +13,14 @@ through the adjoints of those after it), and the walk that holds them
 contracts them into its share of M. The subproblem is a small semidefinite
 program, solved by a primal-dual interior-point method (Mehrotra
 predictor-corrector steps in the HKM direction, about ten Newton steps per
-solve). Its matrices are d^2 x d^2
-for a d-dimensional component, so a step costs about as much as the numpy
-calls it makes: each step factors C and S with one batched Cholesky, builds
-the Schur matrix from one block product, and takes the primal and dual step
-lengths of its corrector with one batched eigvalsh. The centering parameter is
+solve). Its matrices are d^2 x d^2 for a d-dimensional component, so a step
+costs about as much as the numpy calls it makes: each step factors C and S
+with one batched Cholesky and one batched inverse, builds the Schur matrix
+from one block product, solves it twice, and takes the primal and dual step
+lengths of its corrector with one batched eigvalsh. These kernels are the
+LAPACK gufuncs behind numpy.linalg, called directly without the per-call
+wrappers, and the step writes most of its intermediate matrices into buffers
+held for the solve. The centering parameter is
 fixed at 1 - _STEP_FRACTION = 0.05, which keeps the iterate near the central
 path, so solves do not stall near degenerate optima (0 of 600 seeded random
 subproblems end unconverged). The predictor's direction stays, for the
@@ -68,6 +71,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cone import CutWalk, MapCircuit, schedule, staircase
 from .densesim import _DENSE_LIMIT, DensityMatrix
@@ -139,12 +143,14 @@ class SdpOptions:
     the iterates near the central path, so solves rarely stall there: on 600
     seeded random objectives (``scripts/solver_replay.py``) every solve
     converges within 14 Newton steps.  Each Newton step takes its step
-    lengths with one batched eigvalsh.  The proven lower bound is
-    Tr Y + d / ||S^-1||_inf, from the dual variable Y, its slack
-    S = M - Y (x) I and the inverse of S that the step's Cholesky gives: it
-    costs no eigenvalue computation.  A sweep skips a component whose
-    subproblem no install has changed since its last solve, so each of its
-    steps is one solve.
+    lengths with one batched eigvalsh, and calls that and its Cholesky,
+    inverse and two solves as numpy.linalg's LAPACK gufuncs, without the
+    public wrappers.  A Cholesky that fails near the cone boundary ends the
+    solve.  The proven lower bound is Tr Y + d / ||S^-1||_inf, from the dual
+    variable Y, its slack S = M - Y (x) I and the inverse of S that the
+    step's Cholesky gives: it costs no eigenvalue computation.  A sweep
+    skips a component whose subproblem no install has changed since its
+    last solve, so each of its steps is one solve.
     """
 
     max_iters: int = 50
@@ -171,6 +177,21 @@ _STEP_FRACTION = 0.95
 # that, and aiming lower pushes the iterate off the central path, where the
 # primal steps collapse.
 _SIGMA = 1.0 - _STEP_FRACTION
+
+
+# The LAPACK gufuncs behind np.linalg's cholesky, inv, solve (1-D right-hand
+# side), eigvalsh and eigh. A solve calls them with the signatures those
+# wrappers pass, "D->D", "D->D", "DD->D", "D->d" and "D->dD" ("d->d" for the
+# start eigenvalues of a real objective): the same routines on the same
+# operands, without the wrappers' per-call checks, casts and error-state
+# switches. A failed factorization raises no LinAlgError: the
+# gufunc fills that matrix of the stack with NaN and sets the FP invalid
+# flag, which a solve ignores under one np.errstate.
+_cholesky = _umath_linalg.cholesky_lo
+_inv = _umath_linalg.inv
+_solve1 = _umath_linalg.solve1
+_eigvalsh = _umath_linalg.eigvalsh_lo
+_eigh = _umath_linalg.eigh_lo
 
 
 @functools.cache
@@ -202,16 +223,17 @@ def _lifter(dim: int):
 
 
 def cptp_residuals(c: np.ndarray, dim: int) -> tuple[float, float]:
-    """(most negative eigenvalue clipped to 0, trace-preservation defect)."""
-    min_eig = float(np.linalg.eigvalsh(herm(c))[0])
+    """(most negative eigenvalue clipped to 0, trace-preservation defect);
+    the first is NaN, not 0, where the eigensolver fails."""
+    min_eig = float(_eigvalsh(herm(c), signature="D->d")[0])
     marg = choi_marginal(c, dim)
-    return max(0.0, -min_eig), float(np.abs(marg - _eye(dim)).max())
+    return 0.0 if min_eig >= 0.0 else -min_eig, float(np.abs(marg - _eye(dim)).max())
 
 
 def _tp_polish(c: np.ndarray, dim: int) -> np.ndarray:
     """(A^-1/2 (x) I) C (A^-1/2 (x) I) with A = Tr_out C: a congruence, so it
     keeps C >= 0, and it makes the map exactly trace-preserving."""
-    vals, vecs = np.linalg.eigh(choi_marginal(c, dim))
+    vals, vecs = _eigh(choi_marginal(c, dim), signature="D->dD")
     root = _lifter(dim)((vecs / np.sqrt(vals)) @ vecs.conj().T)
     return herm(root @ c @ root)
 
@@ -236,7 +258,7 @@ def _max_steps(roots: np.ndarray, roots_h: np.ndarray, dirs: np.ndarray) -> list
     """Largest a_i with Z_i + a_i dZ_i >= 0 for a stack of cones, given roots
     with root_i Z_i root_i^H = I and their adjoints ``roots_h`` (inf where
     dZ_i >= 0): one batched eigvalsh."""
-    lam = np.linalg.eigvalsh(roots @ dirs @ roots_h)[:, 0]
+    lam = _eigvalsh(roots @ dirs @ roots_h, signature="D->d")[:, 0]
     return [np.inf if v >= 0.0 else -1.0 / v for v in lam.tolist()]
 
 
@@ -245,6 +267,13 @@ def _min_eig_floor(s_inv: np.ndarray) -> float:
     eigenvalue of S^-1 exceeds its induced infinity-norm, so lambda_min(S) =
     1 / rho(S^-1) >= 1 / ||S^-1||_inf, with equality for diagonal S."""
     return 1.0 / float(np.abs(s_inv).sum(axis=1).max())
+
+
+def _herm_into(a: np.ndarray, out: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """herm(a) written into ``out``, through the buffer ``conj``: the
+    operations of :func:`virtualmap.linalg.herm` in its order."""
+    np.add(a, np.conjugate(a, out=conj).T, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
@@ -256,36 +285,44 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     S > 0 proves the lower bound Tr Y + dim * lambda_min(S) >= Tr Y +
     dim / ||S^-1||_inf on the optimum (:func:`_min_eig_floor`); the loop
     stops once the polished primal point is within ``options.tol`` of it.
-    Returns (C, dual bound, Newton steps).
+    ``m`` is float64 or complex128. Returns (C, dual bound, Newton steps).
 
     Each step factors C and S with one batched Cholesky and one batched
     inverse, which give the roots R with R Z R^H = I and S^-1 = R_S^H R_S,
     and takes the bound from that S^-1.  The corrector aims at _SIGMA * mu =
     0.05 mu and keeps Mehrotra's second-order term dC_aff dS_aff S^-1 from the
     predictor's direction, whose step lengths are not taken: the step makes
-    one batched eigvalsh, for the corrector's primal and dual step lengths.
+    two 1-D solves of the Schur system and one batched eigvalsh, for the
+    corrector's primal and dual step lengths.  Every kernel is a LAPACK
+    gufunc called directly, and the step writes its Hermitian parts, lift
+    products and updates into buffers held for the solve.  A failed
+    factorization fills its matrix with NaN, so the caller runs the solve
+    under np.errstate(invalid="ignore").
     Every exit returns the bound of the last S that factored, or the start's
     exact bound dim * lambda_min(M) if none did.
     """
     side = dim * dim
     eye = _eye(dim)
     lift = _lifter(dim)
-    lam = np.linalg.eigvalsh(m)
-    x = np.eye(side, dtype=complex) / dim
+    lam = _eigvalsh(m, signature="D->d" if np.iscomplexobj(m) else "d->d")
     y = (lam[0] - 1.0 - max(-lam[0], lam[-1])) * eye
     bound = dim * lam[0]  # Tr Y + dim * lambda_min(S) at the start
     cones = np.empty((2, side, side), dtype=complex)  # C and S
-    dirs = np.empty((2, side, side), dtype=complex)  # dC and dS
+    x, s = cones
+    x[...] = np.eye(side, dtype=complex) / dim
+    factors, roots, roots_c, dirs = (np.empty_like(cones) for _ in range(4))  # dirs: dC, dS
+    roots_h = roots_c.transpose(0, 2, 1)  # R^H once roots_c holds conj(R)
+    s_inv, extra, prod, t, conj = (np.empty((side, side), dtype=complex) for _ in range(5))
+    dy, dy_conj = np.empty((dim, dim), dtype=complex), np.empty((dim, dim), dtype=complex)
     for steps in range(options.max_iters + 1):
         # X and Y stay exactly Hermitian, so S is too: Cholesky reads one triangle
-        s = m - lift(y)
-        cones[0], cones[1] = x, s
-        try:
-            roots = np.linalg.inv(np.linalg.cholesky(cones))  # R Z R^H = I
-        except np.linalg.LinAlgError:
+        np.subtract(m, lift(y), out=s)
+        # R Z R^H = I; a failed Cholesky's NaN runs through its inverse
+        _inv(_cholesky(cones, signature="D->D", out=factors), signature="D->D", out=roots)
+        if math.isnan(roots[0, 0, 0].real + roots[1, 0, 0].real):
             break
-        roots_h = roots.conj().transpose(0, 2, 1)
-        s_inv = roots_h[1] @ roots[1]
+        np.conjugate(roots, out=roots_c)
+        np.matmul(roots_h[1], roots[1], out=s_inv)
         bound = y.trace().real + dim * _min_eig_floor(s_inv)
         value = np.vdot(x, m).real
         if value - bound <= options.tol * (1.0 + abs(value)):
@@ -298,24 +335,29 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
         mu = np.vdot(x, s).real / side
         schur = _schur_matrix(x, s_inv, dim)
 
-        def direction(extra):
-            # dC = extra - C + sym(C (dY (x) I) S^-1) with Tr_out(C + dC) = I;
-            # the Schur map commutes with ^H, so only herm(extra) matters.
-            rhs = eye if extra is None else eye - choi_marginal(extra, dim)
-            dy = herm(np.linalg.solve(schur, rhs.reshape(-1)).reshape(dim, dim))
-            t = x @ lift(dy) @ s_inv
-            return herm(t if extra is None else t + extra) - x, dy
+        def direction(rhs, dx, extra=None):
+            # dC = extra - C + sym(C (dY (x) I) S^-1) with Tr_out(C + dC) = I,
+            # into dx and dy; the Schur map commutes with ^H, so only
+            # herm(extra) matters
+            sol = _solve1(schur, rhs.reshape(-1), signature="DD->D")
+            _herm_into(sol.reshape(dim, dim), dy, dy_conj)
+            np.matmul(np.matmul(x, lift(dy), out=prod), s_inv, out=t)
+            if extra is not None:
+                np.add(t, extra, out=t)
+            np.subtract(_herm_into(t, prod, conj), x, out=dx)
 
         # the predictor's direction gives the corrector its second-order term
-        dirs[0], dy_aff = direction(None)
-        np.negative(lift(dy_aff), out=dirs[1])
-        dx, dy = direction(_SIGMA * mu * s_inv - dirs[0] @ dirs[1] @ s_inv)
-        dirs[0] = dx
+        direction(eye, dirs[0])
+        np.negative(lift(dy), out=dirs[1])
+        np.multiply(_SIGMA * mu, s_inv, out=extra)
+        np.matmul(np.matmul(dirs[0], dirs[1], out=prod), s_inv, out=t)
+        np.subtract(extra, t, out=extra)
+        direction(eye - choi_marginal(extra, dim), dirs[0], extra)
         np.negative(lift(dy), out=dirs[1])
         a_p, a_d = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(roots, roots_h, dirs))
         if min(a_p, a_d) < _MIN_STEP:
             break
-        x = x + a_p * dx
+        x += np.multiply(a_p, dirs[0], out=t)
         y = y + a_d * dy
     return _tp_polish(x, dim), bound, steps
 
@@ -336,7 +378,8 @@ def minimize_over_cptp(objective: np.ndarray, options: SdpOptions | None = None)
         raise ValidationError(f"objective must be a non-empty square matrix, got shape {m.shape}")
     if not np.issubdtype(m.dtype, np.number):
         raise ValidationError(f"objective must be numeric, got dtype {m.dtype}")
-    m = herm(m)
+    # float64 or complex128, the precision numpy.linalg computes in
+    m = herm(m).astype(np.promote_types(m.dtype, float), copy=False)
     side = m.shape[0]
     dim = int(round(np.sqrt(side)))
     if dim * dim != side:
@@ -344,11 +387,12 @@ def minimize_over_cptp(objective: np.ndarray, options: SdpOptions | None = None)
     if not np.all(np.isfinite(m)):
         raise ValidationError("objective matrix has non-finite entries")
 
-    best, bound, iters_done = _interior_point(m, dim, options)
+    with np.errstate(invalid="ignore"):  # a failed factorization reads NaN
+        best, bound, iters_done = _interior_point(m, dim, options)
     best_val = float(np.real(trace_mul(best, m)))
     gap = best_val - float(bound)
     neg, tp_res = cptp_residuals(best, dim)
-    if neg > 1e-7 or tp_res > 1e-7:
+    if not (neg <= 1e-7 and tp_res <= 1e-7):  # NaN fails too
         raise NumericalError(
             f"subproblem solution infeasible: min_eig=-{neg:.2e} tp={tp_res:.2e}"
         )

@@ -231,6 +231,7 @@ class TestBatchReplay:
             r"  field 0\.95: exact E0 = -3\.9000000000, best relative error \d\.\d{3}e[-+]\d\d",
         ),
     ],
+    ids=["estimation_experiment", "ansatz_experiment"],
 )
 def test_experiment_runs_at_its_smallest_size(load, capsys, name, argv, summary):
     assert load(name).main(argv) == 0

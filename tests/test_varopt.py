@@ -811,16 +811,17 @@ class TestMinimizeOverCptp:
 
     def test_a_converged_solve_makes_one_eigvalsh_per_newton_step(self, monkeypatch):
         # the start's eigvalsh(M), one step-length eigvalsh per Newton step
-        # and the feasibility check's: the dual bound costs none
+        # and the feasibility check's, all through the solver's LAPACK
+        # kernel: the dual bound costs none
         rng = np.random.default_rng(43)
-        real_eigvalsh = np.linalg.eigvalsh
+        real_eigvalsh = varopt._eigvalsh
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real_eigvalsh(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(varopt, "_eigvalsh", counting)
         for i in range(50):
             m = _random_hermitian(4 ** (1 + i % 2), rng) * 10.0 ** rng.uniform(-2, 2)
             calls.clear()
@@ -846,6 +847,15 @@ class TestMinimizeOverCptp:
                 assert info["converged"] == (info["gap"] <= tol * (1.0 + abs(info["value"])))
                 exits.add(info["converged"])
         assert exits == {False, True}
+
+    def test_a_nan_solution_is_refused(self, monkeypatch):
+        # an eigensolver that fails returns NaN, which must fail the
+        # feasibility test rather than read as a zero residual
+        monkeypatch.setattr(varopt, "_tp_polish", lambda c, dim: np.full_like(c, np.nan))
+        with np.errstate(invalid="ignore"):
+            assert all(np.isnan(cptp_residuals(np.full((4, 4), np.nan, dtype=complex), 2)))
+            with pytest.raises(NumericalError, match="infeasible"):
+                minimize_over_cptp(np.eye(4))
 
     @pytest.mark.filterwarnings("error")
     def test_a_failed_factorization_ends_the_solve_with_a_proven_bound(self, monkeypatch):
@@ -899,6 +909,68 @@ class TestInteriorPointKernels:
             assert np.abs(roots @ pair @ roots_h - np.eye(side)).max() <= 1e-12
             want = np.linalg.inv(pair[1])
             assert np.abs(roots_h[1] @ roots[1] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_lapack_kernels_equal_the_public_linalg_calls(self):
+        # the solver calls numpy.linalg's LAPACK gufuncs with the signatures
+        # its public wrappers pass; on stacked batches, into a buffer or not,
+        # each must equal the wrapper's result bit for bit
+        rng = np.random.default_rng(36)
+        for side in (4, 16):
+            pair = np.stack([_positive_definite(side, rng), _positive_definite(side, rng)])
+            hermitian = np.stack([_random_hermitian(side, rng), _random_hermitian(side, rng)])
+            rhs = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+            buf = np.empty_like(pair)
+            vals, vecs = varopt._eigh(hermitian, signature="D->dD")
+            want_vals, want_vecs = np.linalg.eigh(hermitian)
+            cases = [
+                (varopt._cholesky(pair, signature="D->D", out=buf), np.linalg.cholesky(pair)),
+                (varopt._eigvalsh(hermitian.real, signature="d->d"), np.linalg.eigvalsh(hermitian.real)),
+                (varopt._inv(pair, signature="D->D"), np.linalg.inv(pair)),
+                (varopt._solve1(pair[0], rhs, signature="DD->D"), np.linalg.solve(pair[0], rhs)),
+                (varopt._eigvalsh(hermitian, signature="D->d"), np.linalg.eigvalsh(hermitian)),
+                (vals, want_vals),
+                (vecs, want_vecs),
+            ]
+            for got, want in cases:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["int", "float", "complex"])
+    def test_the_start_eigenvalues_are_numpy_linalgs(self, monkeypatch, kind):
+        # a real objective takes the real routine, as np.linalg.eigvalsh
+        # does, so its solve keeps that routine's last bits
+        rng = np.random.default_rng(38)
+        m = rng.standard_normal((16, 16))
+        m = {"int": np.round(4.0 * m).astype(int), "float": m, "complex": m + 1j * m.T}[kind]
+        real_eigvalsh = varopt._eigvalsh
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(real_eigvalsh(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(varopt, "_eigvalsh", recording)
+        minimize_over_cptp(m)
+        assert calls[0].tobytes() == np.linalg.eigvalsh(0.5 * (m + m.conj().T)).tobytes()
+
+    def test_a_failed_factorization_comes_back_as_nan(self):
+        # the kernels raise no LinAlgError: a matrix of the stack that is not
+        # positive definite comes back as NaN, through the inverse too, and
+        # sets the FP invalid flag; the other matrix is factored as usual
+        rng = np.random.default_rng(37)
+        good = _positive_definite(16, rng)
+        bad = _random_hermitian(16, rng) - 10.0 * np.eye(16)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(bad)
+        with np.errstate(invalid="ignore"):
+            factors = varopt._cholesky(np.stack([good, bad]), signature="D->D")
+            roots = varopt._inv(factors, signature="D->D")
+        assert factors[0].tobytes() == np.linalg.cholesky(good).tobytes()
+        assert np.isnan(factors[1].real).all() and np.isnan(factors[1].imag).all()
+        assert roots[0].tobytes() == np.linalg.inv(factors[0]).tobytes()
+        assert np.isnan(roots[1, 0, 0].real)
+        with np.errstate(invalid="warn"), pytest.warns(RuntimeWarning):
+            varopt._cholesky(bad, signature="D->D")
 
     def test_batched_step_lengths_match_per_matrix_eigvalsh(self):
         rng = np.random.default_rng(31)
