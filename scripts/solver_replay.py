@@ -34,8 +34,19 @@ does an ``ansatz-n5`` sweep whose steps are not its solves, one each.
 ``--out`` also stores the record in a JSON file under the key ``--tag``,
 keeping the file's other keys.
 
-Example:
+``--parent REF`` also loads the package of git revision ``REF`` and solves
+the same three sets with it: each set's ``parent_*`` keys give that
+package's Newton steps, unconverged solves and digest, and ``digest_equal``
+whether the two give the same answers bit for bit. Then, ``--repeats``
+times, each set is timed once on either package, the order alternating:
+the record gives both least seconds per Newton step, the median paired
+difference (change - parent) and the pairs the working tree won. A digest
+that differs from the parent's exits with status 1, after the record is
+written; ``--parent HEAD`` checks the working tree against its last commit.
+
+Examples:
     python3 scripts/solver_replay.py --repeats 15 --tag change --out BENCH_solver.json
+    python3 scripts/solver_replay.py --repeats 15 --parent HEAD~1
 """
 
 import hashlib
@@ -45,7 +56,7 @@ import time
 
 import numpy as np
 
-from replay import Calls, emit, parse, parser, quartiles
+from replay import Calls, emit, paired, parent_package, parse, parser, quartiles
 from virtualmap import varopt
 from virtualmap.cone import brickwork
 from virtualmap.densesim import DensityMatrix, build_perturbed_state, exact_ground_energy
@@ -76,15 +87,16 @@ def sweep_objectives(run) -> tuple[list, int, int]:
     return mats, solves.counts["minimize_over_cptp"], len(report.steps)
 
 
-def solve_all(mats, options, prefix: str = "") -> dict:
-    """Solve each of ``mats`` once: Newton steps, most steps of one solve,
-    unconverged solves, the worst certified gap over ``tol * (1 + |value|)``
-    and the digest of the answers, under keys that start with ``prefix``."""
+def solve_all(mats, options, prefix: str = "", solver=varopt) -> dict:
+    """Solve each of ``mats`` once with ``solver``'s ``minimize_over_cptp``:
+    Newton steps, most steps of one solve, unconverged solves, the worst
+    certified gap over ``tol * (1 + |value|)`` and the digest of the
+    answers, under keys that start with ``prefix``."""
     steps = most = unconverged = 0
     worst = 0.0
     digest = hashlib.sha256()
     for m in mats:
-        choi, info = varopt.minimize_over_cptp(m, options)
+        choi, info = solver.minimize_over_cptp(m, options)
         digest.update(choi.matrix.tobytes())
         digest.update(struct.pack("<dq", info["dual_bound"], info["iters"]))
         steps += info["iters"]
@@ -100,21 +112,21 @@ def solve_all(mats, options, prefix: str = "") -> dict:
     }
 
 
-def exact_state_run(options) -> dict:
+def exact_state_objectives() -> list:
     obs = xx_hamiltonian(EXACT_N, coupling=1.0, field=FIELD, periodic=True)
     _, vec = exact_ground_energy(obs)
     rho = build_perturbed_state(DensityMatrix(EXACT_N, np.outer(vec, vec.conj())), 0.05, 21)
     start = brickwork(EXACT_N, EXACT_LAYERS)
     sweep_options = SweepOptions(rounds=EXACT_ROUNDS, seed=SEED, init="random_unitary")
     mats, _, _ = sweep_objectives(lambda: sweep(start, rho, obs, sweep_options))
-    return {
-        "exact_run": (
-            f"exact-state sweep, brickwork({EXACT_N}, {EXACT_LAYERS}) on the perturbed XX "
-            f"ground state N={EXACT_N}, field {FIELD}, {EXACT_ROUNDS} rounds, seed {SEED}"
-        ),
-        "exact_subproblems": len(mats),
-        **solve_all(mats, options, "exact_"),
-    }
+    return mats
+
+
+def seconds_per_step(solver, mats, options, steps: int) -> float:
+    start = time.perf_counter()
+    for m in mats:
+        solver.minimize_over_cptp(m, options)
+    return (time.perf_counter() - start) / steps
 
 
 def main(argv=None) -> int:
@@ -122,30 +134,51 @@ def main(argv=None) -> int:
     obs = xx_hamiltonian(N, coupling=1.0, field=FIELD, periodic=True)
     options = SweepOptions(rounds=ROUNDS, seed=SEED, init="random_unitary")
     mats, solves, steps = sweep_objectives(lambda: classical_ansatz(obs, layers=1, options=options))
-    counts = solve_all(mats, options.sdp)
+    # the three sets, by the prefix of their keys
+    sets = {"": mats, "exact_": exact_state_objectives(), "random_": list(random_objectives())}
+    runs = [("", varopt, options.sdp)]
+    if args.parent is not None:
+        parent = parent_package(args.parent).varopt
+        runs.append(("parent_", parent, parent.SdpOptions(options.sdp.max_iters, options.sdp.tol)))
+    counts = {
+        prefix + name: solve_all(set_mats, sdp, prefix + name, solver)
+        for prefix, set_mats in sets.items()
+        for name, solver, sdp in runs
+    }
 
-    per_step = []
-    for _ in range(args.repeats):
-        start = time.perf_counter()
-        for m in mats:
-            varopt.minimize_over_cptp(m, options.sdp)
-        per_step.append((time.perf_counter() - start) / counts["newton_steps"])
-    exact = exact_state_run(options.sdp)
-    record = emit(
-        {
-            "run": f"classical ansatz, XX chain N={N}, field {FIELD}, {ROUNDS} rounds, seed {SEED}",
-            "subproblems": len(mats),
-            "sweep_solves": solves,
-            "sweep_steps": steps,
-            **counts,
-            "s_per_step_min": min(per_step),
-            **quartiles(per_step, "s_per_step"),
-            **exact,
-            "random_objectives": RANDOM_OBJECTIVES,
-            **solve_all(random_objectives(), options.sdp, "random_"),
-        },
-        args,
-    )
+    # without --parent only the ansatz set is timed
+    timed = sets if len(runs) > 1 else {"": mats}
+    per_step = {prefix + name: [] for prefix in timed for name, _, _ in runs}
+    for repeat in range(args.repeats):
+        for prefix, set_mats in timed.items():
+            for name, solver, sdp in runs if repeat % 2 else runs[::-1]:
+                total = counts[prefix + name][f"{prefix}{name}newton_steps"]
+                per_step[prefix + name].append(seconds_per_step(solver, set_mats, sdp, total))
+    record = {
+        "run": f"classical ansatz, XX chain N={N}, field {FIELD}, {ROUNDS} rounds, seed {SEED}",
+        "subproblems": len(mats),
+        "sweep_solves": solves,
+        "sweep_steps": steps,
+        **counts[""],
+        "s_per_step_min": min(per_step[""]),
+        **quartiles(per_step[""], "s_per_step"),
+        "exact_run": (
+            f"exact-state sweep, brickwork({EXACT_N}, {EXACT_LAYERS}) on the perturbed XX "
+            f"ground state N={EXACT_N}, field {FIELD}, {EXACT_ROUNDS} rounds, seed {SEED}"
+        ),
+        "exact_subproblems": len(sets["exact_"]),
+        **counts["exact_"],
+        "random_objectives": RANDOM_OBJECTIVES,
+        **counts["random_"],
+    }
+    if args.parent is not None:
+        record["parent"] = args.parent
+        for prefix in sets:
+            record.update(counts[prefix + "parent_"])
+            digest = f"{prefix}digest"
+            record[f"{prefix}digest_equal"] = record[digest] == record[f"{prefix}parent_digest"]
+            record.update(paired(per_step[prefix + "parent_"], per_step[prefix], f"{prefix}s_per_step"))
+    record = emit(record, args)
     if record["unconverged"] or record["exact_unconverged"] or record["random_unconverged"]:
         print(
             f"error: {record['unconverged']} of {len(mats)} ansatz, "
@@ -157,6 +190,10 @@ def main(argv=None) -> int:
         return 1
     if steps != solves:
         print(f"error: the ansatz sweep reports {steps} steps for {solves} solves", file=sys.stderr)
+        return 1
+    differ = [prefix or "ansatz_" for prefix in sets if not record.get(f"{prefix}digest_equal", True)]
+    if differ:
+        print(f"error: the {', '.join(differ)} digests differ from {args.parent}'s", file=sys.stderr)
         return 1
     return 0
 

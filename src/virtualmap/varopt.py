@@ -238,7 +238,7 @@ def _tp_polish(c: np.ndarray, dim: int) -> np.ndarray:
     return herm(root @ c @ root)
 
 
-def _schur_matrix(x: np.ndarray, s_inv: np.ndarray, dim: int) -> np.ndarray:
+def _schur_matrix(x: np.ndarray, s_inv: np.ndarray, dim: int, work: np.ndarray | None = None) -> np.ndarray:
     """Matrix of the HKM map dY -> Tr_out[sym(X (dY (x) I) S^-1)] on
     row-major vec(dY), from one block product.
 
@@ -246,19 +246,30 @@ def _schur_matrix(x: np.ndarray, s_inv: np.ndarray, dim: int) -> np.ndarray:
     K[(a,c),(b,e)] = sum_{r,s} X[(a,r),(b,s)] S^-1[(e,s),(c,r)]. For
     Hermitian X and S^-1 the other half, dY -> Tr_out[S^-1 (dY (x) I) X], is
     the adjoint of the first on dY^H, so its block is conj(K[(c,a),(e,b)]).
+    ``work``, a (4, d^2, d^2) complex buffer, holds the operands and the
+    returned matrix, which is its last slice; without it they are new.
     """
     side = dim * dim
-    xx = x.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(side, side)
-    ss = s_inv.reshape(dim, dim, dim, dim).transpose(3, 1, 2, 0).reshape(side, side)
-    k = (xx @ ss).reshape(dim, dim, dim, dim)  # k[a, b, c, e] = K[(a,c),(b,e)]
-    return ((k.transpose(0, 2, 1, 3) + k.transpose(2, 0, 3, 1).conj()) * 0.5).reshape(side, side)
+    xx, ss, k, out = np.empty((4, side, side), dtype=complex) if work is None else work
+    quad = (dim, dim, dim, dim)
+    np.copyto(xx.reshape(quad), x.reshape(quad).transpose(0, 2, 1, 3))
+    np.copyto(ss.reshape(quad), s_inv.reshape(quad).transpose(3, 1, 2, 0))
+    k = np.matmul(xx, ss, out=k).reshape(quad)  # k[a, b, c, e] = K[(a,c),(b,e)]
+    other = np.conjugate(k.transpose(2, 0, 3, 1), out=xx.reshape(quad))
+    np.add(k.transpose(0, 2, 1, 3), other, out=out.reshape(quad))
+    return np.multiply(out, 0.5, out=out)
 
 
-def _max_steps(roots: np.ndarray, roots_h: np.ndarray, dirs: np.ndarray) -> list[float]:
+def _max_steps(
+    roots: np.ndarray, roots_h: np.ndarray, dirs: np.ndarray, work: np.ndarray | None = None
+) -> list[float]:
     """Largest a_i with Z_i + a_i dZ_i >= 0 for a stack of cones, given roots
     with root_i Z_i root_i^H = I and their adjoints ``roots_h`` (inf where
-    dZ_i >= 0): one batched eigvalsh."""
-    lam = _eigvalsh(roots @ dirs @ roots_h, signature="D->d")[:, 0]
+    dZ_i >= 0): one batched eigvalsh. ``work``, two buffers shaped like
+    ``dirs``, holds the products; without it they are new."""
+    work = np.empty((2,) + dirs.shape, dtype=complex) if work is None else work
+    np.matmul(np.matmul(roots, dirs, out=work[0]), roots_h, out=work[1])
+    lam = _eigvalsh(work[1], signature="D->d")[:, 0]
     return [np.inf if v >= 0.0 else -1.0 / v for v in lam.tolist()]
 
 
@@ -267,6 +278,15 @@ def _min_eig_floor(s_inv: np.ndarray) -> float:
     eigenvalue of S^-1 exceeds its induced infinity-norm, so lambda_min(S) =
     1 / rho(S^-1) >= 1 / ||S^-1||_inf, with equality for diagonal S."""
     return 1.0 / float(np.abs(s_inv).sum(axis=1).max())
+
+
+def _min_eig_ceiling(s_inv: np.ndarray) -> float:
+    """1 / max |S^-1_ii|, an upper bound on lambda_min(S) = 1 /
+    lambda_max(S^-1) for S > 0, and at most min_i S_ii, since S^-1_ii S_ii
+    >= 1. It is never below :func:`_min_eig_floor` of the same S^-1 in
+    floating point either: a sum of non-negative numbers is never below one
+    of its terms, so each row sum of |S^-1| is at least its diagonal term."""
+    return 1.0 / float(np.abs(s_inv.diagonal()).max())
 
 
 def _herm_into(a: np.ndarray, out: np.ndarray, conj: np.ndarray) -> np.ndarray:
@@ -306,14 +326,15 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     lift = _lifter(dim)
     lam = _eigvalsh(m, signature="D->d" if np.iscomplexobj(m) else "d->d")
     y = (lam[0] - 1.0 - max(-lam[0], lam[-1])) * eye
-    bound = dim * lam[0]  # Tr Y + dim * lambda_min(S) at the start
+    factored_y = None  # the Y of the last S that factored, whose S^-1 is s_inv
     cones = np.empty((2, side, side), dtype=complex)  # C and S
     x, s = cones
     x[...] = np.eye(side, dtype=complex) / dim
     factors, roots, roots_c, dirs = (np.empty_like(cones) for _ in range(4))  # dirs: dC, dS
     roots_h = roots_c.transpose(0, 2, 1)  # R^H once roots_c holds conj(R)
     s_inv, extra, prod, t, conj = (np.empty((side, side), dtype=complex) for _ in range(5))
-    dy, dy_conj = np.empty((dim, dim), dtype=complex), np.empty((dim, dim), dtype=complex)
+    schur_work, step_work = np.empty((4, side, side), dtype=complex), np.empty((2,) + cones.shape, dtype=complex)
+    dy, dy_conj, rhs = (np.empty((dim, dim), dtype=complex) for _ in range(3))
     for steps in range(options.max_iters + 1):
         # X and Y stay exactly Hermitian, so S is too: Cholesky reads one triangle
         np.subtract(m, lift(y), out=s)
@@ -321,44 +342,50 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
         _inv(_cholesky(cones, signature="D->D", out=factors), signature="D->D", out=roots)
         if math.isnan(roots[0, 0, 0].real + roots[1, 0, 0].real):
             break
+        factored_y = y
         np.conjugate(roots, out=roots_c)
         np.matmul(roots_h[1], roots[1], out=s_inv)
-        bound = y.trace().real + dim * _min_eig_floor(s_inv)
         value = np.vdot(x, m).real
-        if value - bound <= options.tol * (1.0 + abs(value)):
-            polished = _tp_polish(x, dim)
-            value = np.vdot(polished, m).real
+        # The bound is read only where it can stop the solve: Tr Y + dim /
+        # max |S^-1_ii| is never below it, so where that fails the test the
+        # bound fails it too.
+        if value - (y.trace().real + dim * _min_eig_ceiling(s_inv)) <= options.tol * (1.0 + abs(value)):
+            bound = y.trace().real + dim * _min_eig_floor(s_inv)
             if value - bound <= options.tol * (1.0 + abs(value)):
-                return polished, bound, steps
+                polished = _tp_polish(x, dim)
+                value = np.vdot(polished, m).real
+                if value - bound <= options.tol * (1.0 + abs(value)):
+                    return polished, bound, steps
         if steps == options.max_iters:
             break
         mu = np.vdot(x, s).real / side
-        schur = _schur_matrix(x, s_inv, dim)
-
-        def direction(rhs, dx, extra=None):
-            # dC = extra - C + sym(C (dY (x) I) S^-1) with Tr_out(C + dC) = I,
-            # into dx and dy; the Schur map commutes with ^H, so only
-            # herm(extra) matters
-            sol = _solve1(schur, rhs.reshape(-1), signature="DD->D")
-            _herm_into(sol.reshape(dim, dim), dy, dy_conj)
-            np.matmul(np.matmul(x, lift(dy), out=prod), s_inv, out=t)
-            if extra is not None:
-                np.add(t, extra, out=t)
-            np.subtract(_herm_into(t, prod, conj), x, out=dx)
-
-        # the predictor's direction gives the corrector its second-order term
-        direction(eye, dirs[0])
-        np.negative(lift(dy), out=dirs[1])
+        schur = _schur_matrix(x, s_inv, dim, schur_work)
+        # Each direction solves the Schur system for dY, then dC = extra - C +
+        # sym(C (dY (x) I) S^-1) with Tr_out(C + dC) = I and dS = -dY (x) I;
+        # the Schur map commutes with ^H, so only herm(extra) matters. The
+        # predictor's (extra = 0) gives the corrector its second-order term.
+        _herm_into(_solve1(schur, eye.reshape(-1), signature="DD->D").reshape(dim, dim), dy, dy_conj)
+        lifted = lift(dy)
+        np.matmul(np.matmul(x, lifted, out=prod), s_inv, out=t)
+        np.subtract(_herm_into(t, prod, conj), x, out=dirs[0])
+        np.negative(lifted, out=dirs[1])
         np.multiply(_SIGMA * mu, s_inv, out=extra)
         np.matmul(np.matmul(dirs[0], dirs[1], out=prod), s_inv, out=t)
         np.subtract(extra, t, out=extra)
-        direction(eye - choi_marginal(extra, dim), dirs[0], extra)
-        np.negative(lift(dy), out=dirs[1])
-        a_p, a_d = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(roots, roots_h, dirs))
+        np.subtract(eye, choi_marginal(extra, dim), out=rhs)
+        _herm_into(_solve1(schur, rhs.reshape(-1), signature="DD->D").reshape(dim, dim), dy, dy_conj)
+        lifted = lift(dy)
+        np.matmul(np.matmul(x, lifted, out=prod), s_inv, out=t)
+        np.add(t, extra, out=t)
+        np.subtract(_herm_into(t, prod, conj), x, out=dirs[0])
+        np.negative(lifted, out=dirs[1])
+        a_p, a_d = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(roots, roots_h, dirs, step_work))
         if min(a_p, a_d) < _MIN_STEP:
             break
         x += np.multiply(a_p, dirs[0], out=t)
         y = y + a_d * dy
+    # Tr Y + dim * lambda_min(S) at the start, where no S factored
+    bound = dim * lam[0] if factored_y is None else factored_y.trace().real + dim * _min_eig_floor(s_inv)
     return _tp_polish(x, dim), bound, steps
 
 
