@@ -139,7 +139,8 @@ def main(argv=None) -> int:
     runs = [("", varopt, options.sdp)]
     if args.parent is not None:
         parent = parent_package(args.parent).varopt
-        runs.append(("parent_", parent, parent.SdpOptions(options.sdp.max_iters, options.sdp.tol)))
+        sdp = parent.SdpOptions(max_iters=options.sdp.max_iters, tol=options.sdp.tol)
+        runs.append(("parent_", parent, sdp))
     counts = {
         prefix + name: solve_all(set_mats, sdp, prefix + name, solver)
         for prefix, set_mats in sets.items()
@@ -175,8 +176,7 @@ def main(argv=None) -> int:
         record["parent"] = args.parent
         for prefix in sets:
             record.update(counts[prefix + "parent_"])
-            digest = f"{prefix}digest"
-            record[f"{prefix}digest_equal"] = record[digest] == record[f"{prefix}parent_digest"]
+            record[f"{prefix}digest_equal"] = record[f"{prefix}digest"] == record[f"{prefix}parent_digest"]
             record.update(paired(per_step[prefix + "parent_"], per_step[prefix], f"{prefix}s_per_step"))
     record = emit(record, args)
     if record["unconverged"] or record["exact_unconverged"] or record["random_unconverged"]:
@@ -191,7 +191,8 @@ def main(argv=None) -> int:
     if steps != solves:
         print(f"error: the ansatz sweep reports {steps} steps for {solves} solves", file=sys.stderr)
         return 1
-    differ = [prefix or "ansatz_" for prefix in sets if not record.get(f"{prefix}digest_equal", True)]
+    names = {"": "ansatz", "exact_": "exact-state", "random_": "random"}
+    differ = [names[prefix] for prefix in sets if not record.get(f"{prefix}digest_equal", True)]
     if differ:
         print(f"error: the {', '.join(differ)} digests differ from {args.parent}'s", file=sys.stderr)
         return 1

@@ -60,14 +60,12 @@ from .maps import (
     depolarizing_map,
     identity_map,
     invert_map,
-    is_cptp,
     kraus_map,
     map_from_spec,
     random_cptp_map,
     random_tp_hermitian_map,
     random_unitary_map,
     superop_to_choi,
-    tensor_extend,
     tensor_maps,
     unitary_map,
     zreset_map,

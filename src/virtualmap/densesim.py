@@ -173,7 +173,7 @@ class OutcomeBatch:
             raise ValidationError("outcomes must be integers")
         if o.min() < 0 or o.max() > 3:
             raise ValidationError("outcome indices must lie in 0..3")
-        self.outcomes = o.astype(np.int8)
+        self.outcomes = o.astype(np.int8, copy=False)  # read_batch's int8 rows are kept as they are
         self.povm_labels = tuple(self.povm_labels)
         if len(self.povm_labels) != o.shape[1]:
             raise ValidationError("need one POVM label per qubit")

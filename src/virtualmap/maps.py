@@ -176,33 +176,6 @@ def tensor_maps(a: LocalMap, b: LocalMap) -> LocalMap:
     return LocalMap(s.reshape(d * d, d * d))
 
 
-def tensor_extend(m: LocalMap, positions, arity: int) -> LocalMap:
-    """Embed a map into a larger register, identity on the other qubits.
-
-    ``positions`` places the map's qubits (in its own order) within the
-    ``arity``-qubit register.
-    """
-    positions = list(positions)
-    if len(positions) != m.arity:
-        raise ValidationError("positions must match the map arity")
-    if len(set(positions)) != len(positions) or not all(
-        0 <= p < arity for p in positions
-    ):
-        raise ValidationError(f"invalid embedding positions {positions}")
-    from .linalg import apply_superop_local
-
-    d = 2**arity
-    # column j of the superoperator is vec of the map applied to unvec(e_j),
-    # here the trailing batch axis j
-    units = np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2)
-    out = apply_superop_local(units, m.superop, positions, arity)
-    return LocalMap(out.transpose(1, 0, 2).reshape(d * d, d * d))
-
-
-def is_cptp(m: LocalMap) -> MapFlags:
-    return m.flags()
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

@@ -1,4 +1,4 @@
-"""Pauli strings, Hermitian observables, and their dense oracles.
+"""Pauli strings and Hermitian observables.
 
 Observables are sums of weighted Pauli strings over a fixed qubit count.
 Strings are written with qubit 0 as the leftmost letter ("XIZ" acts with X on
@@ -215,26 +215,3 @@ def xx_hamiltonian(
         s[q] = "Z"
         terms.append((-coupling * field, PauliString("".join(s))))
     return Observable.from_terms(n, terms)
-
-
-def expectation_oracle(rho: np.ndarray, obs: Observable) -> complex:
-    """Sum_k c_k Tr[rho P_k] by per-qubit tensor contraction.
-
-    Independent of any map machinery and of :meth:`Observable.matrix`; used
-    as the reference value in tests. Returns a complex number; callers decide
-    whether to keep the real part.
-    """
-    rho = np.asarray(rho)
-    n = obs.num_qubits
-    if rho.shape != (2**n, 2**n):
-        raise ValidationError(f"state shape {rho.shape} does not match {n} qubits")
-    total = 0.0 + 0.0j
-    base = rho.reshape((2,) * (2 * n))
-    for coeff, ps in obs.terms:
-        t = base
-        for q in reversed(range(n)):
-            nq = t.ndim // 2
-            # Tr picks up sum_{r,c} t[..r..,..c..] P[c,r] on each qubit
-            t = np.tensordot(t, PAULI_MATRICES[ps.letters[q]], axes=([q, nq + q], [1, 0]))
-        total += coeff * complex(t)
-    return total

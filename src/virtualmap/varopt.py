@@ -15,12 +15,13 @@ program, solved by a primal-dual interior-point method (Mehrotra
 predictor-corrector steps in the HKM direction, about ten Newton steps per
 solve). Its matrices are d^2 x d^2 for a d-dimensional component, so a step
 costs about as much as the numpy calls it makes: each step factors C and S
-with one batched Cholesky and one batched inverse, builds the Schur matrix
+and inverts their factors with one batched Cholesky, of the bordered pair
+[[Z, I], [I, c I]] whose factor holds L^-H beside L, builds the Schur matrix
 from one block product, solves it twice, and takes the primal and dual step
 lengths of its corrector with one batched eigvalsh. These kernels are the
 LAPACK gufuncs behind numpy.linalg, called directly without the per-call
-wrappers, and the step writes most of its intermediate matrices into buffers
-held for the solve. The centering parameter is
+wrappers, and the step writes its intermediate matrices into buffers held
+for the solve. The centering parameter is
 fixed at 1 - _STEP_FRACTION = 0.05, which keeps the iterate near the central
 path, so solves do not stall near degenerate optima (0 of 600 seeded random
 subproblems end unconverged). The predictor's direction stays, for the
@@ -28,7 +29,9 @@ corrector's second-order term, but its step lengths are not taken. The dual
 variable Y, with slack S = M - Y (x) I, proves the lower bound
 Tr Y + dim / ||S^-1||_inf on the optimum, read off the S^-1 the step's
 Cholesky gives, so every solve reports a certified optimality gap, and the
-returned map is exactly trace-preserving. A sweep visits components
+returned map is exactly trace-preserving. A step reads the bound only where
+it can stop the solve: where Tr Y + dim / max |S^-1_ii|, which is never
+below it, passes the stop test. A sweep visits components
 cyclically, installing a new map only when it lowers the energy, and records
 each solve's gap and convergence. M does not depend on the visited component's
 own map, so a component visited since the last install is settled: a second
@@ -143,12 +146,13 @@ class SdpOptions:
     the iterates near the central path, so solves rarely stall there: on 600
     seeded random objectives (``scripts/solver_replay.py``) every solve
     converges within 14 Newton steps.  Each Newton step takes its step
-    lengths with one batched eigvalsh, and calls that and its Cholesky,
-    inverse and two solves as numpy.linalg's LAPACK gufuncs, without the
-    public wrappers.  A Cholesky that fails near the cone boundary ends the
+    lengths with one batched eigvalsh, and calls that, its one Cholesky and
+    its two solves as numpy.linalg's LAPACK gufuncs, without the public
+    wrappers.  A Cholesky that fails near the cone boundary ends the
     solve.  The proven lower bound is Tr Y + d / ||S^-1||_inf, from the dual
     variable Y, its slack S = M - Y (x) I and the inverse of S that the
-    step's Cholesky gives: it costs no eigenvalue computation.  A sweep
+    step's Cholesky gives: it costs no eigenvalue computation, and a step
+    reads it only where it can stop the solve.  A sweep
     skips a component whose subproblem no install has changed since its
     last solve, so each of its steps is one solve.
     """
@@ -179,16 +183,15 @@ _STEP_FRACTION = 0.95
 _SIGMA = 1.0 - _STEP_FRACTION
 
 
-# The LAPACK gufuncs behind np.linalg's cholesky, inv, solve (1-D right-hand
+# The LAPACK gufuncs behind np.linalg's cholesky, solve (1-D right-hand
 # side), eigvalsh and eigh. A solve calls them with the signatures those
-# wrappers pass, "D->D", "D->D", "DD->D", "D->d" and "D->dD" ("d->d" for the
-# start eigenvalues of a real objective): the same routines on the same
-# operands, without the wrappers' per-call checks, casts and error-state
-# switches. A failed factorization raises no LinAlgError: the
-# gufunc fills that matrix of the stack with NaN and sets the FP invalid
-# flag, which a solve ignores under one np.errstate.
+# wrappers pass, "D->D", "DD->D", "D->d" and "D->dD" ("d->d" for the start
+# eigenvalues of a real objective): the same routines on the same operands,
+# without the wrappers' per-call checks, casts and error-state switches. A
+# failed factorization raises no LinAlgError: the gufunc fills that matrix
+# of the stack with NaN and sets the FP invalid flag, which a solve ignores
+# under one np.errstate.
 _cholesky = _umath_linalg.cholesky_lo
-_inv = _umath_linalg.inv
 _solve1 = _umath_linalg.solve1
 _eigvalsh = _umath_linalg.eigvalsh_lo
 _eigh = _umath_linalg.eigh_lo
@@ -199,6 +202,27 @@ def _eye(dim: int) -> np.ndarray:
     eye = np.eye(dim)
     eye.flags.writeable = False  # one array serves every caller
     return eye
+
+
+# Corner of the bordered matrices [[Z, I], [I, _BORDER I]]: their Cholesky
+# factor is [[L, 0], [L^-H, N]] whenever _BORDER lambda_min(Z) > 1, so one
+# factorization gives the inverse of L as well.
+_BORDER = 1e300
+
+
+def _bordered(side: int) -> np.ndarray:
+    """A stack of two (2 side, 2 side) bordered matrices [[Z, I], [I, _BORDER
+    I]] with Z = 0, to be written into the top-left blocks. Cholesky reads
+    the lower triangle only, so the top-right block stays 0.
+
+    The lower-left block of the factor of a stack is the stack of L^-H =
+    R^H, with L L^H = Z and R Z R^H = I. If some Z is not positive definite,
+    neither is its bordered matrix, and that whole factor comes back NaN.
+    """
+    bordered = np.zeros((2, 2 * side, 2 * side), dtype=complex)
+    bordered[:, side:, :side] = np.eye(side)
+    bordered[:, side:, side:] = _BORDER * np.eye(side)
+    return bordered
 
 
 @functools.cache
@@ -238,7 +262,7 @@ def _tp_polish(c: np.ndarray, dim: int) -> np.ndarray:
     return herm(root @ c @ root)
 
 
-def _schur_matrix(x: np.ndarray, s_inv: np.ndarray, dim: int, work: np.ndarray | None = None) -> np.ndarray:
+def _schur_matrix(x: np.ndarray, s_inv: np.ndarray, dim: int, work: np.ndarray) -> np.ndarray:
     """Matrix of the HKM map dY -> Tr_out[sym(X (dY (x) I) S^-1)] on
     row-major vec(dY), from one block product.
 
@@ -247,10 +271,9 @@ def _schur_matrix(x: np.ndarray, s_inv: np.ndarray, dim: int, work: np.ndarray |
     Hermitian X and S^-1 the other half, dY -> Tr_out[S^-1 (dY (x) I) X], is
     the adjoint of the first on dY^H, so its block is conj(K[(c,a),(e,b)]).
     ``work``, a (4, d^2, d^2) complex buffer, holds the operands and the
-    returned matrix, which is its last slice; without it they are new.
+    returned matrix, which is its last slice.
     """
-    side = dim * dim
-    xx, ss, k, out = np.empty((4, side, side), dtype=complex) if work is None else work
+    xx, ss, k, out = work
     quad = (dim, dim, dim, dim)
     np.copyto(xx.reshape(quad), x.reshape(quad).transpose(0, 2, 1, 3))
     np.copyto(ss.reshape(quad), s_inv.reshape(quad).transpose(3, 1, 2, 0))
@@ -260,14 +283,11 @@ def _schur_matrix(x: np.ndarray, s_inv: np.ndarray, dim: int, work: np.ndarray |
     return np.multiply(out, 0.5, out=out)
 
 
-def _max_steps(
-    roots: np.ndarray, roots_h: np.ndarray, dirs: np.ndarray, work: np.ndarray | None = None
-) -> list[float]:
+def _max_steps(roots: np.ndarray, roots_h: np.ndarray, dirs: np.ndarray, work: np.ndarray) -> list[float]:
     """Largest a_i with Z_i + a_i dZ_i >= 0 for a stack of cones, given roots
     with root_i Z_i root_i^H = I and their adjoints ``roots_h`` (inf where
-    dZ_i >= 0): one batched eigvalsh. ``work``, two buffers shaped like
-    ``dirs``, holds the products; without it they are new."""
-    work = np.empty((2,) + dirs.shape, dtype=complex) if work is None else work
+    dZ_i >= 0): one batched eigvalsh. ``work``, two complex buffers shaped
+    like ``dirs``, holds the products."""
     np.matmul(np.matmul(roots, dirs, out=work[0]), roots_h, out=work[1])
     lam = _eigvalsh(work[1], signature="D->d")[:, 0]
     return [np.inf if v >= 0.0 else -1.0 / v for v in lam.tolist()]
@@ -307,19 +327,22 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     stops once the polished primal point is within ``options.tol`` of it.
     ``m`` is float64 or complex128. Returns (C, dual bound, Newton steps).
 
-    Each step factors C and S with one batched Cholesky and one batched
-    inverse, which give the roots R with R Z R^H = I and S^-1 = R_S^H R_S,
-    and takes the bound from that S^-1.  The corrector aims at _SIGMA * mu =
-    0.05 mu and keeps Mehrotra's second-order term dC_aff dS_aff S^-1 from the
-    predictor's direction, whose step lengths are not taken: the step makes
-    two 1-D solves of the Schur system and one batched eigvalsh, for the
-    corrector's primal and dual step lengths.  Every kernel is a LAPACK
-    gufunc called directly, and the step writes its Hermitian parts, lift
-    products and updates into buffers held for the solve.  A failed
-    factorization fills its matrix with NaN, so the caller runs the solve
-    under np.errstate(invalid="ignore").
-    Every exit returns the bound of the last S that factored, or the start's
-    exact bound dim * lambda_min(M) if none did.
+    Each step factors C and S with one batched Cholesky of their bordered
+    pair (:func:`_bordered`), which gives the roots R with R Z R^H = I and
+    S^-1 = R_S^H R_S.  It takes the bound from that S^-1 only where Tr Y +
+    dim / max |S^-1_ii| (:func:`_min_eig_ceiling`), never below the bound,
+    passes the stop test; elsewhere the bound cannot pass it either.  The
+    corrector aims at _SIGMA * mu = 0.05 mu and keeps Mehrotra's
+    second-order term dC_aff dS_aff S^-1 from the predictor's direction,
+    whose step lengths are not taken: the step makes two 1-D solves of the
+    Schur system and one batched eigvalsh, for the corrector's primal and
+    dual step lengths.  Every kernel is a LAPACK gufunc called directly, and
+    the step writes its Schur matrix, Hermitian parts, products and updates
+    into buffers held for the solve.  A failed factorization fills its
+    matrix with NaN, so the caller runs the solve under
+    np.errstate(invalid="ignore").  Every exit returns the bound of the last
+    S that factored, taken from its S^-1 and Y, or the start's exact bound
+    dim * lambda_min(M) if none did.
     """
     side = dim * dim
     eye = _eye(dim)
@@ -330,28 +353,32 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
     cones = np.empty((2, side, side), dtype=complex)  # C and S
     x, s = cones
     x[...] = np.eye(side, dtype=complex) / dim
-    factors, roots, roots_c, dirs = (np.empty_like(cones) for _ in range(4))  # dirs: dC, dS
-    roots_h = roots_c.transpose(0, 2, 1)  # R^H once roots_c holds conj(R)
+    bordered = _bordered(side)
+    factors = np.empty_like(bordered)
+    roots_h = factors[:, side:, :side]  # R^H, the factor's lower-left block
+    roots_c, dirs = np.empty_like(roots_h), np.empty_like(roots_h)  # dirs: dC, dS
+    roots = roots_c.transpose(0, 2, 1)  # R once roots_c holds conj(R^H)
     s_inv, extra, prod, t, conj = (np.empty((side, side), dtype=complex) for _ in range(5))
-    schur_work, step_work = np.empty((4, side, side), dtype=complex), np.empty((2,) + cones.shape, dtype=complex)
+    schur_work = np.empty((4, side, side), dtype=complex)
+    step_work = np.empty((2,) + dirs.shape, dtype=complex)
     dy, dy_conj, rhs = (np.empty((dim, dim), dtype=complex) for _ in range(3))
     for steps in range(options.max_iters + 1):
         # X and Y stay exactly Hermitian, so S is too: Cholesky reads one triangle
         np.subtract(m, lift(y), out=s)
-        # R Z R^H = I; a failed Cholesky's NaN runs through its inverse
-        _inv(_cholesky(cones, signature="D->D", out=factors), signature="D->D", out=roots)
-        if math.isnan(roots[0, 0, 0].real + roots[1, 0, 0].real):
+        # R Z R^H = I, from one Cholesky of the bordered pair
+        bordered[:, :side, :side] = cones
+        _cholesky(bordered, signature="D->D", out=factors)
+        if math.isnan(roots_h[0, 0, 0].real + roots_h[1, 0, 0].real):
             break
         factored_y = y
-        np.conjugate(roots, out=roots_c)
+        np.conjugate(roots_h, out=roots_c)
         np.matmul(roots_h[1], roots[1], out=s_inv)
         value = np.vdot(x, m).real
-        # The bound is read only where it can stop the solve: Tr Y + dim /
-        # max |S^-1_ii| is never below it, so where that fails the test the
-        # bound fails it too.
-        if value - (y.trace().real + dim * _min_eig_ceiling(s_inv)) <= options.tol * (1.0 + abs(value)):
+        limit = options.tol * (1.0 + abs(value))
+        # the bound only where it can stop the solve
+        if value - (y.trace().real + dim * _min_eig_ceiling(s_inv)) <= limit:
             bound = y.trace().real + dim * _min_eig_floor(s_inv)
-            if value - bound <= options.tol * (1.0 + abs(value)):
+            if value - bound <= limit:
                 polished = _tp_polish(x, dim)
                 value = np.vdot(polished, m).real
                 if value - bound <= options.tol * (1.0 + abs(value)):
@@ -384,9 +411,9 @@ def _interior_point(m: np.ndarray, dim: int, options: SdpOptions):
             break
         x += np.multiply(a_p, dirs[0], out=t)
         y = y + a_d * dy
-    # Tr Y + dim * lambda_min(S) at the start, where no S factored
-    bound = dim * lam[0] if factored_y is None else factored_y.trace().real + dim * _min_eig_floor(s_inv)
-    return _tp_polish(x, dim), bound, steps
+    if factored_y is None:  # Tr Y + dim * lambda_min(S) at the start
+        return _tp_polish(x, dim), dim * lam[0], steps
+    return _tp_polish(x, dim), factored_y.trace().real + dim * _min_eig_floor(s_inv), steps
 
 
 def minimize_over_cptp(objective: np.ndarray, options: SdpOptions | None = None) -> tuple[ChoiMatrix, dict]:

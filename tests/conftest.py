@@ -7,8 +7,9 @@ import pytest
 from hypothesis import strategies as st
 
 from virtualmap.cone import Component, CutWalk, MapCircuit, brickwork, schedule, staircase
+from virtualmap.errors import ValidationError
 from virtualmap.estimation import ProductInputData
-from virtualmap.linalg import trace_mul
+from virtualmap.linalg import apply_superop_local, trace_mul
 from virtualmap.maps import (
     LocalMap,
     identity_map,
@@ -91,6 +92,48 @@ def random_product_duals(n: int, rng: np.random.Generator) -> list[np.ndarray]:
         h = h - np.eye(2) * (np.trace(h) - 1.0) / 2.0
         out.append(h)
     return out
+
+
+def expectation_oracle(rho: np.ndarray, obs: Observable) -> complex:
+    """Sum_k c_k Tr[rho P_k] by per-qubit tensor contraction.
+
+    Independent of any map machinery and of :meth:`Observable.matrix`: the
+    reference value the tests compare energies with. Returns a complex
+    number; callers decide whether to keep the real part.
+    """
+    rho = np.asarray(rho)
+    n = obs.num_qubits
+    if rho.shape != (2**n, 2**n):
+        raise ValidationError(f"state shape {rho.shape} does not match {n} qubits")
+    total = 0.0 + 0.0j
+    base = rho.reshape((2,) * (2 * n))
+    for coeff, ps in obs.terms:
+        t = base
+        for q in reversed(range(n)):
+            nq = t.ndim // 2
+            # Tr picks up sum_{r,c} t[..r..,..c..] P[c,r] on each qubit
+            t = np.tensordot(t, PAULI_MATRICES[ps.letters[q]], axes=([q, nq + q], [1, 0]))
+        total += coeff * complex(t)
+    return total
+
+
+def tensor_extend(m: LocalMap, positions, arity: int) -> LocalMap:
+    """Embed a map into a larger register, identity on the other qubits.
+
+    ``positions`` places the map's qubits (in its own order) within the
+    ``arity``-qubit register.
+    """
+    positions = list(positions)
+    if len(positions) != m.arity:
+        raise ValidationError("positions must match the map arity")
+    if len(set(positions)) != len(positions) or not all(0 <= p < arity for p in positions):
+        raise ValidationError(f"invalid embedding positions {positions}")
+    d = 2**arity
+    # column j of the superoperator is vec of the map applied to unvec(e_j),
+    # here the trailing batch axis j
+    units = np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2)
+    out = apply_superop_local(units, m.superop, positions, arity)
+    return LocalMap(out.transpose(1, 0, 2).reshape(d * d, d * d))
 
 
 def one_row(factors) -> ProductInputData:

@@ -11,7 +11,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_RESULTS, brute_force_min, objective_value, random_mixed_circuit
+from conftest import (
+    ACCEPTANCE_RESULTS,
+    brute_force_min,
+    expectation_oracle,
+    objective_value,
+    random_mixed_circuit,
+)
 from virtualmap.cone import MapCircuit, brickwork, evaluate_trace, evaluate_trace_backward, staircase
 from virtualmap.densesim import (
     DensityMatrix,
@@ -37,7 +43,7 @@ from virtualmap.maps import (
     random_unitary_map,
     superop_to_choi,
 )
-from virtualmap.pauli import Observable, PauliString, expectation_oracle, xx_hamiltonian
+from virtualmap.pauli import Observable, PauliString, xx_hamiltonian
 from virtualmap.povm import TETRAHEDRON, compute_duals, make_sic_povm
 from virtualmap.varopt import (
     SweepOptions,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     cube_povm,
+    expectation_oracle,
     kernel_circuits,
     kernel_observable,
     random_mixed_circuit,
@@ -38,7 +39,7 @@ from virtualmap.estimation import (
 )
 from virtualmap.linalg import kron_all
 from virtualmap.maps import LocalMap, cnot_map, random_cptp_map, random_tp_hermitian_map
-from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
+from virtualmap.pauli import Observable, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
 from virtualmap.varopt import assemble_local_objective, circuit_energy
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tensor_extend
 from virtualmap.errors import NumericalError, ValidationError
 from virtualmap.maps import (
     ChoiMatrix,
@@ -16,7 +17,6 @@ from virtualmap.maps import (
     depolarizing_map,
     identity_map,
     invert_map,
-    is_cptp,
     kraus_map,
     map_from_payload,
     map_from_spec,
@@ -26,7 +26,6 @@ from virtualmap.maps import (
     random_tp_hermitian_map,
     random_unitary_map,
     superop_to_choi,
-    tensor_extend,
     tensor_maps,
     unitary_map,
     zreset_map,
@@ -240,7 +239,7 @@ class TestComposeAndTensor:
 
 class TestFlags:
     def test_cnot_flags(self):
-        flags = is_cptp(cnot_map())
+        flags = cnot_map().flags()
         assert flags.cp and flags.tp and flags.hermiticity_preserving
 
     def test_zreset_flags_and_action(self):

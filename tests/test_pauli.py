@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import json_junk, small_or_junk
+from conftest import expectation_oracle, json_junk, small_or_junk
 from virtualmap.errors import ValidationError
 from virtualmap.pauli import (
     PAULI_MATRICES,
     Observable,
     PauliString,
-    expectation_oracle,
     parse_observable,
     write_observable,
     xx_hamiltonian,

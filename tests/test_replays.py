@@ -6,12 +6,14 @@ smallest size, loaded from ``scripts/`` by path."""
 import importlib.util
 import json
 import re
+import subprocess
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import virtualmap
 from virtualmap import densesim, estimation, varopt
 from virtualmap.cli import main
 from virtualmap.pauli import write_observable, xx_hamiltonian
@@ -85,6 +87,23 @@ def test_records_keep_the_files_other_keys(load, tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["y"] == 2 and printed["repeats"] == 3 and "machine" in printed
     assert json.loads(out.read_text()) == {"parent": {"x": 1}, "change": printed}
+
+
+def test_paired_timings(load):
+    replay = load("replay")
+    got = replay.paired([3.0, 5.0, 4.0], [2.0, 6.0, 1.0], "t")
+    assert got == {"t_parent_min": 3.0, "t_min": 1.0, "t_paired_diff_median": -1.0, "t_wins": 2, "t_pairs": 3}
+
+
+def test_the_parent_package_is_imported_beside_the_working_trees(load):
+    root = Path(__file__).resolve().parent.parent
+    if subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    parent = load("replay").parent_package("HEAD")
+    assert parent.__name__ == "virtualmap_parent" and parent is not virtualmap
+    assert parent.varopt is not varopt and parent.varopt.__name__ == "virtualmap_parent.varopt"
+    _, info = parent.varopt.minimize_over_cptp(np.eye(4))
+    assert info["converged"]
 
 
 class TestSolverReplay:
@@ -236,3 +255,36 @@ class TestBatchReplay:
 def test_experiment_runs_at_its_smallest_size(load, capsys, name, argv, summary):
     assert load(name).main(argv) == 0
     assert re.fullmatch(summary, capsys.readouterr().out.splitlines()[-1])
+
+    def test_the_parent_comparison_passes_on_equal_answers(self, load, capsys, monkeypatch):
+        # the working tree's own package as the parent: every digest is equal
+        replay = load("solver_replay")
+        replay.RANDOM_OBJECTIVES = 2
+        monkeypatch.setattr(replay, "parent_package", lambda ref: virtualmap)
+        assert replay.main(["--repeats", "2", "--parent", "REF"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["parent"] == "REF"
+        for prefix in ("", "exact_", "random_"):
+            assert record[f"{prefix}digest_equal"] is True
+            assert record[f"{prefix}parent_newton_steps"] == record[f"{prefix}newton_steps"]
+            assert record[f"{prefix}s_per_step_pairs"] == 2
+            assert 0 <= record[f"{prefix}s_per_step_wins"] <= 2
+            assert record[f"{prefix}s_per_step_parent_min"] > 0.0
+
+    def test_a_parent_with_other_answers_fails_the_replay(self, load, capsys, monkeypatch):
+        # a parent whose bounds differ in the last bit: all three digests differ
+        parent = types.SimpleNamespace(varopt=types.SimpleNamespace(SdpOptions=varopt.SdpOptions))
+
+        def shifted(*args, **kwargs):
+            choi, info = varopt.minimize_over_cptp(*args, **kwargs)
+            return choi, {**info, "dual_bound": np.nextafter(info["dual_bound"], -np.inf)}
+
+        parent.varopt.minimize_over_cptp = shifted
+        replay = load("solver_replay")
+        replay.RANDOM_OBJECTIVES = 2
+        monkeypatch.setattr(replay, "parent_package", lambda ref: parent)
+        assert replay.main(["--repeats", "1", "--parent", "REF"]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert not any(record[f"{prefix}digest_equal"] for prefix in ("", "exact_", "random_"))
+        assert captured.err == "error: the ansatz, exact-state, random digests differ from REF's\n"

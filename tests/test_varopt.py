@@ -51,7 +51,7 @@ from virtualmap.maps import (
     tensor_maps,
     zreset_map,
 )
-from virtualmap.pauli import Observable, expectation_oracle, xx_hamiltonian
+from virtualmap.pauli import Observable, xx_hamiltonian
 from virtualmap.povm import compute_duals, make_sic_povm
 from virtualmap.varopt import (
     SWEEP_INITS,
@@ -67,8 +67,10 @@ from virtualmap.varopt import (
 )
 from virtualmap.varopt import (
     SweepStep,
+    _bordered,
     _cut_walks,
     _max_steps,
+    _min_eig_ceiling,
     _min_eig_floor,
     _schur_matrix,
 )
@@ -848,6 +850,51 @@ class TestMinimizeOverCptp:
                 exits.add(info["converged"])
         assert exits == {False, True}
 
+    def test_diagonal_objectives_at_every_exit(self):
+        # a diagonal M keeps every iterate diagonal, where the skip test of
+        # the bound and the bound itself agree: the optimum sum_in min_out M
+        # lies between the bound and the value at every step cap, and
+        # converged is the gap test
+        rng = np.random.default_rng(45)
+        tol = SdpOptions().tol
+        exits = set()
+        for arity in (1, 2, 1, 2):
+            d = 2**arity
+            diag = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-2, 2)  # [in, out]
+            optimum = diag.min(axis=1).sum()
+            for max_iters in range(13):
+                _, info = minimize_over_cptp(np.diag(diag.reshape(-1)), SdpOptions(max_iters=max_iters))
+                slack = 1e-12 * (1.0 + abs(optimum))
+                assert info["dual_bound"] <= optimum + slack <= info["value"] + 2.0 * slack
+                assert info["converged"] == (info["gap"] <= tol * (1.0 + abs(info["value"])))
+                exits.add(info["converged"])
+        assert exits == {False, True}
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_skipping_the_bound_changes_no_solve(self, monkeypatch, diagonal):
+        # with the skip test always passing, the bound is read at every step,
+        # as before the skip: every answer, bound and step count stay the
+        # same bit for bit, at every step cap
+        rng = np.random.default_rng(46)
+        mats = []
+        for i in range(20):
+            side = 4 ** (1 + i % 2)
+            m = _random_hermitian(side, rng) * 10.0 ** rng.uniform(-2, 2)
+            mats.append(np.diag(m.diagonal()) if diagonal else m)
+        caps = [SdpOptions(max_iters=k) for k in (0, 3, 8)] + [SdpOptions()]
+
+        def answers():
+            out = []
+            for m in mats:
+                for options in caps:
+                    choi, info = minimize_over_cptp(m, options)
+                    out.append((choi.matrix.tobytes(), info["dual_bound"], info["iters"]))
+            return out
+
+        skipping = answers()
+        monkeypatch.setattr(varopt, "_min_eig_ceiling", lambda s_inv: np.inf)
+        assert answers() == skipping
+
     def test_a_nan_solution_is_refused(self, monkeypatch):
         # an eigensolver that fails returns NaN, which must fail the
         # feasibility test rather than read as a zero residual
@@ -897,18 +944,44 @@ def _positive_definite(dim, rng):
     return g @ g.conj().T + 0.1 * np.eye(dim)
 
 
+def _bordered_factor(pair):
+    """The solver's Cholesky of the bordered stack of ``pair``, and its
+    lower-left blocks R^H."""
+    side = pair.shape[-1]
+    bordered = _bordered(side)
+    bordered[:, :side, :side] = pair
+    factors = varopt._cholesky(bordered, signature="D->D")
+    return factors, factors[:, side:, :side]
+
+
 class TestInteriorPointKernels:
     def test_stacked_cholesky_roots_invert_both_matrices(self):
-        # one Cholesky and one inverse of the stacked (C, S) give R Z R^H = I
-        # for both, and S^-1 = R_S^H R_S
+        # one Cholesky of the stacked bordered (C, S) gives L^-H = R^H in its
+        # lower-left blocks: R Z R^H = I for both, and S^-1 = R_S^H R_S
         rng = np.random.default_rng(33)
         for side in (4, 16):
             pair = np.stack([_positive_definite(side, rng), _positive_definite(side, rng)])
-            roots = np.linalg.inv(np.linalg.cholesky(pair))
-            roots_h = roots.conj().transpose(0, 2, 1)
+            _, roots_h = _bordered_factor(pair)
+            want = np.linalg.inv(np.linalg.cholesky(pair)).conj().transpose(0, 2, 1)
+            assert np.abs(roots_h - want).max() <= 1e-13 * np.abs(want).max()
+            roots = roots_h.conj().transpose(0, 2, 1)
             assert np.abs(roots @ pair @ roots_h - np.eye(side)).max() <= 1e-12
-            want = np.linalg.inv(pair[1])
-            assert np.abs(roots_h[1] @ roots[1] - want).max() <= 1e-12 * np.abs(want).max()
+            inverse = np.linalg.inv(pair[1])
+            assert np.abs(roots_h[1] @ roots[1] - inverse).max() <= 1e-12 * np.abs(inverse).max()
+
+    def test_bordered_roots_of_ill_conditioned_matrices(self):
+        # condition numbers 1e6 to 1e14: R Z R^H = I as closely as with the
+        # inverse of the plain factor
+        rng = np.random.default_rng(39)
+        for cond in (1e6, 1e10, 1e14):
+            q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+            z = (q * np.geomspace(1.0, 1.0 / cond, 16)) @ q.conj().T
+            z = np.stack([(z + z.conj().T) / 2.0] * 2)
+            _, roots_h = _bordered_factor(z)
+            roots = roots_h.conj().transpose(0, 2, 1)
+            lu = np.linalg.inv(np.linalg.cholesky(z))
+            err = np.abs(roots @ z @ roots_h - np.eye(16)).max()
+            assert err <= 10.0 * np.abs(lu @ z @ lu.conj().transpose(0, 2, 1) - np.eye(16)).max() + 1e-12
 
     def test_lapack_kernels_equal_the_public_linalg_calls(self):
         # the solver calls numpy.linalg's LAPACK gufuncs with the signatures
@@ -925,7 +998,6 @@ class TestInteriorPointKernels:
             cases = [
                 (varopt._cholesky(pair, signature="D->D", out=buf), np.linalg.cholesky(pair)),
                 (varopt._eigvalsh(hermitian.real, signature="d->d"), np.linalg.eigvalsh(hermitian.real)),
-                (varopt._inv(pair, signature="D->D"), np.linalg.inv(pair)),
                 (varopt._solve1(pair[0], rhs, signature="DD->D"), np.linalg.solve(pair[0], rhs)),
                 (varopt._eigvalsh(hermitian, signature="D->d"), np.linalg.eigvalsh(hermitian)),
                 (vals, want_vals),
@@ -954,9 +1026,9 @@ class TestInteriorPointKernels:
         assert calls[0].tobytes() == np.linalg.eigvalsh(0.5 * (m + m.conj().T)).tobytes()
 
     def test_a_failed_factorization_comes_back_as_nan(self):
-        # the kernels raise no LinAlgError: a matrix of the stack that is not
-        # positive definite comes back as NaN, through the inverse too, and
-        # sets the FP invalid flag; the other matrix is factored as usual
+        # the kernel raises no LinAlgError: a matrix of the stack that is not
+        # positive definite comes back as NaN and sets the FP invalid flag;
+        # the other matrix is factored as usual
         rng = np.random.default_rng(37)
         good = _positive_definite(16, rng)
         bad = _random_hermitian(16, rng) - 10.0 * np.eye(16)
@@ -964,13 +1036,28 @@ class TestInteriorPointKernels:
             np.linalg.cholesky(bad)
         with np.errstate(invalid="ignore"):
             factors = varopt._cholesky(np.stack([good, bad]), signature="D->D")
-            roots = varopt._inv(factors, signature="D->D")
         assert factors[0].tobytes() == np.linalg.cholesky(good).tobytes()
         assert np.isnan(factors[1].real).all() and np.isnan(factors[1].imag).all()
-        assert roots[0].tobytes() == np.linalg.inv(factors[0]).tobytes()
-        assert np.isnan(roots[1, 0, 0].real)
         with np.errstate(invalid="warn"), pytest.warns(RuntimeWarning):
             varopt._cholesky(bad, signature="D->D")
+
+    @pytest.mark.parametrize("side", [4, 16])
+    def test_a_bordered_pair_with_a_failed_member(self, side):
+        # a Z that is not positive definite leaves its bordered matrix
+        # indefinite: that whole factor, roots included, comes back NaN, and
+        # the other member's factor is the usual one
+        rng = np.random.default_rng(40)
+        good = _positive_definite(side, rng)
+        bad = _random_hermitian(side, rng) - 10.0 * np.eye(side)
+        with np.errstate(invalid="ignore"):
+            factors, roots_h = _bordered_factor(np.stack([good, bad]))
+            alone, _ = _bordered_factor(np.stack([good, good]))
+        assert np.isnan(factors[1].real).all() and np.isnan(factors[1].imag).all()
+        assert factors[0].tobytes() == alone[0].tobytes()
+        plain = np.linalg.cholesky(good)
+        assert np.abs(factors[0, :side, :side] - plain).max() <= 1e-13 * np.abs(plain).max()
+        want = np.linalg.inv(plain).conj().T
+        assert np.abs(roots_h[0] - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_batched_step_lengths_match_per_matrix_eigvalsh(self):
         rng = np.random.default_rng(31)
@@ -990,7 +1077,8 @@ class TestInteriorPointKernels:
                 for root, d in zip(roots, dirs):
                     lam = np.linalg.eigvalsh(root @ d @ root.conj().T)[0]
                     want.append(np.inf if lam >= 0.0 else -1.0 / lam)
-                np.testing.assert_allclose(_max_steps(roots, roots_h, dirs), want, rtol=1e-12)
+                work = np.empty((2,) + dirs.shape, dtype=complex)
+                np.testing.assert_allclose(_max_steps(roots, roots_h, dirs, work), want, rtol=1e-12)
             assert want[1] == np.inf
 
     def test_one_step_length_eigvalsh_per_newton_step(self, monkeypatch):
@@ -1027,6 +1115,18 @@ class TestInteriorPointKernels:
                 diagonal.diagonal().min(), rel=1e-15
             )
 
+    def test_the_skip_test_never_falls_below_the_bound(self):
+        # in floating point too: 1 / max |S^-1_ii| >= 1 / ||S^-1||_inf, equal
+        # for diagonal S, and 1 / max |S^-1_ii| <= min diag S up to round-off
+        rng = np.random.default_rng(42)
+        for side in (4, 16) * 50:
+            scale = 10.0 ** rng.uniform(-3, 3)
+            for s in (_positive_definite(side, rng) * scale, np.diag(rng.uniform(0.1, 10.0, side)) * scale):
+                s_inv = np.linalg.inv(s)
+                assert _min_eig_floor(s_inv) <= _min_eig_ceiling(s_inv)
+                assert _min_eig_ceiling(s_inv) <= s.diagonal().real.min() * (1.0 + 1e-12)
+            assert _min_eig_floor(s_inv) == _min_eig_ceiling(s_inv)
+
     @pytest.mark.parametrize("dim", [2, 4])
     def test_one_block_schur_matches_two_block_average(self, dim):
         # the two halves of dY -> Tr_out[sym(X (dY (x) I) S^-1)], each from
@@ -1046,7 +1146,7 @@ class TestInteriorPointKernels:
             return k.reshape(side, side)
 
         want = (block(x, s_inv) + block(s_inv, x)) / 2.0
-        got = _schur_matrix(x, s_inv, dim)
+        got = _schur_matrix(x, s_inv, dim, np.empty((4, side, side), dtype=complex))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
