@@ -20,12 +20,25 @@ cone runs (term-group contractions), how many of them ran backwards into an
 outcome table and how many per row (``cone._outcome_table`` and
 ``cone._row_values`` calls, which add up to the cone runs), the calls of the
 ``linalg`` kernels, and the median and quartiles of the seconds per
-``evaluate_rows`` pass over ``--repeats`` timed passes. ``--out`` also
-stores the record in a JSON file under the key ``--tag``, keeping the file's
-other keys.
+``evaluate_rows`` pass over ``--repeats`` timed passes. Each timed pass
+starts from rows that have not yet gathered their traces, as one
+``estimate`` command does. ``--out`` also stores the record in a JSON file
+under the key ``--tag``, keeping the file's other keys.
 
-Example:
+``--parent REF`` also loads the package of git revision ``REF`` (one whose
+``evaluate_rows`` takes ``(circuit, data, obs)``) and rebuilds each case's
+circuits, rows and observable with its classes, from the same maps, rows
+and terms. Each case's ``bit_identical`` says whether the two packages give
+the same weights bit for bit. The ``--repeats`` timed passes then alternate
+between the two packages, the order alternating too, and the record gives
+both least seconds per pass, the median paired difference (change - parent)
+and the pairs the working tree won. Weights that differ from the parent's
+exit with status 1, after the record is written; ``--parent HEAD`` checks
+the working tree against its last commit.
+
+Examples:
     python3 scripts/weights_replay.py --repeats 7 --tag change --out BENCH_weights.json
+    python3 scripts/weights_replay.py --repeats 15 --parent HEAD~1
 """
 
 import sys
@@ -33,7 +46,8 @@ import time
 
 import numpy as np
 
-from replay import Calls, emit, parse, parser, quartiles
+from replay import Calls, emit, paired, parent_package, parse, parser, quartiles
+import virtualmap
 from virtualmap import cone, estimation
 from virtualmap.cone import brickwork
 from virtualmap.densesim import (
@@ -94,8 +108,26 @@ CASES = {
 }
 
 
-def weights(circuits, data, obs):
-    return [cone.evaluate_rows(c, data, obs) for c in circuits]
+def weights(kernel, circuits, data, obs):
+    return [kernel.evaluate_rows(c, data, obs) for c in circuits]
+
+
+def fresh(package, data):
+    """``data`` as new rows of ``package``, their traces not yet gathered."""
+    return package.estimation.ProductInputData(data.weights, data.tables, data.rows)
+
+
+def port(package, circuits, obs):
+    """The circuits and observable rebuilt with the classes of ``package``,
+    from the same maps and terms."""
+    def component(comp):
+        return package.cone.Component(comp.qubits, package.maps.LocalMap(comp.map.superop))
+
+    ported = [
+        package.cone.MapCircuit(c.num_qubits, tuple(map(component, c.components))) for c in circuits
+    ]
+    terms = [(coeff, ps.letters) for coeff, ps in obs.terms]
+    return ported, package.pauli.Observable.from_terms(obs.num_qubits, terms)
 
 
 def singleton_sum(circuits, data, obs):
@@ -107,20 +139,26 @@ def singleton_sum(circuits, data, obs):
     ]
 
 
-def replay(name, repeats):
+def replay(name, repeats, parent=None):
     circuits, data, obs = CASES[name]()
-    got = weights(circuits, data, obs)
+    got = weights(cone, circuits, data, obs)
     want = singleton_sum(circuits, data, obs)
     diff = max(float(np.max(np.abs(g - w) / (1.0 + np.abs(w)))) for g, w in zip(got, want))
-    seconds = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        weights(circuits, data, obs)
-        seconds.append(time.perf_counter() - start)
+    # (key prefix, package, circuits, observable) per side
+    sides = [("", virtualmap, circuits, obs)]
+    if parent is not None:
+        sides.append(("parent_", parent, *port(parent, circuits, obs)))
+    seconds = {prefix: [] for prefix, *_ in sides}
+    for repeat in range(repeats):
+        for prefix, package, cs, o in sides if repeat % 2 else sides[::-1]:
+            rows = fresh(package, data)
+            start = time.perf_counter()
+            weights(package.cone, cs, rows, o)
+            seconds[prefix].append(time.perf_counter() - start)
     with Calls([cone], ["_outcome_table", "_row_values", *KERNELS]) as calls:
-        weights(circuits, data, obs)
+        weights(cone, circuits, data, obs)
     tables, rows = calls.counts.pop("_outcome_table"), calls.counts.pop("_row_values")
-    return {
+    record = {
         "circuits": len(circuits),
         "rows": len(data.rows),
         "terms": len(obs.terms),
@@ -130,17 +168,30 @@ def replay(name, repeats):
         **calls.counts,
         "max_rel_diff": diff,
         "ok": diff <= TOL,
-        **quartiles(seconds, "s"),
+        **quartiles(seconds[""], "s"),
     }
+    if parent is not None:
+        _, _, cs, o = sides[1]
+        theirs = weights(parent.cone, cs, fresh(parent, data), o)
+        record["bit_identical"] = all(a.tobytes() == b.tobytes() for a, b in zip(got, theirs))
+        record.update(paired(seconds["parent_"], seconds[""], "s"))
+    return record
 
 
 def main(argv=None) -> int:
     args = parse(parser(__doc__, 7, "timed passes per case"), argv)
-    record = emit({name: replay(name, args.repeats) for name in CASES}, args)
+    parent = None if args.parent is None else parent_package(args.parent)
+    record = {name: replay(name, args.repeats, parent) for name in CASES}
+    if parent is not None:
+        record["parent"] = args.parent
+    record = emit(record, args)
     failed = [name for name in CASES if not record[name]["ok"]]
     for name in failed:
         print(f"error: {name} differs from the singleton-group sum", file=sys.stderr)
-    return 1 if failed else 0
+    differ = [name for name in CASES if not record[name].get("bit_identical", True)]
+    if differ:
+        print(f"error: the {', '.join(differ)} weights differ from {args.parent}'s", file=sys.stderr)
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":

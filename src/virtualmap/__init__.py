@@ -47,6 +47,7 @@ from .estimation import (
     data_from_batch,
     data_from_distribution,
     estimate,
+    estimate_all,
     estimate_covariance,
     estimate_exact,
     shot_weight,

@@ -39,7 +39,7 @@ from .densesim import (
 )
 from .errors import NumericalError, ValidationError
 from .estimation import ProductInputData, classical_input, data_from_batch, dual_arrays
-from .estimation import estimate, estimate_exact
+from .estimation import estimate, estimate_all, estimate_exact
 from .linalg import kron_all, trace_mul
 from .maps import random_cptp_map, random_tp_hermitian_map, random_unitary_map
 from .pauli import Observable, PauliString, parse_observable
@@ -89,10 +89,13 @@ def _cmd_estimate(args) -> int:
     observables = [(parse_observable(p), _label(p)) for p in args.observable]
     circuits = [(load_circuit(p), _label(p)) for p in args.circuit]
     exact_rho = build_state(args.exact_state, batch.num_qubits) if args.exact_state else None
+    # one pass over the batch for every (circuit, observable) pair
+    grid = estimate_all(
+        batch, list(batch.povm_labels), [c for c, _ in circuits], [o for o, _ in observables]
+    )
     rows = []
-    for circ, circ_id in circuits:
-        for obs, obs_id in observables:
-            est = estimate(batch, list(batch.povm_labels), circ, obs)
+    for (circ, circ_id), estimates in zip(circuits, grid):
+        for (obs, obs_id), est in zip(observables, estimates):
             row = {
                 "observable": obs_id,
                 "circuit": circ_id,

@@ -575,26 +575,35 @@ def evaluate_rows(circuit: MapCircuit, data, obs: Observable) -> np.ndarray:
     """
     coeffs, paulis = _terms(circuit, data, obs)
     tables, rows = data.tables, data.rows
-    traces = [np.trace(t, axis1=1, axis2=2)[rows[:, q], None] for q, t in enumerate(tables)]
     total = np.zeros(len(rows), dtype=complex)
     for group in term_groups(circuit, paulis):
         cs, ps = coeffs[list(group)], [paulis[k] for k in group]
         plan = cone_plan(circuit, sorted({q for p in ps for q in p.support}))
-        values = np.ones((len(rows), 1), dtype=complex)
-        for q in range(circuit.num_qubits):
-            if q not in plan.qubits:
-                values *= traces[q]
+        values = _outside_traces(data, plan.qubits)
         if not plan.qubits:
-            total += np.repeat(values, len(ps), axis=1) @ cs
+            total += np.repeat(values[:, None], len(ps), axis=1) @ cs
             continue
         sizes = tuple(len(tables[q]) for q in plan.outcome_axes)
         cost, peak = plan.table_cost(sizes)
         if cost < plan.table_cost((1,) * len(sizes))[0] * len(rows) and peak * len(ps) <= _BATCH_ENTRIES:
             table = _outcome_table(circuit, plan, tables, cs, ps)
-            total += values[:, 0] * table[tuple(rows[:, plan.outcome_axes].T)]
+            total += values * table[tuple(rows[:, plan.outcome_axes].T)]
         else:
-            total += values[:, 0] * _row_values(circuit, plan, tables, rows, cs, ps)
+            total += values * _row_values(circuit, plan, tables, rows, cs, ps)
     return total
+
+
+def _outside_traces(data, qubits) -> np.ndarray:
+    """prod_q Tr F_q per row of ``data`` over the qubits q not in
+    ``qubits``, an (R,) array: a column of ones times the rows' shared
+    traces (``data.traces``) of each such qubit in turn, in place. One
+    ``multiply.reduce`` over the gathered rows gives the same bits, but it
+    copies them first and is the slower of the two on large batches."""
+    values = np.ones(len(data.rows), dtype=complex)
+    for q in range(data.num_qubits):
+        if q not in qubits:
+            values *= data.traces[q]
+    return values
 
 
 def _whole_register_chunks(circuit: MapCircuit, data, obs: Observable):

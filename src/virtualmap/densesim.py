@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .cone import Component, MapCircuit, brickwork, check_trace_kept, component_from_dict
-from .errors import ValidationError, json_int, parse_json, read_text
+from .errors import ValidationError, json_int, parse_json, read_bytes, read_text
 from .linalg import apply_superop_local
 from .maps import LocalMap, noisy_cnot, random_cptp_map
 from .pauli import Observable
@@ -293,22 +293,25 @@ def read_batch(path) -> OutcomeBatch:
     """The outcome batch in a file: a header line, then S rows of N outcomes,
     each written ``d,d,...,d`` with d a digit 0-3 and ended by a newline, which
     the last row may omit. Blank lines before the header and after the last
-    row are skipped; ``read_text`` reads a ``\\r\\n`` line ending as ``\\n``.
-    The rows are checked and decoded as one array over the file's bytes."""
-    text = read_text(path, "batch file")
-    first = len(text) - len(text.lstrip())
-    if first == len(text):
-        raise ValidationError("empty batch file")
-    head_end = text.find("\n", first)
-    if head_end < 0:
-        head_end = len(text)
-    m = _HEADER_RE.match(text[first:head_end])
+    row are skipped; ``read_bytes`` reads a ``\\r\\n`` line ending as ``\\n``.
+    The file's bytes are read once; the header line is decoded alone, and the
+    rows are checked and decoded as one array over the bytes."""
+    data = read_bytes(path, "batch file")
+    start = blank = 0  # the line's first byte, and the blank lines before it
+    while True:
+        end = data.find(b"\n", start)
+        header = data[start : len(data) if end < 0 else end].decode().lstrip()
+        if header:
+            break
+        if end < 0:
+            raise ValidationError("empty batch file")
+        start, blank = end + 1, blank + 1
+    m = _HEADER_RE.match(header)
     if not m:
-        raise ValidationError(f"malformed batch header: {text[first:head_end]!r}")
+        raise ValidationError(f"malformed batch header: {header!r}")
     n = int(m.group("n"))
     s = int(m.group("s"))
-    data = text.encode()
-    offset = len(text[: head_end + 1].encode())
+    offset = len(data) if end < 0 else end + 1
     stop = len(data)
     while stop > offset and data[stop - 1] == ord("\n"):
         stop -= 1
@@ -336,7 +339,7 @@ def read_batch(path) -> OutcomeBatch:
     row = data[row_start : data.find(b"\n", row_start)].decode(errors="replace")
     if len(row) > 40:
         row = row[:40] + "..."
-    line = text.count("\n", 0, first) + 2 + bad
+    line = blank + 2 + bad
     raise ValidationError(
         f"malformed outcome row on line {line}: {row!r} (want N={n} digits 0-3 as d,d,...,d)"
     )

@@ -8,7 +8,11 @@ Identical outcome strings (at most 4^N) are collapsed first by the one row
 index, :func:`~virtualmap.linalg.unique_rows`, and the estimate is the
 frequency-weighted sample mean with the unbiased sample variance; the mean is
 :func:`circuit_energy`'s sum over the same rows, and the reduction order is
-fixed by sorting, so results are deterministic for a given batch.
+fixed by sorting, so results are deterministic for a given batch. A batch is
+deduplicated once per command: :func:`estimate_all` checks every (circuit,
+observable) pair, collapses the batch and builds its dual tables once, and
+evaluates every pair on those rows, which gather their per-qubit traces once
+for all pairs; :func:`estimate` is that pass for one pair.
 
 The weights of all rows are computed together by one call of the batched
 cone kernel (:func:`virtualmap.cone.evaluate_rows`), which takes the rows
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -183,14 +187,26 @@ class ProductInputData:
     def num_qubits(self) -> int:
         return self.rows.shape[1]
 
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """Tr of every row's factor on every qubit, an (N, R) complex array
+        (row q: qubit q), gathered once and shared by every contraction of
+        these rows."""
+        return np.array([np.trace(t, axis1=1, axis2=2)[self.rows[:, q]] for q, t in enumerate(self.tables)])
+
+
+def _batch_rows(batch: OutcomeBatch, duals, return_inverse: bool):
+    """The :func:`data_from_batch` rows of ``batch`` and, with
+    ``return_inverse``, the row of each shot (else None)."""
+    uniq, inverse, counts = unique_rows(batch.outcomes, return_inverse=return_inverse)
+    data = ProductInputData(counts / batch.num_shots, dual_arrays(duals, batch.num_qubits), uniq)
+    return data, inverse
+
 
 def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:
     """Collapse a measurement batch to its distinct outcome rows, weighted by
     their frequencies, over the dual frames ``duals``."""
-    uniq, _, counts = unique_rows(batch.outcomes, return_inverse=False)
-    return ProductInputData(
-        counts / batch.num_shots, dual_arrays(duals, batch.num_qubits), uniq
-    )
+    return _batch_rows(batch, duals, False)[0]
 
 
 def _distribution(rho: DensityMatrix, povms, duals):
@@ -293,6 +309,60 @@ def _batch_key(batch: OutcomeBatch) -> str:
     return f"{batch.seed}:{batch.num_shots}x{batch.num_qubits}:{h.hexdigest()[:16]}"
 
 
+def _check_pair(batch: OutcomeBatch, circuit: MapCircuit, obs: Observable) -> None:
+    if not obs.is_hermitian:
+        raise ValidationError("estimation needs a Hermitian observable")
+    if batch.num_shots < 2:
+        raise ValidationError("the variance estimator needs at least two shots")
+    if batch.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
+        raise ValidationError("batch, circuit, and observable qubit counts differ")
+
+
+def estimate_all(
+    batch: OutcomeBatch,
+    duals,
+    circuits,
+    observables,
+    keep_per_shot: bool = False,
+) -> list[list[Estimate]]:
+    """The :func:`estimate` of every (circuit, observable) pair from one pass
+    over the batch: ``result[i][j]`` is that of ``circuits[i]`` and
+    ``observables[j]``.
+
+    Every pair is checked before any work. The batch is then deduplicated
+    once and its dual tables built once (the :func:`data_from_batch` rows),
+    and every pair's shot weights are one :func:`~virtualmap.cone.evaluate_rows`
+    on those rows, which share their per-qubit traces."""
+    circuits, observables = list(circuits), list(observables)
+    for circuit in circuits:
+        for obs in observables:
+            _check_pair(batch, circuit, obs)
+    s = batch.num_shots
+    # the row of each shot only if it is kept
+    data, inverse = _batch_rows(batch, duals, keep_per_shot)
+    key = _batch_key(batch) if keep_per_shot else None
+    grid = []
+    for circuit in circuits:
+        row = []
+        for obs in observables:
+            reals, residue = _real_weights(evaluate_rows(circuit, data, obs))
+            value = float(np.dot(data.weights, reals))
+            second = float(np.dot(data.weights, reals**2))
+            var_unbiased = max(second - value**2, 0.0) * s / (s - 1)
+            row.append(
+                Estimate(
+                    value=value,
+                    sigma=float(np.sqrt(var_unbiased / s)),
+                    num_shots=s,
+                    imag_residue=residue,
+                    per_shot=reals[inverse] if keep_per_shot else None,
+                    batch_key=key,
+                )
+            )
+        grid.append(row)
+    return grid
+
+
 def estimate(
     batch: OutcomeBatch,
     duals,
@@ -300,30 +370,9 @@ def estimate(
     obs: Observable,
     keep_per_shot: bool = False,
 ) -> Estimate:
-    """Mean shot weight with its standard error, from a measurement batch."""
-    if not obs.is_hermitian:
-        raise ValidationError("estimation needs a Hermitian observable")
-    if batch.num_shots < 2:
-        raise ValidationError("the variance estimator needs at least two shots")
-    if batch.num_qubits != circuit.num_qubits or obs.num_qubits != circuit.num_qubits:
-        raise ValidationError("batch, circuit, and observable qubit counts differ")
-    s = batch.num_shots
-    # the data_from_batch rows, and the row of each shot only if it is kept
-    uniq, inverse, counts = unique_rows(batch.outcomes, return_inverse=keep_per_shot)
-    data = ProductInputData(counts / s, dual_arrays(duals, batch.num_qubits), uniq)
-    reals, residue = _real_weights(evaluate_rows(circuit, data, obs))
-    value = float(np.dot(data.weights, reals))
-    second = float(np.dot(data.weights, reals**2))
-    var_unbiased = max(second - value**2, 0.0) * s / (s - 1)
-    sigma = float(np.sqrt(var_unbiased / s))
-    return Estimate(
-        value=value,
-        sigma=sigma,
-        num_shots=s,
-        imag_residue=residue,
-        per_shot=reals[inverse] if keep_per_shot else None,
-        batch_key=_batch_key(batch) if keep_per_shot else None,
-    )
+    """Mean shot weight with its standard error, from a measurement batch:
+    :func:`estimate_all` of the one pair."""
+    return estimate_all(batch, duals, [circuit], [obs], keep_per_shot)[0][0]
 
 
 def estimate_exact(

@@ -137,24 +137,25 @@ def unique_rows(rows: np.ndarray, return_inverse: bool = True) -> tuple:
     column 0 most significant, a 1-D inverse and the counts. With
     ``return_inverse`` false the inverse is ``None`` and the rows are sorted,
     not argsorted. If the values span ``bits`` bits and bits * K <= 63, each
-    row is one int64 key, column 0 in the high bits and every entry offset by
-    the smallest when that is negative; wider rows are ordered by one
-    ``np.lexsort``. Sorted neighbours that differ mark the distinct rows.
+    row is one int64 key, the product of the row, offset by its smallest
+    entry when that is negative, with the column weights 2^(bits (K-1-k));
+    wider rows are ordered by one ``np.lexsort``. Sorted neighbours that
+    differ mark the distinct rows, gathered from ``rows`` by one index, or,
+    sorted without one, read back off their keys.
     """
     rows = np.asarray(rows)
+    k = rows.shape[1]
     bits = 64
     if rows.size and np.can_cast(rows.dtype, np.int64):
         low = min(int(rows.min()), 0)
         bits = (int(rows.max()) - low).bit_length()
-    keyed = bits * rows.shape[1] <= 63
+    keyed = bits * k <= 63
     starts = np.ones(len(rows), dtype=bool)
+    order = None
     if keyed:
-        ranked = np.zeros(len(rows), dtype=np.int64)
-        for column in rows.T:
-            ranked <<= bits
-            ranked += column
-            if low:
-                ranked -= low
+        shifts = bits * np.arange(k - 1, -1, -1, dtype=np.int64)
+        offset = rows.astype(np.int64) - low if low else rows
+        ranked = np.einsum("rk,k->r", offset, np.left_shift(1, shifts))
         if return_inverse:
             order = ranked.argsort()
             ranked = ranked[order]
@@ -170,12 +171,9 @@ def unique_rows(rows: np.ndarray, return_inverse: bool = True) -> tuple:
         inverse = np.empty(len(rows), dtype=np.intp)
         inverse[order] = np.cumsum(starts) - 1
     first = np.flatnonzero(starts)
-    if keyed:
-        keys = ranked[first]
-        uniq = np.empty((len(first), rows.shape[1]), dtype=rows.dtype)
-        for q in reversed(range(rows.shape[1])):
-            uniq[:, q] = (keys & ((1 << bits) - 1)) + low
-            keys >>= bits
+    if order is not None:
+        uniq = rows[order[first]]
     else:
-        uniq = ranked[first]
+        digits = (ranked[first] >> shifts[:, None]) & ((1 << bits) - 1)
+        uniq = (digits + low if low else digits).T.astype(rows.dtype, order="C")
     return uniq, inverse, np.diff(first, append=len(rows))

@@ -23,6 +23,7 @@ from conftest import (
     split_pairs,
     split_value,
 )
+from virtualmap import cone
 from virtualmap.cone import (
     Component,
     CutWalk,
@@ -1277,6 +1278,64 @@ def _assert_as_np_unique(rows):
     assert counts.dtype == c.dtype and counts.tobytes() == c.tobytes()
 
 
+# diagonal entries whose traces include -0.0 and complex values, so that a
+# product that skips the leading factor 1 (or reorders the qubits) differs
+_DIAGONALS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.5 - 0.0j, -0.0 - 1.5j, 0.25 + 3j, 1e-300, 7.0 - 0.125j])
+
+
+def _per_qubit_loop(tables, rows, qubits):
+    """The factor of the qubits outside ``qubits`` as ``evaluate_rows``
+    multiplied it before the rows shared their traces: a ones column times
+    each outside qubit's gathered traces in turn."""
+    traces = [np.trace(t, axis1=1, axis2=2)[rows[:, q], None] for q, t in enumerate(tables)]
+    values = np.ones((len(rows), 1), dtype=complex)
+    for q in range(len(tables)):
+        if q not in qubits:
+            values *= traces[q]
+    return values[:, 0]
+
+
+class TestOutsideTraces:
+    """The factor prod_q Tr F_q of the qubits outside a group's cone comes
+    from the rows' shared (N, R) traces, bit for bit as from traces gathered
+    afresh for each call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        num_rows=st.integers(1, 70),
+        diagonals=st.lists(_DIAGONALS, min_size=2, max_size=2 * 9 * 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_qubit_loop_bit_for_bit(self, n, num_rows, diagonals, seed):
+        # custom factor tables, Tr D != 1, with 1 to 3 outcomes per qubit
+        rng = np.random.default_rng(seed)
+        tables = []
+        for q in range(n):
+            t = rng.standard_normal((int(rng.integers(1, 4)), 2, 2)).astype(complex)
+            for m in range(len(t)):
+                t[m, 0, 0], t[m, 1, 1] = (diagonals[(2 * (q * 3 + m) + k) % len(diagonals)] for k in (0, 1))
+            tables.append(t)
+        rows = np.stack([rng.integers(0, len(t), size=num_rows) for t in tables], axis=1)
+        data = ProductInputData(np.ones(num_rows), tables, rows)
+        some = tuple(sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist()))
+        for qubits in [(), tuple(range(n)), some]:
+            want = _per_qubit_loop(tables, rows, qubits)
+            assert cone._outside_traces(data, qubits).tobytes() == want.tobytes(), qubits
+
+    def test_one_gather_per_data(self, monkeypatch):
+        # every group and every observable reads the same traces
+        rng = np.random.default_rng(5)
+        circ = brickwork(6, 1, lambda layer, qubits: random_cptp_map(2, rng))
+        data = ProductInputData(np.ones(30), _random_tables(6, rng, outcomes=4), rng.integers(0, 4, (30, 6)))
+        calls = []
+        real_trace = np.trace
+        monkeypatch.setattr(np, "trace", lambda *a, **k: calls.append(1) or real_trace(*a, **k))
+        for obs in (xx_hamiltonian(6), Observable.from_terms(6, [(0.5, "ZIIIIZ")])):
+            evaluate_rows(circ, data, obs)
+        assert len(calls) == 6
+
+
 class TestUniqueRows:
     @pytest.mark.parametrize("dtype", [np.int8, np.intp, np.uint8])
     @pytest.mark.parametrize(
@@ -1305,8 +1364,32 @@ class TestUniqueRows:
 
     @pytest.mark.parametrize(
         "columns, low, high",
-        [(31, 0, 4), (32, 0, 4), (21, 0, 8), (22, 0, 8), (21, -4, 4), (22, -4, 4)],
-        ids=["2-bit-key", "2-bit-lexsort", "3-bit-key", "3-bit-lexsort", "signed-key", "signed-lexsort"],
+        [
+            (31, 0, 4),
+            (32, 0, 4),
+            (21, 0, 8),
+            (22, 0, 8),
+            (21, -4, 4),
+            (22, -4, 4),
+            (7, -256, 256),
+            (8, -256, 256),
+            (1, -(2**62), 2**62),
+            (1, -(2**62), 2**62 + 1),
+            (3, -(2**20), 0),
+        ],
+        ids=[
+            "2-bit-key",
+            "2-bit-lexsort",
+            "3-bit-key",
+            "3-bit-lexsort",
+            "signed-key",
+            "signed-lexsort",
+            "9-bit-signed-key",
+            "9-bit-signed-lexsort",
+            "63-bit-signed-key",
+            "64-bit-signed-lexsort",
+            "all-negative-key",
+        ],
     )
     def test_both_sides_of_the_key_width(self, columns, low, high):
         # bits * K = 62 or 63 fits one int64 key, 64 or 66 does not; the

@@ -341,6 +341,26 @@ class TestBatchFiles:
         assert (back.povm_labels, back.seed, back.source) == (("sic",) * 3, 5, "x")
 
     @pytest.mark.parametrize(
+        "lead",
+        ["\x0c\n", " \t\r\n\r", "\x1c\x1d\n\u2028 ", "\xa0\n\n\x85", "\ufeff"],
+        ids=["form-feed", "carriage-returns", "separators", "unicode-spaces", "byte-order-mark"],
+    )
+    def test_whitespace_of_any_kind_before_the_header(self, tmp_path, lead):
+        # the header is the first character that is not whitespace, as
+        # str.lstrip reads it, and a bad row's line counts the lines before
+        path = tmp_path / "batch.csv"
+        batch = OutcomeBatch(np.array([[0, 3, 1], [2, 2, 0]]), ("sic",) * 3, 5, "x")
+        path.write_bytes((lead + batch_to_text(batch)).encode())
+        if not lead.strip():
+            np.testing.assert_array_equal(read_batch(path).outcomes, batch.outcomes)
+        header = batch_to_text(batch).splitlines()[0]
+        path.write_bytes(f"{lead}{header}\n0,1,2\n3,+1,0\n".encode())
+        lines = lead.replace("\r\n", "\n").replace("\r", "\n").count("\n")
+        message = f"on line {lines + 3}: '3,\\+1,0'" if not lead.strip() else "malformed batch header"
+        with pytest.raises(ValidationError, match=message):
+            read_batch(path)
+
+    @pytest.mark.parametrize(
         "header, message",
         [
             ("N=1 S=1000000000000", "S=1000000000000 but file has 1 rows"),

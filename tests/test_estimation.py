@@ -33,6 +33,7 @@ from virtualmap.estimation import (
     data_from_distribution,
     dual_arrays,
     estimate,
+    estimate_all,
     estimate_covariance,
     estimate_exact,
     shot_weight,
@@ -205,6 +206,62 @@ class TestEstimate:
         obs = Observable.from_terms(2, [(1.0, "ZI")])
         with pytest.raises(NumericalError, match="imaginary"):
             estimate(batch, "sic", circ, obs)
+
+
+def _bits(est: Estimate) -> tuple:
+    return (est.value.hex(), est.sigma.hex(), est.imag_residue.hex(), est.num_shots)
+
+
+class TestOnePass:
+    """``estimate_all`` checks every pair, deduplicates the batch once and
+    evaluates each pair on those rows."""
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(44)
+        kernels = kernel_circuits(rng)
+        circuits = [kernels["brickwork"], kernels["non-tp"]]
+        observables = [kernel_observable(), xx_hamiltonian(4, field=0.6)]
+        return sample_outcomes(noisy_chain_state(4), "sic", 300, seed=4), circuits, observables
+
+    @staticmethod
+    def _count_unique_rows(monkeypatch) -> list:
+        calls = []
+        real_unique = estimation.unique_rows
+
+        def counted(rows, return_inverse=True):
+            calls.append(rows.shape)
+            return real_unique(rows, return_inverse)
+
+        monkeypatch.setattr(estimation, "unique_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("keep_per_shot", [False, True])
+    def test_every_pair_equals_its_own_estimate(self, monkeypatch, keep_per_shot):
+        batch, circuits, observables = self._case()
+        want = [[estimate(batch, "sic", c, o, keep_per_shot) for o in observables] for c in circuits]
+        calls = self._count_unique_rows(monkeypatch)
+        grid = estimate_all(batch, "sic", circuits, observables, keep_per_shot)
+        assert calls == [(300, 4)]
+        assert [len(row) for row in grid] == [2, 2]
+        for got_row, want_row in zip(grid, want):
+            for got, ref in zip(got_row, want_row):
+                assert _bits(got) == _bits(ref)
+                if keep_per_shot:
+                    assert got.per_shot.tobytes() == ref.per_shot.tobytes()
+                    assert got.batch_key == ref.batch_key
+                else:
+                    assert got.per_shot is None and got.batch_key is None
+
+    def test_every_pair_is_checked_before_the_batch_is_read(self, monkeypatch):
+        batch, circuits, observables = self._case()
+        calls = self._count_unique_rows(monkeypatch)
+        odd = Observable.from_terms(4, [(1j, "ZIII")])
+        with pytest.raises(ValidationError, match="Hermitian"):
+            estimate_all(batch, "sic", circuits, [*observables, odd])
+        with pytest.raises(ValidationError, match="qubit counts differ"):
+            estimate_all(batch, "sic", [*circuits, brickwork(3, 1)], observables)
+        assert calls == []
 
 
 class TestEstimateExact:

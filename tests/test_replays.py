@@ -1,7 +1,8 @@
 """The replay scripts' shared harness (``scripts/replay.py``), the
-self-gating of the solver, plan and batch replays, the CLI's Newton step total
-counted by the harness, and the two paper-experiment scripts at their
-smallest size, loaded from ``scripts/`` by path."""
+self-gating of the solver, weights, plan and batch replays, the solver and
+weights replays against a parent package, the CLI's Newton step total counted
+by the harness, and the two paper-experiment scripts at their smallest size,
+loaded from ``scripts/`` by path."""
 
 import importlib.util
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import virtualmap
-from virtualmap import densesim, estimation, varopt
+from virtualmap import cone, densesim, estimation, varopt
 from virtualmap.cli import main
 from virtualmap.pauli import write_observable, xx_hamiltonian
 
@@ -176,6 +177,85 @@ class TestSolverReplay:
         assert record["random_unconverged"] == 1
         assert captured.err.startswith("error:") and "1 of 2 random" in captured.err
 
+    def test_the_parent_comparison_passes_on_equal_answers(self, load, capsys, monkeypatch):
+        # the working tree's own package as the parent: every digest is equal
+        replay = load("solver_replay")
+        replay.RANDOM_OBJECTIVES = 2
+        monkeypatch.setattr(replay, "parent_package", lambda ref: virtualmap)
+        assert replay.main(["--repeats", "2", "--parent", "REF"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["parent"] == "REF"
+        for prefix in ("", "exact_", "random_"):
+            assert record[f"{prefix}digest_equal"] is True
+            assert record[f"{prefix}parent_newton_steps"] == record[f"{prefix}newton_steps"]
+            assert record[f"{prefix}s_per_step_pairs"] == 2
+            assert 0 <= record[f"{prefix}s_per_step_wins"] <= 2
+            assert record[f"{prefix}s_per_step_parent_min"] > 0.0
+
+    def test_a_parent_with_other_answers_fails_the_replay(self, load, capsys, monkeypatch):
+        # a parent whose bounds differ in the last bit: all three digests differ
+        parent = types.SimpleNamespace(varopt=types.SimpleNamespace(SdpOptions=varopt.SdpOptions))
+
+        def shifted(*args, **kwargs):
+            choi, info = varopt.minimize_over_cptp(*args, **kwargs)
+            return choi, {**info, "dual_bound": np.nextafter(info["dual_bound"], -np.inf)}
+
+        parent.varopt.minimize_over_cptp = shifted
+        replay = load("solver_replay")
+        replay.RANDOM_OBJECTIVES = 2
+        monkeypatch.setattr(replay, "parent_package", lambda ref: parent)
+        assert replay.main(["--repeats", "1", "--parent", "REF"]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert not any(record[f"{prefix}digest_equal"] for prefix in ("", "exact_", "random_"))
+        assert captured.err == "error: the ansatz, exact-state, random digests differ from REF's\n"
+
+
+class TestWeightsReplay:
+    @staticmethod
+    def _load(load):
+        replay = load("weights_replay")
+        replay.CASES = {"estimate-n8": replay.CASES["estimate-n8"]}
+        return replay
+
+    def test_the_parent_comparison_passes_on_equal_answers(self, load, capsys, monkeypatch):
+        # the working tree's own package as the parent: the weights are equal
+        replay = self._load(load)
+        monkeypatch.setattr(replay, "parent_package", lambda ref: virtualmap)
+        assert replay.main(["--repeats", "2", "--parent", "REF"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["parent"] == "REF"
+        case = record["estimate-n8"]
+        assert case["ok"] is True and case["bit_identical"] is True
+        assert case["s_pairs"] == 2 and 0 <= case["s_wins"] <= 2 and case["s_parent_min"] > 0.0
+
+    def test_a_parent_with_other_weights_fails_the_replay(self, load, capsys, monkeypatch):
+        # a parent whose weights differ in the last bit of one row
+        def shifted(circuit, data, obs):
+            values = cone.evaluate_rows(circuit, data, obs)
+            values[0] = np.nextafter(values[0].real, np.inf) + 1j * values[0].imag
+            return values
+
+        parent = types.SimpleNamespace(
+            cone=types.SimpleNamespace(
+                evaluate_rows=shifted, MapCircuit=cone.MapCircuit, Component=cone.Component
+            ),
+            maps=virtualmap.maps,
+            pauli=virtualmap.pauli,
+            estimation=estimation,
+        )
+        replay = self._load(load)
+        monkeypatch.setattr(replay, "parent_package", lambda ref: parent)
+        assert replay.main(["--repeats", "1", "--parent", "REF"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["estimate-n8"]["bit_identical"] is False
+        assert captured.err == "error: the estimate-n8 weights differ from REF's\n"
+
+    def test_without_a_parent_the_record_is_the_working_trees(self, load, capsys):
+        assert self._load(load).main(["--repeats", "1"]) == 0
+        case = json.loads(capsys.readouterr().out)["estimate-n8"]
+        assert case["ok"] is True and "bit_identical" not in case and case["s_median"] > 0.0
+
 
 def test_summary_newton_steps_total_the_runs_solves(load, tmp_path, capsys):
     # every step is one solve, and a settled component is not visited
@@ -255,36 +335,3 @@ class TestBatchReplay:
 def test_experiment_runs_at_its_smallest_size(load, capsys, name, argv, summary):
     assert load(name).main(argv) == 0
     assert re.fullmatch(summary, capsys.readouterr().out.splitlines()[-1])
-
-    def test_the_parent_comparison_passes_on_equal_answers(self, load, capsys, monkeypatch):
-        # the working tree's own package as the parent: every digest is equal
-        replay = load("solver_replay")
-        replay.RANDOM_OBJECTIVES = 2
-        monkeypatch.setattr(replay, "parent_package", lambda ref: virtualmap)
-        assert replay.main(["--repeats", "2", "--parent", "REF"]) == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["parent"] == "REF"
-        for prefix in ("", "exact_", "random_"):
-            assert record[f"{prefix}digest_equal"] is True
-            assert record[f"{prefix}parent_newton_steps"] == record[f"{prefix}newton_steps"]
-            assert record[f"{prefix}s_per_step_pairs"] == 2
-            assert 0 <= record[f"{prefix}s_per_step_wins"] <= 2
-            assert record[f"{prefix}s_per_step_parent_min"] > 0.0
-
-    def test_a_parent_with_other_answers_fails_the_replay(self, load, capsys, monkeypatch):
-        # a parent whose bounds differ in the last bit: all three digests differ
-        parent = types.SimpleNamespace(varopt=types.SimpleNamespace(SdpOptions=varopt.SdpOptions))
-
-        def shifted(*args, **kwargs):
-            choi, info = varopt.minimize_over_cptp(*args, **kwargs)
-            return choi, {**info, "dual_bound": np.nextafter(info["dual_bound"], -np.inf)}
-
-        parent.varopt.minimize_over_cptp = shifted
-        replay = load("solver_replay")
-        replay.RANDOM_OBJECTIVES = 2
-        monkeypatch.setattr(replay, "parent_package", lambda ref: parent)
-        assert replay.main(["--repeats", "1", "--parent", "REF"]) == 1
-        captured = capsys.readouterr()
-        record = json.loads(captured.out)
-        assert not any(record[f"{prefix}digest_equal"] for prefix in ("", "exact_", "random_"))
-        assert captured.err == "error: the ansatz, exact-state, random digests differ from REF's\n"
