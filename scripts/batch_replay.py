@@ -25,8 +25,19 @@ rows, the check, and the median and quartiles of both timings over
 ``--repeats`` passes. ``--out`` also stores the record in a JSON file under
 the key ``--tag``, keeping the file's other keys.
 
-Example:
+``--parent REF`` also loads the package of git revision ``REF``. Each case's
+``bit_identical`` says whether its ``data_from_batch``, on the batch its own
+``read_batch`` reads from the same file, gives the same rows (and row dtype)
+and weights bit for bit. The ``--repeats`` timed passes then alternate
+between the two packages, the order alternating too, and the record gives
+for both timings both least seconds, the median paired difference (change -
+parent) and the pairs the working tree won. Rows or weights that differ from
+the parent's exit with status 1, after the record is written;
+``--parent HEAD`` checks the working tree against its last commit.
+
+Examples:
     python3 scripts/batch_replay.py --repeats 7 --tag change --out BENCH_batch.json
+    python3 scripts/batch_replay.py --repeats 15 --parent HEAD~1
 """
 
 import sys
@@ -36,7 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from replay import emit, parse, parser, quartiles
+from replay import emit, paired, parent_package, parse, parser, quartiles
+import virtualmap
 from virtualmap import densesim, estimation
 from virtualmap.densesim import (
     DensityMatrix,
@@ -69,6 +81,17 @@ def wide_batch():
 CASES = {"optimize-n3": optimize_n3_batch, "random-1e6-8": random_batch, "wide-n40": wide_batch}
 
 
+def same_rows(a, b) -> bool:
+    """Whether two product-row sets hold the same rows, of one dtype, and
+    the same weights, bit for bit."""
+    return (
+        a.rows.dtype == b.rows.dtype
+        and np.array_equal(a.rows, b.rows)
+        and a.weights.dtype == b.weights.dtype
+        and a.weights.tobytes() == b.weights.tobytes()
+    )
+
+
 def matches_reference(path: Path, written: OutcomeBatch) -> bool:
     read = densesim.read_batch(path)
     loaded = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
@@ -78,35 +101,47 @@ def matches_reference(path: Path, written: OutcomeBatch) -> bool:
     return (
         np.array_equal(read.outcomes, written.outcomes)
         and np.array_equal(read.outcomes, loaded)
-        and got.rows.dtype == want.rows.dtype
-        and np.array_equal(got.rows, want.rows)
-        and got.weights.dtype == want.weights.dtype
-        and got.weights.tobytes() == want.weights.tobytes()
+        and same_rows(got, want)
     )
 
 
-def replay(name, repeats):
+def timed_pass(package, path, read_s, count_s):
+    """``package``'s ``read_batch`` and ``data_from_batch`` on ``path``, each
+    timed; returns the rows."""
+    start = time.perf_counter()
+    batch = package.densesim.read_batch(path)
+    read = time.perf_counter()
+    data = package.estimation.data_from_batch(batch, "sic")
+    read_s.append(read - start)
+    count_s.append(time.perf_counter() - read)
+    return data
+
+
+def replay(name, repeats, parent=None):
     written = CASES[name]()
+    sides = [("", virtualmap)] + ([] if parent is None else [("parent_", parent)])
+    read_s, count_s = ({prefix: [] for prefix, _ in sides} for _ in range(2))
+    data = {}  # each side's rows of its last pass
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "batch.csv"
         densesim.write_batch(written, path)
         ok = matches_reference(path, written)
-        read_s, count_s = [], []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            batch = densesim.read_batch(path)
-            read = time.perf_counter()
-            data = estimation.data_from_batch(batch, "sic")
-            read_s.append(read - start)
-            count_s.append(time.perf_counter() - read)
-    return {
+        for repeat in range(repeats):
+            for prefix, package in sides if repeat % 2 else sides[::-1]:
+                data[prefix] = timed_pass(package, path, read_s[prefix], count_s[prefix])
+    record = {
         "shots": written.num_shots,
         "qubits": written.num_qubits,
-        "distinct_rows": len(data.rows),
+        "distinct_rows": len(data[""].rows),
         "ok": ok,
-        **quartiles(read_s, "read_s"),
-        **quartiles(count_s, "count_s"),
+        **quartiles(read_s[""], "read_s"),
+        **quartiles(count_s[""], "count_s"),
     }
+    if parent is not None:
+        record["bit_identical"] = same_rows(data[""], data["parent_"])
+        record.update(paired(read_s["parent_"], read_s[""], "read_s"))
+        record.update(paired(count_s["parent_"], count_s[""], "count_s"))
+    return record
 
 
 def main(argv=None) -> int:
@@ -116,11 +151,18 @@ def main(argv=None) -> int:
     )
     args = parse(p, argv)
     names = args.case or list(CASES)
-    record = emit({name: replay(name, args.repeats) for name in names}, args)
+    parent = None if args.parent is None else parent_package(args.parent)
+    record = {name: replay(name, args.repeats, parent) for name in names}
+    if parent is not None:
+        record["parent"] = args.parent
+    record = emit(record, args)
     failed = [name for name in names if not record[name]["ok"]]
     for name in failed:
         print(f"error: {name}: outcomes or row counts differ from the reference", file=sys.stderr)
-    return 1 if failed else 0
+    differ = [name for name in names if not record[name].get("bit_identical", True)]
+    if differ:
+        print(f"error: the {', '.join(differ)} rows differ from {args.parent}'s", file=sys.stderr)
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":

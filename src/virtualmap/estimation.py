@@ -12,7 +12,10 @@ fixed by sorting, so results are deterministic for a given batch. A batch is
 deduplicated once per command: :func:`estimate_all` checks every (circuit,
 observable) pair, collapses the batch and builds its dual tables once, and
 evaluates every pair on those rows, which gather their per-qubit traces once
-for all pairs; :func:`estimate` is that pass for one pair.
+for all pairs; :func:`estimate` is that pass for one pair. Every estimate of
+a pass keeps its row values and the pass's row weights w_i, so the
+covariance of any two of them is sum_i w_i a_i b_i less the product of their
+means (:func:`estimate_covariance`), with no per-shot array.
 
 The weights of all rows are computed together by one call of the batched
 cone kernel (:func:`virtualmap.cone.evaluate_rows`), which takes the rows
@@ -51,8 +54,7 @@ its error bar needs the weight of every row.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -75,32 +77,32 @@ _RESIDUE_TOL = 1e-8
 
 @dataclass
 class Estimate:
-    """A mean/uncertainty pair with optional per-shot weights attached.
+    """A mean/uncertainty pair, with the distinct rows of the pass it came from.
 
-    ``batch_key`` fingerprints the outcome data so covariances are only taken
-    between estimates that really share shots; it is set only together with
-    ``per_shot``, the one case :func:`estimate_covariance` accepts.
+    ``row_values`` holds the real shot weight of each distinct row and
+    ``row_weights`` the rows' frequencies, the one array that every estimate
+    of an :func:`estimate_all` pass shares; :func:`estimate_covariance` takes
+    two estimates only when they share it. Estimates compare and print by
+    their numbers alone.
     """
 
     value: float
     sigma: float
     num_shots: int
     imag_residue: float
-    per_shot: np.ndarray | None = None
-    batch_key: str | None = None
+    row_values: np.ndarray | None = field(default=None, compare=False, repr=False)
+    row_weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.value) and np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValidationError("estimate value/sigma out of range")
-        if self.per_shot is not None:
-            if not np.all(np.isfinite(self.per_shot)):
-                raise ValidationError("per-shot weights must be finite")
-            if len(self.per_shot) != self.num_shots:
-                raise ValidationError("per-shot weights do not match shot count")
-            if abs(float(np.mean(self.per_shot)) - self.value) > 1e-9 * (
-                1.0 + abs(self.value)
-            ):
-                raise ValidationError("per-shot mean does not reproduce the estimate")
+        if (self.row_values is None) != (self.row_weights is None):
+            raise ValidationError("row values and row weights come together")
+        if self.row_values is not None:
+            if np.shape(self.row_values) != np.shape(self.row_weights):
+                raise ValidationError("row values do not match the row weights")
+            if not np.all(np.isfinite(self.row_values)):
+                raise ValidationError("row values must be finite")
 
 
 @lru_cache(maxsize=None)
@@ -195,18 +197,11 @@ class ProductInputData:
         return np.array([np.trace(t, axis1=1, axis2=2)[self.rows[:, q]] for q, t in enumerate(self.tables)])
 
 
-def _batch_rows(batch: OutcomeBatch, duals, return_inverse: bool):
-    """The :func:`data_from_batch` rows of ``batch`` and, with
-    ``return_inverse``, the row of each shot (else None)."""
-    uniq, inverse, counts = unique_rows(batch.outcomes, return_inverse=return_inverse)
-    data = ProductInputData(counts / batch.num_shots, dual_arrays(duals, batch.num_qubits), uniq)
-    return data, inverse
-
-
 def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:
     """Collapse a measurement batch to its distinct outcome rows, weighted by
     their frequencies, over the dual frames ``duals``."""
-    return _batch_rows(batch, duals, False)[0]
+    uniq, _, counts = unique_rows(batch.outcomes, return_inverse=False)
+    return ProductInputData(counts / batch.num_shots, dual_arrays(duals, batch.num_qubits), uniq)
 
 
 def _distribution(rho: DensityMatrix, povms, duals):
@@ -304,11 +299,6 @@ def shot_weight(outcome, duals, circuit: MapCircuit, obs: Observable) -> float:
     return float(reals[0])
 
 
-def _batch_key(batch: OutcomeBatch) -> str:
-    h = hashlib.sha1(np.ascontiguousarray(batch.outcomes).tobytes())
-    return f"{batch.seed}:{batch.num_shots}x{batch.num_qubits}:{h.hexdigest()[:16]}"
-
-
 def _check_pair(batch: OutcomeBatch, circuit: MapCircuit, obs: Observable) -> None:
     if not obs.is_hermitian:
         raise ValidationError("estimation needs a Hermitian observable")
@@ -318,13 +308,7 @@ def _check_pair(batch: OutcomeBatch, circuit: MapCircuit, obs: Observable) -> No
         raise ValidationError("batch, circuit, and observable qubit counts differ")
 
 
-def estimate_all(
-    batch: OutcomeBatch,
-    duals,
-    circuits,
-    observables,
-    keep_per_shot: bool = False,
-) -> list[list[Estimate]]:
+def estimate_all(batch: OutcomeBatch, duals, circuits, observables) -> list[list[Estimate]]:
     """The :func:`estimate` of every (circuit, observable) pair from one pass
     over the batch: ``result[i][j]`` is that of ``circuits[i]`` and
     ``observables[j]``.
@@ -332,15 +316,16 @@ def estimate_all(
     Every pair is checked before any work. The batch is then deduplicated
     once and its dual tables built once (the :func:`data_from_batch` rows),
     and every pair's shot weights are one :func:`~virtualmap.cone.evaluate_rows`
-    on those rows, which share their per-qubit traces."""
+    on those rows, which share their per-qubit traces. Each estimate keeps
+    its row values and the pass's one read-only array of row weights, so
+    any two of the grid can be covaried (:func:`estimate_covariance`)."""
     circuits, observables = list(circuits), list(observables)
     for circuit in circuits:
         for obs in observables:
             _check_pair(batch, circuit, obs)
     s = batch.num_shots
-    # the row of each shot only if it is kept
-    data, inverse = _batch_rows(batch, duals, keep_per_shot)
-    key = _batch_key(batch) if keep_per_shot else None
+    data = data_from_batch(batch, duals)
+    data.weights.setflags(write=False)
     grid = []
     for circuit in circuits:
         row = []
@@ -349,30 +334,18 @@ def estimate_all(
             value = float(np.dot(data.weights, reals))
             second = float(np.dot(data.weights, reals**2))
             var_unbiased = max(second - value**2, 0.0) * s / (s - 1)
+            reals.setflags(write=False)
             row.append(
-                Estimate(
-                    value=value,
-                    sigma=float(np.sqrt(var_unbiased / s)),
-                    num_shots=s,
-                    imag_residue=residue,
-                    per_shot=reals[inverse] if keep_per_shot else None,
-                    batch_key=key,
-                )
+                Estimate(value, float(np.sqrt(var_unbiased / s)), s, residue, reals, data.weights)
             )
         grid.append(row)
     return grid
 
 
-def estimate(
-    batch: OutcomeBatch,
-    duals,
-    circuit: MapCircuit,
-    obs: Observable,
-    keep_per_shot: bool = False,
-) -> Estimate:
+def estimate(batch: OutcomeBatch, duals, circuit: MapCircuit, obs: Observable) -> Estimate:
     """Mean shot weight with its standard error, from a measurement batch:
     :func:`estimate_all` of the one pair."""
-    return estimate_all(batch, duals, [circuit], [obs], keep_per_shot)[0][0]
+    return estimate_all(batch, duals, [circuit], [obs])[0][0]
 
 
 def estimate_exact(
@@ -399,14 +372,12 @@ def estimate_exact(
 
 
 def estimate_covariance(a: Estimate, b: Estimate) -> float:
-    """Covariance of two estimates computed from the same batch."""
-    if a.per_shot is None or b.per_shot is None:
-        raise ValidationError("covariance needs per-shot weights on both estimates")
-    if a.batch_key != b.batch_key or a.num_shots != b.num_shots:
-        raise ValidationError("estimates do not come from the same batch")
+    """Covariance of two estimates of one :func:`estimate_all` pass, from the
+    rows they share: the unbiased sample covariance of the shot weights,
+    (sum_i w_i a_i b_i - a b) S/(S-1), over S, as ``sigma`` is the variance's.
+    Estimates of two passes, even over one batch, are refused."""
+    if a.row_weights is None or a.row_weights is not b.row_weights:
+        raise ValidationError("estimates do not come from the same estimate_all pass")
     s = a.num_shots
-    if s < 2:
-        raise ValidationError("covariance needs at least two shots")
-    cross = float(np.mean(a.per_shot * b.per_shot))
-    cov_unbiased = (cross - a.value * b.value) * s / (s - 1)
-    return cov_unbiased / s
+    cross = float(np.dot(a.row_weights, a.row_values * b.row_values))
+    return (cross - a.value * b.value) * s / (s - 1) / s

@@ -120,26 +120,28 @@ class TestEstimate:
         assert est.imag_residue <= 1e-12
 
     def test_per_shot_mean_reproduces_value(self):
+        # each shot takes its row's value through np.unique's inverse
         rho = noisy_chain_state(3)
         batch = sample_outcomes(rho, "sic", 64, seed=5)
         obs = xx_hamiltonian(3)
         circ = brickwork(3, 1, lambda layer, qubits: cnot_map())
-        est = estimate(batch, "sic", circ, obs, keep_per_shot=True)
-        assert est.per_shot is not None and est.per_shot.shape == (64,)
-        assert abs(np.mean(est.per_shot) - est.value) < 1e-10
+        est = estimate(batch, "sic", circ, obs)
+        _, inverse = np.unique(batch.outcomes, axis=0, return_inverse=True)
+        per_shot = est.row_values[inverse.reshape(-1)]
+        assert abs(np.mean(per_shot) - est.value) < 1e-10
         s = est.num_shots
-        var = np.sum((est.per_shot - est.value) ** 2) / (s - 1)
+        var = np.sum((per_shot - est.value) ** 2) / (s - 1)
         assert abs(est.sigma - np.sqrt(var / s)) < 1e-10
 
     def test_value_is_the_energy_of_the_batch_rows(self, monkeypatch):
         # the rows and the sum of circuit_energy on data_from_batch, bit for
-        # bit, and no per-shot inverse unless it is asked for
+        # bit, and no shot's row is ever looked up
         rng = np.random.default_rng(12)
         batch = sample_outcomes(noisy_chain_state(5), "sic", 3000, seed=9)
         circ = brickwork(5, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(5, field=0.6)
-        want = circuit_energy(circ, data_from_batch(batch, "sic"), obs)
-        with_shots = estimate(batch, "sic", circ, obs, keep_per_shot=True)
+        data = data_from_batch(batch, "sic")
+        want = circuit_energy(circ, data, obs)
         real_unique = estimation.unique_rows
 
         def without_inverse(rows, return_inverse=True):
@@ -148,8 +150,9 @@ class TestEstimate:
 
         monkeypatch.setattr(estimation, "unique_rows", without_inverse)
         est = estimate(batch, "sic", circ, obs)
-        assert est.value == with_shots.value == want
-        assert est.sigma == with_shots.sigma and est.per_shot is None
+        assert est.value == want
+        assert est.row_values.tobytes() == evaluate_rows(circ, data, obs).real.tobytes()
+        assert est.row_weights.tobytes() == data.weights.tobytes()
 
     def test_row_permutation_invariance(self):
         rho = noisy_chain_state(3)
@@ -236,22 +239,22 @@ class TestOnePass:
         monkeypatch.setattr(estimation, "unique_rows", counted)
         return calls
 
-    @pytest.mark.parametrize("keep_per_shot", [False, True])
-    def test_every_pair_equals_its_own_estimate(self, monkeypatch, keep_per_shot):
+    def test_every_pair_equals_its_own_estimate(self, monkeypatch):
+        # and the whole grid shares one read-only array of row weights
         batch, circuits, observables = self._case()
-        want = [[estimate(batch, "sic", c, o, keep_per_shot) for o in observables] for c in circuits]
+        want = [[estimate(batch, "sic", c, o) for o in observables] for c in circuits]
         calls = self._count_unique_rows(monkeypatch)
-        grid = estimate_all(batch, "sic", circuits, observables, keep_per_shot)
+        grid = estimate_all(batch, "sic", circuits, observables)
         assert calls == [(300, 4)]
         assert [len(row) for row in grid] == [2, 2]
+        weights = grid[0][0].row_weights
+        assert not weights.flags.writeable
         for got_row, want_row in zip(grid, want):
             for got, ref in zip(got_row, want_row):
                 assert _bits(got) == _bits(ref)
-                if keep_per_shot:
-                    assert got.per_shot.tobytes() == ref.per_shot.tobytes()
-                    assert got.batch_key == ref.batch_key
-                else:
-                    assert got.per_shot is None and got.batch_key is None
+                assert got.row_values.tobytes() == ref.row_values.tobytes()
+                assert got.row_weights is weights and weights.tobytes() == ref.row_weights.tobytes()
+                assert not got.row_values.flags.writeable
 
     def test_every_pair_is_checked_before_the_batch_is_read(self, monkeypatch):
         batch, circuits, observables = self._case()
@@ -345,7 +348,7 @@ class TestCovariance:
         batch = sample_outcomes(noisy_chain_state(2), "sic", 100, seed=3)
         obs = xx_hamiltonian(2)
         circ = MapCircuit(2, ())
-        est = estimate(batch, "sic", circ, obs, keep_per_shot=True)
+        est = estimate(batch, "sic", circ, obs)
         cov = estimate_covariance(est, est)
         assert abs(cov - est.sigma**2) < 1e-12
 
@@ -354,34 +357,73 @@ class TestCovariance:
         circ = MapCircuit(2, ())
         obs = xx_hamiltonian(2)
         neg = Observable.from_terms(2, [(-c, p.letters) for c, p in obs.terms])
-        a = estimate(batch, "sic", circ, obs, keep_per_shot=True)
-        b = estimate(batch, "sic", circ, neg, keep_per_shot=True)
+        a, b = estimate_all(batch, "sic", [circ], [obs, neg])[0]
         assert abs(estimate_covariance(a, b) + a.sigma**2) < 1e-12
 
     def test_requires_per_shot_and_same_batch(self):
+        # an estimate without rows has no covariance, not even with itself
         batch = sample_outcomes(noisy_chain_state(2), "sic", 50, seed=5)
-        other = sample_outcomes(noisy_chain_state(2), "sic", 50, seed=6)
-        obs = xx_hamiltonian(2)
-        circ = MapCircuit(2, ())
-        bare = estimate(batch, "sic", circ, obs)
-        kept = estimate(batch, "sic", circ, obs, keep_per_shot=True)
-        kept_other = estimate(other, "sic", circ, obs, keep_per_shot=True)
-        with pytest.raises(ValidationError):
-            estimate_covariance(bare, kept)
-        with pytest.raises(ValidationError):
-            estimate_covariance(kept, kept_other)
+        est = estimate(batch, "sic", MapCircuit(2, ()), xx_hamiltonian(2))
+        bare = Estimate(est.value, est.sigma, est.num_shots, est.imag_residue)
+        for a, b in ((bare, est), (est, bare), (bare, bare)):
+            with pytest.raises(ValidationError, match="same estimate_all pass"):
+                estimate_covariance(a, b)
 
-    def test_batch_key_only_with_per_shot_weights(self):
+    def test_estimates_of_two_passes_are_refused(self):
+        # two passes over one batch, or over two batches, share no row weights
         batch = sample_outcomes(noisy_chain_state(2), "sic", 50, seed=5)
         other = sample_outcomes(noisy_chain_state(2), "sic", 50, seed=6)
         obs = xx_hamiltonian(2)
         circ = MapCircuit(2, ())
-        assert estimate(batch, "sic", circ, obs).batch_key is None
-        kept = estimate(batch, "sic", circ, obs, keep_per_shot=True)
-        kept_other = estimate(other, "sic", circ, obs, keep_per_shot=True)
-        assert kept.batch_key is not None and kept.batch_key != kept_other.batch_key
-        with pytest.raises(ValidationError, match="same batch"):
-            estimate_covariance(kept, kept_other)
+        first = estimate(batch, "sic", circ, obs)
+        again = estimate(batch, "sic", circ, obs)
+        elsewhere = estimate(other, "sic", circ, obs)
+        assert again.row_weights.tobytes() == first.row_weights.tobytes()
+        for a, b in ((first, again), (first, elsewhere)):
+            with pytest.raises(ValidationError, match="same estimate_all pass"):
+                estimate_covariance(a, b)
+
+    @staticmethod
+    def _grid_case(n):
+        """A sampled batch, its dual frames, two circuits and three
+        observables: on N=4 custom duals with Tr D != 1, on N=40 (too wide for
+        one int64 key per row) SIC duals and repeated rows."""
+        rng = np.random.default_rng(60 + n)
+        if n == 4:
+            batch = sample_outcomes(noisy_chain_state(4), "sic", 500, seed=8)
+            duals = _custom_duals(rng)
+            assert np.max(np.abs(np.trace(duals, axis1=1, axis2=2) - 1.0)) > 1e-3
+            circuits = [kernel_circuits(rng)[kind] for kind in ("brickwork", "non-tp")]
+            return batch, [duals] * 4, circuits, [kernel_observable(), *_grid_observables(4)]
+        rows = rng.integers(0, 4, size=(120, n))
+        outcomes = np.concatenate([rows, rows[::4], rows[:7]])[rng.permutation(157)]
+        circuits = [brickwork(n, 2, lambda layer, qubits: random_cptp_map(2, rng)) for _ in range(2)]
+        obs = [xx_hamiltonian(n, field=0.6), *_grid_observables(n)]
+        return OutcomeBatch(outcomes, ("sic",) * n, 0), "sic", circuits, obs
+
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_every_pair_of_a_grid_matches_the_per_shot_formula(self, n):
+        """Every covariance of a 2 x 3 grid against the per-shot sample
+        covariance, each shot's weight gathered through np.unique's inverse
+        from the rows' own kernel weights."""
+        batch, duals, circuits, observables = self._grid_case(n)
+        grid = estimate_all(batch, duals, circuits, observables)
+        uniq, inverse, counts = np.unique(
+            batch.outcomes, axis=0, return_inverse=True, return_counts=True
+        )
+        data = ProductInputData(counts / batch.num_shots, dual_arrays(duals, n), uniq)
+        per_shot = [
+            evaluate_rows(c, data, o).real[inverse.reshape(-1)] for c in circuits for o in observables
+        ]
+        flat = [est for row in grid for est in row]
+        s = batch.num_shots
+        for i, a in enumerate(flat):
+            assert abs(estimate_covariance(a, a) - a.sigma**2) <= 1e-15 * a.sigma**2
+            for j, b in enumerate(flat):
+                pa, pb = per_shot[i], per_shot[j]
+                want = (np.mean(pa * pb) - np.mean(pa) * np.mean(pb)) * s / (s - 1) / s
+                got = estimate_covariance(a, b)
+                assert abs(got - want) <= 1e-14 * (abs(want) + a.sigma * b.sigma)
 
 
 class TestDualArrays:
@@ -500,24 +542,36 @@ class TestSupportGroups:
 
 class TestEstimateContainer:
     def test_per_shot_consistency_enforced(self):
-        with pytest.raises(ValidationError):
-            Estimate(
-                value=1.0,
-                sigma=0.1,
-                num_shots=2,
-                imag_residue=0.0,
-                per_shot=np.array([5.0, 5.0]),
-            )
+        # row values and row weights come together and in one shape
+        values, weights = np.array([4.0, 6.0]), np.array([0.5, 0.5])
+        for rows in (
+            {"row_values": values},
+            {"row_weights": weights},
+            {"row_values": values, "row_weights": weights[:1]},
+        ):
+            with pytest.raises(ValidationError, match="row"):
+                Estimate(value=5.0, sigma=0.1, num_shots=2, imag_residue=0.0, **rows)
 
     def test_sane_container_accepted(self):
+        values, weights = np.array([4.0, 6.0]), np.array([0.5, 0.5])
         e = Estimate(
             value=5.0,
             sigma=0.1,
             num_shots=2,
             imag_residue=0.0,
-            per_shot=np.array([4.0, 6.0]),
+            row_values=values,
+            row_weights=weights,
         )
-        assert e.value == 5.0
+        assert e.value == 5.0 and e.row_values is values and e.row_weights is weights
+
+    def test_estimates_compare_by_their_numbers(self):
+        # two passes over one batch give equal estimates, whose row arrays
+        # neither decide equality nor fill the repr
+        batch = sample_outcomes(noisy_chain_state(2), "sic", 50, seed=5)
+        a, b = (estimate(batch, "sic", MapCircuit(2, ()), xx_hamiltonian(2)) for _ in range(2))
+        assert a == b and a.row_weights is not b.row_weights
+        assert a != Estimate(a.value, a.sigma + 1.0, a.num_shots, a.imag_residue)
+        assert "row" not in repr(a)
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +616,14 @@ class TestBatchedKernel:
         obs = kernel_observable()
         batch = sample_outcomes(noisy_chain_state(4), "sic", 150, seed=9)
         duals = _sic_dual_matrices()
-        est = estimate(batch, "sic", circ, obs, keep_per_shot=True)
+        est = estimate(batch, "sic", circ, obs)
         weights = _reference_weights(circ, [duals] * circ.num_qubits, batch.outcomes, obs).real
         s = batch.num_shots
         value = weights.mean()
         sigma = np.sqrt(max((weights**2).mean() - value**2, 0.0) * s / (s - 1) / s)
-        assert np.max(np.abs(est.per_shot - weights)) <= 1e-12 * (1 + np.abs(weights).max())
+        _, inverse = np.unique(batch.outcomes, axis=0, return_inverse=True)
+        per_shot = est.row_values[inverse.reshape(-1)]
+        assert np.max(np.abs(per_shot - weights)) <= 1e-12 * (1 + np.abs(weights).max())
         assert abs(est.value - value) <= 1e-12 * (1 + abs(value))
         assert abs(est.sigma - sigma) <= 1e-12 * (1 + sigma)
 
@@ -578,8 +634,7 @@ class TestBatchedKernel:
         duals = _sic_dual_matrices()
         obs_a = kernel_observable()
         obs_b = xx_hamiltonian(4, field=0.5)
-        a = estimate(batch, "sic", circ, obs_a, keep_per_shot=True)
-        b = estimate(batch, "sic", circ, obs_b, keep_per_shot=True)
+        a, b = estimate_all(batch, "sic", [circ], [obs_a, obs_b])[0]
         wa, wb = (
             _reference_weights(circ, [duals] * circ.num_qubits, batch.outcomes, o).real
             for o in (obs_a, obs_b)
@@ -655,13 +710,14 @@ class TestNonFiniteInput:
             Estimate(value=1.0, sigma=float("inf"), num_shots=2, imag_residue=0.0)
 
     def test_estimate_rejects_nan_per_shot(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="finite"):
             Estimate(
                 value=1.0,
                 sigma=0.1,
                 num_shots=2,
                 imag_residue=0.0,
-                per_shot=np.array([1.0, np.nan]),
+                row_values=np.array([1.0, np.nan]),
+                row_weights=np.array([0.5, 0.5]),
             )
 
     def test_dual_arrays_rejects_nan(self):
@@ -683,6 +739,14 @@ def _random_rows(n: int, rng: np.random.Generator) -> ProductInputData:
     count = int(rng.integers(1, 40))
     rows = np.stack([rng.integers(0, len(t), size=count) for t in tables], axis=1)
     return ProductInputData(rng.standard_normal(count), tables, rows)
+
+
+def _grid_observables(n: int) -> list[Observable]:
+    """Two more observables of the covariance grid: a nearest-neighbour ZZ
+    correlator and the mean magnetization."""
+    corr = Observable.from_terms(n, [(1.0, "I" + "ZZ" + "I" * (n - 3))])
+    mag = Observable.from_terms(n, [(1.0 / n, "I" * q + "Z" + "I" * (n - q - 1)) for q in range(n)])
+    return [corr, mag]
 
 
 def _random_observable(n: int, rng: np.random.Generator) -> Observable:
@@ -761,14 +825,15 @@ class TestRowsStayRows:
     def test_estimate_never_collapses(self, monkeypatch):
         _refuse_collapse(monkeypatch)
         batch = sample_outcomes(noisy_chain_state(3), "sic", 2000, seed=6)
-        est = estimate(batch, "sic", brickwork(3, 2), xx_hamiltonian(3), keep_per_shot=True)
-        assert est.per_shot.shape == (2000,)
+        est = estimate(batch, "sic", brickwork(3, 2), xx_hamiltonian(3))
+        rows = len(data_from_batch(batch, "sic").rows)
+        assert 1 < rows < 2000 and est.row_values.shape == est.row_weights.shape == (rows,)
 
 
 class TestRowCounts:
     """``data_from_batch`` and ``estimate`` count a batch's rows with
-    ``unique_rows``: the rows, their dtype and their weights, and the row of
-    each shot that ``estimate`` takes for its per-shot weights, are those of
+    ``unique_rows``: the rows, their dtype and their weights, and the row
+    values and weights that ``estimate`` keeps, are those of
     ``np.unique(axis=0)``, bit for bit."""
 
     @staticmethod
@@ -796,21 +861,23 @@ class TestRowCounts:
     @pytest.mark.parametrize("n", [5, 40])
     def test_per_shot_weights_take_each_shot_s_row(self, n):
         # an int64 key per row (N = 5) and the lexsort (N = 40) both give
-        # each shot the weight of its row, bit for bit
+        # each shot, through np.unique's inverse, the weight of its row, bit
+        # for bit
         rng = np.random.default_rng(n)
         rows = rng.integers(0, 4, size=(120, n))
         outcomes = np.concatenate([rows, rows[::4], rows[:7]])[rng.permutation(157)]
         batch = OutcomeBatch(outcomes, ("sic",) * n, 0)
         circ = brickwork(n, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(n, field=0.6)
-        est = estimate(batch, "sic", circ, obs, keep_per_shot=True)
+        est = estimate(batch, "sic", circ, obs)
         uniq, inverse, counts = np.unique(
             batch.outcomes, axis=0, return_inverse=True, return_counts=True
         )
         data = ProductInputData(counts / len(outcomes), dual_arrays("sic", n), uniq)
         reals = evaluate_rows(circ, data, obs).real
-        assert est.per_shot.tobytes() == reals[inverse.reshape(-1)].tobytes()
-        assert est.value == estimate(batch, "sic", circ, obs).value
+        inverse = inverse.reshape(-1)
+        assert est.row_values[inverse].tobytes() == reals[inverse].tobytes()
+        assert est.row_weights.tobytes() == data.weights.tobytes()
 
     @pytest.mark.parametrize("n", [31, 40])
     def test_widest_key_and_wide_rows(self, n):

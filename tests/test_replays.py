@@ -1,6 +1,6 @@
 """The replay scripts' shared harness (``scripts/replay.py``), the
-self-gating of the solver, weights, plan and batch replays, the solver and
-weights replays against a parent package, the CLI's Newton step total counted
+self-gating of the solver, weights, plan and batch replays, the solver,
+weights and batch replays against a parent package, the CLI's Newton step total counted
 by the harness, and the two paper-experiment scripts at their smallest size,
 loaded from ``scripts/`` by path."""
 
@@ -290,6 +290,40 @@ class TestBatchReplay:
         record = json.loads(capsys.readouterr().out)["optimize-n3"]
         assert record["ok"] is True and record["shots"] == 20000
         assert 1 < record["distinct_rows"] <= 64 and record["read_s_median"] > 0.0
+        assert "bit_identical" not in record
+
+    def test_the_parent_comparison_passes_on_equal_answers(self, load, capsys, monkeypatch):
+        # the working tree's own package as the parent: the rows are equal
+        replay = load("batch_replay")
+        monkeypatch.setattr(replay, "parent_package", lambda ref: virtualmap)
+        argv = ["--repeats", "2", "--case", "optimize-n3", "--parent", "REF"]
+        assert replay.main(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["parent"] == "REF"
+        case = record["optimize-n3"]
+        assert case["ok"] is True and case["bit_identical"] is True
+        for key in ("read_s", "count_s"):
+            assert case[f"{key}_pairs"] == 2 and 0 <= case[f"{key}_wins"] <= 2
+            assert case[f"{key}_parent_min"] > 0.0
+
+    def test_a_parent_with_other_weights_fails_the_replay(self, load, capsys, monkeypatch):
+        # a parent whose weight of one row differs in the last bit
+        def shifted(batch, duals):
+            data = estimation.data_from_batch(batch, duals)
+            weights = data.weights.copy()
+            weights[0] = np.nextafter(weights[0], np.inf)
+            return estimation.ProductInputData(weights, data.tables, data.rows)
+
+        parent = types.SimpleNamespace(
+            densesim=densesim, estimation=types.SimpleNamespace(data_from_batch=shifted)
+        )
+        replay = load("batch_replay")
+        monkeypatch.setattr(replay, "parent_package", lambda ref: parent)
+        assert replay.main(["--repeats", "1", "--case", "optimize-n3", "--parent", "REF"]) == 1
+        captured = capsys.readouterr()
+        case = json.loads(captured.out)["optimize-n3"]
+        assert case["ok"] is True and case["bit_identical"] is False
+        assert captured.err == "error: the optimize-n3 rows differ from REF's\n"
 
     @pytest.mark.parametrize("fault", ["read", "count"])
     def test_a_mismatch_fails_the_replay(self, load, capsys, monkeypatch, fault):
