@@ -239,11 +239,15 @@ class TestOnePass:
         monkeypatch.setattr(estimation, "unique_rows", counted)
         return calls
 
-    def test_every_pair_equals_its_own_estimate(self, monkeypatch):
-        # and the whole grid shares one read-only array of row weights
+    @pytest.mark.parametrize("as_iterators", [False, True])
+    def test_every_pair_equals_its_own_estimate(self, monkeypatch, as_iterators):
+        # for lists or one-shot iterators of pairs, and the whole grid
+        # shares one read-only array of row weights
         batch, circuits, observables = self._case()
         want = [[estimate(batch, "sic", c, o) for o in observables] for c in circuits]
         calls = self._count_unique_rows(monkeypatch)
+        if as_iterators:
+            circuits, observables = iter(circuits), iter(observables)
         grid = estimate_all(batch, "sic", circuits, observables)
         assert calls == [(300, 4)]
         assert [len(row) for row in grid] == [2, 2]
