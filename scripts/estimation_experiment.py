@@ -72,11 +72,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--N", type=int, default=4, help="number of qubits")
     parser.add_argument("--p", type=float, default=0.05, help="perturbation strength")
-    parser.add_argument("--batches", type=int, default=100, help="independent batches")
+    parser.add_argument("--batches", type=int, default=100, help="independent batches (>= 2)")
     parser.add_argument("--S", type=int, default=2000, help="shots per batch")
     parser.add_argument("--seed", type=int, default=21, help="scenario seed")
     parser.add_argument("--out", type=Path, default=None, help="per-batch CSV path")
     args = parser.parse_args(argv)
+    if args.batches < 2:
+        # the grand-mean z-scores and the across-batch covariance need two batches
+        print("error: --batches must be at least 2", file=sys.stderr)
+        return 2
 
     rho_pert, circuits, observables = build_scenario(args.N, args.p, args.seed)
 

@@ -2,8 +2,10 @@
 """Replay cold light-cone planning for ``estimate`` on large registers.
 
 Each case is the periodic XX chain (coupling 1, field 0.95) under a staircase
-of identity maps: ``staircase(24, 3)``, ``staircase(40, 3)`` and
-``staircase(64, 2)``. With every structure cache emptied and a freshly built
+of CNOT maps: ``staircase(24, 3)``, ``staircase(40, 3)`` and
+``staircase(64, 2)``. The maps are trace preserving and not the identity, so
+the light cones are those of any such circuit (an identity map would join no
+cone). With every structure cache emptied and a freshly built
 circuit, each timed pass measures
 
 * ``group_s``: grouping the chain's terms into support groups, as
@@ -31,6 +33,7 @@ import time
 from replay import emit, parse, parser, quartiles
 from virtualmap import cone
 from virtualmap.cone import cone_plan, staircase, term_groups
+from virtualmap.maps import cnot_map
 from virtualmap.pauli import xx_hamiltonian
 
 CASES = {"staircase-24-3": (24, 3), "staircase-40-3": (40, 3), "staircase-64-2": (64, 2)}
@@ -57,7 +60,7 @@ def per_term_rule(circuit, obs):
 
 def cold_pass(n, layers, obs):
     clear_structure_caches()
-    circuit = staircase(n, layers)
+    circuit = staircase(n, layers, lambda layer, qubits: cnot_map())
     start = time.perf_counter()
     groups = term_groups(circuit, [ps for _, ps in obs.terms])
     grouped = time.perf_counter()

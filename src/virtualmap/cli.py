@@ -41,7 +41,7 @@ from .errors import NumericalError, ValidationError
 from .estimation import ProductInputData, classical_input, data_from_batch, dual_arrays
 from .estimation import estimate, estimate_all, estimate_exact
 from .linalg import kron_all, trace_mul
-from .maps import random_cptp_map, random_tp_hermitian_map, random_unitary_map
+from .maps import identity_map, random_cptp_map, random_tp_hermitian_map, random_unitary_map
 from .pauli import Observable, PauliString, parse_observable
 from .povm import compute_duals, get_povm
 from .varopt import SWEEP_INITS, SdpOptions, SweepOptions, classical_ansatz, sweep, zreset_compose
@@ -251,13 +251,18 @@ def _cmd_ansatz(args) -> int:
 
 
 def _random_check_circuit(n: int, rng: np.random.Generator) -> MapCircuit:
+    """Brickwork of one or two layers whose components are exact identities
+    (which join no light cone, so the weight kernel's terms split), random
+    CPTP, unitary and TP Hermiticity-preserving maps."""
     layers = int(rng.integers(1, 3))
 
     def factory(layer, qubits):
         draw = rng.random()
-        if draw < 0.4:
+        if draw < 0.25:
+            return identity_map(2)
+        if draw < 0.55:
             return random_cptp_map(2, rng)
-        if draw < 0.7:
+        if draw < 0.775:
             return random_unitary_map(2, rng)
         return random_tp_hermitian_map(2, rng)
 

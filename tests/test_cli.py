@@ -242,12 +242,13 @@ class TestEstimate:
 
     @staticmethod
     def _all_pairs_circuit(n):
-        """Every pair of qubits coupled once, in sequence: the light cone of
-        the last qubit is the whole register and its plan's peak equals n."""
+        """Every pair of qubits coupled once by a CNOT, in sequence: the
+        light cone of the last qubit is the whole register and its plan's
+        peak equals n. (Identity maps would join no cone.)"""
         from virtualmap.cone import circuit_from_dict
 
         comps = [
-            {"qubits": [i, j], "map": "identity"}
+            {"qubits": [i, j], "map": "cnot"}
             for i in range(n)
             for j in range(i + 1, n)
         ]

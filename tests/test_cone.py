@@ -41,6 +41,7 @@ from virtualmap.cone import (
     save_circuit,
     schedule,
     staircase,
+    term_clusters,
     term_groups,
 )
 from virtualmap.densesim import noisy_chain_state
@@ -174,7 +175,8 @@ def _check_plan(circuit, plan, support):
     Exactly the plan's qubits (a superset of the support) are absorbed once
     and traced once, after absorption. Every applied component acts on active
     qubits only, once, after every earlier component overlapping it. Every
-    component left out is trace preserving and touches no support qubit, so
+    component left out is, for a support short of the register, exactly the
+    identity, or else trace preserving and touching no support qubit, so
     dropping it leaves the trace unchanged. The recorded peak is the actual
     one.
     """
@@ -201,8 +203,11 @@ def _check_plan(circuit, plan, support):
             traced.add(step.qubit)
             active -= 1
     assert absorbed == traced == set(plan.qubits) >= set(support)
+    whole = set(support) == set(range(circuit.num_qubits))
     for ci, comp in enumerate(circuit.components):
         if ci not in applied:
+            if not whole and np.array_equal(comp.map.superop, np.eye(len(comp.map.superop))):
+                continue
             vec_eye = np.eye(comp.map.dim).reshape(-1)
             assert np.max(np.abs(vec_eye @ comp.map.superop - vec_eye)) <= 1e-12, ci
             assert not set(comp.qubits) & set(support), ci
@@ -250,13 +255,13 @@ class TestSchedule:
     def test_with_component_computes_only_the_new_maps_tp_residual(self):
         rng = np.random.default_rng(16)
         circ = brickwork(6, 2, lambda layer, qubits: random_cptp_map(2, rng))
-        assert all(circ.trace_preserving)
+        assert set(circ.kinds) == {"tp"}
         # plant a non-TP residual in every cached one: only a recomputation
         # could flag these maps trace preserving again
         for comp in circ.components:
             vars(comp.map)["tp_residual"] = 1.0
         again = circ.with_component(3, identity_map(2))
-        assert again.trace_preserving == tuple(k == 3 for k in range(len(circ.components)))
+        assert again.kinds == tuple("identity" if k == 3 else "other" for k in range(len(circ.components)))
 
     def test_schedule_is_the_cone_of_every_qubit(self):
         rng = np.random.default_rng(15)
@@ -276,14 +281,19 @@ class TestSchedule:
         n = data.draw(st.integers(1, 9), label="n")
         component = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
         supports = tuple(map(tuple, data.draw(st.lists(component, max_size=14), label="supports")))
-        tp = data.draw(st.none() | st.tuples(*[st.booleans()] * len(supports)), label="tp")
+        kind = st.sampled_from(["identity", "tp", "other"])
+        kinds = data.draw(st.none() | st.tuples(*[kind] * len(supports)), label="kinds")
         output = st.just(range(n)) | st.sets(st.integers(0, n - 1))
         support = tuple(sorted(data.draw(output, label="support")))
         cone_misses = _cone.cache_info().misses
-        plan = _plan(supports, tp, support)
+        plan = _plan(supports, kinds, support)
         # the per-qubit cones of a schedule bypass the shared memo
         assert _cone.cache_info().misses - cone_misses <= 1
-        members, qubits = _cone(supports, tp, support)
+        members, qubits = _cone(supports, kinds, support)
+        if kinds is not None:
+            # an identity joins no cone, a component of kind "other" every one
+            assert all(kinds[ci] != "identity" for ci in members)
+            assert all(ci in members for ci, k in enumerate(kinds) if k == "other")
         want, peak = _reference_schedule(supports, members, qubits)
         assert plan.qubits == qubits
         assert [(s.kind, s.qubit, s.component) for s in plan.steps] == want
@@ -847,7 +857,12 @@ class TestBatchedKernel:
                 for shape in (s for pair in shapes for s in pair):
                     assert shape[0] <= 2**plan.peak_active
                     assert np.prod(shape) <= budget
-                if batch is per_row:
+                if any(len(c) > 1 for c in term_clusters(circ, [ps for _, ps in terms])):
+                    # the periodic chain's wrap bond splits: each cluster's
+                    # sub-string runs alone, on its own cone
+                    assert kind == "xx-chain"
+                    assert max(s[-2] for pair in shapes for s in pair) == 1
+                elif batch is per_row:
                     assert len(shapes) >= len(plan.steps)  # one call per step and chunk
                     if len(terms) > 1:
                         # residuals are (terms, rows) batches; the first steps
@@ -1323,6 +1338,33 @@ class TestOutsideTraces:
             want = _per_qubit_loop(tables, rows, qubits)
             assert cone._outside_traces(data, qubits).tobytes() == want.tobytes(), qubits
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        num_rows=st.integers(0, 20),
+        diagonals=st.lists(_DIAGONALS, min_size=2, max_size=2 * 6 * 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_letter_traces_generalize_the_traces(self, n, num_rows, diagonals, seed):
+        # Tr[F sigma] for sigma = I, X, Y, Z per factor, and the rows' traces
+        # are the I column gathered, bit for bit as np.trace per qubit
+        rng = np.random.default_rng(seed)
+        tables = []
+        for q in range(n):
+            t = (rng.standard_normal((int(rng.integers(1, 4)), 2, 2)) + 1j * rng.standard_normal((1, 2, 2)))
+            for m in range(len(t)):
+                t[m, 0, 0], t[m, 1, 1] = (diagonals[(2 * (q * 3 + m) + k) % len(diagonals)] for k in (0, 1))
+            tables.append(t)
+        rows = np.stack([rng.integers(0, len(t), size=num_rows) for t in tables], axis=1).reshape(num_rows, n)
+        data = ProductInputData(np.ones(num_rows), tables, rows)
+        for t, lt in zip(tables, data.letter_traces):
+            assert lt.shape == (len(t), 4)
+            for j, letter in enumerate("IXYZ"):
+                want = np.trace(t @ PauliString(letter).matrix(), axis1=1, axis2=2)
+                assert np.max(np.abs(lt[:, j] - want), initial=0.0) <= 1e-15 * (1.0 + np.max(np.abs(t)))
+        want = np.array([np.trace(t, axis1=1, axis2=2)[rows[:, q]] for q, t in enumerate(tables)])
+        assert data.traces.shape == want.shape and data.traces.tobytes() == want.tobytes()
+
     def test_one_gather_per_data(self, monkeypatch):
         # every group and every observable reads the same traces
         rng = np.random.default_rng(5)
@@ -1333,7 +1375,209 @@ class TestOutsideTraces:
         monkeypatch.setattr(np, "trace", lambda *a, **k: calls.append(1) or real_trace(*a, **k))
         for obs in (xx_hamiltonian(6), Observable.from_terms(6, [(0.5, "ZIIIIZ")])):
             evaluate_rows(circ, data, obs)
-        assert len(calls) == 6
+        # the letter traces of every qubit are taken together, once
+        assert len(calls) == 1
+
+
+def _mixed_kinds_circuit(n, layers, rng, identity=0.4, leaky=0.0):
+    """Brickwork whose components are exact identities, random CPTP maps
+    and, with probability ``leaky``, a trace-scaling map (not TP)."""
+
+    def factory(layer, qubits):
+        draw = rng.random()
+        if draw < identity:
+            return identity_map(2)
+        if draw < identity + leaky:
+            return _scaled_identity(2, 0.9)
+        return random_cptp_map(2, rng)
+
+    return brickwork(n, layers, factory)
+
+
+def _all_pairs_zz(n):
+    return Observable.from_terms(
+        n, [(0.1 + 0.01 * a - 0.02 * b, "".join("Z" if q in (a, b) else "I" for q in range(n)))
+            for a in range(n) for b in range(a + 1, n)]
+    )
+
+
+def _pruning_observable(kind, n):
+    if kind == "xx-chain":
+        return xx_hamiltonian(n, field=0.6, periodic=True)
+    if kind == "all-pairs-zz":
+        return _all_pairs_zz(n)
+    # register-wide terms beside local ones
+    return Observable.from_terms(n, [(0.3, "X" * n), (-0.2, "Y" + "Z" * (n - 2) + "Y"), (0.5, "Z" + "I" * (n - 1))])
+
+
+def _pruning_tables(duals, n, rng):
+    if duals == "sic":
+        return dual_arrays("sic", n)
+    return _random_tables(n, rng, outcomes=3)  # Tr D != 1
+
+
+def _assert_rows_match_the_walk(circ, data, obs):
+    got = evaluate_rows(circ, data, obs)
+    want = evaluate_trace(circ, data, obs)
+    assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+
+
+class TestIdentityPruningAndClusters:
+    """Identity maps join no light cone of a partial support, and a term
+    whose letters' cones are disjoint is the product of its clusters: both
+    checked against ``evaluate_trace``, the unpruned whole-register walk."""
+
+    def test_the_plan_of_an_identity_brickwork_is_the_support(self):
+        circ = brickwork(8, 2)
+        assert set(circ.kinds) == {"identity"}
+        for support in [(0,), (3, 4), (1, 6), (0, 2, 5, 7)]:
+            plan = cone_plan(circ, support)
+            assert plan.qubits == support and plan.peak_active == 1
+            assert not any(s.kind == "apply" for s in plan.steps)
+            _check_plan(circ, plan, support)
+        # the whole-register plan keeps every component
+        whole = schedule(circ)
+        assert sorted(s.component for s in whole.steps if s.kind == "apply") == list(range(len(circ.components)))
+        _check_plan(circ, whole, range(8))
+
+    def test_identities_leave_the_cones_of_other_components(self):
+        rng = np.random.default_rng(70)
+        circ = brickwork(8, 2, lambda layer, qubits: random_cptp_map(2, rng))
+        pruned = circ.with_component(0, identity_map(2))  # (0, 1) in the first layer
+        assert pruned.kinds[0] == "identity" and set(pruned.kinds[1:]) == {"tp"}
+        assert cone_plan(circ, (0,)).qubits == (0, 1)
+        plan = cone_plan(pruned, (0,))
+        assert plan.qubits == (0,)
+        _check_plan(pruned, plan, (0,))
+
+    def test_clusters_of_an_identity_circuit_are_its_letters(self):
+        circ = brickwork(6, 2)
+        terms = [PauliString("XXIIII"), PauliString("ZIIIIY"), PauliString("IIZIII"), PauliString("IIIIII")]
+        assert term_clusters(circ, terms) == (
+            (((0,), True), ((1,), True)),
+            (((0,), True), ((5,), True)),
+            (((2,), True),),
+            (((), False),),
+        )
+
+    def test_disjoint_pairs_of_the_all_pairs_correlator(self):
+        # brickwork(12, 3) of any maps that are TP but not the identity:
+        # 24 of the 66 pairs have disjoint cones, each letter's cone holds
+        # components
+        rng = np.random.default_rng(71)
+        circ = brickwork(12, 3, lambda layer, qubits: random_unitary_map(2, rng))
+        clusters = term_clusters(circ, [ps for _, ps in _all_pairs_zz(12).terms])
+        assert sum(len(c) == 2 for c in clusters) == 24
+        assert all(len(c) <= 2 and not any(free for _, free in c) for c in clusters)
+
+    @pytest.mark.parametrize("duals", ["sic", "custom"])
+    @pytest.mark.parametrize("obs_kind", ["xx-chain", "all-pairs-zz", "register-wide"])
+    @pytest.mark.parametrize("circ_kind", ["identity", "mixed", "mixed-leaky", "empty"])
+    def test_rows_match_the_unpruned_walk(self, circ_kind, obs_kind, duals):
+        rng = np.random.default_rng(72)
+        n = 7
+        if circ_kind == "identity":
+            circ = brickwork(n, 2)
+        elif circ_kind == "empty":
+            circ = MapCircuit(n, ())
+        else:
+            circ = _mixed_kinds_circuit(n, 3, rng, leaky=0.15 if circ_kind == "mixed-leaky" else 0.0)
+            assert "identity" in circ.kinds and ("other" in circ.kinds) == (circ_kind == "mixed-leaky")
+        tables = _pruning_tables(duals, n, rng)
+        obs = _pruning_observable(obs_kind, n)
+        clusters = term_clusters(circ, [ps for _, ps in obs.terms])
+        if circ_kind == "mixed-leaky":
+            assert all(len(c) == 1 and not c[0][1] for c in clusters)
+        elif obs_kind != "register-wide" or circ_kind in ("identity", "empty"):
+            assert any(len(c) > 1 for c in clusters)
+        for num_rows in (1, 6, 300):
+            rows = rng.integers(0, len(tables[0]), size=(num_rows, n))
+            _assert_rows_match_the_walk(circ, _data(tables, rows), obs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        layers=st.integers(1, 3),
+        identity=st.sampled_from([0.0, 0.5, 1.0]),
+        leaky=st.sampled_from([0.0, 0.1]),
+        num_rows=st.integers(1, 30),
+        num_terms=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_mixes_match_the_unpruned_walk(self, n, layers, identity, leaky, num_rows, num_terms, seed):
+        rng = np.random.default_rng(seed)
+        circ = _mixed_kinds_circuit(n, layers, rng, identity=identity, leaky=leaky)
+        tables = [_random_tables(1, rng, outcomes=int(rng.integers(1, 4)))[0] for _ in range(n)]
+        rows = np.stack([rng.integers(0, len(t), size=num_rows) for t in tables], axis=1)
+        letters = {"".join("IXYZ"[k] for k in rng.integers(0, 4, size=n)) for _ in range(num_terms)}
+        obs = Observable.from_terms(n, list(zip(_random_coeffs(len(letters), rng), sorted(letters))))
+        _assert_rows_match_the_walk(circ, _data(tables, rows), obs)
+
+    def test_a_non_tp_component_splits_nothing(self, monkeypatch):
+        # every cone holds the leaky component, so no term splits and every
+        # term takes the grouped path: the weights are its bits
+        import virtualmap.cone as cone_module
+
+        rng = np.random.default_rng(73)
+        circ = brickwork(8, 3, lambda layer, qubits: random_cptp_map(2, rng))
+        circ = circ.with_component(4, _scaled_identity(2, 0.9))
+        assert circ.kinds.count("other") == 1 and "identity" not in circ.kinds
+        tables = _random_tables(8, rng, outcomes=3)
+        rows = rng.integers(0, 3, size=(40, 8))
+        for obs in (xx_hamiltonian(8, field=0.4, periodic=True), _all_pairs_zz(8)):
+            clusters = term_clusters(circ, [ps for _, ps in obs.terms])
+            assert all(len(c) == 1 and not c[0][1] for c in clusters)
+            want = evaluate_rows(circ, _data(tables, rows), obs)
+            _assert_rows_match_the_walk(circ, _data(tables, rows), obs)
+
+            def unexpected(*args):
+                raise AssertionError("a term split")
+
+            monkeypatch.setattr(cone_module, "_add_split_values", unexpected)
+            assert evaluate_rows(circ, _data(tables, rows), obs).tobytes() == want.tobytes()
+            monkeypatch.undo()
+
+    def test_the_split_path_stays_within_the_budget(self, monkeypatch):
+        # the identity chain's letter tables, the random circuit's clusters
+        # and each chunk's outside traces, with a small budget
+        import virtualmap.cone as cone_module
+
+        rng = np.random.default_rng(74)
+        n, num_rows = 8, 500
+        tables = _random_tables(n, rng, outcomes=4)
+        rows = rng.integers(0, 4, size=(num_rows, n))
+        unitaries = lambda layer, qubits: random_unitary_map(2, rng)  # noqa: E731
+        cases = [
+            (brickwork(n, 2), xx_hamiltonian(n, field=0.3, periodic=True), True),
+            (brickwork(n, 1, unitaries), _all_pairs_zz(n), True),  # tables over four-qubit holes
+            (brickwork(n, 2, unitaries), _all_pairs_zz(n), False),  # Z1 Z6's holes are the register
+        ]
+        budget = 1 << 8
+        for circ, obs, tabled in cases:
+            want = evaluate_rows(circ, _data(tables, rows), obs)
+            sizes, chunks = [], []
+            real_table, real_outside = cone_module._product_table, cone_module._outside_product
+
+            def product_table(factors):
+                out = real_table(factors)
+                sizes.append(out.size)
+                return out
+
+            def outside_product(value, traces, holes):
+                chunks.append((value.size, *{len(t) for t in traces}))
+                return real_outside(value, traces, holes)
+
+            monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", budget)
+            monkeypatch.setattr(cone_module, "_product_table", product_table)
+            monkeypatch.setattr(cone_module, "_outside_product", outside_product)
+            got = evaluate_rows(circ, _data(tables, rows), obs)
+            monkeypatch.undo()
+            # several chunks of rows, each within the budget with its traces
+            assert max(size for size, _ in chunks) < num_rows and sum(size for size, _ in chunks) % num_rows == 0
+            assert all(size == rows_of_chunk and size * (n + 2) <= budget for size, rows_of_chunk in chunks)
+            assert bool(sizes) == tabled and max(sizes, default=0) <= budget
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-13
+            _assert_rows_match_the_walk(circ, _data(tables, rows), obs)
 
 
 class TestUniqueRows:

@@ -227,6 +227,7 @@ class TestWeightsReplay:
         assert record["parent"] == "REF"
         case = record["estimate-n8"]
         assert case["ok"] is True and case["bit_identical"] is True
+        assert case["circuits_bit_identical"] == [True, True] and case["parent_max_rel_diff"] == 0.0
         assert case["s_pairs"] == 2 and 0 <= case["s_wins"] <= 2 and case["s_parent_min"] > 0.0
 
     def test_a_parent_with_other_weights_fails_the_replay(self, load, capsys, monkeypatch):
@@ -255,6 +256,25 @@ class TestWeightsReplay:
         assert self._load(load).main(["--repeats", "1"]) == 0
         case = json.loads(capsys.readouterr().out)["estimate-n8"]
         assert case["ok"] is True and "bit_identical" not in case and case["s_median"] > 0.0
+        # the identity circuit's chain splits into letters, checked on the
+        # first rows against the whole-register walk
+        assert case["split_terms"] > 0 and case["trace_rows"] == 64
+        assert case["trace_max_rel_diff"] <= 1e-12
+
+    def test_a_walk_that_disagrees_fails_the_replay(self, load, capsys, monkeypatch):
+        real = cone.evaluate_trace
+        monkeypatch.setattr(cone, "evaluate_trace", lambda *args: real(*args) + 1e-9)
+        assert self._load(load).main(["--repeats", "1"]) == 1
+        captured = capsys.readouterr()
+        case = json.loads(captured.out)["estimate-n8"]
+        assert case["ok"] is False and case["trace_max_rel_diff"] > 1e-12 and case["max_rel_diff"] <= 1e-12
+        assert captured.err.startswith("error: estimate-n8 differs")
+
+    def test_the_all_pairs_case_splits_its_distant_pairs(self, load):
+        replay = load("weights_replay")
+        circuits, data, obs = replay.CASES["allpairs-zz-12-3"]()
+        assert len(obs.terms) == 66 and len(data.rows) == 2000
+        assert replay.split_terms(circuits, obs) == 24
 
 
 def test_summary_newton_steps_total_the_runs_solves(load, tmp_path, capsys):
@@ -281,7 +301,9 @@ def test_summary_newton_steps_total_the_runs_solves(load, tmp_path, capsys):
 def test_plan_replay_checks_its_groups(load, capsys):
     plan = load("plan_replay")
     assert plan.main(["--repeats", "1", "--case", "staircase-24-3"]) == 0
-    assert json.loads(capsys.readouterr().out)["staircase-24-3"]["ok"] is True
+    case = json.loads(capsys.readouterr().out)["staircase-24-3"]
+    # the CNOT staircase's cones absorb each bond's one-site terms
+    assert case["ok"] is True and case["groups"] == 24 and case["max_peak_active"] == 4
 
 
 class TestBatchReplay:
@@ -369,3 +391,11 @@ class TestBatchReplay:
 def test_experiment_runs_at_its_smallest_size(load, capsys, name, argv, summary):
     assert load(name).main(argv) == 0
     assert re.fullmatch(summary, capsys.readouterr().out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("batches", ["1", "0", "-3"])
+def test_estimation_experiment_refuses_fewer_than_two_batches(load, capsys, batches):
+    # one batch has no spread across batches: its z-scores would read nan
+    assert load("estimation_experiment").main(["--N", "3", "--batches", batches, "--S", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --batches must be at least 2\n"
