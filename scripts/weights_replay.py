@@ -14,37 +14,35 @@
   the register, so no local term may share its contraction.
 * ``allpairs-zz-12-3``: ``brickwork(12, 3)`` of random unitaries, the
   all-pairs ZZ correlator (66 terms), 2000 random SIC rows. 24 of the pairs
-  have disjoint light cones and split into two clusters.
+  have disjoint light cones, each still contracted over their union.
 
 Each case is checked against the sum of singleton groups (one single-term
 observable per call), within 1e-12 of 1 + |w| per row. A case with an
-identity map or a term that splits into clusters (``cone.term_clusters``)
-is also checked, on its first 64 rows, against ``cone.evaluate_trace``, the
-unpruned whole-register walk, to the same bound. A failed check exits with
-status 1. The script prints one JSON record: per case the number of cone
-runs (contractions of a term group or of a cluster's sub-string), how many
-of them ran backwards into an outcome table and how many per row
-(``cone._outcome_table`` and ``cone._row_values`` calls, which add up to the
-cone runs), the terms evaluated as products over their clusters
-(``split_terms``, summed over the circuits), the calls of the ``linalg``
-kernels, and the median and quartiles of the seconds per ``evaluate_rows``
-pass over ``--repeats`` timed passes. Each timed pass starts from rows that
-have not yet gathered their traces, as one ``estimate`` command does.
-``--out`` also stores the record in a JSON file under the key ``--tag``,
-keeping the file's other keys.
+identity map, which joins no light cone, is also checked, on its first 64
+rows, against ``cone.evaluate_trace``, the unpruned whole-register walk, to
+the same bound. A failed check exits with status 1. The script prints one
+JSON record: per case the number of cone runs (contractions of a term
+group), how many of them ran backwards into an outcome table and how many
+per row (``cone._outcome_table`` and ``cone._row_values`` calls, which add
+up to the cone runs), the calls of the ``linalg`` kernels, and the median
+and quartiles of the seconds per ``evaluate_rows`` pass over ``--repeats``
+timed passes. Each timed pass starts from rows that have not yet gathered
+their traces, as one ``estimate`` command does. ``--out`` also stores the
+record in a JSON file under the key ``--tag``, keeping the file's other
+keys.
 
 ``--parent REF`` also loads the package of git revision ``REF`` (one whose
 ``evaluate_rows`` takes ``(circuit, data, obs)``) and rebuilds each case's
-circuits, rows and observable with its classes, from the same maps, rows
-and terms. Each case's ``bit_identical`` says whether the two packages give
-the same weights bit for bit, ``circuits_bit_identical`` says it per
-circuit, and ``parent_max_rel_diff`` is the largest |w - w_parent| over a
-circuit's rows relative to its largest |w_parent|. The ``--repeats`` timed
-passes then alternate between the two packages, the order alternating too,
-and the record gives both least seconds per pass, the median paired
-difference (change - parent) and the pairs the working tree won. Weights that differ from the parent's
-exit with status 1, after the record is written; ``--parent HEAD`` checks
-the working tree against its last commit.
+circuits, rows and observable with its classes, from the same maps, rows and
+terms. Each case's ``bit_identical`` says whether the two packages give the
+same weights bit for bit, ``circuits_bit_identical`` says it per circuit,
+and ``parent_max_rel_diff`` is the largest |w - w_parent| over a circuit's
+rows relative to its largest |w_parent|. The ``--repeats`` timed passes then
+alternate between the two packages, the order alternating too, and the
+record gives both least seconds per pass, the median paired difference
+(change - parent) and the pairs the working tree won. Weights that differ
+from the parent's exit with status 1, after the record is written;
+``--parent HEAD`` checks the working tree against its last commit.
 
 Examples:
     python3 scripts/weights_replay.py --repeats 7 --tag change --out BENCH_weights.json
@@ -163,15 +161,6 @@ def relative(got, want):
     return max(float(np.max(np.abs(g - w) / (1.0 + np.abs(w)), initial=0.0)) for g, w in zip(got, want))
 
 
-def split_terms(circuits, obs):
-    """The terms of ``obs`` each circuit evaluates as products over their
-    clusters, summed over the circuits."""
-    terms = [ps for _, ps in obs.terms]
-    return sum(
-        len(c) > 1 or c[0][1] for circuit in circuits for c in cone.term_clusters(circuit, terms)
-    )
-
-
 def trace_check(circuits, data, obs, got):
     """The weights of the first ``TRACE_ROWS`` rows against the unpruned
     whole-register walk, ``cone.evaluate_trace``."""
@@ -187,9 +176,8 @@ def replay(name, repeats, parent=None):
     got = weights(cone, circuits, data, obs)
     want = singleton_sum(circuits, data, obs)
     diff = relative(got, want)
-    split = split_terms(circuits, obs)
     pruned = any("identity" in c.kinds for c in circuits)
-    trace_diff = trace_check(circuits, data, obs, got) if split or pruned else None
+    trace_diff = trace_check(circuits, data, obs, got) if pruned else None
     # (key prefix, package, circuits, observable) per side
     sides = [("", virtualmap, circuits, obs)]
     if parent is not None:
@@ -211,7 +199,6 @@ def replay(name, repeats, parent=None):
         "cone_runs": tables + rows,
         "table_runs": tables,
         "row_runs": rows,
-        "split_terms": split,
         **calls.counts,
         "max_rel_diff": diff,
         **({} if trace_diff is None else {"trace_rows": min(TRACE_ROWS, len(data.rows)), "trace_max_rel_diff": trace_diff}),

@@ -252,8 +252,8 @@ def _cmd_ansatz(args) -> int:
 
 def _random_check_circuit(n: int, rng: np.random.Generator) -> MapCircuit:
     """Brickwork of one or two layers whose components are exact identities
-    (which join no light cone, so the weight kernel's terms split), random
-    CPTP, unitary and TP Hermiticity-preserving maps."""
+    (which join no light cone of a partial support, so the weight kernel
+    prunes them), random CPTP, unitary and TP Hermiticity-preserving maps."""
     layers = int(rng.integers(1, 3))
 
     def factory(layer, qubits):

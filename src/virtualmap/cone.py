@@ -62,27 +62,18 @@ of the union of their supports. The pruning is exact:
 * a qubit outside the cone contributes the factor Tr F_q, which need not be
   one (custom dual frames).
 
-A term's letters fall into clusters (``term_clusters``): two letters share a
-cluster when their single-letter cones share a qubit, transitively. A
-component in the cones of two clusters would join them, so the clusters'
-cones are disjoint, the term's Heisenberg image is the tensor product of its
-clusters' images, and a product row's value is the product of its clusters'
-values and of Tr F_q outside their cones. A component that is not trace
-preserving joins every cone, and then nothing splits. A cluster whose cone
-holds no component is one letter sigma on qubit q, worth Tr[F_q sigma],
-which the rows' letter tables (``ProductInputData.letter_traces``) hold.
-
-``term_groups`` forms the support groups of the terms of one cluster whose
-cone holds a component, which ``evaluate_rows`` adds up in order: a term
-joins the widest term support that contains its own and lies inside its own
-light cone, so the N bond groups of a nearest-neighbour chain absorb its
-one-site terms, while a term spanning the register stays on its own. The
-other terms, which split or are one free letter, are added last
-(``_add_split_values``): each distinct cluster sub-string that is not a free
-letter is contracted once, with coefficient one, and the terms' values are
-multiplied up per row. Grouping and clustering read only the cones' qubit
-sets (``_cone``, the walk a plan then schedules), so they schedule nothing;
-they are memoized on the structure like the plans.
+``term_groups`` forms the support groups, which ``evaluate_rows`` adds up
+in order: a term joins the widest term support that contains its own and
+lies inside its own light cone, so the N bond groups of a nearest-neighbour
+chain absorb its one-site terms, while a term spanning the register stays on
+its own. That bound reads the cone with identity maps counted as trace
+preserving: the groups depend on the supports and on which components are
+trace preserving, not on which are the identity, so a circuit of identity
+maps keeps the bond groups of a TP circuit on its supports, and each group
+is then contracted over its pruned cone, on a circuit of identities its own
+support with nothing to apply. Grouping reads only the cones' qubit sets
+(``_cone``, the walk a plan then schedules), so it schedules nothing; it is
+memoized on the structure like the plans.
 
 A group's cone is contracted by one backward run (``_backward``), in the
 Heisenberg picture: the steps run in reverse on the adjoint maps from the
@@ -127,7 +118,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -419,11 +410,15 @@ def term_groups(circuit: MapCircuit, terms) -> tuple[tuple[int, ...], ...]:
     A term joins the group of the widest term support S that contains its
     own support and lies inside its own light cone (ties go to the
     lexicographically first S); its own support always qualifies. The cone
-    bound keeps a wide term from pulling local terms into its wide cone.
-    Grouping reads the cones' qubit sets and schedules nothing.
+    bound keeps a wide term from pulling local terms into its wide cone. It
+    reads the cone with identity maps counted as trace preserving, so an
+    identity map, which joins no plan's cone, bounds the groups as any TP
+    map on its qubits would. Grouping reads the cones' qubit sets and
+    schedules nothing.
     """
     term_supports = tuple(ps.support for ps in terms)
-    return _term_groups(circuit.supports, circuit.kinds, term_supports)
+    structure = tuple("tp" if kind == "identity" else kind for kind in circuit.kinds)
+    return _term_groups(circuit.supports, structure, term_supports)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -437,44 +432,6 @@ def _term_groups(supports, kinds, term_supports) -> tuple[tuple[int, ...], ...]:
         home = next(s for s in by_width if set(own).issubset(s) and cone.issuperset(s))
         homes.setdefault(home, []).append(k)
     return tuple(tuple(g) for g in homes.values())
-
-
-def term_clusters(circuit: MapCircuit, terms) -> tuple[tuple[tuple[tuple[int, ...], bool], ...], ...]:
-    """Per Pauli string of ``terms``, its support split into clusters, each
-    with whether its light cone holds no component (then it is one letter).
-
-    Two letters share a cluster when their single-letter light cones share a
-    qubit, transitively; the clusters' cones are then disjoint, so a term's
-    value is the product of its clusters' (:func:`evaluate_rows`). Clusters
-    are ascending, and an empty support is one empty cluster. Like grouping,
-    it reads only the cones and schedules nothing."""
-    term_supports = tuple(ps.support for ps in terms)
-    return _term_clusters(circuit.supports, circuit.kinds, term_supports)
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _term_clusters(supports, kinds, term_supports):
-    cones = {}  # letter -> its single-letter cone
-
-    def cone(q):
-        if q not in cones:
-            # the uncached body, as the scheduler's: letters would evict plans' cones
-            cones[q] = _cone.__wrapped__(supports, kinds, (q,))
-        return cones[q]
-
-    def clusters(support):
-        merged = []  # (letters, cone qubits)
-        for q in support:
-            letters, qubits = [q], set(cone(q)[1])
-            for other in [c for c in merged if not qubits.isdisjoint(c[1])]:
-                merged.remove(other)
-                letters += other[0]
-                qubits |= other[1]
-            merged.append((letters, qubits))
-        found = sorted(tuple(sorted(letters)) for letters, _ in merged) or [()]
-        return tuple((c, len(c) == 1 and not cone(c[0])[0]) for c in found)
-
-    return tuple(clusters(s) for s in term_supports)
 
 
 # ---------------------------------------------------------------------------
@@ -638,149 +595,30 @@ def evaluate_rows(circuit: MapCircuit, data, obs: Observable) -> np.ndarray:
     ``data`` is a :class:`~virtualmap.estimation.ProductInputData`, whose
     rows are range-checked: ``tables[q]`` is an (M_q, 2, 2) array of input
     factors for qubit q and ``rows`` an (R, N) array picking one per qubit.
-    Terms of one cluster (:func:`term_clusters`) whose cone holds a
-    component are grouped (:func:`term_groups`): each group is one backward
-    run over the light cone of the union of its supports, into an outcome
-    table (:func:`_outcome_table`) or per distinct row (:func:`_row_values`)
-    by the module's table rule (``ConePlan.table_cost``); qubits outside a
-    group's cone contribute Tr F_q, and the groups are added in order. The
-    terms that split into clusters, and the single letters whose cone holds
-    no component, are added last, as products over their clusters
-    (:func:`_add_split_values`).
+    Each support group (:func:`term_groups`) is one backward run over the
+    light cone of the union of its supports, into an outcome table
+    (:func:`_outcome_table`) or per distinct row (:func:`_row_values`) by the
+    module's table rule (``ConePlan.table_cost``); qubits outside a group's
+    cone contribute Tr F_q, and the groups are added in order.
     """
     coeffs, paulis = _terms(circuit, data, obs)
     tables, rows = data.tables, data.rows
     total = np.zeros(len(rows), dtype=complex)
-    clusters = term_clusters(circuit, paulis)
-    # terms of one cluster whose cone holds a component, grouped
-    grouped = [k for k, c in enumerate(clusters) if len(c) == 1 and not c[0][1]]
-    for group in term_groups(circuit, [paulis[k] for k in grouped]):
-        group = [grouped[k] for k in group]
-        cs, ps = coeffs[group], [paulis[k] for k in group]
+    for group in term_groups(circuit, paulis):
+        cs, ps = coeffs[list(group)], [paulis[k] for k in group]
         plan = cone_plan(circuit, sorted({q for p in ps for q in p.support}))
         values = _outside_traces(data, plan.qubits)
         if not plan.qubits:
             total += np.repeat(values[:, None], len(ps), axis=1) @ cs
             continue
-        table = _cone_table(circuit, plan, tables, len(rows), cs, ps)
-        if table is None:
-            total += values * _row_values(circuit, plan, tables, rows, cs, ps)
-        else:
+        sizes = tuple(len(tables[q]) for q in plan.outcome_axes)
+        cost, peak = plan.table_cost(sizes)
+        if cost < plan.table_cost((1,) * len(sizes))[0] * len(rows) and peak * len(ps) <= _BATCH_ENTRIES:
+            table = _outcome_table(circuit, plan, tables, cs, ps)
             total += values * table[tuple(rows[:, plan.outcome_axes].T)]
-    split = [k for k, c in enumerate(clusters) if len(c) > 1 or c[0][1]]
-    if split:
-        _add_split_values(total, circuit, data, coeffs[split], [(paulis[k], clusters[k]) for k in split])
+        else:
+            total += values * _row_values(circuit, plan, tables, rows, cs, ps)
     return total
-
-
-def _cone_table(circuit, plan: ConePlan, tables, num_rows: int, coeffs, paulis):
-    """The outcome table of ``paulis`` over ``plan``'s cone
-    (:func:`_outcome_table`) where the module's table rule picks it for
-    ``num_rows`` rows, else None: the rows then take their own backward
-    runs (:func:`_row_values`)."""
-    sizes = tuple(len(tables[q]) for q in plan.outcome_axes)
-    cost, peak = plan.table_cost(sizes)
-    if cost < plan.table_cost((1,) * len(sizes))[0] * num_rows and peak * len(paulis) <= _BATCH_ENTRIES:
-        return _outcome_table(circuit, plan, tables, coeffs, paulis)
-    return None
-
-
-def _add_split_values(total, circuit, data, coeffs, split) -> None:
-    """Add sum_k c_k Tr[L(F_row) P_k] per row over the ``split`` (term, its
-    clusters) pairs into ``total``, each term the product of its clusters'
-    values and of Tr F_q on every qubit q outside their cones.
-
-    A cluster whose cone holds no component is one letter sigma on qubit q,
-    worth Tr[F_q sigma] (``data.letter_traces``). Every other distinct
-    cluster sub-string is one backward run with coefficient one, into an
-    outcome table or per row by the table rule (:func:`_cone_table`). The
-    qubits of a term's clusters' cones are its holes; a term joins the
-    widest holes of any term that contain its own (the first on ties), each
-    hole of the home that it lacks giving the letter I, Tr F_q. A home whose
-    factors all have tables, with no more outcomes over its holes than rows,
-    sums its terms' outer products into one table over them; every other
-    home multiplies its terms' factors per row. Each home's value is then
-    multiplied by the product of Tr F_q over the qubits outside its holes
-    (:func:`_outside_product`), gathered per chunk of rows from the letter
-    tables. The chunks are short enough that the arrays one of them keeps,
-    its factors, its traces and a home's running product, hold at most
-    ``_BATCH_ENTRIES`` entries together, so the path builds no array over
-    that budget."""
-    n, rows = circuit.num_qubits, data.rows
-    # factor key -> (its qubits, its table over them, or None for per-row values)
-    factors = {}
-    plans, terms = {}, []  # bound sub-string -> its plan; (coefficient, holes, keys) per term
-
-    def letter(q, sigma):
-        key = (q, "IXYZ".index(sigma))
-        if key not in factors:
-            factors[key] = ((q,), data.letter_traces[q][:, key[1]])
-        return key
-
-    for c, (ps, clusters) in zip(coeffs, split):
-        holes, keys = [], []
-        for cluster, free in clusters:
-            if free:
-                (q,) = cluster
-                holes.append(q)
-                keys.append(letter(q, ps.letters[q]))
-                continue
-            plan = cone_plan(circuit, cluster)
-            holes += plan.qubits
-            sub = "".join(char if q in cluster else "I" for q, char in enumerate(ps.letters))
-            if sub not in factors:
-                plans[sub] = plan
-                table = _cone_table(circuit, plan, data.tables, len(rows), np.ones(1), [PauliString(sub)])
-                factors[sub] = (plan.outcome_axes, table)
-            keys.append(sub)
-        terms.append((c, tuple(sorted(holes)), keys))
-    by_width = sorted({h for _, h, _ in terms}, key=lambda h: (-len(h), h))
-    homes: dict[tuple[int, ...], list] = {}
-    for c, own, keys in terms:
-        home = next(h for h in by_width if set(own).issubset(h))
-        homes.setdefault(home, []).append((c, keys + [letter(q, "I") for q in home if q not in own]))
-    tables = {}
-    for holes, members in homes.items():
-        entries = math.prod(len(data.tables[q]) for q in holes)
-        if entries <= min(len(rows), _BATCH_ENTRIES) and all(
-            factors[k][1] is not None for _, keys in members for k in keys
-        ):
-            tables[holes] = sum(c * _product_table([factors[k] for k in keys]) for c, keys in members)
-    per_row = {k for h, members in homes.items() if h not in tables for _, keys in members for k in keys}
-    # a chunk keeps its per-row factors, n traces and a product and its factor
-    step = max(1, _BATCH_ENTRIES // (len(per_row) + n + 2))
-    for start in range(0, len(rows), step):
-        chunk, part = rows[start:start + step], slice(start, start + step)
-        values = {}
-        for k in per_row:
-            axes, table = factors[k]
-            if table is None:
-                values[k] = _row_values(circuit, plans[k], data.tables, chunk, np.ones(1), [PauliString(k)])
-            else:
-                values[k] = table[tuple(chunk[:, axes].T)]
-        traces = [factors[letter(q, "I")][1][chunk[:, q]] for q in range(n)]
-        for holes, members in homes.items():
-            if holes in tables:
-                value = tables[holes][tuple(chunk[:, holes].T)]
-            else:
-                value = sum(c * math.prod((values[k] for k in keys[1:]), start=values[keys[0]]) for c, keys in members)
-            total[part] += _outside_product(value, traces, holes)
-
-
-def _product_table(factors) -> np.ndarray:
-    """The outer product of the (qubits, table) ``factors``, whose qubits
-    are disjoint, with its axes in ascending qubit order."""
-    axes = [q for qubits, _ in factors for q in qubits]
-    table = reduce(np.multiply.outer, (t for _, t in factors))
-    return table.transpose(sorted(range(len(axes)), key=axes.__getitem__))
-
-
-def _outside_product(value, traces, holes):
-    """``value`` times prod_q traces[q] over the qubits q not in ``holes``."""
-    for q, trace in enumerate(traces):
-        if q not in holes:
-            value = value * trace
-    return value
 
 
 def _outside_traces(data, qubits) -> np.ndarray:

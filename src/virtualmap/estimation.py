@@ -26,11 +26,7 @@ contraction of the light cone of its support from its terms, pruned exactly
 as :mod:`virtualmap.cone` describes, traced out either against each row's
 own dual operators or, when it makes fewer residual entries, against all of
 them into an outcome table that the rows look up, so a large batch costs
-little more than a small one. A term whose letters' light cones are
-disjoint is the product of its clusters' values, and a letter whose cone
-holds no component, as under the identity circuit, is read off the rows'
-letter tables (:attr:`ProductInputData.letter_traces`): there the estimate
-is the classical-shadow product of single-qubit estimates.
+little more than a small one.
 The dual frame of each preset POVM label is built once per process and
 shared read-only.
 
@@ -149,13 +145,7 @@ def dual_arrays(duals, num_qubits: int) -> list[np.ndarray]:
 class ProductInputData:
     """Weighted product rows: row i is the tensor product over qubits q of
     ``tables[q][rows[i, q]]``, with weight ``weights[i]``. Rows are stored
-    as ``np.intp`` once their range is checked.
-
-    Two views are cached for every contraction of the rows to share:
-    ``letter_traces``, per qubit the (M_q, 4) table of Tr[F sigma] for the
-    letters I, X, Y, Z, which gives a letter whose light cone holds no
-    component its value, and ``traces``, its I column gathered per row, the
-    factor of a qubit outside a light cone."""
+    as ``np.intp`` once their range is checked."""
 
     weights: np.ndarray  # (R,)
     tables: list[np.ndarray]  # N arrays of shape (M_q, 2, 2)
@@ -200,28 +190,11 @@ class ProductInputData:
         return self.rows.shape[1]
 
     @cached_property
-    def letter_traces(self) -> list[np.ndarray]:
-        """Tr[F sigma] of every factor F of every qubit for the letters
-        sigma = I, X, Y, Z: per qubit q an (M_q, 4) complex table, computed
-        once for all qubits together and shared by every contraction of
-        these rows."""
-        factors = np.concatenate(self.tables)
-        f = factors.reshape(-1, 4)  # F00, F01, F10, F11
-        out = np.empty((len(f), 4), dtype=complex)
-        np.trace(factors, axis1=1, axis2=2, out=out[:, 0])
-        np.add(f[:, 1], f[:, 2], out=out[:, 1])
-        np.subtract(f[:, 1], f[:, 2], out=out[:, 2])
-        out[:, 2] *= 1j
-        np.subtract(f[:, 0], f[:, 3], out=out[:, 3])
-        return np.split(out, np.cumsum([len(t) for t in self.tables])[:-1])
-
-    @cached_property
     def traces(self) -> np.ndarray:
         """Tr of every row's factor on every qubit, an (N, R) complex array
-        (row q: qubit q): the letter I's column of ``letter_traces``,
-        gathered once per row and shared by every contraction of these
-        rows."""
-        return np.array([lt[:, 0][self.rows[:, q]] for q, lt in enumerate(self.letter_traces)])
+        (row q: qubit q), gathered once and shared by every contraction of
+        these rows."""
+        return np.array([np.trace(t, axis1=1, axis2=2)[self.rows[:, q]] for q, t in enumerate(self.tables)])
 
 
 def data_from_batch(batch: OutcomeBatch, duals) -> ProductInputData:

@@ -41,7 +41,6 @@ from virtualmap.cone import (
     save_circuit,
     schedule,
     staircase,
-    term_clusters,
     term_groups,
 )
 from virtualmap.densesim import noisy_chain_state
@@ -804,7 +803,7 @@ class TestBatchedKernel:
         assert got.shape == (40,)
         _assert_weighted_sum(got, coeffs, [_one(circ, tables, rows, pauli) for pauli in terms])
 
-    @pytest.mark.parametrize("kind", ["xx-chain", "non-tp", "wide-group"])
+    @pytest.mark.parametrize("kind", ["xx-chain", "non-tp", "wide-group", "identity-chain"])
     def test_residuals_stay_within_plan_and_budget(self, monkeypatch, kind):
         import virtualmap.cone as cone_module
         from virtualmap.pauli import xx_hamiltonian
@@ -829,6 +828,9 @@ class TestBatchedKernel:
             obs = xx_hamiltonian(8, field=0.7)
         elif kind == "non-tp":
             circ, obs = kernel_circuits(rng)["non-tp"], kernel_observable()
+        elif kind == "identity-chain":
+            # the bond groups of identity maps: cones of their own supports
+            circ, obs = brickwork(8, 2), xx_hamiltonian(8, field=0.7)
         else:
             # eleven terms in one group: one row of all of them is over budget
             circ = brickwork(6, 3, lambda layer, qubits: random_cptp_map(2, rng))
@@ -857,12 +859,7 @@ class TestBatchedKernel:
                 for shape in (s for pair in shapes for s in pair):
                     assert shape[0] <= 2**plan.peak_active
                     assert np.prod(shape) <= budget
-                if any(len(c) > 1 for c in term_clusters(circ, [ps for _, ps in terms])):
-                    # the periodic chain's wrap bond splits: each cluster's
-                    # sub-string runs alone, on its own cone
-                    assert kind == "xx-chain"
-                    assert max(s[-2] for pair in shapes for s in pair) == 1
-                elif batch is per_row:
+                if batch is per_row:
                     assert len(shapes) >= len(plan.steps)  # one call per step and chunk
                     if len(terms) > 1:
                         # residuals are (terms, rows) batches; the first steps
@@ -968,7 +965,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ["staircase-24", "non-tp", "wide-term"])
     def test_groups_follow_the_per_term_plan_rule(self, kind):
         # the rule as stated on scheduled plans: a term's home is the widest
-        # term support (then the first) inside its plan's qubits containing it
+        # term support (then the first) inside its plan's qubits containing
+        # it, planned with every identity map read as a TP map on its qubits
         from virtualmap.pauli import xx_hamiltonian
 
         if kind == "staircase-24":
@@ -981,9 +979,16 @@ class TestBatchedKernel:
             obs = Observable.from_terms(8, [*chain.terms, (0.3, "Z" * 8)])
         terms = [ps for _, ps in obs.terms]
         supports = sorted({ps.support for ps in terms}, key=lambda s: (-len(s), s))
+        rng = np.random.default_rng(96)
+        as_tp = [
+            Component(c.qubits, random_unitary_map(len(c.qubits), rng) if kind == "identity" else c.map)
+            for c, kind in zip(circ.components, circ.kinds)
+        ]
+        structure = MapCircuit(circ.num_qubits, as_tp)
+        assert "identity" not in structure.kinds
         homes = {}
         for k, ps in enumerate(terms):
-            cone = set(cone_plan(circ, ps.support).qubits)
+            cone = set(cone_plan(structure, ps.support).qubits)
             home = next(s for s in supports if set(ps.support) <= set(s) <= cone)
             homes.setdefault(home, []).append(k)
         assert term_groups(circ, terms) == tuple(tuple(g) for g in homes.values())
@@ -1338,33 +1343,6 @@ class TestOutsideTraces:
             want = _per_qubit_loop(tables, rows, qubits)
             assert cone._outside_traces(data, qubits).tobytes() == want.tobytes(), qubits
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(1, 6),
-        num_rows=st.integers(0, 20),
-        diagonals=st.lists(_DIAGONALS, min_size=2, max_size=2 * 6 * 3),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_letter_traces_generalize_the_traces(self, n, num_rows, diagonals, seed):
-        # Tr[F sigma] for sigma = I, X, Y, Z per factor, and the rows' traces
-        # are the I column gathered, bit for bit as np.trace per qubit
-        rng = np.random.default_rng(seed)
-        tables = []
-        for q in range(n):
-            t = (rng.standard_normal((int(rng.integers(1, 4)), 2, 2)) + 1j * rng.standard_normal((1, 2, 2)))
-            for m in range(len(t)):
-                t[m, 0, 0], t[m, 1, 1] = (diagonals[(2 * (q * 3 + m) + k) % len(diagonals)] for k in (0, 1))
-            tables.append(t)
-        rows = np.stack([rng.integers(0, len(t), size=num_rows) for t in tables], axis=1).reshape(num_rows, n)
-        data = ProductInputData(np.ones(num_rows), tables, rows)
-        for t, lt in zip(tables, data.letter_traces):
-            assert lt.shape == (len(t), 4)
-            for j, letter in enumerate("IXYZ"):
-                want = np.trace(t @ PauliString(letter).matrix(), axis1=1, axis2=2)
-                assert np.max(np.abs(lt[:, j] - want), initial=0.0) <= 1e-15 * (1.0 + np.max(np.abs(t)))
-        want = np.array([np.trace(t, axis1=1, axis2=2)[rows[:, q]] for q, t in enumerate(tables)])
-        assert data.traces.shape == want.shape and data.traces.tobytes() == want.tobytes()
-
     def test_one_gather_per_data(self, monkeypatch):
         # every group and every observable reads the same traces
         rng = np.random.default_rng(5)
@@ -1375,8 +1353,7 @@ class TestOutsideTraces:
         monkeypatch.setattr(np, "trace", lambda *a, **k: calls.append(1) or real_trace(*a, **k))
         for obs in (xx_hamiltonian(6), Observable.from_terms(6, [(0.5, "ZIIIIZ")])):
             evaluate_rows(circ, data, obs)
-        # the letter traces of every qubit are taken together, once
-        assert len(calls) == 1
+        assert len(calls) == 6
 
 
 def _mixed_kinds_circuit(n, layers, rng, identity=0.4, leaky=0.0):
@@ -1422,10 +1399,10 @@ def _assert_rows_match_the_walk(circ, data, obs):
     assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
 
 
-class TestIdentityPruningAndClusters:
-    """Identity maps join no light cone of a partial support, and a term
-    whose letters' cones are disjoint is the product of its clusters: both
-    checked against ``evaluate_trace``, the unpruned whole-register walk."""
+class TestIdentityPruning:
+    """Identity maps join no light cone of a partial support, while the term
+    groups still read the cones with identities counted as TP maps: checked
+    against ``evaluate_trace``, the unpruned whole-register walk."""
 
     def test_the_plan_of_an_identity_brickwork_is_the_support(self):
         circ = brickwork(8, 2)
@@ -1450,25 +1427,21 @@ class TestIdentityPruningAndClusters:
         assert plan.qubits == (0,)
         _check_plan(pruned, plan, (0,))
 
-    def test_clusters_of_an_identity_circuit_are_its_letters(self):
-        circ = brickwork(6, 2)
-        terms = [PauliString("XXIIII"), PauliString("ZIIIIY"), PauliString("IIZIII"), PauliString("IIIIII")]
-        assert term_clusters(circ, terms) == (
-            (((0,), True), ((1,), True)),
-            (((0,), True), ((5,), True)),
-            (((2,), True),),
-            (((), False),),
-        )
-
-    def test_disjoint_pairs_of_the_all_pairs_correlator(self):
-        # brickwork(12, 3) of any maps that are TP but not the identity:
-        # 24 of the 66 pairs have disjoint cones, each letter's cone holds
-        # components
+    def test_groups_read_identities_as_tp_maps(self):
+        # the identity chain keeps the bond groups, one-site terms included,
+        # of a unitary brickwork on the same supports; each group's plan is
+        # its own support, with nothing to apply
         rng = np.random.default_rng(71)
-        circ = brickwork(12, 3, lambda layer, qubits: random_unitary_map(2, rng))
-        clusters = term_clusters(circ, [ps for _, ps in _all_pairs_zz(12).terms])
-        assert sum(len(c) == 2 for c in clusters) == 24
-        assert all(len(c) <= 2 and not any(free for _, free in c) for c in clusters)
+        identity = brickwork(8, 2)
+        unitary = brickwork(8, 2, lambda layer, qubits: random_unitary_map(2, rng))
+        terms = [ps for _, ps in xx_hamiltonian(8, field=0.4, periodic=True).terms]
+        groups = term_groups(identity, terms)
+        assert groups == term_groups(unitary, terms) and len(groups) == 8
+        for group in groups:
+            support = tuple(sorted({q for k in group for q in terms[k].support}))
+            assert len(support) == 2
+            plan = cone_plan(identity, support)
+            assert plan.qubits == support and not any(s.kind == "apply" for s in plan.steps)
 
     @pytest.mark.parametrize("duals", ["sic", "custom"])
     @pytest.mark.parametrize("obs_kind", ["xx-chain", "all-pairs-zz", "register-wide"])
@@ -1485,11 +1458,6 @@ class TestIdentityPruningAndClusters:
             assert "identity" in circ.kinds and ("other" in circ.kinds) == (circ_kind == "mixed-leaky")
         tables = _pruning_tables(duals, n, rng)
         obs = _pruning_observable(obs_kind, n)
-        clusters = term_clusters(circ, [ps for _, ps in obs.terms])
-        if circ_kind == "mixed-leaky":
-            assert all(len(c) == 1 and not c[0][1] for c in clusters)
-        elif obs_kind != "register-wide" or circ_kind in ("identity", "empty"):
-            assert any(len(c) > 1 for c in clusters)
         for num_rows in (1, 6, 300):
             rows = rng.integers(0, len(tables[0]), size=(num_rows, n))
             _assert_rows_match_the_walk(circ, _data(tables, rows), obs)
@@ -1513,70 +1481,20 @@ class TestIdentityPruningAndClusters:
         obs = Observable.from_terms(n, list(zip(_random_coeffs(len(letters), rng), sorted(letters))))
         _assert_rows_match_the_walk(circ, _data(tables, rows), obs)
 
-    def test_a_non_tp_component_splits_nothing(self, monkeypatch):
-        # every cone holds the leaky component, so no term splits and every
-        # term takes the grouped path: the weights are its bits
-        import virtualmap.cone as cone_module
-
+    def test_a_non_tp_component_joins_every_cone(self):
+        # the leaky component is in every group's plan, beside any identity
+        # map, which joins none
         rng = np.random.default_rng(73)
-        circ = brickwork(8, 3, lambda layer, qubits: random_cptp_map(2, rng))
-        circ = circ.with_component(4, _scaled_identity(2, 0.9))
-        assert circ.kinds.count("other") == 1 and "identity" not in circ.kinds
+        circ = _mixed_kinds_circuit(8, 3, rng).with_component(4, _scaled_identity(2, 0.9))
+        assert circ.kinds.count("other") == 1 and "identity" in circ.kinds
         tables = _random_tables(8, rng, outcomes=3)
         rows = rng.integers(0, 3, size=(40, 8))
         for obs in (xx_hamiltonian(8, field=0.4, periodic=True), _all_pairs_zz(8)):
-            clusters = term_clusters(circ, [ps for _, ps in obs.terms])
-            assert all(len(c) == 1 and not c[0][1] for c in clusters)
-            want = evaluate_rows(circ, _data(tables, rows), obs)
-            _assert_rows_match_the_walk(circ, _data(tables, rows), obs)
-
-            def unexpected(*args):
-                raise AssertionError("a term split")
-
-            monkeypatch.setattr(cone_module, "_add_split_values", unexpected)
-            assert evaluate_rows(circ, _data(tables, rows), obs).tobytes() == want.tobytes()
-            monkeypatch.undo()
-
-    def test_the_split_path_stays_within_the_budget(self, monkeypatch):
-        # the identity chain's letter tables, the random circuit's clusters
-        # and each chunk's outside traces, with a small budget
-        import virtualmap.cone as cone_module
-
-        rng = np.random.default_rng(74)
-        n, num_rows = 8, 500
-        tables = _random_tables(n, rng, outcomes=4)
-        rows = rng.integers(0, 4, size=(num_rows, n))
-        unitaries = lambda layer, qubits: random_unitary_map(2, rng)  # noqa: E731
-        cases = [
-            (brickwork(n, 2), xx_hamiltonian(n, field=0.3, periodic=True), True),
-            (brickwork(n, 1, unitaries), _all_pairs_zz(n), True),  # tables over four-qubit holes
-            (brickwork(n, 2, unitaries), _all_pairs_zz(n), False),  # Z1 Z6's holes are the register
-        ]
-        budget = 1 << 8
-        for circ, obs, tabled in cases:
-            want = evaluate_rows(circ, _data(tables, rows), obs)
-            sizes, chunks = [], []
-            real_table, real_outside = cone_module._product_table, cone_module._outside_product
-
-            def product_table(factors):
-                out = real_table(factors)
-                sizes.append(out.size)
-                return out
-
-            def outside_product(value, traces, holes):
-                chunks.append((value.size, *{len(t) for t in traces}))
-                return real_outside(value, traces, holes)
-
-            monkeypatch.setattr(cone_module, "_BATCH_ENTRIES", budget)
-            monkeypatch.setattr(cone_module, "_product_table", product_table)
-            monkeypatch.setattr(cone_module, "_outside_product", outside_product)
-            got = evaluate_rows(circ, _data(tables, rows), obs)
-            monkeypatch.undo()
-            # several chunks of rows, each within the budget with its traces
-            assert max(size for size, _ in chunks) < num_rows and sum(size for size, _ in chunks) % num_rows == 0
-            assert all(size == rows_of_chunk and size * (n + 2) <= budget for size, rows_of_chunk in chunks)
-            assert bool(sizes) == tabled and max(sizes, default=0) <= budget
-            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-13
+            terms = [ps for _, ps in obs.terms]
+            for group in term_groups(circ, terms):
+                plan = cone_plan(circ, sorted({q for k in group for q in terms[k].support}))
+                applied = {s.component for s in plan.steps if s.kind == "apply"}
+                assert 4 in applied and all(circ.kinds[c] != "identity" for c in applied)
             _assert_rows_match_the_walk(circ, _data(tables, rows), obs)
 
 

@@ -497,16 +497,12 @@ class TestSupportGroups:
         circ = brickwork(8, 2, lambda layer, qubits: random_cptp_map(2, rng))
         obs = xx_hamiltonian(8, field=0.7)
         calls = self._run(monkeypatch, circ, obs, rng.integers(0, 4, size=(50, 8)))
-        # one call contracts each group of term_groups once, in its order;
-        # the wrap bond's letters on qubits 7 and 0 have disjoint cones, so
-        # its two terms are split and each cluster's sub-string runs alone
-        wrap = [k for k, (_, ps) in enumerate(obs.terms) if ps.support == (0, 7)]
-        rest = [k for k in range(len(obs.terms)) if k not in wrap]
-        groups = term_groups(circ, [obs.terms[k][1] for k in rest])
-        assert calls[:7] == [[obs.terms[rest[k]][1].letters for k in group] for group in groups]
-        assert sorted(calls[7:]) == [["IIIIIIIX"], ["IIIIIIIY"], ["XIIIIIII"], ["YIIIIIII"]]
-        assert sorted(p for group in calls[:7] for p in group) == sorted(obs.terms[k][1].letters for k in rest)
-        for group in calls[:7]:
+        # one call contracts each group of term_groups once, in its order
+        groups = term_groups(circ, [ps for _, ps in obs.terms])
+        assert calls == [[obs.terms[k][1].letters for k in group] for group in groups]
+        assert len(calls) == 8
+        assert sorted(p for group in calls for p in group) == sorted(ps.letters for _, ps in obs.terms)
+        for group in calls:
             support = {q for p in group for q, c in enumerate(p) if c != "I"}
             assert len(support) == 2, group
 
@@ -517,9 +513,7 @@ class TestSupportGroups:
         obs = Observable.from_terms(12, [*chain.terms, (0.3, "Z" * 12)])
         calls = self._run(monkeypatch, circ, obs, rng.integers(0, 4, size=(40, 12)))
         assert ["Z" * 12] in calls
-        # eleven bond groups, the wide term, and the wrap bond's four
-        # clusters (X and Y on qubits 0 and 11, whose cones are disjoint)
-        assert len(calls) == 16
+        assert len(calls) == 13
 
     def test_groups_are_planned_once_per_structure(self, monkeypatch):
         from virtualmap import cone, estimation
@@ -536,17 +530,13 @@ class TestSupportGroups:
             return real(supports, pool, traceable)
 
         monkeypatch.setattr(cone, "_greedy_schedule", counting)
-        for cached in (cone._cone, cone._plan, cone._term_groups, cone._term_clusters):
+        for cached in (cone._cone, cone._plan, cone._term_groups):
             cached.cache_clear()
-        # grouping and clustering read the cones' qubit sets and schedule nothing
-        terms = [ps for _, ps in obs.terms]
-        groups = cone.term_groups(circ, terms)
-        clusters = cone.term_clusters(circ, terms)
+        # grouping reads the cones' qubit sets and schedules nothing
+        groups = cone.term_groups(circ, [ps for _, ps in obs.terms])
         assert scheduled == []
         first = evaluate_rows(circ, data, obs)
-        # five groups, and the wrap bond's two clusters, each planned once
-        assert sum(len(c) > 1 for c in clusters) == 2 and len(groups) == 6
-        assert len(scheduled) == 5 + 2
+        assert len(scheduled) == len(groups) == 6
         scheduled.clear()
         # a new circuit of the same structure, as a sweep's with_component makes
         again = circ.with_component(0, circ.components[0].map)

@@ -256,10 +256,9 @@ class TestWeightsReplay:
         assert self._load(load).main(["--repeats", "1"]) == 0
         case = json.loads(capsys.readouterr().out)["estimate-n8"]
         assert case["ok"] is True and "bit_identical" not in case and case["s_median"] > 0.0
-        # the identity circuit's chain splits into letters, checked on the
-        # first rows against the whole-register walk
-        assert case["split_terms"] > 0 and case["trace_rows"] == 64
-        assert case["trace_max_rel_diff"] <= 1e-12
+        # the identity circuit's maps join no cone, so the case is checked
+        # on its first rows against the whole-register walk
+        assert case["trace_rows"] == 64 and case["trace_max_rel_diff"] <= 1e-12
 
     def test_a_walk_that_disagrees_fails_the_replay(self, load, capsys, monkeypatch):
         real = cone.evaluate_trace
@@ -270,11 +269,12 @@ class TestWeightsReplay:
         assert case["ok"] is False and case["trace_max_rel_diff"] > 1e-12 and case["max_rel_diff"] <= 1e-12
         assert captured.err.startswith("error: estimate-n8 differs")
 
-    def test_the_all_pairs_case_splits_its_distant_pairs(self, load):
+    def test_the_all_pairs_case_has_no_identity_map(self, load):
+        # its weights are the grouped path's, so --parent compares their bits
         replay = load("weights_replay")
         circuits, data, obs = replay.CASES["allpairs-zz-12-3"]()
         assert len(obs.terms) == 66 and len(data.rows) == 2000
-        assert replay.split_terms(circuits, obs) == 24
+        assert [set(c.kinds) for c in circuits] == [{"tp"}]
 
 
 def test_summary_newton_steps_total_the_runs_solves(load, tmp_path, capsys):
