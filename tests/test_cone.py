@@ -981,8 +981,8 @@ class TestBatchedKernel:
         supports = sorted({ps.support for ps in terms}, key=lambda s: (-len(s), s))
         rng = np.random.default_rng(96)
         as_tp = [
-            Component(c.qubits, random_unitary_map(len(c.qubits), rng) if kind == "identity" else c.map)
-            for c, kind in zip(circ.components, circ.kinds)
+            Component(c.qubits, random_unitary_map(len(c.qubits), rng) if map_kind == "identity" else c.map)
+            for c, map_kind in zip(circ.components, circ.kinds)
         ]
         structure = MapCircuit(circ.num_qubits, as_tp)
         assert "identity" not in structure.kinds
