@@ -145,7 +145,7 @@ def replay(name, repeats, parent=None):
 
 
 def main(argv=None) -> int:
-    p = parser(__doc__, 7, "timed passes per case")
+    p = parser(__doc__, 7, "timed passes per case", pairs=True)
     p.add_argument(
         "--case", action="append", choices=sorted(CASES), help="case to run (repeatable; default all)"
     )

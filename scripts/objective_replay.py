@@ -165,14 +165,13 @@ class Assemblies(Calls):
 
 def sweep_record(circuit, data, obs, cold: bool, repeats: int):
     """Wall time of a ROUNDS-round sweep and its dense applications per round."""
-    options = dict(accept_tol=1e-8, init="keep")
     calls = []
     with Assemblies(cold) as cache:
         for rounds in range(ROUNDS + 1):
             with applies() as counter:
-                _, report = sweep(circuit, data, obs, SweepOptions(rounds=rounds, **options))
+                _, report = sweep(circuit, data, obs, SweepOptions(rounds=rounds))
             calls.append(counter.counts["apply_superop_local"])
-        full = SweepOptions(rounds=ROUNDS, **options)
+        full = SweepOptions(rounds=ROUNDS)
         wall = seconds(lambda: sweep(circuit, data, obs, full), repeats)
     return {
         "sweep_s": wall,
@@ -226,7 +225,7 @@ def deep_sweep():
     circuit, data, obs = case(n, staircase(n, DEEP_LAYERS))
     with Assemblies(cold=False) as cache:
         start = time.perf_counter()
-        sweep(circuit, data, obs, SweepOptions(rounds=1, accept_tol=1e-8, init="keep"))
+        sweep(circuit, data, obs, SweepOptions(rounds=1))
         wall = time.perf_counter() - start
     k = len(circuit.components)
     return {
@@ -288,7 +287,7 @@ def ansatz_round(repeats):
     obs = xx_hamiltonian(n, coupling=1.0, field=FIELD, periodic=True)
     circuit = varopt._initialize(staircase(n, ANSATZ_LAYERS), "random_unitary", 0)
     data = classical_input(n)
-    options = SweepOptions(rounds=1, accept_tol=1e-8, init="keep")
+    options = SweepOptions(rounds=1)
     runs = []
     for _ in range(repeats):
         with applies() as counter, Assemblies(cold=False, counter=counter) as kept:

@@ -2,12 +2,13 @@
 their records and a call counter.
 
 A replay builds its command line with :func:`parser` (``--repeats``,
-``--out``, ``--tag``, ``--parent``), adds its own options, reads it with
-:func:`parse`, and hands its record to :func:`emit`. :class:`Calls` counts
-the calls of library functions while a ``with`` block runs.
-:func:`parent_package` imports the package of another git revision beside
-the working tree's, so that a replay can time the two alternately in one
-process, and :func:`paired` sums up such alternating timings.
+``--out``, ``--tag``, and ``--parent`` for the replays that pair), adds its
+own options, reads it with :func:`parse`, and hands its record to
+:func:`emit`. :class:`Calls` counts the calls of library functions while a
+``with`` block runs. :func:`parent_package` imports the package of another
+git revision beside the working tree's, so that a replay can time the two
+alternately in one process, and :func:`paired` sums up such alternating
+timings.
 """
 
 import argparse
@@ -30,20 +31,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 
-def parser(doc: str, repeats: int, what: str) -> argparse.ArgumentParser:
+def parser(doc: str, repeats: int, what: str, pairs: bool = False) -> argparse.ArgumentParser:
     """The options every replay takes; ``doc``'s first line describes the
     script, ``repeats`` is the default of ``--repeats`` and ``what`` says
-    what one repeat is."""
+    what one repeat is. A replay that ``pairs`` also takes ``--parent``."""
     p = argparse.ArgumentParser(description=doc.splitlines()[0])
     p.add_argument("--repeats", type=int, default=repeats, help=f"{what} (>= 1)")
     p.add_argument("--out", type=Path, default=None, help="JSON file to store the record in")
     p.add_argument("--tag", default="current", help="key of the record in --out")
-    p.add_argument(
-        "--parent",
-        metavar="REF",
-        default=None,
-        help="git revision whose package is replayed alternately with the working tree's",
-    )
+    if pairs:
+        p.add_argument(
+            "--parent",
+            metavar="REF",
+            default=None,
+            help="git revision whose package is replayed alternately with the working tree's",
+        )
     return p
 
 

@@ -130,7 +130,7 @@ def seconds_per_step(solver, mats, options, steps: int) -> float:
 
 
 def main(argv=None) -> int:
-    args = parse(parser(__doc__, 15, "timed replays"), argv)
+    args = parse(parser(__doc__, 15, "timed replays", pairs=True), argv)
     obs = xx_hamiltonian(N, coupling=1.0, field=FIELD, periodic=True)
     options = SweepOptions(rounds=ROUNDS, seed=SEED, init="random_unitary")
     mats, solves, steps = sweep_objectives(lambda: classical_ansatz(obs, layers=1, options=options))

@@ -220,7 +220,7 @@ def replay(name, repeats, parent=None):
 
 
 def main(argv=None) -> int:
-    args = parse(parser(__doc__, 7, "timed passes per case"), argv)
+    args = parse(parser(__doc__, 7, "timed passes per case", pairs=True), argv)
     parent = None if args.parent is None else parent_package(args.parent)
     record = {name: replay(name, args.repeats, parent) for name in CASES}
     if parent is not None:

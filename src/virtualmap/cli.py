@@ -74,7 +74,7 @@ def _cmd_sample(args) -> int:
     else:
         rho = build_state(args.state, args.N)
         source = _label(args.state)
-    batch = sample_outcomes(rho, args.povm, args.S, seed=args.seed, source=source)
+    batch = sample_outcomes(rho, "sic", args.S, seed=args.seed, source=source)
     _emit(batch_to_text(batch), args.out)
     return 0
 
@@ -130,22 +130,9 @@ def _cmd_estimate(args) -> int:
 # optimize / ansatz
 
 
-def _sweep_options(args) -> SweepOptions:
-    order = None
-    if args.order is not None:
-        try:
-            order = tuple(int(x) for x in args.order.split(","))
-        except ValueError as exc:
-            raise ValidationError(f"--order must list component indices: {args.order!r}") from exc
+def _sweep_options(args, init: str) -> SweepOptions:
     sdp = SdpOptions(max_iters=args.sdp_max_iters, tol=args.sdp_tol)
-    return SweepOptions(
-        rounds=args.rounds,
-        accept_tol=args.accept_tol,
-        order=order,
-        init=args.init,
-        seed=args.seed,
-        sdp=sdp,
-    )
+    return SweepOptions(rounds=args.rounds, init=init, seed=args.seed, sdp=sdp)
 
 
 def _exact_energy_if_small(obs) -> float | None:
@@ -228,7 +215,7 @@ def _cmd_optimize(args) -> int:
         if hbatch.num_qubits != circuit.num_qubits:
             raise ValidationError(f"holdout N={hbatch.num_qubits}, circuit N={circuit.num_qubits}")
         hduals = dual_arrays(list(hbatch.povm_labels), hbatch.num_qubits)
-    options = _sweep_options(args)
+    options = _sweep_options(args, args.init)
     final, report = sweep(circuit, data, obs, options, exact_energy=_exact_energy_if_small(obs))
     holdout = None
     if args.holdout:
@@ -239,7 +226,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_ansatz(args) -> int:
     obs = parse_observable(args.observable)
-    options = _sweep_options(args)
+    options = _sweep_options(args, "random_unitary")
     circuit, report = classical_ansatz(
         obs, layers=args.layers, options=options, exact_energy=_exact_energy_if_small(obs)
     )
@@ -280,7 +267,7 @@ def _cmd_oracle_check(args) -> int:
     # checked before the loop, so a large --N never builds a random circuit
     _dense_dim(circuits[0].num_qubits if circuits else args.N)
     rng = np.random.default_rng(args.seed)
-    duals = np.asarray(compute_duals(get_povm(args.povm)).duals)
+    duals = np.asarray(compute_duals(get_povm("sic")).duals)
     worst_rel = 0.0
     worst_fb = 0.0
     for i in range(args.instances):
@@ -329,18 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-
     def command(name, summary):
-        return sub.add_parser(name, parents=[common], help=summary, formatter_class=formatter)
+        return sub.add_parser(name, help=summary, formatter_class=formatter)
 
-    p = command("sample", "draw measurement outcomes from a state")
+    def add_seed(p):
+        p.add_argument("--seed", type=int, default=0, help="random seed")
+
+    p = command("sample", "draw SIC measurement outcomes from a state")
+    add_seed(p)
     p.add_argument("--state", help="state-preparation JSON file")
     p.add_argument("--mixed", action="store_true", help="use the maximally mixed state")
     p.add_argument("--N", type=int, help="number of qubits (required with --mixed)")
     p.add_argument("--S", type=int, required=True, help="number of shots")
-    p.add_argument("--povm", default="sic", help="single-qubit POVM label")
     p.add_argument("--out", help="output batch CSV (stdout if omitted)")
     p.set_defaults(func=_cmd_sample)
 
@@ -354,16 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     def add_optimizer_flags(p):
+        add_seed(p)
         p.add_argument("--rounds", type=int, default=10)
-        p.add_argument("--accept-tol", type=float, default=1e-8)
-        p.add_argument(
-            "--init",
-            default="keep",
-            choices=SWEEP_INITS,
-            help="maps the sweep starts from: the circuit's own (keep), identity maps, or random unitary "
-            "or CPTP maps drawn from --seed; ansatz has no circuit to keep, so keep starts from random "
-            "unitaries",
-        )
         p.add_argument(
             "--sdp-max-iters",
             type=int,
@@ -390,23 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", help="optimize against a measured batch")
     p.add_argument("--exact-state", help="optimize against an exact state (state-prep JSON)")
     p.add_argument("--classical", action="store_true", help="optimize on the all-zeros input")
-    p.add_argument("--order", help="component visit order, e.g. 0,2,1")
     p.add_argument("--holdout", help="held-out batch CSV to evaluate the final circuit on")
+    p.add_argument(
+        "--init",
+        default="keep",
+        choices=SWEEP_INITS,
+        help="maps the sweep starts from: the circuit's own (keep) or random unitaries drawn from --seed",
+    )
     add_optimizer_flags(p)
     p.set_defaults(func=_cmd_optimize)
 
-    p = command("ansatz", "classical-input variational ground-state run")
+    p = command("ansatz", "classical-input variational ground-state run from random unitaries")
     p.add_argument("--observable", required=True)
     p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--order", help="component visit order, e.g. 0,2,1")
     add_optimizer_flags(p)
     p.set_defaults(func=_cmd_ansatz)
 
-    p = command("oracle-check", "cone-vs-dense self check (N <= 10)")
+    p = command("oracle-check", "cone-vs-dense self check on SIC rows (N <= 10)")
+    add_seed(p)
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--circuit", help="check a specific circuit file instead of random ones")
-    p.add_argument("--povm", default="sic")
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_oracle_check)
 

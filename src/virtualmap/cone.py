@@ -685,9 +685,11 @@ class CutWalk:
     input. The cut at apply step c pairs the forward start run through
     ``steps[:c]`` with the backward start run backwards through
     ``steps[c + 1:]``. The forward residual is kept at one step and
-    advanced, and a cut behind it starts again. Backward residual t (the last
-    t steps) is kept for every s-th t, s = ceil(sqrt(L)) for L steps, and for
-    the block of the last cut; others are recomputed from the kept one below.
+    advanced, and a cut behind it starts again. A walk that is ``kept`` for
+    more than one cut also keeps backward residual t (the last t steps) for
+    every s-th t, s = ceil(sqrt(L)) for L steps, and for the block of the
+    last cut; others are recomputed from the kept one below. A cold walk,
+    cut once and dropped, keeps none of them.
     Components that are not the very objects of the previous call count as
     installed: an install drops the forward residual past its apply step and
     the backward ones through it. Every value is bit for bit that of the
@@ -699,9 +701,10 @@ class CutWalk:
 
     def __init__(
         self, steps, in_factors, out_factors, weights,
-        forward_start=_EMPTY_REGISTER, backward_start=_EMPTY_REGISTER,
+        forward_start=_EMPTY_REGISTER, backward_start=_EMPTY_REGISTER, kept=True,
     ):
         self._steps = tuple(steps)
+        self._kept = kept
         self._ins, self._outs = in_factors, out_factors
         self.weights = weights
         self._start = forward_start
@@ -712,7 +715,7 @@ class CutWalk:
         self.peak_bytes = backward_start[1].nbytes
 
     @classmethod
-    def dense(cls, circuit: MapCircuit, state, obs: Observable):
+    def dense(cls, circuit: MapCircuit, state, obs: Observable, kept=True):
         """The walk of a dense state, a
         :class:`~virtualmap.densesim.DensityMatrix`, under ``obs``: one apply
         step per component on the whole register, from the state's matrix
@@ -722,17 +725,17 @@ class CutWalk:
         whole = tuple(range(circuit.num_qubits))
         steps = [ScheduleStep("apply", component=j) for j in range(len(circuit.components))]
         forward, backward = (whole, state.matrix[..., None, None]), (whole, obs.matrix()[..., None, None])
-        yield cls(steps, (), (), np.ones((1, 1)), forward, backward)
+        yield cls(steps, (), (), np.ones((1, 1)), forward, backward, kept=kept)
 
     @classmethod
-    def rows(cls, circuit: MapCircuit, data, obs: Observable):
+    def rows(cls, circuit: MapCircuit, data, obs: Observable, kept=True):
         """The walks of the product rows of ``data`` (as
         :func:`evaluate_rows` takes them) under ``obs``: per chunk of the
         (rows, terms) batch, a walk of the whole-register plan weighted by
         the rows' ``data.weights`` times the terms' coefficients. Yielded one
         at a time, so a cold walk is dropped once its chunk is summed."""
         for plan, rows, ins, outs, coeffs in _whole_register_chunks(circuit, data, obs):
-            yield cls(plan.steps, ins, outs, data.weights[rows, None] * coeffs)
+            yield cls(plan.steps, ins, outs, data.weights[rows, None] * coeffs, kept=kept)
 
     def _backward_at(self, circuit: MapCircuit, t: int):
         steps, stored = self._steps, self._backward
@@ -744,7 +747,7 @@ class CutWalk:
         for u in range(base + 1, t + 1):
             step = steps[len(steps) - u]
             state = _run_steps(circuit, (step,), self._outs, self._ins, backward=True, start=state)
-            if u % s == 0 or u // s == t // s:
+            if self._kept and (u % s == 0 or u // s == t // s):
                 stored[u] = state
         self.peak_bytes = max(self.peak_bytes, sum(res.nbytes for _, res in stored.values()))
         return state

@@ -256,11 +256,15 @@ def _dual_operator(weights: np.ndarray, tables) -> DensityMatrix:
     return DensityMatrix(n, t.reshape(2**n, 2**n))
 
 
-def _real_weights(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Real parts of complex shot weights, and their largest imaginary residue."""
+def _real_weights(w: np.ndarray, obs: Observable) -> tuple[np.ndarray, float]:
+    """Real parts of complex shot weights of ``obs``, and their largest
+    imaginary residue. A weight sums one value per term, so its round-off
+    grows with the coefficients: the residue allowed scales with the weight
+    and with the coefficient 1-norm sum_k |c_k|."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     residue = np.abs(w.imag)
-    bad = residue > _RESIDUE_TOL * (1.0 + np.abs(w.real))
+    scale = sum(abs(c) for c, _ in obs.terms)
+    bad = residue > _RESIDUE_TOL * (1.0 + scale + np.abs(w.real))
     if np.any(bad):
         raise NumericalError(
             f"shot weight has imaginary residue {residue[bad].max():.3e}; "
@@ -279,9 +283,9 @@ def circuit_energy(circuit: MapCircuit, data, obs: Observable) -> float:
         raise ValidationError("circuit energies need a Hermitian observable")
     if isinstance(data, DensityMatrix):
         out = apply_circuit_dense(circuit, data.matrix)
-        reals, _ = _real_weights(trace_mul(out, obs.matrix()))
+        reals, _ = _real_weights(trace_mul(out, obs.matrix()), obs)
         return float(reals[0])
-    reals, _ = _real_weights(evaluate_rows(circuit, data, obs))
+    reals, _ = _real_weights(evaluate_rows(circuit, data, obs), obs)
     return float(np.dot(data.weights, reals))
 
 
@@ -295,7 +299,7 @@ def shot_weight(outcome, duals, circuit: MapCircuit, obs: Observable) -> float:
             f"outcome covers {row.shape[1]} qubits, circuit has {circuit.num_qubits}"
         )
     data = ProductInputData(np.ones(1), dual_arrays(duals, circuit.num_qubits), row)
-    reals, _ = _real_weights(evaluate_rows(circuit, data, obs))
+    reals, _ = _real_weights(evaluate_rows(circuit, data, obs), obs)
     return float(reals[0])
 
 
@@ -330,7 +334,7 @@ def estimate_all(batch: OutcomeBatch, duals, circuits, observables) -> list[list
     for circuit in circuits:
         row = []
         for obs in observables:
-            reals, residue = _real_weights(evaluate_rows(circuit, data, obs))
+            reals, residue = _real_weights(evaluate_rows(circuit, data, obs), obs)
             value = float(np.dot(data.weights, reals))
             second = float(np.dot(data.weights, reals**2))
             var_unbiased = max(second - value**2, 0.0) * s / (s - 1)

@@ -31,13 +31,14 @@ Tr Y + dim / ||S^-1||_inf on the optimum, read off the S^-1 the step's
 Cholesky gives, so every solve reports a certified optimality gap, and the
 returned map is exactly trace-preserving. A step reads the bound only where
 it can stop the solve: where Tr Y + dim / max |S^-1_ii|, which is never
-below it, passes the stop test. A sweep visits components
-cyclically, installing a new map only when it lowers the energy, and records
-each solve's gap and convergence. M does not depend on the visited component's
-own map, so a component visited since the last install is settled: a second
-solve would repeat the last one, so the sweep skips it, and it stops once
-every component is settled. Each energy it reports is Tr[C M] of an objective
-it holds, at the current map or at the installed solution; one call of
+below it, passes the stop test. A sweep visits components in index order,
+round after round, installing a new map only when it lowers the energy by
+more than 1e-8, and records each solve's gap and convergence. M does not
+depend on the visited component's own map, so a component visited since the
+last install is settled: a second solve would repeat the last one, so the
+sweep skips it, and it stops once every component is settled. Each energy
+it reports is Tr[C M] of an objective it holds, at the current map or at
+the installed solution; one call of
 :func:`virtualmap.estimation.circuit_energy`, which takes the same two kinds
 of input, checks the last. Input data is either the weighted product rows of
 :class:`virtualmap.estimation.ProductInputData` (dual effects of measured
@@ -87,7 +88,6 @@ from .maps import (
     choi_to_superop,
     compose,
     identity_map,
-    random_cptp_map,
     random_unitary_map,
     superop_to_choi,
     tensor_maps,
@@ -101,10 +101,12 @@ from .pauli import Observable
 # ---------------------------------------------------------------------------
 
 
-def _cut_walks(circuit: MapCircuit, data, obs: Observable):
+def _cut_walks(circuit: MapCircuit, data, obs: Observable, kept=True):
     """The walks that cut ``data`` under ``obs``, yielded one at a time: a
-    dense state's one walk, or the walks of product rows, one per chunk."""
-    return (CutWalk.dense if isinstance(data, DensityMatrix) else CutWalk.rows)(circuit, data, obs)
+    dense state's one walk, or the walks of product rows, one per chunk.
+    Walks that are not ``kept`` are cut once and store no checkpoints."""
+    walks = CutWalk.dense if isinstance(data, DensityMatrix) else CutWalk.rows
+    return walks(circuit, data, obs, kept)
 
 
 def assemble_local_objective(
@@ -120,7 +122,7 @@ def assemble_local_objective(
     if not 0 <= index < len(circuit.components):
         raise ValidationError(f"no component {index} in circuit")
     side = 4 ** circuit.components[index].map.arity
-    shares = (walk.objective(circuit, index) for walk in walks or _cut_walks(circuit, data, obs))
+    shares = (walk.objective(circuit, index) for walk in walks or _cut_walks(circuit, data, obs, kept=False))
     return herm(sum(shares, np.zeros((side, side), dtype=complex)))
 
 
@@ -516,15 +518,17 @@ class SweepReport:
         return buf.getvalue()
 
 
-# The ways a sweep may start: its circuit as given, or every map replaced.
-SWEEP_INITS = ("keep", "identity", "random_unitary", "random_cptp")
+# The ways a sweep may start: its circuit as given, or every map replaced by
+# a random unitary drawn from the seed.
+SWEEP_INITS = ("keep", "random_unitary")
+
+# A solve's map is installed only when it lowers the energy by more than this.
+_ACCEPT_TOL = 1e-8
 
 
 @dataclass
 class SweepOptions:
     rounds: int = 10
-    accept_tol: float = 1e-8
-    order: tuple[int, ...] | None = None
     init: str = "keep"  # one of SWEEP_INITS
     seed: int = 0
     sdp: SdpOptions = field(default_factory=SdpOptions)
@@ -533,14 +537,6 @@ class SweepOptions:
         self.rounds = json_int(self.rounds, "rounds")
         if self.rounds < 0:
             raise ValidationError("rounds must be non-negative")
-        tol = self.accept_tol
-        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-        if not (real and math.isfinite(tol) and tol >= 0.0):
-            raise ValidationError("accept_tol must be a non-negative finite number")
-        if self.order is not None:
-            self.order = tuple(json_int(i, "a sweep order entry") for i in self.order)
-            if not self.order:
-                raise ValidationError("sweep order must list at least one component")
         if self.init not in SWEEP_INITS:
             raise ValidationError(f"unknown init {self.init!r}")
         self.seed = json_int(self.seed, "seed")
@@ -552,17 +548,7 @@ def _initialize(circuit: MapCircuit, init: str, seed: int) -> MapCircuit:
     if init == "keep":
         return circuit
     rng = np.random.default_rng(seed)
-    comps = []
-    for comp in circuit.components:
-        if init == "identity":
-            new = identity_map(comp.map.arity)
-        elif init == "random_unitary":
-            new = random_unitary_map(comp.map.arity, rng)
-        elif init == "random_cptp":
-            new = random_cptp_map(comp.map.arity, rng)
-        else:
-            raise ValidationError(f"unknown init {init!r}")
-        comps.append(replace(comp, map=new))
+    comps = [replace(comp, map=random_unitary_map(comp.map.arity, rng)) for comp in circuit.components]
     return MapCircuit(circuit.num_qubits, tuple(comps))
 
 
@@ -601,12 +587,10 @@ def sweep(
     options: SweepOptions | None = None,
     exact_energy: float | None = None,
 ) -> tuple[MapCircuit, SweepReport]:
-    """Cyclic component-wise energy minimization with monotone acceptance."""
+    """Component-wise energy minimization in index order with monotone acceptance."""
     options = options or SweepOptions()
     current = _initialize(circuit, options.init, options.seed)
-    order = options.order or tuple(range(len(current.components)))
-    if any(i < 0 or i >= len(current.components) for i in order):
-        raise ValidationError("sweep order refers to missing components")
+    k = len(current.components)
     data = _collapse_if_cheaper(current, data, obs)
     # a cut of one walk is kept across the sweep; several chunks are cut cold
     head = list(islice(_cut_walks(current, data, obs), 2))
@@ -618,7 +602,7 @@ def sweep(
     settled: set[int] = set()
     steps: list[SweepStep] = []
     for rnd in range(1, options.rounds + 1):
-        for index in order:
+        for index in range(k):
             if index in settled:
                 continue
             objective = assemble_local_objective(current, index, data, obs, walks=walks)
@@ -627,7 +611,7 @@ def sweep(
             # map it is the solve's value
             choi_now = superop_to_choi(current.components[index].map)
             v_before = float(np.real(trace_mul(choi_now.matrix, objective)))
-            installed = info["value"] < v_before - options.accept_tol
+            installed = info["value"] < v_before - _ACCEPT_TOL
             if installed:
                 current = current.with_component(index, choi_to_superop(choi_new))
                 settled.clear()
@@ -645,7 +629,7 @@ def sweep(
                     newton_steps=info["iters"],
                 )
             )
-        if settled.issuperset(order):
+        if len(settled) == k:
             break
     # The one energy not read off an objective checks the last that was.
     energy = circuit_energy(current, data, obs)
@@ -702,11 +686,10 @@ def classical_ansatz(
 
     The input is purely classical (|0...0>), so the optimized circuit is a
     state-preparation recipe; combine with :func:`zreset_compose` to make it
-    input-independent.
+    input-independent. It has no circuit of its own to keep, so it always
+    starts from random unitaries drawn from ``options.seed``.
     """
-    options = options or SweepOptions(init="random_unitary")
-    if options.init == "keep":
-        options = replace(options, init="random_unitary")
+    options = replace(options or SweepOptions(), init="random_unitary")
     circuit = staircase(obs.num_qubits, layers)
     data = classical_input(obs.num_qubits)
     return sweep(circuit, data, obs, options, exact_energy=exact_energy)

@@ -1,8 +1,9 @@
 """The replay scripts' shared harness (``scripts/replay.py``), the
 self-gating of the solver, weights, plan and batch replays, the solver,
 weights and batch replays against a parent package, the CLI's Newton step total counted
-by the harness, and the two paper-experiment scripts at their smallest size,
-loaded from ``scripts/`` by path."""
+by the harness, the two paper-experiment scripts at their smallest size,
+loaded from ``scripts/`` by path, and the removed options of the CLI and of
+the replays that do not pair."""
 
 import importlib.util
 import json
@@ -16,7 +17,7 @@ import pytest
 
 import virtualmap
 from virtualmap import cone, densesim, estimation, varopt
-from virtualmap.cli import main
+from virtualmap.cli import build_parser, main
 from virtualmap.pauli import write_observable, xx_hamiltonian
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -399,3 +400,48 @@ def test_estimation_experiment_refuses_fewer_than_two_batches(load, capsys, batc
     assert load("estimation_experiment").main(["--N", "3", "--batches", batches, "--S", "50"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: --batches must be at least 2\n"
+
+
+@pytest.mark.parametrize(
+    "program, argv",
+    [
+        ("virtualmap", "estimate --batch b.csv --observable o.json --circuit c.json --seed 1"),
+        ("virtualmap", "sample --S 5 --mixed --N 2 --povm sic"),
+        ("virtualmap", "oracle-check --povm sic"),
+        ("virtualmap", "optimize --observable o.json --circuit c.json --classical --accept-tol 1e-8"),
+        ("virtualmap", "ansatz --observable o.json --accept-tol 1e-8"),
+        ("virtualmap", "optimize --observable o.json --circuit c.json --classical --order 0"),
+        ("virtualmap", "ansatz --observable o.json --order 0"),
+        ("virtualmap", "optimize --observable o.json --circuit c.json --classical --init identity"),
+        ("virtualmap", "optimize --observable o.json --circuit c.json --classical --init random_cptp"),
+        ("virtualmap", "ansatz --observable o.json --init random_unitary"),
+        ("plan_replay", "--repeats 1 --parent HEAD"),
+        ("objective_replay", "--repeats 1 --parent HEAD"),
+    ],
+    ids=[
+        "estimate-seed",
+        "sample-povm",
+        "oracle-check-povm",
+        "optimize-accept-tol",
+        "ansatz-accept-tol",
+        "optimize-order",
+        "ansatz-order",
+        "optimize-init-identity",
+        "optimize-init-random_cptp",
+        "ansatz-init",
+        "plan_replay-parent",
+        "objective_replay-parent",
+    ],
+)
+def test_removed_options_exit_2_through_argparse(load, capsys, program, argv):
+    # each spelling set one value that no caller changed, or was parsed
+    # and ignored; without the removed option the command line parses
+    argv = argv.split()
+    flag = next(a for a in reversed(argv) if a.startswith("--"))
+    run = main if program == "virtualmap" else load(program).main
+    if program == "virtualmap":
+        build_parser().parse_args(argv[: argv.index(flag)])
+    with pytest.raises(SystemExit) as raised:
+        run(argv)
+    assert raised.value.code == 2
+    assert flag in capsys.readouterr().err.splitlines()[-1]

@@ -66,6 +66,7 @@ from virtualmap.varopt import (
     zreset_compose,
 )
 from virtualmap.varopt import (
+    _ACCEPT_TOL,
     SweepStep,
     _bordered,
     _cut_walks,
@@ -418,6 +419,29 @@ class TestDenseEnvironments:
             walk.residuals(circ, index)
         # 0, 3, 6 and a block of two, not all nine
         assert walk.peak_bytes == 5 * obs.matrix().nbytes
+
+    def test_a_cold_walk_keeps_no_checkpoints(self, monkeypatch):
+        # a walk cut once and dropped stores none of its backward residuals,
+        # and its cut costs the applications a kept walk's first cut does
+        rng = np.random.default_rng(81)
+        rho = noisy_chain_state(4, theta=0.3, p=0.02)
+        circ = staircase(4, 3, lambda layer, qubits: random_cptp_map(2, rng))
+        obs = xx_hamiltonian(4, field=0.6)
+        calls = _count_dense_applications(monkeypatch)
+        cuts = {}
+        for kept in (True, False):
+            (walk,) = _cut_walks(circ, rho, obs, kept)
+            before = len(calls)
+            cuts[kept] = (walk.objective(circ, 0), len(calls) - before, walk.peak_bytes)
+        assert np.array_equal(cuts[True][0], cuts[False][0])
+        assert cuts[True][1] == cuts[False][1] == len(circ.components) - 1
+        assert cuts[False][2] == obs.matrix().nbytes < cuts[True][2]
+        # an assembly without walks of its own cuts cold walks
+        built = []
+        real = varopt.CutWalk.dense
+        monkeypatch.setattr(varopt.CutWalk, "dense", lambda *a: built.append(a[-1]) or real(*a))
+        assemble_local_objective(circ, 0, rho, obs)
+        assert built == [False]
 
     def test_sweep_cuts_through_one_environment(self, monkeypatch):
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
@@ -1159,12 +1183,12 @@ def _resolve_every_visit(circuit, data, obs, options):
     visits, settled = [], set()
     for rnd in range(1, options.rounds + 1):
         improved = False
-        for index in options.order or range(len(current.components)):
+        for index in range(len(current.components)):
             objective = assemble_local_objective(current, index, data, obs)
             choi_new, info = minimize_over_cptp(objective, options.sdp)
             v_before = objective_value(objective, superop_to_choi(current.components[index].map))
             v_new = objective_value(objective, choi_new)
-            installed = v_new < v_before - options.accept_tol
+            installed = v_new < v_before - _ACCEPT_TOL
             step = SweepStep(
                 round=rnd,
                 component=index,
@@ -1260,34 +1284,17 @@ class TestSweepReuse:
         _assert_same_maps(best, circ)
 
     def test_dense_state_skips_unchanged_subproblems(self, monkeypatch):
+        # the same skipping at the fixed acceptance threshold of 1e-8: under
+        # a strong field the sweep settles in 6 of its 10 rounds
         rho = noisy_chain_state(4, theta=0.3, p=0.01)
-        obs = xx_hamiltonian(4, field=0.4)
-        options = SweepOptions(rounds=10, init="random_unitary", seed=0, accept_tol=1e-4)
+        obs = xx_hamiltonian(4, field=2.0)
+        options = SweepOptions(rounds=10, init="random_unitary", seed=0)
         circ, want, visits = _settled_visits_dropped(staircase(4, 1), rho, obs, options)
         calls = _count_solves(monkeypatch)
         best, report = sweep(staircase(4, 1), rho, obs, options)
         assert calls["assemble"] == calls["solve"] == len(report.steps) < len(visits)
         assert report.steps == want
         _assert_same_maps(best, circ)
-
-    def test_order_with_repeats_skips_settled_visits(self, monkeypatch):
-        # the second visit of 0 in a row, and a 2 with no install since the
-        # last, repeat a solve
-        rho = noisy_chain_state(4, theta=0.3, p=0.01)
-        obs = xx_hamiltonian(4, field=0.4)
-        options = SweepOptions(rounds=4, order=(0, 0, 2, 1, 2), init="random_unitary", seed=3)
-        circ, want, visits = _settled_visits_dropped(brickwork(4, 2), rho, obs, options)
-        assert len(visits) > len(want)
-        calls = _count_solves(monkeypatch)
-        best, report = sweep(brickwork(4, 2), rho, obs, options)
-        assert calls["solve"] == len(report.steps)
-        assert report.steps == want
-        _assert_same_maps(best, circ)
-        # the second 0 of a round repeats the first
-        assert not any(
-            a.round == b.round and a.component == b.component == 0
-            for a, b in zip(report.steps, report.steps[1:])
-        )
 
     def test_dense_sweep_builds_the_observable_matrix_once(self, monkeypatch):
         # once per observable, shared by the walk and the sweep's one
@@ -1453,29 +1460,26 @@ class TestSweep:
         assert report.relative_error() is not None
 
     def test_bad_order_rejected(self):
-        obs = Observable.from_terms(2, [(1.0, "ZI")])
-        with pytest.raises(ValidationError):
-            sweep(
-                staircase(2, 1),
-                classical_input(2),
-                obs,
-                SweepOptions(order=(3,), rounds=1),
-            )
+        # a sweep visits the components in index order; it takes no order
+        with pytest.raises(TypeError):
+            SweepOptions(order=(3,), rounds=1)
+        obs = xx_hamiltonian(3, field=0.4)
+        options = SweepOptions(rounds=2, init="random_unitary", seed=3)
+        _, report = sweep(staircase(3, 1), classical_input(3), obs, options)
+        assert [s.component for s in report.steps] == [0, 1] * 2
+        assert [s.round for s in report.steps] == [1, 1, 2, 2]
 
     def test_empty_order_rejected(self):
-        # an empty order would otherwise fall back to visiting every component
-        with pytest.raises(ValidationError, match="at least one component"):
+        # SweepOptions has no order field, so even an empty one is refused
+        with pytest.raises(TypeError):
             SweepOptions(order=(), rounds=1)
 
     def test_bad_init_rejected(self):
+        # a sweep starts from the circuit as given or from random unitaries
         obs = Observable.from_terms(2, [(1.0, "ZI")])
-        with pytest.raises(ValidationError):
-            sweep(
-                staircase(2, 1),
-                classical_input(2),
-                obs,
-                SweepOptions(init="whatever", rounds=1),
-            )
+        for init in ("whatever", "identity", "random_cptp"):
+            with pytest.raises(ValidationError, match="unknown init"):
+                sweep(staircase(2, 1), classical_input(2), obs, SweepOptions(init=init, rounds=1))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -1504,25 +1508,28 @@ class TestSweep:
         ],
     )
     def test_bad_options_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
+        # accept_tol and order are no longer fields: a sweep visits the
+        # components in index order and installs a map that lowers the
+        # energy by more than 1e-8, so naming either is a TypeError
+        removed = {"accept_tol", "order"} & kwargs.keys()
+        with pytest.raises(TypeError if removed else ValidationError):
             SweepOptions(**kwargs)
 
     def test_numpy_integer_options_are_stored_as_ints(self):
-        opts = SweepOptions(
-            rounds=np.int64(2), seed=np.int64(1), order=np.array([1, 0]), init="random_unitary"
-        )
-        assert (opts.rounds, opts.seed, opts.order) == (2, 1, (1, 0))
-        assert {type(v) for v in (opts.rounds, opts.seed, *opts.order)} == {int}
-        # an order kept as an array would make sweep's `options.order or ...` raise
+        opts = SweepOptions(rounds=np.int64(2), seed=np.int64(1), init="random_unitary")
+        assert (opts.rounds, opts.seed) == (2, 1)
+        assert {type(v) for v in (opts.rounds, opts.seed)} == {int}
         _, report = sweep(staircase(3, 1), classical_input(3), xx_hamiltonian(3), opts)
-        assert [s.component for s in report.steps[:2]] == [1, 0]
-        plain = SweepOptions(rounds=2, seed=1, order=(1, 0), init="random_unitary")
+        assert [s.component for s in report.steps[:2]] == [0, 1]
+        plain = SweepOptions(rounds=2, seed=1, init="random_unitary")
         _, want = sweep(staircase(3, 1), classical_input(3), xx_hamiltonian(3), plain)
         assert report.energies == want.energies
 
     def test_every_init_is_accepted(self):
+        # the circuit as given, or random unitaries drawn from the seed
+        assert SWEEP_INITS == ("keep", "random_unitary")
         for init in SWEEP_INITS:
-            assert SweepOptions(init=init, order=(1, 0)).init == init
+            assert SweepOptions(init=init).init == init
 
     def test_steps_record_certificate(self):
         obs = xx_hamiltonian(3, field=0.4)
@@ -1558,7 +1565,7 @@ class TestSweep:
         # no term's light cone covers the whole register of this open chain
         circ = brickwork(8, 2)
         obs = xx_hamiltonian(8, coupling=1.0, field=0.5, periodic=False)
-        options = SweepOptions(rounds=2, init="random_cptp", seed=4)
+        options = SweepOptions(rounds=2, init="random_unitary", seed=4)
         _, report = sweep(circ, classical_input(8), obs, options)
         assert len(report.steps) == 2 * len(circ.components)
         # one whole-register plan, and at most one cone plan per term
